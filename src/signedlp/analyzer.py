@@ -20,7 +20,13 @@ from typing import Optional
 
 from .errors import IoError, PrecisionExhausted
 from .extract import SignedPair, SignedSeries
-from .lambda_ring import INCONCLUSIVE, IwasawaContext, LambdaElement, gcd_lambda
+from .lambda_ring import (
+    INCONCLUSIVE,
+    IwasawaContext,
+    LambdaElement,
+    factored_string,
+    gcd_lambda,
+)
 from .modules import FactoredIdeal, RankSequence, gr_ideal, kp_ideal
 
 
@@ -34,17 +40,9 @@ class GcdReport:
     detail: str = ""
 
     def as_string(self) -> str:
-        parts = []
-        if self.mu:
-            parts.append("p" if self.mu == 1 else f"p^{self.mu}")
-        if self.x_exp:
-            parts.append("X" if self.x_exp == 1 else f"X^{self.x_exp}")
-        for n in sorted(self.phi_exps):
-            b = self.phi_exps[n]
-            parts.append(f"Phi{n}" if b == 1 else f"Phi{n}^{b}")
-        if self.residual not in ("1", ""):
-            parts.append(f"({self.residual})")
-        return "*".join(parts) if parts else "1"
+        return factored_string(
+            self.mu, self.x_exp, sorted(self.phi_exps.items()), self.residual
+        )
 
     def as_factored_ideal(self) -> FactoredIdeal:
         return FactoredIdeal(self.mu or 0, self.x_exp, self.phi_exps)
@@ -58,10 +56,7 @@ def _common_context(a: LambdaElement, b: LambdaElement):
     D = max(a.context.trunc_len, b.context.trunc_len)
     M = min(a.context.precision, b.context.precision)
     ctx = IwasawaContext(a.context.prime, M, ("degree", D))
-    lift = lambda e: ctx.element(
-        [c.reduce_precision(M) for c in e.coeffs]
-    )
-    return lift(a), lift(b), ctx
+    return a.in_context(ctx), b.in_context(ctx), ctx
 
 
 def gcd_signed_pair(pair: SignedPair) -> GcdReport:
@@ -91,9 +86,7 @@ def _gcd_two_conclusive(a: SignedSeries, b: SignedSeries) -> GcdReport:
     A, B, ctx = _common_context(a.series, b.series)
     fact = gcd_lambda(A, B)
     mu, mu_certain = _mu_rule(a, b)
-    residual = "1"
-    if fact.residual is not None and fact.residual.degree() > 0:
-        residual = str(fact.residual)
+    residual = fact.residual_string
     # limit certification by the unit-cofactor argument: only a gcd of the
     # form X^0 or X^1 transfers from representatives to the limit objects
     # (an X-exponent of 1 survives any change of representative modulo a

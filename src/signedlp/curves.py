@@ -131,7 +131,8 @@ def a_ell(curve: CurveData, ell: int) -> int:
     chi = is_sq[rhs].astype(np.int64) * 2 - 1
     chi[rhs == 0] = 0
     a = -int(chi.sum())
-    assert a * a <= 4 * ell, f"Hasse bound violated at {ell}"
+    if a * a > 4 * ell:
+        raise BadReduction(f"Hasse bound violated at {ell}: a = {a}")
     return a
 
 
@@ -187,7 +188,8 @@ def classify_reduction(curve: CurveData, p: int) -> ReductionType:
             from .padic import padic_valuation
             vp = padic_valuation(ap, p)
         # Hasse forces a_p = 0 for supersingular p >= 5, and |a_p| <= 3 at p = 3
-        assert ap == 0 or (p == 3 and ap in (3, -3)), (p, ap)
+        if not (ap == 0 or (p == 3 and ap in (3, -3))):
+            raise BadReduction(f"supersingular a_p = {ap} at p = {p} violates Hasse")
         return ReductionType("good-supersingular", ap, vp)
     return ReductionType("good-ordinary", ap, 0)
 
@@ -202,7 +204,7 @@ def verify_conductor(curve: CurveData) -> bool:
     disc = abs(curve.discriminant)
     n = 1
     d = disc
-    for p in _prime_divisors(d):
+    for p in prime_divisors(d):
         c4, _ = curve.c_invariants
         if c4 % p != 0:
             n *= p
@@ -215,7 +217,8 @@ def verify_conductor(curve: CurveData) -> bool:
     return n == curve.conductor
 
 
-def _prime_divisors(n: int):
+def prime_divisors(n: int):
+    """Distinct prime divisors of n >= 1 in increasing order, by trial division."""
     out = []
     d = 2
     while d * d <= n:

@@ -89,10 +89,6 @@ def _wide_context(thetas) -> IwasawaContext:
     return IwasawaContext(ctx.prime, ctx.precision, ("degree", ctx.prime**top + 1))
 
 
-def _lift(theta, wide: IwasawaContext) -> LambdaElement:
-    return wide.element(list(theta.body.coeffs))
-
-
 def _parity_product(wide: IwasawaContext, n: int) -> LambdaElement:
     """prod of Phi_i for 1 <= i < n with i of the same parity as n - 1."""
     out = wide.one()
@@ -141,7 +137,7 @@ def extract_plus_minus(thetas, a_p: int) -> SignedPair:
             raise NotStabilized(f"no theta levels of parity {parity}")
         quotients = {}
         for n in levels:
-            lifted = _lift(thetas[n], wide)
+            lifted = thetas[n].body.in_context(wide)
             W = _parity_product(wide, n)
             if W.degree() > 0:
                 lifted = exact_quotient(lifted, W)
@@ -153,9 +149,7 @@ def extract_plus_minus(thetas, a_p: int) -> SignedPair:
         if len(levels) >= 2:
             low = levels[-2]
             # class modulus at the lower level: omega_low / parity product
-            modulus = exact_quotient(
-                _lift_omega(wide, low), _parity_product(wide, low)
-            )
+            modulus = exact_quotient(wide.omega(low), _parity_product(wide, low))
             if not _coherent(quotients[top], quotients[low], modulus):
                 raise NotStabilized(
                     f"{label}: quotients at levels {low} and {top} disagree"
@@ -188,10 +182,6 @@ def extract_plus_minus(thetas, a_p: int) -> SignedPair:
     return SignedPair(("plus", "minus"), tuple(components), "parity-factor", stabilized)
 
 
-def _lift_omega(wide: IwasawaContext, n: int) -> LambdaElement:
-    return wide.omega(n)
-
-
 def _modulus_desc(ctx, top, parity):
     prim = [i for i in range(1, top) if i % 2 == (top - 1) % 2]
     div = "*".join(f"Phi{i}" for i in prim) if prim else "1"
@@ -216,7 +206,7 @@ def extract_sharp_flat(thetas, a_p: int, p: int) -> SignedPair:
     for n in sorted(n for n in thetas if n >= 1):
         if n - 1 not in thetas:
             continue
-        u, v = _lift(thetas[n], wide), _lift(thetas[n - 1], wide)
+        u, v = thetas[n].body.in_context(wide), thetas[n - 1].body.in_context(wide)
         try:
             for k in range(n - 1, 0, -1):
                 u, v = v, exact_quotient(v.scale(a_p) - u, wide.phi(k))

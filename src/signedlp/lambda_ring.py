@@ -1,8 +1,11 @@
 """Arithmetic in Lambda = Z_p[[X]] at finite precision.
 
 Elements are coefficient vectors reduced modulo (p^M, X^D) or modulo
-(p^M, omega_n) where omega_n = (1+X)^{p^n} - 1.  The topological generator
-convention is fixed once and for all: gamma = 1 + p, sent to 1 + X.
+(p^M, omega_n) where omega_n = (1+X)^{p^n} - 1.  Each coefficient is stored
+as a plain integer residue in [0, p^M); the two-state zero of a single
+scalar (exact versus vanishing at precision) lives on PadicScalar, which
+coefficient() and evaluate_at_zero() build on demand.  The topological
+generator convention is fixed once and for all: gamma = 1 + p, sent to 1 + X.
 
 The cyclotomic pieces Phi_n (Phi_0 = X) are constructed with exact integer
 coefficients.  Division by a distinguished polynomial is plain monic long
@@ -21,7 +24,7 @@ from .errors import (
     PrecisionExhausted,
     TruncationTooSmall,
 )
-from .padic import PadicScalar
+from .padic import PadicScalar, padic_valuation
 
 #: invariant value when a series cannot be read at the working precision
 INCONCLUSIVE = None
@@ -63,6 +66,10 @@ class IwasawaContext:
         return 1 + self.prime
 
     @property
+    def modulus(self) -> int:
+        return self.prime**self.precision
+
+    @property
     def trunc_len(self) -> int:
         kind, value = self.truncation
         return value if kind == "degree" else self.prime**value
@@ -70,12 +77,6 @@ class IwasawaContext:
     @property
     def is_level(self) -> bool:
         return self.truncation[0] == "level"
-
-    def scalar(self, n: int) -> PadicScalar:
-        return PadicScalar.from_integer(n, self.prime, self.precision)
-
-    def zero_scalar(self) -> PadicScalar:
-        return PadicScalar(self.prime, self.precision, 0, exact_zero=True)
 
     def with_truncation(self, truncation) -> "IwasawaContext":
         return IwasawaContext(self.prime, self.precision, truncation)
@@ -88,12 +89,8 @@ class IwasawaContext:
     # -- canonical elements ------------------------------------------------------
 
     def element(self, int_coeffs) -> "LambdaElement":
-        coeffs = [
-            PadicScalar.from_integer(c, self.prime, self.precision)
-            if not isinstance(c, PadicScalar) else c
-            for c in int_coeffs
-        ]
-        return LambdaElement(self, coeffs)
+        """The class of sum c_i X^i for exact integers c_i."""
+        return LambdaElement(self, int_coeffs)
 
     def zero(self) -> "LambdaElement":
         return LambdaElement(self, [])
@@ -152,59 +149,48 @@ class IwasawaContext:
 
 @dataclass(frozen=True)
 class LambdaElement:
-    """Truncated element of Lambda; immutable, value semantics."""
+    """Truncated element of Lambda; immutable, value semantics.
+
+    coeffs holds trunc_len integer residues in [0, p^M).  The constructor
+    accepts any integers and reduces them into the context modulus.
+    """
 
     context: IwasawaContext
     coeffs: tuple
 
     def __init__(self, context, coeffs):
-        coeffs = list(coeffs)
-        if len(coeffs) > context.trunc_len:
-            coeffs = _reduce_coeffs(context, coeffs)
-        while len(coeffs) < context.trunc_len:
-            coeffs.append(context.zero_scalar())
-        for c in coeffs:
-            if c.prime != context.prime or c.precision != context.precision:
-                raise MixedContext("coefficient does not match context")
         object.__setattr__(self, "context", context)
-        object.__setattr__(self, "coeffs", tuple(coeffs))
+        object.__setattr__(self, "coeffs", _reduce_coeffs(context, coeffs))
 
     # -- inspection -------------------------------------------------------------
 
     def coefficient(self, i: int) -> PadicScalar:
-        if i < len(self.coeffs):
-            return self.coeffs[i]
-        return self.context.zero_scalar()
+        """Coefficient of X^i as a scalar; a zero is never an exact zero."""
+        ctx = self.context
+        r = self.coeffs[i] if i < len(self.coeffs) else 0
+        return PadicScalar(ctx.prime, ctx.precision, r)
 
     def degree(self) -> int:
         """Index of the last coefficient nonzero at precision; -1 for zero."""
         for i in range(len(self.coeffs) - 1, -1, -1):
-            if not self.coeffs[i].is_zero_at_precision:
+            if self.coeffs[i]:
                 return i
         return -1
 
     @property
     def is_zero_at_precision(self) -> bool:
-        return self.degree() == -1
-
-    @property
-    def is_exact_zero(self) -> bool:
-        return all(c.exact_zero for c in self.coeffs)
+        return not any(self.coeffs)
 
     def evaluate_at_zero(self) -> PadicScalar:
         return self.coefficient(0)
 
-    def constant_is_p_unit(self) -> bool:
-        return self.coefficient(0).is_unit
-
     def is_distinguished(self) -> bool:
         """Monic polynomial whose lower coefficients are divisible by p."""
         d = self.degree()
-        if d < 0:
+        if d < 0 or self.coeffs[d] != 1:
             return False
-        if self.coeffs[d].residue != 1:
-            return False
-        return all(self.coeffs[i].valuation_at_least(1) for i in range(d))
+        p = self.context.prime
+        return all(c % p == 0 for c in self.coeffs[:d])
 
     # -- ring structure ------------------------------------------------------------
 
@@ -227,60 +213,55 @@ class LambdaElement:
     def __neg__(self):
         return LambdaElement(self.context, [-a for a in self.coeffs])
 
-    def scale(self, c) -> "LambdaElement":
-        if isinstance(c, int):
-            c = self.context.scalar(c)
+    def scale(self, c: int) -> "LambdaElement":
         return LambdaElement(self.context, [c * a for a in self.coeffs])
 
     def __mul__(self, other):
-        if isinstance(other, (int, PadicScalar)):
+        if isinstance(other, int):
             return self.scale(other)
         self._check(other)
-        n = self.context.trunc_len
         da, db = self.degree(), other.degree()
         if da < 0 or db < 0:
             return self.context.zero()
         raw = [0] * (da + db + 1)
-        A = [c.residue for c in self.coeffs[: da + 1]]
-        B = [c.residue for c in other.coeffs[: db + 1]]
-        mod = self.context.prime ** self.context.precision
-        for i, a in enumerate(A):
+        B = other.coeffs[: db + 1]
+        for i, a in enumerate(self.coeffs[: da + 1]):
             if a == 0:
                 continue
             for j, b in enumerate(B):
                 raw[i + j] += a * b
-        coeffs = [r % mod for r in raw]
-        return LambdaElement(self.context, _reduce_coeffs(self.context, coeffs))
+        return LambdaElement(self.context, raw)
 
     __rmul__ = __mul__
 
     def reduce_precision(self, M: int) -> "LambdaElement":
-        ctx = self.context.with_precision(M)
-        return LambdaElement(ctx, [c.reduce_precision(M) for c in self.coeffs])
+        return LambdaElement(self.context.with_precision(M), self.coeffs)
 
     def reduce_to_level(self, n: int) -> "LambdaElement":
         """Image in Lambda/(omega_n, p^M); reduces, never extends."""
         ctx = self.context.with_truncation(("level", n))
         if ctx.trunc_len > self.context.trunc_len:
             raise TruncationTooSmall("target modulus exceeds current truncation")
-        return LambdaElement(ctx, _reduce_coeffs(ctx, [c for c in self.coeffs]))
+        return LambdaElement(ctx, self.coeffs)
 
     def in_degree_context(self, D: Optional[int] = None) -> "LambdaElement":
         """Reinterpret the representative in a plain X^D truncation."""
         if D is None:
             D = self.context.trunc_len
-        if D < self.context.trunc_len and any(
-            not c.is_zero_at_precision for c in self.coeffs[D:]
-        ):
+        if D < self.context.trunc_len and any(self.coeffs[D:]):
             raise TruncationTooSmall("representative does not fit in X^D")
-        ctx = self.context.with_truncation(("degree", D))
-        return LambdaElement(ctx, list(self.coeffs[:D]))
+        return LambdaElement(self.context.with_truncation(("degree", D)), self.coeffs)
 
-    def evaluate(self, a: PadicScalar) -> PadicScalar:
-        out = self.context.zero_scalar()
-        for c in reversed(self.coeffs):
-            out = out * a + c
-        return out
+    def in_context(self, ctx: IwasawaContext) -> "LambdaElement":
+        """The same representative read in ctx: same prime, no more precision.
+
+        The residues are reduced to ctx's precision and folded into its
+        truncation; a different prime or a higher precision is refused.
+        """
+        own = self.context
+        if ctx.prime != own.prime or ctx.precision > own.precision:
+            raise MixedContext(f"cannot read {own} in {ctx}")
+        return LambdaElement(ctx, self.coeffs)
 
     # -- presentation -----------------------------------------------------------
 
@@ -288,11 +269,14 @@ class LambdaElement:
         d = self.degree()
         if d < 0:
             return "0"
+        mod = self.context.modulus
         terms = []
         for i in range(d, -1, -1):
-            r = self.coeffs[i].lift()
+            r = self.coeffs[i]
             if r == 0:
                 continue
+            if 2 * r > mod:  # smallest-magnitude representative
+                r -= mod
             if i == 0:
                 terms.append(f"{r}")
             else:
@@ -314,33 +298,26 @@ class LambdaElement:
         )
 
 
-def _reduce_coeffs(ctx: IwasawaContext, coeffs):
-    """Reduce a raw coefficient list into the context modulus."""
-    out = [
-        c if isinstance(c, PadicScalar) else PadicScalar.from_integer(c, ctx.prime, ctx.precision)
-        for c in coeffs
-    ]
+def _reduce_coeffs(ctx: IwasawaContext, coeffs) -> tuple:
+    """Residues of a raw integer coefficient list in the context modulus,
+    padded with zeros to trunc_len."""
+    mod = ctx.modulus
     n = ctx.trunc_len
-    if len(out) <= n:
-        return out
-    if not ctx.is_level:
-        return out[:n]
-    # reduce modulo omega_level by monic polynomial division (exact)
-    level = ctx.truncation[1]
-    omega = _binomial_row(ctx.prime**level)
-    omega[0] -= 1  # monic of degree p^level
-    mod = ctx.prime**ctx.precision
-    work = [c.residue for c in out]
-    deg_m = len(omega) - 1
-    for i in range(len(work) - 1, deg_m - 1, -1):
-        c = work[i]
-        if c == 0:
-            continue
-        work[i] = 0
-        for j in range(deg_m):
-            work[i - deg_m + j] = (work[i - deg_m + j] - c * omega[j]) % mod
-    reduced = [PadicScalar(ctx.prime, ctx.precision, work[i]) for i in range(n)]
-    return reduced
+    work = [c % mod for c in coeffs]
+    if len(work) > n and ctx.is_level:
+        # reduce modulo omega_level by monic polynomial division (exact)
+        omega = _binomial_row(n)
+        omega[0] -= 1  # monic of degree n = p^level
+        for i in range(len(work) - 1, n - 1, -1):
+            c = work[i]
+            if c == 0:
+                continue
+            work[i] = 0
+            for j in range(n):
+                work[i - n + j] = (work[i - n + j] - c * omega[j]) % mod
+    del work[n:]
+    work.extend([0] * (n - len(work)))
+    return tuple(work)
 
 
 # -- division ---------------------------------------------------------------------
@@ -358,9 +335,9 @@ def divrem(F: LambdaElement, P: LambdaElement):
         raise NotDistinguished(f"{P!s} is not distinguished")
     ctx = F.context
     d = P.degree()
-    mod = ctx.prime**ctx.precision
-    rem = [c.residue for c in F.coeffs]
-    pc = [c.residue for c in P.coeffs[: d + 1]]
+    mod = ctx.modulus
+    rem = list(F.coeffs)
+    pc = P.coeffs[: d + 1]
     q = [0] * len(rem)
     for i in range(len(rem) - 1, d - 1, -1):
         c = rem[i]
@@ -369,31 +346,26 @@ def divrem(F: LambdaElement, P: LambdaElement):
         q[i - d] = c
         for j in range(d + 1):
             rem[i - d + j] = (rem[i - d + j] - c * pc[j]) % mod
-    Q = LambdaElement(ctx, [PadicScalar(ctx.prime, ctx.precision, v) for v in q])
-    R = LambdaElement(
-        ctx, [PadicScalar(ctx.prime, ctx.precision, v) for v in rem[:d]]
-    )
+    Q = LambdaElement(ctx, q)
+    R = LambdaElement(ctx, rem[:d])
     if ctx.trunc_len >= d + max(Q.degree(), 0) + 1:
         # re-multiplication check is exact whenever the product fits
-        check = Q * P + R
-        assert all(
-            (a.residue - b.residue) % mod == 0
-            for a, b in zip(check.coeffs, F.coeffs)
-        ), "divrem identity failed"
+        if (Q * P + R).coeffs != F.coeffs:
+            raise PrecisionExhausted("divrem identity F = Q*P + R failed")
     return Q, R
 
 
 def divides_at_precision(F: LambdaElement, P: LambdaElement, slack: int = 0) -> bool:
     """Remainder of F by P vanishes modulo p^(M - slack)."""
     _, R = divrem(F, P)
-    bound = F.context.precision - slack
-    return all(c.valuation_at_least(bound) for c in R.coeffs)
+    step = F.context.prime ** (F.context.precision - slack)
+    return all(c % step == 0 for c in R.coeffs)
 
 
 def exact_quotient(F: LambdaElement, P: LambdaElement) -> LambdaElement:
     """Quotient when P divides F at full precision; raises otherwise."""
     Q, R = divrem(F, P)
-    if not all(c.is_zero_at_precision for c in R.coeffs):
+    if not R.is_zero_at_precision:
         raise PrecisionExhausted(f"{P!s} does not divide the operand at precision")
     return Q
 
@@ -492,11 +464,13 @@ def hensel_distinguished(coeffs, lam: int, p: int, M: int):
             e[i] = v
         for i, v in enumerate(gh):
             e[i] = (e[i] - v) % mod
-        assert all(v % pk == 0 for v in e), "Hensel invariant broken"
+        if any(v % pk for v in e):
+            raise NotDistinguished("Hensel invariant broken")
         ek = [(v // pk) % p for v in e]
         dg = _poly_mul_mod(t, ek, p)[:lam]  # t*e mod X^lam
         rem = _poly_sub_fp(ek, _poly_mul_mod(dg, hbar, p), p)
-        assert not any(rem[:lam]), "Hensel correction not divisible by X^lam"
+        if any(rem[:lam]):
+            raise NotDistinguished("Hensel correction not divisible by X^lam")
         dh = rem[lam:]
         for i, v in enumerate(dg):
             g[i] = (g[i] + pk * v) % mod
@@ -542,12 +516,8 @@ def weierstrass(F: LambdaElement) -> InvariantReport:
     """
     ctx = F.context
     M = ctx.precision
-    vals = []
-    for c in F.coeffs:
-        if c.is_zero_at_precision:
-            vals.append(M)
-        else:
-            vals.append(min(c.valuation(), M))
+    p = ctx.prime
+    vals = [padic_valuation(c, p) if c else M for c in F.coeffs]
     if not vals or min(vals) >= M:
         return InvariantReport(
             INCONCLUSIVE, INCONCLUSIVE,
@@ -557,24 +527,14 @@ def weierstrass(F: LambdaElement) -> InvariantReport:
     mu = min(vals)
     lam = vals.index(mu)
     # strip content: coefficients are now known modulo p^(M - mu)
-    reduced_ctx = ctx.with_precision(M - mu) if mu else ctx
-    G = LambdaElement(
-        reduced_ctx,
-        [c.exact_divide_p_power(mu) if mu else c for c in F.coeffs],
-    )
+    Mred = M - mu
+    reduced_ctx = ctx.with_precision(Mred)
+    G = [c // p**mu for c in F.coeffs]
     # distinguished part by exact polynomial Hensel lifting of the coprime
     # factorization G = X^lam * (unit) modulo p
-    Mred = reduced_ctx.precision
-    pmod = reduced_ctx.prime**Mred
-    g, h = hensel_distinguished(
-        [c.residue for c in G.coeffs], lam, reduced_ctx.prime, Mred
-    )
-    recon = _poly_mul_mod(g, h, pmod)
-    ok = len(recon) <= len(G.coeffs) and all(
-        (recon[i] if i < len(recon) else 0) == c.residue
-        for i, c in enumerate(G.coeffs)
-    )
-    if not ok:
+    g, h = hensel_distinguished(G, lam, p, Mred)
+    recon = _poly_mul_mod(g, h, reduced_ctx.modulus)
+    if recon != G[: len(recon)] or any(G[len(recon):]):
         return InvariantReport(
             mu, lam, certified_precision=(Mred, ctx.trunc_len),
             note="re-multiplication check failed",
@@ -590,6 +550,24 @@ def weierstrass(F: LambdaElement) -> InvariantReport:
 # -- gcd -------------------------------------------------------------------------
 
 
+def factored_string(mu, x_exp: int, phi_pairs, residual: str = "1") -> str:
+    """Render p^mu * X^x_exp * prod Phi_n^b * (residual); "1" when empty.
+
+    phi_pairs are (n, b) pairs in rendering order; a falsy mu (0 or
+    INCONCLUSIVE) and a residual of "1" or "" are left out.
+    """
+    parts = []
+    if mu:
+        parts.append("p" if mu == 1 else f"p^{mu}")
+    if x_exp:
+        parts.append("X" if x_exp == 1 else f"X^{x_exp}")
+    for n, b in phi_pairs:
+        parts.append(f"Phi{n}" if b == 1 else f"Phi{n}^{b}")
+    if residual not in ("1", ""):
+        parts.append(f"({residual})")
+    return "*".join(parts) if parts else "1"
+
+
 @dataclass
 class GcdFactorization:
     """gcd presented as p^mu * X^alpha * prod Phi_n^beta_n * residual."""
@@ -602,18 +580,17 @@ class GcdFactorization:
     precision_used: int
     detail: str = ""
 
-    def as_string(self) -> str:
-        parts = []
-        if self.mu:
-            parts.append(f"p^{self.mu}" if self.mu > 1 else "p")
-        if self.x_exp:
-            parts.append("X" if self.x_exp == 1 else f"X^{self.x_exp}")
-        for n in sorted(self.phi_exps):
-            b = self.phi_exps[n]
-            parts.append(f"Phi{n}" if b == 1 else f"Phi{n}^{b}")
+    @property
+    def residual_string(self) -> str:
+        """The residual factor as a polynomial, or "1" when none is left."""
         if self.residual is not None and self.residual.degree() > 0:
-            parts.append(f"({self.residual})")
-        return "*".join(parts) if parts else "1"
+            return str(self.residual)
+        return "1"
+
+    def as_string(self) -> str:
+        return factored_string(
+            self.mu, self.x_exp, sorted(self.phi_exps.items()), self.residual_string
+        )
 
 
 def gcd_lambda(F: LambdaElement, G: LambdaElement, phi_limit: Optional[int] = None):

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import mpmath
 import numpy as np
 
-from .curves import CurveData, a_ell, an_expansion
+from .curves import CurveData, a_ell, an_expansion, prime_divisors
 from .errors import CoefficientSupplyExhausted, NonConvergence
 
 _COEFF_CAP = 3_000_000
@@ -39,27 +39,13 @@ _COEFF_CAP = 3_000_000
 
 def primitive_root_mod_p2(p: int) -> int:
     """Smallest primitive root mod p that stays primitive mod p^2."""
-    factors = _prime_factors(p - 1)
+    factors = prime_divisors(p - 1)
     for g in range(2, p):
         if all(pow(g, (p - 1) // q, p) != 1 for q in factors):
             if pow(g, p - 1, p * p) != 1:
                 return g
             return g + p
     raise ValueError(f"no primitive root found mod {p}")
-
-
-def _prime_factors(n: int):
-    out = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1
-    if n > 1:
-        out.append(n)
-    return out
 
 
 @dataclass

@@ -15,7 +15,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import NotTorsion
-from .lambda_ring import IwasawaContext, LambdaElement, divides_at_precision, weierstrass
+from .lambda_ring import (
+    IwasawaContext,
+    LambdaElement,
+    divides_at_precision,
+    factored_string,
+    weierstrass,
+)
 
 
 @dataclass(frozen=True)
@@ -83,14 +89,7 @@ class FactoredIdeal:
         return out
 
     def __str__(self):
-        parts = []
-        if self.p_exp:
-            parts.append("p" if self.p_exp == 1 else f"p^{self.p_exp}")
-        if self.x_exp:
-            parts.append("X" if self.x_exp == 1 else f"X^{self.x_exp}")
-        for n, b in self.phi_exps:
-            parts.append(f"Phi{n}" if b == 1 else f"Phi{n}^{b}")
-        return "*".join(parts) if parts else "1"
+        return factored_string(self.p_exp, self.x_exp, self.phi_exps)
 
 
 def parse_factored_ideal(spec: str) -> FactoredIdeal:
@@ -183,8 +182,7 @@ def char_ideal(M: ElementaryModule, ctx: IwasawaContext) -> LambdaElement:
         raise NotTorsion(f"free rank {M.free_rank} > 0")
     gen = ctx.one().scale(ctx.prime ** M.mu())
     for F, b in M.poly_part:
-        if F.context != ctx:
-            F = ctx.element([c.residue for c in F.coeffs])
+        F = F.in_context(ctx)
         for _ in range(b):
             gen = gen * F
     return gen
@@ -222,10 +220,8 @@ def f_torsion_finite(M: ElementaryModule, f: LambdaElement, ctx: IwasawaContext)
 def _same_distinguished(F: LambdaElement, G: LambdaElement) -> bool:
     if F.degree() != G.degree():
         return False
-    return all(
-        (a.residue - b.residue) % (F.context.prime ** min(F.context.precision, G.context.precision)) == 0
-        for a, b in zip(F.coeffs, G.coeffs)
-    )
+    step = F.context.prime ** min(F.context.precision, G.context.precision)
+    return all((a - b) % step == 0 for a, b in zip(F.coeffs, G.coeffs))
 
 
 @dataclass(frozen=True)
@@ -246,8 +242,6 @@ def ses_char_check(
         raise NotTorsion("left-hand module must be torsion")
     lhs = char_ideal(A, ctx) * char_ideal(C.torsion_part(), ctx)
     rhs = char_ideal(B.torsion_part(), ctx)
-    same = all(
-        a.residue == b.residue for a, b in zip(lhs.coeffs, rhs.coeffs)
-    )
+    same = lhs.coeffs == rhs.coeffs
     detail = f"Char(A)*Char(C_tor) = {lhs!s}, Char(B_tor) = {rhs!s}"
     return SesVerdict(same, detail)

@@ -2,8 +2,11 @@
 
 A scalar is a residue modulo p^M together with a two-state zero: a residue
 of 0 either stands for an exact zero or for a quantity that is merely
-indistinguishable from zero at the working precision.  All consumers that
-certify anything must branch on this distinction.
+indistinguishable from zero at the working precision.  Consumers of a
+single scalar that certify anything must branch on this distinction.
+Lambda elements (lambda_ring) store bare integer residues and build a
+scalar only when one coefficient is asked for, so that scalar never claims
+an exact zero.
 
 Precision is absolute: every operation returns a value known modulo p^M and
 never claims more digits than its inputs carried.

@@ -23,7 +23,7 @@ from .analyzer import (
     report_payload,
     theorem_consistency,
 )
-from .curves import CurveData, classify_reduction, ingest_curve
+from .curves import CurveData, classify_reduction, ingest_curve, prime_divisors
 from .errors import CompatFailed, NotStabilized, SignedLPError, WrongReductionType
 from .extract import (
     SignedPair,
@@ -45,17 +45,6 @@ from .theta import build_theta, check_compat
 CACHE_ENV = "SIGNEDLP_CACHE_DIR"
 
 
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 1
-    return True
-
-
 @dataclass
 class RunConfig:
     curve_file: str
@@ -71,7 +60,7 @@ class RunConfig:
     out_format: str = "json"
 
     def __post_init__(self):
-        if self.p < 3 or self.p % 2 == 0 or not _is_prime(self.p):
+        if self.p < 3 or self.p % 2 == 0 or prime_divisors(self.p) != [self.p]:
             raise ValueError("p must be an odd prime")
         if self.precision < 2:
             raise ValueError("p-adic precision must be at least 2")

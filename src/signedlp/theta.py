@@ -18,8 +18,6 @@ rather than assuming it (the sign below is the empirically pinned one).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
-
 from .errors import IncompleteTable, NotAUnit
 from .lambda_ring import IwasawaContext, LambdaElement, divrem
 from .modsym import SymbolTable
@@ -118,25 +116,24 @@ def build_theta(table: SymbolTable, n: int, ctx_or_M) -> ThetaElement:
             sym = table.plus(n + 1, a)
             sums[j] = sym if sums[j] is None else sums[j] + sym
             a = (a * gamma) % dec.modulus
-    # expand sum_j c_j (1+X)^j in the monomial basis, exactly over Q
-    monomial = [Fraction(0)] * d
-    row = [Fraction(1)]  # (1+X)^j, starting at j = 0
-    for j, c in enumerate(sums):
-        if c:
-            for k, b in enumerate(row):
-                monomial[k] += c * b
-        if j < d - 1:
-            nxt = row + [Fraction(0)]
-            for k in range(len(row), 0, -1):
-                nxt[k] = row[k - 1] + (row[k] if k < len(row) else 0)
-            row = nxt
-    zero = PadicScalar(p, M, 0, exact_zero=True)
-    coeffs = [
-        zero if q == 0
-        else PadicScalar.from_rational(q.numerator, q.denominator, p, M)
-        for q in monomial
+    # Each c_j is reduced into Z/p^M once.  The change of basis from
+    # (1+X)^j to X^k is unitriangular over Z, so the monomial coefficients
+    # are p-integral exactly when every c_j is: NotIntegral is raised here
+    # or not at all.
+    mod = ctx.modulus
+    residues = [
+        PadicScalar.from_rational(c.numerator, c.denominator, p, M).residue
+        for c in sums
     ]
-    body = LambdaElement(ctx, coeffs)
+    # expand sum_j c_j (1+X)^j in the monomial basis, modulo p^M
+    monomial = [0] * d
+    row = [1]  # (1+X)^j, starting at j = 0
+    for j, c in enumerate(residues):
+        if c:
+            monomial[: j + 1] = [m + c * b for m, b in zip(monomial, row)]
+        if j < d - 1:
+            row = [1] + [(a + b) % mod for a, b in zip(row[1:], row)] + [1]
+    body = LambdaElement(ctx, monomial)
     return ThetaElement(n, body, "plus", provenance=f"{table.curve_label}/p{p}")
 
 
@@ -158,21 +155,16 @@ def check_compat(thetas, n: int, a_p: int) -> CompatReport:
     """
     if n < 2:
         raise ValueError("the three-term congruence starts at level 2")
-    th_n, th_n1, th_n2 = thetas[n], thetas[n - 1], thetas[n - 2]
-    ctx = th_n.context
-    M = ctx.precision
-    p = ctx.prime
-    wide = IwasawaContext(p, M, ("degree", p**n + 1))
-    lift = lambda t: wide.element([c for c in t.body.coeffs])
-    phi = wide.phi(n - 1)
-    lhs = lift(th_n) - lift(th_n1).scale(a_p) + phi * lift(th_n2)
-    omega = wide.omega(n - 1)
-    Q, R = divrem(lhs, omega)
+    ctx = thetas[n].context
+    wide = IwasawaContext(ctx.prime, ctx.precision, ("degree", ctx.prime**n + 1))
+    th_n, th_n1, th_n2 = (thetas[k].body.in_context(wide) for k in (n, n - 1, n - 2))
+    lhs = th_n - th_n1.scale(a_p) + wide.phi(n - 1) * th_n2
+    Q, R = divrem(lhs, wide.omega(n - 1))
     for idx, c in enumerate(R.coeffs):
-        if not c.is_zero_at_precision:
+        if c:
             return CompatReport(
                 n, False,
-                detail=f"coefficient {idx} of the remainder is {c!r}",
+                detail=f"coefficient {idx} of the remainder is {R.coefficient(idx)!r}",
                 index=idx,
             )
     return CompatReport(n, True, quotient=Q)

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from signedlp.errors import NotDistinguished, TruncationTooSmall
+from signedlp.errors import MixedContext, NotDistinguished, TruncationTooSmall
 from signedlp.lambda_ring import (
     IwasawaContext,
     divides_at_precision,
@@ -17,7 +17,7 @@ def ctx3(D=24, M=8):
 
 
 def same(a, b):
-    return all(x.residue == y.residue for x, y in zip(a.coeffs, b.coeffs))
+    return a.coeffs == b.coeffs
 
 
 # -- cyclotomic pieces -------------------------------------------------------------
@@ -116,9 +116,7 @@ def test_weierstrass_remultiplication_round_trip():
         assert w.distinguished_part is not None and w.unit_part is not None
         recon = (w.distinguished_part * w.unit_part).scale(3**mu)
         Fred = F.reduce_precision(recon.context.precision)
-        assert all(
-            a.residue == b.residue for a, b in zip(recon.coeffs, Fred.coeffs)
-        )
+        assert recon.coeffs == Fred.coeffs
 
 
 def test_invariant_additivity_500_pairs():
@@ -183,6 +181,13 @@ def test_context_conversions_reduce_never_extend():
     assert shallow.context.precision == 3
     with pytest.raises(Exception):
         shallow.reduce_precision(6)
+    # reading in another context: same prime, precision never extended
+    assert low.in_context(c).coeffs == wide_low.coeffs
+    assert F.in_context(shallow.context).coeffs == shallow.coeffs
+    with pytest.raises(MixedContext):
+        shallow.in_context(c)
+    with pytest.raises(MixedContext):
+        F.in_context(IwasawaContext(5, 6, ("degree", 16)))
 
 
 def test_gcd_symmetry():

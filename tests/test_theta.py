@@ -1,10 +1,12 @@
+import random
 from fractions import Fraction
 
 import pytest
 
-from signedlp.errors import IncompleteTable, NotAUnit
+from signedlp.errors import IncompleteTable, NotAUnit, NotIntegral
 from signedlp.lambda_ring import weierstrass
 from signedlp.modsym import ModularSymbol, SymbolTable
+from signedlp.padic import PadicScalar
 from signedlp.theta import (
     ThetaElement,
     UnitDecomposer,
@@ -70,7 +72,7 @@ def _table_from_plus(p, K, plus_fn, label="synthetic"):
 def test_zero_table_gives_zero_theta():
     table = _table_from_plus(3, 3, lambda k, a: 0)
     th = build_theta(table, 2, 6)
-    assert th.body.is_exact_zero
+    assert th.body.is_zero_at_precision
 
 
 def test_single_symbol_gives_one():
@@ -86,7 +88,82 @@ def test_build_theta_linearity():
     tsum = _table_from_plus(3, 2, lambda k, a: a % 5 + (a * a + 1) % 7)
     th = build_theta(tsum, 1, 6).body
     th12 = build_theta(t1, 1, 6).body + build_theta(t2, 1, 6).body
-    assert all(x.residue == y.residue for x, y in zip(th.coeffs, th12.coeffs))
+    assert th.coeffs == th12.coeffs
+
+
+def _reference_theta(table, n, M):
+    """Residues of sum_j c_j (1+X)^j expanded exactly over Q, reduced last."""
+    p = table.p
+    dec = UnitDecomposer(p, n)
+    d = p**n
+    sums = [Fraction(0)] * d
+    for w in dec.teich_by_index:
+        a = w
+        for j in range(d):
+            sums[j] += table.plus(n + 1, a)
+            a = (a * (1 + p)) % dec.modulus
+    monomial = [Fraction(0)] * d
+    row = [Fraction(1)]  # (1+X)^j, starting at j = 0
+    for c in sums:
+        for k, b in enumerate(row):
+            monomial[k] += c * b
+        nxt = row + [Fraction(0)]
+        for k in range(len(row), 0, -1):
+            nxt[k] = row[k - 1] + (row[k] if k < len(row) else 0)
+        row = nxt
+    return tuple(PadicScalar.from_fraction(q, p, M).residue for q in monomial)
+
+
+def _random_table(rng, p, K):
+    """Random p-integral symbols, plus pairs t/p, -t/p inside one gamma-fiber
+    (equal j, different Teichmueller index) that cancel in c_j."""
+    plus = {}
+    for k in range(K + 1):
+        for a in range(1, p**k) if k else (0,):
+            if k == 0 or a % p:
+                den = rng.choice([1, 2, 7]) if p != 7 else 1
+                plus[(k, a)] = Fraction(rng.randrange(-50, 51), den)
+    for k in range(1, K + 1):
+        dec = UnitDecomposer(p, k - 1)
+        for _ in range(3):
+            j = rng.randrange(p ** (k - 1))
+            i1, i2 = rng.sample(range(p - 1), 2)
+            g = pow(1 + p, j, dec.modulus)
+            a1 = dec.teich_by_index[i1] * g % dec.modulus
+            a2 = dec.teich_by_index[i2] * g % dec.modulus
+            t = Fraction(rng.choice([1, 2, 4, 5]), p ** rng.randrange(1, 3))
+            plus[(k, a1)] += t
+            plus[(k, a2)] -= t
+    return _table_from_plus(p, K, lambda k, a: plus[(k, a)])
+
+
+def test_build_theta_matches_rational_reference_on_random_tables():
+    rng = random.Random(2103)
+    for p, K, M in ((3, 3, 6), (3, 4, 8), (5, 3, 5), (7, 2, 4)):
+        for _ in range(3):
+            table = _random_table(rng, p, K)
+            for n in range(K):
+                got = build_theta(table, n, M).body.coeffs
+                assert got == _reference_theta(table, n, M), (p, K, n)
+
+
+def test_build_theta_matches_rational_reference_on_fixtures(store):
+    for label, p, digits in (("53a1", 3, 14), ("53a1", 5, 14), ("37a1", 3, 14)):
+        table = store.table(label, p, 3, digits)
+        for n in range(3):
+            got = build_theta(table, n, 8).body.coeffs
+            assert got == _reference_theta(table, n, 8), (label, p, n)
+
+
+def test_non_integral_theta_coefficient_raises():
+    # a lone 1/3 at (k, a) = (2, 1) leaves c_0 = 1/3 outside Z_3
+    table = _table_from_plus(
+        3, 2, lambda k, a: Fraction(1, 3) if (k, a) == (2, 1) else 0
+    )
+    with pytest.raises(NotIntegral):
+        _reference_theta(table, 1, 6)
+    with pytest.raises(NotIntegral):
+        build_theta(table, 1, 6)
 
 
 def test_incomplete_table_rejected():
