@@ -9,8 +9,10 @@ generator convention is fixed once and for all: gamma = 1 + p, sent to 1 + X.
 
 The cyclotomic pieces Phi_n (Phi_0 = X) are constructed with exact integer
 coefficients.  Division by a distinguished polynomial is plain monic long
-division and therefore loses no p-adic digits; the only precision losses in
-this module come from stripping p-power content, and they are tracked.
+division (divrem, the module's one division algorithm, on which Weierstrass
+preparation also runs) and therefore loses no p-adic digits; the only
+precision losses in this module come from stripping p-power content, and
+they are tracked.
 """
 
 from __future__ import annotations
@@ -135,17 +137,6 @@ class IwasawaContext:
         coeffs[0] -= 1
         return self.element(coeffs)
 
-    def omega_signed(self, n: int, parity: str) -> "LambdaElement":
-        """X times the product of the Phi_i of the given index parity, i <= n."""
-        if parity not in ("even", "odd"):
-            raise ValueError("parity must be 'even' or 'odd'")
-        rem = 0 if parity == "even" else 1
-        out = self.x_power(1)
-        for i in range(1, n + 1):
-            if i % 2 == rem:
-                out = out * self.phi(i)
-        return out
-
 
 @dataclass(frozen=True)
 class LambdaElement:
@@ -236,13 +227,6 @@ class LambdaElement:
 
     def reduce_precision(self, M: int) -> "LambdaElement":
         return LambdaElement(self.context.with_precision(M), self.coeffs)
-
-    def reduce_to_level(self, n: int) -> "LambdaElement":
-        """Image in Lambda/(omega_n, p^M); reduces, never extends."""
-        ctx = self.context.with_truncation(("level", n))
-        if ctx.trunc_len > self.context.trunc_len:
-            raise TruncationTooSmall("target modulus exceeds current truncation")
-        return LambdaElement(ctx, self.coeffs)
 
     def in_degree_context(self, D: Optional[int] = None) -> "LambdaElement":
         """Reinterpret the representative in a plain X^D truncation."""
@@ -355,11 +339,10 @@ def divrem(F: LambdaElement, P: LambdaElement):
     return Q, R
 
 
-def divides_at_precision(F: LambdaElement, P: LambdaElement, slack: int = 0) -> bool:
-    """Remainder of F by P vanishes modulo p^(M - slack)."""
+def divides_at_precision(F: LambdaElement, P: LambdaElement) -> bool:
+    """Remainder of F by P vanishes at the working precision."""
     _, R = divrem(F, P)
-    step = F.context.prime ** (F.context.precision - slack)
-    return all(c % step == 0 for c in R.coeffs)
+    return R.is_zero_at_precision
 
 
 def exact_quotient(F: LambdaElement, P: LambdaElement) -> LambdaElement:
@@ -368,119 +351,6 @@ def exact_quotient(F: LambdaElement, P: LambdaElement) -> LambdaElement:
     if not R.is_zero_at_precision:
         raise PrecisionExhausted(f"{P!s} does not divide the operand at precision")
     return Q
-
-
-def _poly_mul_mod(a, b, mod):
-    out = [0] * (len(a) + len(b) - 1) if a and b else []
-    for i, x in enumerate(a):
-        if x == 0:
-            continue
-        for j, y in enumerate(b):
-            out[i + j] = (out[i + j] + x * y) % mod
-    return out
-
-
-def _poly_divmod_fp(a, b, p):
-    """Division in F_p[X] on coefficient lists; b need not be monic."""
-    a = [v % p for v in a]
-    b = [v % p for v in b]
-    while b and b[-1] == 0:
-        b.pop()
-    if not b:
-        raise ZeroDivisionError("division by the zero polynomial")
-    inv_lead = pow(b[-1], -1, p)
-    q = [0] * max(len(a) - len(b) + 1, 0)
-    r = a[:]
-    for i in range(len(a) - len(b), -1, -1):
-        if len(r) < i + len(b):
-            continue
-        c = (r[i + len(b) - 1] * inv_lead) % p
-        if c == 0:
-            continue
-        q[i] = c
-        for j, y in enumerate(b):
-            r[i + j] = (r[i + j] - c * y) % p
-    while r and r[-1] == 0:
-        r.pop()
-    return q, r
-
-
-def _strip_fp(a, p):
-    a = [v % p for v in a]
-    while a and a[-1] == 0:
-        a.pop()
-    return a
-
-
-def _bezout_fp(a, b, p):
-    """(s, t) with s*a + t*b = 1 in F_p[X]; the inputs must be coprime."""
-    r0, r1 = _strip_fp(a, p), _strip_fp(b, p)
-    s0, s1 = [1], [0]
-    t0, t1 = [0], [1]
-    while any(v % p for v in r1):
-        q, r = _poly_divmod_fp(r0, r1, p)
-        r0, r1 = r1, r
-        s0, s1 = s1, _poly_sub_fp(s0, _poly_mul_mod(q, s1, p), p)
-        t0, t1 = t1, _poly_sub_fp(t0, _poly_mul_mod(q, t1, p), p)
-    if len(r0) != 1 or r0[0] % p == 0:
-        raise NotDistinguished("factors are not coprime modulo p")
-    c = pow(r0[0], -1, p)
-    return [v * c % p for v in s0], [v * c % p for v in t0]
-
-
-def _poly_sub_fp(a, b, p):
-    out = [0] * max(len(a), len(b))
-    for i, v in enumerate(a):
-        out[i] = v
-    for i, v in enumerate(b):
-        out[i] = (out[i] - v) % p
-    return [v % p for v in out]
-
-
-def hensel_distinguished(coeffs, lam: int, p: int, M: int):
-    """Unique factorization F = P * H mod p^M with P distinguished of degree
-    lam and H a polynomial with unit constant term.
-
-    Linear Hensel lifting of the coprime factorization F = X^lam * (F div
-    X^lam) modulo p.  Pure polynomial arithmetic: exact at every p-adic
-    digit and independent of any X-truncation.
-    """
-    mod = p**M
-    F = [c % mod for c in coeffs]
-    while F and F[-1] == 0:
-        F.pop()
-    fbar = [c % p for c in F]
-    if any(fbar[:lam]) or lam >= len(fbar) or fbar[lam] % p == 0:
-        raise NotDistinguished("series is not lambda-regular at the given index")
-    hbar = _strip_fp(fbar[lam:], p)
-    g = [0] * lam + [1]            # monic X^lam, lifted in place
-    h = hbar[:]                    # unit constant term, lifted in place
-    s, t = _bezout_fp(g, hbar, p)  # s*X^lam + t*hbar = 1 mod p
-    pk = p
-    for _ in range(1, M):
-        gh = _poly_mul_mod(g, h, mod)
-        e = [0] * max(len(F), len(gh))
-        for i, v in enumerate(F):
-            e[i] = v
-        for i, v in enumerate(gh):
-            e[i] = (e[i] - v) % mod
-        if any(v % pk for v in e):
-            raise NotDistinguished("Hensel invariant broken")
-        ek = [(v // pk) % p for v in e]
-        dg = _poly_mul_mod(t, ek, p)[:lam]  # t*e mod X^lam
-        rem = _poly_sub_fp(ek, _poly_mul_mod(dg, hbar, p), p)
-        if any(rem[:lam]):
-            raise NotDistinguished("Hensel correction not divisible by X^lam")
-        dh = rem[lam:]
-        for i, v in enumerate(dg):
-            g[i] = (g[i] + pk * v) % mod
-        for i, v in enumerate(dh):
-            if i < len(h):
-                h[i] = (h[i] + pk * v) % mod
-            else:
-                h.append((pk * v) % mod)
-        pk *= p
-    return g, h
 
 
 # -- Weierstrass preparation and invariants ------------------------------------------
@@ -510,9 +380,13 @@ class InvariantReport:
 def weierstrass(F: LambdaElement) -> InvariantReport:
     """Invariants mu = min coefficient valuation, lambda = first index attaining it.
 
-    The factorization F = p^mu * P * U is recovered and re-multiplied as a
-    certificate.  Returns an inconclusive report when every coefficient
-    vanishes at precision or when lambda would exceed the truncation bound.
+    The factorization F = p^mu * P * U comes from repeated monic division of
+    the content-free part G: start from P = X^lambda, divide G = Q*P + R, and
+    fold the remainder into P's lower coefficients as R * Q^-1 mod X^lambda.
+    Each pass gains at least one p-adic digit, and divrem re-multiplies
+    G = Q*P + R on every call, so a zero remainder certifies P and U = Q.
+    Returns an inconclusive report when every coefficient vanishes at
+    precision.
     """
     ctx = F.context
     M = ctx.precision
@@ -529,21 +403,28 @@ def weierstrass(F: LambdaElement) -> InvariantReport:
     # strip content: coefficients are now known modulo p^(M - mu)
     Mred = M - mu
     reduced_ctx = ctx.with_precision(Mred)
-    G = [c // p**mu for c in F.coeffs]
-    # distinguished part by exact polynomial Hensel lifting of the coprime
-    # factorization G = X^lam * (unit) modulo p
-    g, h = hensel_distinguished(G, lam, p, Mred)
-    recon = _poly_mul_mod(g, h, reduced_ctx.modulus)
-    if recon != G[: len(recon)] or any(G[len(recon):]):
-        return InvariantReport(
-            mu, lam, certified_precision=(Mred, ctx.trunc_len),
-            note="re-multiplication check failed",
-        )
-    P = reduced_ctx.element(g)
-    U = reduced_ctx.element(h)
-    return InvariantReport(
-        mu, lam, distinguished_part=P, unit_part=U,
-        certified_precision=(Mred, ctx.trunc_len),
+    mod = reduced_ctx.modulus
+    G = reduced_ctx.element([c // p**mu for c in F.coeffs])
+    lower = [0] * lam
+    for _ in range(Mred + 1):
+        P = reduced_ctx.element(lower + [1])
+        Q, R = divrem(G, P)
+        if R.is_zero_at_precision:
+            return InvariantReport(
+                mu, lam, distinguished_part=P, unit_part=Q,
+                certified_precision=(Mred, ctx.trunc_len),
+            )
+        # delta = R / Q mod X^lam; Q(0) is a unit since P = X^lam mod p
+        # makes Q(0) = G's lambda-th coefficient mod p
+        q, r = Q.coeffs, R.coeffs
+        inv0 = pow(q[0], -1, mod)
+        delta = []
+        for k in range(lam):
+            acc = r[k] - sum(q[j] * delta[k - j] for j in range(1, k + 1))
+            delta.append(acc * inv0 % mod)
+        lower = [(a + d) % mod for a, d in zip(lower, delta)]
+    raise NotDistinguished(
+        f"no distinguished part of degree {lam} after {Mred + 1} divisions"
     )
 
 
@@ -678,8 +559,6 @@ def _euclid_residual(A: LambdaElement, B: LambdaElement):
         if wb.mu > 0:
             prec_used += wb.mu
         Bd = wb.distinguished_part
-        if Bd is None:
-            return None, False, prec_used, "no distinguished part for divisor"
         ctxA = A.context
         if Bd.context.precision < ctxA.precision:
             A = A.reduce_precision(Bd.context.precision)

@@ -290,7 +290,6 @@ class SymbolNumerics:
         self._ensure_chains(k)
         ind, m, phi = self._index_table(k)
         S = [None] * phi
-        amplify = 1.0
         for t in range(phi):
             if t == 0:
                 S[t] = self._trivial_chain[k]

@@ -133,15 +133,12 @@ class SymbolTableBuilder:
     """Builds the full table of symbols [a/p^k]^+- for k <= K."""
 
     def __init__(self, curve: CurveData, p: int, digits: int = 30,
-                 denom_bound: int = 10**6, coefficient_cap=None):
+                 denom_bound: int = 10**6):
         self.curve = curve
         self.p = p
         self.digits = digits
         self.denom_bound = denom_bound
-        kwargs = {}
-        if coefficient_cap:
-            kwargs["coefficient_cap"] = coefficient_cap
-        self.numerics = SymbolNumerics(curve, p, digits=digits, **kwargs)
+        self.numerics = SymbolNumerics(curve, p, digits=digits)
         self._periods = periods(curve, max(digits, 20))
 
     def tolerance(self) -> Fraction:
@@ -166,9 +163,9 @@ class SymbolTableBuilder:
         """Table through level K, escalating the working precision once if
         recognition fails at the first attempt.
 
-        When K >= 2 the Hecke relations at level 1 double as an empirical
-        check of the functional-equation sign convention; on failure the
-        two parity sign bits are re-pinned before giving up.
+        When K >= 2 the Hecke relations at levels 1..K-1 double as an
+        empirical check of the functional-equation sign convention; on
+        failure the two parity sign bits are re-pinned before giving up.
         """
         try:
             table = self._build_once(K)
@@ -195,7 +192,9 @@ class SymbolTableBuilder:
 
     def _quick_validate(self, table: SymbolTable) -> bool:
         from .curves import a_ell  # local import to avoid a cycle at load time
-        rep = validate_hecke(table, self.p, 1, a_ell(self.curve, self.p))
+        rep = validate_hecke(
+            table, self.p, table.max_level - 1, a_ell(self.curve, self.p)
+        )
         return rep.passed
 
     def _repin_signs(self, K: int):
@@ -240,65 +239,6 @@ class SymbolTableBuilder:
             "tail_bounds": bounds,
         }
         return table
-
-    def symbol(self, a: int, m: int) -> ModularSymbol:
-        """One symbol [a/m]; m must be 1 or a power of p, gcd(a, m) = 1."""
-        k = _p_power_level(m, self.p)
-        if k == 0:
-            lam = self.numerics.lambda_zero()
-            plus, minus = self._split(lam)
-            return ModularSymbol(0, 1, plus, minus)
-        if a % self.p == 0:
-            raise ValueError(f"{a}/{m} is not in lowest terms at p")
-        lam = self.numerics.level(k).values[a % m]
-        plus, minus = self._split(lam)
-        return ModularSymbol(a % m, m, plus, minus)
-
-
-def _p_power_level(m: int, p: int) -> int:
-    if m == 1:
-        return 0
-    k = 0
-    while m % p == 0:
-        m //= p
-        k += 1
-    if m != 1:
-        raise ValueError(f"denominator must be a power of {p}")
-    return k
-
-
-@dataclass(frozen=True)
-class PeriodIntegral:
-    value: object
-    error_bound: float
-
-
-def period_integral(curve: CurveData, r: Fraction, digits: int = 30,
-                    p: int = None) -> PeriodIntegral:
-    """2 pi i * int_r^(i oo) f(z) dz with a truncation error bound.
-
-    Supported cusps: integers (all equal to r = 0 by 1-periodicity) and
-    rationals whose denominator is a power of the working prime p.
-    """
-    r = Fraction(r)
-    if r.denominator == 1:
-        num = SymbolNumerics(curve, p or 3, digits=digits)
-        val = num.lambda_zero()
-        return PeriodIntegral(val, num._tail_bound(1, num._tail_terms(1)))
-    if p is None:
-        p = _guess_prime(r.denominator)
-    k = _p_power_level(r.denominator, p)
-    num = SymbolNumerics(curve, p, digits=digits)
-    level = num.level(k)
-    a = r.numerator % r.denominator
-    return PeriodIntegral(level.values[a], level.error_bound)
-
-
-def _guess_prime(m: int) -> int:
-    for q in (3, 5, 7, 11, 13, 17, 19, 23):
-        if m % q == 0:
-            return q
-    raise ValueError(f"cannot infer the working prime from denominator {m}")
 
 
 # -- Hecke validation --------------------------------------------------------------

@@ -64,10 +64,6 @@ class FactoredIdeal:
     def phi_dict(self) -> dict:
         return dict(self.phi_exps)
 
-    @property
-    def is_unit_ideal(self) -> bool:
-        return self.p_exp == 0 and self.x_exp == 0 and not self.phi_exps
-
     def divides(self, other: "FactoredIdeal") -> bool:
         mine, theirs = self.phi_dict, other.phi_dict
         return (

@@ -104,12 +104,6 @@ class PadicScalar:
             return AT_LEAST_PRECISION
         return padic_valuation(self.residue, self.prime)
 
-    def valuation_at_least(self, k: int) -> bool:
-        """True when v_p >= k as far as the precision can tell."""
-        if self.residue == 0:
-            return True
-        return k <= self.precision and self.residue % self.prime**k == 0
-
     @property
     def is_zero_at_precision(self) -> bool:
         return self.residue == 0
@@ -178,32 +172,7 @@ class PadicScalar:
         return PadicScalar(self.prime, M, self.residue % self.prime**M,
                            exact_zero=self.exact_zero)
 
-    def exact_divide_p_power(self, k: int) -> "PadicScalar":
-        """Divide by p^k, consuming k digits of precision."""
-        if k == 0:
-            return self
-        if self.precision - k < 1:
-            from .errors import PrecisionExhausted
-            raise PrecisionExhausted(f"dividing by p^{k} at precision {self.precision}")
-        if self.residue % self.prime**k != 0:
-            raise NonUnit(f"residue {self.residue} is not divisible by p^{k}")
-        return PadicScalar(
-            self.prime, self.precision - k,
-            (self.residue // self.prime**k) % self.prime**(self.precision - k),
-            exact_zero=self.exact_zero,
-        )
-
-    def lift(self) -> int:
-        """Smallest-magnitude integer representative."""
-        if 2 * self.residue > self.modulus:
-            return self.residue - self.modulus
-        return self.residue
-
     def __repr__(self):
         tag = " (exact)" if self.exact_zero else ""
         return f"{self.residue} mod {self.prime}^{self.precision}{tag}"
 
-
-def valuation(x: PadicScalar):
-    """Free-function spelling of PadicScalar.valuation."""
-    return x.valuation()

@@ -71,14 +71,6 @@ class UnitDecomposer:
         j = self._gamma_log[(a * pow(w, -1, self.modulus)) % self.modulus]
         return i, j
 
-    def teichmueller_value(self, a: int) -> int:
-        return teichmueller(a, self.p, self.modulus)
-
-
-def decompose_unit(a: int, p: int, n: int):
-    """Standalone spelling of UnitDecomposer.decompose."""
-    return UnitDecomposer(p, n).decompose(a)
-
 
 @dataclass(frozen=True)
 class ThetaElement:

@@ -53,6 +53,14 @@ class TableStore:
         return a_ell(self.curve(label), p)
 
 
+def omega_signed(ctx, n, parity):
+    """X times the product of the Phi_i, 1 <= i <= n, with i of the given parity."""
+    out = ctx.x_power(1)
+    for i in range(2 if parity == "even" else 1, n + 1, 2):
+        out = out * ctx.phi(i)
+    return out
+
+
 @pytest.fixture(scope="session")
 def store():
     return TableStore()

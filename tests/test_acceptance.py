@@ -10,7 +10,7 @@ import time
 
 import pytest
 
-from conftest import record_acceptance
+from conftest import omega_signed, record_acceptance
 
 from signedlp.analyzer import compare_predictions, gcd_signed_pair, theorem_consistency
 from signedlp.curves import a_ell
@@ -64,7 +64,7 @@ def test_c01_lambda_ring_suite():
             assert phi.degree() == p ** (n - 1) * (p - 1)
             assert phi.evaluate_at_zero().residue == p
     cc = IwasawaContext(3, 8, ("degree", 24))
-    lhs = cc.omega_signed(2, "even") * cc.omega_signed(2, "odd")
+    lhs = omega_signed(cc, 2, "even") * omega_signed(cc, 2, "odd")
     rhs = cc.x_power(1) * cc.omega(2)
     assert lhs.coeffs == rhs.coeffs
 

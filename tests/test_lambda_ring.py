@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from conftest import omega_signed
 from signedlp.errors import MixedContext, NotDistinguished, TruncationTooSmall
 from signedlp.lambda_ring import (
     IwasawaContext,
@@ -52,7 +53,7 @@ def test_omega_identities():
     c = ctx3()
     assert same(c.omega(1), c.x_power(1) * c.phi(1))
     assert str(c.omega(0)) == "X"
-    lhs = c.omega_signed(2, "even") * c.omega_signed(2, "odd")
+    lhs = omega_signed(c, 2, "even") * omega_signed(c, 2, "odd")
     rhs = c.x_power(1) * c.omega(2)
     assert same(lhs, rhs)
 
@@ -103,20 +104,33 @@ def test_weierstrass_examples():
 
 
 def test_weierstrass_remultiplication_round_trip():
+    # P distinguished of degree lambda, U(0) a unit and p^mu * P * U = F
+    # together pin the factorization down: it is unique
     rng = random.Random(11)
-    c = ctx3(D=16, M=8)
-    for _ in range(60):
-        coeffs = [3 * rng.randrange(-10, 10) for _ in range(7)]
-        lam = rng.randrange(0, 6)
-        coeffs[lam] = rng.choice([1, 2, 4, 5, 7, 8])
-        mu = rng.randrange(0, 3)
-        F = c.element([v * 3**mu for v in coeffs])
-        w = weierstrass(F)
-        assert w.conclusive and w.mu == mu
-        assert w.distinguished_part is not None and w.unit_part is not None
-        recon = (w.distinguished_part * w.unit_part).scale(3**mu)
-        Fred = F.reduce_precision(recon.context.precision)
-        assert recon.coeffs == Fred.coeffs
+    truncations = (("degree", 16), ("degree", 7), ("level", 1), ("level", 2))
+    for p in (3, 5, 7):
+        for truncation in truncations:
+            for _ in range(12):
+                M = rng.randrange(2, 9)
+                c = IwasawaContext(p, M, truncation)
+                n = c.trunc_len
+                if n > 30:
+                    break
+                lam = rng.choice([rng.randrange(0, n), n - 1])
+                mu = rng.randrange(0, M)
+                coeffs = [p * rng.randrange(p**M) for _ in range(lam)]
+                coeffs.append(rng.randrange(1, p) + p * rng.randrange(p**M))
+                coeffs += [rng.randrange(p**M) for _ in range(lam + 1, n)]
+                if lam < n - 1 and rng.random() < 0.5:
+                    coeffs[-1] = p * rng.randrange(p**M)  # p-divisible top
+                F = c.element([v * p**mu for v in coeffs])
+                w = weierstrass(F)
+                assert w.conclusive and (w.mu, w.lam) == (mu, lam)
+                P, U = w.distinguished_part, w.unit_part
+                assert P.is_distinguished() and P.degree() == lam
+                assert U.coeffs[0] % p != 0
+                recon = (c.element(P.coeffs) * c.element(U.coeffs)).scale(p**mu)
+                assert recon.coeffs == F.coeffs
 
 
 def test_invariant_additivity_500_pairs():
@@ -166,7 +180,7 @@ def test_context_conversions_reduce_never_extend():
     F = c.phi(1) * c.element([1, 1]) + c.element([7])
     # reduction into Lambda/(omega_1): the class representative must differ
     # from F by an exact multiple of omega_1
-    low = F.reduce_to_level(1)
+    low = F.in_context(c.with_truncation(("level", 1)))
     wide_low = c.element([x for x in low.coeffs])
     diff = F - wide_low
     Q, R = divrem(diff, c.omega(1))
@@ -175,8 +189,6 @@ def test_context_conversions_reduce_never_extend():
         low.in_degree_context(2)  # representative has degree 2
     back = low.in_degree_context(4)
     assert back.context.trunc_len == 4
-    with pytest.raises(TruncationTooSmall):
-        c.element([0] * 15 + [1]).reduce_to_level(3)  # omega_3 needs X^27
     shallow = F.reduce_precision(3)
     assert shallow.context.precision == 3
     with pytest.raises(Exception):

@@ -7,13 +7,13 @@ from signedlp.errors import (
     ParseError,
     RecognitionFailed,
 )
+from signedlp.lseries import SymbolNumerics
 from signedlp.modsym import (
     ModularSymbol,
     SymbolTable,
     SymbolTableBuilder,
     export_table,
     import_table,
-    period_integral,
     recognize_rational,
     validate_hecke,
 )
@@ -27,18 +27,18 @@ def test_boundary_symbol_vanishes(store):
 
 
 def test_translation_invariance(store):
-    c = store.curve("53a1")
-    a = period_integral(c, Fraction(1, 3), digits=14, p=3)
-    b = period_integral(c, Fraction(4, 3), digits=14, p=3)
-    assert abs(a.value - b.value) < 1e-10
+    # [a/p^k] depends on a mod p^k only
+    table = store.table("53a1", 3, 3, 14)
+    for k, a in ((1, 1), (1, 2), (2, 7), (3, 10)):
+        assert table.get(k, a + 3**k) == table.get(k, a)
 
 
 def test_tail_bound_self_consistency(store):
     # recomputing with more digits moves the value by less than the bound
     c = store.curve("53a1")
-    rough = period_integral(c, Fraction(2, 9), digits=11, p=3)
-    sharp = period_integral(c, Fraction(2, 9), digits=15, p=3)
-    assert abs(rough.value - sharp.value) <= rough.error_bound + 1e-12
+    rough = SymbolNumerics(c, 3, digits=11).level(2)
+    sharp = SymbolNumerics(c, 3, digits=15).level(2)
+    assert abs(rough.values[2] - sharp.values[2]) <= rough.error_bound + 1e-12
     assert rough.error_bound < 1e-11
 
 
@@ -174,20 +174,18 @@ def test_parity_symmetry_entire_table(store):
 
 def test_boundary_period_integral(store):
     c = store.curve("37a1")
-    out = period_integral(c, Fraction(0), digits=14, p=17)
-    assert abs(out.value) < 1e-12  # L(E, 1) = 0
+    out = SymbolNumerics(c, 17, digits=14).level(0)
+    assert abs(out.values[0]) < 1e-12  # L(E, 1) = 0
 
 
-def test_single_symbol_lookup(store):
-    c = store.curve("53a1")
-    builder = SymbolTableBuilder(c, 5, digits=14, denom_bound=500000)
-    sym = builder.symbol(7, 25)
-    table = store.table("53a1", 5, 2, 14)
-    assert sym.plus == table.plus(2, 7)
-    with pytest.raises(ValueError):
-        builder.symbol(5, 25)  # not coprime
-    with pytest.raises(ValueError):
-        builder.symbol(1, 6)  # denominator not a power of p
+def test_wrong_signs_are_repinned_from_every_level(store):
+    # the signs (-1, 1) pass the Hecke relations at level 1 on 37a1, p = 3,
+    # and fail them at level 2; the build must re-pin to the default signs
+    builder = SymbolTableBuilder(store.curve("37a1"), 3, digits=14, denom_bound=500000)
+    builder.numerics.sign_even, builder.numerics.sign_odd = -1, 1
+    table = builder.build(3)
+    assert table.meta["functional_equation_signs"] == (-1, -1)
+    assert table.symbols == store.table("37a1", 3, 3, 14).symbols
 
 
 def test_recognition_failure_surfaces_after_escalation(store):

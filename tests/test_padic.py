@@ -7,7 +7,6 @@ from signedlp.padic import (
     AT_LEAST_PRECISION,
     EXACT_ZERO,
     PadicScalar,
-    valuation,
 )
 
 
@@ -39,7 +38,7 @@ def test_valuation_examples():
     assert z.valuation() is EXACT_ZERO
     fuzz = PadicScalar(3, 4, 0)
     assert fuzz.valuation() is AT_LEAST_PRECISION
-    assert valuation(PadicScalar.from_integer(41, 3, 4)) == 0
+    assert PadicScalar.from_integer(41, 3, 4).valuation() == 0
 
 
 def test_ring_ops_examples():
@@ -107,10 +106,8 @@ def test_integer_round_trip(n):
     assert PadicScalar.from_rational(n, 1, p, M).residue == n % p**M
 
 
-def test_precision_reduction_and_p_division():
+def test_precision_reduction():
     x = PadicScalar.from_integer(45, 3, 6)
     assert x.reduce_precision(3).residue == 45 % 27
-    y = x.exact_divide_p_power(2)
-    assert y.precision == 4 and y.residue == 5
     with pytest.raises(MixedContext):
         x.reduce_precision(7)

@@ -12,18 +12,17 @@ from signedlp.theta import (
     UnitDecomposer,
     build_theta,
     check_compat,
-    decompose_unit,
     teichmueller,
 )
 
 
 def test_decompose_examples():
-    assert decompose_unit(1, 3, 2) == (0, 0)
-    i, j = decompose_unit(26, 3, 2)  # 26 = -1 mod 27 is a Teichmueller value
-    assert j == 0
     dec = UnitDecomposer(3, 2)
-    assert dec.teichmueller_value(26) == 26
-    assert decompose_unit(7, 3, 2) == (0, 8)  # 4^8 = 7 mod 27
+    assert dec.decompose(1) == (0, 0)
+    i, j = dec.decompose(26)  # 26 = -1 mod 27 is a Teichmueller value
+    assert j == 0
+    assert teichmueller(26, 3, 27) == 26
+    assert dec.decompose(7) == (0, 8)  # 4^8 = 7 mod 27
 
 
 def test_decompose_against_exhaustive_oracle():
@@ -53,7 +52,7 @@ def test_teichmueller_is_torsion():
             assert pow(w, p - 1, modulus) == 1
             assert (w - a) % p == 0
     with pytest.raises(NotAUnit):
-        decompose_unit(6, 3, 2)
+        UnitDecomposer(3, 2).decompose(6)
 
 
 def _table_from_plus(p, K, plus_fn, label="synthetic"):
