@@ -1,9 +1,11 @@
 """Elliptic curve data: ingestion, local coefficients, reduction types, periods.
 
-Point counting is naive O(ell) per prime (vectorized with numpy), which is
-plenty below ell ~ 10^6.  Periods of the real lattice come from AGM-type
-iteration (Carlson symmetric integrals) and are cross-checked in the tests
-against direct numerical integration.
+Below ell = 1000 points are counted exhaustively (vectorized with numpy);
+above, Shanks-Mestre baby-step giant-step locates #E(F_ell) in the Hasse
+interval with about ell^(1/4) group operations.  The q-expansion is computed
+once per curve and grown in place.  Periods of the real lattice come from
+AGM-type iteration (Carlson symmetric integrals) and are cross-checked in the
+tests against direct numerical integration.
 
 Lattice orientation convention: Omega_plus is the least positive real
 period times the number of connected components of E(R); Omega_minus is the
@@ -14,6 +16,7 @@ part.  Modular-symbol integrality depends on this choice.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -108,13 +111,39 @@ def curve_from_dict(raw: dict) -> CurveData:
 
 # -- local point counts -----------------------------------------------------------
 
+# From this prime on, a_ell comes from baby-step giant-step on the short model
+# (about ell^(1/4) group operations) instead of the O(ell) exhaustive count.
+_BSGS_MIN_ELL = 1000
+# Points tried before the exhaustive count decides.  Of the 53,448 good primes
+# of the three fixtures in [10^3, 2*10^5], one point leaves several candidates
+# at 867 and two points at 7 (tests/test_curves.py FALLBACK).
+_BSGS_POINTS = 2
+
 
 def a_ell(curve: CurveData, ell: int) -> int:
-    """ell + 1 - #E(F_ell) by exhaustive counting, for good primes."""
+    """ell + 1 - #E(F_ell) for good primes.
+
+    Below _BSGS_MIN_ELL the points are counted exhaustively; from there on
+    the group order is located in the Hasse interval by baby-step giant-step,
+    and counted exhaustively only when the points tried leave more than one
+    candidate.
+    """
     if curve.conductor % ell == 0:
         raise BadReduction(f"{ell} divides the conductor {curve.conductor}")
     if ell == 2:
         return _a2_direct(curve)
+    candidates = hasse_candidates(curve, ell) if ell >= _BSGS_MIN_ELL else ()
+    if len(candidates) == 1:
+        (a,) = candidates
+    else:
+        a = _a_ell_naive(curve, ell)
+    if a * a > 4 * ell:
+        raise BadReduction(f"Hasse bound violated at {ell}: a = {a}")
+    return a
+
+
+def _a_ell_naive(curve: CurveData, ell: int) -> int:
+    """-sum over x of the Legendre symbol of the completed-square cubic."""
     b2, b4, b6, _ = curve.b_invariants
     # complete the square: y^2 = 4x^3 + b2 x^2 + 2 b4 x + b6 over F_ell
     x = np.arange(ell, dtype=np.int64)
@@ -130,10 +159,105 @@ def a_ell(curve: CurveData, ell: int) -> int:
     is_sq[(sq * sq) % ell] = 1
     chi = is_sq[rhs].astype(np.int64) * 2 - 1
     chi[rhs == 0] = 0
-    a = -int(chi.sum())
-    if a * a > 4 * ell:
-        raise BadReduction(f"Hasse bound violated at {ell}: a = {a}")
-    return a
+    return -int(chi.sum())
+
+
+def hasse_candidates(curve: CurveData, ell: int) -> set:
+    """The values a, a^2 <= 4 ell, that _BSGS_POINTS points allow for a_ell.
+
+    Shanks-Mestre (Cohen, A Course in Computational Algebraic Number Theory,
+    7.4): on the short model y^2 = x^3 + A x + B, A = -27 c4, B = -54 c6,
+    any x0 with f(x0) = d != 0 gives the point (d x0, d^2) on the twist
+    y^2 = x^3 + A d^2 x + B d^3, which is E when d is a square mod ell and
+    its quadratic twist (trace -a_ell) when not, so no square root is
+    needed and both twists get sampled.  The true a_ell is in every set,
+    so the intersection never loses it.  Needs a good prime ell >= 5.
+    """
+    c4, c6 = curve.c_invariants
+    A, B = -27 * c4 % ell, -54 * c6 % ell
+    bound = math.isqrt(4 * ell)
+    found = None
+    x0 = 0
+    for _ in range(_BSGS_POINTS):
+        while (d := (x0 * x0 * x0 + A * x0 + B) % ell) == 0:
+            x0 += 1
+        twist = 1 if pow(d, (ell - 1) // 2, ell) == 1 else -1
+        point = (d * x0 % ell, d * d % ell)
+        killing = _traces_killing(point, A * d * d % ell, ell, bound)
+        traces = {twist * a for a in killing}
+        found = traces if found is None else found & traces
+        if len(found) == 1:
+            break
+        x0 += 1
+    return found
+
+
+def _traces_killing(P, A, ell, bound):
+    """Every a with |a| <= bound and [ell + 1 - a]P = O, by baby-step giant-step.
+
+    Baby steps store x([j]P) for 1 <= j <= m; giant steps walk
+    G_i = [ell + 1]P - [i s]P with s = 2m + 1 and match G_i = [r]P,
+    |r| <= m (the sign of r read off y), so a = i s + r.
+    """
+    m = math.isqrt(bound) + 1
+    baby = {}
+    R = P
+    for j in range(1, m + 1):
+        if R is None or R[0] in baby:
+            # ord(P) = j, or [j]P = -[j']P: too small for giant steps
+            n = j if R is None else j + baby[R[0]][0]
+            return [a for a in range(-bound, bound + 1) if (ell + 1 - a) % n == 0]
+        baby[R[0]] = (j, R[1])
+        last = R
+        R = _ec_add(R, P, A, ell)
+    s = 2 * m + 1
+    step = _ec_add(R, last, A, ell)  # [m + 1]P + [m]P
+    i_lo = -((bound + m) // s)
+    G = _ec_add(_ec_mul(ell + 1, P, A, ell), _ec_mul(-i_lo, step, A, ell), A, ell)
+    back = None if step is None else (step[0], -step[1] % ell)
+    out = []
+    for i in range(i_lo, -i_lo + 1):
+        if G is None:
+            r = 0
+        elif G[0] in baby:
+            j, y = baby[G[0]]
+            r = j if y == G[1] else -j
+        else:
+            r = None
+        if r is not None and abs(i * s + r) <= bound:
+            out.append(i * s + r)
+        G = _ec_add(G, back, A, ell)
+    return out
+
+
+def _ec_add(P, Q, A, ell):
+    """P + Q on y^2 = x^3 + A x + B over F_ell, affine; None is the origin."""
+    if P is None:
+        return Q
+    if Q is None:
+        return P
+    x1, y1 = P
+    x2, y2 = Q
+    if x1 == x2:
+        if (y1 + y2) % ell == 0:
+            return None
+        slope = (3 * x1 * x1 + A) * pow(2 * y1, -1, ell) % ell
+    else:
+        slope = (y2 - y1) * pow(x2 - x1, -1, ell) % ell
+    x3 = (slope * slope - x1 - x2) % ell
+    return x3, (slope * (x1 - x3) - y1) % ell
+
+
+def _ec_mul(k, P, A, ell):
+    """[k]P for k >= 0 by double-and-add."""
+    R = None
+    while k:
+        if k & 1:
+            R = _ec_add(R, P, A, ell)
+        k >>= 1
+        if k:
+            P = _ec_add(P, P, A, ell)
+    return R
 
 
 def _a2_direct(curve: CurveData) -> int:
@@ -235,50 +359,91 @@ def prime_divisors(n: int):
 # -- q-expansion ------------------------------------------------------------------
 
 
+# (a-invariants, conductor) -> a_0..a_n of that curve, with a_0 = 0; grown
+# when a longer expansion is asked for, so each prime is counted once
+_EXPANSIONS: dict = {}
+
+
 def an_expansion(curve: CurveData, n_max: int) -> np.ndarray:
     """Coefficients a_1..a_n_max via multiplicativity and Hecke recursion.
 
     Index 0 of the returned array is unused (kept 0) so that out[n] = a_n.
+    The array is a read-only view of a per-curve expansion that is computed
+    once and extended past its end when a larger n_max is asked for.
     """
     if n_max < 1:
         raise ValueError("n_max must be at least 1")
+    key = (curve.a_invariants, curve.conductor)
+    an = _EXPANSIONS.get(key)
+    if an is None or len(an) <= n_max:
+        an = _extend_expansion(curve, an, n_max)
+        an.flags.writeable = False
+        _EXPANSIONS[key] = an
+    return an[: n_max + 1]
+
+
+def _extend_expansion(curve: CurveData, known, n_max: int) -> np.ndarray:
+    """a_0..a_n_max, reusing the prefix `known` (None for a fresh start)."""
     out = np.zeros(n_max + 1, dtype=np.int64)
-    out[1] = 1
+    lo = 2 if known is None else len(known)
+    if known is None:
+        out[1] = 1
+    else:
+        out[:lo] = known
     spf = _smallest_prime_factors(n_max)
-    prime_powers: dict = {}
-
-    def app(p, k):
-        key = (p, k)
-        if key in prime_powers:
-            return prime_powers[key]
-        if curve.conductor % p == 0:
-            val = a_bad_prime(curve, p) ** k
+    n = np.arange(lo, n_max + 1, dtype=np.int64)
+    p = spf[lo:]
+    for q in n[p == n].tolist():
+        if curve.conductor % q == 0:
+            out[q] = a_bad_prime(curve, q)
         else:
-            ap = int(a_ell(curve, p))
-            a_prev, a_cur = 1, ap
-            for _ in range(k - 1):
-                a_prev, a_cur = a_cur, ap * a_cur - p * a_prev
-            val = a_cur
-        prime_powers[key] = val
-        return val
-
-    for n in range(2, n_max + 1):
-        p = int(spf[n])
-        m, k = n, 0
-        while m % p == 0:
-            m //= p
-            k += 1
-        out[n] = app(p, k) * out[m] if m > 1 else app(p, k)
+            out[q] = a_ell(curve, q)
+    # a_(q^k) = a_q a_(q^(k-1)) - q a_(q^(k-2)), without the q term at bad q
+    for q in _primes_in(spf[: math.isqrt(n_max) + 1]):
+        weight = q if curve.conductor % q else 0
+        prev, cur = 1, q
+        while cur * q <= n_max:
+            prev, cur = cur, cur * q
+            if cur >= lo:
+                out[cur] = int(out[q]) * int(out[prev]) - weight * int(out[prev // q])
+    # n = q^k * rest with q = spf(n) not dividing rest: a_n = a_(q^k) a_rest;
+    # rest has fewer prime factors, so fill by rounds of that count
+    rest = n // p
+    while True:
+        more = rest % p == 0
+        if not more.any():
+            break
+        rest[more] //= p[more]
+    mixed = rest > 1
+    n, rest = n[mixed], rest[mixed]
+    power = n // rest
+    done = np.ones(n_max + 1, dtype=bool)
+    done[n] = False
+    while len(n):
+        ready = done[rest]
+        out[n[ready]] = out[power[ready]] * out[rest[ready]]
+        done[n[ready]] = True
+        n, rest, power = n[~ready], rest[~ready], power[~ready]
     return out
 
 
 def _smallest_prime_factors(n: int) -> np.ndarray:
-    spf = np.zeros(n + 1, dtype=np.int64)
-    spf[1] = 1
-    for i in range(2, n + 1):
-        if spf[i] == 0:
-            spf[i::i] = np.where(spf[i::i] == 0, i, spf[i::i])
+    """spf[k] = the smallest prime factor of k for 2 <= k <= n; spf[0:2] = 0, 1.
+
+    Sieves with the primes up to sqrt(n) only, largest first, so that the
+    smallest prime factor is the last one written; primes keep spf[k] = k.
+    """
+    spf = np.arange(n + 1, dtype=np.int64)
+    root = math.isqrt(n)
+    if root >= 2:
+        for q in reversed(_primes_in(_smallest_prime_factors(root))):
+            spf[q * q :: q] = q
     return spf
+
+
+def _primes_in(spf: np.ndarray) -> list:
+    """The primes below len(spf), read off a smallest-prime-factor table."""
+    return np.flatnonzero(spf == np.arange(len(spf)))[2:].tolist()
 
 
 # -- periods ----------------------------------------------------------------------

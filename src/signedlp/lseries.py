@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import mpmath
 import numpy as np
 
-from .curves import CurveData, a_ell, an_expansion, prime_divisors
+from .curves import CurveData, an_expansion, prime_divisors
 from .errors import CoefficientSupplyExhausted, NonConvergence
 
 _COEFF_CAP = 3_000_000
@@ -74,7 +74,8 @@ class SymbolNumerics:
             raise NonConvergence(f"p = {self.p} divides the conductor")
         self.use_mp = self.digits > 16
         self.sqrtN = math.sqrt(self.curve.conductor)
-        self._an = None
+        # read off the curve's shared expansion: retry builders count no prime twice
+        self.ap = int(an_expansion(self.curve, self.p)[self.p])
         self._chains = {}      # (kprime, tprime) -> list of R_j values
         self._trivial_chain = None
         self._levels = {}      # k -> LevelData
@@ -94,11 +95,6 @@ class SymbolNumerics:
             )
         return T
 
-    def _coefficients(self, T: int):
-        if self._an is None or len(self._an) <= T:
-            self._an = an_expansion(self.curve, max(T, 64))
-        return self._an
-
     def _tail_bound(self, m: int, T: int) -> float:
         r = math.exp(-2 * math.pi / (m * self.sqrtN))
         return 4.0 * r ** (T + 1) / (1.0 - r)
@@ -110,7 +106,7 @@ class SymbolNumerics:
         if self._lambda0 is not None:
             return self._lambda0
         T = self._tail_terms(1)
-        an = self._coefficients(T)
+        an = an_expansion(self.curve, T)
         eps = self.curve.fricke_sign
         if self.use_mp:
             with mpmath.workdps(self.digits + 8):
@@ -138,7 +134,7 @@ class SymbolNumerics:
         N = self.curve.conductor
         eps = self.curve.fricke_sign
         T = self._tail_terms(1) * 3
-        an = self._coefficients(T)
+        an = an_expansion(self.curve, T)
         worst = 0.0
         for scale in samples:
             y = scale / self.sqrtN
@@ -169,7 +165,7 @@ class SymbolNumerics:
         """A-sums and Gauss sums for every character index at conductor p^kprime."""
         ind, m, phi = self._index_table(kprime)
         T = self._tail_terms(m)
-        an = self._coefficients(T)
+        an = an_expansion(self.curve, T)
         if self.use_mp:
             return self._primitive_block_mp(ind, m, phi, T, an)
         n = np.arange(1, T + 1, dtype=np.int64)
@@ -180,12 +176,12 @@ class SymbolNumerics:
         )
         slot = ind[nk % m]
         w = np.bincount(slot, weights=weights, minlength=phi).astype(np.complex128)
-        A = _dft_np(w, phi, sign=+1)
+        A = phi * np.fft.ifft(w)   # A_t = sum_s w_s zeta_phi^(t s)
         zm = np.exp(2j * np.pi * np.arange(m) / m)
         u = np.zeros(phi, dtype=np.complex128)
         units = np.nonzero(ind >= 0)[0]
         u[ind[units]] = zm[units]
-        tau = _dft_np(u, phi, sign=+1)
+        tau = phi * np.fft.ifft(u)
         return A, tau, phi, m, ind, self._tail_bound(m, T), T
 
     def _primitive_block_mp(self, ind, m, phi, T, an):
@@ -230,7 +226,7 @@ class SymbolNumerics:
             self._ensure_chains_inner(K)
 
     def _ensure_chains_inner(self, K: int):
-        ap = a_ell(self.curve, self.p)
+        ap = self.ap
         if self._trivial_chain is None or len(self._trivial_chain) <= K:
             lam0 = self.lambda_zero()
             chain = [lam0, (ap - 2) * lam0]
@@ -304,13 +300,12 @@ class SymbolNumerics:
         bound = max(
             self._chains.get((kp, "done"), 0.0) for kp in range(1, k + 1)
         )
-        ap = abs(a_ell(self.curve, self.p))
-        amplify = float((ap + self.p) ** (k - 1) + 1)
+        amplify = float((abs(self.ap) + self.p) ** (k - 1) + 1)
         if self.use_mp:
             values = self._assemble_mp(S, ind, m, phi)
         else:
             Svec = np.asarray(S, dtype=np.complex128)
-            lam_by_slot = _dft_np(Svec, phi, sign=-1) / phi
+            lam_by_slot = np.fft.fft(Svec) / phi   # sum_t S_t zeta_phi^(-t s)
             values = {}
             for a in range(1, m):
                 if ind[a] >= 0:
@@ -341,18 +336,6 @@ class SymbolNumerics:
                 continue
             worst = max(worst, abs(abs(complex(tau[t])) ** 2 - m))
         return worst
-
-
-def _dft_np(w: np.ndarray, phi: int, sign: int, chunk: int = 512) -> np.ndarray:
-    """A_t = sum_s w_s zeta_phi^(sign * t * s), chunked over t."""
-    out = np.empty(phi, dtype=np.complex128)
-    s = np.arange(phi, dtype=np.int64)
-    base = np.exp(sign * 2j * np.pi * np.arange(phi) / phi)
-    for lo in range(0, phi, chunk):
-        hi = min(lo + chunk, phi)
-        t = np.arange(lo, hi, dtype=np.int64)
-        out[lo:hi] = base[(t[:, None] * s[None, :]) % phi] @ w
-    return out
 
 
 def _unit_root(exponent: int, phi: int, use_mp: bool, digits: int):

@@ -16,6 +16,7 @@ analytic engine.
 
 from __future__ import annotations
 
+import copy
 import csv
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -141,6 +142,19 @@ class SymbolTableBuilder:
         self.numerics = SymbolNumerics(curve, p, digits=digits)
         self._periods = periods(curve, max(digits, 20))
 
+    def _trial(self, digits: int, signs) -> "SymbolTableBuilder":
+        """A builder for another digits value or sign pin.  The expansion is
+        shared through the curve's memo; the periods are reused at the same
+        digits value."""
+        trial = copy.copy(self)
+        trial.digits = digits
+        trial.numerics = SymbolNumerics(
+            self.curve, self.p, digits=digits, sign_even=signs[0], sign_odd=signs[1]
+        )
+        if digits != self.digits:
+            trial._periods = periods(self.curve, max(digits, 20))
+        return trial
+
     def tolerance(self) -> Fraction:
         return Fraction(1, 10 ** max(self.digits - 4, 5))
 
@@ -177,12 +191,9 @@ class SymbolTableBuilder:
             table = self._repin_signs(K)
             if table is not None:
                 return table
-        harder = SymbolTableBuilder(
-            self.curve, self.p, digits=self.digits + 10,
-            denom_bound=self.denom_bound,
+        harder = self._trial(
+            self.digits + 10, (self.numerics.sign_even, self.numerics.sign_odd)
         )
-        harder.numerics.sign_even = self.numerics.sign_even
-        harder.numerics.sign_odd = self.numerics.sign_odd
         table = harder._build_once(K)
         if K >= 2 and not harder._quick_validate(table):
             raise RecognitionFailed(
@@ -191,10 +202,7 @@ class SymbolTableBuilder:
         return table
 
     def _quick_validate(self, table: SymbolTable) -> bool:
-        from .curves import a_ell  # local import to avoid a cycle at load time
-        rep = validate_hecke(
-            table, self.p, table.max_level - 1, a_ell(self.curve, self.p)
-        )
+        rep = validate_hecke(table, self.p, table.max_level - 1, self.numerics.ap)
         return rep.passed
 
     def _repin_signs(self, K: int):
@@ -202,11 +210,7 @@ class SymbolTableBuilder:
         for signs in ((-1, -1), (-1, 1), (1, -1), (1, 1)):
             if signs == current:
                 continue
-            trial = SymbolTableBuilder(
-                self.curve, self.p, digits=self.digits,
-                denom_bound=self.denom_bound,
-            )
-            trial.numerics.sign_even, trial.numerics.sign_odd = signs
+            trial = self._trial(self.digits, signs)
             try:
                 table = trial._build_once(K)
             except RecognitionFailed:

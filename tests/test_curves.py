@@ -1,14 +1,17 @@
 import math
 
 import mpmath
+import numpy as np
 import pytest
 
+from signedlp import curves
 from signedlp.curves import (
     a_bad_prime,
     a_ell,
     an_expansion,
     classify_reduction,
     curve_from_dict,
+    hasse_candidates,
     period_integral_oracle,
     periods,
     verify_conductor,
@@ -84,6 +87,132 @@ def test_an_expansion_multiplicative(store):
         for n in range(2, 200 // m):
             if math.gcd(m, n) == 1:
                 assert an[m * n] == an[m] * an[n]
+
+
+FIXTURES = ("11a1", "37a1", "53a1")
+
+# every prime in [10^3, 2*10^5] with |a_ell| within 1 of floor(2 sqrt(ell)),
+# the ends of the Hasse interval
+HASSE_EDGE = {
+    "11a1": (1367, 2143, 12809),
+    "37a1": (1021, 2437, 2671, 6007, 8839, 21911, 26699, 36857, 49531, 61933),
+    "53a1": (1559, 14627, 46279, 126989),
+}
+# every prime in [10^3, 2*10^5] where the points tried leave several
+# candidates for a_ell
+FALLBACK = {
+    "11a1": (22511, 24691, 107999),
+    "37a1": (1307, 1433, 3709),
+    "53a1": (1163,),
+}
+
+
+def _good_primes(curve, lo, hi):
+    spf = curves._smallest_prime_factors(hi)
+    return [q for q in range(lo, hi) if spf[q] == q and curve.conductor % q]
+
+
+@pytest.mark.parametrize("label", FIXTURES)
+def test_a_ell_matches_naive_count_below_20000(store, label):
+    c = store.curve(label)
+    primes = _good_primes(c, 3, 20000)
+    assert primes[-1] > 10 * curves._BSGS_MIN_ELL
+    for ell in primes:
+        assert a_ell(c, ell) == curves._a_ell_naive(c, ell), ell
+
+
+@pytest.mark.parametrize("label", FIXTURES)
+def test_a_ell_at_hasse_edges_and_large_primes(store, label):
+    c = store.curve(label)
+    for ell in HASSE_EDGE[label]:
+        a = a_ell(c, ell)
+        assert abs(a) >= math.isqrt(4 * ell) - 1
+        assert a == curves._a_ell_naive(c, ell) and hasse_candidates(c, ell) == {a}
+    # one point left no candidate here in an early baby-step giant-step
+    assert a_ell(c, 99259) == curves._a_ell_naive(c, 99259)
+
+
+@pytest.mark.parametrize("label", FIXTURES)
+def test_a_ell_falls_back_to_naive_count(store, label, monkeypatch):
+    c = store.curve(label)
+    naive = curves._a_ell_naive
+    counted = []
+    monkeypatch.setattr(
+        curves, "_a_ell_naive",
+        lambda curve, ell: counted.append(ell) or naive(curve, ell),
+    )
+    for ell in FALLBACK[label]:
+        expected = naive(c, ell)
+        candidates = hasse_candidates(c, ell)
+        assert len(candidates) > 1 and expected in candidates
+        assert a_ell(c, ell) == expected
+        assert counted[-1] == ell
+    counted.clear()
+    a_ell(c, 99259)
+    assert counted == []
+
+
+def _reference_smallest_prime_factors(n):
+    spf = np.zeros(n + 1, dtype=np.int64)
+    spf[1] = 1
+    for i in range(2, n + 1):
+        if spf[i] == 0:
+            spf[i::i] = np.where(spf[i::i] == 0, i, spf[i::i])
+    return spf
+
+
+def _reference_an_expansion(curve, n_max):
+    """The per-n recursion the vectorized fill replaced, kept verbatim."""
+    out = np.zeros(n_max + 1, dtype=np.int64)
+    out[1] = 1
+    spf = _reference_smallest_prime_factors(n_max)
+    prime_powers: dict = {}
+
+    def app(p, k):
+        key = (p, k)
+        if key in prime_powers:
+            return prime_powers[key]
+        if curve.conductor % p == 0:
+            val = a_bad_prime(curve, p) ** k
+        else:
+            ap = int(a_ell(curve, p))
+            a_prev, a_cur = 1, ap
+            for _ in range(k - 1):
+                a_prev, a_cur = a_cur, ap * a_cur - p * a_prev
+            val = a_cur
+        prime_powers[key] = val
+        return val
+
+    for n in range(2, n_max + 1):
+        p = int(spf[n])
+        m, k = n, 0
+        while m % p == 0:
+            m //= p
+            k += 1
+        out[n] = app(p, k) * out[m] if m > 1 else app(p, k)
+    return out
+
+
+@pytest.mark.parametrize("label", FIXTURES)
+def test_an_expansion_matches_per_n_recursion(store, label):
+    c = store.curve(label)
+    n = 64000
+    assert np.array_equal(an_expansion(c, n), _reference_an_expansion(c, n))
+    assert np.array_equal(
+        curves._smallest_prime_factors(n)[2:], _reference_smallest_prime_factors(n)[2:]
+    )
+
+
+def test_an_expansion_extends_in_place(store, monkeypatch):
+    c = store.curve("53a1")
+    monkeypatch.setattr(curves, "_EXPANSIONS", {})
+    small = an_expansion(c, 100)
+    grown = an_expansion(c, 30011)    # a prime end, past a prime power
+    assert len(small) == 101 and len(grown) == 30012
+    assert np.array_equal(an_expansion(c, 5000), grown[:5001])
+    monkeypatch.setattr(curves, "_EXPANSIONS", {})
+    assert np.array_equal(grown, an_expansion(c, 30011))
+    assert not grown.flags.writeable
 
 
 def test_bad_prime_coefficients(store):

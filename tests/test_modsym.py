@@ -1,3 +1,4 @@
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -186,6 +187,43 @@ def test_wrong_signs_are_repinned_from_every_level(store):
     table = builder.build(3)
     assert table.meta["functional_equation_signs"] == (-1, -1)
     assert table.symbols == store.table("37a1", 3, 3, 14).symbols
+
+
+def test_retry_builders_share_coefficients_and_periods(store, monkeypatch):
+    # across the builders of one build, each good prime is counted at most
+    # once and the periods run once per digits value
+    from signedlp import curves, modsym
+
+    counted, period_digits = Counter(), Counter()
+    a_ell, periods = curves.a_ell, modsym.periods
+    monkeypatch.setattr(
+        curves, "a_ell", lambda curve, ell: counted.update([ell]) or a_ell(curve, ell)
+    )
+    monkeypatch.setattr(
+        modsym, "periods",
+        lambda curve, digits: period_digits.update([digits]) or periods(curve, digits),
+    )
+
+    def build(label, p, signs):
+        counted.clear()
+        period_digits.clear()
+        monkeypatch.setattr(curves, "_EXPANSIONS", {})
+        curve = store.curve(label)
+        builder = SymbolTableBuilder(curve, p, digits=14, denom_bound=500000)
+        builder.numerics.sign_even, builder.numerics.sign_odd = signs
+        return builder.build(3)
+
+    # 37a1, p = 3 from (-1, 1): the level-2 Hecke check fails, one re-pin trial
+    reference = store.table("37a1", 3, 3, 14)
+    table = build("37a1", 3, (-1, 1))
+    assert table.symbols == reference.symbols
+    assert period_digits == {20: 1}     # periods at max(digits, 20)
+    assert 3 in counted and max(counted.values()) == 1
+    # 53a1, p = 5 from (1, -1): recognition fails, one escalation to digits 24
+    with pytest.raises(RecognitionFailed):
+        build("53a1", 5, (1, -1))
+    assert period_digits == {20: 1, 24: 1}
+    assert 5 in counted and max(counted.values()) == 1
 
 
 def test_recognition_failure_surfaces_after_escalation(store):
