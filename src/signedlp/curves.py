@@ -23,7 +23,13 @@ from typing import Optional
 import mpmath
 import numpy as np
 
-from .errors import BadReduction, NonConvergence, ParseError, SingularCurve
+from .errors import (
+    BadReduction,
+    MetadataMismatch,
+    NonConvergence,
+    ParseError,
+    SingularCurve,
+)
 from .modules import RankSequence
 
 _CURVE_FIELDS = {
@@ -73,7 +79,19 @@ def ingest_curve(path) -> CurveData:
         raise ParseError(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid JSON in {path}: {exc}") from exc
-    return curve_from_dict(raw)
+    curve = curve_from_dict(raw)
+    if verify_conductor(curve) is False:
+        raise MetadataMismatch(
+            f"{curve.label}: conductor {curve.conductor} does not match the "
+            f"discriminant {curve.discriminant}"
+        )
+    residual = fricke_residual(curve)
+    if residual > _FRICKE_TOL:
+        raise MetadataMismatch(
+            f"{curve.label}: fricke_sign {curve.fricke_sign} breaks the functional "
+            f"equation (relative residual {residual:.2e})"
+        )
+    return curve
 
 
 def curve_from_dict(raw: dict) -> CurveData:
@@ -318,27 +336,51 @@ def classify_reduction(curve: CurveData, p: int) -> ReductionType:
     return ReductionType("good-ordinary", ap, 0)
 
 
-def verify_conductor(curve: CurveData) -> bool:
-    """Re-derive the conductor from the discriminant (odd-prime rules).
+def verify_conductor(curve: CurveData) -> Optional[bool]:
+    """Whether the conductor re-derived from the discriminant matches the record.
 
     Multiplicative primes contribute exponent 1, additive primes >= 5
     exponent 2.  Additive reduction at 2 or 3 needs the full tame/wild
-    analysis and is reported as unverifiable.
+    analysis, so the conductor is unverifiable there and None is returned.
     """
-    disc = abs(curve.discriminant)
+    c4, _ = curve.c_invariants
     n = 1
-    d = disc
-    for p in prime_divisors(d):
-        c4, _ = curve.c_invariants
+    for p in prime_divisors(abs(curve.discriminant)):
         if c4 % p != 0:
             n *= p
         elif p >= 5:
             n *= p * p
         else:
-            raise NonConvergence(
-                f"additive reduction at {p}: conductor exponent not implemented"
-            )
+            return None
     return n == curve.conductor
+
+
+# largest relative Fricke residual accepted at ingest: about 1e-15 with the
+# right sign on every fixture, about 2 with the wrong one
+_FRICKE_TOL = 1e-6
+
+
+def fricke_residual(curve: CurveData) -> float:
+    """Largest relative residual of f(i/(N y)) = -eps N y^2 f(i y) over
+    y = s/sqrt N, s in {0.83, 1.37}.
+
+    Float64 sums over as many terms as take the slower of the two series
+    (exponent 2 pi n min(s, 1/s)/sqrt N) below e^-40, a count that depends
+    on the conductor only.
+    """
+    N = curve.conductor
+    samples = (0.83, 1.37)
+    T = int(40 * math.sqrt(N) / (2 * math.pi * min(samples[0], 1 / samples[1]))) + 1
+    an = an_expansion(curve, T)[1:]
+    n = np.arange(1, T + 1)
+    worst = 0.0
+    for s in samples:
+        y = s / math.sqrt(N)
+        f_y = float(np.sum(an * np.exp(-2 * np.pi * n * y)))
+        f_wy = float(np.sum(an * np.exp(-2 * np.pi * n / (N * y))))
+        rhs = -curve.fricke_sign * N * y * y * f_y
+        worst = max(worst, abs(f_wy - rhs) / max(abs(f_wy), 1e-30))
+    return worst
 
 
 def prime_divisors(n: int):
@@ -460,7 +502,8 @@ def periods(curve: CurveData, digits: int = 30) -> Periods:
     """Generators of the real/imaginary period lattice directions.
 
     Uses Carlson's R_F (an AGM-type duplication iteration) on the roots of
-    the completed-square cubic 4x^3 + b2 x^2 + 2 b4 x + b6.
+    the completed-square cubic 4x^3 + b2 x^2 + 2 b4 x + b6, for both signs
+    of the discriminant (Cremona, Algorithms for Modular Elliptic Curves, ch. 3).
     """
     if digits < 15:
         digits = 15
@@ -487,14 +530,9 @@ def periods(curve: CurveData, digits: int = 30) -> Periods:
             if abs(omega_least.imag) > mpmath.mpf(10) ** (-digits + 2):
                 raise NonConvergence("real period came out complex")
             omega_least = omega_least.real
-            # purely imaginary generator: integrate where the cubic is negative
-            cubic = lambda x: 4 * x**3 + b2 * x * x + 2 * b4 * x + b6
-            nu = 2 * mpmath.quad(
-                lambda x: 1 / mpmath.sqrt(-cubic(x)), [-mpmath.inf, e1]
-            )
-            if abs(mpmath.im(nu)) > mpmath.mpf(10) ** (-digits + 4) * abs(nu):
-                raise NonConvergence("imaginary period came out complex")
-            nu = mpmath.re(nu)
+            # purely imaginary generator, 2 int_(-oo)^e1 dx / sqrt(-cubic(x)):
+            # R_F of the conjugate pair is real up to rounding
+            nu = mpmath.re(2 * mpmath.elliprf(0, ra - e1, rb - e1))
             components = 1
         omega_plus = components * omega_least
         if omega_plus <= 0:

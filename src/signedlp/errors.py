@@ -11,10 +11,6 @@ class NotIntegral(SignedLPError):
     """A rational number lies outside Z_p (denominator divisible by p)."""
 
 
-class NonUnit(SignedLPError):
-    """Inversion was requested for an element of positive valuation."""
-
-
 class MixedContext(SignedLPError):
     """Operands belong to different (p, precision) or truncation contexts."""
 
@@ -61,6 +57,12 @@ class BadReduction(SignedLPError):
 
 class NonConvergence(SignedLPError):
     """Period iteration failed to converge."""
+
+
+class MetadataMismatch(SignedLPError):
+    """The conductor or Fricke sign of a curve record contradicts its equation."""
+
+    stage = "ingest"
 
 
 # -- modular symbols ---------------------------------------------------------------

@@ -11,20 +11,23 @@ at lower conductor propagate upward through the tower by the Hecke trace
 recurrence R_{j+1} = a_p R_j - p R_{j-1}.  A finite Fourier inversion over
 the character group then recovers every lambda(a/p^k) at once.
 
-Two interchangeable backends: vectorized float64 (numpy) for digits <= 16,
-and mpmath for arbitrary working precision.  Their outputs are compared in
-the test suite; exact certification of the recognized rationals is done
-downstream by the Hecke-relation validator.
+One code path serves both working precisions: float64 numpy arrays up to 16
+digits, object arrays of mpmath numbers above.  Every character sum and the
+final inversion go through one discrete Fourier transform, `_dft`: numpy's
+FFT on float64, and on mpmath numbers a mixed-radix Cooley-Tukey over the
+prime factors of phi = (p - 1) p^(k-1).  Exact certification of the
+recognized rationals is done downstream by the Hecke-relation validator.
 
-The root-number constant of the twisted functional equation is taken from
-the classical computation (it degenerates to the textbook L(E,1) formula at
-trivial character); should a build ever fail validation, the two parity
-sign bits are re-pinned empirically, and the pinned choice is reported.
+The A-sums and Gauss sums at each conductor level do not depend on the
+root-number constant of the twisted functional equation, so they are
+computed once per (curve, p, digits).  That constant is the classical one
+(it degenerates to the textbook L(E,1) formula at trivial character) up to
+one sign per character parity; `level` takes the pair of signs as an
+argument, and the table builder tries the pins of SIGN_PINS in order.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 
@@ -35,6 +38,10 @@ from .curves import CurveData, an_expansion, prime_divisors
 from .errors import CoefficientSupplyExhausted, NonConvergence
 
 _COEFF_CAP = 3_000_000
+
+# functional-equation sign pins (even, odd), in the order a table build tries
+# them; the first is the derived default, which holds on every fixture
+SIGN_PINS = ((-1, -1), (-1, 1), (1, -1), (1, 1))
 
 
 def primitive_root_mod_p2(p: int) -> int:
@@ -60,14 +67,12 @@ class LevelData:
 
 @dataclass
 class SymbolNumerics:
-    """Shared numerical state for one (curve, p, digits) triple."""
+    """Sign-free numerical state for one (curve, p, digits) triple: lambda(0)
+    and, per conductor level, the A-sums and Gauss sums of every character."""
 
     curve: CurveData
     p: int
     digits: int = 30
-    coefficient_cap: int = _COEFF_CAP
-    sign_even: int = -1
-    sign_odd: int = -1
 
     def __post_init__(self):
         if self.curve.conductor % self.p == 0:
@@ -76,10 +81,8 @@ class SymbolNumerics:
         self.sqrtN = math.sqrt(self.curve.conductor)
         # read off the curve's shared expansion: retry builders count no prime twice
         self.ap = int(an_expansion(self.curve, self.p)[self.p])
-        self._chains = {}      # (kprime, tprime) -> list of R_j values
-        self._trivial_chain = None
-        self._levels = {}      # k -> LevelData
         self._lambda0 = None
+        self._blocks = {}      # k' -> (A, tau, w_root) over every character index
         self._g = primitive_root_mod_p2(self.p)
 
     # -- coefficient supply ----------------------------------------------------
@@ -89,9 +92,9 @@ class SymbolNumerics:
         y0 = 1.0 / (m * self.sqrtN)
         c = 2 * math.pi * y0
         T = int((self.digits + 5) * math.log(10) / c) + 64
-        if T > self.coefficient_cap:
+        if T > _COEFF_CAP:
             raise CoefficientSupplyExhausted(
-                f"{T} coefficients needed, cap is {self.coefficient_cap}"
+                f"{T} coefficients needed, cap is {_COEFF_CAP}"
             )
         return T
 
@@ -129,26 +132,6 @@ class SymbolNumerics:
     def sqrtN_mp(self):
         return mpmath.sqrt(self.curve.conductor)
 
-    def verify_fricke(self, samples=(0.83, 1.37)) -> float:
-        """Largest relative residual of f(i/(N y)) = -eps N y^2 f(i y)."""
-        N = self.curve.conductor
-        eps = self.curve.fricke_sign
-        T = self._tail_terms(1) * 3
-        an = an_expansion(self.curve, T)
-        worst = 0.0
-        for scale in samples:
-            y = scale / self.sqrtN
-            f_y = sum(
-                int(an[n]) * math.exp(-2 * math.pi * n * y) for n in range(1, T)
-            )
-            f_wy = sum(
-                int(an[n]) * math.exp(-2 * math.pi * n / (N * y))
-                for n in range(1, T)
-            )
-            lhs, rhs = f_wy, -eps * N * y * y * f_y
-            worst = max(worst, abs(lhs - rhs) / max(abs(lhs), 1e-30))
-        return worst
-
     # -- character data at one conductor level -------------------------------------
 
     def _index_table(self, k: int):
@@ -161,186 +144,126 @@ class SymbolNumerics:
             x = (x * self._g) % m
         return ind, m, phi
 
+    def _block(self, kprime: int):
+        if kprime not in self._blocks:
+            self._blocks[kprime] = self._primitive_block(kprime)
+        return self._blocks[kprime]
+
     def _primitive_block(self, kprime: int):
-        """A-sums and Gauss sums for every character index at conductor p^kprime."""
+        """A-sums A_t, Gauss sums tau_t and the functional-equation constant
+        w_t of conj chi_t without its parity sign, for every character index
+        t at conductor p^kprime.  Runs at the caller's mpmath precision."""
         ind, m, phi = self._index_table(kprime)
         T = self._tail_terms(m)
         an = an_expansion(self.curve, T)
         if self.use_mp:
-            return self._primitive_block_mp(ind, m, phi, T, an)
-        n = np.arange(1, T + 1, dtype=np.int64)
-        coprime = (n % self.p) != 0
-        nk = n[coprime]
-        weights = (
-            an[1 : T + 1][coprime] / nk * np.exp(-2 * np.pi * nk / (m * self.sqrtN))
-        )
-        slot = ind[nk % m]
-        w = np.bincount(slot, weights=weights, minlength=phi).astype(np.complex128)
-        A = phi * np.fft.ifft(w)   # A_t = sum_s w_s zeta_phi^(t s)
-        zm = np.exp(2j * np.pi * np.arange(m) / m)
-        u = np.zeros(phi, dtype=np.complex128)
-        units = np.nonzero(ind >= 0)[0]
-        u[ind[units]] = zm[units]
-        tau = phi * np.fft.ifft(u)
-        return A, tau, phi, m, ind, self._tail_bound(m, T), T
-
-    def _primitive_block_mp(self, ind, m, phi, T, an):
-        with mpmath.workdps(self.digits + 8):
             r = mpmath.exp(-2 * mpmath.pi / (m * self.sqrtN_mp()))
-            w = [mpmath.mpc(0)] * phi
+            w = np.array([mpmath.mpc(0)] * phi, dtype=object)
             rn = mpmath.mpf(1)
             for n in range(1, T + 1):
                 rn *= r
-                if n % self.p == 0 or not an[n]:
-                    continue
-                w[int(ind[n % m])] += mpmath.mpf(int(an[n])) * rn / n
-            zphi = [
-                mpmath.expjpi(mpmath.mpf(2 * j) / phi) for j in range(phi)
-            ]
-            A = [
-                mpmath.fsum(
-                    (w[s] * zphi[(t * s) % phi] for s in range(phi)),
-                    absolute=False,
-                )
-                for t in range(phi)
-            ]
-            zm = [mpmath.expjpi(mpmath.mpf(2 * b) / m) for b in range(m)]
-            u = [mpmath.mpc(0)] * phi
-            for b in range(m):
-                if ind[b] >= 0:
-                    u[int(ind[b])] = zm[b]
-            tau = [
-                mpmath.fsum((u[s] * zphi[(t * s) % phi] for s in range(phi)))
-                for t in range(phi)
-            ]
-        return A, tau, phi, m, ind, self._tail_bound(m, T), T
-
-    # -- chains ------------------------------------------------------------------
-
-    def _ensure_chains(self, K: int):
-        """R_j chains for every primitive character of conductor <= p^K."""
-        if self.use_mp:
-            with mpmath.workdps(self.digits + 8):
-                self._ensure_chains_inner(K)
+                if n % self.p and an[n]:
+                    w[ind[n % m]] += mpmath.mpf(int(an[n])) * rn / n
         else:
-            self._ensure_chains_inner(K)
-
-    def _ensure_chains_inner(self, K: int):
-        ap = self.ap
-        if self._trivial_chain is None or len(self._trivial_chain) <= K:
-            lam0 = self.lambda_zero()
-            chain = [lam0, (ap - 2) * lam0]
-            if K >= 2:
-                chain.append(ap * chain[1] - (self.p - 1) * chain[0])
-            while len(chain) <= K:
-                chain.append(ap * chain[-1] - self.p * chain[-2])
-            self._trivial_chain = chain
-        for kprime in range(1, K + 1):
-            if (kprime, "done") in self._chains:
-                self._extend_chains(kprime, K, ap)
-                continue
-            A, tau, phi, m, ind, bound, T = self._primitive_block(kprime)
-            NN = self.curve.conductor % m
-            eps = self.curve.fricke_sign
-            for t in range(phi):
-                if t == 0 or (kprime >= 2 and t % self.p == 0):
-                    continue  # not primitive at this conductor
-                tc = (phi - t) % phi
-                c = self.sign_even if t % 2 == 0 else self.sign_odd
-                # chi_t(N) = zeta_phi^(t * ind[N]); conj for chi-bar
-                sN = int(ind[NN])
-                chiN_bar = _unit_root(-t * sN, phi, self.use_mp, self.digits)
-                taubar = tau[tc]
-                # functional-equation constant w(chi-bar), empirically pinnable
-                w_root = c * eps * chiN_bar * taubar * taubar / m
-                L_chibar = A[tc] + w_root * A[t]
-                R0 = -tau[t] * L_chibar
-                chain = [R0, ap * R0]
-                while len(chain) <= K - kprime:
-                    chain.append(ap * chain[-1] - self.p * chain[-2])
-                self._chains[(kprime, t)] = chain
-            self._chains[(kprime, "done")] = bound
-            self._extend_chains(kprime, K, ap)
-
-    def _extend_chains(self, kprime: int, K: int, ap: int):
-        for (kp, t), chain in list(self._chains.items()):
-            if kp != kprime or t == "done":
-                continue
-            while len(chain) <= K - kprime:
-                if len(chain) == 1:
-                    chain.append(ap * chain[0])
-                else:
-                    chain.append(ap * chain[-1] - self.p * chain[-2])
+            n = np.arange(1, T + 1, dtype=np.int64)
+            coprime = (n % self.p) != 0
+            nk = n[coprime]
+            weights = (
+                an[1 : T + 1][coprime] / nk * np.exp(-2 * np.pi * nk / (m * self.sqrtN))
+            )
+            w = np.bincount(ind[nk % m], weights=weights, minlength=phi).astype(
+                np.complex128
+            )
+        units = np.flatnonzero(ind >= 0)
+        u = np.zeros(phi, dtype=w.dtype)
+        u[ind[units]] = _roots(m, w.dtype)[units]
+        A, tau = _dft(w, 1), _dft(u, 1)
+        # chi_t(N) = zeta_phi^(t ind[N]); conj chi_t is index -t
+        t = np.arange(phi)
+        chiN_bar = _roots(phi, w.dtype)[(-t * int(ind[self.curve.conductor % m])) % phi]
+        w_root = self.curve.fricke_sign * chiN_bar * tau[-t % phi] ** 2 / m
+        return A, tau, w_root
 
     # -- assembly ------------------------------------------------------------------
 
-    def level(self, k: int) -> LevelData:
-        """lambda(a/p^k) for every unit a mod p^k."""
-        if k in self._levels:
-            return self._levels[k]
+    def level(self, k: int, signs=SIGN_PINS[0]) -> LevelData:
+        """lambda(a/p^k) for every unit a mod p^k, with the functional-equation
+        constant of even and odd characters pinned to signs = (even, odd)."""
         if k == 0:
             lam0 = self.lambda_zero()
-            ld = LevelData(0, {0: lam0}, self._tail_bound(1, self._tail_terms(1)), 0)
-            self._levels[0] = ld
-            return ld
-        self._ensure_chains(k)
+            return LevelData(0, {0: lam0}, self._tail_bound(1, self._tail_terms(1)), 0)
         ind, m, phi = self._index_table(k)
-        S = [None] * phi
-        for t in range(phi):
-            if t == 0:
-                S[t] = self._trivial_chain[k]
-                continue
-            v = 0
-            tt = t
-            while tt % self.p == 0:
-                tt //= self.p
-                v += 1
-            kprime = k - v
-            S[t] = self._chains[(kprime, tt)][v]
+        with mpmath.workdps(self.digits + 8):
+            lam_by_slot = _dft(self._character_sums(k, signs), -1) / phi
         bound = max(
-            self._chains.get((kp, "done"), 0.0) for kp in range(1, k + 1)
+            self._tail_bound(self.p**kp, self._tail_terms(self.p**kp))
+            for kp in range(1, k + 1)
         )
         amplify = float((abs(self.ap) + self.p) ** (k - 1) + 1)
-        if self.use_mp:
-            values = self._assemble_mp(S, ind, m, phi)
-        else:
-            Svec = np.asarray(S, dtype=np.complex128)
-            lam_by_slot = np.fft.fft(Svec) / phi   # sum_t S_t zeta_phi^(-t s)
-            values = {}
-            for a in range(1, m):
-                if ind[a] >= 0:
-                    values[a] = complex(lam_by_slot[ind[a]])
-        ld = LevelData(k, values, bound * amplify, self._tail_terms(m))
-        self._levels[k] = ld
-        return ld
+        values = {a: lam_by_slot[ind[a]] for a in range(1, m) if ind[a] >= 0}
+        return LevelData(k, values, bound * amplify, self._tail_terms(m))
 
-    def _assemble_mp(self, S, ind, m, phi):
-        with mpmath.workdps(self.digits + 8):
-            zphi = [mpmath.expjpi(mpmath.mpf(2 * j) / phi) for j in range(phi)]
-            lam_by_slot = [
-                mpmath.fsum(
-                    (S[t] * zphi[(-t * s) % phi] for t in range(phi))
-                ) / phi
-                for s in range(phi)
-            ]
-            return {
-                a: lam_by_slot[int(ind[a])] for a in range(1, m) if ind[a] >= 0
-            }
+    def _character_sums(self, k: int, signs):
+        """S_t = sum_a chi_t(a) lambda(a/p^k) for every index t mod phi(p^k).
 
-    def gauss_norm_residual(self, kprime: int) -> float:
-        """max | |tau(chi)|^2 - m | over primitive chi; sanity diagnostic."""
-        A, tau, phi, m, ind, *_ = self._primitive_block(kprime)
-        worst = 0.0
-        for t in range(phi):
-            if t == 0 or (kprime >= 2 and t % self.p == 0):
-                continue
-            worst = max(worst, abs(abs(complex(tau[t])) ** 2 - m))
-        return worst
+        The index t = t' p^v with t' primitive at conductor p^(k-v) takes the
+        v-th term of the Hecke chain that starts at -tau L(f, conj chi, 1);
+        the trivial character takes the chain of lambda(0).
+        """
+        p, ap = self.p, self.ap
+        S = np.zeros_like(self._block(k)[0])
+        lam0 = self.lambda_zero()
+        prev, cur = lam0, (ap - 2) * lam0
+        for j in range(2, k + 1):
+            prev, cur = cur, ap * cur - (p - 1 if j == 2 else p) * prev
+        S[0] = cur
+        for kprime in range(1, k + 1):
+            A, tau, w_root = self._block(kprime)
+            t = np.arange(1, len(A))
+            if kprime >= 2:
+                t = t[t % p != 0]  # primitive at this conductor
+            sign = np.where(t % 2 == 0, *signs)
+            prev, cur = 0, -tau[t] * (A[-t] + sign * w_root[t] * A[t])
+            for _ in range(k - kprime):
+                prev, cur = cur, ap * cur - p * prev
+            S[t * p ** (k - kprime)] = cur
+        return S
 
 
-def _unit_root(exponent: int, phi: int, use_mp: bool, digits: int):
-    e = exponent % phi
-    if use_mp:
-        with mpmath.workdps(digits + 8):
-            return mpmath.expjpi(mpmath.mpf(2 * e) / phi)
-    return cmath.exp(2j * cmath.pi * e / phi)
+def _roots(n: int, dtype):
+    """zeta_n^j = exp(2 pi i j / n) for 0 <= j < n, as float64 or mpmath."""
+    if dtype == object:
+        return np.array(
+            [mpmath.expjpi(mpmath.mpf(2 * j) / n) for j in range(n)], dtype=object
+        )
+    return np.exp(2j * np.pi * np.arange(n) / n)
+
+
+def _dft(x, sign: int):
+    """y_t = sum_s x_s zeta_phi^(sign t s) with phi = len(x).
+
+    numpy's FFT on float64; on mpmath numbers (object arrays) a mixed-radix
+    Cooley-Tukey at the current mpmath precision, O(phi * sum of the prime
+    factors of phi) operations.
+    """
+    phi = len(x)
+    if x.dtype != object:
+        return phi * np.fft.ifft(x) if sign > 0 else np.fft.fft(x)
+    roots = _roots(phi, object)
+    if sign < 0:
+        roots = roots[-np.arange(phi) % phi]
+    return np.array(_cooley_tukey(list(x), list(roots)), dtype=object)
+
+
+def _cooley_tukey(x: list, roots: list) -> list:
+    """DFT of x against roots[j] = zeta^j, zeta of order n = len(x): split by
+    the smallest prime q | n into q DFTs of length n/q over x[r::q]."""
+    n = len(x)
+    if n == 1:
+        return x
+    q = prime_divisors(n)[0]
+    parts = [_cooley_tukey(x[r::q], roots[::q]) for r in range(q)]
+    return [
+        sum(roots[r * t % n] * parts[r][t % (n // q)] for r in range(q))
+        for t in range(n)
+    ]

@@ -16,7 +16,6 @@ analytic engine.
 
 from __future__ import annotations
 
-import copy
 import csv
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -30,7 +29,7 @@ from .errors import (
     ParseError,
     RecognitionFailed,
 )
-from .lseries import SymbolNumerics
+from .lseries import SIGN_PINS, SymbolNumerics
 
 
 @dataclass(frozen=True)
@@ -73,19 +72,6 @@ class SymbolTable:
         return all(
             (k, a) in self.symbols for a in range(1, m) if a % self.p != 0
         )
-
-    def with_entry(self, k: int, a: int, plus=None, minus=None) -> "SymbolTable":
-        """Copy with one entry replaced; used to construct violations."""
-        sym = self.get(k, a)
-        new = ModularSymbol(
-            sym.a, sym.m,
-            Fraction(plus) if plus is not None else sym.plus,
-            Fraction(minus) if minus is not None else sym.minus,
-        )
-        symbols = dict(self.symbols)
-        symbols[(k, a % self.p**k if k else 0)] = new
-        return SymbolTable(self.curve_label, self.p, self.max_level,
-                           symbols, self.provenance)
 
 
 # -- rational recognition -------------------------------------------------------
@@ -139,107 +125,66 @@ class SymbolTableBuilder:
         self.p = p
         self.digits = digits
         self.denom_bound = denom_bound
-        self.numerics = SymbolNumerics(curve, p, digits=digits)
-        self._periods = periods(curve, max(digits, 20))
-
-    def _trial(self, digits: int, signs) -> "SymbolTableBuilder":
-        """A builder for another digits value or sign pin.  The expansion is
-        shared through the curve's memo; the periods are reused at the same
-        digits value."""
-        trial = copy.copy(self)
-        trial.digits = digits
-        trial.numerics = SymbolNumerics(
-            self.curve, self.p, digits=digits, sign_even=signs[0], sign_odd=signs[1]
-        )
-        if digits != self.digits:
-            trial._periods = periods(self.curve, max(digits, 20))
-        return trial
-
-    def tolerance(self) -> Fraction:
-        return Fraction(1, 10 ** max(self.digits - 4, 5))
-
-    def _split(self, lam):
-        """(plus, minus) parts of one lambda value, recognized as rationals."""
-        if self.numerics.use_mp:
-            with mpmath.workdps(self.digits + 8):
-                re, im = mpmath.re(lam), mpmath.im(lam)
-                plus_val = re / self._periods.omega_plus
-                minus_val = im / self._periods.omega_minus.imag
-        else:
-            plus_val = float(lam.real) / float(self._periods.omega_plus)
-            minus_val = float(lam.imag) / float(self._periods.omega_minus.imag)
-        tol = self.tolerance()
-        plus = recognize_rational(plus_val, self.denom_bound, tol)
-        minus = recognize_rational(minus_val, self.denom_bound, tol)
-        return plus, minus
 
     def build(self, K: int) -> SymbolTable:
-        """Table through level K, escalating the working precision once if
-        recognition fails at the first attempt.
+        """Table through level K: the first sign pin whose table is recognized
+        and passes the Hecke check, at the working precision and then once at
+        ten more digits.
 
-        When K >= 2 the Hecke relations at levels 1..K-1 double as an
-        empirical check of the functional-equation sign convention; on
-        failure the two parity sign bits are re-pinned before giving up.
+        The Hecke relations at levels 1..K-1 referee the functional-equation
+        signs of SIGN_PINS.  At K < 2 there is no relation to referee them, so
+        only the default pin is tried.  The character sums, lambda(0) and the
+        periods are computed once per digits value and shared by every pin.
         """
-        try:
-            table = self._build_once(K)
-        except RecognitionFailed:
-            table = None
-        if table is not None and (K < 2 or self._quick_validate(table)):
-            return table
-        if table is not None:
-            table = self._repin_signs(K)
-            if table is not None:
-                return table
-        harder = self._trial(
-            self.digits + 10, (self.numerics.sign_even, self.numerics.sign_odd)
-        )
-        table = harder._build_once(K)
-        if K >= 2 and not harder._quick_validate(table):
-            raise RecognitionFailed(
-                "symbols fail the Hecke relations at every sign convention"
+        failure = None
+        for digits in (self.digits, self.digits + 10):
+            numerics = SymbolNumerics(self.curve, self.p, digits=digits)
+            per = periods(self.curve, max(digits, 20))
+            for signs in SIGN_PINS if K >= 2 else SIGN_PINS[:1]:
+                try:
+                    table = self._recognize(numerics, per, K, signs)
+                except RecognitionFailed as exc:
+                    failure = exc
+                    continue
+                if K < 2 or validate_hecke(table, self.p, K - 1, numerics.ap).passed:
+                    return table
+                failure = RecognitionFailed(
+                    "symbols fail the Hecke relations at every sign convention"
+                )
+        raise failure
+
+    def _recognize(self, numerics: SymbolNumerics, per, K: int, signs) -> SymbolTable:
+        digits = numerics.digits
+        tol = Fraction(1, 10 ** max(digits - 4, 5))
+
+        def split(lam):
+            """(plus, minus) parts of one lambda value, recognized as rationals."""
+            if numerics.use_mp:
+                with mpmath.workdps(digits + 8):
+                    plus_val = mpmath.re(lam) / per.omega_plus
+                    minus_val = mpmath.im(lam) / per.omega_minus.imag
+            else:
+                plus_val = float(lam.real) / float(per.omega_plus)
+                minus_val = float(lam.imag) / float(per.omega_minus.imag)
+            return (
+                recognize_rational(plus_val, self.denom_bound, tol),
+                recognize_rational(minus_val, self.denom_bound, tol),
             )
-        return table
 
-    def _quick_validate(self, table: SymbolTable) -> bool:
-        rep = validate_hecke(table, self.p, table.max_level - 1, self.numerics.ap)
-        return rep.passed
-
-    def _repin_signs(self, K: int):
-        current = (self.numerics.sign_even, self.numerics.sign_odd)
-        for signs in ((-1, -1), (-1, 1), (1, -1), (1, 1)):
-            if signs == current:
-                continue
-            trial = self._trial(self.digits, signs)
-            try:
-                table = trial._build_once(K)
-            except RecognitionFailed:
-                continue
-            if self._quick_validate(table):
-                self.numerics.sign_even, self.numerics.sign_odd = signs
-                return table
-        return None
-
-    def _build_once(self, K: int) -> SymbolTable:
         table = SymbolTable(self.curve.label, self.p, K)
-        lam0 = self.numerics.lambda_zero()
-        plus0, minus0 = self._split(lam0)
-        table.symbols[(0, 0)] = ModularSymbol(0, 1, plus0, minus0)
+        table.symbols[(0, 0)] = ModularSymbol(0, 1, *split(numerics.lambda_zero()))
         bounds = {}
         for k in range(1, K + 1):
-            level = self.numerics.level(k)
+            level = numerics.level(k, signs)
             bounds[k] = level.error_bound
             m = self.p**k
             for a, lam in level.values.items():
-                plus, minus = self._split(lam)
-                table.symbols[(k, a)] = ModularSymbol(a, m, plus, minus)
+                table.symbols[(k, a)] = ModularSymbol(a, m, *split(lam))
         table.meta = {
-            "digits": self.digits,
+            "digits": digits,
             "denominator_bound": self.denom_bound,
-            "recognition_tolerance": float(self.tolerance()),
-            "functional_equation_signs": (
-                self.numerics.sign_even, self.numerics.sign_odd
-            ),
+            "recognition_tolerance": float(tol),
+            "functional_equation_signs": signs,
             "tail_bounds": bounds,
         }
         return table

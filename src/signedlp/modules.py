@@ -64,25 +64,8 @@ class FactoredIdeal:
     def phi_dict(self) -> dict:
         return dict(self.phi_exps)
 
-    def divides(self, other: "FactoredIdeal") -> bool:
-        mine, theirs = self.phi_dict, other.phi_dict
-        return (
-            self.p_exp <= other.p_exp
-            and self.x_exp <= other.x_exp
-            and all(theirs.get(n, 0) >= b for n, b in mine.items())
-        )
-
     def times_x(self, k: int = 1) -> "FactoredIdeal":
         return FactoredIdeal(self.p_exp, self.x_exp + k, self.phi_exps)
-
-    def to_lambda(self, ctx: IwasawaContext) -> LambdaElement:
-        out = ctx.one().scale(ctx.prime**self.p_exp)
-        if self.x_exp:
-            out = out * ctx.x_power(self.x_exp)
-        for n, b in self.phi_exps:
-            for _ in range(b):
-                out = out * ctx.phi(n)
-        return out
 
     def __str__(self):
         return factored_string(self.p_exp, self.x_exp, self.phi_exps)

@@ -15,23 +15,8 @@ never claims more digits than its inputs carried.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
-from .errors import MixedContext, NonUnit, NotIntegral
-
-
-class _Sentinel:
-    def __init__(self, name):
-        self._name = name
-
-    def __repr__(self):
-        return self._name
-
-
-#: valuation of a residue that vanishes at precision but is not an exact zero
-AT_LEAST_PRECISION = _Sentinel("AT_LEAST_PRECISION")
-#: valuation of an exact zero
-EXACT_ZERO = _Sentinel("EXACT_ZERO")
+from .errors import MixedContext, NotIntegral
 
 
 def padic_valuation(n: int, p: int) -> int:
@@ -90,27 +75,11 @@ class PadicScalar:
         inv = pow(den % p**M, -1, p**M)
         return cls(p, M, (num * inv) % p**M)
 
-    @classmethod
-    def from_fraction(cls, q: Fraction, p: int, M: int) -> "PadicScalar":
-        return cls.from_rational(q.numerator, q.denominator, p, M)
-
     # -- structure ------------------------------------------------------------
-
-    def valuation(self):
-        """min(v_p(residue), M); sentinels for the two kinds of zero."""
-        if self.exact_zero:
-            return EXACT_ZERO
-        if self.residue == 0:
-            return AT_LEAST_PRECISION
-        return padic_valuation(self.residue, self.prime)
 
     @property
     def is_zero_at_precision(self) -> bool:
         return self.residue == 0
-
-    @property
-    def is_unit(self) -> bool:
-        return self.residue % self.prime != 0
 
     def _check(self, other: "PadicScalar"):
         if self.prime != other.prime or self.precision != other.precision:
@@ -156,14 +125,6 @@ class PadicScalar:
 
     __radd__ = __add__
     __rmul__ = __mul__
-
-    def inverse(self) -> "PadicScalar":
-        """Multiplicative inverse; only units have one."""
-        if not self.is_unit:
-            raise NonUnit(f"residue {self.residue} has positive valuation")
-        return PadicScalar(
-            self.prime, self.precision, pow(self.residue, -1, self.modulus)
-        )
 
     def reduce_precision(self, M: int) -> "PadicScalar":
         """Forget digits down to precision M (never extends)."""

@@ -10,6 +10,7 @@ configs reproduce byte-identical output.
 
 from __future__ import annotations
 
+import json
 import os
 from dataclasses import dataclass
 from typing import Optional
@@ -92,12 +93,51 @@ class PipelineResult:
 
 
 def cache_path(cfg: RunConfig, curve: CurveData) -> Optional[str]:
+    """The cached table's CSV path, named by every input that changes the
+    table; its meta sits next to it in the same path plus ".json".
+
+    The inputs are spelled out rather than hashed: hashlib would load
+    OpenSSL into every run, about 3.6 MB of resident memory.
+    """
     root = os.environ.get(CACHE_ENV)
     if not root:
         return None
     os.makedirs(root, exist_ok=True)
-    name = f"{curve.label}_p{cfg.p}_k{cfg.n_max + 1}_d{cfg.digits}.csv"
+    ainvs = ",".join(str(a) for a in curve.a_invariants)
+    name = (
+        f"{curve.label}_p{cfg.p}_k{cfg.n_max + 1}_d{cfg.digits}"
+        f"_b{cfg.resolved_denom_bound(curve)}_a{ainvs}_N{curve.conductor}"
+        f"_e{curve.fricke_sign}_v{__version__}.csv"
+    )
     return os.path.join(root, name)
+
+
+def _write_atomically(path: str, write) -> None:
+    """write(tmp), then rename tmp over path: readers never see a partial file."""
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        write(tmp)
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+
+
+def _write_meta(meta: dict, path: str) -> None:
+    with open(path, "w") as fh:
+        json.dump(meta, fh, sort_keys=True)
+
+
+def _read_cached(path: str, curve: CurveData, p: int) -> SymbolTable:
+    """A cached table exactly as it was built: symbols, meta and provenance."""
+    table = import_table(path, expect_curve=curve.label, expect_p=p)
+    with open(path + ".json") as fh:
+        meta = json.load(fh)
+    meta["tail_bounds"] = {int(k): v for k, v in meta["tail_bounds"].items()}
+    meta["functional_equation_signs"] = tuple(meta["functional_equation_signs"])
+    table.meta = meta
+    table.provenance = "computed"
+    return table
 
 
 def load_or_build_table(cfg: RunConfig, curve: CurveData) -> SymbolTable:
@@ -112,14 +152,16 @@ def load_or_build_table(cfg: RunConfig, curve: CurveData) -> SymbolTable:
         return table
     cached = cache_path(cfg, curve)
     if cached and os.path.exists(cached):
-        return import_table(cached, expect_curve=curve.label, expect_p=cfg.p)
+        return _read_cached(cached, curve, cfg.p)
     builder = SymbolTableBuilder(
         curve, cfg.p, digits=cfg.digits,
         denom_bound=cfg.resolved_denom_bound(curve),
     )
     table = builder.build(K)
     if cached:
-        export_table(table, cached)
+        # the meta first: a cached CSV always has its meta next to it
+        _write_atomically(cached + ".json", lambda tmp: _write_meta(table.meta, tmp))
+        _write_atomically(cached, lambda tmp: export_table(table, tmp))
     if cfg.table_path and cfg.table_mode == "export":
         export_table(table, cfg.table_path)
     return table

@@ -37,18 +37,13 @@ def teichmueller(a: int, p: int, modulus: int) -> int:
 
 
 class UnitDecomposer:
-    """Splits units of Z/p^(n+1) as omega(g)^i * gamma^j, gamma = 1 + p."""
+    """Units of Z/p^(n+1) as omega(g)^i * gamma^j, gamma = 1 + p: the
+    Teichmueller values omega(g)^i, which build_theta walks by powers of gamma."""
 
     def __init__(self, p: int, n: int):
         self.p = p
         self.n = n
         self.modulus = p ** (n + 1)
-        gamma = 1 + p
-        self._gamma_log = {}
-        x = 1
-        for j in range(p**n):
-            self._gamma_log[x] = j
-            x = (x * gamma) % self.modulus
         # Teichmueller values indexed by their exponent over a fixed
         # generator of the (p-1)-torsion
         from .lseries import primitive_root_mod_p2
@@ -59,17 +54,6 @@ class UnitDecomposer:
         for i in range(p - 1):
             self.teich_by_index.append(x)
             x = (x * w) % self.modulus
-        self._teich_index = {v: i for i, v in enumerate(self.teich_by_index)}
-
-    def decompose(self, a: int):
-        """(i, j) with a = omega^i * gamma^j mod p^(n+1)."""
-        a = a % self.modulus
-        if a % self.p == 0:
-            raise NotAUnit(f"{a} is divisible by {self.p}")
-        w = teichmueller(a, self.p, self.modulus)
-        i = self._teich_index[w]
-        j = self._gamma_log[(a * pow(w, -1, self.modulus)) % self.modulus]
-        return i, j
 
 
 @dataclass(frozen=True)

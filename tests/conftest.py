@@ -61,6 +61,17 @@ def omega_signed(ctx, n, parity):
     return out
 
 
+def ideal_to_lambda(ideal, ctx):
+    """The generator p^a X^b prod Phi_n^(e_n) of a FactoredIdeal in ctx."""
+    out = ctx.one().scale(ctx.prime**ideal.p_exp)
+    if ideal.x_exp:
+        out = out * ctx.x_power(ideal.x_exp)
+    for n, b in ideal.phi_exps:
+        for _ in range(b):
+            out = out * ctx.phi(n)
+    return out
+
+
 @pytest.fixture(scope="session")
 def store():
     return TableStore()

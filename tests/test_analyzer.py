@@ -22,6 +22,8 @@ from signedlp.extract import (
 from signedlp.lambda_ring import IwasawaContext
 from signedlp.modules import RankSequence, parse_factored_ideal
 
+from conftest import ideal_to_lambda
+
 
 def _series(label, elt):
     inv, certified = _class_invariants(elt)
@@ -86,9 +88,7 @@ def test_gcd_divides_both_inputs(store, ctx):
     thetas = store.thetas("53a1", 5, 2, 14)
     pair = extract_plus_minus(thetas, store.ap("53a1", 5))
     rep = gcd_signed_pair(pair)
-    gen = rep.as_factored_ideal().to_lambda(
-        IwasawaContext(5, 8, ("degree", 30))
-    )
+    gen = ideal_to_lambda(rep.as_factored_ideal(), IwasawaContext(5, 8, ("degree", 30)))
     for comp in pair.components:
         wide = IwasawaContext(5, 8, ("degree", 30))
         lifted = wide.element(list(comp.series.coeffs))

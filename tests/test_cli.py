@@ -205,12 +205,52 @@ def test_spec_invocation_37a1_p17(capsys):
 
 
 def test_cache_round_trip(tmp_path, capsys, monkeypatch):
-    monkeypatch.setenv("SIGNEDLP_CACHE_DIR", str(tmp_path))
-    args = ["gcd", "--curve", curve_path("53a1"), "--p", "3", "--level", "2",
-            "--prec", "8", "--digits", "14"]
+    cache = tmp_path / "cache"
+    monkeypatch.setenv("SIGNEDLP_CACHE_DIR", str(cache))
+    flags = ["--curve", curve_path("53a1"), "--p", "3", "--level", "2", "--digits", "14"]
+    args = ["gcd"] + flags + ["--prec", "8"]
     code, out1, _ = run_cli(args, capsys)
     assert code == 0
-    cached = list(tmp_path.glob("*.csv"))
+    cached = list(cache.glob("*.csv"))
     assert len(cached) == 1
     code, out2, _ = run_cli(args, capsys)
     assert code == 0 and json.loads(out1) == json.loads(out2)
+    # a report from the cache is byte-identical to one computed without it;
+    # --prec moves the denominator bound, so it keys a second table
+    for prec, tables in (("8", 1), ("6", 2), ("6", 2)):
+        report = ["report"] + flags + ["--prec", prec, "--fine-char", "1"]
+        code, warm, _ = run_cli(report, capsys)
+        assert code == 0 and len(list(cache.glob("*.csv"))) == tables
+        monkeypatch.delenv("SIGNEDLP_CACHE_DIR")
+        code, cold, _ = run_cli(report, capsys)
+        monkeypatch.setenv("SIGNEDLP_CACHE_DIR", str(cache))
+        assert code == 0 and warm == cold
+
+
+@pytest.mark.parametrize("label, p, x", [("37a1", 3, 1), ("53a1", 5, 1), ("11a1", 19, 0)])
+def test_default_flags_on_every_fixture(label, p, x, capsys):
+    code, out, err = run_cli(["report", "--curve", curve_path(label), "--p", str(p)], capsys)
+    assert code == 0, err
+    payload = json.loads(out)
+    assert payload["run"]["config"]["real_digits"] == 30
+    assert payload["gcd"]["x"] == x
+
+
+@pytest.mark.parametrize("field", ["fricke_sign", "conductor"])
+def test_bad_metadata_fails_at_ingest_stage(field, tmp_path, capsys, monkeypatch):
+    from signedlp import pipeline
+
+    with open(curve_path("37a1")) as fh:
+        raw = json.load(fh)
+    raw[field] = -raw[field] if field == "fricke_sign" else 2 * raw[field]
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(raw))
+    monkeypatch.setattr(
+        pipeline, "load_or_build_table", lambda *args: pytest.fail("symbols were built")
+    )
+    code, _, err = run_cli(
+        ["report", "--curve", str(path), "--p", "3", "--digits", "14"], capsys
+    )
+    assert code == 1
+    assert "MetadataMismatch" in err and field in err
+    assert "stage: ingest" in err

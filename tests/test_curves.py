@@ -11,6 +11,7 @@ from signedlp.curves import (
     an_expansion,
     classify_reduction,
     curve_from_dict,
+    fricke_residual,
     hasse_candidates,
     period_integral_oracle,
     periods,
@@ -272,10 +273,9 @@ def test_l_value_vanishes_at_one(store):
 
 
 def test_fricke_sign_verified_numerically(store):
-    for label in ("37a1", "53a1"):
+    for label in ("11a1", "37a1", "53a1"):
         c = store.curve(label)
-        num = SymbolNumerics(c, 3, digits=14)
-        assert num.verify_fricke() < 1e-9
+        assert fricke_residual(c) < 1e-9
         # flipping the sign must break the functional equation badly
         flipped = curve_from_dict({
             "label": c.label, "a_invariants": list(c.a_invariants),
@@ -284,5 +284,26 @@ def test_fricke_sign_verified_numerically(store):
             "fricke_sign": -c.fricke_sign,
             "torsion_bound": c.torsion_bound,
         })
-        bad = SymbolNumerics(flipped, 3, digits=14)
-        assert bad.verify_fricke() > 1e-3
+        assert fricke_residual(flipped) > 1e-3
+
+
+def test_conductor_unverifiable_at_additive_2_and_3():
+    # y^2 = x^3 + x (additive at 2) and y^2 = x^3 + 1 (additive at 2 and 3)
+    for ai in ([0, 0, 0, 1, 0], [0, 0, 0, 0, 1]):
+        c = curve_from_dict({"label": "x", "a_invariants": ai, "conductor": 1, "rank": 0})
+        assert verify_conductor(c) is None
+
+
+def test_imaginary_period_against_quadrature(store):
+    # Delta < 0: nu = 2 int_(-oo)^e1 dx / sqrt(-cubic(x)), e1 the real root
+    digits = 25
+    for label in ("11a1", "53a1"):
+        c = store.curve(label)
+        b2, b4, b6, _ = c.b_invariants
+        nu = periods(c, digits).omega_minus.imag
+        with mpmath.workdps(digits + 10):
+            roots = mpmath.polyroots([4, b2, 2 * b4, b6], maxsteps=200, extraprec=60)
+            e1 = min(roots, key=lambda r: abs(r.imag)).real
+            cubic = lambda x: 4 * x**3 + b2 * x * x + 2 * b4 * x + b6
+            quad = 2 * mpmath.quad(lambda x: 1 / mpmath.sqrt(-cubic(x)), [-mpmath.inf, e1])
+            assert abs(nu - quad) < mpmath.mpf(10) ** -15 * abs(quad)

@@ -3,7 +3,9 @@ from fractions import Fraction
 
 import pytest
 
+from signedlp import modsym
 from signedlp.errors import (
+    CoefficientSupplyExhausted,
     ContextMismatch,
     ParseError,
     RecognitionFailed,
@@ -96,8 +98,8 @@ def test_level_constant_synthetic_table():
 
 def test_perturbed_entry_fails_naming_residue():
     table = _synthetic_table(3, 3, {1: 3, 2: -3, 3: -1}, 9)
-    broken = table.with_entry(2, 4, plus=Fraction(5))
-    rep = validate_hecke(broken, 3, 2, a_p=0)
+    table.symbols[(2, 4)] = ModularSymbol(4, 9, Fraction(5), Fraction(0))
+    rep = validate_hecke(table, 3, 2, a_p=0)
     assert not rep.passed
     # [4/9] enters exactly one relation: level 1, residue 1 (sum over 1, 4, 7)
     assert {(lvl, a) for lvl, a, *_ in rep.violations} == {(1, 1)}
@@ -179,71 +181,147 @@ def test_boundary_period_integral(store):
     assert abs(out.values[0]) < 1e-12  # L(E, 1) = 0
 
 
-def test_wrong_signs_are_repinned_from_every_level(store):
+def _pins_from(monkeypatch, first):
+    """Make `first` the sign pin a build tries first, the rest in their order."""
+    pins = (first,) + tuple(s for s in modsym.SIGN_PINS if s != first)
+    monkeypatch.setattr(modsym, "SIGN_PINS", pins)
+
+
+def _spy(monkeypatch, owner, name, digits_of):
+    """Counter of the calls to owner.name, keyed by each call's digits value."""
+    calls, fn = Counter(), getattr(owner, name)
+
+    def spy(*args):
+        calls.update([digits_of(*args)])
+        return fn(*args)
+
+    monkeypatch.setattr(owner, name, spy)
+    return calls
+
+
+def test_wrong_signs_are_repinned_from_every_level(store, monkeypatch):
     # the signs (-1, 1) pass the Hecke relations at level 1 on 37a1, p = 3,
-    # and fail them at level 2; the build must re-pin to the default signs
+    # and fail them at level 2; the build must go on to the default signs
+    _pins_from(monkeypatch, (-1, 1))
     builder = SymbolTableBuilder(store.curve("37a1"), 3, digits=14, denom_bound=500000)
-    builder.numerics.sign_even, builder.numerics.sign_odd = -1, 1
     table = builder.build(3)
     assert table.meta["functional_equation_signs"] == (-1, -1)
     assert table.symbols == store.table("37a1", 3, 3, 14).symbols
 
 
 def test_retry_builders_share_coefficients_and_periods(store, monkeypatch):
-    # across the builders of one build, each good prime is counted at most
-    # once and the periods run once per digits value
-    from signedlp import curves, modsym
+    # across the pins and digits values of one build, each good prime is
+    # counted at most once and the periods run once per digits value
+    from signedlp import curves
 
-    counted, period_digits = Counter(), Counter()
-    a_ell, periods = curves.a_ell, modsym.periods
+    counted = Counter()
+    a_ell = curves.a_ell
     monkeypatch.setattr(
         curves, "a_ell", lambda curve, ell: counted.update([ell]) or a_ell(curve, ell)
     )
-    monkeypatch.setattr(
-        modsym, "periods",
-        lambda curve, digits: period_digits.update([digits]) or periods(curve, digits),
-    )
+    period_digits = _spy(monkeypatch, modsym, "periods", lambda curve, digits: digits)
 
     def build(label, p, signs):
         counted.clear()
         period_digits.clear()
         monkeypatch.setattr(curves, "_EXPANSIONS", {})
-        curve = store.curve(label)
-        builder = SymbolTableBuilder(curve, p, digits=14, denom_bound=500000)
-        builder.numerics.sign_even, builder.numerics.sign_odd = signs
-        return builder.build(3)
+        _pins_from(monkeypatch, signs)
+        return SymbolTableBuilder(store.curve(label), p, digits=14, denom_bound=500000).build(3)
 
-    # 37a1, p = 3 from (-1, 1): the level-2 Hecke check fails, one re-pin trial
-    reference = store.table("37a1", 3, 3, 14)
+    # 37a1, p = 3 from (-1, 1): the level-2 Hecke check fails, the next pin passes
     table = build("37a1", 3, (-1, 1))
-    assert table.symbols == reference.symbols
+    assert table.symbols == store.table("37a1", 3, 3, 14).symbols
     assert period_digits == {20: 1}     # periods at max(digits, 20)
     assert 3 in counted and max(counted.values()) == 1
-    # 53a1, p = 5 from (1, -1): recognition fails, one escalation to digits 24
-    with pytest.raises(RecognitionFailed):
-        build("53a1", 5, (1, -1))
-    assert period_digits == {20: 1, 24: 1}
+    # 53a1, p = 5 from (1, -1): recognition fails, the default pin passes at
+    # the same digits value, with no escalation
+    table = build("53a1", 5, (1, -1))
+    assert table.meta["digits"] == 14
+    assert table.meta["functional_equation_signs"] == (-1, -1)
+    assert table.symbols == store.table("53a1", 5, 3, 14).symbols
+    assert period_digits == {20: 1}
     assert 5 in counted and max(counted.values()) == 1
 
 
-def test_recognition_failure_surfaces_after_escalation(store):
+def test_character_sums_computed_once_per_level_and_digits(store, monkeypatch):
+    # 37a1, p = 3, build(3) from (-1, 1) tries two pins at digits 14: the
+    # sign-free blocks at conductors 3, 9 and 27 are computed once each
+    _pins_from(monkeypatch, (-1, 1))
+    blocks = _spy(
+        monkeypatch, SymbolNumerics, "_primitive_block", lambda num, kprime: num.digits
+    )
+    builder = SymbolTableBuilder(store.curve("37a1"), 3, digits=14, denom_bound=500000)
+    builder.build(3)
+    assert blocks == {14: 3}
+
+
+def test_recognition_failure_surfaces_after_escalation(store, monkeypatch):
+    # at K = 1 no Hecke relation referees the signs: one pin per digits value,
+    # one escalation, then the recognition failure itself
+    period_digits = _spy(monkeypatch, modsym, "periods", lambda curve, digits: digits)
     c = store.curve("53a1")
     builder = SymbolTableBuilder(c, 5, digits=14, denom_bound=1)
-    with pytest.raises(RecognitionFailed):
+    with pytest.raises(RecognitionFailed, match="denominator <= 1"):
         builder.build(1)
+    assert period_digits == {20: 1, 24: 1}
 
 
-def test_coefficient_supply_cap(store):
-    from signedlp.errors import CoefficientSupplyExhausted
-    from signedlp.lseries import SymbolNumerics
+def test_coefficient_supply_cap(store, monkeypatch):
+    from signedlp import lseries
 
-    num = SymbolNumerics(store.curve("53a1"), 5, digits=14, coefficient_cap=100)
-    with pytest.raises(CoefficientSupplyExhausted):
+    monkeypatch.setattr(lseries, "_COEFF_CAP", 100)
+    num = SymbolNumerics(store.curve("53a1"), 5, digits=14)
+    with pytest.raises(CoefficientSupplyExhausted, match="cap is 100"):
         num.level(2)
 
 
 def test_gauss_sum_norms(store):
-    from signedlp.lseries import SymbolNumerics
+    # |tau(chi)|^2 = m for every primitive character chi of conductor m
+    for p, kprime in ((17, 1), (3, 2), (5, 2)):
+        num = SymbolNumerics(store.curve("37a1"), p, digits=13)
+        _, tau, _ = num._primitive_block(kprime)
+        m = p**kprime
+        primitive = [t for t in range(1, len(tau)) if kprime == 1 or t % p]
+        assert max(abs(abs(complex(tau[t])) ** 2 - m) for t in primitive) < 1e-9
 
-    num = SymbolNumerics(store.curve("37a1"), 17, digits=13)
-    assert num.gauss_norm_residual(1) < 1e-9
+
+@pytest.mark.parametrize("phi", [1, 2, 16, 18, 100, 272, 342])
+def test_mp_dft_matches_naive_sum(phi):
+    import random
+
+    import mpmath
+    import numpy as np
+
+    from signedlp.lseries import _dft
+
+    rng = random.Random(phi)
+    with mpmath.workdps(38):
+        x = np.array(
+            [mpmath.mpc(rng.uniform(-1, 1), rng.uniform(-1, 1)) for _ in range(phi)],
+            dtype=object,
+        )
+        for sign in (1, -1):
+            got = _dft(x, sign)
+            zeta = [mpmath.expjpi(mpmath.mpf(2 * sign * j) / phi) for j in range(phi)]
+            for t in range(phi):
+                want = mpmath.fsum(x[s] * zeta[t * s % phi] for s in range(phi))
+                assert abs(got[t] - want) < phi * mpmath.mpf(10) ** -35
+
+
+@pytest.mark.parametrize("label, p, K", [("37a1", 17, 2), ("53a1", 5, 3)])
+def test_float_and_mp_levels_agree(store, label, p, K):
+    # digits 16 runs on float64, digits 17 on mpmath.  The recorded bound
+    # covers the truncated tails only; float64 rounding (about 1e-15 here)
+    # gets its own allowance of 64 ulps of the largest value
+    import numpy as np
+
+    c = store.curve(label)
+    lo, hi = SymbolNumerics(c, p, digits=16), SymbolNumerics(c, p, digits=17)
+    assert not lo.use_mp and hi.use_mp
+    for k in range(K + 1):
+        rough, sharp = lo.level(k), hi.level(k)
+        assert rough.values.keys() == sharp.values.keys()
+        scale = max(abs(v) for v in rough.values.values())
+        allowed = rough.error_bound + sharp.error_bound + 64 * np.finfo(float).eps * scale
+        for a, v in rough.values.items():
+            assert abs(v - complex(sharp.values[a])) <= allowed

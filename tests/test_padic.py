@@ -2,12 +2,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from signedlp.errors import MixedContext, NonUnit, NotIntegral
-from signedlp.padic import (
-    AT_LEAST_PRECISION,
-    EXACT_ZERO,
-    PadicScalar,
-)
+from signedlp.errors import MixedContext, NotIntegral
+from signedlp.padic import PadicScalar, padic_valuation
 
 
 def test_from_rational_half_mod_81():
@@ -19,7 +15,7 @@ def test_from_rational_half_mod_81():
 def test_from_rational_integral_and_valuation():
     x = PadicScalar.from_rational(3, 1, 3, 4)
     assert x.residue == 3
-    assert x.valuation() == 1
+    assert padic_valuation(x.residue, 3) == 1
 
 
 def test_from_rational_not_integral():
@@ -33,20 +29,22 @@ def test_from_rational_reduces_common_p_content():
 
 
 def test_valuation_examples():
-    assert PadicScalar.from_integer(18, 3, 4).valuation() == 2
+    assert padic_valuation(PadicScalar.from_integer(18, 3, 4).residue, 3) == 2
+    assert padic_valuation(PadicScalar.from_integer(41, 3, 4).residue, 3) == 0
+    # the two kinds of zero
     z = PadicScalar(3, 4, 0, exact_zero=True)
-    assert z.valuation() is EXACT_ZERO
+    assert z.is_zero_at_precision and z.exact_zero
     fuzz = PadicScalar(3, 4, 0)
-    assert fuzz.valuation() is AT_LEAST_PRECISION
-    assert PadicScalar.from_integer(41, 3, 4).valuation() == 0
+    assert fuzz.is_zero_at_precision and not fuzz.exact_zero
+    assert PadicScalar.from_integer(0, 3, 4).exact_zero
+    assert not PadicScalar.from_integer(81, 3, 4).exact_zero
 
 
 def test_ring_ops_examples():
     half = PadicScalar.from_rational(1, 2, 3, 4)
     assert (half + half).residue == 1
-    assert PadicScalar.from_integer(2, 3, 4).inverse().residue == 41
-    with pytest.raises(NonUnit):
-        PadicScalar.from_integer(3, 3, 4).inverse()
+    assert (half * PadicScalar.from_integer(2, 3, 4)).residue == 1
+    assert (half - half).is_zero_at_precision
 
 
 def test_mixed_context_rejected():
@@ -75,17 +73,13 @@ def test_ultrametric_properties(m, n):
     M = 6
     x = PadicScalar.from_integer(m, 3, M)
     y = PadicScalar.from_integer(n, 3, M)
-    vx = x.valuation()
-    vy = y.valuation()
 
-    def as_int(v):
-        if v is EXACT_ZERO or v is AT_LEAST_PRECISION:
-            return M
-        return v
+    def val(s):
+        # min(v_p(residue), M); M for either kind of zero
+        return M if s.residue == 0 else padic_valuation(s.residue, 3)
 
-    prod = x * y
-    assert as_int(prod.valuation()) == min(as_int(vx) + as_int(vy), M)
-    assert as_int((x + y).valuation()) >= min(as_int(vx), as_int(vy))
+    assert val(x * y) == min(val(x) + val(y), M)
+    assert val(x + y) >= min(val(x), val(y))
 
 
 @given(st.integers(min_value=1, max_value=400), st.integers(min_value=1, max_value=400))

@@ -7,10 +7,17 @@ PACKAGE = pathlib.Path(__file__).resolve().parents[1] / "src" / "signedlp"
 
 # module-level functions that nothing in the package calls, each with its reason
 UNCALLED_ALLOWED = {
-    "verify_conductor": "waits for the conductor check at ingest (ROADMAP item 3)",
     "period_integral_oracle": "quadrature reference for the AGM periods",
     "f_torsion_finite": "module semantics checked by the acceptance suite",
     "ses_char_check": "module semantics checked by the acceptance suite",
+}
+
+
+# methods that nothing in the package calls, each with its reason
+UNCALLED_METHODS_ALLOWED = {
+    "ElementaryModule.direct_sum": "module semantics checked by the acceptance suite",
+    "SignedPair.component": "label lookup the acceptance suite reads",
+    "SignedSeries.is_x_times_unit": "X-times-unit criterion the acceptance suite reads",
 }
 
 
@@ -33,21 +40,52 @@ def test_no_assert_statements_in_package():
     assert not found, f"assert statements in package source: {found}"
 
 
-def test_every_module_function_is_called_in_package():
-    # code that only tests call is dead weight: a function must be referenced
-    # by name somewhere in the package, or be listed above with its reason
-    defined, referenced = {}, set()
-    for name, tree in _package_trees().items():
-        for node in tree.body:
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                defined[node.name] = name
+def _referenced_names(trees):
+    referenced = set()
+    for tree in trees.values():
         for node in ast.walk(tree):
             if isinstance(node, ast.Name):
                 referenced.add(node.id)
             elif isinstance(node, ast.Attribute):
                 referenced.add(node.attr)
+    return referenced
+
+
+def test_every_module_function_is_called_in_package():
+    # code that only tests call is dead weight: a function must be referenced
+    # by name somewhere in the package, or be listed above with its reason
+    trees = _package_trees()
+    defined = {}
+    for name, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                defined[node.name] = name
+    referenced = _referenced_names(trees)
     uncalled = {fn for fn in defined if fn not in referenced}
     unlisted = sorted(f"{defined[fn]}:{fn}" for fn in uncalled - UNCALLED_ALLOWED.keys())
     assert not unlisted, f"module-level functions no package code calls: {unlisted}"
     stale = sorted(set(UNCALLED_ALLOWED) - uncalled)
+    assert not stale, f"allowed entries that are gone or now called: {stale}"
+
+
+def test_every_method_is_called_in_package():
+    # the same rule for methods and properties (dunder methods are called by
+    # the language); a method counts as called when its name is referenced
+    trees = _package_trees()
+    defined = {}
+    for name, tree in trees.items():
+        for cls in tree.body:
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            for node in cls.body:
+                if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    if not (node.name.startswith("__") and node.name.endswith("__")):
+                        defined[f"{cls.name}.{node.name}"] = name
+    referenced = _referenced_names(trees)
+    uncalled = {m for m in defined if m.split(".")[1] not in referenced}
+    unlisted = sorted(
+        f"{defined[m]}:{m}" for m in uncalled - UNCALLED_METHODS_ALLOWED.keys()
+    )
+    assert not unlisted, f"methods no package code calls: {unlisted}"
+    stale = sorted(set(UNCALLED_METHODS_ALLOWED) - uncalled)
     assert not stale, f"allowed entries that are gone or now called: {stale}"

@@ -17,29 +17,22 @@ from signedlp.theta import (
 
 
 def test_decompose_examples():
-    dec = UnitDecomposer(3, 2)
-    assert dec.decompose(1) == (0, 0)
-    i, j = dec.decompose(26)  # 26 = -1 mod 27 is a Teichmueller value
-    assert j == 0
+    # g = 2 generates (Z/p)^*, omega(2) = -1 mod 27 and 7 mod 25
+    assert UnitDecomposer(3, 2).teich_by_index == [1, 26]
     assert teichmueller(26, 3, 27) == 26
-    assert dec.decompose(7) == (0, 8)  # 4^8 = 7 mod 27
+    assert UnitDecomposer(5, 1).teich_by_index == [1, 7, 24, 18]
 
 
 def test_decompose_against_exhaustive_oracle():
-    p, n = 3, 2
-    dec = UnitDecomposer(p, n)
-    modulus = p ** (n + 1)
-    gamma = 1 + p
-    # oracle: brute-force table of omega^i * gamma^j over all (i, j)
-    oracle = {}
-    for i in range(p - 1):
-        w = dec.teich_by_index[i]
-        for j in range(p**n):
-            oracle[(w * pow(gamma, j, modulus)) % modulus] = (i, j)
-    for a in range(1, modulus):
-        if a % p == 0:
-            continue
-        assert dec.decompose(a) == oracle[a]
+    # every unit mod p^(n+1) is omega^i * gamma^j for exactly one (i, j)
+    for p, n in ((3, 2), (5, 1), (7, 1)):
+        dec = UnitDecomposer(p, n)
+        grid = [
+            w * pow(1 + p, j, dec.modulus) % dec.modulus
+            for w in dec.teich_by_index
+            for j in range(p**n)
+        ]
+        assert sorted(grid) == [a for a in range(1, dec.modulus) if a % p]
 
 
 def test_teichmueller_is_torsion():
@@ -52,7 +45,7 @@ def test_teichmueller_is_torsion():
             assert pow(w, p - 1, modulus) == 1
             assert (w - a) % p == 0
     with pytest.raises(NotAUnit):
-        UnitDecomposer(3, 2).decompose(6)
+        teichmueller(6, 3, 27)
 
 
 def _table_from_plus(p, K, plus_fn, label="synthetic"):
@@ -110,7 +103,10 @@ def _reference_theta(table, n, M):
         for k in range(len(row), 0, -1):
             nxt[k] = row[k - 1] + (row[k] if k < len(row) else 0)
         row = nxt
-    return tuple(PadicScalar.from_fraction(q, p, M).residue for q in monomial)
+    return tuple(
+        PadicScalar.from_rational(q.numerator, q.denominator, p, M).residue
+        for q in monomial
+    )
 
 
 def _random_table(rng, p, K):
