@@ -25,9 +25,8 @@ def _common_flags(sub):
     sub.add_argument("--level", type=int, default=None,
                      help="top theta level n_max (default: 2 for p <= 5, else 1)")
     sub.add_argument("--prec", type=int, default=8, help="p-adic precision M")
-    sub.add_argument("--digits", type=int, default=30, help="working real digits")
-    sub.add_argument("--denom-bound", type=int, default=None,
-                     help="denominator bound for rational recognition")
+    sub.add_argument("--digits", type=int, default=30,
+                     help="accepted and ignored: symbol tables are exact")
     sub.add_argument("--table", default=None, help="symbol table CSV path")
     group = sub.add_mutually_exclusive_group()
     group.add_argument("--import", dest="table_import", action="store_true",
@@ -47,8 +46,6 @@ def _config(args) -> RunConfig:
         p=args.p,
         n_max=args.level,
         precision=args.prec,
-        digits=args.digits,
-        denom_bound=args.denom_bound,
         table_path=args.table,
         table_mode=mode,
         fine_char=getattr(args, "fine_char", None),
@@ -87,10 +84,22 @@ def cmd_curve_info(args) -> int:
     return 0
 
 
+def _curve_and_table(cfg: RunConfig):
+    """Ingest and the symbol table, a failure named by its stage as in
+    run_pipeline."""
+    stage = "ingest"
+    try:
+        curve = ingest_curve(cfg.curve_file)
+        stage = "symbols"
+        return curve, load_or_build_table(cfg, curve)
+    except SignedLPError as exc:
+        exc.stage = stage
+        raise
+
+
 def cmd_symbols(args) -> int:
     cfg = _config(args)
-    curve = ingest_curve(cfg.curve_file)
-    table = load_or_build_table(cfg, curve)
+    curve, table = _curve_and_table(cfg)
     ap = a_ell(curve, cfg.p)
     rep = validate_hecke(table, cfg.p, cfg.n_max, ap)
     payload = {
@@ -107,8 +116,7 @@ def cmd_symbols(args) -> int:
 
 def cmd_theta(args) -> int:
     cfg = _config(args)
-    curve = ingest_curve(cfg.curve_file)
-    table = load_or_build_table(cfg, curve)
+    curve, table = _curve_and_table(cfg)
     payload = {"curve": curve.label, "p": cfg.p, "thetas": {}}
     thetas = {}
     for n in range(cfg.n_max + 1):

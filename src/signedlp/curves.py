@@ -1,11 +1,10 @@
 """Elliptic curve data: ingestion, local coefficients, reduction types, periods.
 
-Below ell = 1000 points are counted exhaustively (vectorized with numpy);
-above, Shanks-Mestre baby-step giant-step locates #E(F_ell) in the Hasse
-interval with about ell^(1/4) group operations.  The q-expansion is computed
-once per curve and grown in place.  Periods of the real lattice come from
-AGM-type iteration (Carlson symmetric integrals) and are cross-checked in the
-tests against direct numerical integration.
+Points are counted exhaustively (vectorized with numpy) at every prime, good
+or bad; the q-expansion is computed once per curve and grown in place.
+Periods of the real lattice come from AGM-type iteration (Carlson symmetric
+integrals) and are cross-checked in the tests against direct numerical
+integration.
 
 Lattice orientation convention: Omega_plus is the least positive real
 period times the number of connected components of E(R); Omega_minus is the
@@ -32,6 +31,7 @@ from .errors import (
 )
 from .modules import RankSequence
 
+# torsion_bound is accepted for older curve files and ignored
 _CURVE_FIELDS = {
     "label", "a_invariants", "conductor", "rank",
     "e_sequence", "fricke_sign", "torsion_bound",
@@ -46,7 +46,6 @@ class CurveData:
     rank: int
     e_sequence: RankSequence
     fricke_sign: int
-    torsion_bound: int
 
     @property
     def b_invariants(self):
@@ -120,7 +119,6 @@ def curve_from_dict(raw: dict) -> CurveData:
         rank=rank,
         e_sequence=RankSequence(e_seq),
         fricke_sign=fricke,
-        torsion_bound=int(raw.get("torsion_bound", 1)),
     )
     if curve.discriminant == 0:
         raise SingularCurve(f"{curve.label}: discriminant vanishes")
@@ -129,32 +127,12 @@ def curve_from_dict(raw: dict) -> CurveData:
 
 # -- local point counts -----------------------------------------------------------
 
-# From this prime on, a_ell comes from baby-step giant-step on the short model
-# (about ell^(1/4) group operations) instead of the O(ell) exhaustive count.
-_BSGS_MIN_ELL = 1000
-# Points tried before the exhaustive count decides.  Of the 53,448 good primes
-# of the three fixtures in [10^3, 2*10^5], one point leaves several candidates
-# at 867 and two points at 7 (tests/test_curves.py FALLBACK).
-_BSGS_POINTS = 2
-
 
 def a_ell(curve: CurveData, ell: int) -> int:
-    """ell + 1 - #E(F_ell) for good primes.
-
-    Below _BSGS_MIN_ELL the points are counted exhaustively; from there on
-    the group order is located in the Hasse interval by baby-step giant-step,
-    and counted exhaustively only when the points tried leave more than one
-    candidate.
-    """
+    """ell + 1 - #E(F_ell) for good primes, by exhaustive count."""
     if curve.conductor % ell == 0:
         raise BadReduction(f"{ell} divides the conductor {curve.conductor}")
-    if ell == 2:
-        return _a2_direct(curve)
-    candidates = hasse_candidates(curve, ell) if ell >= _BSGS_MIN_ELL else ()
-    if len(candidates) == 1:
-        (a,) = candidates
-    else:
-        a = _a_ell_naive(curve, ell)
+    a = _a2_direct(curve) if ell == 2 else _a_ell_naive(curve, ell)
     if a * a > 4 * ell:
         raise BadReduction(f"Hasse bound violated at {ell}: a = {a}")
     return a
@@ -163,119 +141,20 @@ def a_ell(curve: CurveData, ell: int) -> int:
 def _a_ell_naive(curve: CurveData, ell: int) -> int:
     """-sum over x of the Legendre symbol of the completed-square cubic."""
     b2, b4, b6, _ = curve.b_invariants
-    # complete the square: y^2 = 4x^3 + b2 x^2 + 2 b4 x + b6 over F_ell
+    # complete the square: y^2 = 4x^3 + b2 x^2 + 2 b4 x + b6 over F_ell; the
+    # partial values stay below 6 ell^2, inside int64 for ell < 10^9
     x = np.arange(ell, dtype=np.int64)
-    rhs = (4 * x + b2 % ell) % ell
-    rhs *= x
+    rhs = (4 * x + b2 % ell) * x
     rhs += 2 * b4 % ell
     rhs %= ell
     rhs *= x
     rhs += b6 % ell
     rhs %= ell
-    sq = x[: ell // 2 + 1]
-    is_sq = np.zeros(ell, dtype=np.int8)
-    is_sq[(sq * sq) % ell] = 1
-    chi = is_sq[rhs].astype(np.int64) * 2 - 1
-    chi[rhs == 0] = 0
-    return -int(chi.sum())
-
-
-def hasse_candidates(curve: CurveData, ell: int) -> set:
-    """The values a, a^2 <= 4 ell, that _BSGS_POINTS points allow for a_ell.
-
-    Shanks-Mestre (Cohen, A Course in Computational Algebraic Number Theory,
-    7.4): on the short model y^2 = x^3 + A x + B, A = -27 c4, B = -54 c6,
-    any x0 with f(x0) = d != 0 gives the point (d x0, d^2) on the twist
-    y^2 = x^3 + A d^2 x + B d^3, which is E when d is a square mod ell and
-    its quadratic twist (trace -a_ell) when not, so no square root is
-    needed and both twists get sampled.  The true a_ell is in every set,
-    so the intersection never loses it.  Needs a good prime ell >= 5.
-    """
-    c4, c6 = curve.c_invariants
-    A, B = -27 * c4 % ell, -54 * c6 % ell
-    bound = math.isqrt(4 * ell)
-    found = None
-    x0 = 0
-    for _ in range(_BSGS_POINTS):
-        while (d := (x0 * x0 * x0 + A * x0 + B) % ell) == 0:
-            x0 += 1
-        twist = 1 if pow(d, (ell - 1) // 2, ell) == 1 else -1
-        point = (d * x0 % ell, d * d % ell)
-        killing = _traces_killing(point, A * d * d % ell, ell, bound)
-        traces = {twist * a for a in killing}
-        found = traces if found is None else found & traces
-        if len(found) == 1:
-            break
-        x0 += 1
-    return found
-
-
-def _traces_killing(P, A, ell, bound):
-    """Every a with |a| <= bound and [ell + 1 - a]P = O, by baby-step giant-step.
-
-    Baby steps store x([j]P) for 1 <= j <= m; giant steps walk
-    G_i = [ell + 1]P - [i s]P with s = 2m + 1 and match G_i = [r]P,
-    |r| <= m (the sign of r read off y), so a = i s + r.
-    """
-    m = math.isqrt(bound) + 1
-    baby = {}
-    R = P
-    for j in range(1, m + 1):
-        if R is None or R[0] in baby:
-            # ord(P) = j, or [j]P = -[j']P: too small for giant steps
-            n = j if R is None else j + baby[R[0]][0]
-            return [a for a in range(-bound, bound + 1) if (ell + 1 - a) % n == 0]
-        baby[R[0]] = (j, R[1])
-        last = R
-        R = _ec_add(R, P, A, ell)
-    s = 2 * m + 1
-    step = _ec_add(R, last, A, ell)  # [m + 1]P + [m]P
-    i_lo = -((bound + m) // s)
-    G = _ec_add(_ec_mul(ell + 1, P, A, ell), _ec_mul(-i_lo, step, A, ell), A, ell)
-    back = None if step is None else (step[0], -step[1] % ell)
-    out = []
-    for i in range(i_lo, -i_lo + 1):
-        if G is None:
-            r = 0
-        elif G[0] in baby:
-            j, y = baby[G[0]]
-            r = j if y == G[1] else -j
-        else:
-            r = None
-        if r is not None and abs(i * s + r) <= bound:
-            out.append(i * s + r)
-        G = _ec_add(G, back, A, ell)
-    return out
-
-
-def _ec_add(P, Q, A, ell):
-    """P + Q on y^2 = x^3 + A x + B over F_ell, affine; None is the origin."""
-    if P is None:
-        return Q
-    if Q is None:
-        return P
-    x1, y1 = P
-    x2, y2 = Q
-    if x1 == x2:
-        if (y1 + y2) % ell == 0:
-            return None
-        slope = (3 * x1 * x1 + A) * pow(2 * y1, -1, ell) % ell
-    else:
-        slope = (y2 - y1) * pow(x2 - x1, -1, ell) % ell
-    x3 = (slope * slope - x1 - x2) % ell
-    return x3, (slope * (x1 - x3) - y1) % ell
-
-
-def _ec_mul(k, P, A, ell):
-    """[k]P for k >= 0 by double-and-add."""
-    R = None
-    while k:
-        if k & 1:
-            R = _ec_add(R, P, A, ell)
-        k >>= 1
-        if k:
-            P = _ec_add(P, P, A, ell)
-    return R
+    sq = x[1 : ell // 2 + 1]
+    chi = np.full(ell, -1, dtype=np.int8)
+    chi[sq * sq % ell] = 1
+    chi[0] = 0
+    return -int(chi[rhs].sum(dtype=np.int64))
 
 
 def _a2_direct(curve: CurveData) -> int:
@@ -290,21 +169,11 @@ def _a2_direct(curve: CurveData) -> int:
     return 2 + 1 - count
 
 
-def reduction_is_split(curve: CurveData, p: int) -> bool:
-    """Multiplicative reduction at p is split iff -c6 is a square mod p."""
-    _, c6 = curve.c_invariants
-    val = (-c6) % p
-    if p == 2:
-        return val % 8 == 1
-    return pow(val, (p - 1) // 2, p) == 1
-
-
 def a_bad_prime(curve: CurveData, p: int) -> int:
-    """a_p at a bad prime: +-1 for multiplicative reduction, 0 for additive."""
-    kind = classify_reduction(curve, p).kind
-    if kind == "multiplicative":
-        return 1 if reduction_is_split(curve, p) else -1
-    return 0
+    """a_p = p + 1 - #E~(F_p) at a bad prime, singular point included: 1 for
+    split and -1 for nonsplit multiplicative reduction, 0 for additive.
+    Needs a model minimal at p."""
+    return _a2_direct(curve) if p == 2 else _a_ell_naive(curve, p)
 
 
 @dataclass(frozen=True)

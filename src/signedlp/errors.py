@@ -56,7 +56,8 @@ class BadReduction(SignedLPError):
 
 
 class NonConvergence(SignedLPError):
-    """Period iteration failed to converge."""
+    """Period iteration failed to converge, the Hecke eigenspace did not
+    become a line, or a cycle period is not the rational it should be."""
 
 
 class MetadataMismatch(SignedLPError):
@@ -66,14 +67,6 @@ class MetadataMismatch(SignedLPError):
 
 
 # -- modular symbols ---------------------------------------------------------------
-
-class CoefficientSupplyExhausted(SignedLPError):
-    """More q-expansion coefficients were needed than the engine allows."""
-
-
-class RecognitionFailed(SignedLPError):
-    """No rational below the denominator bound matches the numerics."""
-
 
 class IncompleteTable(SignedLPError):
     """Symbol table does not contain every residue the operation needs."""

@@ -52,8 +52,6 @@ class RunConfig:
     p: int
     n_max: Optional[int] = None
     precision: int = 8        # p-adic digits M
-    digits: int = 30          # working real digits
-    denom_bound: Optional[int] = None
     table_path: Optional[str] = None
     table_mode: str = ""      # "import" | "export" | ""
     fine_char: Optional[str] = None
@@ -69,12 +67,6 @@ class RunConfig:
             self.n_max = 2 if self.p <= 5 else 1
         if self.n_max < 0:
             raise ValueError("level must be nonnegative")
-
-    def resolved_denom_bound(self, curve: CurveData) -> int:
-        if self.denom_bound:
-            return self.denom_bound
-        half = -(-self.precision // 2)
-        return curve.torsion_bound**2 * 2 * self.p**half
 
 
 @dataclass
@@ -105,8 +97,7 @@ def cache_path(cfg: RunConfig, curve: CurveData) -> Optional[str]:
     os.makedirs(root, exist_ok=True)
     ainvs = ",".join(str(a) for a in curve.a_invariants)
     name = (
-        f"{curve.label}_p{cfg.p}_k{cfg.n_max + 1}_d{cfg.digits}"
-        f"_b{cfg.resolved_denom_bound(curve)}_a{ainvs}_N{curve.conductor}"
+        f"{curve.label}_p{cfg.p}_k{cfg.n_max + 1}_a{ainvs}_N{curve.conductor}"
         f"_e{curve.fricke_sign}_v{__version__}.csv"
     )
     return os.path.join(root, name)
@@ -132,10 +123,7 @@ def _read_cached(path: str, curve: CurveData, p: int) -> SymbolTable:
     """A cached table exactly as it was built: symbols, meta and provenance."""
     table = import_table(path, expect_curve=curve.label, expect_p=p)
     with open(path + ".json") as fh:
-        meta = json.load(fh)
-    meta["tail_bounds"] = {int(k): v for k, v in meta["tail_bounds"].items()}
-    meta["functional_equation_signs"] = tuple(meta["functional_equation_signs"])
-    table.meta = meta
+        table.meta = json.load(fh)
     table.provenance = "computed"
     return table
 
@@ -153,11 +141,7 @@ def load_or_build_table(cfg: RunConfig, curve: CurveData) -> SymbolTable:
     cached = cache_path(cfg, curve)
     if cached and os.path.exists(cached):
         return _read_cached(cached, curve, cfg.p)
-    builder = SymbolTableBuilder(
-        curve, cfg.p, digits=cfg.digits,
-        denom_bound=cfg.resolved_denom_bound(curve),
-    )
-    table = builder.build(K)
+    table = SymbolTableBuilder(curve, cfg.p).build(K)
     if cached:
         # the meta first: a cached CSV always has its meta next to it
         _write_atomically(cached + ".json", lambda tmp: _write_meta(table.meta, tmp))
@@ -175,7 +159,6 @@ def run_pipeline(cfg: RunConfig) -> PipelineResult:
             "p": cfg.p,
             "n_max": cfg.n_max,
             "p_precision": cfg.precision,
-            "real_digits": cfg.digits,
             "fine_char": cfg.fine_char,
         },
         "stages": {},
@@ -184,7 +167,6 @@ def run_pipeline(cfg: RunConfig) -> PipelineResult:
     try:
         curve = ingest_curve(cfg.curve_file)
         record["config"]["curve"] = curve.label
-        record["config"]["denominator_bound"] = cfg.resolved_denom_bound(curve)
 
         stage = "classify"
         red = classify_reduction(curve, cfg.p)
@@ -205,15 +187,7 @@ def run_pipeline(cfg: RunConfig) -> PipelineResult:
             "levels": cfg.n_max + 1,
         }
         if table.meta:
-            record["stages"]["symbols"]["certification"] = {
-                "digits": table.meta["digits"],
-                "tail_bounds": {
-                    str(k): float(v) for k, v in table.meta["tail_bounds"].items()
-                },
-                "functional_equation_signs": list(
-                    table.meta["functional_equation_signs"]
-                ),
-            }
+            record["stages"]["symbols"]["certification"] = table.meta
 
         stage = "validate_hecke"
         hecke = validate_hecke(table, cfg.p, cfg.n_max, red.a_p)

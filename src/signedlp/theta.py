@@ -18,10 +18,23 @@ rather than assuming it (the sign below is the empirically pinned one).
 from __future__ import annotations
 
 from dataclasses import dataclass
+
+from .curves import prime_divisors
 from .errors import IncompleteTable, NotAUnit
 from .lambda_ring import IwasawaContext, LambdaElement, divrem
 from .modsym import SymbolTable
 from .padic import PadicScalar
+
+
+def primitive_root_mod_p2(p: int) -> int:
+    """Smallest primitive root mod p that stays primitive mod p^2."""
+    factors = prime_divisors(p - 1)
+    for g in range(2, p):
+        if all(pow(g, (p - 1) // q, p) != 1 for q in factors):
+            if pow(g, p - 1, p * p) != 1:
+                return g
+            return g + p
+    raise ValueError(f"no primitive root found mod {p}")
 
 
 def teichmueller(a: int, p: int, modulus: int) -> int:
@@ -46,7 +59,6 @@ class UnitDecomposer:
         self.modulus = p ** (n + 1)
         # Teichmueller values indexed by their exponent over a fixed
         # generator of the (p-1)-torsion
-        from .lseries import primitive_root_mod_p2
         g = primitive_root_mod_p2(p)
         w = teichmueller(g, p, self.modulus)
         self.teich_by_index = []

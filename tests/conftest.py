@@ -1,9 +1,11 @@
+import math
 import os
 import time
 
+import numpy as np
 import pytest
 
-from signedlp.curves import a_ell, ingest_curve
+from signedlp.curves import a_ell, an_expansion, ingest_curve
 from signedlp.modsym import SymbolTableBuilder
 from signedlp.theta import build_theta
 
@@ -29,21 +31,18 @@ class TableStore:
             self._curves[label] = ingest_curve(curve_path(label))
         return self._curves[label]
 
-    def table(self, label, p, K, digits):
-        key = (label, p, K, digits)
+    def table(self, label, p, K):
+        key = (label, p, K)
         if key not in self._tables:
             t0 = time.time()
-            builder = SymbolTableBuilder(
-                self.curve(label), p, digits=digits, denom_bound=500000
-            )
-            self._tables[key] = builder.build(K)
+            self._tables[key] = SymbolTableBuilder(self.curve(label), p).build(K)
             self.build_seconds[key] = time.time() - t0
         return self._tables[key]
 
-    def thetas(self, label, p, n_max, digits, M=8):
-        key = (label, p, n_max, digits, M)
+    def thetas(self, label, p, n_max, M=8):
+        key = (label, p, n_max, M)
         if key not in self._thetas:
-            table = self.table(label, p, n_max + 1, digits)
+            table = self.table(label, p, n_max + 1)
             self._thetas[key] = {
                 n: build_theta(table, n, M) for n in range(n_max + 1)
             }
@@ -51,6 +50,15 @@ class TableStore:
 
     def ap(self, label, p):
         return a_ell(self.curve(label), p)
+
+
+def smoothed_l_sum(curve, t):
+    """S(t) = sum (a_n/n) e^(-2 pi n t/sqrt N) to float64 accuracy; for every
+    t > 0, L(E, 1) = S(t) - eps S(1/t) with eps the Fricke sign."""
+    root = math.sqrt(curve.conductor)
+    T = int(10 * root / t) + 50
+    n = np.arange(1, T + 1)
+    return float(np.sum(an_expansion(curve, T)[1:] / n * np.exp(-2 * np.pi * n * t / root)))
 
 
 def omega_signed(ctx, n, parity):

@@ -124,7 +124,7 @@ def test_c04_modular_symbols(store):
     from signedlp.modsym import validate_hecke
 
     t0 = time.time()
-    table37 = store.table("37a1", 17, 2, 13)
+    table37 = store.table("37a1", 17, 2)
     assert table37.plus(0, 0) == 0
     rep = validate_hecke(table37, 17, 1, store.ap("37a1", 17))
     assert rep.passed
@@ -132,7 +132,7 @@ def test_c04_modular_symbols(store):
     assert dt37 < 120, f"37a1 symbols took {dt37:.1f}s"
 
     t0 = time.time()
-    table53 = store.table("53a1", 5, 3, 14)
+    table53 = store.table("53a1", 5, 3)
     assert table53.plus(0, 0) == 0
     rep = validate_hecke(table53, 5, 2, store.ap("53a1", 5))
     assert rep.passed
@@ -147,12 +147,12 @@ def test_c04_modular_symbols(store):
 def test_c05_theta_vanishing_and_compat(store):
     t0 = time.time()
     configs = [
-        ("37a1", 3, 2, 14), ("37a1", 17, 2, 13), ("37a1", 19, 1, 13),
-        ("53a1", 3, 2, 14), ("53a1", 5, 2, 14), ("53a1", 11, 1, 13),
+        ("37a1", 3, 2), ("37a1", 17, 2), ("37a1", 19, 1),
+        ("53a1", 3, 2), ("53a1", 5, 2), ("53a1", 11, 1),
     ]
     compat_levels = 0
-    for label, p, n_max, digits in configs:
-        thetas = store.thetas(label, p, n_max, digits)
+    for label, p, n_max in configs:
+        thetas = store.thetas(label, p, n_max)
         for n, th in thetas.items():
             assert th.value_at_zero().is_zero_at_precision, (label, p, n)
         if n_max >= 2:
@@ -169,7 +169,7 @@ def test_c05_theta_vanishing_and_compat(store):
 
 def test_c06_53a1_p5(store):
     t0 = time.time()
-    thetas = store.thetas("53a1", 5, 2, 14, M=4)
+    thetas = store.thetas("53a1", 5, 2, M=4)
     pair = extract_plus_minus(thetas, store.ap("53a1", 5))
     assert pair.mu == (0, 0)
     assert pair.lam == (1, 1)
@@ -187,7 +187,7 @@ def test_c06_53a1_p5(store):
 def test_c07_37a1_p17(store):
     t0 = time.time()
     # level n_max = 1, exactly as stated
-    thetas = store.thetas("37a1", 17, 1, 13, M=6)
+    thetas = store.thetas("37a1", 17, 1, M=6)
     pair = extract_plus_minus(thetas, store.ap("37a1", 17))
     assert 1 in pair.lam
     plus = pair.component("plus")
@@ -198,7 +198,7 @@ def test_c07_37a1_p17(store):
     # the minus chain carries no invariant data at n_max = 1 for a rank-one
     # curve (theta_0 = 0 exactly); a level-2 top-up supplies mu_minus = 0
     # within the stated budget
-    thetas2 = store.thetas("37a1", 17, 2, 13, M=6)
+    thetas2 = store.thetas("37a1", 17, 2, M=6)
     pair2 = extract_plus_minus(thetas2, store.ap("37a1", 17))
     assert pair2.mu == (0, 0)
     assert 1 in pair2.lam
@@ -214,12 +214,12 @@ def test_c07_37a1_p17(store):
 
 def test_c08_p3_sharp_flat(store):
     t0 = time.time()
-    thetas = store.thetas("53a1", 3, 2, 14, M=4)
+    thetas = store.thetas("53a1", 3, 2, M=4)
     pair = extract_sharp_flat(thetas, store.ap("53a1", 3), 3)
     assert pair.mu == (0, 0) and pair.lam == (1, 1)
     assert all(c.is_x_times_unit for c in pair.components)
 
-    thetas = store.thetas("37a1", 3, 2, 14, M=4)
+    thetas = store.thetas("37a1", 3, 2, M=4)
     pair = extract_sharp_flat(thetas, store.ap("37a1", 3), 3)
     assert 1 in pair.lam  # label-symmetric: one of the two series
     gcd = gcd_signed_pair(pair)
@@ -240,9 +240,7 @@ def test_c09_verdicts(store):
         ("53a1", 3, "sharp-flat"), ("53a1", 5, "plus-minus"),
     ]
     for label, p, kind in runs:
-        digits = 13 if p == 17 else 14
-        n_max = 2
-        thetas = store.thetas(label, p, n_max, digits)
+        thetas = store.thetas(label, p, 2)
         ap = store.ap(label, p)
         if kind == "plus-minus":
             pair = extract_plus_minus(thetas, ap)
@@ -271,10 +269,10 @@ def test_rank_zero_delta_zero_audit(store):
 
     from signedlp.modsym import validate_hecke
 
-    table = store.table("11a1", 19, 2, 13)
+    table = store.table("11a1", 19, 2)
     assert table.plus(0, 0) == Fraction(-1, 5)  # +-L(E,1)/Omega, torsion 5
     assert validate_hecke(table, 19, 1, store.ap("11a1", 19)).passed
-    thetas = store.thetas("11a1", 19, 1, 13, M=6)
+    thetas = store.thetas("11a1", 19, 1, M=6)
     pair = extract_plus_minus(thetas, 0)
     assert pair.mu == (0, 0) and pair.lam == (0, 0)  # both series are units
     gcd = gcd_signed_pair(pair)
@@ -292,7 +290,7 @@ def test_rank_zero_delta_zero_audit(store):
 def test_c10_extended_primes(store, label, p):
     # same assertion shape as criterion 7, at the remaining listed primes
     t0 = time.time()
-    thetas = store.thetas(label, p, 1, 13, M=6)
+    thetas = store.thetas(label, p, 1, M=6)
     pair = extract_plus_minus(thetas, store.ap(label, p))
     assert 1 in pair.lam
     plus = pair.component("plus")
@@ -300,7 +298,7 @@ def test_c10_extended_primes(store, label, p):
     gcd = gcd_signed_pair(pair)
     assert gcd.as_string() == "X" and gcd.certified
 
-    thetas2 = store.thetas(label, p, 2, 13, M=6)
+    thetas2 = store.thetas(label, p, 2, M=6)
     assert check_compat(thetas2, 2, store.ap(label, p)).passed
     pair2 = extract_plus_minus(thetas2, store.ap(label, p))
     assert pair2.mu == (0, 0)

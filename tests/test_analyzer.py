@@ -50,12 +50,12 @@ def ctx():
 
 
 def test_gcd_of_fixture_pairs(store):
-    thetas = store.thetas("37a1", 17, 1, 13)
+    thetas = store.thetas("37a1", 17, 1)
     pair = extract_plus_minus(thetas, store.ap("37a1", 17))
     rep = gcd_signed_pair(pair)
     assert rep.as_string() == "X" and rep.certified and rep.mu == 0
 
-    thetas = store.thetas("37a1", 3, 2, 14)
+    thetas = store.thetas("37a1", 3, 2)
     pair = extract_sharp_flat(thetas, store.ap("37a1", 3), 3)
     rep = gcd_signed_pair(pair)
     assert rep.as_string() == "X" and rep.certified and rep.mu == 0
@@ -73,7 +73,7 @@ def test_gcd_synthetic_common_phi(ctx):
 
 
 def test_gcd_is_label_symmetric(store):
-    thetas = store.thetas("53a1", 5, 2, 14)
+    thetas = store.thetas("53a1", 5, 2)
     pair = extract_plus_minus(thetas, store.ap("53a1", 5))
     swapped = SignedPair(
         tuple(reversed(pair.labels)), tuple(reversed(pair.components)),
@@ -85,7 +85,7 @@ def test_gcd_is_label_symmetric(store):
 
 def test_gcd_divides_both_inputs(store, ctx):
     from signedlp.lambda_ring import divides_at_precision
-    thetas = store.thetas("53a1", 5, 2, 14)
+    thetas = store.thetas("53a1", 5, 2)
     pair = extract_plus_minus(thetas, store.ap("53a1", 5))
     rep = gcd_signed_pair(pair)
     gen = ideal_to_lambda(rep.as_factored_ideal(), IwasawaContext(5, 8, ("degree", 30)))

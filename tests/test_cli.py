@@ -117,10 +117,7 @@ def test_run_config_validates_inputs():
 def test_gcd_stable_under_p_precision():
     results = {}
     for M in (2, 8):
-        cfg = RunConfig(
-            curve_file=curve_path("53a1"), p=5, n_max=2,
-            precision=M, digits=14,
-        )
+        cfg = RunConfig(curve_file=curve_path("53a1"), p=5, n_max=2, precision=M)
         results[M] = run_pipeline(cfg).gcd.as_string()
     assert results[2] == results[8] == "X"
 
@@ -186,9 +183,13 @@ def test_report_embeds_certification(capsys):
     )
     assert code == 0
     payload = json.loads(out)
-    sym = payload["run"]["stages"]["symbols"]
-    assert sym["certification"]["functional_equation_signs"] == [-1, -1]
-    assert set(sym["certification"]["tail_bounds"]) == {"1", "2", "3"}
+    cert = payload["run"]["stages"]["symbols"]["certification"]
+    assert set(cert) == {"plus", "minus"}
+    for part in cert.values():
+        (a, b), (c, d) = part["cycle"]
+        assert a * d - b * c == 1 and c % 53 == 0
+        assert part["hecke_primes"] == [2] and part["deviation"] < 1e-12
+        assert part["value"] in ("-1/2", "-1")
 
 
 @pytest.mark.extended
@@ -207,7 +208,7 @@ def test_spec_invocation_37a1_p17(capsys):
 def test_cache_round_trip(tmp_path, capsys, monkeypatch):
     cache = tmp_path / "cache"
     monkeypatch.setenv("SIGNEDLP_CACHE_DIR", str(cache))
-    flags = ["--curve", curve_path("53a1"), "--p", "3", "--level", "2", "--digits", "14"]
+    flags = ["--curve", curve_path("53a1"), "--p", "3", "--level", "2"]
     args = ["gcd"] + flags + ["--prec", "8"]
     code, out1, _ = run_cli(args, capsys)
     assert code == 0
@@ -216,11 +217,11 @@ def test_cache_round_trip(tmp_path, capsys, monkeypatch):
     code, out2, _ = run_cli(args, capsys)
     assert code == 0 and json.loads(out1) == json.loads(out2)
     # a report from the cache is byte-identical to one computed without it;
-    # --prec moves the denominator bound, so it keys a second table
-    for prec, tables in (("8", 1), ("6", 2), ("6", 2)):
-        report = ["report"] + flags + ["--prec", prec, "--fine-char", "1"]
+    # the table does not depend on --prec or --digits, so one entry serves all
+    for prec, digits in (("8", "14"), ("6", "14"), ("6", "40")):
+        report = ["report"] + flags + ["--prec", prec, "--digits", digits, "--fine-char", "1"]
         code, warm, _ = run_cli(report, capsys)
-        assert code == 0 and len(list(cache.glob("*.csv"))) == tables
+        assert code == 0 and len(list(cache.glob("*.csv"))) == 1
         monkeypatch.delenv("SIGNEDLP_CACHE_DIR")
         code, cold, _ = run_cli(report, capsys)
         monkeypatch.setenv("SIGNEDLP_CACHE_DIR", str(cache))
@@ -232,7 +233,7 @@ def test_default_flags_on_every_fixture(label, p, x, capsys):
     code, out, err = run_cli(["report", "--curve", curve_path(label), "--p", str(p)], capsys)
     assert code == 0, err
     payload = json.loads(out)
-    assert payload["run"]["config"]["real_digits"] == 30
+    assert "certification" in payload["run"]["stages"]["symbols"]
     assert payload["gcd"]["x"] == x
 
 
@@ -254,3 +255,41 @@ def test_bad_metadata_fails_at_ingest_stage(field, tmp_path, capsys, monkeypatch
     assert code == 1
     assert "MetadataMismatch" in err and field in err
     assert "stage: ingest" in err
+
+
+@pytest.mark.parametrize("command", ["symbols", "theta"])
+def test_missing_import_table_names_symbols_stage(command, tmp_path, capsys):
+    code, _, err = run_cli(
+        [command, "--curve", curve_path("53a1"), "--p", "3", "--digits", "14",
+         "--table", str(tmp_path / "missing.csv"), "--import"],
+        capsys,
+    )
+    assert code == 1
+    assert "ParseError: cannot open" in err
+    assert err.rstrip().endswith("[stage: symbols]")
+
+
+def test_digits_reach_no_report(capsys):
+    # --digits still parses, and every table is exact: 13 and 40 digits give
+    # the same bytes
+    outs = []
+    for digits in ("13", "40"):
+        code, out, _ = run_cli(
+            ["report", "--curve", curve_path("37a1"), "--p", "17", "--level", "1",
+             "--digits", digits, "--fine-char", "1"],
+            capsys,
+        )
+        assert code == 0
+        outs.append(out)
+    assert outs[0] == outs[1]
+
+
+def test_report_under_python_O_is_unchanged():
+    # certification must not live in assert statements, which -O strips
+    args = ["-m", "signedlp", "report", "--curve", curve_path("53a1"), "--p", "5"]
+    plain, optimized = (
+        subprocess.run([sys.executable, *flags, *args], capture_output=True)
+        for flags in ((), ("-O",))
+    )
+    assert plain.returncode == optimized.returncode == 0
+    assert plain.stdout == optimized.stdout

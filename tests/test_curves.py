@@ -1,4 +1,5 @@
 import math
+import os
 
 import mpmath
 import numpy as np
@@ -12,13 +13,16 @@ from signedlp.curves import (
     classify_reduction,
     curve_from_dict,
     fricke_residual,
-    hasse_candidates,
+    ingest_curve,
     period_integral_oracle,
     periods,
     verify_conductor,
 )
 from signedlp.errors import BadReduction, ParseError, SingularCurve
-from signedlp.lseries import SymbolNumerics
+
+from conftest import smoothed_l_sum
+
+DATA = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data")
 
 
 def test_ingest_37a1(store):
@@ -99,13 +103,6 @@ HASSE_EDGE = {
     "37a1": (1021, 2437, 2671, 6007, 8839, 21911, 26699, 36857, 49531, 61933),
     "53a1": (1559, 14627, 46279, 126989),
 }
-# every prime in [10^3, 2*10^5] where the points tried leave several
-# candidates for a_ell
-FALLBACK = {
-    "11a1": (22511, 24691, 107999),
-    "37a1": (1307, 1433, 3709),
-    "53a1": (1163,),
-}
 
 
 def _good_primes(curve, lo, hi):
@@ -113,44 +110,31 @@ def _good_primes(curve, lo, hi):
     return [q for q in range(lo, hi) if spf[q] == q and curve.conductor % q]
 
 
+def _short_model_count(curve, ell):
+    """a_ell counted on y^2 = x^3 - 27 c4 x - 54 c6, isomorphic for ell >= 5."""
+    c4, c6 = curve.c_invariants
+    short = curve_from_dict({
+        "label": "short", "a_invariants": [0, 0, 0, -27 * c4, -54 * c6],
+        "conductor": curve.conductor, "rank": 0,
+    })
+    return curves._a_ell_naive(short, ell)
+
+
 @pytest.mark.parametrize("label", FIXTURES)
 def test_a_ell_matches_naive_count_below_20000(store, label):
     c = store.curve(label)
-    primes = _good_primes(c, 3, 20000)
-    assert primes[-1] > 10 * curves._BSGS_MIN_ELL
-    for ell in primes:
-        assert a_ell(c, ell) == curves._a_ell_naive(c, ell), ell
+    for ell in _good_primes(c, 5, 20000):
+        assert a_ell(c, ell) == _short_model_count(c, ell), ell
 
 
 @pytest.mark.parametrize("label", FIXTURES)
 def test_a_ell_at_hasse_edges_and_large_primes(store, label):
     c = store.curve(label)
-    for ell in HASSE_EDGE[label]:
+    for ell in HASSE_EDGE[label] + (99259,):
         a = a_ell(c, ell)
-        assert abs(a) >= math.isqrt(4 * ell) - 1
-        assert a == curves._a_ell_naive(c, ell) and hasse_candidates(c, ell) == {a}
-    # one point left no candidate here in an early baby-step giant-step
-    assert a_ell(c, 99259) == curves._a_ell_naive(c, 99259)
-
-
-@pytest.mark.parametrize("label", FIXTURES)
-def test_a_ell_falls_back_to_naive_count(store, label, monkeypatch):
-    c = store.curve(label)
-    naive = curves._a_ell_naive
-    counted = []
-    monkeypatch.setattr(
-        curves, "_a_ell_naive",
-        lambda curve, ell: counted.append(ell) or naive(curve, ell),
-    )
-    for ell in FALLBACK[label]:
-        expected = naive(c, ell)
-        candidates = hasse_candidates(c, ell)
-        assert len(candidates) > 1 and expected in candidates
-        assert a_ell(c, ell) == expected
-        assert counted[-1] == ell
-    counted.clear()
-    a_ell(c, 99259)
-    assert counted == []
+        assert a == _short_model_count(c, ell)
+        if ell in HASSE_EDGE[label]:
+            assert abs(a) >= math.isqrt(4 * ell) - 1
 
 
 def _reference_smallest_prime_factors(n):
@@ -220,6 +204,17 @@ def test_bad_prime_coefficients(store):
     # rank-one prime-conductor curves are nonsplit multiplicative
     assert a_bad_prime(store.curve("37a1"), 37) == -1
     assert a_bad_prime(store.curve("53a1"), 53) == -1
+    assert a_bad_prime(store.curve("11a1"), 11) == 1
+
+
+def test_bad_prime_two_and_composite_conductors():
+    # a_2(14a1) = -1 (nonsplit); reading -c6 mod 2 as a square once gave +1,
+    # and ingest then rejected 14a1 with either Fricke sign
+    c14 = ingest_curve(os.path.join(DATA, "14a1.json"))
+    assert (a_bad_prime(c14, 2), a_bad_prime(c14, 7)) == (-1, 1)
+    assert fricke_residual(c14) < 1e-9
+    c15 = ingest_curve(os.path.join(DATA, "15a1.json"))
+    assert (a_bad_prime(c15, 3), a_bad_prime(c15, 5)) == (-1, 1)
 
 
 def test_classify_reduction(store):
@@ -263,13 +258,12 @@ def test_periods_against_quadrature_oracle(store):
 
 
 def test_l_value_vanishes_at_one(store):
-    # L(E, 1) = 0 for both rank-one fixtures
-    for label, p in (("37a1", 17), ("53a1", 5)):
+    # L(E, 1) = S(t) - eps S(1/t) at t = 1.3: the two smoothed sums cancel
+    # for both rank-one fixtures
+    for label in ("37a1", "53a1"):
         c = store.curve(label)
-        num = SymbolNumerics(c, p, digits=14)
-        lam0 = num.lambda_zero()
-        per = periods(c, 20)
-        assert abs(lam0) / float(per.omega_plus) < 1e-12
+        l_value = smoothed_l_sum(c, 1.3) - c.fricke_sign * smoothed_l_sum(c, 1 / 1.3)
+        assert abs(l_value) / float(periods(c).omega_plus) < 1e-12
 
 
 def test_fricke_sign_verified_numerically(store):
@@ -282,7 +276,6 @@ def test_fricke_sign_verified_numerically(store):
             "conductor": c.conductor, "rank": c.rank,
             "e_sequence": list(c.e_sequence.e),
             "fricke_sign": -c.fricke_sign,
-            "torsion_bound": c.torsion_bound,
         })
         assert fricke_residual(flipped) > 1e-3
 

@@ -102,7 +102,7 @@ def test_wrong_reduction_type():
 
 
 def test_53a1_p5_plus_minus(store):
-    thetas = store.thetas("53a1", 5, 2, 14)
+    thetas = store.thetas("53a1", 5, 2)
     pair = extract_plus_minus(thetas, store.ap("53a1", 5))
     assert pair.labels == ("plus", "minus")
     assert pair.mu == (0, 0)
@@ -118,7 +118,7 @@ def test_53a1_p5_plus_minus(store):
 
 
 def test_53a1_p3_sharp_flat(store):
-    thetas = store.thetas("53a1", 3, 2, 14)
+    thetas = store.thetas("53a1", 3, 2)
     pair = extract_sharp_flat(thetas, store.ap("53a1", 3), 3)
     assert pair.labels == ("sharp", "flat")
     assert pair.mu == (0, 0) and pair.lam == (1, 1)
@@ -127,7 +127,7 @@ def test_53a1_p3_sharp_flat(store):
 
 
 def test_37a1_p3_sharp_flat(store):
-    thetas = store.thetas("37a1", 3, 2, 14)
+    thetas = store.thetas("37a1", 3, 2)
     pair = extract_sharp_flat(thetas, store.ap("37a1", 3), 3)
     assert 1 in pair.lam
     assert pair.mu == (0, 0)
@@ -135,7 +135,7 @@ def test_37a1_p3_sharp_flat(store):
 
 
 def test_37a1_p17_plus_minus_level_one(store):
-    thetas = store.thetas("37a1", 17, 1, 13)
+    thetas = store.thetas("37a1", 17, 1)
     pair = extract_plus_minus(thetas, store.ap("37a1", 17))
     plus = pair.component("plus")
     minus = pair.component("minus")
@@ -147,7 +147,7 @@ def test_37a1_p17_plus_minus_level_one(store):
 
 def test_sharp_flat_agrees_with_fit_when_conclusive(store):
     for label in ("53a1", "37a1"):
-        thetas = store.thetas(label, 3, 2, 14)
+        thetas = store.thetas(label, 3, 2)
         pair = extract_sharp_flat(thetas, store.ap(label, 3), 3)
         fits = invariant_fit(thetas)
         assert fit_matches_pair(fits, pair)
@@ -157,7 +157,7 @@ def test_level_three_solve_regression(store):
     # the two-step division chain at n_max = 3; the component-to-parity
     # correspondence must not depend on the parity of the top level
     for label, lam_flat in (("53a1", 1), ("37a1", 5)):
-        thetas = store.thetas(label, 3, 3, 14)
+        thetas = store.thetas(label, 3, 3)
         ap = store.ap(label, 3)
         from signedlp.theta import check_compat
         assert check_compat(thetas, 3, ap).passed
@@ -169,7 +169,7 @@ def test_level_three_solve_regression(store):
 
 
 def test_level_three_plus_minus_fully_stabilized(store):
-    thetas = store.thetas("53a1", 5, 3, 14)
+    thetas = store.thetas("53a1", 5, 3)
     pair = extract_plus_minus(thetas, store.ap("53a1", 5))
     assert pair.stabilized  # both parities now have two conclusive levels
     assert pair.mu == (0, 0) and pair.lam == (1, 1)

@@ -1,52 +1,67 @@
-from collections import Counter
+import hashlib
+import os
 from fractions import Fraction
 
+import mpmath
 import pytest
 
 from signedlp import modsym
-from signedlp.errors import (
-    CoefficientSupplyExhausted,
-    ContextMismatch,
-    ParseError,
-    RecognitionFailed,
-)
-from signedlp.lseries import SymbolNumerics
+from signedlp.curves import an_expansion, ingest_curve, periods
+from signedlp.errors import ContextMismatch, NonConvergence, ParseError
 from signedlp.modsym import (
     ModularSymbol,
     SymbolTable,
     SymbolTableBuilder,
     export_table,
     import_table,
-    recognize_rational,
     validate_hecke,
 )
+
+from conftest import smoothed_l_sum
+
+DATA = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data")
+
+
+def _mp_cycle_period(curve, a, c, d, terms):
+    """sum (a_n/n)(e^(2 pi i n (a + i)/c) - e^(2 pi i n (-d + i)/c)) at 40 digits."""
+    an = an_expansion(curve, terms)
+    with mpmath.workdps(40):
+        total = mpmath.mpc(0)
+        for n in range(1, terms + 1):
+            if an[n]:
+                w = int(an[n]) * mpmath.exp(-2 * mpmath.pi * n / c) / n
+                total += w * (mpmath.expjpi(mpmath.mpf(2 * (n * a % c)) / c)
+                              - mpmath.expjpi(mpmath.mpf(2 * (-n * d % c)) / c))
+        return total
 
 
 def test_boundary_symbol_vanishes(store):
     # [0/1]^+ = L(E,1)/Omega = 0 for both rank-one curves
     for label, p in (("37a1", 17), ("53a1", 5)):
-        table = store.table(label, p, 2, 13 if p == 17 else 14)
+        table = store.table(label, p, 2)
         assert table.plus(0, 0) == 0
 
 
 def test_translation_invariance(store):
     # [a/p^k] depends on a mod p^k only
-    table = store.table("53a1", 3, 3, 14)
+    table = store.table("53a1", 3, 3)
     for k, a in ((1, 1), (1, 2), (2, 7), (3, 10)):
         assert table.get(k, a + 3**k) == table.get(k, a)
 
 
 def test_tail_bound_self_consistency(store):
-    # recomputing with more digits moves the value by less than the bound
-    c = store.curve("53a1")
-    rough = SymbolNumerics(c, 3, digits=11).level(2)
-    sharp = SymbolNumerics(c, 3, digits=15).level(2)
-    assert abs(rough.values[2] - sharp.values[2]) <= rough.error_bound + 1e-12
-    assert rough.error_bound < 1e-11
+    # the float64 cycle period stops after 6.3 c terms (tail below e^-39):
+    # a 40-digit sum over twice as many terms moves it by rounding only
+    for label in ("11a1", "37a1", "53a1"):
+        c = store.curve(label)
+        for part in ("plus", "minus"):
+            (a, _), (cc, d) = store.table(label, 3, 1).meta[part]["cycle"]
+            sharp = _mp_cycle_period(c, a, cc, d, 13 * cc)
+            assert abs(modsym._cycle_period(c, a, cc, d) - complex(sharp)) < 1e-14
 
 
 def test_symbol_parity(store):
-    table = store.table("53a1", 5, 2, 14)
+    table = store.table("53a1", 5, 2)
     m = 25
     for a in (1, 2, 3, 7, 12):
         plus_a, minus_a = table.plus(2, a), table.minus(2, a)
@@ -56,19 +71,25 @@ def test_symbol_parity(store):
 
 
 def test_stability_under_higher_precision(store):
-    # the mpmath engine at digits+10 must reproduce the recognized rationals
-    c = store.curve("37a1")
-    low = store.table("37a1", 17, 1, 13)
-    hard = SymbolTableBuilder(c, 17, digits=23, denom_bound=500000).build(1)
-    for a in range(1, 17):
-        assert low.plus(1, a) == hard.plus(1, a)
-        assert low.minus(1, a) == hard.minus(1, a)
+    # the scale cycle's period at 40 digits over Omega_plus (or nu at 40
+    # digits) reproduces the exact value the float64 run recognized
+    for label in ("11a1", "37a1", "53a1"):
+        c = store.curve(label)
+        meta = store.table(label, 3, 1).meta
+        per = periods(c, 40)
+        with mpmath.workdps(40):
+            for part, omega in (("plus", per.omega_plus), ("minus", per.omega_minus.imag)):
+                (a, _), (cc, d) = meta[part]["cycle"]
+                z = _mp_cycle_period(c, a, cc, d, 13 * cc)
+                x = (z.real if part == "plus" else z.imag) / omega
+                value = Fraction(meta[part]["value"])
+                assert abs(x - mpmath.mpf(value.numerator) / value.denominator) < 1e-25
 
 
 def test_hecke_validation_fixtures(store):
-    rep = validate_hecke(store.table("37a1", 17, 2, 13), 17, 1, store.ap("37a1", 17))
+    rep = validate_hecke(store.table("37a1", 17, 2), 17, 1, store.ap("37a1", 17))
     assert rep.passed
-    rep = validate_hecke(store.table("53a1", 5, 3, 14), 5, 2, store.ap("53a1", 5))
+    rep = validate_hecke(store.table("53a1", 5, 3), 5, 2, store.ap("53a1", 5))
     assert rep.passed
 
 
@@ -106,7 +127,7 @@ def test_perturbed_entry_fails_naming_residue():
 
 
 def test_export_import_round_trip(store, tmp_path):
-    table = store.table("53a1", 5, 2, 14)
+    table = store.table("53a1", 5, 2)
     path = tmp_path / "symbols.csv"
     export_table(table, path)
     back = import_table(path, expect_curve="53a1", expect_p=5)
@@ -129,10 +150,10 @@ def test_import_errors(tmp_path):
 
 
 def test_recognition():
-    assert recognize_rational(0.5, 100, Fraction(1, 10**9)) == Fraction(1, 2)
-    assert recognize_rational(-2.0 / 3, 100, Fraction(1, 10**9)) == Fraction(-2, 3)
-    with pytest.raises(RecognitionFailed):
-        recognize_rational(0.6180339887498949, 5, Fraction(1, 10**12))
+    assert modsym._recognize(0.5) == Fraction(1, 2)
+    assert modsym._recognize(-2.0 / 3) == Fraction(-2, 3)
+    with pytest.raises(NonConvergence):
+        modsym._recognize(0.6180339887498949)
 
 
 from hypothesis import given, settings
@@ -145,27 +166,25 @@ from hypothesis import strategies as st
 )
 @settings(max_examples=150, deadline=None)
 def test_recognition_round_trip(num, den):
-    x = num / den
-    got = recognize_rational(x, 10**5, Fraction(1, 10**9))
-    assert got == Fraction(num, den)
+    assert modsym._recognize(num / den) == Fraction(num, den)
 
 
 def test_recognition_prefers_small_denominator():
     # a value near 1/3 must not be matched to a huge convergent
     x = 1 / 3 + 2e-13
-    assert recognize_rational(x, 10**6, Fraction(1, 10**9)) == Fraction(1, 3)
+    assert modsym._recognize(x) == Fraction(1, 3)
 
 
 def test_hecke_sum_identity_37a1_p17(store):
     # a_17 [1/17] = [0/1] + sum_k [(1 + 17k)/289]; with a_17 = 0 and
     # [0/1] = 0 the 17-term sum must vanish exactly
-    table = store.table("37a1", 17, 2, 13)
+    table = store.table("37a1", 17, 2)
     total = sum(table.plus(2, 1 + 17 * k) for k in range(17))
     assert total == -table.plus(0, 0) == 0
 
 
 def test_parity_symmetry_entire_table(store):
-    table = store.table("53a1", 5, 3, 14)
+    table = store.table("53a1", 5, 3)
     for (k, a), sym in table.symbols.items():
         if k == 0:
             continue
@@ -176,152 +195,97 @@ def test_parity_symmetry_entire_table(store):
 
 
 def test_boundary_period_integral(store):
-    c = store.curve("37a1")
-    out = SymbolNumerics(c, 17, digits=14).level(0)
-    assert abs(out.values[0]) < 1e-12  # L(E, 1) = 0
+    # [0]^+ = lambda(0)/Omega_plus with lambda(0) = -L(E, 1), from the
+    # smoothed sums at t = 1.3
+    for label, p in (("11a1", 19), ("37a1", 17), ("53a1", 5)):
+        c = store.curve(label)
+        lam0 = c.fricke_sign * smoothed_l_sum(c, 1 / 1.3) - smoothed_l_sum(c, 1.3)
+        boundary = lam0 / float(periods(c).omega_plus)
+        assert abs(boundary - store.table(label, p, 1).plus(0, 0)) < 1e-12
 
 
-def _pins_from(monkeypatch, first):
-    """Make `first` the sign pin a build tries first, the rest in their order."""
-    pins = (first,) + tuple(s for s in modsym.SIGN_PINS if s != first)
-    monkeypatch.setattr(modsym, "SIGN_PINS", pins)
+# sha256 of the CSV export of tables the analytic engine (continued-fraction
+# recognition of truncated twisted L-series) built before the exact engine
+# replaced it; the exact tables must be the same files
+ANALYTIC_DIGESTS = {
+    ("11a1", 19, 2): "387b1a2bd514a9c617c9966f7aba9d41bc8b218d876d6afca1fab0b2fa40cb82",
+    ("37a1", 17, 2): "6ea071922178089a19a66ddbd4dfa6786cd101c5d0f98df6ef76c84526299d88",
+    ("37a1", 19, 2): "3a071f6e4004341220ac0243a5e49ae4bebfb7bb5bf572812bfc6f721b88eecc",
+    ("37a1", 3, 3): "e735abaac23c95d154d86f1d89cc84b4ce6aa1ef8837de680ba1cefcbe6de4e8",
+    ("37a1", 3, 7): "bc263b47a72fcc8f21972f9da83a21144dda4f5620cbc5fdbd49cb8752760a3a",
+    ("53a1", 11, 3): "ac898fa0c97a4eb5c9444a7afc53e9df046c16965daee1ff5bda8d0c53a1bf85",
+    ("53a1", 3, 5): "ae76ec9da2b43536668fffe35b7761e3d74033690993bd1945a8620562d1dc72",
+    ("53a1", 5, 4): "77fad4dff32332e17ced712006ea17595d57f432d62a1aa82744c9c05858bfd7",
+}
 
 
-def _spy(monkeypatch, owner, name, digits_of):
-    """Counter of the calls to owner.name, keyed by each call's digits value."""
-    calls, fn = Counter(), getattr(owner, name)
-
-    def spy(*args):
-        calls.update([digits_of(*args)])
-        return fn(*args)
-
-    monkeypatch.setattr(owner, name, spy)
-    return calls
+@pytest.mark.parametrize("label, p, K", sorted(ANALYTIC_DIGESTS))
+def test_fixture_tables_match_analytic_digests(store, tmp_path, label, p, K):
+    path = tmp_path / "table.csv"
+    export_table(store.table(label, p, K), path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == ANALYTIC_DIGESTS[label, p, K]
 
 
-def test_wrong_signs_are_repinned_from_every_level(store, monkeypatch):
-    # the signs (-1, 1) pass the Hecke relations at level 1 on 37a1, p = 3,
-    # and fail them at level 2; the build must go on to the default signs
-    _pins_from(monkeypatch, (-1, 1))
-    builder = SymbolTableBuilder(store.curve("37a1"), 3, digits=14, denom_bound=500000)
-    table = builder.build(3)
-    assert table.meta["functional_equation_signs"] == (-1, -1)
-    assert table.symbols == store.table("37a1", 3, 3, 14).symbols
+def _frozen(label, p):
+    return ingest_curve(os.path.join(DATA, f"{label}.json")), import_table(
+        os.path.join(DATA, f"{label}_p{p}.csv"), expect_curve=label, expect_p=p
+    )
 
 
-def test_retry_builders_share_coefficients_and_periods(store, monkeypatch):
-    # across the pins and digits values of one build, each good prime is
-    # counted at most once and the periods run once per digits value
-    from signedlp import curves
+@pytest.mark.parametrize("label, p", [("14a1", 5), ("15a1", 7), ("11a3", 19)])
+def test_exact_tables_match_frozen_analytic_tables(label, p):
+    # composite conductors (14a1, 15a1) and a non-optimal curve (11a3)
+    curve, frozen = _frozen(label, p)
+    table = SymbolTableBuilder(curve, p).build(frozen.max_level)
+    assert table.symbols == frozen.symbols
+    ap = int(an_expansion(curve, p)[p])
+    assert validate_hecke(table, p, frozen.max_level - 1, ap).passed
 
-    counted = Counter()
-    a_ell = curves.a_ell
+
+@pytest.mark.extended
+def test_5077a1_p3_through_level_6():
+    # the analytic and exact tables agree through K = 6 at p = 3 on the rank-3
+    # curve 5077a1, where reports stop at NotStabilized: the drift is not in
+    # the table
+    curve, frozen = _frozen("5077a1", 3)
+    assert frozen.max_level == 6
+    assert SymbolTableBuilder(curve, 3).build(6).symbols == frozen.symbols
+
+
+def test_manin_symbol_count():
+    # |P^1(Z/NZ)| = N prod (1 + 1/ell) over the primes ell | N
+    for N, size in ((11, 12), (14, 24), (15, 24), (37, 38), (53, 54)):
+        assert len(modsym.ManinSymbols(N).points) == size
+
+
+def test_build_records_scale_certificate(store):
+    table = store.table("37a1", 17, 2)
+    for part in ("plus", "minus"):
+        cert = table.meta[part]
+        (a, b), (c, d) = cert["cycle"]
+        assert a * d - b * c == 1 and c % 37 == 0
+        assert cert["hecke_primes"] == [2]
+        assert Fraction(cert["value"]) != 0
+        assert cert["deviation"] < 1e-12
+
+
+def test_scale_that_is_no_rational_is_refused(store, monkeypatch):
+    period = modsym._cycle_period
+    monkeypatch.setattr(modsym, "_cycle_period", lambda *args: period(*args) + 0.3)
+    with pytest.raises(NonConvergence, match="no rational"):
+        SymbolTableBuilder(store.curve("53a1"), 5).build(1)
+
+
+@pytest.mark.extended
+def test_eigen_functional_lifts_by_crt(monkeypatch):
+    # with moduli near 100 one prime cannot reconstruct the 5077a1 functional:
+    # the lift goes through CRT over two and must give the same table
+    curve, frozen = _frozen("5077a1", 3)
+    monkeypatch.setattr(modsym, "_MODULI", (101, 103, 107, 109))
+    lifted = []
+    rational = modsym._rational
     monkeypatch.setattr(
-        curves, "a_ell", lambda curve, ell: counted.update([ell]) or a_ell(curve, ell)
-    )
-    period_digits = _spy(monkeypatch, modsym, "periods", lambda curve, digits: digits)
-
-    def build(label, p, signs):
-        counted.clear()
-        period_digits.clear()
-        monkeypatch.setattr(curves, "_EXPANSIONS", {})
-        _pins_from(monkeypatch, signs)
-        return SymbolTableBuilder(store.curve(label), p, digits=14, denom_bound=500000).build(3)
-
-    # 37a1, p = 3 from (-1, 1): the level-2 Hecke check fails, the next pin passes
-    table = build("37a1", 3, (-1, 1))
-    assert table.symbols == store.table("37a1", 3, 3, 14).symbols
-    assert period_digits == {20: 1}     # periods at max(digits, 20)
-    assert 3 in counted and max(counted.values()) == 1
-    # 53a1, p = 5 from (1, -1): recognition fails, the default pin passes at
-    # the same digits value, with no escalation
-    table = build("53a1", 5, (1, -1))
-    assert table.meta["digits"] == 14
-    assert table.meta["functional_equation_signs"] == (-1, -1)
-    assert table.symbols == store.table("53a1", 5, 3, 14).symbols
-    assert period_digits == {20: 1}
-    assert 5 in counted and max(counted.values()) == 1
-
-
-def test_character_sums_computed_once_per_level_and_digits(store, monkeypatch):
-    # 37a1, p = 3, build(3) from (-1, 1) tries two pins at digits 14: the
-    # sign-free blocks at conductors 3, 9 and 27 are computed once each
-    _pins_from(monkeypatch, (-1, 1))
-    blocks = _spy(
-        monkeypatch, SymbolNumerics, "_primitive_block", lambda num, kprime: num.digits
-    )
-    builder = SymbolTableBuilder(store.curve("37a1"), 3, digits=14, denom_bound=500000)
-    builder.build(3)
-    assert blocks == {14: 3}
-
-
-def test_recognition_failure_surfaces_after_escalation(store, monkeypatch):
-    # at K = 1 no Hecke relation referees the signs: one pin per digits value,
-    # one escalation, then the recognition failure itself
-    period_digits = _spy(monkeypatch, modsym, "periods", lambda curve, digits: digits)
-    c = store.curve("53a1")
-    builder = SymbolTableBuilder(c, 5, digits=14, denom_bound=1)
-    with pytest.raises(RecognitionFailed, match="denominator <= 1"):
-        builder.build(1)
-    assert period_digits == {20: 1, 24: 1}
-
-
-def test_coefficient_supply_cap(store, monkeypatch):
-    from signedlp import lseries
-
-    monkeypatch.setattr(lseries, "_COEFF_CAP", 100)
-    num = SymbolNumerics(store.curve("53a1"), 5, digits=14)
-    with pytest.raises(CoefficientSupplyExhausted, match="cap is 100"):
-        num.level(2)
-
-
-def test_gauss_sum_norms(store):
-    # |tau(chi)|^2 = m for every primitive character chi of conductor m
-    for p, kprime in ((17, 1), (3, 2), (5, 2)):
-        num = SymbolNumerics(store.curve("37a1"), p, digits=13)
-        _, tau, _ = num._primitive_block(kprime)
-        m = p**kprime
-        primitive = [t for t in range(1, len(tau)) if kprime == 1 or t % p]
-        assert max(abs(abs(complex(tau[t])) ** 2 - m) for t in primitive) < 1e-9
-
-
-@pytest.mark.parametrize("phi", [1, 2, 16, 18, 100, 272, 342])
-def test_mp_dft_matches_naive_sum(phi):
-    import random
-
-    import mpmath
-    import numpy as np
-
-    from signedlp.lseries import _dft
-
-    rng = random.Random(phi)
-    with mpmath.workdps(38):
-        x = np.array(
-            [mpmath.mpc(rng.uniform(-1, 1), rng.uniform(-1, 1)) for _ in range(phi)],
-            dtype=object,
-        )
-        for sign in (1, -1):
-            got = _dft(x, sign)
-            zeta = [mpmath.expjpi(mpmath.mpf(2 * sign * j) / phi) for j in range(phi)]
-            for t in range(phi):
-                want = mpmath.fsum(x[s] * zeta[t * s % phi] for s in range(phi))
-                assert abs(got[t] - want) < phi * mpmath.mpf(10) ** -35
-
-
-@pytest.mark.parametrize("label, p, K", [("37a1", 17, 2), ("53a1", 5, 3)])
-def test_float_and_mp_levels_agree(store, label, p, K):
-    # digits 16 runs on float64, digits 17 on mpmath.  The recorded bound
-    # covers the truncated tails only; float64 rounding (about 1e-15 here)
-    # gets its own allowance of 64 ulps of the largest value
-    import numpy as np
-
-    c = store.curve(label)
-    lo, hi = SymbolNumerics(c, p, digits=16), SymbolNumerics(c, p, digits=17)
-    assert not lo.use_mp and hi.use_mp
-    for k in range(K + 1):
-        rough, sharp = lo.level(k), hi.level(k)
-        assert rough.values.keys() == sharp.values.keys()
-        scale = max(abs(v) for v in rough.values.values())
-        allowed = rough.error_bound + sharp.error_bound + 64 * np.finfo(float).eps * scale
-        for a, v in rough.values.items():
-            assert abs(v - complex(sharp.values[a])) <= allowed
+        modsym, "_rational", lambda x, M: lifted.append(M) or rational(x, M))
+    table = SymbolTableBuilder(curve, 3).build(2)
+    assert 101 * 103 in lifted
+    assert all(table.symbols[key] == frozen.symbols[key] for key in table.symbols)

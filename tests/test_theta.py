@@ -143,8 +143,8 @@ def test_build_theta_matches_rational_reference_on_random_tables():
 
 
 def test_build_theta_matches_rational_reference_on_fixtures(store):
-    for label, p, digits in (("53a1", 3, 14), ("53a1", 5, 14), ("37a1", 3, 14)):
-        table = store.table(label, p, 3, digits)
+    for label, p in (("53a1", 3), ("53a1", 5), ("37a1", 3)):
+        table = store.table(label, p, 3)
         for n in range(3):
             got = build_theta(table, n, 8).body.coeffs
             assert got == _reference_theta(table, n, 8), (label, p, n)
@@ -168,18 +168,18 @@ def test_incomplete_table_rejected():
 
 
 def test_theta_vanishes_at_zero_for_rank_one(store):
-    for label, p, digits in (("53a1", 3, 14), ("53a1", 5, 14), ("37a1", 3, 14)):
-        thetas = store.thetas(label, p, 2, digits)
+    for label, p in (("53a1", 3), ("53a1", 5), ("37a1", 3)):
+        thetas = store.thetas(label, p, 2)
         for n, th in thetas.items():
             v = th.value_at_zero()
             assert v.is_zero_at_precision, (label, p, n)
-    thetas = store.thetas("37a1", 17, 1, 13)
+    thetas = store.thetas("37a1", 17, 1)
     for th in thetas.values():
         assert th.value_at_zero().is_zero_at_precision
 
 
 def test_x_divides_theta_for_rank_one(store):
-    thetas = store.thetas("53a1", 5, 2, 14)
+    thetas = store.thetas("53a1", 5, 2)
     for n in (1, 2):
         body = thetas[n].body
         assert body.coefficient(0).is_zero_at_precision
@@ -188,8 +188,8 @@ def test_x_divides_theta_for_rank_one(store):
 
 
 def test_compat_on_fixtures(store):
-    for label, p, digits in (("53a1", 3, 14), ("53a1", 5, 14), ("37a1", 3, 14)):
-        thetas = store.thetas(label, p, 2, digits)
+    for label, p in (("53a1", 3), ("53a1", 5), ("37a1", 3)):
+        thetas = store.thetas(label, p, 2)
         rep = check_compat(thetas, 2, store.ap(label, p))
         assert rep.passed, (label, p, rep.detail)
 
