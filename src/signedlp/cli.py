@@ -106,7 +106,7 @@ def cmd_symbols(args) -> int:
         "curve": curve.label,
         "p": cfg.p,
         "levels": cfg.n_max + 1,
-        "entries": len(table.symbols),
+        "entries": table.entries,
         "provenance": table.provenance,
         "hecke": "PASS" if rep.passed else "FAIL",
     }
@@ -123,9 +123,7 @@ def cmd_theta(args) -> int:
         thetas[n] = build_theta(table, n, cfg.precision)
         payload["thetas"][str(n)] = {
             "body": str(thetas[n].body),
-            "value_at_zero_vanishes": bool(
-                thetas[n].value_at_zero().is_zero_at_precision
-            ),
+            "value_at_zero_vanishes": not thetas[n].body.coeffs[0],
         }
     ap = a_ell(curve, cfg.p)
     payload["compat"] = {

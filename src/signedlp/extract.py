@@ -100,7 +100,7 @@ def _parity_product(wide: IwasawaContext, n: int) -> LambdaElement:
 
 
 def _x_lower_bound(rep: LambdaElement) -> int:
-    return 1 if rep.coefficient(0).is_zero_at_precision else 0
+    return 0 if rep.coeffs[0] else 1
 
 
 def _class_invariants(rep: LambdaElement):
@@ -229,7 +229,7 @@ def extract_sharp_flat(thetas, a_p: int, p: int) -> SignedPair:
             elif not w_lo.conclusive and lo.is_zero_at_precision:
                 # lower solve is degenerate; consistency means the top
                 # component vanishes modulo the lower class modulus (X)
-                if hi.coefficient(0).is_zero_at_precision:
+                if not hi.coeffs[0]:
                     grades[idx] = "two-level"
     components = []
     ctx = thetas[top].context

@@ -2,10 +2,10 @@
 
 Elements are coefficient vectors reduced modulo (p^M, X^D) or modulo
 (p^M, omega_n) where omega_n = (1+X)^{p^n} - 1.  Each coefficient is stored
-as a plain integer residue in [0, p^M); the two-state zero of a single
-scalar (exact versus vanishing at precision) lives on PadicScalar, which
-coefficient() and evaluate_at_zero() build on demand.  The topological
-generator convention is fixed once and for all: gamma = 1 + p, sent to 1 + X.
+as a plain integer residue in [0, p^M), so a coefficient that reads 0 only
+vanishes at the working precision; callers read coeffs[i] directly.  The
+topological generator convention is fixed once and for all: gamma = 1 + p,
+sent to 1 + X.
 
 The cyclotomic pieces Phi_n (Phi_0 = X) are constructed with exact integer
 coefficients.  Division by a distinguished polynomial is plain monic long
@@ -26,7 +26,7 @@ from .errors import (
     PrecisionExhausted,
     TruncationTooSmall,
 )
-from .padic import PadicScalar, padic_valuation
+from .padic import padic_valuation
 
 #: invariant value when a series cannot be read at the working precision
 INCONCLUSIVE = None
@@ -155,12 +155,6 @@ class LambdaElement:
 
     # -- inspection -------------------------------------------------------------
 
-    def coefficient(self, i: int) -> PadicScalar:
-        """Coefficient of X^i as a scalar; a zero is never an exact zero."""
-        ctx = self.context
-        r = self.coeffs[i] if i < len(self.coeffs) else 0
-        return PadicScalar(ctx.prime, ctx.precision, r)
-
     def degree(self) -> int:
         """Index of the last coefficient nonzero at precision; -1 for zero."""
         for i in range(len(self.coeffs) - 1, -1, -1):
@@ -171,9 +165,6 @@ class LambdaElement:
     @property
     def is_zero_at_precision(self) -> bool:
         return not any(self.coeffs)
-
-    def evaluate_at_zero(self) -> PadicScalar:
-        return self.coefficient(0)
 
     def is_distinguished(self) -> bool:
         """Monic polynomial whose lower coefficients are divisible by p."""

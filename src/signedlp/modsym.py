@@ -25,6 +25,11 @@ a rational of denominator at most 10^4 and confirmed on a second cycle.
 The exact Hecke relations at p are then an independent cross-check.  An
 imported table bypasses the computation, so the Lambda-side pipeline is
 testable on its own.
+
+A table holds integers only: per level one numerator array per sign,
+indexed by a mod p^k, over one denominator per sign (SymbolTable).  The
+Hecke check is one array identity per level and sign; the CSV format
+writes each symbol as a fraction in lowest terms.
 """
 
 from __future__ import annotations
@@ -40,46 +45,56 @@ from .curves import CurveData, a_ell, an_expansion, periods, prime_divisors
 from .errors import ContextMismatch, IncompleteTable, NonConvergence, ParseError
 
 
-@dataclass(frozen=True)
-class ModularSymbol:
-    a: int
-    m: int  # power of p (1 for the boundary symbol)
-    plus: Fraction
-    minus: Fraction
-
-
-@dataclass
+@dataclass(eq=False)
 class SymbolTable:
+    """[a/p^k]^+- for k <= K as integer numerators over one positive
+    denominator per sign.
+
+    levels[k] is a (2, p^k) array: row 0 the plus and row 1 the minus
+    numerators, indexed by a mod p^k, with 0 at the non-units; levels[0]
+    holds the boundary symbol [0].  The entries are int64 when `_level`
+    proves that no Hecke or gamma-fiber sum over them can wrap, Python ints
+    otherwise.  A level that an imported file does not cover is None.
+    """
+
     curve_label: str
     p: int
-    max_level: int
-    symbols: dict = field(default_factory=dict)  # (k, a mod p^k) -> ModularSymbol
+    denominators: tuple  # (plus, minus)
+    levels: list
     provenance: str = "computed"
-    meta: dict = field(default_factory=dict, compare=False)  # build certification
-
-    def get(self, k: int, a: int) -> ModularSymbol:
-        if k == 0:
-            key = (0, 0)
-        else:
-            key = (k, a % self.p**k)
-        try:
-            return self.symbols[key]
-        except KeyError:
-            raise IncompleteTable(f"no symbol [{a}/{self.p}^{k}]") from None
-
-    def plus(self, k: int, a: int) -> Fraction:
-        return self.get(k, a).plus
-
-    def minus(self, k: int, a: int) -> Fraction:
-        return self.get(k, a).minus
+    meta: dict = field(default_factory=dict)  # build certification
 
     def has_level(self, k: int) -> bool:
-        if k == 0:
-            return (0, 0) in self.symbols
-        m = self.p**k
-        return all(
-            (k, a) in self.symbols for a in range(1, m) if a % self.p != 0
-        )
+        return k < len(self.levels) and self.levels[k] is not None
+
+    @property
+    def entries(self) -> int:
+        """The number of symbols held."""
+        return sum(len(_units(self.p, k))
+                   for k in range(len(self.levels)) if self.has_level(k))
+
+
+def _units(p: int, k: int):
+    """The residues a mod p^k of the symbols [a/p^k]: the units, or 0 at k = 0."""
+    a = np.arange(p**k)
+    return a[a % p != 0] if k else a
+
+
+def _level(p: int, k: int, x, scale=1):
+    """Level k of a table from its values x at the residues of _units (two
+    rows, scale an int or a column of ints): scale * x there, 0 elsewhere.
+    int64 when every entry times p + 1 fits, so that no Hecke relation (a_p x
+    against p + 1 entries, |a_p| <= 2 sqrt p) and no gamma-fiber sum (p - 1
+    entries) can wrap; Python ints otherwise."""
+    x, scale = np.asarray(x), np.asarray(scale, dtype=object)
+    top = max(int(np.abs(x).max(initial=0)), 1) * max(abs(s) for s in scale.flat)
+    if top * (p + 1) < 2**63:
+        x, scale = x.astype(np.int64), scale.astype(np.int64)
+    else:
+        x = x.astype(object)
+    level = np.zeros((2, p**k), dtype=x.dtype)
+    level[:, _units(p, k)] = x * scale
+    return level
 
 
 # -- Manin symbols ------------------------------------------------------------------
@@ -447,19 +462,12 @@ class SymbolTableBuilder:
             scale, cert = _fix_scale(curve, symbols, phi, part, omega)
             meta[name] = {"hecke_primes": primes, **cert}
             values.append(phi)
-            scales.append(scale)
+            scales.append(scale.as_integer_ratio())
         values = np.array(values)
-        (n1, d1), (n2, d2) = (s.as_integer_ratio() for s in scales)
-        table = SymbolTable(curve.label, p, K, meta=meta)
-        for k in range(K + 1):
-            m = p**k
-            a = np.arange(m)
-            a = a[a % p != 0] if k else a
-            plus, minus = symbols.to_infinity(values, a, m).tolist()
-            for r, x, y in zip(a.tolist(), plus, minus):
-                table.symbols[(k, r)] = ModularSymbol(
-                    r, m, Fraction(n1 * x, d1), Fraction(n2 * y, d2))
-        return table
+        (n1, d1), (n2, d2) = scales
+        levels = [_level(p, k, symbols.to_infinity(values, _units(p, k), p**k), [[n1], [n2]])
+                  for k in range(K + 1)]
+        return SymbolTable(curve.label, p, (d1, d2), levels, meta=meta)
 
 
 # -- Hecke validation --------------------------------------------------------------
@@ -484,7 +492,8 @@ def validate_hecke(table: SymbolTable, p: int, max_level: int, a_p: int) -> Heck
     """Re-prove a_p [a/p^n] = [a/p^(n-1)] + sum_k [(a + k p^n)/p^(n+1)] exactly.
 
     Runs over every unit residue at levels 1..max_level; needs the table
-    complete through max_level + 1.  All arithmetic is exact.
+    complete through max_level + 1.  Each sign is checked on its numerators,
+    one array identity per level; violations are reported as fractions.
     """
     if table.p != p:
         raise ContextMismatch(f"table is for p = {table.p}, not {p}")
@@ -494,17 +503,17 @@ def validate_hecke(table: SymbolTable, p: int, max_level: int, a_p: int) -> Heck
     violations = []
     for n in range(1, max_level + 1):
         mn = p**n
-        for a in range(1, mn):
-            if a % p == 0:
-                continue
-            for side in ("plus", "minus"):
-                pick = (lambda kk, aa: getattr(table.get(kk, aa), side))
-                lhs = a_p * pick(n, a)
-                low = pick(n - 1, a) if n > 1 else pick(0, 0)
-                high = sum(pick(n + 1, a + k * mn) for k in range(p))
-                rhs = low + high
-                if lhs != rhs:
-                    violations.append((n, a, side, lhs, rhs))
+        low, x, high = table.levels[n - 1], table.levels[n], table.levels[n + 1]
+        if abs(a_p) > p + 1:
+            x = x.astype(object)  # outside the bound of _level
+        lhs = a_p * x
+        rhs = np.tile(low, (1, p)) + high.reshape(2, p, mn).sum(axis=1)
+        bad = lhs != rhs
+        bad[:, ::p] = False  # the non-units
+        for a, s in np.argwhere(bad.T):
+            den = table.denominators[s]
+            violations.append((n, int(a), ("plus", "minus")[s],
+                               Fraction(int(lhs[s, a]), den), Fraction(int(rhs[s, a]), den)))
     return HeckeReport(not violations, tuple(range(1, max_level + 1)), violations)
 
 
@@ -512,19 +521,26 @@ def validate_hecke(table: SymbolTable, p: int, max_level: int, a_p: int) -> Heck
 
 
 def export_table(table: SymbolTable, path) -> None:
+    """One row k, a, plus numerator, denominator, minus numerator, denominator
+    per symbol, by level and residue, each fraction in lowest terms."""
+    dens = np.array([[d] for d in table.denominators], dtype=object)
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow([table.curve_label, table.p])
-        for (k, a) in sorted(table.symbols):
-            sym = table.symbols[(k, a)]
-            writer.writerow([
-                k, a,
-                sym.plus.numerator, sym.plus.denominator,
-                sym.minus.numerator, sym.minus.denominator,
-            ])
+        for k, level in enumerate(table.levels):
+            if level is None:
+                continue
+            a = _units(table.p, k)
+            nums = level[:, a].astype(object)
+            g = np.gcd(nums, dens)
+            (pn, mn), (pd, md) = (nums // g).tolist(), (dens // g).tolist()
+            writer.writerows(zip([k] * len(a), a.tolist(), pn, pd, mn, md))
 
 
 def import_table(path, expect_curve=None, expect_p=None) -> SymbolTable:
+    """A table from the CSV format of export_table.  The fractions may come in
+    any form; each sign is brought to the lcm of its reduced denominators.
+    A level is kept when its rows cover every unit residue."""
     try:
         fh = open(path, newline="")
     except OSError as exc:
@@ -542,8 +558,7 @@ def import_table(path, expect_curve=None, expect_p=None) -> SymbolTable:
         raise ContextMismatch(f"table is for {label!r}, expected {expect_curve!r}")
     if expect_p is not None and p != expect_p:
         raise ContextMismatch(f"table is for p = {p}, expected {expect_p}")
-    symbols = {}
-    max_level = 0
+    found = {}  # k -> {a mod p^k: ((plus num, den), (minus num, den))}, reduced
     for i, row in enumerate(rows[1:], start=2):
         if not row:
             continue
@@ -555,10 +570,27 @@ def import_table(path, expect_curve=None, expect_p=None) -> SymbolTable:
             raise ParseError(f"non-integer field in {row}", line=i) from None
         if pd == 0 or md == 0:
             raise ParseError("zero denominator", line=i)
-        m = p**k if k else 1
-        symbols[(k, a % m if k else 0)] = ModularSymbol(
-            a, m, Fraction(pn, pd), Fraction(mn_, md)
-        )
-        max_level = max(max_level, k)
-    table = SymbolTable(label, p, max_level, symbols, provenance="imported")
-    return table
+        if k < 0:
+            raise ParseError(f"negative level {k}", line=i)
+        if k and a % p == 0:
+            raise ParseError(f"residue {a} is not a unit mod {p}", line=i)
+        held = found.setdefault(k, {})
+        if a % p**k in held:
+            raise ParseError(f"second row for [{a}/{p}^{k}]", line=i)
+        held[a % p**k] = (_lowest(pn, pd), _lowest(mn_, md))
+    dens = tuple(math.lcm(*(v[s][1] for held in found.values() for v in held.values()))
+                 for s in (0, 1))
+    levels = [None] * (max(found, default=0) + 1)
+    for k, held in found.items():
+        if len(held) != (p**k - p ** (k - 1) if k else 1):
+            continue  # a unit residue has no row
+        signs = zip(*(held[r] for r in _units(p, k).tolist()))
+        nums = [[n * (den // d) for n, d in col] for col, den in zip(signs, dens)]
+        levels[k] = _level(p, k, np.array(nums, dtype=object))
+    return SymbolTable(label, p, dens, levels, provenance="imported")
+
+
+def _lowest(n: int, d: int):
+    """n/d in lowest terms with d > 0."""
+    g = math.gcd(n, d) * (1 if d > 0 else -1)
+    return n // g, d // g

@@ -1,22 +1,16 @@
-"""Finite-precision arithmetic in Z_p.
+"""p-adic valuations and the reduction of rationals into Z/p^M.
 
-A scalar is a residue modulo p^M together with a two-state zero: a residue
-of 0 either stands for an exact zero or for a quantity that is merely
-indistinguishable from zero at the working precision.  Consumers of a
-single scalar that certify anything must branch on this distinction.
-Lambda elements (lambda_ring) store bare integer residues and build a
-scalar only when one coefficient is asked for, so that scalar never claims
-an exact zero.
-
-Precision is absolute: every operation returns a value known modulo p^M and
-never claims more digits than its inputs carried.
+Residues mod p^M are plain integers throughout the package; Lambda elements
+(lambda_ring) store one per coefficient, and a symbol table (modsym) keeps
+integer numerators over one denominator per sign, which `residues` turns
+into residues with a single modular inverse.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
 
-from .errors import MixedContext, NotIntegral
+from .errors import NotIntegral
 
 
 def padic_valuation(n: int, p: int) -> int:
@@ -30,110 +24,17 @@ def padic_valuation(n: int, p: int) -> int:
     return v
 
 
-@dataclass(frozen=True)
-class PadicScalar:
-    """An element of Z_p known modulo p^M."""
-
-    prime: int
-    precision: int
-    residue: int
-    exact_zero: bool = False
-
-    def __post_init__(self):
-        if self.prime < 3 or self.prime % 2 == 0:
-            raise ValueError("prime must be odd and at least 3")
-        if self.precision < 1:
-            raise ValueError("precision must be at least 1")
-        object.__setattr__(self, "residue", self.residue % self.modulus)
-        if self.exact_zero and self.residue != 0:
-            raise ValueError("exact zero must have residue 0")
-
-    @property
-    def modulus(self) -> int:
-        return self.prime ** self.precision
-
-    # -- constructors ---------------------------------------------------------
-
-    @classmethod
-    def from_integer(cls, n: int, p: int, M: int) -> "PadicScalar":
-        return cls(p, M, n % p**M, exact_zero=(n == 0))
-
-    @classmethod
-    def from_rational(cls, num: int, den: int, p: int, M: int) -> "PadicScalar":
-        """num/den as an element of Z_p, or NotIntegral if it is not one."""
-        if den == 0:
-            raise ZeroDivisionError("denominator is zero")
-        if num == 0:
-            return cls(p, M, 0, exact_zero=True)
-        vden = padic_valuation(den, p)
-        if vden > 0:
-            vnum = padic_valuation(num, p)
-            if vden > vnum:
-                raise NotIntegral(f"{num}/{den} has negative {p}-adic valuation")
-            num //= p**vden
-            den //= p**vden
-        inv = pow(den % p**M, -1, p**M)
-        return cls(p, M, (num * inv) % p**M)
-
-    # -- structure ------------------------------------------------------------
-
-    @property
-    def is_zero_at_precision(self) -> bool:
-        return self.residue == 0
-
-    def _check(self, other: "PadicScalar"):
-        if self.prime != other.prime or self.precision != other.precision:
-            raise MixedContext(
-                f"(p={self.prime}, M={self.precision}) vs "
-                f"(p={other.prime}, M={other.precision})"
-            )
-
-    # -- ring operations --------------------------------------------------------
-
-    def __add__(self, other):
-        if isinstance(other, int):
-            other = PadicScalar.from_integer(other, self.prime, self.precision)
-        self._check(other)
-        return PadicScalar(
-            self.prime,
-            self.precision,
-            (self.residue + other.residue) % self.modulus,
-            exact_zero=self.exact_zero and other.exact_zero,
-        )
-
-    def __neg__(self):
-        return PadicScalar(
-            self.prime, self.precision, -self.residue % self.modulus,
-            exact_zero=self.exact_zero,
-        )
-
-    def __sub__(self, other):
-        if isinstance(other, int):
-            other = PadicScalar.from_integer(other, self.prime, self.precision)
-        return self + (-other)
-
-    def __mul__(self, other):
-        if isinstance(other, int):
-            other = PadicScalar.from_integer(other, self.prime, self.precision)
-        self._check(other)
-        return PadicScalar(
-            self.prime,
-            self.precision,
-            (self.residue * other.residue) % self.modulus,
-            exact_zero=self.exact_zero or other.exact_zero,
-        )
-
-    __radd__ = __add__
-    __rmul__ = __mul__
-
-    def reduce_precision(self, M: int) -> "PadicScalar":
-        """Forget digits down to precision M (never extends)."""
-        if M > self.precision:
-            raise MixedContext("cannot extend precision")
-        return PadicScalar(self.prime, M, self.residue % self.prime**M,
-                           exact_zero=self.exact_zero)
-
-    def __repr__(self):
-        tag = " (exact)" if self.exact_zero else ""
-        return f"{self.residue} mod {self.prime}^{self.precision}{tag}"
-
+def residues(numerators, den: int, p: int, M: int) -> list:
+    """num/den mod p^M for every num, or NotIntegral if one of them is not in
+    Z_p: the p-part of den must divide num, and the unit part of den is
+    inverted once for all of them."""
+    if den == 0:
+        raise ZeroDivisionError("denominator is zero")
+    content = p ** padic_valuation(den, p)
+    for num in numerators:
+        if num % content:
+            g = math.gcd(num, den)
+            raise NotIntegral(f"{num // g}/{den // g} has negative {p}-adic valuation")
+    modulus = p**M
+    inverse = pow(den // content, -1, modulus)
+    return [num // content * inverse % modulus for num in numerators]

@@ -206,8 +206,7 @@ def run_pipeline(cfg: RunConfig) -> PipelineResult:
         record["stages"]["theta"] = {
             "levels": sorted(thetas),
             "value_at_zero_vanishes": [
-                bool(thetas[n].value_at_zero().is_zero_at_precision)
-                for n in sorted(thetas)
+                not thetas[n].body.coeffs[0] for n in sorted(thetas)
             ],
         }
 

@@ -1,12 +1,14 @@
 import math
 import os
+import tempfile
 import time
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from signedlp.curves import a_ell, an_expansion, ingest_curve
-from signedlp.modsym import SymbolTableBuilder
+from signedlp.modsym import SymbolTableBuilder, export_table, import_table
 from signedlp.theta import build_theta
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -50,6 +52,39 @@ class TableStore:
 
     def ap(self, label, p):
         return a_ell(self.curve(label), p)
+
+
+def table_keys(p, K):
+    """(k, a) of every symbol [a/p^k] through level K."""
+    return [(0, 0)] + [(k, a) for k in range(1, K + 1) for a in range(1, p**k) if a % p]
+
+
+def synthetic_table(p, plus, label="synthetic"):
+    """The table of the plus symbols {(k, a): Fraction}, minus symbols 0,
+    read through import_table."""
+    rows = [f"{label},{p}"]
+    for (k, a), v in sorted(plus.items()):
+        v = Fraction(v)
+        rows.append(f"{k},{a},{v.numerator},{v.denominator},0,1")
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "table.csv")
+        with open(path, "w") as fh:
+            fh.write("\n".join(rows) + "\n")
+        return import_table(path)
+
+
+def symbol(table, k, a, sign=0):
+    """[a/p^k]^+ (sign 0) or [a/p^k]^- (sign 1) as a Fraction."""
+    return Fraction(int(table.levels[k][sign, a % table.p**k]), table.denominators[sign])
+
+
+def exported(table):
+    """The CSV export of a table, as text."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "table.csv")
+        export_table(table, path)
+        with open(path, newline="") as fh:
+            return fh.read()
 
 
 def smoothed_l_sum(curve, t):

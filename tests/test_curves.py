@@ -178,14 +178,24 @@ def _reference_an_expansion(curve, n_max):
     return out
 
 
-@pytest.mark.parametrize("label", FIXTURES)
-def test_an_expansion_matches_per_n_recursion(store, label):
-    c = store.curve(label)
-    n = 64000
-    assert np.array_equal(an_expansion(c, n), _reference_an_expansion(c, n))
+def _check_fresh_expansion(curve, n, monkeypatch):
+    monkeypatch.setattr(curves, "_EXPANSIONS", {})
+    assert np.array_equal(an_expansion(curve, n), _reference_an_expansion(curve, n))
     assert np.array_equal(
         curves._smallest_prime_factors(n)[2:], _reference_smallest_prime_factors(n)[2:]
     )
+
+
+@pytest.mark.parametrize("label", FIXTURES)
+def test_an_expansion_matches_per_n_recursion(store, label, monkeypatch):
+    # package callers ask for at most a few hundred terms on the fixtures
+    _check_fresh_expansion(store.curve(label), 1000, monkeypatch)
+
+
+def test_an_expansion_matches_per_n_recursion_to_30030(store, monkeypatch):
+    # 30030 = 2*3*5*7*11*13: the fill meets every count of distinct prime
+    # factors up to six
+    _check_fresh_expansion(store.curve("37a1"), 30030, monkeypatch)
 
 
 def test_an_expansion_extends_in_place(store, monkeypatch):

@@ -27,7 +27,7 @@ def _synthetic_thetas(p, M, F_coeffs, n_max=3, alternate=True, scale_mu=None):
             body = -body
         ctx = IwasawaContext(p, M, ("level", n))
         body = ctx.element(list(body.coeffs))
-        thetas[n] = ThetaElement(n, body, "plus", "synthetic")
+        thetas[n] = ThetaElement(n, body)
     return thetas
 
 
@@ -68,7 +68,7 @@ def test_drifting_chain_raises():
     thetas = _synthetic_thetas(3, 8, [1, 1], n_max=3)
     bad = dict(thetas)
     ctx0 = thetas[0].context
-    bad[0] = ThetaElement(0, ctx0.element([2]), "plus", "drift")
+    bad[0] = ThetaElement(0, ctx0.element([2]))
     with pytest.raises(NotStabilized):
         extract_plus_minus(bad, a_p=0)
 

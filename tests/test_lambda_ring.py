@@ -46,7 +46,7 @@ def test_phi_degree_and_value_at_zero():
                 continue
             phi = c.phi(n)
             assert phi.degree() == p ** (n - 1) * (p - 1)
-            assert phi.evaluate_at_zero().residue == p
+            assert phi.coeffs[0] == p
 
 
 def test_omega_identities():

@@ -1,23 +1,24 @@
 import hashlib
 import os
+import random
 from fractions import Fraction
 
 import mpmath
+import numpy as np
 import pytest
 
 from signedlp import modsym
 from signedlp.curves import an_expansion, ingest_curve, periods
 from signedlp.errors import ContextMismatch, NonConvergence, ParseError
 from signedlp.modsym import (
-    ModularSymbol,
-    SymbolTable,
     SymbolTableBuilder,
     export_table,
     import_table,
     validate_hecke,
 )
+from signedlp.theta import build_theta
 
-from conftest import smoothed_l_sum
+from conftest import exported, smoothed_l_sum, symbol, synthetic_table, table_keys
 
 DATA = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data")
 
@@ -39,14 +40,20 @@ def test_boundary_symbol_vanishes(store):
     # [0/1]^+ = L(E,1)/Omega = 0 for both rank-one curves
     for label, p in (("37a1", 17), ("53a1", 5)):
         table = store.table(label, p, 2)
-        assert table.plus(0, 0) == 0
+        assert symbol(table, 0, 0) == 0
 
 
-def test_translation_invariance(store):
-    # [a/p^k] depends on a mod p^k only
-    table = store.table("53a1", 3, 3)
-    for k, a in ((1, 1), (1, 2), (2, 7), (3, 10)):
-        assert table.get(k, a + 3**k) == table.get(k, a)
+def test_translation_invariance(store, tmp_path):
+    # [a/p^k] depends on a mod p^k only: rows written for a + p^k import
+    # as the rows for a
+    text = exported(store.table("53a1", 3, 3))
+    rows = [line.split(",") for line in text.splitlines()]
+    for row in rows[1:]:
+        if int(row[0]) and int(row[1]) % 2:
+            row[1] = str(int(row[1]) + 3 ** int(row[0]))
+    shifted = tmp_path / "shifted.csv"
+    shifted.write_text("\n".join(",".join(row) for row in rows) + "\n")
+    assert exported(import_table(shifted)) == text
 
 
 def test_tail_bound_self_consistency(store):
@@ -64,8 +71,8 @@ def test_symbol_parity(store):
     table = store.table("53a1", 5, 2)
     m = 25
     for a in (1, 2, 3, 7, 12):
-        plus_a, minus_a = table.plus(2, a), table.minus(2, a)
-        plus_neg, minus_neg = table.plus(2, m - a), table.minus(2, m - a)
+        plus_a, minus_a = symbol(table, 2, a), symbol(table, 2, a, 1)
+        plus_neg, minus_neg = symbol(table, 2, m - a), symbol(table, 2, m - a, 1)
         assert plus_a == plus_neg
         assert minus_a == -minus_neg
 
@@ -93,37 +100,77 @@ def test_hecke_validation_fixtures(store):
     assert rep.passed
 
 
-def _synthetic_table(p, K, values_by_level, boundary):
-    table = SymbolTable("synthetic", p, K)
-    table.symbols[(0, 0)] = ModularSymbol(0, 1, Fraction(boundary), Fraction(0))
-    for k in range(1, K + 1):
-        m = p**k
-        for a in range(1, m):
-            if a % p:
-                table.symbols[(k, a)] = ModularSymbol(
-                    a, m, Fraction(values_by_level[k]), Fraction(0)
-                )
-    return table
+def _level_constants(p, K, values_by_level):
+    """{(k, a): values_by_level[k]} for every symbol through level K."""
+    return {(k, a): values_by_level[k] for k, a in table_keys(p, K)}
 
 
 def test_all_zero_synthetic_table_passes():
-    table = _synthetic_table(3, 3, {1: 0, 2: 0, 3: 0}, 0)
+    table = synthetic_table(3, _level_constants(3, 3, {0: 0, 1: 0, 2: 0, 3: 0}))
     assert validate_hecke(table, 3, 2, a_p=0).passed
 
 
 def test_level_constant_synthetic_table():
     # with a_p = 0 the relation forces f(n+1) = -f(n-1)/p for level constants
-    table = _synthetic_table(3, 3, {1: 3, 2: -3, 3: -1}, 9)
+    table = synthetic_table(3, _level_constants(3, 3, {0: 9, 1: 3, 2: -3, 3: -1}))
     assert validate_hecke(table, 3, 2, a_p=0).passed
 
 
 def test_perturbed_entry_fails_naming_residue():
-    table = _synthetic_table(3, 3, {1: 3, 2: -3, 3: -1}, 9)
-    table.symbols[(2, 4)] = ModularSymbol(4, 9, Fraction(5), Fraction(0))
-    rep = validate_hecke(table, 3, 2, a_p=0)
+    plus = _level_constants(3, 3, {0: 9, 1: 3, 2: -3, 3: -1})
+    plus[(2, 4)] = 5
+    rep = validate_hecke(synthetic_table(3, plus), 3, 2, a_p=0)
     assert not rep.passed
     # [4/9] enters exactly one relation: level 1, residue 1 (sum over 1, 4, 7)
     assert {(lvl, a) for lvl, a, *_ in rep.violations} == {(1, 1)}
+
+
+def test_violations_print_as_reduced_fractions():
+    plus = _level_constants(3, 3, {0: 9, 1: 3, 2: -3, 3: -1})
+    plus[(1, 2)] = Fraction(7, 2)
+    rep = validate_hecke(synthetic_table(3, plus), 3, 1, a_p=1)
+    assert rep.violations == [
+        (1, 1, "plus", Fraction(3), Fraction(0)),
+        (1, 2, "plus", Fraction(7, 2), Fraction(0)),
+    ]
+    assert str(rep).splitlines() == [
+        "2 Hecke violations:",
+        "  level 1, residue 1, plus: 3 != 0",
+        "  level 1, residue 2, plus: 7/2 != 0",
+    ]
+
+
+def test_hecke_matches_fraction_loop_on_random_tables():
+    # the array identity reports exactly the violations that the relation,
+    # checked one residue at a time in Fractions, finds
+    rng = random.Random(7)
+    for p, a_p in ((3, 0), (3, -2), (5, 1)):
+        plus = {key: Fraction(rng.choice([0, 0, 1, -1, 3]), rng.choice([1, 2, 3]))
+                for key in table_keys(p, 3)}
+        table = synthetic_table(p, plus)
+        want = []
+        for n in (1, 2):
+            for a in range(1, p**n):
+                if a % p:
+                    lhs = a_p * plus[(n, a)]
+                    low = plus[(n - 1, a % p ** (n - 1))]
+                    rhs = low + sum(plus[(n + 1, a + k * p**n)] for k in range(p))
+                    if lhs != rhs:
+                        want.append((n, a, "plus", lhs, rhs))
+        assert want and validate_hecke(table, p, 2, a_p).violations == want
+
+
+def test_numerators_beyond_int64_stay_exact(store):
+    # a fixture table scaled by 2^70 is held in Python ints; every Hecke
+    # relation still holds and theta scales by 2^70 mod p^M
+    table = store.table("53a1", 5, 3)
+    scaled = synthetic_table(5, {
+        key: symbol(table, *key) * 2**70 for key in table_keys(5, 3)})
+    assert max(abs(x) for x in scaled.levels[3][0]) > 2**63
+    assert validate_hecke(scaled, 5, 2, store.ap("53a1", 5)).passed
+    for n in range(3):
+        want = [c * 2**70 % 5**8 for c in build_theta(table, n, 8).body.coeffs]
+        assert list(build_theta(scaled, n, 8).body.coeffs) == want
 
 
 def test_export_import_round_trip(store, tmp_path):
@@ -131,8 +178,42 @@ def test_export_import_round_trip(store, tmp_path):
     path = tmp_path / "symbols.csv"
     export_table(table, path)
     back = import_table(path, expect_curve="53a1", expect_p=5)
-    assert back.symbols == table.symbols
+    assert exported(back) == path.read_bytes().decode()
     assert back.provenance == "imported"
+
+
+def test_mixed_denominators_round_trip(tmp_path):
+    text = ("t,3\r\n0,0,1,3,0,1\r\n1,1,1,1,-1,2\r\n1,2,-1,2,0,1\r\n"
+            "2,1,2,3,5,1\r\n2,2,0,1,1,3\r\n2,4,7,1,0,1\r\n2,5,1,1,0,1\r\n"
+            "2,7,-5,2,0,1\r\n2,8,1,3,0,1\r\n")
+    path = tmp_path / "mixed.csv"
+    path.write_bytes(text.encode())
+    table = import_table(path)
+    assert table.denominators == (6, 6)
+    assert exported(table) == text
+
+
+def test_noncanonical_fractions_import_as_canonical(tmp_path):
+    canonical, other = tmp_path / "canonical.csv", tmp_path / "other.csv"
+    canonical.write_text("t,3\n0,0,-1,2,0,1\n1,1,1,3,2,1\n1,2,0,1,-3,4\n")
+    other.write_text("t,3\n0,0,1,-2,0,-7\n1,1,2,6,-4,-2\n1,2,0,-5,6,-8\n")
+    assert exported(import_table(other)) == exported(import_table(canonical))
+
+
+_MALFORMED = "53a1,5\n0,0,0,1,0,1\n1,1,1,2,0,1\n"
+
+
+@pytest.mark.parametrize("row, message", [
+    ("-1,2,1,1,1,1", "negative level -1"),
+    ("1,5,3,1,0,1", "residue 5 is not a unit mod 5"),
+    ("1,6,7,2,0,1", "second row for [6/5^1]"),
+], ids=["negative-level", "non-unit", "duplicate"])
+def test_import_rejects_malformed_rows(tmp_path, row, message):
+    path = tmp_path / "bad.csv"
+    path.write_text(_MALFORMED + row + "\n")
+    with pytest.raises(ParseError) as err:
+        import_table(path)
+    assert message in str(err.value) and "line 4" in str(err.value)
 
 
 def test_import_errors(tmp_path):
@@ -179,19 +260,17 @@ def test_hecke_sum_identity_37a1_p17(store):
     # a_17 [1/17] = [0/1] + sum_k [(1 + 17k)/289]; with a_17 = 0 and
     # [0/1] = 0 the 17-term sum must vanish exactly
     table = store.table("37a1", 17, 2)
-    total = sum(table.plus(2, 1 + 17 * k) for k in range(17))
-    assert total == -table.plus(0, 0) == 0
+    total = sum(symbol(table, 2, 1 + 17 * k) for k in range(17))
+    assert total == -symbol(table, 0, 0) == 0
 
 
 def test_parity_symmetry_entire_table(store):
     table = store.table("53a1", 5, 3)
-    for (k, a), sym in table.symbols.items():
-        if k == 0:
-            continue
-        m = 5**k
-        mirror = table.get(k, (-a) % m)
-        assert sym.plus == mirror.plus
-        assert sym.minus == -mirror.minus
+    for k in range(1, 4):
+        plus, minus = table.levels[k]
+        mirror = -np.arange(5**k) % 5**k
+        assert (plus == plus[mirror]).all()
+        assert (minus == -minus[mirror]).all()
 
 
 def test_boundary_period_integral(store):
@@ -201,7 +280,7 @@ def test_boundary_period_integral(store):
         c = store.curve(label)
         lam0 = c.fricke_sign * smoothed_l_sum(c, 1 / 1.3) - smoothed_l_sum(c, 1.3)
         boundary = lam0 / float(periods(c).omega_plus)
-        assert abs(boundary - store.table(label, p, 1).plus(0, 0)) < 1e-12
+        assert abs(boundary - symbol(store.table(label, p, 1), 0, 0)) < 1e-12
 
 
 # sha256 of the CSV export of tables the analytic engine (continued-fraction
@@ -236,10 +315,11 @@ def _frozen(label, p):
 def test_exact_tables_match_frozen_analytic_tables(label, p):
     # composite conductors (14a1, 15a1) and a non-optimal curve (11a3)
     curve, frozen = _frozen(label, p)
-    table = SymbolTableBuilder(curve, p).build(frozen.max_level)
-    assert table.symbols == frozen.symbols
+    K = len(frozen.levels) - 1
+    table = SymbolTableBuilder(curve, p).build(K)
+    assert exported(table) == exported(frozen)
     ap = int(an_expansion(curve, p)[p])
-    assert validate_hecke(table, p, frozen.max_level - 1, ap).passed
+    assert validate_hecke(table, p, K - 1, ap).passed
 
 
 @pytest.mark.extended
@@ -248,8 +328,8 @@ def test_5077a1_p3_through_level_6():
     # curve 5077a1, where reports stop at NotStabilized: the drift is not in
     # the table
     curve, frozen = _frozen("5077a1", 3)
-    assert frozen.max_level == 6
-    assert SymbolTableBuilder(curve, 3).build(6).symbols == frozen.symbols
+    assert len(frozen.levels) == 7
+    assert exported(SymbolTableBuilder(curve, 3).build(6)) == exported(frozen)
 
 
 def test_manin_symbol_count():
@@ -288,4 +368,5 @@ def test_eigen_functional_lifts_by_crt(monkeypatch):
         modsym, "_rational", lambda x, M: lifted.append(M) or rational(x, M))
     table = SymbolTableBuilder(curve, 3).build(2)
     assert 101 * 103 in lifted
-    assert all(table.symbols[key] == frozen.symbols[key] for key in table.symbols)
+    rows = exported(table).splitlines()
+    assert rows == exported(frozen).splitlines()[: len(rows)]

@@ -1,38 +1,40 @@
 import random
+import re
 from fractions import Fraction
 
 import pytest
 
 from signedlp.errors import IncompleteTable, NotAUnit, NotIntegral
 from signedlp.lambda_ring import weierstrass
-from signedlp.modsym import ModularSymbol, SymbolTable
-from signedlp.padic import PadicScalar
+from signedlp.padic import residues
 from signedlp.theta import (
     ThetaElement,
-    UnitDecomposer,
     build_theta,
     check_compat,
     teichmueller,
+    teichmueller_values,
 )
+
+from conftest import symbol, synthetic_table, table_keys
 
 
 def test_decompose_examples():
     # g = 2 generates (Z/p)^*, omega(2) = -1 mod 27 and 7 mod 25
-    assert UnitDecomposer(3, 2).teich_by_index == [1, 26]
+    assert teichmueller_values(3, 27) == [1, 26]
     assert teichmueller(26, 3, 27) == 26
-    assert UnitDecomposer(5, 1).teich_by_index == [1, 7, 24, 18]
+    assert teichmueller_values(5, 25) == [1, 7, 24, 18]
 
 
 def test_decompose_against_exhaustive_oracle():
     # every unit mod p^(n+1) is omega^i * gamma^j for exactly one (i, j)
     for p, n in ((3, 2), (5, 1), (7, 1)):
-        dec = UnitDecomposer(p, n)
+        modulus = p ** (n + 1)
         grid = [
-            w * pow(1 + p, j, dec.modulus) % dec.modulus
-            for w in dec.teich_by_index
+            w * pow(1 + p, j, modulus) % modulus
+            for w in teichmueller_values(p, modulus)
             for j in range(p**n)
         ]
-        assert sorted(grid) == [a for a in range(1, dec.modulus) if a % p]
+        assert sorted(grid) == [a for a in range(1, modulus) if a % p]
 
 
 def test_teichmueller_is_torsion():
@@ -48,17 +50,8 @@ def test_teichmueller_is_torsion():
         teichmueller(6, 3, 27)
 
 
-def _table_from_plus(p, K, plus_fn, label="synthetic"):
-    table = SymbolTable(label, p, K)
-    table.symbols[(0, 0)] = ModularSymbol(0, 1, Fraction(plus_fn(0, 0)), Fraction(0))
-    for k in range(1, K + 1):
-        m = p**k
-        for a in range(1, m):
-            if a % p:
-                table.symbols[(k, a)] = ModularSymbol(
-                    a, m, Fraction(plus_fn(k, a)), Fraction(0)
-                )
-    return table
+def _table_from_plus(p, K, plus_fn):
+    return synthetic_table(p, {(k, a): plus_fn(k, a) for k, a in table_keys(p, K)})
 
 
 def test_zero_table_gives_zero_theta():
@@ -86,14 +79,14 @@ def test_build_theta_linearity():
 def _reference_theta(table, n, M):
     """Residues of sum_j c_j (1+X)^j expanded exactly over Q, reduced last."""
     p = table.p
-    dec = UnitDecomposer(p, n)
+    modulus = p ** (n + 1)
     d = p**n
     sums = [Fraction(0)] * d
-    for w in dec.teich_by_index:
+    for w in teichmueller_values(p, modulus):
         a = w
         for j in range(d):
-            sums[j] += table.plus(n + 1, a)
-            a = (a * (1 + p)) % dec.modulus
+            sums[j] += symbol(table, n + 1, a)
+            a = (a * (1 + p)) % modulus
     monomial = [Fraction(0)] * d
     row = [Fraction(1)]  # (1+X)^j, starting at j = 0
     for c in sums:
@@ -103,29 +96,25 @@ def _reference_theta(table, n, M):
         for k in range(len(row), 0, -1):
             nxt[k] = row[k - 1] + (row[k] if k < len(row) else 0)
         row = nxt
-    return tuple(
-        PadicScalar.from_rational(q.numerator, q.denominator, p, M).residue
-        for q in monomial
-    )
+    return tuple(residues([q.numerator], q.denominator, p, M)[0] for q in monomial)
 
 
 def _random_table(rng, p, K):
     """Random p-integral symbols, plus pairs t/p, -t/p inside one gamma-fiber
     (equal j, different Teichmueller index) that cancel in c_j."""
     plus = {}
-    for k in range(K + 1):
-        for a in range(1, p**k) if k else (0,):
-            if k == 0 or a % p:
-                den = rng.choice([1, 2, 7]) if p != 7 else 1
-                plus[(k, a)] = Fraction(rng.randrange(-50, 51), den)
+    for key in table_keys(p, K):
+        den = rng.choice([1, 2, 7]) if p != 7 else 1
+        plus[key] = Fraction(rng.randrange(-50, 51), den)
     for k in range(1, K + 1):
-        dec = UnitDecomposer(p, k - 1)
+        modulus = p**k
+        teich = teichmueller_values(p, modulus)
         for _ in range(3):
             j = rng.randrange(p ** (k - 1))
             i1, i2 = rng.sample(range(p - 1), 2)
-            g = pow(1 + p, j, dec.modulus)
-            a1 = dec.teich_by_index[i1] * g % dec.modulus
-            a2 = dec.teich_by_index[i2] * g % dec.modulus
+            g = pow(1 + p, j, modulus)
+            a1 = teich[i1] * g % modulus
+            a2 = teich[i2] * g % modulus
             t = Fraction(rng.choice([1, 2, 4, 5]), p ** rng.randrange(1, 3))
             plus[(k, a1)] += t
             plus[(k, a2)] -= t
@@ -171,18 +160,17 @@ def test_theta_vanishes_at_zero_for_rank_one(store):
     for label, p in (("53a1", 3), ("53a1", 5), ("37a1", 3)):
         thetas = store.thetas(label, p, 2)
         for n, th in thetas.items():
-            v = th.value_at_zero()
-            assert v.is_zero_at_precision, (label, p, n)
+            assert th.body.coeffs[0] == 0, (label, p, n)
     thetas = store.thetas("37a1", 17, 1)
     for th in thetas.values():
-        assert th.value_at_zero().is_zero_at_precision
+        assert th.body.coeffs[0] == 0
 
 
 def test_x_divides_theta_for_rank_one(store):
     thetas = store.thetas("53a1", 5, 2)
     for n in (1, 2):
         body = thetas[n].body
-        assert body.coefficient(0).is_zero_at_precision
+        assert body.coeffs[0] == 0
         w = weierstrass(body)
         assert w.conclusive and w.lam >= 1
 
@@ -206,6 +194,7 @@ def test_compat_detects_corruption():
     table = _table_from_plus(3, 3, lambda k, a: {0: 9, 1: 3, 2: -3, 3: -1}[k])
     thetas = {n: build_theta(table, n, 6) for n in range(3)}
     bad_body = thetas[2].body + thetas[2].context.one()
-    thetas[2] = ThetaElement(2, bad_body, "plus", "corrupted")
+    thetas[2] = ThetaElement(2, bad_body)
     rep = check_compat(thetas, 2, a_p=0)
-    assert not rep.passed and rep.detail
+    assert not rep.passed
+    assert re.fullmatch(r"coefficient \d+ of the remainder is \d+ mod 3\^6", rep.detail)
