@@ -8,17 +8,26 @@ topological generator convention is fixed once and for all: gamma = 1 + p,
 sent to 1 + X.
 
 The cyclotomic pieces Phi_n (Phi_0 = X) are constructed with exact integer
-coefficients.  Division by a distinguished polynomial is plain monic long
-division (divrem, the module's one division algorithm, on which Weierstrass
-preparation also runs) and therefore loses no p-adic digits; the only
-precision losses in this module come from stripping p-power content, and
-they are tracked.
+coefficients.  All polynomial arithmetic runs on residue lists through one
+multiply and one division (von zur Gathen-Gerhard, Modern Computer Algebra,
+ch. 8-9).  The multiply is Kronecker substitution: both lists are packed
+into one integer each, multiplied once, and read back.  The division by a
+monic polynomial is long division for short quotients, and otherwise the
+reversed dividend times a Newton reciprocal of the reversed divisor; every
+division re-multiplies its quotient and checks the identity.  The reduction
+mod omega_n, divrem, Weierstrass preparation and the Taylor shift of theta
+elements all run on these two.  Division by a monic polynomial loses no
+p-adic digits; the only precision losses in this module come from stripping
+p-power content, and they are tracked.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import repeat
 from typing import Optional
+
+import numpy as np
 
 from .errors import (
     MixedContext,
@@ -30,6 +39,13 @@ from .padic import padic_valuation
 
 #: invariant value when a series cannot be read at the working precision
 INCONCLUSIVE = None
+
+#: a division whose (quotient length) * (divisor length) is at most this
+#: runs as monic long division; longer quotients go through Newton
+_LONG_DIVISION_WORK = 4000
+#: terms of a reciprocal series taken from the direct recurrence before the
+#: Newton steps start
+_RECURRENCE_TERMS = 32
 
 
 def _binomial_row(n: int):
@@ -205,14 +221,10 @@ class LambdaElement:
         da, db = self.degree(), other.degree()
         if da < 0 or db < 0:
             return self.context.zero()
-        raw = [0] * (da + db + 1)
-        B = other.coeffs[: db + 1]
-        for i, a in enumerate(self.coeffs[: da + 1]):
-            if a == 0:
-                continue
-            for j, b in enumerate(B):
-                raw[i + j] += a * b
-        return LambdaElement(self.context, raw)
+        return LambdaElement(
+            self.context,
+            _mul(self.coeffs[: da + 1], other.coeffs[: db + 1], self.context.modulus),
+        )
 
     __rmul__ = __mul__
 
@@ -280,19 +292,123 @@ def _reduce_coeffs(ctx: IwasawaContext, coeffs) -> tuple:
     n = ctx.trunc_len
     work = [c % mod for c in coeffs]
     if len(work) > n and ctx.is_level:
-        # reduce modulo omega_level by monic polynomial division (exact)
+        # reduce modulo omega_level, monic of degree n = p^level (exact)
         omega = _binomial_row(n)
-        omega[0] -= 1  # monic of degree n = p^level
-        for i in range(len(work) - 1, n - 1, -1):
-            c = work[i]
-            if c == 0:
-                continue
-            work[i] = 0
-            for j in range(n):
-                work[i - n + j] = (work[i - n + j] - c * omega[j]) % mod
+        omega[0] -= 1
+        _, work = _divmod_monic(work, [c % mod for c in omega], mod)
     del work[n:]
     work.extend([0] * (n - len(work)))
     return tuple(work)
+
+
+# -- the kernel: one multiply, one division ---------------------------------------
+
+
+def _pack(values, width: int) -> int:
+    """The integer whose little-endian slots of `width` bytes hold `values`."""
+    if width <= 8:
+        raw = np.asarray(values, dtype=f"<u{width}").tobytes()
+    else:
+        raw = b"".join(map(int.to_bytes, values, repeat(width), repeat("little")))
+    return int.from_bytes(raw, "little")
+
+
+def _mul(a, b, mod: int) -> list:
+    """Product of two residue lists mod `mod`, by Kronecker substitution.
+
+    A product coefficient is a sum of at most min(len) terms below mod^2, so
+    slots of 2*bits(mod) + bits(min(len)) bits never overflow: one integer
+    product carries the whole convolution.  Slots of 1, 2, 4 or 8 bytes are
+    packed and read through numpy, wider ones through bytes.  The result
+    has len(a) + len(b) - 1 entries, none when an operand is empty.
+    """
+    if not a or not b:
+        return []
+    n = len(a) + len(b) - 1
+    bits = 2 * (mod - 1).bit_length() + min(len(a), len(b)).bit_length()
+    width = next((w for w in (1, 2, 4, 8) if 8 * w >= bits), (bits + 7) // 8)
+    A = _pack(a, width)
+    raw = (A * (A if b is a else _pack(b, width))).to_bytes(n * width, "little")
+    if width <= 8:
+        return (np.frombuffer(raw, dtype=f"<u{width}") % mod).tolist()
+    return [
+        int.from_bytes(raw[i : i + width], "little") % mod
+        for i in range(0, n * width, width)
+    ]
+
+
+def _reciprocal(f, n: int, mod: int) -> list:
+    """g with f*g = 1 mod (mod, X^n), for f[0] a unit mod `mod`.
+
+    The first _RECURRENCE_TERMS terms come from the direct recurrence; each
+    Newton step g <- g - g*(f*g - 1) then doubles the number of correct
+    terms with two products.
+    """
+    inv0 = pow(f[0], -1, mod)
+    k = min(n, _RECURRENCE_TERMS)
+    g = [inv0]
+    for i in range(1, k):
+        acc = sum(f[j] * g[i - j] for j in range(1, min(i, len(f) - 1) + 1))
+        g.append(-acc * inv0 % mod)
+    while k < n:
+        m = min(2 * k, n)
+        err = _mul(f[:m], g, mod)[k:m]  # f*g = 1 + X^k * err mod X^m
+        corr = _mul(g, err, mod)[: m - k]
+        g += [-c % mod for c in corr] + [0] * (m - k - len(corr))
+        k = m
+    return g
+
+
+def _divmod_monic(f, g, mod: int):
+    """(q, r) with f = q*g + r and deg r < deg g, for a monic residue list g.
+
+    Long division when (quotient length) * len(g) is at most
+    _LONG_DIVISION_WORK; otherwise q is read from rev(f) * rev(g)^-1 mod
+    X^(deg f - deg g + 1), where rev(g) has constant term 1.  Either way q*g
+    is computed once and PrecisionExhausted is raised unless f - q*g
+    vanishes in every degree >= deg g; r is the rest.
+    """
+    d = len(g) - 1
+    m = len(f) - d  # quotient length
+    if m <= 0:
+        return [], list(f)
+    if m * (d + 1) <= _LONG_DIVISION_WORK:
+        # the running remainder is reduced only where a quotient term is read
+        rem, low = list(f), g[:d]
+        q = [0] * m
+        for i in range(m - 1, -1, -1):
+            c = q[i] = rem[i + d] % mod
+            if c:
+                for j, b in enumerate(low, i):
+                    rem[j] -= c * b
+    else:
+        q = _mul(f[d:][::-1], _reciprocal(g[::-1], m, mod), mod)[m - 1 :: -1]
+    diff = [(x - y) % mod for x, y in zip(f, _mul(q, g, mod))]
+    if any(diff[d:]):
+        raise PrecisionExhausted("division identity f = q*g + r failed")
+    return q, diff[:d]
+
+
+def taylor_shift(values, mod: int) -> list:
+    """Monomial coefficients of sum_j values[j] * (1+X)^j, modulo `mod`.
+
+    Divide and conquer over blocks of b = 1, 2, 4, ... coefficients: each
+    pair of blocks (lo, hi) becomes lo + (1+X)^b * hi, and all the hi blocks
+    of one round, spaced 2b apart, are multiplied by (1+X)^b in one product.
+    """
+    size = 1 << max(len(values) - 1, 0).bit_length()
+    v = [c % mod for c in values] + [0] * (size - len(values))
+    power, b = [1, 1], 1  # (1+X)^b
+    while b < size:
+        hi = []
+        for s in range(0, size, 2 * b):
+            hi += v[s + b : s + 2 * b] + [0] * b
+            v[s + b : s + 2 * b] = [0] * b
+        v = [(x + y) % mod for x, y in zip(v, _mul(hi, power, mod))]
+        b *= 2
+        if b < size:
+            power = _mul(power, power, mod)
+    return v[: len(values)]
 
 
 # -- division ---------------------------------------------------------------------
@@ -301,33 +417,18 @@ def _reduce_coeffs(ctx: IwasawaContext, coeffs) -> tuple:
 def divrem(F: LambdaElement, P: LambdaElement):
     """Division with remainder by a distinguished polynomial.
 
-    Monic long division on representatives: exact modulo (p^M, truncation),
-    no p-adic digits are lost.  The identity F = Q*P + R is re-verified by
-    multiplication on every call.
+    Monic division of the representatives (_divmod_monic): exact modulo
+    (p^M, truncation), no p-adic digits are lost, and the identity
+    F = Q*P + R is re-verified on every call.
     """
     F._check(P)
     if not P.is_distinguished():
         raise NotDistinguished(f"{P!s} is not distinguished")
     ctx = F.context
-    d = P.degree()
-    mod = ctx.modulus
-    rem = list(F.coeffs)
-    pc = P.coeffs[: d + 1]
-    q = [0] * len(rem)
-    for i in range(len(rem) - 1, d - 1, -1):
-        c = rem[i]
-        if c == 0:
-            continue
-        q[i - d] = c
-        for j in range(d + 1):
-            rem[i - d + j] = (rem[i - d + j] - c * pc[j]) % mod
-    Q = LambdaElement(ctx, q)
-    R = LambdaElement(ctx, rem[:d])
-    if ctx.trunc_len >= d + max(Q.degree(), 0) + 1:
-        # re-multiplication check is exact whenever the product fits
-        if (Q * P + R).coeffs != F.coeffs:
-            raise PrecisionExhausted("divrem identity F = Q*P + R failed")
-    return Q, R
+    q, r = _divmod_monic(
+        F.coeffs[: F.degree() + 1], P.coeffs[: P.degree() + 1], ctx.modulus
+    )
+    return LambdaElement(ctx, q), LambdaElement(ctx, r)
 
 
 def divides_at_precision(F: LambdaElement, P: LambdaElement) -> bool:
@@ -407,12 +508,8 @@ def weierstrass(F: LambdaElement) -> InvariantReport:
             )
         # delta = R / Q mod X^lam; Q(0) is a unit since P = X^lam mod p
         # makes Q(0) = G's lambda-th coefficient mod p
-        q, r = Q.coeffs, R.coeffs
-        inv0 = pow(q[0], -1, mod)
-        delta = []
-        for k in range(lam):
-            acc = r[k] - sum(q[j] * delta[k - j] for j in range(1, k + 1))
-            delta.append(acc * inv0 % mod)
+        inverse = _reciprocal(Q.coeffs[:lam], lam, mod)
+        delta = _mul(R.coeffs[:lam], inverse, mod)
         lower = [(a + d) % mod for a, d in zip(lower, delta)]
     raise NotDistinguished(
         f"no distinguished part of degree {lam} after {Mred + 1} divisions"
@@ -494,23 +591,21 @@ def gcd_lambda(F: LambdaElement, G: LambdaElement, phi_limit: Optional[int] = No
     phi_exps: dict = {}
     X = dctx.x_power(1)
     while A.degree() > 0 and B.degree() > 0:
-        if divides_at_precision(A, X) and divides_at_precision(B, X):
-            A, B = exact_quotient(A, X), exact_quotient(B, X)
-            x_exp += 1
-        else:
+        quotients = _common_quotients(A, B, X)
+        if quotients is None:
             break
+        A, B = quotients
+        x_exp += 1
     for n in range(1, phi_limit + 1):
         try:
             phin = dctx.phi(n)
         except TruncationTooSmall:
             break
-        while (
-            A.degree() >= phin.degree()
-            and B.degree() >= phin.degree()
-            and divides_at_precision(A, phin)
-            and divides_at_precision(B, phin)
-        ):
-            A, B = exact_quotient(A, phin), exact_quotient(B, phin)
+        while A.degree() >= phin.degree() and B.degree() >= phin.degree():
+            quotients = _common_quotients(A, B, phin)
+            if quotients is None:
+                break
+            A, B = quotients
             phi_exps[n] = phi_exps.get(n, 0) + 1
     residual, certified, prec_used, detail = _euclid_residual(A, B)
     return GcdFactorization(
@@ -522,6 +617,17 @@ def gcd_lambda(F: LambdaElement, G: LambdaElement, phi_limit: Optional[int] = No
         precision_used=prec_used,
         detail=detail,
     )
+
+
+def _common_quotients(A: LambdaElement, B: LambdaElement, P: LambdaElement):
+    """(A/P, B/P) when P divides both at precision, else None; one divrem each."""
+    QA, RA = divrem(A, P)
+    if not RA.is_zero_at_precision:
+        return None
+    QB, RB = divrem(B, P)
+    if not RB.is_zero_at_precision:
+        return None
+    return QA, QB
 
 
 def _default_phi_limit(ctx: IwasawaContext) -> int:

@@ -41,7 +41,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .curves import CurveData, a_ell, an_expansion, periods, prime_divisors
+from .curves import CurveData, a_ell, an_expansion, is_odd_prime, periods, prime_divisors
 from .errors import ContextMismatch, IncompleteTable, NonConvergence, ParseError
 
 
@@ -554,6 +554,8 @@ def import_table(path, expect_curve=None, expect_p=None) -> SymbolTable:
         p = int(rows[0][1])
     except ValueError:
         raise ParseError(f"bad prime {rows[0][1]!r}", line=1) from None
+    if not is_odd_prime(p):
+        raise ParseError(f"{p} is not an odd prime", line=1)
     if expect_curve is not None and label != expect_curve:
         raise ContextMismatch(f"table is for {label!r}, expected {expect_curve!r}")
     if expect_p is not None and p != expect_p:
@@ -572,6 +574,13 @@ def import_table(path, expect_curve=None, expect_p=None) -> SymbolTable:
             raise ParseError("zero denominator", line=i)
         if k < 0:
             raise ParseError(f"negative level {k}", line=i)
+        # level k has p^(k-1) * (p-1) rows; p^(k-1) >= 2^(k-1) bounds a huge k
+        # before any power of p is built
+        if k and (k - 1 > len(rows).bit_length() or p ** (k - 1) * (p - 1) >= len(rows)):
+            raise ParseError(
+                f"level {k} needs {p}^{k - 1}*{p - 1} rows, the file has {len(rows) - 1}",
+                line=i,
+            )
         if k and a % p == 0:
             raise ParseError(f"residue {a} is not a unit mod {p}", line=i)
         held = found.setdefault(k, {})

@@ -24,7 +24,7 @@ from .analyzer import (
     report_payload,
     theorem_consistency,
 )
-from .curves import CurveData, classify_reduction, ingest_curve, prime_divisors
+from .curves import CurveData, classify_reduction, ingest_curve, is_odd_prime
 from .errors import CompatFailed, NotStabilized, SignedLPError, WrongReductionType
 from .extract import (
     SignedPair,
@@ -59,7 +59,7 @@ class RunConfig:
     out_format: str = "json"
 
     def __post_init__(self):
-        if self.p < 3 or self.p % 2 == 0 or prime_divisors(self.p) != [self.p]:
+        if not is_odd_prime(self.p):
             raise ValueError("p must be an odd prime")
         if self.precision < 2:
             raise ValueError("p-adic precision must be at least 2")

@@ -10,7 +10,9 @@ reduced in Lambda/(omega_n, p^M).  Only the trivial tame character enters,
 so only plus symbols are used; minus symbols stay in the table for symmetry
 checks.  The c_j are gathered from the plus numerators of level n+1 with
 one index array over the grid omega^i gamma^j, and reduced into Z/p^M with
-one inverse of the unit part of the plus denominator.
+one inverse of the unit part of the plus denominator.  The change to the
+monomial basis is a Taylor shift by 1 (lambda_ring.taylor_shift): divide and
+conquer with one Kronecker product per doubling of the block size.
 
 The three-term congruence linking consecutive levels is a consequence of
 the Hecke relations; check_compat re-proves it numerically on each run
@@ -25,7 +27,7 @@ import numpy as np
 
 from .curves import prime_divisors
 from .errors import IncompleteTable, NotAUnit
-from .lambda_ring import IwasawaContext, LambdaElement, divrem
+from .lambda_ring import IwasawaContext, LambdaElement, divrem, taylor_shift
 from .modsym import SymbolTable
 from .padic import residues
 
@@ -92,16 +94,8 @@ def build_theta(table: SymbolTable, n: int, ctx_or_M) -> ThetaElement:
     # (1+X)^j to X^k is unitriangular over Z, so the monomial coefficients
     # are p-integral exactly when every c_j is: NotIntegral is raised here
     # or not at all.
-    mod = ctx.modulus
     coeffs = residues(sums, table.denominators[0], p, M)
-    # expand sum_j c_j (1+X)^j in the monomial basis, modulo p^M
-    monomial = [0] * d
-    row = [1]  # (1+X)^j, starting at j = 0
-    for j, c in enumerate(coeffs):
-        if c:
-            monomial[: j + 1] = [m + c * b for m, b in zip(monomial, row)]
-        if j < d - 1:
-            row = [1] + [(a + b) % mod for a, b in zip(row[1:], row)] + [1]
+    monomial = taylor_shift(coeffs, ctx.modulus)
     return ThetaElement(n, LambdaElement(ctx, monomial))
 
 

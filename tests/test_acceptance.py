@@ -5,14 +5,16 @@ as stated; the heavy shared work (symbol tables) is cached per session, and
 every exactness claim is checked in exact arithmetic.
 """
 
+import json
 import random
 import time
 
 import pytest
 
-from conftest import omega_signed, record_acceptance, symbol
+from conftest import curve_path, omega_signed, record_acceptance, symbol
 
 from signedlp.analyzer import compare_predictions, gcd_signed_pair, theorem_consistency
+from signedlp.cli import main
 from signedlp.curves import a_ell
 from signedlp.extract import extract_plus_minus, extract_sharp_flat
 from signedlp.lambda_ring import IwasawaContext, weierstrass
@@ -315,3 +317,22 @@ def test_c10_extended_primes(store, label, p):
         10, True,
         f"extended {label} p={p}: mu=(0,0), lambda multiset has 1, gcd=X ({dt:.1f}s)",
     )
+
+
+@pytest.mark.extended
+@pytest.mark.parametrize("label,p,level,invariants", [
+    ("37a1", 3, 7, {"sharp": (0, 1), "flat": (0, 5)}),
+    ("53a1", 5, 5, {"plus": (0, 1), "minus": (0, 1)}),
+], ids=["37a1-p3-L7", "53a1-p5-L5"])
+def test_deep_level_reports(capsys, monkeypatch, label, p, level, invariants):
+    # reports at the depth the Lambda kernel reaches: the gcd X certified and
+    # both signed components stabilized across the two top levels
+    monkeypatch.delenv("SIGNEDLP_CACHE_DIR", raising=False)
+    code = main(["report", "--curve", curve_path(label), "--p", str(p),
+                 "--level", str(level)])
+    report = json.loads(capsys.readouterr().out)
+    assert code == 0
+    assert report["gcd_string"] == "X" and report["run"]["stages"]["gcd"]["certified"]
+    components = report["run"]["stages"]["extract"]["components"]
+    assert {c["label"]: (c["mu"], c["lambda"]) for c in components} == invariants
+    assert [c["grade"] for c in components] == ["two-level", "two-level"]

@@ -14,8 +14,10 @@ from signedlp.curves import (
     curve_from_dict,
     fricke_residual,
     ingest_curve,
+    is_odd_prime,
     period_integral_oracle,
     periods,
+    prime_divisors,
     verify_conductor,
 )
 from signedlp.errors import BadReduction, ParseError, SingularCurve
@@ -45,6 +47,14 @@ def test_singular_curve_rejected():
             "label": "cusp", "a_invariants": [0, 0, 0, 0, 0],
             "conductor": 1, "rank": 0,
         })
+
+
+def test_is_odd_prime_matches_trial_division():
+    for n in range(-3, 20000):
+        assert is_odd_prime(n) == (n >= 3 and n % 2 == 1 and prime_divisors(n) == [n]), n
+    # strong pseudoprimes to the bases up to 7 and up to 23, and a 61-bit prime
+    assert not is_odd_prime(3215031751) and not is_odd_prime(3825123056546413051)
+    assert is_odd_prime(2**61 - 1)
 
 
 def test_default_e_sequence():

@@ -201,6 +201,8 @@ def test_noncanonical_fractions_import_as_canonical(tmp_path):
 
 
 _MALFORMED = "53a1,5\n0,0,0,1,0,1\n1,1,1,2,0,1\n"
+# a fifth row after the one under test, so that level 1 (4 rows) still fits
+_LAST_ROW = "1,3,0,1,0,1\n"
 
 
 @pytest.mark.parametrize("row, message", [
@@ -210,10 +212,42 @@ _MALFORMED = "53a1,5\n0,0,0,1,0,1\n1,1,1,2,0,1\n"
 ], ids=["negative-level", "non-unit", "duplicate"])
 def test_import_rejects_malformed_rows(tmp_path, row, message):
     path = tmp_path / "bad.csv"
-    path.write_text(_MALFORMED + row + "\n")
+    path.write_text(_MALFORMED + row + "\n" + _LAST_ROW)
     with pytest.raises(ParseError) as err:
         import_table(path)
     assert message in str(err.value) and "line 4" in str(err.value)
+
+
+@pytest.mark.parametrize("header", ["53a1,0", "53a1,4"], ids=["zero", "composite"])
+def test_import_rejects_header_that_is_not_an_odd_prime(tmp_path, header):
+    path = tmp_path / "bad.csv"
+    path.write_text(header + "\n0,0,0,1,0,1\n")
+    with pytest.raises(ParseError) as err:
+        import_table(path)
+    assert "is not an odd prime" in str(err.value) and "line 1" in str(err.value)
+
+
+def test_import_accepts_a_huge_header_prime(tmp_path):
+    # the primality check answers at once: no trial division up to 2^30.5
+    path = tmp_path / "huge.csv"
+    path.write_text(f"53a1,{2**61 - 1}\n0,0,0,1,0,1\n")
+    table = import_table(path)
+    assert table.p == 2**61 - 1 and table.has_level(0) and not table.has_level(1)
+
+
+def test_import_rejects_level_beyond_the_row_count(tmp_path):
+    # level 10^8 would need 5^(10^8 - 1) * 4 rows: refused before p**k is built
+    path = tmp_path / "bad.csv"
+    path.write_text(_MALFORMED + "100000000,1,1,1,0,1\n" + _LAST_ROW)
+    with pytest.raises(ParseError) as err:
+        import_table(path)
+    assert "level 100000000 needs 5^99999999*4 rows" in str(err.value)
+    assert "line 4" in str(err.value)
+    # level 2 needs 20 rows and the file has 4: it can never be complete
+    path.write_text(_MALFORMED + "2,1,1,1,0,1\n" + _LAST_ROW)
+    with pytest.raises(ParseError) as err:
+        import_table(path)
+    assert "level 2 needs 5^1*4 rows, the file has 4" in str(err.value)
 
 
 def test_import_errors(tmp_path):

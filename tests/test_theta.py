@@ -131,6 +131,16 @@ def test_build_theta_matches_rational_reference_on_random_tables():
                 assert got == _reference_theta(table, n, M), (p, K, n)
 
 
+def test_taylor_shift_matches_rational_reference_at_levels_4_and_5():
+    # d = 81 and 243: several rounds of the divide-and-conquer shift, and a
+    # top block that is partly padding.  One table and three (n, M) pairs,
+    # since the Fraction reference is quadratic in p^n
+    table = _random_table(random.Random(2104), 3, 6)
+    for n, M in ((4, 1), (4, 30), (5, 8)):
+        got = build_theta(table, n, M).body.coeffs
+        assert got == _reference_theta(table, n, M), (n, M)
+
+
 def test_build_theta_matches_rational_reference_on_fixtures(store):
     for label, p in (("53a1", 3), ("53a1", 5), ("37a1", 3)):
         table = store.table(label, p, 3)
