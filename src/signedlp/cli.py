@@ -9,7 +9,11 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
+
+# numpy's OpenBLAS would start a thread pool on import that nothing here uses
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 from .analyzer import emit_report
 from .curves import a_ell, classify_reduction, ingest_curve, periods
@@ -76,9 +80,9 @@ def cmd_curve_info(args) -> int:
     if args.p:
         red = classify_reduction(curve, args.p)
         info["reduction_at_p"] = {"p": args.p, "type": red.kind, "a_p": red.a_p}
-    per = periods(curve, max(args.digits, 20))
-    info["omega_plus"] = float(per.omega_plus)
-    info["omega_minus_imag"] = float(per.omega_minus.imag)
+    per = periods(curve)
+    info["omega_plus"] = per.omega_plus
+    info["omega_minus_imag"] = per.omega_minus.imag
     info["real_components"] = per.real_components
     _emit(info, args)
     return 0
@@ -203,7 +207,8 @@ def build_parser() -> argparse.ArgumentParser:
     info = subs.add_parser("curve-info", help="curve invariants and periods")
     info.add_argument("--curve", required=True)
     info.add_argument("--p", type=int, default=None)
-    info.add_argument("--digits", type=int, default=30)
+    info.add_argument("--digits", type=int, default=30,
+                      help="accepted and ignored: periods are float64")
     info.add_argument("--out", default=None)
     info.set_defaults(func=cmd_curve_info)
 

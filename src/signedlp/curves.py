@@ -2,9 +2,9 @@
 
 Points are counted exhaustively (vectorized with numpy) at every prime, good
 or bad; the q-expansion is computed once per curve and grown in place.
-Periods of the real lattice come from AGM-type iteration (Carlson symmetric
-integrals) and are cross-checked in the tests against direct numerical
-integration.
+Periods of the real lattice are float64: Carlson's R_F by duplication on
+the roots of the cubic, cross-checked in the tests against a 40-digit
+reference and against direct numerical integration.
 
 Lattice orientation convention: Omega_plus is the least positive real
 period times the number of connected components of E(R); Omega_minus is the
@@ -14,12 +14,12 @@ part.  Modular-symbol integrality depends on this choice.
 
 from __future__ import annotations
 
+import cmath
 import json
 import math
 from dataclasses import dataclass
 from typing import Optional
 
-import mpmath
 import numpy as np
 
 from .errors import (
@@ -387,70 +387,81 @@ def _primes_in(spf: np.ndarray) -> list:
 
 @dataclass(frozen=True)
 class Periods:
-    omega_plus: object   # positive real (mpf)
-    omega_minus: object  # purely imaginary with positive imaginary part (mpc)
+    omega_plus: float     # positive real
+    omega_minus: complex  # purely imaginary with positive imaginary part
     real_components: int
 
 
-def periods(curve: CurveData, digits: int = 30) -> Periods:
-    """Generators of the real/imaginary period lattice directions.
+def periods(curve: CurveData) -> Periods:
+    """Generators of the real/imaginary period lattice directions, in float64.
 
-    Uses Carlson's R_F (an AGM-type duplication iteration) on the roots of
-    the completed-square cubic 4x^3 + b2 x^2 + 2 b4 x + b6, for both signs
-    of the discriminant (Cremona, Algorithms for Modular Elliptic Curves, ch. 3).
-    """
-    if digits < 15:
-        digits = 15
-    b2, b4, b6, _ = curve.b_invariants
-    with mpmath.workdps(digits + 10):
-        roots = mpmath.polyroots(
-            [4, b2, 2 * b4, b6], maxsteps=200, extraprec=60
-        )
-        disc = curve.discriminant
-        if disc > 0:
-            es = sorted((r.real for r in roots), reverse=True)
-            e1, e2, e3 = [mpmath.mpf(r) for r in es]
-            omega_least = 2 * mpmath.elliprf(0, e1 - e2, e1 - e3)
-            nu = 2 * mpmath.elliprf(0, e1 - e3, e2 - e3)
-            components = 2
-        else:
-            real_roots = [r for r in roots if abs(r.imag) < mpmath.mpf(10) ** (-digits)]
-            if len(real_roots) != 1:
-                raise NonConvergence("expected exactly one real root")
-            e1 = real_roots[0].real
-            others = [r for r in roots if r not in real_roots]
-            ra, rb = others
-            omega_least = 2 * mpmath.elliprf(0, e1 - ra, e1 - rb)
-            if abs(omega_least.imag) > mpmath.mpf(10) ** (-digits + 2):
-                raise NonConvergence("real period came out complex")
-            omega_least = omega_least.real
-            # purely imaginary generator, 2 int_(-oo)^e1 dx / sqrt(-cubic(x)):
-            # R_F of the conjugate pair is real up to rounding
-            nu = mpmath.re(2 * mpmath.elliprf(0, ra - e1, rb - e1))
-            components = 1
-        omega_plus = components * omega_least
-        if omega_plus <= 0:
-            raise NonConvergence("real period is not positive")
-        return Periods(
-            omega_plus=+omega_plus,
-            omega_minus=mpmath.mpc(0, +nu),
-            real_components=components,
-        )
-
-
-def period_integral_oracle(curve: CurveData, digits: int = 25):
-    """Least real period by direct quadrature; used to cross-check the AGM.
-
-    The substitution x = e1 + t^2 removes the square-root singularity at the
-    largest real root, so tanh-sinh quadrature reaches full precision.
+    Carlson's R_F on the roots of the completed-square cubic
+    4x^3 + b2 x^2 + 2 b4 x + b6, for both signs of the discriminant (Cremona,
+    Algorithms for Modular Elliptic Curves, ch. 3).  The roots are the closed
+    form of t^3 - (c4/48) t - c6/864 = 0 at t = x + b2/12, polished by Newton
+    steps on the integer cubic.
     """
     b2, b4, b6, _ = curve.b_invariants
-    with mpmath.workdps(digits + 15):
-        roots = mpmath.polyroots([4, b2, 2 * b4, b6], maxsteps=200, extraprec=60)
-        e1 = max(r.real for r in roots if abs(r.imag) < mpmath.mpf(10) ** (-digits))
-        others = sorted(roots, key=lambda r: abs(r - e1))[1:]
-        ra, rb = others
-        integrand = lambda t: 1 / mpmath.sqrt(
-            (t * t + e1 - ra) * (t * t + e1 - rb)
-        )
-        return 2 * mpmath.quad(integrand, [0, mpmath.inf])
+    c4, c6 = curve.c_invariants
+
+    def root(t):  # x = t - b2/12 after three Newton steps
+        x = t - b2 / 12
+        for _ in range(3):
+            x -= (((4 * x + b2) * x + 2 * b4) * x + b6) / ((12 * x + 2 * b2) * x + 2 * b4)
+        return x
+
+    if curve.discriminant > 0:
+        # t_k = (sqrt(c4)/6) cos((theta - 2 pi k)/3), cos(theta) = c6/c4^(3/2)
+        theta = math.acos(max(-1.0, min(1.0, c6 / c4**1.5)))
+        e1, e2, e3 = sorted((root(math.sqrt(c4) / 6 * math.cos((theta - 2 * math.pi * k) / 3))
+                             for k in range(3)), reverse=True)
+        omega_least = 2 * _carlson_rf(0, e1 - e2, e1 - e3).real
+        nu = 2 * _carlson_rf(0, e1 - e3, e2 - e3).real
+        components = 2
+    else:
+        # Cardano: the two cube roots multiply to c4, so the second is read
+        # off the first, taken where c6 and the square root agree in sign
+        w = c6 + math.copysign(math.sqrt(c6 * c6 - c4**3), c6)
+        u = math.copysign(abs(w) ** (1 / 3), w)
+        t = (u + c4 / u) / 12
+        e1 = root(t)
+        # the conjugate pair solves s^2 + t s + t^2 - c4/48 = 0
+        ra = root(complex(-t / 2, math.sqrt(max(0.75 * t * t - c4 / 48, 0.0))))
+        if not ra.imag > 0:
+            raise NonConvergence("expected exactly one real root")
+        omega = 2 * _carlson_rf(0, e1 - ra, e1 - ra.conjugate())
+        if abs(omega.imag) > 1e-12 * abs(omega):
+            raise NonConvergence("real period came out complex")
+        omega_least = omega.real
+        # purely imaginary generator, 2 int_(-oo)^e1 dx / sqrt(-cubic(x)):
+        # R_F of the conjugate pair is real up to rounding
+        nu = 2 * _carlson_rf(0, ra - e1, ra.conjugate() - e1).real
+        components = 1
+    omega_plus = components * omega_least
+    if not omega_plus > 0:
+        raise NonConvergence("real period is not positive")
+    return Periods(omega_plus, complex(0, nu), components)
+
+
+def _carlson_rf(x, y, z) -> complex:
+    """Carlson's R_F by duplication in complex float64, for arguments off the
+    negative real axis with at most one zero (Carlson, Numer. Algorithms 10
+    (1995); the series is DLMF 19.36.1 through degree 7)."""
+    v0 = v = [complex(x), complex(y), complex(z)]
+    a0 = a = sum(v) / 3
+    # duplication stops once 4^-m (3 r)^(-1/8) max|A0 - v| < |A_m| with
+    # r = 2^-53: the degree-7 series then truncates below rounding
+    q = (3 * 2.0**-53) ** (-1 / 8) * max(abs(a0 - t) for t in v)
+    for m in range(64):
+        if q < abs(a):
+            break
+        sx, sy, sz = map(cmath.sqrt, v)
+        lam = sx * sy + sx * sz + sy * sz
+        v, a, q = [(t + lam) / 4 for t in v], (a + lam) / 4, q / 4
+    else:
+        raise NonConvergence("R_F duplication did not converge")
+    dx, dy = ((a0 - t) / (4.0**m * a) for t in v0[:2])
+    dz = -dx - dy
+    e2, e3 = dx * dy - dz * dz, dx * dy * dz
+    return (1 - e2 / 10 + e3 / 14 + e2 * e2 / 24 - 3 * e2 * e3 / 44 - 5 * e2**3 / 208
+            + 3 * e3 * e3 / 104 + e2 * e2 * e3 / 16) / cmath.sqrt(a)

@@ -38,6 +38,7 @@ from .lambda_ring import (
     LambdaElement,
     divrem,
     exact_quotient,
+    mu_lambda,
     weierstrass,
 )
 
@@ -104,19 +105,9 @@ def _x_lower_bound(rep: LambdaElement) -> int:
 
 
 def _class_invariants(rep: LambdaElement):
-    """(InvariantReport, limit_certified) for a class representative."""
+    """(InvariantReport, limit_certified); the limit needs mu = 0."""
     w = weierstrass(rep)
-    if not w.conclusive:
-        return w, False
-    if w.mu == 0:
-        return w, True
-    note = (w.note + "; " if w.note else "") + (
-        "positive p-content observed on the representative only"
-    )
-    return InvariantReport(
-        w.mu, w.lam, w.distinguished_part, w.unit_part,
-        w.certified_precision, note,
-    ), False
+    return w, w.conclusive and w.mu == 0
 
 
 def _coherent(top: LambdaElement, lower: LambdaElement, modulus: LambdaElement) -> bool:
@@ -154,10 +145,8 @@ def extract_plus_minus(thetas, a_p: int) -> SignedPair:
                 raise NotStabilized(
                     f"{label}: quotients at levels {low} and {top} disagree"
                 )
-            w_top, w_low = weierstrass(quotients[top]), weierstrass(quotients[low])
-            if w_top.conclusive and w_low.conclusive and (
-                (w_top.mu, w_top.lam) != (w_low.mu, w_low.lam)
-            ):
+            inv_top, inv_low = mu_lambda(quotients[top]), mu_lambda(quotients[low])
+            if INCONCLUSIVE not in (inv_top[0], inv_low[0]) and inv_top != inv_low:
                 raise NotStabilized(
                     f"{label}: invariants drift between levels {low} and {top}"
                 )
@@ -219,14 +208,14 @@ def extract_sharp_flat(thetas, a_p: int, p: int) -> SignedPair:
     if top - 1 in solves:
         A_low, B_low = solves[top - 1]
         for idx, (hi, lo) in enumerate(((A, A_low), (B, B_low))):
-            w_hi, w_lo = weierstrass(hi), weierstrass(lo)
-            if w_hi.conclusive and w_lo.conclusive:
-                if (w_hi.mu, w_hi.lam) != (w_lo.mu, w_lo.lam):
+            inv_hi, inv_lo = mu_lambda(hi), mu_lambda(lo)
+            if INCONCLUSIVE not in (inv_hi[0], inv_lo[0]):
+                if inv_hi != inv_lo:
                     raise NotStabilized(
                         f"component {idx}: invariants drift at level {top}"
                     )
                 grades[idx] = "two-level"
-            elif not w_lo.conclusive and lo.is_zero_at_precision:
+            elif lo.is_zero_at_precision:
                 # lower solve is degenerate; consistency means the top
                 # component vanishes modulo the lower class modulus (X)
                 if not hi.coeffs[0]:
@@ -284,11 +273,10 @@ def invariant_fit(thetas) -> dict:
         levels = sorted(n for n in thetas if n % 2 == parity)
         points = []
         for n in levels:
-            w = weierstrass(thetas[n].body)
-            if not w.conclusive:
+            mu, lam = mu_lambda(thetas[n].body)
+            if mu is INCONCLUSIVE:
                 continue
-            q_n = _accumulated_degree(p, n)
-            points.append((n, w.mu, w.lam - q_n))
+            points.append((n, mu, lam - _accumulated_degree(p, n)))
         if not points:
             out[name] = FitResult(name, INCONCLUSIVE, INCONCLUSIVE,
                                   tuple(levels), False, "no conclusive levels")

@@ -23,6 +23,7 @@ p-power content, and they are tracked.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from itertools import repeat
 from typing import Optional
@@ -166,21 +167,20 @@ class LambdaElement:
     coeffs: tuple
 
     def __init__(self, context, coeffs):
+        coeffs, degree = _reduce_coeffs(context, coeffs)
         object.__setattr__(self, "context", context)
-        object.__setattr__(self, "coeffs", _reduce_coeffs(context, coeffs))
+        object.__setattr__(self, "coeffs", coeffs)
+        object.__setattr__(self, "_degree", degree)
 
     # -- inspection -------------------------------------------------------------
 
     def degree(self) -> int:
         """Index of the last coefficient nonzero at precision; -1 for zero."""
-        for i in range(len(self.coeffs) - 1, -1, -1):
-            if self.coeffs[i]:
-                return i
-        return -1
+        return self._degree
 
     @property
     def is_zero_at_precision(self) -> bool:
-        return not any(self.coeffs)
+        return self._degree < 0
 
     def is_distinguished(self) -> bool:
         """Monic polynomial whose lower coefficients are divisible by p."""
@@ -285,9 +285,9 @@ class LambdaElement:
         )
 
 
-def _reduce_coeffs(ctx: IwasawaContext, coeffs) -> tuple:
+def _reduce_coeffs(ctx: IwasawaContext, coeffs):
     """Residues of a raw integer coefficient list in the context modulus,
-    padded with zeros to trunc_len."""
+    padded with zeros to trunc_len, and the degree, found before padding."""
     mod = ctx.modulus
     n = ctx.trunc_len
     work = [c % mod for c in coeffs]
@@ -297,8 +297,11 @@ def _reduce_coeffs(ctx: IwasawaContext, coeffs) -> tuple:
         omega[0] -= 1
         _, work = _divmod_monic(work, [c % mod for c in omega], mod)
     del work[n:]
+    degree = len(work) - 1
+    while degree >= 0 and not work[degree]:
+        degree -= 1
     work.extend([0] * (n - len(work)))
-    return tuple(work)
+    return tuple(work), degree
 
 
 # -- the kernel: one multiply, one division ---------------------------------------
@@ -456,17 +459,22 @@ class InvariantReport:
     lam: Optional[int]
     distinguished_part: Optional[LambdaElement] = None
     unit_part: Optional[LambdaElement] = None
-    certified_precision: tuple = (0, 0)
-    note: str = ""
 
     @property
     def conclusive(self) -> bool:
         return self.mu is not None and self.lam is not None
 
-    def __str__(self):
-        if not self.conclusive:
-            return f"inconclusive ({self.note})"
-        return f"mu={self.mu}, lambda={self.lam}"
+
+def mu_lambda(F: LambdaElement) -> tuple:
+    """(mu, lambda) read off the coefficients: mu the least p-adic valuation,
+    lambda the first index attaining it; (INCONCLUSIVE, INCONCLUSIVE) when
+    every coefficient vanishes at precision.  weierstrass certifies them."""
+    content = math.gcd(*F.coeffs)
+    if not content:
+        return INCONCLUSIVE, INCONCLUSIVE
+    mu = padic_valuation(content, F.context.prime)
+    q = F.context.prime ** (mu + 1)
+    return mu, next(i for i, c in enumerate(F.coeffs) if c % q)
 
 
 def weierstrass(F: LambdaElement) -> InvariantReport:
@@ -480,39 +488,27 @@ def weierstrass(F: LambdaElement) -> InvariantReport:
     Returns an inconclusive report when every coefficient vanishes at
     precision.
     """
-    ctx = F.context
-    M = ctx.precision
-    p = ctx.prime
-    vals = [padic_valuation(c, p) if c else M for c in F.coeffs]
-    if not vals or min(vals) >= M:
-        return InvariantReport(
-            INCONCLUSIVE, INCONCLUSIVE,
-            certified_precision=(M, ctx.trunc_len),
-            note="all coefficients vanish at precision",
-        )
-    mu = min(vals)
-    lam = vals.index(mu)
+    mu, lam = mu_lambda(F)
+    if mu is INCONCLUSIVE:
+        return InvariantReport(mu, lam)
     # strip content: coefficients are now known modulo p^(M - mu)
-    Mred = M - mu
-    reduced_ctx = ctx.with_precision(Mred)
-    mod = reduced_ctx.modulus
-    G = reduced_ctx.element([c // p**mu for c in F.coeffs])
+    content = F.context.prime**mu
+    ctx = F.context.with_precision(F.context.precision - mu)
+    mod = ctx.modulus
+    G = ctx.element([c // content for c in F.coeffs])
     lower = [0] * lam
-    for _ in range(Mred + 1):
-        P = reduced_ctx.element(lower + [1])
+    for _ in range(ctx.precision + 1):
+        P = ctx.element(lower + [1])
         Q, R = divrem(G, P)
         if R.is_zero_at_precision:
-            return InvariantReport(
-                mu, lam, distinguished_part=P, unit_part=Q,
-                certified_precision=(Mred, ctx.trunc_len),
-            )
+            return InvariantReport(mu, lam, distinguished_part=P, unit_part=Q)
         # delta = R / Q mod X^lam; Q(0) is a unit since P = X^lam mod p
         # makes Q(0) = G's lambda-th coefficient mod p
         inverse = _reciprocal(Q.coeffs[:lam], lam, mod)
         delta = _mul(R.coeffs[:lam], inverse, mod)
         lower = [(a + d) % mod for a, d in zip(lower, delta)]
     raise NotDistinguished(
-        f"no distinguished part of degree {lam} after {Mred + 1} divisions"
+        f"no distinguished part of degree {lam} after {ctx.precision + 1} divisions"
     )
 
 

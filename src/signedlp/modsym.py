@@ -451,10 +451,10 @@ class SymbolTableBuilder:
         exact value and the float64 deviation from it."""
         curve, p = self.curve, self.p
         symbols = ManinSymbols(curve.conductor)
-        per = periods(curve, 15)
+        per = periods(curve)
         parts = (
-            ("plus", lambda z: z.real, float(per.omega_plus), 1),
-            ("minus", lambda z: z.imag, float(per.omega_minus.imag), -1),
+            ("plus", lambda z: z.real, per.omega_plus, 1),
+            ("minus", lambda z: z.imag, per.omega_minus.imag, -1),
         )
         meta, values, scales = {}, [], []
         for name, part, omega, sign in parts:

@@ -20,7 +20,7 @@ from .lambda_ring import (
     LambdaElement,
     divides_at_precision,
     factored_string,
-    weierstrass,
+    mu_lambda,
 )
 
 
@@ -168,8 +168,8 @@ def char_ideal(M: ElementaryModule, ctx: IwasawaContext) -> LambdaElement:
 
 
 def _is_p_element(f: LambdaElement) -> bool:
-    rep = weierstrass(f)
-    return rep.conclusive and rep.mu >= 1 and rep.lam == 0
+    mu, lam = mu_lambda(f)
+    return bool(mu) and lam == 0  # mu >= 1; INCONCLUSIVE is None
 
 
 def f_torsion_finite(M: ElementaryModule, f: LambdaElement, ctx: IwasawaContext) -> bool:
@@ -180,8 +180,7 @@ def f_torsion_finite(M: ElementaryModule, f: LambdaElement, ctx: IwasawaContext)
     """
     gen = char_ideal(M.torsion_part(), ctx)
     if _is_p_element(f):
-        w = weierstrass(gen)
-        by_divisibility = not (w.conclusive and w.mu >= 1)
+        by_divisibility = not mu_lambda(gen)[0]  # mu is 0 or INCONCLUSIVE
         by_inspection = len(M.p_part) == 0
     else:
         by_divisibility = not divides_at_precision(gen, f)

@@ -4,10 +4,12 @@ import tempfile
 import time
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 
-from signedlp.curves import a_ell, an_expansion, ingest_curve
+from signedlp.curves import Periods, a_ell, an_expansion, ingest_curve
+from signedlp.errors import NonConvergence
 from signedlp.modsym import SymbolTableBuilder, export_table, import_table
 from signedlp.theta import build_theta
 
@@ -113,6 +115,71 @@ def ideal_to_lambda(ideal, ctx):
         for _ in range(b):
             out = out * ctx.phi(n)
     return out
+
+
+def reference_periods(curve, digits: int = 30) -> Periods:
+    """Generators of the real/imaginary period lattice directions, in mpmath
+    at digits + 10 working digits: the reference for the float64 periods.
+
+    Uses Carlson's R_F (an AGM-type duplication iteration) on the roots of
+    the completed-square cubic 4x^3 + b2 x^2 + 2 b4 x + b6, for both signs
+    of the discriminant (Cremona, Algorithms for Modular Elliptic Curves, ch. 3).
+    """
+    if digits < 15:
+        digits = 15
+    b2, b4, b6, _ = curve.b_invariants
+    with mpmath.workdps(digits + 10):
+        roots = mpmath.polyroots(
+            [4, b2, 2 * b4, b6], maxsteps=200, extraprec=60
+        )
+        disc = curve.discriminant
+        if disc > 0:
+            es = sorted((r.real for r in roots), reverse=True)
+            e1, e2, e3 = [mpmath.mpf(r) for r in es]
+            omega_least = 2 * mpmath.elliprf(0, e1 - e2, e1 - e3)
+            nu = 2 * mpmath.elliprf(0, e1 - e3, e2 - e3)
+            components = 2
+        else:
+            real_roots = [r for r in roots if abs(r.imag) < mpmath.mpf(10) ** (-digits)]
+            if len(real_roots) != 1:
+                raise NonConvergence("expected exactly one real root")
+            e1 = real_roots[0].real
+            others = [r for r in roots if r not in real_roots]
+            ra, rb = others
+            omega_least = 2 * mpmath.elliprf(0, e1 - ra, e1 - rb)
+            if abs(omega_least.imag) > mpmath.mpf(10) ** (-digits + 2):
+                raise NonConvergence("real period came out complex")
+            omega_least = omega_least.real
+            # purely imaginary generator, 2 int_(-oo)^e1 dx / sqrt(-cubic(x)):
+            # R_F of the conjugate pair is real up to rounding
+            nu = mpmath.re(2 * mpmath.elliprf(0, ra - e1, rb - e1))
+            components = 1
+        omega_plus = components * omega_least
+        if omega_plus <= 0:
+            raise NonConvergence("real period is not positive")
+        return Periods(
+            omega_plus=+omega_plus,
+            omega_minus=mpmath.mpc(0, +nu),
+            real_components=components,
+        )
+
+
+def period_integral_oracle(curve, digits: int = 25):
+    """Least real period by direct quadrature; used to cross-check the AGM.
+
+    The substitution x = e1 + t^2 removes the square-root singularity at the
+    largest real root, so tanh-sinh quadrature reaches full precision.
+    """
+    b2, b4, b6, _ = curve.b_invariants
+    with mpmath.workdps(digits + 15):
+        roots = mpmath.polyroots([4, b2, 2 * b4, b6], maxsteps=200, extraprec=60)
+        e1 = max(r.real for r in roots if abs(r.imag) < mpmath.mpf(10) ** (-digits))
+        others = sorted(roots, key=lambda r: abs(r - e1))[1:]
+        ra, rb = others
+        integrand = lambda t: 1 / mpmath.sqrt(
+            (t * t + e1 - ra) * (t * t + e1 - rb)
+        )
+        return 2 * mpmath.quad(integrand, [0, mpmath.inf])
 
 
 @pytest.fixture(scope="session")

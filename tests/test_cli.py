@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 
@@ -23,6 +24,26 @@ def test_unknown_flag_exits_2():
     )
     assert proc.returncode == 2
     assert "usage" in proc.stderr.lower()
+
+
+_IMPORT_PROBE = (
+    "import os, sys; import signedlp.cli; "
+    "print(os.environ.get('OPENBLAS_NUM_THREADS'), 'mpmath' in sys.modules)"
+)
+
+
+@pytest.mark.parametrize("preset, expected", [(None, "1 False"), ("2", "2 False")])
+def test_cli_import_pins_openblas_and_skips_mpmath(preset, expected):
+    # a fresh interpreter, so that numpy or mpmath loaded by pytest cannot
+    # mask what importing the CLI loads
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    if preset is not None:
+        env["OPENBLAS_NUM_THREADS"] = preset
+    proc = subprocess.run(
+        [sys.executable, "-c", _IMPORT_PROBE], capture_output=True, text=True, env=env,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == expected.split()
 
 
 def test_signed_reports_gcd_x(capsys):

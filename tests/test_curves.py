@@ -15,14 +15,13 @@ from signedlp.curves import (
     fricke_residual,
     ingest_curve,
     is_odd_prime,
-    period_integral_oracle,
     periods,
     prime_divisors,
     verify_conductor,
 )
 from signedlp.errors import BadReduction, ParseError, SingularCurve
 
-from conftest import smoothed_l_sum
+from conftest import period_integral_oracle, reference_periods, smoothed_l_sum
 
 DATA = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data")
 
@@ -258,18 +257,34 @@ def test_supersingular_ap_shape(store):
 
 
 def test_periods_37a1(store):
-    per = periods(store.curve("37a1"), 25)
+    per = periods(store.curve("37a1"))
     assert per.real_components == 2
     assert per.omega_plus > 0
-    assert abs(float(per.omega_plus) - 5.986917292463919) < 1e-12
-    assert float(per.omega_minus.imag) > 0
+    assert abs(per.omega_plus - 5.986917292463919) < 1e-12
+    assert per.omega_minus.real == 0 and per.omega_minus.imag > 0
+
+
+def test_float_periods_match_reference(store):
+    # both signs of the discriminant: 11a1, 11a3, 14a1, 53a1 negative; 15a1,
+    # 37a1, 5077a1 positive
+    fixtures = [store.curve(label) for label in ("11a1", "37a1", "53a1")]
+    fixtures += [ingest_curve(os.path.join(DATA, f"{label}.json"))
+                 for label in ("11a3", "14a1", "15a1", "5077a1")]
+    assert {c.discriminant > 0 for c in fixtures} == {True, False}
+    for c in fixtures:
+        per, ref = periods(c), reference_periods(c, 40)
+        assert per.real_components == ref.real_components
+        assert abs(per.omega_plus - ref.omega_plus) < 1e-15 * ref.omega_plus, c.label
+        nu = ref.omega_minus.imag
+        assert per.omega_minus.real == 0
+        assert abs(per.omega_minus.imag - nu) < 1e-15 * nu, c.label
 
 
 def test_periods_against_quadrature_oracle(store):
     digits = 25
     for label in ("37a1", "53a1"):
         c = store.curve(label)
-        per = periods(c, digits)
+        per = reference_periods(c, digits)
         oracle = period_integral_oracle(c, digits)
         with mpmath.workdps(digits + 10):
             least = per.omega_plus / per.real_components
@@ -283,7 +298,7 @@ def test_l_value_vanishes_at_one(store):
     for label in ("37a1", "53a1"):
         c = store.curve(label)
         l_value = smoothed_l_sum(c, 1.3) - c.fricke_sign * smoothed_l_sum(c, 1 / 1.3)
-        assert abs(l_value) / float(periods(c).omega_plus) < 1e-12
+        assert abs(l_value) / periods(c).omega_plus < 1e-12
 
 
 def test_fricke_sign_verified_numerically(store):
@@ -313,7 +328,7 @@ def test_imaginary_period_against_quadrature(store):
     for label in ("11a1", "53a1"):
         c = store.curve(label)
         b2, b4, b6, _ = c.b_invariants
-        nu = periods(c, digits).omega_minus.imag
+        nu = reference_periods(c, digits).omega_minus.imag
         with mpmath.workdps(digits + 10):
             roots = mpmath.polyroots([4, b2, 2 * b4, b6], maxsteps=200, extraprec=60)
             e1 = min(roots, key=lambda r: abs(r.imag)).real

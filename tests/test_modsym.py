@@ -18,7 +18,14 @@ from signedlp.modsym import (
 )
 from signedlp.theta import build_theta
 
-from conftest import exported, smoothed_l_sum, symbol, synthetic_table, table_keys
+from conftest import (
+    exported,
+    reference_periods,
+    smoothed_l_sum,
+    symbol,
+    synthetic_table,
+    table_keys,
+)
 
 DATA = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data")
 
@@ -83,7 +90,7 @@ def test_stability_under_higher_precision(store):
     for label in ("11a1", "37a1", "53a1"):
         c = store.curve(label)
         meta = store.table(label, 3, 1).meta
-        per = periods(c, 40)
+        per = reference_periods(c, 40)
         with mpmath.workdps(40):
             for part, omega in (("plus", per.omega_plus), ("minus", per.omega_minus.imag)):
                 (a, _), (cc, d) = meta[part]["cycle"]
@@ -313,7 +320,7 @@ def test_boundary_period_integral(store):
     for label, p in (("11a1", 19), ("37a1", 17), ("53a1", 5)):
         c = store.curve(label)
         lam0 = c.fricke_sign * smoothed_l_sum(c, 1 / 1.3) - smoothed_l_sum(c, 1.3)
-        boundary = lam0 / float(periods(c).omega_plus)
+        boundary = lam0 / periods(c).omega_plus
         assert abs(boundary - symbol(store.table(label, p, 1), 0, 0)) < 1e-12
 
 

@@ -7,7 +7,6 @@ PACKAGE = pathlib.Path(__file__).resolve().parents[1] / "src" / "signedlp"
 
 # module-level functions that nothing in the package calls, each with its reason
 UNCALLED_ALLOWED = {
-    "period_integral_oracle": "quadrature reference for the AGM periods",
     "f_torsion_finite": "module semantics checked by the acceptance suite",
     "ses_char_check": "module semantics checked by the acceptance suite",
 }
@@ -38,6 +37,20 @@ def test_no_assert_statements_in_package():
         if isinstance(node, ast.Assert)
     ]
     assert not found, f"assert statements in package source: {found}"
+
+
+def test_no_module_imports_mpmath():
+    # periods are float64; the multiprecision reference lives in the tests
+    found = [
+        f"{name}:{node.lineno}"
+        for name, tree in _package_trees().items()
+        for node in ast.walk(tree)
+        if (isinstance(node, ast.Import)
+            and any(alias.name.split(".")[0] == "mpmath" for alias in node.names))
+        or (isinstance(node, ast.ImportFrom) and node.level == 0
+            and (node.module or "").split(".")[0] == "mpmath")
+    ]
+    assert not found, f"mpmath imported in package source: {found}"
 
 
 def _referenced_names(trees):
