@@ -32,7 +32,8 @@ _IMPORT_PROBE = (
 )
 
 
-@pytest.mark.parametrize("preset, expected", [(None, "1 False"), ("2", "2 False")])
+@pytest.mark.parametrize("preset, expected", [(None, ["1", "False"]), ("2", ["2", "False"])],
+                         ids=["unset", "preset"])
 def test_cli_import_pins_openblas_and_skips_mpmath(preset, expected):
     # a fresh interpreter, so that numpy or mpmath loaded by pytest cannot
     # mask what importing the CLI loads
@@ -43,7 +44,7 @@ def test_cli_import_pins_openblas_and_skips_mpmath(preset, expected):
         [sys.executable, "-c", _IMPORT_PROBE], capture_output=True, text=True, env=env,
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == expected.split()
+    assert proc.stdout.split() == expected
 
 
 def test_signed_reports_gcd_x(capsys):
