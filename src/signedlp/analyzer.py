@@ -6,57 +6,28 @@ cofactor argument: a component that is exactly X^alpha times a unit pins
 the gcd to a divisor of X^alpha, and certified X-divisibility of the other
 component does the rest.  Everything else is reported as heuristic.
 
-mu of the gcd at finite precision follows the conservative rule: declared
-zero when either series has a unit coefficient, inconclusive otherwise;
-never asserted positive from truncation alone.
+mu of the gcd at finite precision follows the conservative rule of
+lambda_ring.gcd_mu: declared zero when either series has a unit
+coefficient, inconclusive otherwise; never asserted positive from
+truncation alone.
 """
 
 from __future__ import annotations
 
 import csv
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional
 
 from .errors import IoError, PrecisionExhausted
 from .extract import SignedPair, SignedSeries
-from .lambda_ring import (
-    INCONCLUSIVE,
-    IwasawaContext,
-    LambdaElement,
-    factored_string,
-    gcd_lambda,
-)
+from .lambda_ring import INCONCLUSIVE, GcdReport, gcd_lambda, gcd_mu
 from .modules import FactoredIdeal, RankSequence, gr_ideal, kp_ideal
 
 
-@dataclass
-class GcdReport:
-    mu: Optional[int]
-    x_exp: int
-    phi_exps: dict
-    residual: str  # "1" or a polynomial rendering
-    certified: bool
-    detail: str = ""
-
-    def as_string(self) -> str:
-        return factored_string(
-            self.mu, self.x_exp, sorted(self.phi_exps.items()), self.residual
-        )
-
-    def as_factored_ideal(self) -> FactoredIdeal:
-        return FactoredIdeal(self.mu or 0, self.x_exp, self.phi_exps)
-
-    @property
-    def has_unknown_part(self) -> bool:
-        return self.residual not in ("1", "")
-
-
-def _common_context(a: LambdaElement, b: LambdaElement):
-    D = max(a.context.trunc_len, b.context.trunc_len)
-    M = min(a.context.precision, b.context.precision)
-    ctx = IwasawaContext(a.context.prime, M, ("degree", D))
-    return a.in_context(ctx), b.in_context(ctx), ctx
+def gcd_ideal(gcd: GcdReport) -> FactoredIdeal:
+    """The named factors of the gcd as an ideal; an inconclusive mu reads 0."""
+    return FactoredIdeal(gcd.mu or 0, gcd.x_exp, gcd.phi_exps)
 
 
 def gcd_signed_pair(pair: SignedPair) -> GcdReport:
@@ -71,22 +42,8 @@ def gcd_signed_pair(pair: SignedPair) -> GcdReport:
     raise PrecisionExhausted("gcd needs at least one conclusive series")
 
 
-def _mu_rule(a: SignedSeries, b: SignedSeries):
-    """mu(gcd): zero when either series shows a unit coefficient."""
-    mus = []
-    for c in (a, b):
-        if c.invariants.conclusive:
-            mus.append(c.invariants.mu)
-    if any(m == 0 for m in mus):
-        return 0, True
-    return INCONCLUSIVE, False
-
-
 def _gcd_two_conclusive(a: SignedSeries, b: SignedSeries) -> GcdReport:
-    A, B, ctx = _common_context(a.series, b.series)
-    fact = gcd_lambda(A, B)
-    mu, mu_certain = _mu_rule(a, b)
-    residual = fact.residual_string
+    fact = gcd_lambda(a.invariants, b.invariants)
     # limit certification by the unit-cofactor argument: only a gcd of the
     # form X^0 or X^1 transfers from representatives to the limit objects
     # (an X-exponent of 1 survives any change of representative modulo a
@@ -94,32 +51,30 @@ def _gcd_two_conclusive(a: SignedSeries, b: SignedSeries) -> GcdReport:
     if fact.x_exp == 0:
         x_ok = True
     elif fact.x_exp == 1:
-        x_ok = any(
-            c.invariants.mu == 0 and c.invariants.lam == 1 and c.x_lower_bound >= 1
-            for c in (a, b)
-        ) and all(c.x_lower_bound >= 1 for c in (a, b))
+        x_ok = (a.is_x_times_unit or b.is_x_times_unit) and all(
+            c.x_lower_bound >= 1 for c in (a, b)
+        )
     else:
         x_ok = False
-    pure = not fact.phi_exps and residual == "1" and x_ok
-    certified = bool(fact.certified and mu_certain and pure)
+    pure = not fact.phi_exps and fact.residual == "1" and x_ok
+    certified = fact.certified and fact.mu == 0 and pure
     detail = fact.detail
     if fact.certified and not pure:
         detail = (detail + "; " if detail else "") + (
             "shared factors read off representatives only"
         )
-    return GcdReport(mu, fact.x_exp, dict(fact.phi_exps), residual, certified, detail)
+    return replace(fact, certified=certified, detail=detail)
 
 
 def _gcd_one_degenerate(good: SignedSeries, degenerate: SignedSeries) -> GcdReport:
     """One series is zero at precision; use its certified X-divisibility."""
-    inv = good.invariants
-    mu = 0 if inv.mu == 0 else INCONCLUSIVE
-    if inv.mu == 0 and inv.lam == good.x_lower_bound == 1 and degenerate.x_lower_bound >= 1:
+    if good.is_x_times_unit and degenerate.x_lower_bound >= 1:
         # good = X * unit exactly, X divides the other: gcd = X, certified
         return GcdReport(0, 1, {}, "1", True,
                          "unit-cofactor argument with a zero-at-precision partner")
     return GcdReport(
-        mu, min(good.x_lower_bound, degenerate.x_lower_bound), {}, "1", False,
+        gcd_mu(good.invariants, degenerate.invariants),
+        min(good.x_lower_bound, degenerate.x_lower_bound), {}, "1", False,
         "partner series vanishes at precision; only X-divisibility is visible",
     )
 
@@ -169,7 +124,7 @@ def compare_predictions(
     if gcd.mu is INCONCLUSIVE or gcd.has_unknown_part or not gcd.certified:
         v.add("KP", "INCONCLUSIVE", f"gcd not certified: {gcd.as_string()}")
     else:
-        got = gcd.as_factored_ideal()
+        got = gcd_ideal(gcd)
         v.add(
             "KP",
             "PASS" if got == kp else "FAIL",
@@ -183,7 +138,7 @@ def compare_predictions(
     if gcd.mu is INCONCLUSIVE or not gcd.certified:
         v.add("X-shift", "INCONCLUSIVE", "gcd not certified")
         return v
-    got = gcd.as_factored_ideal()
+    got = gcd_ideal(gcd)
     delta = None
     for d in (0, 1):
         if got == fine_char.times_x(d):

@@ -126,8 +126,8 @@ def cmd_theta(args) -> int:
     for n in range(cfg.n_max + 1):
         thetas[n] = build_theta(table, n, cfg.precision)
         payload["thetas"][str(n)] = {
-            "body": str(thetas[n].body),
-            "value_at_zero_vanishes": not thetas[n].body.coeffs[0],
+            "body": str(thetas[n]),
+            "value_at_zero_vanishes": not thetas[n].coeffs[0],
         }
     ap = a_ell(curve, cfg.p)
     payload["compat"] = {

@@ -180,7 +180,6 @@ def a_bad_prime(curve: CurveData, p: int) -> int:
 class ReductionType:
     kind: str  # good-ordinary | good-supersingular | multiplicative | additive
     a_p: Optional[int] = None
-    v_p_of_ap: Optional[int] = None  # None means a_p = 0 (infinite valuation)
 
     @property
     def is_supersingular(self) -> bool:
@@ -194,15 +193,11 @@ def classify_reduction(curve: CurveData, p: int) -> ReductionType:
         return ReductionType(kind)
     ap = a_ell(curve, p)
     if ap % p == 0:
-        vp = None
-        if ap != 0:
-            from .padic import padic_valuation
-            vp = padic_valuation(ap, p)
         # Hasse forces a_p = 0 for supersingular p >= 5, and |a_p| <= 3 at p = 3
         if not (ap == 0 or (p == 3 and ap in (3, -3))):
             raise BadReduction(f"supersingular a_p = {ap} at p = {p} violates Hasse")
-        return ReductionType("good-supersingular", ap, vp)
-    return ReductionType("good-ordinary", ap, 0)
+        return ReductionType("good-supersingular", ap)
+    return ReductionType("good-ordinary", ap)
 
 
 def verify_conductor(curve: CurveData) -> Optional[bool]:

@@ -87,7 +87,7 @@ class SignedPair:
 def _wide_context(thetas) -> IwasawaContext:
     top = max(thetas)
     ctx = thetas[top].context
-    return IwasawaContext(ctx.prime, ctx.precision, ("degree", ctx.prime**top + 1))
+    return IwasawaContext(ctx.prime, ctx.precision, ctx.prime**top + 1)
 
 
 def _parity_product(wide: IwasawaContext, n: int) -> LambdaElement:
@@ -128,7 +128,7 @@ def extract_plus_minus(thetas, a_p: int) -> SignedPair:
             raise NotStabilized(f"no theta levels of parity {parity}")
         quotients = {}
         for n in levels:
-            lifted = thetas[n].body.in_context(wide)
+            lifted = thetas[n].in_context(wide)
             W = _parity_product(wide, n)
             if W.degree() > 0:
                 lifted = exact_quotient(lifted, W)
@@ -195,7 +195,7 @@ def extract_sharp_flat(thetas, a_p: int, p: int) -> SignedPair:
     for n in sorted(n for n in thetas if n >= 1):
         if n - 1 not in thetas:
             continue
-        u, v = thetas[n].body.in_context(wide), thetas[n - 1].body.in_context(wide)
+        u, v = thetas[n].in_context(wide), thetas[n - 1].in_context(wide)
         try:
             for k in range(n - 1, 0, -1):
                 u, v = v, exact_quotient(v.scale(a_p) - u, wide.phi(k))
@@ -273,7 +273,7 @@ def invariant_fit(thetas) -> dict:
         levels = sorted(n for n in thetas if n % 2 == parity)
         points = []
         for n in levels:
-            mu, lam = mu_lambda(thetas[n].body)
+            mu, lam = mu_lambda(thetas[n])
             if mu is INCONCLUSIVE:
                 continue
             points.append((n, mu, lam - _accumulated_degree(p, n)))

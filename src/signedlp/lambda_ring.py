@@ -1,11 +1,10 @@
 """Arithmetic in Lambda = Z_p[[X]] at finite precision.
 
-Elements are coefficient vectors reduced modulo (p^M, X^D) or modulo
-(p^M, omega_n) where omega_n = (1+X)^{p^n} - 1.  Each coefficient is stored
-as a plain integer residue in [0, p^M), so a coefficient that reads 0 only
-vanishes at the working precision; callers read coeffs[i] directly.  The
-topological generator convention is fixed once and for all: gamma = 1 + p,
-sent to 1 + X.
+Elements are coefficient vectors reduced modulo (p^M, X^D).  Each
+coefficient is stored as a plain integer residue in [0, p^M), so a
+coefficient that reads 0 only vanishes at the working precision; callers
+read coeffs[i] directly.  The topological generator convention is fixed
+once and for all: gamma = 1 + p, sent to 1 + X.
 
 The cyclotomic pieces Phi_n (Phi_0 = X) are constructed with exact integer
 coefficients.  All polynomial arithmetic runs on residue lists through one
@@ -14,18 +13,19 @@ ch. 8-9).  The multiply is Kronecker substitution: both lists are packed
 into one integer each, multiplied once, and read back.  The division by a
 monic polynomial is long division for short quotients, and otherwise the
 reversed dividend times a Newton reciprocal of the reversed divisor; every
-division re-multiplies its quotient and checks the identity.  The reduction
-mod omega_n, divrem, Weierstrass preparation and the Taylor shift of theta
+division re-multiplies its quotient and checks the identity.  Division
+with remainder, Weierstrass preparation and the Taylor shift of theta
 elements all run on these two.  Division by a monic polynomial loses no
-p-adic digits; the only precision losses in this module come from stripping
-p-power content, and they are tracked.
+p-adic digits; the only precision loss in this module comes from stripping
+p-power content, and Weierstrass preparation records it in the precision
+of its parts.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import repeat
+from itertools import count, repeat
 from typing import Optional
 
 import numpy as np
@@ -58,24 +58,16 @@ def _binomial_row(n: int):
 
 @dataclass(frozen=True)
 class IwasawaContext:
-    """Working modulus for Lambda: prime, p-precision and X-truncation.
-
-    truncation is either ("degree", D) meaning X^D, or ("level", n) meaning
-    omega_n, in which case the representative degree bound is p^n.
-    """
+    """Working modulus for Lambda: prime, p-precision M and the degree
+    bound D of the X^D truncation (an element keeps D coefficients)."""
 
     prime: int
     precision: int
-    truncation: tuple = ("degree", 16)
+    trunc_len: int
 
     def __post_init__(self):
-        kind, value = self.truncation
-        if kind not in ("degree", "level"):
-            raise ValueError(f"unknown truncation kind {kind!r}")
-        if kind == "degree" and value < 1:
+        if self.trunc_len < 1:
             raise ValueError("degree bound must be at least 1")
-        if kind == "level" and value < 0:
-            raise ValueError("level must be nonnegative")
         if self.precision < 1:
             raise ValueError("precision must be at least 1")
 
@@ -88,22 +80,10 @@ class IwasawaContext:
     def modulus(self) -> int:
         return self.prime**self.precision
 
-    @property
-    def trunc_len(self) -> int:
-        kind, value = self.truncation
-        return value if kind == "degree" else self.prime**value
-
-    @property
-    def is_level(self) -> bool:
-        return self.truncation[0] == "level"
-
-    def with_truncation(self, truncation) -> "IwasawaContext":
-        return IwasawaContext(self.prime, self.precision, truncation)
-
     def with_precision(self, M: int) -> "IwasawaContext":
         if M > self.precision:
             raise MixedContext("cannot extend precision")
-        return IwasawaContext(self.prime, M, self.truncation)
+        return IwasawaContext(self.prime, M, self.trunc_len)
 
     # -- canonical elements ------------------------------------------------------
 
@@ -196,23 +176,30 @@ class LambdaElement:
         if self.context != other.context:
             raise MixedContext(f"{self.context} vs {other.context}")
 
+    # sums, differences and scalings read coefficients up to the degree
+    # only: the zero tail is left to the constructor's padding
+
     def __add__(self, other):
         self._check(other)
+        n = max(self._degree, other._degree) + 1
         return LambdaElement(
-            self.context, [a + b for a, b in zip(self.coeffs, other.coeffs)]
+            self.context, [a + b for a, b in zip(self.coeffs[:n], other.coeffs[:n])]
         )
 
     def __sub__(self, other):
         self._check(other)
+        n = max(self._degree, other._degree) + 1
         return LambdaElement(
-            self.context, [a - b for a, b in zip(self.coeffs, other.coeffs)]
+            self.context, [a - b for a, b in zip(self.coeffs[:n], other.coeffs[:n])]
         )
 
     def __neg__(self):
-        return LambdaElement(self.context, [-a for a in self.coeffs])
+        top = self.coeffs[: self._degree + 1]
+        return LambdaElement(self.context, [-a for a in top])
 
     def scale(self, c: int) -> "LambdaElement":
-        return LambdaElement(self.context, [c * a for a in self.coeffs])
+        top = self.coeffs[: self._degree + 1]
+        return LambdaElement(self.context, [c * a for a in top])
 
     def __mul__(self, other):
         if isinstance(other, int):
@@ -231,19 +218,11 @@ class LambdaElement:
     def reduce_precision(self, M: int) -> "LambdaElement":
         return LambdaElement(self.context.with_precision(M), self.coeffs)
 
-    def in_degree_context(self, D: Optional[int] = None) -> "LambdaElement":
-        """Reinterpret the representative in a plain X^D truncation."""
-        if D is None:
-            D = self.context.trunc_len
-        if D < self.context.trunc_len and any(self.coeffs[D:]):
-            raise TruncationTooSmall("representative does not fit in X^D")
-        return LambdaElement(self.context.with_truncation(("degree", D)), self.coeffs)
-
     def in_context(self, ctx: IwasawaContext) -> "LambdaElement":
         """The same representative read in ctx: same prime, no more precision.
 
-        The residues are reduced to ctx's precision and folded into its
-        truncation; a different prime or a higher precision is refused.
+        The residues are reduced to ctx's precision and cut or padded to its
+        degree bound; a different prime or a higher precision is refused.
         """
         own = self.context
         if ctx.prime != own.prime or ctx.precision > own.precision:
@@ -277,26 +256,16 @@ class LambdaElement:
         return " + ".join(terms).replace("+ -", "- ")
 
     def __repr__(self):
-        kind, value = self.context.truncation
-        mod = f"X^{value}" if kind == "degree" else f"omega_{value}"
-        return (
-            f"<{self} mod (p^{self.context.precision}, {mod}), "
-            f"p={self.context.prime}>"
-        )
+        ctx = self.context
+        return f"<{self} mod (p^{ctx.precision}, X^{ctx.trunc_len}), p={ctx.prime}>"
 
 
 def _reduce_coeffs(ctx: IwasawaContext, coeffs):
-    """Residues of a raw integer coefficient list in the context modulus,
-    padded with zeros to trunc_len, and the degree, found before padding."""
+    """Residues of a raw integer coefficient list in the context modulus, cut
+    or padded with zeros to trunc_len, and the degree, found before padding."""
     mod = ctx.modulus
     n = ctx.trunc_len
-    work = [c % mod for c in coeffs]
-    if len(work) > n and ctx.is_level:
-        # reduce modulo omega_level, monic of degree n = p^level (exact)
-        omega = _binomial_row(n)
-        omega[0] -= 1
-        _, work = _divmod_monic(work, [c % mod for c in omega], mod)
-    del work[n:]
+    work = [c % mod for c in coeffs[:n]]
     degree = len(work) - 1
     while degree >= 0 and not work[degree]:
         degree -= 1
@@ -534,67 +503,69 @@ def factored_string(mu, x_exp: int, phi_pairs, residual: str = "1") -> str:
 
 
 @dataclass
-class GcdFactorization:
-    """gcd presented as p^mu * X^alpha * prod Phi_n^beta_n * residual."""
+class GcdReport:
+    """gcd presented as p^mu * X^x_exp * prod Phi_n^b_n * (residual).
 
-    mu: int
+    mu follows gcd_mu; residual is "1" or the rendering of a common factor
+    that no named factor accounts for.  From gcd_lambda, certified says
+    whether the residual was decided; analyzer.gcd_signed_pair narrows it
+    to whether the gcd holds for the limit objects, and detail says why not.
+    """
+
+    mu: Optional[int]
     x_exp: int
     phi_exps: dict
-    residual: Optional[LambdaElement]
+    residual: str
     certified: bool
-    precision_used: int
     detail: str = ""
-
-    @property
-    def residual_string(self) -> str:
-        """The residual factor as a polynomial, or "1" when none is left."""
-        if self.residual is not None and self.residual.degree() > 0:
-            return str(self.residual)
-        return "1"
 
     def as_string(self) -> str:
         return factored_string(
-            self.mu, self.x_exp, sorted(self.phi_exps.items()), self.residual_string
+            self.mu, self.x_exp, sorted(self.phi_exps.items()), self.residual
         )
 
+    @property
+    def has_unknown_part(self) -> bool:
+        return self.residual not in ("1", "")
 
-def gcd_lambda(F: LambdaElement, G: LambdaElement, phi_limit: Optional[int] = None):
-    """gcd of two conclusive series in the form p^mu * h.
 
-    The named factors X and Phi_n (n up to phi_limit) are detected by exact
-    divrem remainder tests; whatever common factor remains is hunted by
-    Euclidean reduction on the distinguished parts, with every digit of
-    precision spent on content removal accounted for.
+def gcd_mu(*reports: InvariantReport):
+    """mu of a gcd at finite precision, by the conservative rule: zero when
+    some operand reads a unit coefficient, INCONCLUSIVE otherwise; never
+    asserted positive from truncation alone."""
+    return 0 if any(r.mu == 0 for r in reports) else INCONCLUSIVE
+
+
+def gcd_lambda(wf: InvariantReport, wg: InvariantReport) -> GcdReport:
+    """gcd in the form p^mu * h of two conclusive series, given by their
+    Weierstrass reports.
+
+    The named factors X and Phi_n (every n whose Phi_n fits the truncation)
+    are detected on the distinguished parts by exact divrem remainder
+    tests; whatever common factor remains is hunted by Euclidean reduction,
+    and certified says whether that hunt reached a decision.
     """
-    F._check(G)
-    ctx = F.context
-    wf, wg = weierstrass(F), weierstrass(G)
     if not (wf.conclusive and wg.conclusive):
         raise PrecisionExhausted("gcd needs both operands conclusive")
-    mu = min(wf.mu, wg.mu)
-    if phi_limit is None:
-        phi_limit = _default_phi_limit(ctx)
-    A = wf.distinguished_part.in_degree_context()
-    B = wg.distinguished_part.in_degree_context()
-    dctx = A.context
-    if B.context != dctx:
+    A, B = wf.distinguished_part, wg.distinguished_part
+    if A.context != B.context:
         # align the two reduced precisions at the weaker one
-        Mmin = min(A.context.precision, B.context.precision)
-        A = A.reduce_precision(Mmin)
-        B = B.reduce_precision(Mmin)
-        dctx = A.context
+        M = min(A.context.precision, B.context.precision)
+        A, B = A.reduce_precision(M), B.reduce_precision(M)
+        A._check(B)
+    ctx = A.context
     x_exp = 0
     phi_exps: dict = {}
-    X = dctx.x_power(1)
+    X = ctx.x_power(1)
     while A.degree() > 0 and B.degree() > 0:
         quotients = _common_quotients(A, B, X)
         if quotients is None:
             break
         A, B = quotients
         x_exp += 1
-    for n in range(1, phi_limit + 1):
+    for n in count(1):
         try:
-            phin = dctx.phi(n)
+            phin = ctx.phi(n)
         except TruncationTooSmall:
             break
         while A.degree() >= phin.degree() and B.degree() >= phin.degree():
@@ -603,16 +574,8 @@ def gcd_lambda(F: LambdaElement, G: LambdaElement, phi_limit: Optional[int] = No
                 break
             A, B = quotients
             phi_exps[n] = phi_exps.get(n, 0) + 1
-    residual, certified, prec_used, detail = _euclid_residual(A, B)
-    return GcdFactorization(
-        mu=mu,
-        x_exp=x_exp,
-        phi_exps=phi_exps,
-        residual=residual,
-        certified=certified,
-        precision_used=prec_used,
-        detail=detail,
-    )
+    residual, certified, detail = _euclid_residual(A, B)
+    return GcdReport(gcd_mu(wf, wg), x_exp, phi_exps, residual, certified, detail)
 
 
 def _common_quotients(A: LambdaElement, B: LambdaElement, P: LambdaElement):
@@ -626,31 +589,20 @@ def _common_quotients(A: LambdaElement, B: LambdaElement, P: LambdaElement):
     return QA, QB
 
 
-def _default_phi_limit(ctx: IwasawaContext) -> int:
-    if ctx.is_level:
-        return ctx.truncation[1]
-    n, p = 0, ctx.prime
-    while p ** n * (p - 1) < ctx.trunc_len:
-        n += 1
-    return n
-
-
 def _euclid_residual(A: LambdaElement, B: LambdaElement):
-    """Common factor of two distinguished polynomials beyond the named ones."""
-    prec_used = 0
+    """Common factor of two distinguished polynomials beyond the named ones:
+    (its rendering, or "1", whether it was decided, detail)."""
     while True:
         wa, wb = weierstrass(A), weierstrass(B)
         if not (wa.conclusive and wb.conclusive):
-            return None, False, prec_used, "operand vanished during reduction"
+            return "1", False, "operand vanished during reduction"
         if wa.lam == 0 or wb.lam == 0:
             # a unit appeared: the remaining parts are coprime, certified
-            return A.context.one(), True, prec_used, ""
+            return "1", True, ""
         if wa.lam < wb.lam:
             A, B = B, A
             wa, wb = wb, wa
-        # strip content of the divisor before dividing (consumes digits)
-        if wb.mu > 0:
-            prec_used += wb.mu
+        # the divisor's distinguished part is known to wb.mu fewer digits
         Bd = wb.distinguished_part
         ctxA = A.context
         if Bd.context.precision < ctxA.precision:
@@ -664,6 +616,7 @@ def _euclid_residual(A: LambdaElement, B: LambdaElement):
             )
         _, R = divrem(A, Bd)
         if R.is_zero_at_precision:
-            # divisor's distinguished part is the residual common factor
-            return Bd, True, prec_used, ""
+            # divisor's distinguished part (degree wb.lam >= 1) is the
+            # residual common factor
+            return str(Bd), True, ""
         A, B = Bd, R

@@ -206,7 +206,7 @@ def run_pipeline(cfg: RunConfig) -> PipelineResult:
         record["stages"]["theta"] = {
             "levels": sorted(thetas),
             "value_at_zero_vanishes": [
-                not thetas[n].body.coeffs[0] for n in sorted(thetas)
+                not thetas[n].coeffs[0] for n in sorted(thetas)
             ],
         }
 
@@ -232,7 +232,8 @@ def run_pipeline(cfg: RunConfig) -> PipelineResult:
         else:
             pair = extract_sharp_flat(thetas, red.a_p, cfg.p)
         fits = invariant_fit(thetas)
-        if not fit_matches_pair(fits, pair):
+        fit_agrees = fit_matches_pair(fits, pair)
+        if not fit_agrees:
             raise NotStabilized(
                 "extracted invariants disagree with the invariant fit"
             )
@@ -240,7 +241,7 @@ def run_pipeline(cfg: RunConfig) -> PipelineResult:
             "method": pair.method,
             "labels": list(pair.labels),
             "stabilized": pair.stabilized,
-            "fit_agrees": fit_matches_pair(fits, pair),
+            "fit_agrees": fit_agrees,
             "components": [
                 {
                     "label": c.label,

@@ -6,13 +6,16 @@ collects the plus symbols along each gamma-fiber,
 
     theta_n = sum_j c_j (1+X)^j,   c_j = sum_i [ omega^i gamma^j / p^(n+1) ]^+,
 
-reduced in Lambda/(omega_n, p^M).  Only the trivial tame character enters,
-so only plus symbols are used; minus symbols stay in the table for symmetry
-checks.  The c_j are gathered from the plus numerators of level n+1 with
-one index array over the grid omega^i gamma^j, and reduced into Z/p^M with
-one inverse of the unit part of the plus denominator.  The change to the
-monomial basis is a Taylor shift by 1 (lambda_ring.taylor_shift): divide and
-conquer with one Kronecker product per doubling of the block size.
+a class in Lambda/(omega_n, p^M).  Its representative of degree below p^n
+is a plain LambdaElement in the context (p^M, X^(p^n)), and a theta
+sequence is a dict from level to that element.  Only the trivial tame
+character enters, so only plus symbols are used; minus symbols stay in the
+table for symmetry checks.  The c_j are gathered from the plus numerators
+of level n+1 with one index array over the grid omega^i gamma^j, and
+reduced into Z/p^M with one inverse of the unit part of the plus
+denominator.  The change to the monomial basis is a Taylor shift by 1
+(lambda_ring.taylor_shift): divide and conquer with one Kronecker product
+per doubling of the block size.
 
 The three-term congruence linking consecutive levels is a consequence of
 the Hecke relations; check_compat re-proves it numerically on each run
@@ -63,27 +66,14 @@ def teichmueller_values(p: int, modulus: int) -> list:
     return [pow(w, i, modulus) for i in range(p - 1)]
 
 
-@dataclass(frozen=True)
-class ThetaElement:
-    level: int
-    body: LambdaElement  # in Lambda/(omega_level, p^M)
-
-    @property
-    def context(self) -> IwasawaContext:
-        return self.body.context
-
-
-def build_theta(table: SymbolTable, n: int, ctx_or_M) -> ThetaElement:
-    """Theta element at level n from a table complete through level n+1."""
+def build_theta(table: SymbolTable, n: int, M: int) -> LambdaElement:
+    """Theta element at level n, at p-adic precision M, from a table complete
+    through level n+1: its representative of degree below p^n."""
     p = table.p
-    if isinstance(ctx_or_M, IwasawaContext):
-        M = ctx_or_M.precision
-    else:
-        M = int(ctx_or_M)
     if not table.has_level(n + 1):
         raise IncompleteTable(f"theta at level {n} needs symbols mod {p}^{n+1}")
-    ctx = IwasawaContext(p, M, ("level", n))
     modulus, d = p ** (n + 1), p**n
+    ctx = IwasawaContext(p, M, d)
     gamma = [1]  # gamma^j mod p^(n+1)
     for _ in range(d - 1):
         gamma.append(gamma[-1] * (1 + p) % modulus)
@@ -95,8 +85,7 @@ def build_theta(table: SymbolTable, n: int, ctx_or_M) -> ThetaElement:
     # are p-integral exactly when every c_j is: NotIntegral is raised here
     # or not at all.
     coeffs = residues(sums, table.denominators[0], p, M)
-    monomial = taylor_shift(coeffs, ctx.modulus)
-    return ThetaElement(n, LambdaElement(ctx, monomial))
+    return LambdaElement(ctx, taylor_shift(coeffs, ctx.modulus))
 
 
 @dataclass
@@ -117,8 +106,8 @@ def check_compat(thetas, n: int, a_p: int) -> CompatReport:
     if n < 2:
         raise ValueError("the three-term congruence starts at level 2")
     ctx = thetas[n].context
-    wide = IwasawaContext(ctx.prime, ctx.precision, ("degree", ctx.prime**n + 1))
-    th_n, th_n1, th_n2 = (thetas[k].body.in_context(wide) for k in (n, n - 1, n - 2))
+    wide = IwasawaContext(ctx.prime, ctx.precision, ctx.prime**n + 1)
+    th_n, th_n1, th_n2 = (thetas[k].in_context(wide) for k in (n, n - 1, n - 2))
     lhs = th_n - th_n1.scale(a_p) + wide.phi(n - 1) * th_n2
     _, R = divrem(lhs, wide.omega(n - 1))
     for idx, c in enumerate(R.coeffs):

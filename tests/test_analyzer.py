@@ -1,11 +1,14 @@
 import json
+import sys
 
 import pytest
 
+from signedlp import extract, lambda_ring
 from signedlp.analyzer import (
     GcdReport,
     compare_predictions,
     emit_report,
+    gcd_ideal,
     gcd_signed_pair,
     report_payload,
     theorem_consistency,
@@ -21,8 +24,9 @@ from signedlp.extract import (
 )
 from signedlp.lambda_ring import IwasawaContext
 from signedlp.modules import RankSequence, parse_factored_ideal
+from signedlp.pipeline import RunConfig, run_pipeline
 
-from conftest import ideal_to_lambda
+from conftest import curve_path, ideal_to_lambda
 
 
 def _series(label, elt):
@@ -46,7 +50,7 @@ def _pair(a, b):
 
 @pytest.fixture(scope="module")
 def ctx():
-    return IwasawaContext(3, 8, ("degree", 30))
+    return IwasawaContext(3, 8, 30)
 
 
 def test_gcd_of_fixture_pairs(store):
@@ -88,9 +92,9 @@ def test_gcd_divides_both_inputs(store, ctx):
     thetas = store.thetas("53a1", 5, 2)
     pair = extract_plus_minus(thetas, store.ap("53a1", 5))
     rep = gcd_signed_pair(pair)
-    gen = ideal_to_lambda(rep.as_factored_ideal(), IwasawaContext(5, 8, ("degree", 30)))
+    gen = ideal_to_lambda(gcd_ideal(rep), IwasawaContext(5, 8, 30))
     for comp in pair.components:
-        wide = IwasawaContext(5, 8, ("degree", 30))
+        wide = IwasawaContext(5, 8, 30)
         lifted = wide.element(list(comp.series.coeffs))
         assert divides_at_precision(lifted, gen)
 
@@ -99,6 +103,25 @@ def test_gcd_requires_some_conclusive_series(ctx):
     zero = ctx.zero()
     with pytest.raises(PrecisionExhausted):
         gcd_signed_pair(_pair(zero, zero))
+
+
+def test_report_factors_each_component_once(monkeypatch):
+    # extraction factors each component once and the gcd reads those
+    # reports; only the Euclidean step factors its two reduced operands
+    original = lambda_ring.weierstrass
+    callers = []
+
+    def counted(F):
+        callers.append(sys._getframe(1).f_code.co_name)
+        return original(F)
+
+    for module in (lambda_ring, extract):
+        monkeypatch.setattr(module, "weierstrass", counted)
+    monkeypatch.delenv("SIGNEDLP_CACHE_DIR", raising=False)
+    run_pipeline(RunConfig(curve_path("53a1"), 5, n_max=3))
+    assert callers.count("_class_invariants") == 2
+    assert "gcd_lambda" not in callers
+    assert len(callers) == 4, callers
 
 
 # -- prediction comparison --------------------------------------------------------

@@ -239,9 +239,9 @@ def test_bad_prime_two_and_composite_conductors():
 def test_classify_reduction(store):
     c37 = store.curve("37a1")
     r = classify_reduction(c37, 17)
-    assert r.kind == "good-supersingular" and r.a_p == 0 and r.v_p_of_ap is None
+    assert r.kind == "good-supersingular" and r.a_p == 0
     r = classify_reduction(c37, 3)
-    assert r.kind == "good-supersingular" and r.a_p == -3 and r.v_p_of_ap == 1
+    assert r.kind == "good-supersingular" and r.a_p == -3
     assert classify_reduction(c37, 37).kind == "multiplicative"
     assert classify_reduction(c37, 5).kind == "good-ordinary"
 

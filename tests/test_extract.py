@@ -9,15 +9,15 @@ from signedlp.extract import (
     fit_matches_pair,
     invariant_fit,
 )
-from signedlp.lambda_ring import IwasawaContext
-from signedlp.theta import ThetaElement
+from signedlp.lambda_ring import IwasawaContext, divrem
 
 
 def _synthetic_thetas(p, M, F_coeffs, n_max=3, alternate=True, scale_mu=None):
-    """theta_n := (+-) W(n) * F mod omega_n for a fixed F."""
+    """theta_n := (+-) W(n) * F mod omega_n for a fixed F, as its
+    representative of degree below p^n."""
     thetas = {}
     for n in range(n_max + 1):
-        wide = IwasawaContext(p, M, ("degree", p**n_max + 2))
+        wide = IwasawaContext(p, M, p**n_max + 2)
         F = wide.element(F_coeffs)
         if scale_mu:
             F = F.scale(p ** scale_mu.get(n, 0))
@@ -25,9 +25,8 @@ def _synthetic_thetas(p, M, F_coeffs, n_max=3, alternate=True, scale_mu=None):
         body = (W * F)
         if alternate and (n // 2) % 2 == 1:
             body = -body
-        ctx = IwasawaContext(p, M, ("level", n))
-        body = ctx.element(list(body.coeffs))
-        thetas[n] = ThetaElement(n, body)
+        _, body = divrem(body, wide.omega(n))
+        thetas[n] = IwasawaContext(p, M, p**n).element(list(body.coeffs))
     return thetas
 
 
@@ -58,7 +57,7 @@ def test_synthetic_remultiplication():
         W = _parity_product(wide, top)
         recon = W * wide.element(list(comp.series.coeffs))
         sign = -1 if (top // 2) % 2 == 1 else 1
-        lifted = wide.element(list(thetas[top].body.coeffs))
+        lifted = wide.element(list(thetas[top].coeffs))
         diff = recon.scale(sign) - lifted
         assert diff.is_zero_at_precision
 
@@ -68,7 +67,7 @@ def test_drifting_chain_raises():
     thetas = _synthetic_thetas(3, 8, [1, 1], n_max=3)
     bad = dict(thetas)
     ctx0 = thetas[0].context
-    bad[0] = ThetaElement(0, ctx0.element([2]))
+    bad[0] = ctx0.element([2])
     with pytest.raises(NotStabilized):
         extract_plus_minus(bad, a_p=0)
 

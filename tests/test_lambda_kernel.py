@@ -16,7 +16,6 @@ from signedlp.errors import PrecisionExhausted
 from signedlp.lambda_ring import (
     _LONG_DIVISION_WORK,
     IwasawaContext,
-    _binomial_row,
     _mul,
     divrem,
     weierstrass,
@@ -52,14 +51,9 @@ def long_division(f, g, mod):
 
 
 def reference_residues(ctx, raw):
-    """raw reduced modulo (p^M, X^D) or (p^M, omega_n) by long division."""
+    """raw reduced modulo (p^M, X^D)."""
     mod, n = ctx.modulus, ctx.trunc_len
-    raw = [c % mod for c in raw]
-    if ctx.is_level and len(raw) > n:
-        omega = _binomial_row(n)
-        omega[0] -= 1
-        _, raw = long_division(raw, [c % mod for c in omega], mod)
-    raw = raw[:n]
+    raw = [c % mod for c in raw[:n]]
     return tuple(raw + [0] * (n - len(raw)))
 
 
@@ -89,11 +83,12 @@ def reference_weierstrass(coeffs, p, M):
 
 
 def contexts(p, M):
-    """A degree context and a level context of a few hundred coefficients."""
+    """Two degree contexts: 150 coefficients, and p^n for a level n with a
+    few hundred."""
     level = {3: 5, 5: 3, 19: 2}[p]
     return (
-        IwasawaContext(p, M, ("degree", 150)),
-        IwasawaContext(p, M, ("level", level)),
+        IwasawaContext(p, M, 150),
+        IwasawaContext(p, M, p**level),
     )
 
 
@@ -140,7 +135,7 @@ def test_element_product_matches_reference_in_both_contexts():
                     b = [rng.randrange(mod) for _ in range(lb)]
                     got = (ctx.element(a) * ctx.element(b)).coeffs
                     assert got == reference_residues(ctx, schoolbook(a, b, mod)), (
-                        p, M, ctx.truncation, la, lb,
+                        p, M, ctx.trunc_len, la, lb,
                     )
                 zero = ctx.zero()
                 assert (zero * ctx.element(a)).coeffs == zero.coeffs
@@ -178,7 +173,7 @@ def test_divrem_matches_long_division():
 
 
 def test_divrem_by_one_above_the_cutoff():
-    ctx = IwasawaContext(3, 8, ("degree", _LONG_DIVISION_WORK + 500))
+    ctx = IwasawaContext(3, 8, _LONG_DIVISION_WORK + 500)
     rng = random.Random(84)
     F = ctx.element([rng.randrange(ctx.modulus) for _ in range(ctx.trunc_len)])
     Q, R = divrem(F, ctx.one())
@@ -186,7 +181,7 @@ def test_divrem_by_one_above_the_cutoff():
 
 
 def test_wrong_reciprocal_is_caught_by_the_certificate(monkeypatch):
-    ctx = IwasawaContext(5, 8, ("degree", 400))
+    ctx = IwasawaContext(5, 8, 400)
     rng = random.Random(85)
     F = ctx.element([rng.randrange(ctx.modulus) for _ in range(399)] + [1])
     P = random_distinguished(rng, ctx, 40)

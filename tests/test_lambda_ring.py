@@ -14,7 +14,7 @@ from signedlp.lambda_ring import (
 
 
 def ctx3(D=24, M=8):
-    return IwasawaContext(3, M, ("degree", D))
+    return IwasawaContext(3, M, D)
 
 
 def same(a, b):
@@ -27,20 +27,20 @@ def same(a, b):
 def test_phi_examples():
     c = ctx3()
     assert str(c.phi(1)) == "X^2 + 3*X + 3"
-    c5 = IwasawaContext(5, 8, ("degree", 24))
+    c5 = IwasawaContext(5, 8, 24)
     assert str(c5.phi(1)) == "X^4 + 5*X^3 + 10*X^2 + 10*X + 5"
     assert str(c.phi(0)) == "X"
 
 
 def test_phi_truncation_guard():
-    small = IwasawaContext(3, 8, ("degree", 4))
+    small = IwasawaContext(3, 8, 4)
     with pytest.raises(TruncationTooSmall):
         small.phi(2)
 
 
 def test_phi_degree_and_value_at_zero():
     for p in (3, 5):
-        c = IwasawaContext(p, 6, ("degree", p * p * (p - 1) + 2))
+        c = IwasawaContext(p, 6, p * p * (p - 1) + 2)
         for n in (1, 2, 3):
             if p ** (n - 1) * (p - 1) >= c.trunc_len:
                 continue
@@ -107,12 +107,11 @@ def test_weierstrass_remultiplication_round_trip():
     # P distinguished of degree lambda, U(0) a unit and p^mu * P * U = F
     # together pin the factorization down: it is unique
     rng = random.Random(11)
-    truncations = (("degree", 16), ("degree", 7), ("level", 1), ("level", 2))
     for p in (3, 5, 7):
-        for truncation in truncations:
+        for D in (16, 7, p, p * p):
             for _ in range(12):
                 M = rng.randrange(2, 9)
-                c = IwasawaContext(p, M, truncation)
+                c = IwasawaContext(p, M, D)
                 n = c.trunc_len
                 if n > 30:
                     break
@@ -155,13 +154,17 @@ def test_invariant_additivity_500_pairs():
 # -- gcd --------------------------------------------------------------------------
 
 
+def gcd_of(F, G):
+    return gcd_lambda(weierstrass(F), weierstrass(G))
+
+
 def test_gcd_examples():
     c = ctx3()
-    g = gcd_lambda(c.element([0, 3]), c.element([0, 0, 1]))
+    g = gcd_of(c.element([0, 3]), c.element([0, 0, 1]))
     assert (g.mu, g.x_exp, g.phi_exps) == (0, 1, {})
-    g = gcd_lambda(c.x_power(1) * c.phi(1), c.x_power(1) * c.phi(2))
+    g = gcd_of(c.x_power(1) * c.phi(1), c.x_power(1) * c.phi(2))
     assert (g.mu, g.as_string()) == (0, "X")
-    g = gcd_lambda(c.phi(1), c.phi(2))
+    g = gcd_of(c.phi(1), c.phi(2))
     assert g.as_string() == "1" and g.certified
 
 
@@ -169,7 +172,7 @@ def test_gcd_detects_phi_factors_and_divides_both():
     c = ctx3(D=30)
     F = c.phi(1) * c.element([1, 1]) * c.x_power(1)
     G = c.phi(1) * c.element([2, 0, 1])  # X^2 + 2 is a unit times distinguished...
-    g = gcd_lambda(F, G)
+    g = gcd_of(F, G)
     assert g.phi_exps.get(1) == 1
     witness = c.phi(1)
     assert divides_at_precision(F, witness) and divides_at_precision(G, witness)
@@ -178,17 +181,11 @@ def test_gcd_detects_phi_factors_and_divides_both():
 def test_context_conversions_reduce_never_extend():
     c = ctx3(D=16, M=6)
     F = c.phi(1) * c.element([1, 1]) + c.element([7])
-    # reduction into Lambda/(omega_1): the class representative must differ
-    # from F by an exact multiple of omega_1
-    low = F.in_context(c.with_truncation(("level", 1)))
-    wide_low = c.element([x for x in low.coeffs])
-    diff = F - wide_low
-    Q, R = divrem(diff, c.omega(1))
-    assert R.is_zero_at_precision
-    with pytest.raises(TruncationTooSmall):
-        low.in_degree_context(2)  # representative has degree 2
-    back = low.in_degree_context(4)
-    assert back.context.trunc_len == 4
+    # a shorter degree bound cuts the representative, a longer one pads it
+    low = F.in_context(IwasawaContext(3, 6, 2))
+    assert low.coeffs == F.coeffs[:2]
+    wide_low = c.element(low.coeffs)
+    assert wide_low.coeffs == F.coeffs[:2] + (0,) * 14
     shallow = F.reduce_precision(3)
     assert shallow.context.precision == 3
     with pytest.raises(Exception):
@@ -199,14 +196,14 @@ def test_context_conversions_reduce_never_extend():
     with pytest.raises(MixedContext):
         shallow.in_context(c)
     with pytest.raises(MixedContext):
-        F.in_context(IwasawaContext(5, 6, ("degree", 16)))
+        F.in_context(IwasawaContext(5, 6, 16))
 
 
 def test_gcd_symmetry():
     c = ctx3(D=30)
     F = c.x_power(2) * c.phi(1)
     G = c.x_power(1) * c.phi(1) * c.phi(1)
-    a = gcd_lambda(F, G)
-    b = gcd_lambda(G, F)
+    a = gcd_of(F, G)
+    b = gcd_of(G, F)
     assert (a.mu, a.x_exp, a.phi_exps) == (b.mu, b.x_exp, b.phi_exps)
     assert a.as_string() == "X*Phi1"

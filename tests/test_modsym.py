@@ -176,8 +176,8 @@ def test_numerators_beyond_int64_stay_exact(store):
     assert max(abs(x) for x in scaled.levels[3][0]) > 2**63
     assert validate_hecke(scaled, 5, 2, store.ap("53a1", 5)).passed
     for n in range(3):
-        want = [c * 2**70 % 5**8 for c in build_theta(table, n, 8).body.coeffs]
-        assert list(build_theta(scaled, n, 8).body.coeffs) == want
+        want = [c * 2**70 % 5**8 for c in build_theta(table, n, 8).coeffs]
+        assert list(build_theta(scaled, n, 8).coeffs) == want
 
 
 def test_export_import_round_trip(store, tmp_path):

@@ -21,7 +21,7 @@ from conftest import ideal_to_lambda
 
 @pytest.fixture(scope="module")
 def ctx():
-    return IwasawaContext(3, 8, ("degree", 40))
+    return IwasawaContext(3, 8, 40)
 
 
 def test_char_ideal_examples(ctx):

@@ -16,7 +16,6 @@ UNCALLED_ALLOWED = {
 UNCALLED_METHODS_ALLOWED = {
     "ElementaryModule.direct_sum": "module semantics checked by the acceptance suite",
     "SignedPair.component": "label lookup the acceptance suite reads",
-    "SignedSeries.is_x_times_unit": "X-times-unit criterion the acceptance suite reads",
 }
 
 

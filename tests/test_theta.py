@@ -8,7 +8,6 @@ from signedlp.errors import IncompleteTable, NotAUnit, NotIntegral
 from signedlp.lambda_ring import weierstrass
 from signedlp.padic import residues
 from signedlp.theta import (
-    ThetaElement,
     build_theta,
     check_compat,
     teichmueller,
@@ -57,22 +56,22 @@ def _table_from_plus(p, K, plus_fn):
 def test_zero_table_gives_zero_theta():
     table = _table_from_plus(3, 3, lambda k, a: 0)
     th = build_theta(table, 2, 6)
-    assert th.body.is_zero_at_precision
+    assert th.is_zero_at_precision
 
 
 def test_single_symbol_gives_one():
     # only [1/p^(n+1)]^+ = 1: a = 1 sits at (i, j) = (0, 0), so theta = 1
     table = _table_from_plus(3, 2, lambda k, a: 1 if (k, a) == (2, 1) else 0)
     th = build_theta(table, 1, 6)
-    assert str(th.body) == "1"
+    assert str(th) == "1"
 
 
 def test_build_theta_linearity():
     t1 = _table_from_plus(3, 2, lambda k, a: a % 5)
     t2 = _table_from_plus(3, 2, lambda k, a: (a * a + 1) % 7)
     tsum = _table_from_plus(3, 2, lambda k, a: a % 5 + (a * a + 1) % 7)
-    th = build_theta(tsum, 1, 6).body
-    th12 = build_theta(t1, 1, 6).body + build_theta(t2, 1, 6).body
+    th = build_theta(tsum, 1, 6)
+    th12 = build_theta(t1, 1, 6) + build_theta(t2, 1, 6)
     assert th.coeffs == th12.coeffs
 
 
@@ -127,7 +126,7 @@ def test_build_theta_matches_rational_reference_on_random_tables():
         for _ in range(3):
             table = _random_table(rng, p, K)
             for n in range(K):
-                got = build_theta(table, n, M).body.coeffs
+                got = build_theta(table, n, M).coeffs
                 assert got == _reference_theta(table, n, M), (p, K, n)
 
 
@@ -137,7 +136,7 @@ def test_taylor_shift_matches_rational_reference_at_levels_4_and_5():
     # since the Fraction reference is quadratic in p^n
     table = _random_table(random.Random(2104), 3, 6)
     for n, M in ((4, 1), (4, 30), (5, 8)):
-        got = build_theta(table, n, M).body.coeffs
+        got = build_theta(table, n, M).coeffs
         assert got == _reference_theta(table, n, M), (n, M)
 
 
@@ -145,7 +144,7 @@ def test_build_theta_matches_rational_reference_on_fixtures(store):
     for label, p in (("53a1", 3), ("53a1", 5), ("37a1", 3)):
         table = store.table(label, p, 3)
         for n in range(3):
-            got = build_theta(table, n, 8).body.coeffs
+            got = build_theta(table, n, 8).coeffs
             assert got == _reference_theta(table, n, 8), (label, p, n)
 
 
@@ -170,16 +169,16 @@ def test_theta_vanishes_at_zero_for_rank_one(store):
     for label, p in (("53a1", 3), ("53a1", 5), ("37a1", 3)):
         thetas = store.thetas(label, p, 2)
         for n, th in thetas.items():
-            assert th.body.coeffs[0] == 0, (label, p, n)
+            assert th.coeffs[0] == 0, (label, p, n)
     thetas = store.thetas("37a1", 17, 1)
     for th in thetas.values():
-        assert th.body.coeffs[0] == 0
+        assert th.coeffs[0] == 0
 
 
 def test_x_divides_theta_for_rank_one(store):
     thetas = store.thetas("53a1", 5, 2)
     for n in (1, 2):
-        body = thetas[n].body
+        body = thetas[n]
         assert body.coeffs[0] == 0
         w = weierstrass(body)
         assert w.conclusive and w.lam >= 1
@@ -203,8 +202,7 @@ def test_compat_on_hecke_exact_synthetic_table():
 def test_compat_detects_corruption():
     table = _table_from_plus(3, 3, lambda k, a: {0: 9, 1: 3, 2: -3, 3: -1}[k])
     thetas = {n: build_theta(table, n, 6) for n in range(3)}
-    bad_body = thetas[2].body + thetas[2].context.one()
-    thetas[2] = ThetaElement(2, bad_body)
+    thetas[2] = thetas[2] + thetas[2].context.one()
     rep = check_compat(thetas, 2, a_p=0)
     assert not rep.passed
     assert re.fullmatch(r"coefficient \d+ of the remainder is \d+ mod 3\^6", rep.detail)
