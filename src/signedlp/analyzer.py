@@ -16,8 +16,7 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import dataclass, field, replace
-from typing import Optional
+from typing import NamedTuple
 
 from .errors import IoError, PrecisionExhausted
 from .extract import SignedPair, SignedSeries
@@ -63,7 +62,7 @@ def _gcd_two_conclusive(a: SignedSeries, b: SignedSeries) -> GcdReport:
         detail = (detail + "; " if detail else "") + (
             "shared factors read off representatives only"
         )
-    return replace(fact, certified=certified, detail=detail)
+    return fact._replace(certified=certified, detail=detail)
 
 
 def _gcd_one_degenerate(good: SignedSeries, degenerate: SignedSeries) -> GcdReport:
@@ -82,17 +81,18 @@ def _gcd_one_degenerate(good: SignedSeries, degenerate: SignedSeries) -> GcdRepo
 # -- verdicts -----------------------------------------------------------------------
 
 
-@dataclass
-class Check:
+class Check(NamedTuple):
     name: str
     status: str  # PASS | FAIL | INCONCLUSIVE
     detail: str = ""
 
 
-@dataclass
 class Verdict:
-    checks: list = field(default_factory=list)
-    delta_e: Optional[int] = None
+    """Checks in the order they ran; delta_e once the X-shift check sets it."""
+
+    def __init__(self):
+        self.checks = []
+        self.delta_e = None
 
     def add(self, name, status, detail=""):
         self.checks.append(Check(name, status, detail))

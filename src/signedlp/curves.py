@@ -17,8 +17,7 @@ from __future__ import annotations
 import cmath
 import json
 import math
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -38,8 +37,7 @@ _CURVE_FIELDS = {
 }
 
 
-@dataclass(frozen=True)
-class CurveData:
+class CurveData(NamedTuple):
     label: str
     a_invariants: tuple
     conductor: int
@@ -176,8 +174,7 @@ def a_bad_prime(curve: CurveData, p: int) -> int:
     return _a2_direct(curve) if p == 2 else _a_ell_naive(curve, p)
 
 
-@dataclass(frozen=True)
-class ReductionType:
+class ReductionType(NamedTuple):
     kind: str  # good-ordinary | good-supersingular | multiplicative | additive
     a_p: Optional[int] = None
 
@@ -380,8 +377,7 @@ def _primes_in(spf: np.ndarray) -> list:
 # -- periods ----------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Periods:
+class Periods(NamedTuple):
     omega_plus: float     # positive real
     omega_minus: complex  # purely imaginary with positive imaginary part
     real_components: int

@@ -22,8 +22,7 @@ with mu > 0 do not, and are reported as observed-but-uncertified.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .errors import (
     NotStabilized,
@@ -43,8 +42,7 @@ from .lambda_ring import (
 )
 
 
-@dataclass(frozen=True)
-class SignedSeries:
+class SignedSeries(NamedTuple):
     """One member of a signed pair, with its certification data."""
 
     label: str
@@ -62,8 +60,7 @@ class SignedSeries:
         return r.conclusive and r.mu == 0 and r.lam == 1 and self.x_lower_bound >= 1
 
 
-@dataclass(frozen=True)
-class SignedPair:
+class SignedPair(NamedTuple):
     labels: tuple
     components: tuple  # two SignedSeries
     method: str        # "parity-factor" | "linear-system" | "invariant-fit"
@@ -248,8 +245,7 @@ def extract_sharp_flat(thetas, a_p: int, p: int) -> SignedPair:
 # -- invariant fit -----------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class FitResult:
+class FitResult(NamedTuple):
     parity: str            # "even" | "odd"
     mu_star: Optional[int]
     lambda_star: Optional[int]

@@ -24,9 +24,8 @@ of its parts.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from itertools import count, repeat
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -49,6 +48,12 @@ _LONG_DIVISION_WORK = 4000
 _RECURRENCE_TERMS = 32
 
 
+def refuse_assignment(record, name, value):
+    """__setattr__ of the immutable value classes; their constructors set
+    their slots with object.__setattr__."""
+    raise AttributeError(f"cannot assign to {type(record).__name__}.{name}")
+
+
 def _binomial_row(n: int):
     row = [1]
     for k in range(n):
@@ -56,20 +61,33 @@ def _binomial_row(n: int):
     return row
 
 
-@dataclass(frozen=True)
 class IwasawaContext:
     """Working modulus for Lambda: prime, p-precision M and the degree
     bound D of the X^D truncation (an element keeps D coefficients)."""
 
-    prime: int
-    precision: int
-    trunc_len: int
+    __slots__ = ("prime", "precision", "trunc_len")
 
-    def __post_init__(self):
-        if self.trunc_len < 1:
+    def __init__(self, prime: int, precision: int, trunc_len: int):
+        if trunc_len < 1:
             raise ValueError("degree bound must be at least 1")
-        if self.precision < 1:
+        if precision < 1:
             raise ValueError("precision must be at least 1")
+        object.__setattr__(self, "prime", prime)
+        object.__setattr__(self, "precision", precision)
+        object.__setattr__(self, "trunc_len", trunc_len)
+
+    __setattr__ = refuse_assignment
+
+    def __eq__(self, other):
+        return (type(other) is IwasawaContext and self.prime == other.prime
+                and self.precision == other.precision and self.trunc_len == other.trunc_len)
+
+    def __hash__(self):
+        return hash((self.prime, self.precision, self.trunc_len))
+
+    def __repr__(self):
+        return (f"IwasawaContext(prime={self.prime!r}, precision={self.precision!r}, "
+                f"trunc_len={self.trunc_len!r})")
 
     @property
     def gamma(self) -> int:
@@ -135,7 +153,6 @@ class IwasawaContext:
         return self.element(coeffs)
 
 
-@dataclass(frozen=True)
 class LambdaElement:
     """Truncated element of Lambda; immutable, value semantics.
 
@@ -143,14 +160,22 @@ class LambdaElement:
     accepts any integers and reduces them into the context modulus.
     """
 
-    context: IwasawaContext
-    coeffs: tuple
+    __slots__ = ("context", "coeffs", "_degree")
 
     def __init__(self, context, coeffs):
         coeffs, degree = _reduce_coeffs(context, coeffs)
         object.__setattr__(self, "context", context)
         object.__setattr__(self, "coeffs", coeffs)
         object.__setattr__(self, "_degree", degree)
+
+    __setattr__ = refuse_assignment
+
+    def __eq__(self, other):
+        return (type(other) is LambdaElement and self.context == other.context
+                and self.coeffs == other.coeffs)
+
+    def __hash__(self):
+        return hash((self.context, self.coeffs))
 
     # -- inspection -------------------------------------------------------------
 
@@ -420,8 +445,7 @@ def exact_quotient(F: LambdaElement, P: LambdaElement) -> LambdaElement:
 # -- Weierstrass preparation and invariants ------------------------------------------
 
 
-@dataclass(frozen=True)
-class InvariantReport:
+class InvariantReport(NamedTuple):
     """mu/lambda reading of a series, with the part that certifies it."""
 
     mu: Optional[int]
@@ -502,8 +526,7 @@ def factored_string(mu, x_exp: int, phi_pairs, residual: str = "1") -> str:
     return "*".join(parts) if parts else "1"
 
 
-@dataclass
-class GcdReport:
+class GcdReport(NamedTuple):
     """gcd presented as p^mu * X^x_exp * prod Phi_n^b_n * (residual).
 
     mu follows gcd_mu; residual is "1" or the rendering of a common factor
@@ -591,9 +614,12 @@ def _common_quotients(A: LambdaElement, B: LambdaElement, P: LambdaElement):
 
 def _euclid_residual(A: LambdaElement, B: LambdaElement):
     """Common factor of two distinguished polynomials beyond the named ones:
-    (its rendering, or "1", whether it was decided, detail)."""
+    (its rendering, or "1", whether it was decided, detail).
+
+    A distinguished operand is its own distinguished part (mu = 0, lambda =
+    degree); only the remainders of later passes are factored."""
+    wa, wb = (InvariantReport(0, P.degree(), P) for P in (A, B))
     while True:
-        wa, wb = weierstrass(A), weierstrass(B)
         if not (wa.conclusive and wb.conclusive):
             return "1", False, "operand vanished during reduction"
         if wa.lam == 0 or wb.lam == 0:
@@ -620,3 +646,4 @@ def _euclid_residual(A: LambdaElement, B: LambdaElement):
             # residual common factor
             return str(Bd), True, ""
         A, B = Bd, R
+        wa, wb = InvariantReport(0, Bd.degree(), Bd), weierstrass(R)

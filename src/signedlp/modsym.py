@@ -36,8 +36,8 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import NamedTuple
 
 import numpy as np
 
@@ -45,7 +45,6 @@ from .curves import CurveData, a_ell, an_expansion, is_odd_prime, periods, prime
 from .errors import ContextMismatch, IncompleteTable, NonConvergence, ParseError
 
 
-@dataclass(eq=False)
 class SymbolTable:
     """[a/p^k]^+- for k <= K as integer numerators over one positive
     denominator per sign.
@@ -57,12 +56,14 @@ class SymbolTable:
     otherwise.  A level that an imported file does not cover is None.
     """
 
-    curve_label: str
-    p: int
-    denominators: tuple  # (plus, minus)
-    levels: list
-    provenance: str = "computed"
-    meta: dict = field(default_factory=dict)  # build certification
+    def __init__(self, curve_label: str, p: int, denominators: tuple, levels: list,
+                 provenance: str = "computed", meta: dict = None):
+        self.curve_label = curve_label
+        self.p = p
+        self.denominators = denominators  # (plus, minus)
+        self.levels = levels
+        self.provenance = provenance
+        self.meta = {} if meta is None else meta  # build certification
 
     def has_level(self, k: int) -> bool:
         return k < len(self.levels) and self.levels[k] is not None
@@ -473,8 +474,7 @@ class SymbolTableBuilder:
 # -- Hecke validation --------------------------------------------------------------
 
 
-@dataclass
-class HeckeReport:
+class HeckeReport(NamedTuple):
     passed: bool
     levels_checked: tuple
     violations: list  # (level, residue, side, lhs, rhs)

@@ -12,7 +12,7 @@ factored form so they can be compared exactly against computed gcds.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import NotTorsion
 from .lambda_ring import (
@@ -21,14 +21,14 @@ from .lambda_ring import (
     divides_at_precision,
     factored_string,
     mu_lambda,
+    refuse_assignment,
 )
 
 
-@dataclass(frozen=True)
 class RankSequence:
     """e_0, e_1, ... with finite support; e_0 is the rank over Q."""
 
-    e: tuple
+    __slots__ = ("e",)
 
     def __init__(self, e):
         e = tuple(int(v) for v in e)
@@ -38,6 +38,14 @@ class RankSequence:
             e = e[:-1]
         object.__setattr__(self, "e", e)
 
+    __setattr__ = refuse_assignment
+
+    def __eq__(self, other):
+        return type(other) is RankSequence and self.e == other.e
+
+    def __hash__(self):
+        return hash(self.e)
+
     def __getitem__(self, n: int) -> int:
         return self.e[n] if n < len(self.e) else 0
 
@@ -45,20 +53,17 @@ class RankSequence:
         return [n for n, v in enumerate(self.e) if v >= 1]
 
 
-@dataclass(frozen=True)
-class FactoredIdeal:
-    """Principal ideal written as p^a * X^alpha * prod Phi_n^beta_n."""
+class FactoredIdeal(NamedTuple("FactoredIdeal",
+                               [("p_exp", int), ("x_exp", int), ("phi_exps", tuple)])):
+    """Principal ideal written as p^a * X^alpha * prod Phi_n^beta_n; phi_exps
+    may be given as a dict and is kept as sorted (n, beta_n) pairs."""
 
-    p_exp: int = 0
-    x_exp: int = 0
-    phi_exps: tuple = ()
+    __slots__ = ()
 
-    def __init__(self, p_exp=0, x_exp=0, phi_exps=()):
+    def __new__(cls, p_exp=0, x_exp=0, phi_exps=()):
         if isinstance(phi_exps, dict):
             phi_exps = tuple(sorted((n, b) for n, b in phi_exps.items() if b))
-        object.__setattr__(self, "p_exp", int(p_exp))
-        object.__setattr__(self, "x_exp", int(x_exp))
-        object.__setattr__(self, "phi_exps", tuple(phi_exps))
+        return super().__new__(cls, int(p_exp), int(x_exp), tuple(phi_exps))
 
     @property
     def phi_dict(self) -> dict:
@@ -112,15 +117,14 @@ def kp_ideal(e: RankSequence) -> FactoredIdeal:
 # -- elementary modules ----------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ElementaryModule:
-    """Formal direct sum Lambda^r + sum Lambda/p^a_i + sum Lambda/(F_i^b_i)."""
+class ElementaryModule(NamedTuple("ElementaryModule",
+                                  [("p_part", tuple), ("poly_part", tuple), ("free_rank", int)])):
+    """Formal direct sum Lambda^r + sum Lambda/p^a_i + sum Lambda/(F_i^b_i);
+    poly_part holds the pairs (F_i as LambdaElement, b_i)."""
 
-    p_part: tuple = ()
-    poly_part: tuple = ()  # pairs (F_i as LambdaElement, b_i)
-    free_rank: int = 0
+    __slots__ = ()
 
-    def __init__(self, p_part=(), poly_part=(), free_rank=0):
+    def __new__(cls, p_part=(), poly_part=(), free_rank=0):
         p_part = tuple(int(a) for a in p_part)
         poly_part = tuple((F, int(b)) for F, b in poly_part)
         if any(a < 1 for a in p_part) or any(b < 1 for _, b in poly_part):
@@ -130,9 +134,7 @@ class ElementaryModule:
         for F, _ in poly_part:
             if not F.is_distinguished():
                 raise ValueError(f"{F!s} is not distinguished")
-        object.__setattr__(self, "p_part", p_part)
-        object.__setattr__(self, "poly_part", poly_part)
-        object.__setattr__(self, "free_rank", free_rank)
+        return super().__new__(cls, p_part, poly_part, free_rank)
 
     @property
     def is_torsion(self) -> bool:
@@ -202,8 +204,7 @@ def _same_distinguished(F: LambdaElement, G: LambdaElement) -> bool:
     return all((a - b) % step == 0 for a, b in zip(F.coeffs, G.coeffs))
 
 
-@dataclass(frozen=True)
-class SesVerdict:
+class SesVerdict(NamedTuple):
     passed: bool
     detail: str
 

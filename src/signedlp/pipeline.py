@@ -12,8 +12,7 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from . import __version__
 from .analyzer import (
@@ -46,31 +45,36 @@ from .theta import build_theta, check_compat
 CACHE_ENV = "SIGNEDLP_CACHE_DIR"
 
 
-@dataclass
 class RunConfig:
-    curve_file: str
-    p: int
-    n_max: Optional[int] = None
-    precision: int = 8        # p-adic digits M
-    table_path: Optional[str] = None
-    table_mode: str = ""      # "import" | "export" | ""
-    fine_char: Optional[str] = None
-    out_path: Optional[str] = None
-    out_format: str = "json"
+    """One run's inputs, checked on construction: p an odd prime, p-adic
+    precision M >= 2, and the top level n_max (default 2 for p <= 5,
+    else 1) nonnegative."""
 
-    def __post_init__(self):
-        if not is_odd_prime(self.p):
+    def __init__(self, curve_file: str, p: int, n_max: Optional[int] = None,
+                 precision: int = 8, table_path: Optional[str] = None,
+                 table_mode: str = "",  # "import" | "export" | ""
+                 fine_char: Optional[str] = None,
+                 out_path: Optional[str] = None, out_format: str = "json"):
+        if not is_odd_prime(p):
             raise ValueError("p must be an odd prime")
-        if self.precision < 2:
+        if precision < 2:
             raise ValueError("p-adic precision must be at least 2")
-        if self.n_max is None:
-            self.n_max = 2 if self.p <= 5 else 1
-        if self.n_max < 0:
+        if n_max is None:
+            n_max = 2 if p <= 5 else 1
+        if n_max < 0:
             raise ValueError("level must be nonnegative")
+        self.curve_file = curve_file
+        self.p = p
+        self.n_max = n_max
+        self.precision = precision  # p-adic digits M
+        self.table_path = table_path
+        self.table_mode = table_mode
+        self.fine_char = fine_char
+        self.out_path = out_path
+        self.out_format = out_format
 
 
-@dataclass
-class PipelineResult:
+class PipelineResult(NamedTuple):
     curve: CurveData
     reduction: object
     table: SymbolTable

@@ -24,7 +24,7 @@ rather than assuming it (the sign below is the empirically pinned one).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -88,8 +88,7 @@ def build_theta(table: SymbolTable, n: int, M: int) -> LambdaElement:
     return LambdaElement(ctx, taylor_shift(coeffs, ctx.modulus))
 
 
-@dataclass
-class CompatReport:
+class CompatReport(NamedTuple):
     level: int
     passed: bool
     detail: str = ""

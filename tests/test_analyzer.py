@@ -107,7 +107,8 @@ def test_gcd_requires_some_conclusive_series(ctx):
 
 def test_report_factors_each_component_once(monkeypatch):
     # extraction factors each component once and the gcd reads those
-    # reports; only the Euclidean step factors its two reduced operands
+    # reports; the Euclidean step reads its distinguished operands as they
+    # are and factors only remainders, which this report never reaches
     original = lambda_ring.weierstrass
     callers = []
 
@@ -121,7 +122,7 @@ def test_report_factors_each_component_once(monkeypatch):
     run_pipeline(RunConfig(curve_path("53a1"), 5, n_max=3))
     assert callers.count("_class_invariants") == 2
     assert "gcd_lambda" not in callers
-    assert len(callers) == 4, callers
+    assert len(callers) == 2, callers
 
 
 # -- prediction comparison --------------------------------------------------------

@@ -5,6 +5,7 @@ import sys
 
 import pytest
 
+from signedlp import cli
 from signedlp.cli import main
 from signedlp.pipeline import RunConfig, run_pipeline
 
@@ -17,26 +18,48 @@ def run_cli(args, capsys):
     return code, out.out, out.err
 
 
-def test_unknown_flag_exits_2():
+_REPORT_53A1 = ["report", "--curve", curve_path("53a1")]
+
+
+@pytest.mark.parametrize("argv", [
+    ["signed", "--bogus"],
+    _REPORT_53A1 + ["--p", "4"],
+    _REPORT_53A1 + ["--p", "5", "--prec", "1"],
+    _REPORT_53A1 + ["--p", "5", "--level", "-1"],
+    _REPORT_53A1 + ["--p", "5", "--import"],
+], ids=["unknown-flag", "p-not-prime", "prec-1", "level-negative", "import-without-table"])
+def test_unknown_flag_exits_2(argv):
     proc = subprocess.run(
-        [sys.executable, "-m", "signedlp", "signed", "--bogus"],
-        capture_output=True, text=True,
+        [sys.executable, "-m", "signedlp", *argv], capture_output=True, text=True,
     )
     assert proc.returncode == 2
     assert "usage" in proc.stderr.lower()
+    assert "Traceback" not in proc.stderr and "SignedLPError" not in proc.stderr
+
+
+def test_entry_freezes_gc_before_main(monkeypatch):
+    calls = []
+    monkeypatch.setattr(cli.gc, "freeze", lambda: calls.append("freeze"))
+    monkeypatch.setattr(cli, "main", lambda: calls.append("main") or 3)
+    with pytest.raises(SystemExit) as exc:
+        cli.entry()
+    assert exc.value.code == 3
+    assert calls == ["freeze", "main"]
 
 
 _IMPORT_PROBE = (
     "import os, sys; import signedlp.cli; "
-    "print(os.environ.get('OPENBLAS_NUM_THREADS'), 'mpmath' in sys.modules)"
+    "print(os.environ.get('OPENBLAS_NUM_THREADS'), 'mpmath' in sys.modules, "
+    "'dataclasses' in sys.modules)"
 )
 
 
-@pytest.mark.parametrize("preset, expected", [(None, ["1", "False"]), ("2", ["2", "False"])],
+@pytest.mark.parametrize("preset, expected", [(None, ["1", "False", "False"]),
+                                              ("2", ["2", "False", "False"])],
                          ids=["unset", "preset"])
 def test_cli_import_pins_openblas_and_skips_mpmath(preset, expected):
-    # a fresh interpreter, so that numpy or mpmath loaded by pytest cannot
-    # mask what importing the CLI loads
+    # a fresh interpreter, so that numpy, mpmath or dataclasses loaded by
+    # pytest cannot mask what importing the CLI loads
     env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
     if preset is not None:
         env["OPENBLAS_NUM_THREADS"] = preset

@@ -3,9 +3,15 @@ import random
 import pytest
 
 from conftest import omega_signed
-from signedlp.errors import MixedContext, NotDistinguished, TruncationTooSmall
+from signedlp.errors import (
+    MixedContext,
+    NotDistinguished,
+    PrecisionExhausted,
+    TruncationTooSmall,
+)
 from signedlp.lambda_ring import (
     IwasawaContext,
+    _euclid_residual,
     divides_at_precision,
     divrem,
     gcd_lambda,
@@ -176,6 +182,66 @@ def test_gcd_detects_phi_factors_and_divides_both():
     assert g.phi_exps.get(1) == 1
     witness = c.phi(1)
     assert divides_at_precision(F, witness) and divides_at_precision(G, witness)
+
+
+def _reference_euclid_residual(A, B, passes):
+    """The Euclidean residual hunt that factors both operands on every pass."""
+    while True:
+        passes.append(1)
+        wa, wb = weierstrass(A), weierstrass(B)
+        if not (wa.conclusive and wb.conclusive):
+            return "1", False, "operand vanished during reduction"
+        if wa.lam == 0 or wb.lam == 0:
+            return "1", True, ""
+        if wa.lam < wb.lam:
+            A, B = B, A
+            wa, wb = wb, wa
+        Bd = wb.distinguished_part
+        ctxA = A.context
+        if Bd.context.precision < ctxA.precision:
+            A = A.reduce_precision(Bd.context.precision)
+            ctxA = A.context
+        elif Bd.context.precision > ctxA.precision:
+            Bd = Bd.reduce_precision(ctxA.precision)
+        if ctxA.precision <= 1:
+            raise PrecisionExhausted(
+                "Euclid ran out of certified digits before deciding the residual"
+            )
+        _, R = divrem(A, Bd)
+        if R.is_zero_at_precision:
+            return str(Bd), True, ""
+        A, B = Bd, R
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except (NotDistinguished, PrecisionExhausted) as exc:
+        return type(exc).__name__, str(exc)
+
+
+def test_euclid_residual_matches_factoring_every_pass():
+    # distinguished operands C*D1, C*D2 with a random distinguished common
+    # factor C: the residual hunt reads them without factoring and must
+    # agree with the loop that factors both operands on every pass
+    rng = random.Random(11)
+    passes, later = [], 0
+    for _ in range(300):
+        p, M = rng.choice([3, 5, 7]), rng.randint(2, 8)
+        c = IwasawaContext(p, M, rng.choice([16, 30]))
+
+        def distinguished(deg):
+            return c.element([p * rng.randrange(p**M) for _ in range(deg)] + [1])
+
+        C = distinguished(rng.randint(0, 3))
+        A = distinguished(rng.randint(0, 4)) * C
+        B = distinguished(rng.randint(0, 4)) * C
+        before = len(passes)
+        expected = _outcome(_reference_euclid_residual, A, B, passes)
+        assert _outcome(_euclid_residual, A, B) == expected, (p, M, A, B)
+        later += len(passes) - before > 1
+    # a second pass runs on a remainder, which need not be distinguished
+    assert later >= 100
 
 
 def test_context_conversions_reduce_never_extend():
