@@ -24,22 +24,26 @@ from .pipeline import RunConfig, load_or_build_table, result_payload, run_pipeli
 from .theta import build_theta, check_compat
 
 
-def _common_flags(sub):
-    sub.add_argument("--curve", required=True, help="curve JSON file")
-    sub.add_argument("--p", type=int, required=True, help="odd supersingular prime")
-    sub.add_argument("--level", type=int, default=None,
-                     help="top theta level n_max (default: 2 for p <= 5, else 1)")
-    sub.add_argument("--prec", type=int, default=8, help="p-adic precision M")
-    sub.add_argument("--digits", type=int, default=30,
-                     help="accepted and ignored: symbol tables are exact")
-    sub.add_argument("--table", default=None, help="symbol table CSV path")
-    group = sub.add_mutually_exclusive_group()
+def _common_flags() -> argparse.ArgumentParser:
+    """The flags of every pipeline subcommand, as a parent parser: built once,
+    its actions are copied into each subcommand rather than built again."""
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--curve", required=True, help="curve JSON file")
+    common.add_argument("--p", type=int, required=True, help="odd supersingular prime")
+    common.add_argument("--level", type=int, default=None,
+                        help="top theta level n_max (default: 2 for p <= 5, else 1)")
+    common.add_argument("--prec", type=int, default=8, help="p-adic precision M")
+    common.add_argument("--digits", type=int, default=30,
+                        help="accepted and ignored: symbol tables are exact")
+    common.add_argument("--table", default=None, help="symbol table CSV path")
+    group = common.add_mutually_exclusive_group()
     group.add_argument("--import", dest="table_import", action="store_true",
                        help="read the symbol table from --table instead of computing")
     group.add_argument("--export", dest="table_export", action="store_true",
                        help="write the computed symbol table to --table")
-    sub.add_argument("--out", default=None, help="output file (default: stdout)")
-    sub.add_argument("--format", choices=("json", "csv"), default="json")
+    common.add_argument("--out", default=None, help="output file (default: stdout)")
+    common.add_argument("--format", choices=("json", "csv"), default="json")
+    return common
 
 
 def _config(args) -> RunConfig:
@@ -217,6 +221,7 @@ def build_parser() -> argparse.ArgumentParser:
     info.add_argument("--out", default=None)
     info.set_defaults(func=cmd_curve_info)
 
+    common = _common_flags()
     for name, func, fine in (
         ("symbols", cmd_symbols, False),
         ("theta", cmd_theta, False),
@@ -225,8 +230,7 @@ def build_parser() -> argparse.ArgumentParser:
         ("verify", cmd_verify, True),
         ("report", cmd_report, True),
     ):
-        sub = subs.add_parser(name)
-        _common_flags(sub)
+        sub = subs.add_parser(name, parents=[common])
         if fine:
             sub.add_argument("--fine-char", dest="fine_char", default="1",
                              help="fine characteristic hypothesis, e.g. '1' or 'X'")
@@ -250,8 +254,11 @@ def entry() -> None:
     """The process entry point of `signedlp` and `python -m signedlp`."""
     # Shutdown would otherwise walk and free every object the imports made
     # (about 35 ms of each report); frozen, the collector skips them.  Not
-    # in main(), which tests call in-process many times.
+    # in main(), which tests call in-process many times.  `python -m
+    # signedlp` runs the imports with the collector off, so it is enabled
+    # only after the freeze.
     gc.freeze()
+    gc.enable()
     sys.exit(main())
 
 

@@ -563,10 +563,11 @@ def gcd_lambda(wf: InvariantReport, wg: InvariantReport) -> GcdReport:
     """gcd in the form p^mu * h of two conclusive series, given by their
     Weierstrass reports.
 
-    The named factors X and Phi_n (every n whose Phi_n fits the truncation)
-    are detected on the distinguished parts by exact divrem remainder
-    tests; whatever common factor remains is hunted by Euclidean reduction,
-    and certified says whether that hunt reached a decision.
+    The named factors X and Phi_n (every n with deg Phi_n at most the
+    smaller degree of the two) are detected on the distinguished parts by
+    exact divrem remainder tests; whatever common factor remains is hunted
+    by Euclidean reduction, and certified says whether that hunt reached a
+    decision.
     """
     if not (wf.conclusive and wg.conclusive):
         raise PrecisionExhausted("gcd needs both operands conclusive")
@@ -586,11 +587,11 @@ def gcd_lambda(wf: InvariantReport, wg: InvariantReport) -> GcdReport:
             break
         A, B = quotients
         x_exp += 1
+    p = ctx.prime
     for n in count(1):
-        try:
-            phin = ctx.phi(n)
-        except TruncationTooSmall:
-            break
+        if p ** (n - 1) * (p - 1) > min(A.degree(), B.degree()):
+            break  # deg Phi_n grows with n: no later Phi_n divides both
+        phin = ctx.phi(n)
         while A.degree() >= phin.degree() and B.degree() >= phin.degree():
             quotients = _common_quotients(A, B, phin)
             if quotients is None:

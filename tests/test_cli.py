@@ -40,31 +40,49 @@ def test_unknown_flag_exits_2(argv):
 def test_entry_freezes_gc_before_main(monkeypatch):
     calls = []
     monkeypatch.setattr(cli.gc, "freeze", lambda: calls.append("freeze"))
+    monkeypatch.setattr(cli.gc, "enable", lambda: calls.append("enable"))
     monkeypatch.setattr(cli, "main", lambda: calls.append("main") or 3)
     with pytest.raises(SystemExit) as exc:
         cli.entry()
     assert exc.value.code == 3
-    assert calls == ["freeze", "main"]
+    assert calls == ["freeze", "enable", "main"]
 
 
 _IMPORT_PROBE = (
-    "import os, sys; import signedlp.cli; "
-    "print(os.environ.get('OPENBLAS_NUM_THREADS'), 'mpmath' in sys.modules, "
-    "'dataclasses' in sys.modules)"
+    "import os, sys; import signedlp.cli; {run}"
+    "print(os.environ.get('OPENBLAS_NUM_THREADS'), *(m in sys.modules for m in "
+    "('mpmath', 'dataclasses', 'signedlp.manin', 'fractions')))"
 )
 
 
-@pytest.mark.parametrize("preset, expected", [(None, ["1", "False", "False"]),
-                                              ("2", ["2", "False", "False"])],
-                         ids=["unset", "preset"])
-def test_cli_import_pins_openblas_and_skips_mpmath(preset, expected):
-    # a fresh interpreter, so that numpy, mpmath or dataclasses loaded by
-    # pytest cannot mask what importing the CLI loads
-    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+@pytest.mark.parametrize("preset, cache, expected", [
+    (None, None, ["1", "False", "False", "False", "False"]),
+    ("2", None, ["2", "False", "False", "False", "False"]),
+    (None, "hit", ["1", "False", "False", "False", "False"]),
+    (None, "miss", ["1", "False", "False", "True", "True"]),
+], ids=["unset", "preset", "cache-hit", "cache-miss"])
+def test_cli_import_pins_openblas_and_skips_mpmath(preset, cache, expected, tmp_path,
+                                                   monkeypatch):
+    # a fresh interpreter, so that numpy, mpmath, dataclasses or fractions
+    # loaded by pytest cannot mask what importing the CLI loads, and what
+    # one report then adds: the Manin-symbol code only when the table is
+    # built, not when it is read from the cache
+    env = {k: v for k, v in os.environ.items()
+           if k not in ("OPENBLAS_NUM_THREADS", "SIGNEDLP_CACHE_DIR")}
     if preset is not None:
         env["OPENBLAS_NUM_THREADS"] = preset
+    run = ""
+    if cache is not None:
+        argv = ["report", "--curve", curve_path("37a1"), "--p", "3", "--level", "1",
+                "--out", str(tmp_path / "report.json")]
+        run = f"sys.exit(1) if signedlp.cli.main({argv!r}) else None; "
+        env["SIGNEDLP_CACHE_DIR"] = str(tmp_path / "cache")
+        if cache == "hit":
+            monkeypatch.setenv("SIGNEDLP_CACHE_DIR", env["SIGNEDLP_CACHE_DIR"])
+            assert main(argv) == 0 and list((tmp_path / "cache").glob("*.csv"))
     proc = subprocess.run(
-        [sys.executable, "-c", _IMPORT_PROBE], capture_output=True, text=True, env=env,
+        [sys.executable, "-c", _IMPORT_PROBE.format(run=run)], capture_output=True,
+        text=True, env=env,
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == expected

@@ -184,6 +184,21 @@ def test_gcd_detects_phi_factors_and_divides_both():
     assert divides_at_precision(F, witness) and divides_at_precision(G, witness)
 
 
+def test_gcd_builds_no_phi_above_the_smaller_degree(monkeypatch):
+    # an X^300 context fits Phi_1 .. Phi_5, but once X and Phi_1 are divided
+    # out the smaller operand has degree 0, and no Phi_n (degree >= 2) can
+    # divide it: only Phi_1 is built
+    c = ctx3(D=300)
+    F = c.phi(1) * c.x_power(1) * c.element([3, 0, 1])
+    G = c.phi(1) * c.x_power(1)
+    built = []
+    phi = IwasawaContext.phi
+    monkeypatch.setattr(IwasawaContext, "phi", lambda self, n: built.append(n) or phi(self, n))
+    g = gcd_of(F, G)
+    assert (g.x_exp, g.phi_exps, g.residual, g.certified) == (1, {1: 1}, "1", True)
+    assert built == [1]
+
+
 def _reference_euclid_residual(A, B, passes):
     """The Euclidean residual hunt that factors both operands on every pass."""
     while True:

@@ -7,7 +7,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from signedlp import modsym
+from signedlp import manin
 from signedlp.curves import an_expansion, ingest_curve, periods
 from signedlp.errors import ContextMismatch, NonConvergence, ParseError
 from signedlp.modsym import (
@@ -71,7 +71,7 @@ def test_tail_bound_self_consistency(store):
         for part in ("plus", "minus"):
             (a, _), (cc, d) = store.table(label, 3, 1).meta[part]["cycle"]
             sharp = _mp_cycle_period(c, a, cc, d, 13 * cc)
-            assert abs(modsym._cycle_period(c, a, cc, d) - complex(sharp)) < 1e-14
+            assert abs(manin._cycle_period(c, a, cc, d) - complex(sharp)) < 1e-14
 
 
 def test_symbol_parity(store):
@@ -272,10 +272,10 @@ def test_import_errors(tmp_path):
 
 
 def test_recognition():
-    assert modsym._recognize(0.5) == Fraction(1, 2)
-    assert modsym._recognize(-2.0 / 3) == Fraction(-2, 3)
+    assert manin._recognize(0.5) == Fraction(1, 2)
+    assert manin._recognize(-2.0 / 3) == Fraction(-2, 3)
     with pytest.raises(NonConvergence):
-        modsym._recognize(0.6180339887498949)
+        manin._recognize(0.6180339887498949)
 
 
 from hypothesis import given, settings
@@ -288,13 +288,13 @@ from hypothesis import strategies as st
 )
 @settings(max_examples=150, deadline=None)
 def test_recognition_round_trip(num, den):
-    assert modsym._recognize(num / den) == Fraction(num, den)
+    assert manin._recognize(num / den) == Fraction(num, den)
 
 
 def test_recognition_prefers_small_denominator():
     # a value near 1/3 must not be matched to a huge convergent
     x = 1 / 3 + 2e-13
-    assert modsym._recognize(x) == Fraction(1, 3)
+    assert manin._recognize(x) == Fraction(1, 3)
 
 
 def test_hecke_sum_identity_37a1_p17(store):
@@ -376,7 +376,7 @@ def test_5077a1_p3_through_level_6():
 def test_manin_symbol_count():
     # |P^1(Z/NZ)| = N prod (1 + 1/ell) over the primes ell | N
     for N, size in ((11, 12), (14, 24), (15, 24), (37, 38), (53, 54)):
-        assert len(modsym.ManinSymbols(N).points) == size
+        assert len(manin.ManinSymbols(N).points) == size
 
 
 def test_build_records_scale_certificate(store):
@@ -391,8 +391,8 @@ def test_build_records_scale_certificate(store):
 
 
 def test_scale_that_is_no_rational_is_refused(store, monkeypatch):
-    period = modsym._cycle_period
-    monkeypatch.setattr(modsym, "_cycle_period", lambda *args: period(*args) + 0.3)
+    period = manin._cycle_period
+    monkeypatch.setattr(manin, "_cycle_period", lambda *args: period(*args) + 0.3)
     with pytest.raises(NonConvergence, match="no rational"):
         SymbolTableBuilder(store.curve("53a1"), 5).build(1)
 
@@ -402,11 +402,11 @@ def test_eigen_functional_lifts_by_crt(monkeypatch):
     # with moduli near 100 one prime cannot reconstruct the 5077a1 functional:
     # the lift goes through CRT over two and must give the same table
     curve, frozen = _frozen("5077a1", 3)
-    monkeypatch.setattr(modsym, "_MODULI", (101, 103, 107, 109))
+    monkeypatch.setattr(manin, "_MODULI", (101, 103, 107, 109))
     lifted = []
-    rational = modsym._rational
+    rational = manin._rational
     monkeypatch.setattr(
-        modsym, "_rational", lambda x, M: lifted.append(M) or rational(x, M))
+        manin, "_rational", lambda x, M: lifted.append(M) or rational(x, M))
     table = SymbolTableBuilder(curve, 3).build(2)
     assert 101 * 103 in lifted
     rows = exported(table).splitlines()
