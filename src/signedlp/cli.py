@@ -13,7 +13,8 @@ import json
 import os
 import sys
 
-# numpy's OpenBLAS would start a thread pool on import that nothing here uses
+# a table build imports numpy, whose OpenBLAS would start a thread pool that
+# nothing here uses
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 from .analyzer import emit_report

@@ -1,7 +1,9 @@
 """Elliptic curve data: ingestion, local coefficients, reduction types, periods.
 
-Points are counted exhaustively (vectorized with numpy) at every prime, good
-or bad; the q-expansion is computed once per curve and grown in place.
+Standard library only.  Points are counted exhaustively at every prime,
+good or bad, against a bytearray of the squares mod ell; the q-expansion is
+a list computed once per curve and grown in place, its prime coefficients
+from a counter argument (the table build passes a vectorized one).
 Periods of the real lattice are float64: Carlson's R_F by duplication on
 the roots of the cubic, cross-checked in the tests against a 40-digit
 reference and against direct numerical integration.
@@ -17,9 +19,8 @@ from __future__ import annotations
 import cmath
 import json
 import math
+from operator import itemgetter
 from typing import NamedTuple, Optional
-
-import numpy as np
 
 from .errors import (
     BadReduction,
@@ -137,22 +138,28 @@ def a_ell(curve: CurveData, ell: int) -> int:
 
 
 def _a_ell_naive(curve: CurveData, ell: int) -> int:
-    """-sum over x of the Legendre symbol of the completed-square cubic."""
+    """-sum over x of the Legendre symbol of the completed-square cubic
+    f(x) = 4x^3 + b2 x^2 + 2 b4 x + b6, for odd ell."""
     b2, b4, b6, _ = curve.b_invariants
-    # complete the square: y^2 = 4x^3 + b2 x^2 + 2 b4 x + b6 over F_ell; the
-    # partial values stay below 6 ell^2, inside int64 for ell < 10^9
-    x = np.arange(ell, dtype=np.int64)
-    rhs = (4 * x + b2 % ell) * x
-    rhs += 2 * b4 % ell
-    rhs %= ell
-    rhs *= x
-    rhs += b6 % ell
-    rhs %= ell
-    sq = x[1 : ell // 2 + 1]
-    chi = np.full(ell, -1, dtype=np.int8)
-    chi[sq * sq % ell] = 1
-    chi[0] = 0
-    return -int(chi[rhs].sum(dtype=np.int64))
+    if ell == 3:  # 12 is no unit mod 3: the three x one by one
+        rhs = [(((4 * x + b2) * x + 2 * b4) * x + b6) % 3 for x in range(3)]
+        return rhs.count(2) - rhs.count(1)
+    # centred at t = -b2/12, f(t + u) = 4u^3 + A u + B has no u^2 term, so
+    # u and -u give B + w and B - w with w = 4u^3 + A u
+    t = -b2 * pow(12, -1, ell) % ell
+    A = (12 * t * t + 2 * b2 * t + 2 * b4) % ell
+    B = (((4 * t + b2) * t + 2 * b4) * t + b6) % ell
+    half = range(1, ell // 2 + 1)
+    square = bytearray(ell)  # 1 at the nonzero squares
+    for u in half:
+        square[u * u % ell] = 1
+    w = [(4 * u * u + A) * u % ell for u in half]
+    # square read at B + w and at B - w, for every w at once
+    plus, minus = square[B:] + square[:B], square[B::-1] + square[:B:-1]
+    squares = square[B] + sum(itemgetter(*w)(plus)) + sum(itemgetter(*w)(minus))
+    zeros = (B == 0) + w.count(-B % ell) + w.count(B)
+    # each x adds 1 + chi(f(x)) points: a = (#non-squares) - (#nonzero squares)
+    return ell - zeros - 2 * squares
 
 
 def _a2_direct(curve: CurveData) -> int:
@@ -232,13 +239,12 @@ def fricke_residual(curve: CurveData) -> float:
     N = curve.conductor
     samples = (0.83, 1.37)
     T = int(40 * math.sqrt(N) / (2 * math.pi * min(samples[0], 1 / samples[1]))) + 1
-    an = an_expansion(curve, T)[1:]
-    n = np.arange(1, T + 1)
+    terms = list(enumerate(an_expansion(curve, T)))[1:]
     worst = 0.0
     for s in samples:
         y = s / math.sqrt(N)
-        f_y = float(np.sum(an * np.exp(-2 * np.pi * n * y)))
-        f_wy = float(np.sum(an * np.exp(-2 * np.pi * n / (N * y))))
+        f_y = math.fsum(a * math.exp(-2 * math.pi * n * y) for n, a in terms)
+        f_wy = math.fsum(a * math.exp(-2 * math.pi * n / (N * y)) for n, a in terms)
         rhs = -curve.fricke_sign * N * y * y * f_y
         worst = max(worst, abs(f_wy - rhs) / max(abs(f_wy), 1e-30))
     return worst
@@ -292,40 +298,33 @@ def is_odd_prime(n: int) -> bool:
 _EXPANSIONS: dict = {}
 
 
-def an_expansion(curve: CurveData, n_max: int) -> np.ndarray:
+def an_expansion(curve: CurveData, n_max: int, count=None) -> list:
     """Coefficients a_1..a_n_max via multiplicativity and Hecke recursion.
 
-    Index 0 of the returned array is unused (kept 0) so that out[n] = a_n.
-    The array is a read-only view of a per-curve expansion that is computed
-    once and extended past its end when a larger n_max is asked for.
+    Index 0 of the returned list is unused (kept 0) so that out[n] = a_n.
+    The list is a copy of a per-curve expansion that is computed once and
+    extended past its end when a larger n_max is asked for.  The good
+    primes it adds take a_q from count(curve, q), a_ell by default; the bad
+    ones from a_bad_prime.
     """
     if n_max < 1:
         raise ValueError("n_max must be at least 1")
     key = (curve.a_invariants, curve.conductor)
     an = _EXPANSIONS.get(key)
     if an is None or len(an) <= n_max:
-        an = _extend_expansion(curve, an, n_max)
-        an.flags.writeable = False
-        _EXPANSIONS[key] = an
+        an = _EXPANSIONS[key] = _extend_expansion(curve, an, n_max, count or a_ell)
     return an[: n_max + 1]
 
 
-def _extend_expansion(curve: CurveData, known, n_max: int) -> np.ndarray:
+def _extend_expansion(curve: CurveData, known, n_max: int, count) -> list:
     """a_0..a_n_max, reusing the prefix `known` (None for a fresh start)."""
-    out = np.zeros(n_max + 1, dtype=np.int64)
-    lo = 2 if known is None else len(known)
-    if known is None:
-        out[1] = 1
-    else:
-        out[:lo] = known
+    out = [0, 1] if known is None else list(known)
+    lo = len(out)
+    out += [0] * (n_max + 1 - lo)
     spf = _smallest_prime_factors(n_max)
-    n = np.arange(lo, n_max + 1, dtype=np.int64)
-    p = spf[lo:]
-    for q in n[p == n].tolist():
-        if curve.conductor % q == 0:
-            out[q] = a_bad_prime(curve, q)
-        else:
-            out[q] = a_ell(curve, q)
+    for q in range(lo, n_max + 1):
+        if spf[q] == q:
+            out[q] = a_bad_prime(curve, q) if curve.conductor % q == 0 else count(curve, q)
     # a_(q^k) = a_q a_(q^(k-1)) - q a_(q^(k-2)), without the q term at bad q
     for q in _primes_in(spf[: math.isqrt(n_max) + 1]):
         weight = q if curve.conductor % q else 0
@@ -333,45 +332,36 @@ def _extend_expansion(curve: CurveData, known, n_max: int) -> np.ndarray:
         while cur * q <= n_max:
             prev, cur = cur, cur * q
             if cur >= lo:
-                out[cur] = int(out[q]) * int(out[prev]) - weight * int(out[prev // q])
-    # n = q^k * rest with q = spf(n) not dividing rest: a_n = a_(q^k) a_rest;
-    # rest has fewer prime factors, so fill by rounds of that count
-    rest = n // p
-    while True:
-        more = rest % p == 0
-        if not more.any():
-            break
-        rest[more] //= p[more]
-    mixed = rest > 1
-    n, rest = n[mixed], rest[mixed]
-    power = n // rest
-    done = np.ones(n_max + 1, dtype=bool)
-    done[n] = False
-    while len(n):
-        ready = done[rest]
-        out[n[ready]] = out[power[ready]] * out[rest[ready]]
-        done[n[ready]] = True
-        n, rest, power = n[~ready], rest[~ready], power[~ready]
+                out[cur] = out[q] * out[prev] - weight * out[prev // q]
+    # n = q^k * rest with q = spf(n) not dividing rest: a_n = a_(q^k) a_rest,
+    # both factors below n
+    for n in range(lo, n_max + 1):
+        q = spf[n]
+        rest = n // q
+        while rest % q == 0:
+            rest //= q
+        if rest > 1:
+            out[n] = out[n // rest] * out[rest]
     return out
 
 
-def _smallest_prime_factors(n: int) -> np.ndarray:
+def _smallest_prime_factors(n: int) -> list:
     """spf[k] = the smallest prime factor of k for 2 <= k <= n; spf[0:2] = 0, 1.
 
     Sieves with the primes up to sqrt(n) only, largest first, so that the
     smallest prime factor is the last one written; primes keep spf[k] = k.
     """
-    spf = np.arange(n + 1, dtype=np.int64)
+    spf = list(range(n + 1))
     root = math.isqrt(n)
     if root >= 2:
         for q in reversed(_primes_in(_smallest_prime_factors(root))):
-            spf[q * q :: q] = q
+            spf[q * q :: q] = [q] * len(range(q * q, n + 1, q))
     return spf
 
 
-def _primes_in(spf: np.ndarray) -> list:
+def _primes_in(spf: list) -> list:
     """The primes below len(spf), read off a smallest-prime-factor table."""
-    return np.flatnonzero(spf == np.arange(len(spf)))[2:].tolist()
+    return [q for q in range(2, len(spf)) if spf[q] == q]
 
 
 # -- periods ----------------------------------------------------------------------

@@ -10,10 +10,11 @@ The cyclotomic pieces Phi_n (Phi_0 = X) are constructed with exact integer
 coefficients.  All polynomial arithmetic runs on residue lists through one
 multiply and one division (von zur Gathen-Gerhard, Modern Computer Algebra,
 ch. 8-9).  The multiply is Kronecker substitution: both lists are packed
-into one integer each, multiplied once, and read back.  The division by a
-monic polynomial is long division for short quotients, and otherwise the
-reversed dividend times a Newton reciprocal of the reversed divisor; every
-division re-multiplies its quotient and checks the identity.  Division
+into one integer each (through array.array for slots of up to 8 bytes),
+multiplied once, and read back.  The division by a monic polynomial is
+long division for short quotients, and otherwise the reversed dividend
+times a Newton reciprocal of the reversed divisor; every division
+re-multiplies its quotient and checks the identity.  Division
 with remainder, Weierstrass preparation and the Taylor shift of theta
 elements all run on these two.  Division by a monic polynomial loses no
 p-adic digits; the only precision loss in this module comes from stripping
@@ -24,10 +25,10 @@ of its parts.
 from __future__ import annotations
 
 import math
+import sys
+from array import array
 from itertools import count, repeat
 from typing import NamedTuple, Optional
-
-import numpy as np
 
 from .errors import (
     MixedContext,
@@ -301,10 +302,18 @@ def _reduce_coeffs(ctx: IwasawaContext, coeffs):
 # -- the kernel: one multiply, one division ---------------------------------------
 
 
+#: array typecode of each slot width up to 8 bytes, picked by itemsize
+_TYPECODES = {array(t).itemsize: t for t in "BHILQ"}
+_BIG_ENDIAN = sys.byteorder == "big"
+
+
 def _pack(values, width: int) -> int:
     """The integer whose little-endian slots of `width` bytes hold `values`."""
     if width <= 8:
-        raw = np.asarray(values, dtype=f"<u{width}").tobytes()
+        slots = array(_TYPECODES[width], values)
+        if _BIG_ENDIAN:
+            slots.byteswap()
+        raw = slots.tobytes()
     else:
         raw = b"".join(map(int.to_bytes, values, repeat(width), repeat("little")))
     return int.from_bytes(raw, "little")
@@ -316,8 +325,8 @@ def _mul(a, b, mod: int) -> list:
     A product coefficient is a sum of at most min(len) terms below mod^2, so
     slots of 2*bits(mod) + bits(min(len)) bits never overflow: one integer
     product carries the whole convolution.  Slots of 1, 2, 4 or 8 bytes are
-    packed and read through numpy, wider ones through bytes.  The result
-    has len(a) + len(b) - 1 entries, none when an operand is empty.
+    packed and read through array.array, wider ones through bytes.  The
+    result has len(a) + len(b) - 1 entries, none when an operand is empty.
     """
     if not a or not b:
         return []
@@ -327,7 +336,10 @@ def _mul(a, b, mod: int) -> list:
     A = _pack(a, width)
     raw = (A * (A if b is a else _pack(b, width))).to_bytes(n * width, "little")
     if width <= 8:
-        return (np.frombuffer(raw, dtype=f"<u{width}") % mod).tolist()
+        slots = array(_TYPECODES[width], raw)
+        if _BIG_ENDIAN:
+            slots.byteswap()
+        return [c % mod for c in slots]
     return [
         int.from_bytes(raw[i : i + width], "little") % mod
         for i in range(0, n * width, width)

@@ -13,19 +13,20 @@ is built); the exact Hecke relations at p are then an independent
 cross-check.  An imported table bypasses the computation, so the
 Lambda-side pipeline is testable on its own.
 
-A table holds integers only: per level one numerator array per sign,
+A table holds Python ints only: per level one numerator list per sign,
 indexed by a mod p^k, over one denominator per sign (SymbolTable).  The
-Hecke check is one array identity per level and sign; the CSV format
-writes each symbol as a fraction in lowest terms.
+Hecke check is one list identity per level and sign; the CSV format
+writes each symbol as a fraction in lowest terms.  Only the build, through
+`manin`, uses numpy.
 """
 
 from __future__ import annotations
 
 import csv
+import gc
 import math
+import sys
 from typing import NamedTuple
-
-import numpy as np
 
 from .curves import CurveData, a_ell, is_odd_prime, periods
 from .errors import ContextMismatch, IncompleteTable, ParseError
@@ -35,11 +36,9 @@ class SymbolTable:
     """[a/p^k]^+- for k <= K as integer numerators over one positive
     denominator per sign.
 
-    levels[k] is a (2, p^k) array: row 0 the plus and row 1 the minus
-    numerators, indexed by a mod p^k, with 0 at the non-units; levels[0]
-    holds the boundary symbol [0].  The entries are int64 when `_level`
-    proves that no Hecke or gamma-fiber sum over them can wrap, Python ints
-    otherwise.  A level that an imported file does not cover is None.
+    levels[k] is a pair (plus, minus) of lists of p^k numerators, indexed
+    by a mod p^k, with 0 at the non-units; levels[0] holds the boundary
+    symbol [0].  A level that an imported file does not cover is None.
     """
 
     def __init__(self, curve_label: str, p: int, denominators: tuple, levels: list,
@@ -61,30 +60,43 @@ class SymbolTable:
                    for k in range(len(self.levels)) if self.has_level(k))
 
 
-def _units(p: int, k: int):
+def _units(p: int, k: int) -> list:
     """The residues a mod p^k of the symbols [a/p^k]: the units, or 0 at k = 0."""
-    a = np.arange(p**k)
-    return a[a % p != 0] if k else a
+    return [a for a in range(p**k) if a % p] if k else [0]
 
 
-def _level(p: int, k: int, x, scale=1):
-    """Level k of a table from its values x at the residues of _units (two
-    rows, scale an int or a column of ints): scale * x there, 0 elsewhere.
-    int64 when every entry times p + 1 fits, so that no Hecke relation (a_p x
-    against p + 1 entries, |a_p| <= 2 sqrt p) and no gamma-fiber sum (p - 1
-    entries) can wrap; Python ints otherwise."""
-    x, scale = np.asarray(x), np.asarray(scale, dtype=object)
-    top = max(int(np.abs(x).max(initial=0)), 1) * max(abs(s) for s in scale.flat)
-    if top * (p + 1) < 2**63:
-        x, scale = x.astype(np.int64), scale.astype(np.int64)
-    else:
-        x = x.astype(object)
-    level = np.zeros((2, p**k), dtype=x.dtype)
-    level[:, _units(p, k)] = x * scale
+def _level(p: int, k: int, values: list) -> list:
+    """The p^k numerators of one sign at level k from their values at the
+    residues of _units, 0 elsewhere.  _units lists a = q p + r by q, then r,
+    so the residues a = r mod p take every (p-1)-th value from r - 1."""
+    if not k:
+        return list(values)
+    level = [0] * p**k
+    for r in range(1, p):
+        level[r::p] = values[r - 1 :: p - 1]
     return level
 
 
 # -- table construction ----------------------------------------------------------
+
+
+def _import_manin():
+    """The Manin-symbol code and numpy, which only a build needs.  A process
+    that froze its start-up imports (cli.entry) gets them imported the same
+    way on the first build, with the collector off and frozen after, so that
+    neither its later collections nor its shutdown walk their objects."""
+    if "signedlp.manin" not in sys.modules and gc.get_freeze_count():
+        collect = gc.isenabled()
+        gc.disable()
+        try:
+            from . import manin
+        finally:
+            gc.freeze()
+            if collect:
+                gc.enable()
+    from . import manin
+
+    return manin
 
 
 class SymbolTableBuilder:
@@ -98,8 +110,7 @@ class SymbolTableBuilder:
         """Table through level K, with the certification of its scale in meta:
         per sign the Hecke primes, and the cycle that fixed the scale with its
         exact value and the float64 deviation from it."""
-        from . import manin  # only a build needs the Manin-symbol code
-
+        manin = _import_manin()
         curve, p = self.curve, self.p
         symbols = manin.ManinSymbols(curve.conductor)
         per = periods(curve)
@@ -114,10 +125,12 @@ class SymbolTableBuilder:
             meta[name] = {"hecke_primes": primes, **cert}
             values.append(phi)
             scales.append(scale.as_integer_ratio())
-        values = np.array(values)
         (n1, d1), (n2, d2) = scales
-        levels = [_level(p, k, symbols.to_infinity(values, _units(p, k), p**k), [[n1], [n2]])
-                  for k in range(K + 1)]
+        levels = []
+        for k in range(K + 1):
+            plus, minus = symbols.to_infinity(values, _units(p, k), p**k).tolist()
+            levels.append((_level(p, k, [n1 * v for v in plus]),
+                           _level(p, k, [n2 * v for v in minus])))
         return SymbolTable(curve.label, p, (d1, d2), levels, meta=meta)
 
 
@@ -143,7 +156,8 @@ def validate_hecke(table: SymbolTable, p: int, max_level: int, a_p: int) -> Heck
 
     Runs over every unit residue at levels 1..max_level; needs the table
     complete through max_level + 1.  Each sign is checked on its numerators,
-    one array identity per level; violations are reported as fractions.
+    one list identity per level; violations are reported as fractions, by
+    level, residue and sign.
     """
     if table.p != p:
         raise ContextMismatch(f"table is for p = {table.p}, not {p}")
@@ -153,19 +167,19 @@ def validate_hecke(table: SymbolTable, p: int, max_level: int, a_p: int) -> Heck
     violations = []
     for n in range(1, max_level + 1):
         mn = p**n
-        low, x, high = table.levels[n - 1], table.levels[n], table.levels[n + 1]
-        if abs(a_p) > p + 1:
-            x = x.astype(object)  # outside the bound of _level
-        lhs = a_p * x
-        rhs = np.tile(low, (1, p)) + high.reshape(2, p, mn).sum(axis=1)
-        bad = lhs != rhs
-        bad[:, ::p] = False  # the non-units
-        for a, s in np.argwhere(bad.T):
+        bad = []  # (residue, sign, lhs, rhs)
+        for s, (low, x, high) in enumerate(zip(*table.levels[n - 1 : n + 2])):
+            lhs = [a_p * v for v in x]
+            # low is read mod p^(n-1), high summed over its p slices mod p^n
+            rhs = list(map(sum, zip(low * p, *(high[j * mn : (j + 1) * mn] for j in range(p)))))
+            if lhs != rhs:
+                bad += [(a, s, lhs[a], rhs[a])
+                        for a in range(mn) if a % p and lhs[a] != rhs[a]]
+        for a, s, lhs, rhs in sorted(bad):
             from fractions import Fraction  # only a violation is shown as fractions
 
             den = table.denominators[s]
-            violations.append((n, int(a), ("plus", "minus")[s],
-                               Fraction(int(lhs[s, a]), den), Fraction(int(rhs[s, a]), den)))
+            violations.append((n, a, ("plus", "minus")[s], Fraction(lhs, den), Fraction(rhs, den)))
     return HeckeReport(not violations, tuple(range(1, max_level + 1)), violations)
 
 
@@ -175,18 +189,18 @@ def validate_hecke(table: SymbolTable, p: int, max_level: int, a_p: int) -> Heck
 def export_table(table: SymbolTable, path) -> None:
     """One row k, a, plus numerator, denominator, minus numerator, denominator
     per symbol, by level and residue, each fraction in lowest terms."""
-    dens = np.array([[d] for d in table.denominators], dtype=object)
+    gcd = math.gcd
+    dp, dm = table.denominators
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow([table.curve_label, table.p])
         for k, level in enumerate(table.levels):
             if level is None:
                 continue
-            a = _units(table.p, k)
-            nums = level[:, a].astype(object)
-            g = np.gcd(nums, dens)
-            (pn, mn), (pd, md) = (nums // g).tolist(), (dens // g).tolist()
-            writer.writerows(zip([k] * len(a), a.tolist(), pn, pd, mn, md))
+            plus, minus = level
+            for a in _units(table.p, k):
+                g, h = gcd(plus[a], dp), gcd(minus[a], dm)
+                writer.writerow((k, a, plus[a] // g, dp // g, minus[a] // h, dm // h))
 
 
 def import_table(path, expect_curve=None, expect_p=None) -> SymbolTable:
@@ -253,8 +267,7 @@ def import_table(path, expect_curve=None, expect_p=None) -> SymbolTable:
     for k, (m, held) in found.items():
         if len(held) != m - m // p:
             continue  # a unit residue has no row
-        units = [held[r] for r in _units(p, k).tolist()]
-        nums = [[n * (dens[0] // d) for n, d, _, _ in units],
-                [n * (dens[1] // d) for _, _, n, d in units]]
-        levels[k] = _level(p, k, np.array(nums, dtype=object))
+        units = [held[r] for r in _units(p, k)]
+        levels[k] = (_level(p, k, [n * (dens[0] // d) for n, d, _, _ in units]),
+                     _level(p, k, [n * (dens[1] // d) for _, _, n, d in units]))
     return SymbolTable(label, p, dens, levels, provenance="imported")

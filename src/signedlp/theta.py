@@ -10,8 +10,8 @@ a class in Lambda/(omega_n, p^M).  Its representative of degree below p^n
 is a plain LambdaElement in the context (p^M, X^(p^n)), and a theta
 sequence is a dict from level to that element.  Only the trivial tame
 character enters, so only plus symbols are used; minus symbols stay in the
-table for symmetry checks.  The c_j are gathered from the plus numerators
-of level n+1 with one index array over the grid omega^i gamma^j, and
+table for symmetry checks.  The c_j are gathered from the plus numerator
+list of level n+1, one row omega^i gamma^j of the grid at a time, and
 reduced into Z/p^M with one inverse of the unit part of the plus
 denominator.  The change to the monomial basis is a Taylor shift by 1
 (lambda_ring.taylor_shift): divide and conquer with one Kronecker product
@@ -25,8 +25,6 @@ rather than assuming it (the sign below is the empirically pinned one).
 from __future__ import annotations
 
 from typing import NamedTuple
-
-import numpy as np
 
 from .curves import prime_divisors
 from .errors import IncompleteTable, NotAUnit
@@ -77,9 +75,10 @@ def build_theta(table: SymbolTable, n: int, M: int) -> LambdaElement:
     gamma = [1]  # gamma^j mod p^(n+1)
     for _ in range(d - 1):
         gamma.append(gamma[-1] * (1 + p) % modulus)
-    # grid[i, j] = omega^i gamma^j runs over every unit once; c_j sums column j
-    grid = np.outer(teichmueller_values(p, modulus), gamma) % modulus
-    sums = table.levels[n + 1][0][grid].sum(axis=0).tolist()
+    # omega^i gamma^j runs over every unit once; c_j sums over i
+    plus = table.levels[n + 1][0]
+    rows = [[plus[w * g % modulus] for g in gamma] for w in teichmueller_values(p, modulus)]
+    sums = list(map(sum, zip(*rows)))
     # Each c_j is reduced into Z/p^M once.  The change of basis from
     # (1+X)^j to X^k is unitriangular over Z, so the monomial coefficients
     # are p-integral exactly when every c_j is: NotIntegral is raised here

@@ -77,7 +77,7 @@ def synthetic_table(p, plus, label="synthetic"):
 
 def symbol(table, k, a, sign=0):
     """[a/p^k]^+ (sign 0) or [a/p^k]^- (sign 1) as a Fraction."""
-    return Fraction(int(table.levels[k][sign, a % table.p**k]), table.denominators[sign])
+    return Fraction(table.levels[k][sign][a % table.p**k], table.denominators[sign])
 
 
 def exported(table):

@@ -216,7 +216,8 @@ def test_an_expansion_extends_in_place(store, monkeypatch):
     assert np.array_equal(an_expansion(c, 5000), grown[:5001])
     monkeypatch.setattr(curves, "_EXPANSIONS", {})
     assert np.array_equal(grown, an_expansion(c, 30011))
-    assert not grown.flags.writeable
+    grown[1] = 0    # a copy: the stored expansion keeps a_1 = 1
+    assert an_expansion(c, 30011)[1] == 1
 
 
 def test_bad_prime_coefficients(store):

@@ -109,7 +109,7 @@ def random_conclusive(rng, ctx, lam, mu):
 
 
 def test_mul_matches_schoolbook_across_slot_widths():
-    # slots of 1, 2, 4 and 8 bytes go through numpy, wider ones through bytes
+    # slots of 1, 2, 4 and 8 bytes go through array, wider ones through bytes
     rng = random.Random(81)
     for p in PRIMES:
         for M in PRECISIONS:

@@ -4,11 +4,17 @@ import random
 from fractions import Fraction
 
 import mpmath
-import numpy as np
 import pytest
 
 from signedlp import manin
-from signedlp.curves import an_expansion, ingest_curve, periods
+from signedlp.curves import (
+    a_bad_prime,
+    a_ell,
+    an_expansion,
+    ingest_curve,
+    periods,
+    prime_divisors,
+)
 from signedlp.errors import ContextMismatch, NonConvergence, ParseError
 from signedlp.modsym import (
     SymbolTableBuilder,
@@ -309,9 +315,9 @@ def test_parity_symmetry_entire_table(store):
     table = store.table("53a1", 5, 3)
     for k in range(1, 4):
         plus, minus = table.levels[k]
-        mirror = -np.arange(5**k) % 5**k
-        assert (plus == plus[mirror]).all()
-        assert (minus == -minus[mirror]).all()
+        mirror = [-a % 5**k for a in range(5**k)]
+        assert plus == [plus[b] for b in mirror]
+        assert minus == [-minus[b] for b in mirror]
 
 
 def test_boundary_period_integral(store):
@@ -371,6 +377,19 @@ def test_5077a1_p3_through_level_6():
     curve, frozen = _frozen("5077a1", 3)
     assert len(frozen.levels) == 7
     assert exported(SymbolTableBuilder(curve, 3).build(6)) == exported(frozen)
+
+
+@pytest.mark.parametrize("label", ["11a1", "37a1", "5077a1"])
+def test_vectorized_count_matches_a_ell(store, label):
+    # the build's numpy counter against the exhaustive count of curves.a_ell
+    # at every good prime below 2000, and against a_bad_prime at the bad ones
+    curve = _frozen(label, 3)[0] if label == "5077a1" else store.curve(label)
+    N = curve.conductor
+    for q in range(2, 2000):
+        if N % q and prime_divisors(q) == [q]:
+            assert manin._a_ell(curve, q) == a_ell(curve, q), q
+    for q in prime_divisors(N):
+        assert manin._a_ell(curve, q) == a_bad_prime(curve, q), q
 
 
 def test_manin_symbol_count():
