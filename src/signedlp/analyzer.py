@@ -15,7 +15,9 @@ truncation alone.
 from __future__ import annotations
 
 import csv
+import io
 import json
+import sys
 from typing import NamedTuple
 
 from .errors import IoError, PrecisionExhausted
@@ -213,27 +215,29 @@ def report_payload(curve_label, p, gcd: GcdReport, verdicts: Verdict, header=Non
     return payload
 
 
-def emit_report(payloads, fmt: str, path) -> None:
-    """Write verdict payloads with a stable key order; json or csv."""
+def emit(payload, fmt: str, path=None) -> None:
+    """Write one payload to path, or to stdout when path is None: JSON with
+    a stable key order, or, for a report, one CSV row per check.  A file
+    holds exactly the bytes stdout would; a failed write raises IoError."""
+    if fmt == "json":
+        text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    elif fmt == "csv":
+        buf = io.StringIO()
+        writer = csv.writer(buf)
+        writer.writerow(["curve", "p", "gcd", "delta_E", "check", "status", "detail"])
+        for check in payload["checks"]:
+            writer.writerow([
+                payload["curve"], payload["p"], payload["gcd_string"], payload["delta_E"],
+                check["name"], check["status"], check["detail"],
+            ])
+        text = buf.getvalue()
+    else:
+        raise ValueError(f"unknown format {fmt!r}")
     try:
-        if fmt == "json":
-            with open(path, "w") as fh:
-                json.dump(payloads, fh, indent=2, sort_keys=True)
-                fh.write("\n")
-        elif fmt == "csv":
-            with open(path, "w", newline="") as fh:
-                writer = csv.writer(fh)
-                writer.writerow(["curve", "p", "gcd", "delta_E",
-                                 "check", "status", "detail"])
-                for payload in payloads:
-                    for check in payload["checks"]:
-                        writer.writerow([
-                            payload["curve"], payload["p"],
-                            payload["gcd_string"],
-                            payload["delta_E"],
-                            check["name"], check["status"], check["detail"],
-                        ])
+        if path is None:
+            sys.stdout.write(text)
         else:
-            raise ValueError(f"unknown format {fmt!r}")
+            with open(path, "w", newline="") as fh:
+                fh.write(text)
     except OSError as exc:
-        raise IoError(f"cannot write {path}: {exc}") from exc
+        raise IoError(f"cannot write {path or 'stdout'}: {exc}") from exc

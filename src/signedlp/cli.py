@@ -1,15 +1,16 @@
 """Command-line front end.
 
 Subcommands mirror the pipeline stages: curve-info, symbols, theta, signed,
-gcd, verify, report.  Exit codes: 0 success, 1 computational failure
-(precision, stabilization, validation), 2 usage errors.
+gcd, verify, report.  Each of the last six is one run_pipeline call, stopped
+after the stage it shows, and one payload written by analyzer.emit.  Exit
+codes: 0 success, 1 computational failure (precision, stabilization,
+validation, an unwritable --out), 2 usage errors.
 """
 
 from __future__ import annotations
 
 import argparse
 import gc
-import json
 import os
 import sys
 
@@ -17,12 +18,10 @@ import sys
 # nothing here uses
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
-from .analyzer import emit_report
-from .curves import a_ell, classify_reduction, ingest_curve, periods
+from .analyzer import emit, report_payload
+from .curves import classify_reduction, ingest_curve, periods
 from .errors import SignedLPError
-from .modsym import validate_hecke
-from .pipeline import RunConfig, load_or_build_table, result_payload, run_pipeline
-from .theta import build_theta, check_compat
+from .pipeline import RunConfig, run_pipeline
 
 
 def _common_flags() -> argparse.ArgumentParser:
@@ -43,7 +42,6 @@ def _common_flags() -> argparse.ArgumentParser:
     group.add_argument("--export", dest="table_export", action="store_true",
                        help="write the computed symbol table to --table")
     common.add_argument("--out", default=None, help="output file (default: stdout)")
-    common.add_argument("--format", choices=("json", "csv"), default="json")
     return common
 
 
@@ -61,20 +59,9 @@ def _config(args) -> RunConfig:
             table_path=args.table,
             table_mode=mode,
             fine_char=getattr(args, "fine_char", None),
-            out_path=args.out,
-            out_format=args.format,
         )
     except ValueError as exc:
         args.usage_error(str(exc))
-
-
-def _emit(payload, args):
-    text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
 
 
 def cmd_curve_info(args) -> int:
@@ -94,64 +81,35 @@ def cmd_curve_info(args) -> int:
     info["omega_plus"] = per.omega_plus
     info["omega_minus_imag"] = per.omega_minus.imag
     info["real_components"] = per.real_components
-    _emit(info, args)
+    emit(info, "json", args.out)
     return 0
 
 
-def _curve_and_table(cfg: RunConfig):
-    """Ingest and the symbol table, a failure named by its stage as in
-    run_pipeline."""
-    stage = "ingest"
-    try:
-        curve = ingest_curve(cfg.curve_file)
-        stage = "symbols"
-        return curve, load_or_build_table(cfg, curve)
-    except SignedLPError as exc:
-        exc.stage = stage
-        raise
-
-
-def cmd_symbols(args) -> int:
-    cfg = _config(args)
-    curve, table = _curve_and_table(cfg)
-    ap = a_ell(curve, cfg.p)
-    rep = validate_hecke(table, cfg.p, cfg.n_max, ap)
-    payload = {
-        "curve": curve.label,
+def _symbols_payload(result, cfg):
+    return {
+        "curve": result.curve.label,
         "p": cfg.p,
         "levels": cfg.n_max + 1,
-        "entries": table.entries,
-        "provenance": table.provenance,
-        "hecke": "PASS" if rep.passed else "FAIL",
+        "entries": result.table.entries,
+        "provenance": result.table.provenance,
+        "hecke": "PASS",  # a table that fails validation stops the run
     }
-    _emit(payload, args)
-    return 0 if rep.passed else 1
 
 
-def cmd_theta(args) -> int:
-    cfg = _config(args)
-    curve, table = _curve_and_table(cfg)
-    payload = {"curve": curve.label, "p": cfg.p, "thetas": {}}
-    thetas = {}
-    for n in range(cfg.n_max + 1):
-        thetas[n] = build_theta(table, n, cfg.precision)
-        payload["thetas"][str(n)] = {
-            "body": str(thetas[n]),
-            "value_at_zero_vanishes": not thetas[n].coeffs[0],
-        }
-    ap = a_ell(curve, cfg.p)
-    payload["compat"] = {
-        str(n): check_compat(thetas, n, ap).passed
-        for n in range(2, cfg.n_max + 1)
+def _theta_payload(result, cfg):
+    return {
+        "curve": result.curve.label,
+        "p": cfg.p,
+        "thetas": {
+            str(n): {"body": str(theta), "value_at_zero_vanishes": not theta.coeffs[0]}
+            for n, theta in result.thetas.items()
+        },
+        "compat": {str(rep.level): rep.passed for rep in result.compat},
     }
-    _emit(payload, args)
-    return 0
 
 
-def cmd_signed(args) -> int:
-    cfg = _config(args)
-    result = run_pipeline(cfg)
-    payload = {
+def _signed_payload(result, cfg):
+    return {
         "curve": result.curve.label,
         "p": cfg.p,
         "method": result.pair.method,
@@ -161,14 +119,10 @@ def cmd_signed(args) -> int:
         "gcd": result.gcd.as_string(),
         "gcd_certified": result.gcd.certified,
     }
-    _emit(payload, args)
-    return 0
 
 
-def cmd_gcd(args) -> int:
-    cfg = _config(args)
-    result = run_pipeline(cfg)
-    payload = {
+def _gcd_payload(result, cfg):
+    return {
         "curve": result.curve.label,
         "p": cfg.p,
         "gcd": result.gcd.as_string(),
@@ -178,32 +132,30 @@ def cmd_gcd(args) -> int:
         "residual": result.gcd.residual,
         "certified": result.gcd.certified,
     }
-    _emit(payload, args)
-    return 0
 
 
-def cmd_verify(args) -> int:
+def _report_payload(result, cfg):
+    return report_payload(result.curve.label, cfg.p, result.gcd, result.verdict,
+                          header=result.record)
+
+
+# subcommand -> (the stage its run stops after, None for all; its payload)
+PIPELINE_COMMANDS = {
+    "symbols": ("validate_hecke", _symbols_payload),
+    "theta": ("compat", _theta_payload),
+    "signed": (None, _signed_payload),
+    "gcd": (None, _gcd_payload),
+    "verify": (None, _report_payload),
+    "report": (None, _report_payload),
+}
+
+
+def cmd_pipeline(args) -> int:
     cfg = _config(args)
-    result = run_pipeline(cfg)
-    payload = result_payload(result, cfg)
-    _emit(payload, args)
-    ok = (
-        result.predictions is not None
-        and result.predictions.all_pass
-        and result.theorem.all_pass
-    )
-    return 0 if ok else 1
-
-
-def cmd_report(args) -> int:
-    cfg = _config(args)
-    result = run_pipeline(cfg)
-    payload = result_payload(result, cfg)
-    if cfg.out_path:
-        emit_report([payload], cfg.out_format, cfg.out_path)
-    else:
-        _emit(payload, args)
-    return 0
+    result = run_pipeline(cfg, args.last_stage)
+    emit(args.payload(result, cfg), args.format, args.out)
+    # verify alone exits with its verdict
+    return 1 if args.command == "verify" and not result.verdict.all_pass else 0
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -223,19 +175,14 @@ def build_parser() -> argparse.ArgumentParser:
     info.set_defaults(func=cmd_curve_info)
 
     common = _common_flags()
-    for name, func, fine in (
-        ("symbols", cmd_symbols, False),
-        ("theta", cmd_theta, False),
-        ("signed", cmd_signed, False),
-        ("gcd", cmd_gcd, False),
-        ("verify", cmd_verify, True),
-        ("report", cmd_report, True),
-    ):
+    for name, (last_stage, payload) in PIPELINE_COMMANDS.items():
         sub = subs.add_parser(name, parents=[common])
-        if fine:
+        if payload is _report_payload:  # the one payload with checks and a CSV form
+            sub.add_argument("--format", choices=("json", "csv"), default="json")
             sub.add_argument("--fine-char", dest="fine_char", default="1",
                              help="fine characteristic hypothesis, e.g. '1' or 'X'")
-        sub.set_defaults(func=func, usage_error=sub.error)
+        sub.set_defaults(func=cmd_pipeline, last_stage=last_stage, payload=payload,
+                         format="json", usage_error=sub.error)
     return parser
 
 

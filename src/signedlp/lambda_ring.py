@@ -145,7 +145,7 @@ class IwasawaContext:
         if n < 0:
             raise ValueError("level must be nonnegative")
         deg = self.prime**n
-        if deg > self.trunc_len:
+        if deg >= self.trunc_len:
             raise TruncationTooSmall(
                 f"deg omega_{n} = {deg} exceeds truncation {self.trunc_len}"
             )

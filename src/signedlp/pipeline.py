@@ -3,9 +3,10 @@
 Stage order: ingest -> classify -> symbols (compute or import) -> Hecke
 validation -> theta elements -> compatibility -> signed extraction (method
 chosen by the reduction type) -> invariant-fit cross-check -> gcd ->
-prediction comparison -> emission.  Every stage deposits its certification
-data into the run record, which is embedded in the report so identical
-configs reproduce byte-identical output.
+prediction comparison; a run may stop after Hecke validation or after
+compatibility.  Every stage deposits its certification data into the run
+record, which is embedded in the report so identical configs reproduce
+byte-identical output.
 """
 
 from __future__ import annotations
@@ -20,7 +21,6 @@ from .analyzer import (
     Verdict,
     compare_predictions,
     gcd_signed_pair,
-    report_payload,
     theorem_consistency,
 )
 from .curves import CurveData, classify_reduction, ingest_curve, is_odd_prime
@@ -53,8 +53,7 @@ class RunConfig:
     def __init__(self, curve_file: str, p: int, n_max: Optional[int] = None,
                  precision: int = 8, table_path: Optional[str] = None,
                  table_mode: str = "",  # "import" | "export" | ""
-                 fine_char: Optional[str] = None,
-                 out_path: Optional[str] = None, out_format: str = "json"):
+                 fine_char: Optional[str] = None):
         if not is_odd_prime(p):
             raise ValueError("p must be an odd prime")
         if precision < 2:
@@ -70,22 +69,22 @@ class RunConfig:
         self.table_path = table_path
         self.table_mode = table_mode
         self.fine_char = fine_char
-        self.out_path = out_path
-        self.out_format = out_format
 
 
 class PipelineResult(NamedTuple):
+    """What the stages through the last one that ran produced; the fields
+    of the stages after it are None.  The verdict holds the prediction
+    checks, then the theorem checks named "thm:..."; it is empty when no
+    fine characteristic was given."""
+    record: dict
     curve: CurveData
     reduction: object
     table: SymbolTable
-    thetas: dict
-    compat: list
-    pair: Optional[SignedPair]
-    fits: Optional[dict]
-    gcd: Optional[GcdReport]
-    predictions: Optional[Verdict]
-    theorem: Optional[Verdict]
-    record: dict
+    thetas: Optional[dict] = None
+    compat: Optional[list] = None
+    pair: Optional[SignedPair] = None
+    gcd: Optional[GcdReport] = None
+    verdict: Optional[Verdict] = None
 
 
 def cache_path(cfg: RunConfig, curve: CurveData) -> Optional[str]:
@@ -155,7 +154,11 @@ def load_or_build_table(cfg: RunConfig, curve: CurveData) -> SymbolTable:
     return table
 
 
-def run_pipeline(cfg: RunConfig) -> PipelineResult:
+def run_pipeline(cfg: RunConfig, last_stage: Optional[str] = None) -> PipelineResult:
+    """Run the stages in order, through last_stage ("validate_hecke" or
+    "compat"; None runs them all)."""
+    if last_stage not in (None, "validate_hecke", "compat"):
+        raise ValueError(f"cannot stop after stage {last_stage!r}")
     record = {
         "tool": f"signedlp {__version__}",
         "config": {
@@ -201,6 +204,8 @@ def run_pipeline(cfg: RunConfig) -> PipelineResult:
         }
         if not hecke.passed:
             raise SignedLPError(str(hecke))
+        if last_stage == "validate_hecke":
+            return PipelineResult(record, curve, red, table)
 
         stage = "theta"
         thetas = {
@@ -224,6 +229,8 @@ def run_pipeline(cfg: RunConfig) -> PipelineResult:
                     f"level {n}: {rep.detail}", index=rep.index
                 )
         record["stages"]["compat"] = {"levels": [c.level for c in compat]}
+        if last_stage == "compat":
+            return PipelineResult(record, curve, red, table, thetas, compat)
 
         stage = "extract"
         if not red.is_supersingular:
@@ -267,35 +274,22 @@ def run_pipeline(cfg: RunConfig) -> PipelineResult:
             "detail": gcd.detail,
         }
 
-        predictions = theorem = None
+        verdict = Verdict()
         if cfg.fine_char is not None:
             stage = "compare"
             fine = parse_factored_ideal(cfg.fine_char)
-            predictions = compare_predictions(gcd, curve.e_sequence, fine)
+            verdict = compare_predictions(gcd, curve.e_sequence, fine)
             theorem = theorem_consistency(gcd, fine)
             record["stages"]["compare"] = {
-                "delta_E": predictions.delta_e,
-                "KP": predictions.status_of("KP"),
-                "Gr": predictions.status_of("Gr"),
+                "delta_E": verdict.delta_e,
+                "KP": verdict.status_of("KP"),
+                "Gr": verdict.status_of("Gr"),
                 "theorem": "PASS" if theorem.all_pass else "FAIL",
             }
-        return PipelineResult(
-            curve, red, table, thetas, compat, pair, fits, gcd,
-            predictions, theorem, record,
-        )
+            for c in theorem.checks:
+                verdict.add(f"thm:{c.name}", c.status, c.detail)
+        return PipelineResult(record, curve, red, table, thetas, compat, pair, gcd, verdict)
     except SignedLPError as exc:
         exc.stage = stage
         raise
 
-
-def result_payload(result: PipelineResult, cfg: RunConfig):
-    verdict = Verdict()
-    if result.predictions:
-        verdict.checks.extend(result.predictions.checks)
-        verdict.delta_e = result.predictions.delta_e
-    if result.theorem:
-        for c in result.theorem.checks:
-            verdict.add(f"thm:{c.name}", c.status, c.detail)
-    return report_payload(
-        result.curve.label, cfg.p, result.gcd, verdict, header=result.record
-    )

@@ -7,7 +7,7 @@ from signedlp import extract, lambda_ring
 from signedlp.analyzer import (
     GcdReport,
     compare_predictions,
-    emit_report,
+    emit,
     gcd_ideal,
     gcd_signed_pair,
     report_payload,
@@ -189,26 +189,28 @@ def test_theorem_consistency_both_directions():
 # -- emission ---------------------------------------------------------------------
 
 
-def test_emit_empty_report(tmp_path):
-    path = tmp_path / "empty.json"
-    emit_report([], "json", path)
-    assert json.loads(path.read_text()) == []
+def _rank_one_payload():
+    gcd = GcdReport(0, 1, {}, "1", True)
+    v = compare_predictions(gcd, RankSequence([1]), parse_factored_ideal("1"))
+    return report_payload("37a1", 17, gcd, v)
+
+
+def test_emit_json_to_stdout(capsys):
+    payload = _rank_one_payload()
+    emit(payload, "json")
+    assert capsys.readouterr().out == json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
 def test_emit_json_round_trip(tmp_path):
-    gcd = GcdReport(0, 1, {}, "1", True)
-    v = compare_predictions(gcd, RankSequence([1]), parse_factored_ideal("1"))
-    payload = report_payload("37a1", 17, gcd, v)
+    payload = _rank_one_payload()
     path = tmp_path / "report.json"
-    emit_report([payload], "json", path)
-    assert json.loads(path.read_text()) == [payload]
+    emit(payload, "json", path)
+    assert json.loads(path.read_text()) == payload
 
 
 def test_emit_csv_one_row_per_check(tmp_path):
-    gcd = GcdReport(0, 1, {}, "1", True)
-    v = compare_predictions(gcd, RankSequence([1]), parse_factored_ideal("1"))
-    payload = report_payload("37a1", 17, gcd, v)
+    payload = _rank_one_payload()
     path = tmp_path / "report.csv"
-    emit_report([payload], "csv", path)
+    emit(payload, "csv", path)
     lines = path.read_text().strip().splitlines()
     assert len(lines) == 1 + len(payload["checks"])

@@ -7,6 +7,8 @@ import pytest
 
 from signedlp import cli
 from signedlp.cli import main
+from signedlp.curves import ingest_curve
+from signedlp.modsym import SymbolTableBuilder, export_table
 from signedlp.pipeline import RunConfig, run_pipeline
 
 from conftest import curve_path
@@ -27,7 +29,9 @@ _REPORT_53A1 = ["report", "--curve", curve_path("53a1")]
     _REPORT_53A1 + ["--p", "5", "--prec", "1"],
     _REPORT_53A1 + ["--p", "5", "--level", "-1"],
     _REPORT_53A1 + ["--p", "5", "--import"],
-], ids=["unknown-flag", "p-not-prime", "prec-1", "level-negative", "import-without-table"])
+    ["gcd", "--curve", curve_path("53a1"), "--p", "3", "--format", "csv"],
+], ids=["unknown-flag", "p-not-prime", "prec-1", "level-negative", "import-without-table",
+        "format-without-csv-form"])
 def test_unknown_flag_exits_2(argv):
     proc = subprocess.run(
         [sys.executable, "-m", "signedlp", *argv], capture_output=True, text=True,
@@ -156,6 +160,14 @@ def test_bad_prime_fails_at_classify_stage(capsys):
     assert "stage: classify" in err
 
 
+@pytest.mark.parametrize("command", ["symbols", "theta"])
+def test_bad_prime_stops_every_subcommand_at_classify(command, capsys):
+    code, out, err = run_cli([command, "--curve", curve_path("37a1"), "--p", "37"], capsys)
+    assert (code, out) == (1, "")
+    assert err.rstrip().endswith("WrongReductionType: 37a1 has multiplicative reduction "
+                                 "at 37 [stage: classify]")
+
+
 def test_curve_info(capsys):
     code, out, _ = run_cli(
         ["curve-info", "--curve", curve_path("37a1"), "--p", "17"],
@@ -232,6 +244,55 @@ def test_report_csv_format(tmp_path, capsys):
     lines = out.read_text().strip().splitlines()
     assert lines[0].startswith("curve,p,gcd")
     assert len(lines) > 2
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_report_out_holds_the_bytes_of_stdout(fmt, tmp_path, capsysbinary):
+    argv = ["report", "--curve", curve_path("53a1"), "--p", "3", "--level", "2",
+            "--format", fmt]
+    assert main(argv) == 0
+    printed = capsysbinary.readouterr().out
+    assert printed.startswith(b"{" if fmt == "json" else b"curve,p,gcd")
+    path = tmp_path / f"report.{fmt}"
+    assert main(argv + ["--out", str(path)]) == 0
+    assert capsysbinary.readouterr().out == b""
+    assert path.read_bytes() == printed
+
+
+def test_unwritable_out_is_an_io_error(tmp_path, capsys):
+    code, out, err = run_cli(
+        ["gcd", "--curve", curve_path("53a1"), "--p", "3",
+         "--out", str(tmp_path / "missing" / "gcd.json")],
+        capsys,
+    )
+    assert (code, out) == (1, "")
+    assert err.startswith("signedlp: IoError: cannot write") and "Traceback" not in err
+
+
+@pytest.fixture(scope="module")
+def corrupted_table(tmp_path_factory):
+    """53a1 at p = 3 through level 3 with one plus symbol changed: the file
+    imports, and the table fails the Hecke relations."""
+    path = tmp_path_factory.mktemp("tables") / "53a1_p3.csv"
+    export_table(SymbolTableBuilder(ingest_curve(curve_path("53a1")), 3).build(3), str(path))
+    lines = path.read_text().splitlines()
+    k, a, num, den, *minus = lines[2].split(",")
+    assert k == "1"
+    lines[2] = ",".join([k, a, str(int(num) + 1), den, *minus])
+    path.write_text("\n".join(lines) + "\n")
+    return str(path)
+
+
+@pytest.mark.parametrize("command", ["symbols", "theta", "report"])
+def test_invalid_imported_table_fails_at_validate_hecke(command, corrupted_table, capsys):
+    code, out, err = run_cli(
+        [command, "--curve", curve_path("53a1"), "--p", "3",
+         "--table", corrupted_table, "--import"],
+        capsys,
+    )
+    assert (code, out) == (1, "")
+    assert "Hecke violations" in err
+    assert err.rstrip().endswith("[stage: validate_hecke]")
 
 
 def test_symbols_subcommand(tmp_path, capsys):

@@ -5,7 +5,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from signedlp import curves
+from signedlp import curves, manin
 from signedlp.curves import (
     a_bad_prime,
     a_ell,
@@ -131,9 +131,10 @@ def _short_model_count(curve, ell):
 
 @pytest.mark.parametrize("label", FIXTURES)
 def test_a_ell_matches_naive_count_below_20000(store, label):
+    # against the independent vectorized count of the table builds
     c = store.curve(label)
     for ell in _good_primes(c, 5, 20000):
-        assert a_ell(c, ell) == _short_model_count(c, ell), ell
+        assert a_ell(c, ell) == manin._a_ell(c, ell), ell
 
 
 @pytest.mark.parametrize("label", FIXTURES)
@@ -155,8 +156,9 @@ def _reference_smallest_prime_factors(n):
     return spf
 
 
-def _reference_an_expansion(curve, n_max):
-    """The per-n recursion the vectorized fill replaced, kept verbatim."""
+def _reference_an_expansion(curve, n_max, count=a_ell):
+    """The per-n recursion the vectorized fill replaced, kept verbatim but
+    for the prime coefficients, which count(curve, q) gives."""
     out = np.zeros(n_max + 1, dtype=np.int64)
     out[1] = 1
     spf = _reference_smallest_prime_factors(n_max)
@@ -169,7 +171,7 @@ def _reference_an_expansion(curve, n_max):
         if curve.conductor % p == 0:
             val = a_bad_prime(curve, p) ** k
         else:
-            ap = int(a_ell(curve, p))
+            ap = int(count(curve, p))
             a_prev, a_cur = 1, ap
             for _ in range(k - 1):
                 a_prev, a_cur = a_cur, ap * a_cur - p * a_prev
@@ -187,9 +189,10 @@ def _reference_an_expansion(curve, n_max):
     return out
 
 
-def _check_fresh_expansion(curve, n, monkeypatch):
+def _check_fresh_expansion(curve, n, monkeypatch, count=a_ell):
     monkeypatch.setattr(curves, "_EXPANSIONS", {})
-    assert np.array_equal(an_expansion(curve, n), _reference_an_expansion(curve, n))
+    assert np.array_equal(an_expansion(curve, n, count),
+                          _reference_an_expansion(curve, n, count))
     assert np.array_equal(
         curves._smallest_prime_factors(n)[2:], _reference_smallest_prime_factors(n)[2:]
     )
@@ -203,19 +206,21 @@ def test_an_expansion_matches_per_n_recursion(store, label, monkeypatch):
 
 def test_an_expansion_matches_per_n_recursion_to_30030(store, monkeypatch):
     # 30030 = 2*3*5*7*11*13: the fill meets every count of distinct prime
-    # factors up to six
-    _check_fresh_expansion(store.curve("37a1"), 30030, monkeypatch)
+    # factors up to six.  Both sides take their prime coefficients from the
+    # vectorized count: this checks the fill, the sweeps above the counter.
+    _check_fresh_expansion(store.curve("37a1"), 30030, monkeypatch, manin._a_ell)
 
 
 def test_an_expansion_extends_in_place(store, monkeypatch):
     c = store.curve("53a1")
     monkeypatch.setattr(curves, "_EXPANSIONS", {})
-    small = an_expansion(c, 100)
-    grown = an_expansion(c, 30011)    # a prime end, past a prime power
+    count = manin._a_ell    # the extension is under test, not the counter
+    small = an_expansion(c, 100, count)
+    grown = an_expansion(c, 30011, count)    # a prime end, past a prime power
     assert len(small) == 101 and len(grown) == 30012
     assert np.array_equal(an_expansion(c, 5000), grown[:5001])
     monkeypatch.setattr(curves, "_EXPANSIONS", {})
-    assert np.array_equal(grown, an_expansion(c, 30011))
+    assert np.array_equal(grown, an_expansion(c, 30011, count))
     grown[1] = 0    # a copy: the stored expansion keeps a_1 = 1
     assert an_expansion(c, 30011)[1] == 1
 

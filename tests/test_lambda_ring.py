@@ -42,6 +42,10 @@ def test_phi_truncation_guard():
     small = IwasawaContext(3, 8, 4)
     with pytest.raises(TruncationTooSmall):
         small.phi(2)
+    # omega_2 has degree 9: modulo X^9 it would lose its leading term
+    with pytest.raises(TruncationTooSmall):
+        IwasawaContext(3, 8, 9).omega(2)
+    assert IwasawaContext(3, 8, 10).omega(2).degree() == 9
 
 
 def test_phi_degree_and_value_at_zero():
