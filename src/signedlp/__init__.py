@@ -1,3 +1,3 @@
 """Signed p-adic L-series approximations and gcd audits at supersingular primes."""
 
-__version__ = "0.1.1"
+__version__ = "0.1.2"

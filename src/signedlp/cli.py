@@ -11,12 +11,7 @@ from __future__ import annotations
 
 import argparse
 import gc
-import os
 import sys
-
-# a table build imports numpy, whose OpenBLAS would start a thread pool that
-# nothing here uses
-os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 from .analyzer import emit, report_payload
 from .curves import classify_reduction, ingest_curve, periods

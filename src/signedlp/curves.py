@@ -3,7 +3,7 @@
 Standard library only.  Points are counted exhaustively at every prime,
 good or bad, against a bytearray of the squares mod ell; the q-expansion is
 a list computed once per curve and grown in place, its prime coefficients
-from a counter argument (the table build passes a vectorized one).
+from a counter argument (the table build passes a Shanks-Mestre one).
 Periods of the real lattice are float64: Carlson's R_F by duplication on
 the roots of the cubic, cross-checked in the tests against a 40-digit
 reference and against direct numerical integration.

@@ -15,20 +15,22 @@ Fourier expansions of modular forms", 1994:
 The only numerics fix one rational scale per sign: the float64 period of
 one closed cycle {0, gamma 0}, divided by Omega_plus or nu, is recognized as
 a rational of denominator at most 10^4 and confirmed on a second cycle.
+The q-expansion behind those periods takes its prime coefficients from
+Shanks-Mestre point counting.
 
-This is the package's only user of numpy.  modsym.SymbolTableBuilder
-imports this module when it builds, so a report that reads its table from
-a file loads neither it nor numpy.
+Standard library only, in Python ints.  modsym.SymbolTableBuilder imports
+this module when it builds, so a report that reads its table from a file
+never compiles it.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
+import operator
 from fractions import Fraction
 
-import numpy as np
-
-from .curves import CurveData, a_bad_prime, an_expansion, prime_divisors
+from .curves import CurveData, a_ell, an_expansion, prime_divisors
 from .errors import NonConvergence
 
 
@@ -41,11 +43,9 @@ class ManinSymbols:
     (c:d) stands for the path g{0, oo} = {b/d, a/c} of any g = (a b; c d) in
     SL_2(Z) with bottom row (c, d) mod N.  Each point is kept in the
     canonical form (g, d) with g = gcd(c, N) and d least under the units
-    that fix g; `index` maps any pair coprime to N onto its position, and
-    `indices` does so for arrays of pairs through (c:d) = (c/d : 1) when d
-    is a unit.  S, star and R hold the images of every point under the maps
-    behind the relations: S(c:d) = (-d:c), star(c:d) = (-c:d) and
-    R(c:d) = (c+d:-c).
+    that fix g; `index` maps any pair coprime to N onto its position.  S,
+    star and R hold the images of every point under the maps behind the
+    relations: S(c:d) = (-d:c), star(c:d) = (-c:d) and R(c:d) = (c+d:-c).
     """
 
     def __init__(self, N: int):
@@ -57,10 +57,9 @@ class ManinSymbols:
             if math.gcd(math.gcd(g, d), N) == 1 and self._normalize(g, d) == (g, d)
         ]
         self._index = {pt: i for i, pt in enumerate(self.points)}
-        units = [d for d in range(N) if math.gcd(d, N) == 1]
-        self._inverse = np.full(N, -1, dtype=np.int64)
-        self._inverse[units] = [pow(d, -1, N) for d in units]
-        self._over_one = np.array([self.index(c, 1) for c in range(N)])
+        # 1/d mod N at the units d, -1 elsewhere; the point (c : 1) of each c
+        self._inverse = [pow(d, -1, N) if math.gcd(d, N) == 1 else -1 for d in range(N)]
+        self._over_one = [self.index(c, 1) for c in range(N)]
         self.S = [self.index(-d, c) for c, d in self.points]
         self.star = [self.index(-c, d) for c, d in self.points]
         self.R = [self.index(c + d, -c) for c, d in self.points]
@@ -84,39 +83,69 @@ class ManinSymbols:
             i = self._index[key] = self._index[self._normalize(*key)]
         return i
 
-    def indices(self, c, d):
-        N = self.N
-        c, d = c % N, d % N
-        inverse = self._inverse[d]
-        out = self._over_one[c * inverse % N]
-        # the pairs whose d is no unit go through `index`, once per distinct pair
-        rest = np.flatnonzero(inverse < 0)
-        pairs, back = np.unique(c[rest] * N + d[rest], return_inverse=True)
-        found = [self.index(*divmod(pair, N)) for pair in pairs.tolist()]
-        out[rest] = np.array(found, dtype=out.dtype)[back]
-        return out
-
-    def to_infinity(self, values, a, m: int):
-        """{a/m, oo} for every residue in the array a at once, under the
-        functionals whose values on the points fill the last axis of values.
+    def to_infinity(self, functionals, residues, m: int) -> list:
+        """{a/m, oo} for every a in residues under each functional, given as
+        (its values on the points, the sign of its quotient): one list of
+        values per functional.
 
         With q_j the denominators of the continued-fraction convergents of
-        a/m, {a/m, oo} = -sum_(j >= 0) ((-1)^(j-1) q_j : q_(j-1)); the walks
-        run side by side, one Euclid step per pass.
+        a/m, {a/m, oo} = -sum_(j >= 0) ((-1)^(j-1) q_j : q_(j-1)).  While
+        q_(j-1) is a unit mod N, the term is (+-u : 1) with u = q_j/q_(j-1)
+        = t_j + q_(j-2)/q_(j-1) mod N, so a Euclid step is one sum mod N, a
+        lookup of the term and one of 1/u; past a q_j that is no unit, the
+        pair (q_j, q_(j-1)) mod N is carried up to a unit multiple until one
+        is again.  The functionals' values are packed into one int per
+        point, in slots wide enough for any walk's sum.  {-a/m, oo} =
+        star {a/m, oo}, so a and m - a share one walk: [-a/m] = sign [a/m]
+        on a sign-quotient.
         """
-        values = np.asarray(values)
-        num = np.asarray(a, dtype=np.int64) % m
-        den = np.full_like(num, m)
-        q2, q1 = np.ones_like(num), np.zeros_like(num)
-        total = np.zeros(values.shape[:-1] + num.shape, dtype=values.dtype)
-        s = -1
-        while (live := np.flatnonzero(den)).size:
-            t = num[live] // den[live]
-            q2[live], q1[live] = q1[live], t * q1[live] + q2[live]
-            total[..., live] -= values[..., self.indices(s * q1[live], q2[live])]
-            s = -s
-            num[live], den[live] = den[live], num[live] - t * den[live]
-        return total
+        N, index, inverse = self.N, self.index, self._inverse
+        signs = [sign for _, sign in functionals]
+        # a walk has at most log_phi(m) + 2 <= 2 bits(m) + 2 terms
+        bound = (2 * m.bit_length() + 2) * max(abs(v) for vs, _ in functionals for v in vs)
+        width = bound.bit_length() + 1
+        packed = [sum(v << width * k for k, v in enumerate(vs))
+                  for vs in zip(*(values for values, _ in functionals))]
+        plus = [packed[i] for i in self._over_one]  # (c : 1) for c mod N
+        minus = plus[:1] + plus[:0:-1]  # (-c : 1)
+        first = packed[index(-1, 0)]  # the j = 0 term, after t_0 = 0
+        walks, walked, source = [], {}, []  # source: the walk of each a, ~ for -a
+        for a in residues:
+            a %= m
+            j = walked.get(-a % m)
+            if j is not None:
+                source.append(~j)
+                continue
+            total = -first
+            # s = q_(j-1)/q_j while q_j is a unit, else -1 and (c, d) = (q_j, q_(j-1));
+            # the term is (e q_j : q_(j-1)) with e = +1 at odd j, -1 at even j
+            num, den, s, c, d = m, a, 0, 0, 0
+            terms, other, e = plus, minus, 1
+            while den:
+                t = num // den
+                if s >= 0:
+                    u = (t + s) % N
+                    total -= terms[u]
+                    s = inverse[u]
+                    c, d = u, 1
+                else:
+                    c, d = (t * c + d) % N, c
+                    total -= packed[index(e * c, d)]
+                    s = d * inverse[c] % N if inverse[c] >= 0 else -1
+                num, den = den, num - t * den
+                terms, other, e = other, terms, -e
+            walked[a] = len(walks)
+            source.append(len(walks))
+            walks.append(total)
+        half, mask = 1 << (width - 1), (1 << width) - 1
+        columns = []
+        for _ in signs[1:]:
+            low = [((x + half) & mask) - half for x in walks]
+            walks = [(x - v) >> width for x, v in zip(walks, low)]
+            columns.append(low)
+        columns.append(walks)
+        return [[column[j] if j >= 0 else sign * column[~j] for j in source]
+                for column, sign in zip(columns, signs)]
 
 
 def _quotient(symbols: ManinSymbols, sign: int):
@@ -192,34 +221,59 @@ def _heilbronn(n: int):
     return out
 
 
-# primes below 2^31: entries and products of two stay inside int64
+# 31-bit primes: one usually carries the rational reconstruction of a
+# functional, and a row entry of _nullspace_mod stays within a few bits of
+# the square of one
 _MODULI = (2**31 - 1, 2**31 - 19, 2**31 - 61, 2**31 - 69)
 # largest Hecke prime tried before the eigenspace is declared not to settle
 _MAX_HECKE_PRIME = 100
 
 
-def _nullspace_mod(rows, P: int):
-    """A basis of {x : rows x = 0} over F_P, by row reduction (int64 numpy)."""
-    B = rows % P
-    pivots = []
-    for col in range(B.shape[1]):
-        r = len(pivots)
-        nz = np.flatnonzero(B[r:, col])
-        if not len(nz):
-            continue
-        B[[r, r + nz[0]]] = B[[r + nz[0], r]]
-        B[r] = B[r] * pow(int(B[r, col]), -1, P) % P
-        hit = np.flatnonzero(B[:, col])
-        hit = hit[hit != r]
-        # rows at and below r vanish left of col, so the update starts there
-        B[hit, col:] = (B[hit, col:] - np.outer(B[hit, col], B[r, col:])) % P
-        pivots.append(col)
+def _nullspace_mod(rows, P: int) -> list:
+    """A basis of {x : rows x = 0} over F_P, for rows given as lists of ints
+    of one length n: for each column f without a pivot, the x with x_f = 1
+    and 0 at the other such columns.
+
+    Each row is one int holding entry j in the w-bit slot j.  Column by
+    column, a row whose lowest slot is nonzero mod P becomes the pivot,
+    scaled to 1 in front with its slots reduced, and every other row with a
+    nonzero c there takes row += (P - c) pivot, one integer product.  Slots
+    are reduced only where they are read: a row takes at most n updates,
+    each adding less than P^2 to a slot, so w bits never carry.  After each
+    column every live row is shifted down one slot.  The kernel then comes
+    from back-substitution on the pivot rows.
+    """
+    n = len(rows[0]) if rows else 0
+    size = ((n + 1) * P * P).bit_length() // 8 + 1  # bytes per slot
+    width, low = 8 * size, (1 << 8 * size) - 1
+
+    def pack(entries):
+        return int.from_bytes(b"".join(v.to_bytes(size, "little") for v in entries), "little")
+
+    live = [pack([v % P for v in row]) for row in rows]
+    pivots = {}  # column -> its pivot row from that column on, reduced
+    for col in range(n):
+        i = next((i for i, row in enumerate(live) if (row & low) % P), None)
+        if i is not None:
+            data = live.pop(i).to_bytes((n - col) * size, "little")
+            entries = [int.from_bytes(data[j : j + size], "little") % P
+                       for j in range(0, len(data), size)]
+            inverse = pow(entries[0], -1, P)
+            entries = pivots[col] = [v * inverse % P for v in entries]
+            pivot = pack(entries)
+            live = [row + (P - c) * pivot if (c := (row & low) % P) else row for row in live]
+        live = [row >> width for row in live]
     out = []
-    for col in sorted(set(range(B.shape[1])) - set(pivots)):
-        x = np.zeros(B.shape[1], dtype=np.int64)
-        x[col] = 1
-        x[pivots] = -B[: len(pivots), col] % P
-        out.append(x)
+    for f in range(n):
+        if f in pivots:
+            continue
+        x = [0] * (f + 1)
+        x[f] = 1
+        # the pivot columns beyond f take 0
+        for col in range(f - 1, -1, -1):
+            if col in pivots:
+                x[col] = -sum(map(operator.mul, pivots[col][1 : f + 1 - col], x[col + 1 :])) % P
+        out.append(x + [0] * (n - f - 1))
     return out
 
 
@@ -264,13 +318,14 @@ def _eigen_functional(symbols: ManinSymbols, sign: int, a_of):
     hecke = []  # (q, a_q, the columns of T_q)
 
     def kernel_mod(P):
-        rows = np.zeros((len(hecke) * len(free), len(free)), dtype=np.int64)
-        for h, (q, a_q, cols) in enumerate(hecke):
+        rows = []
+        for _, a_q, cols in hecke:
             for g, col in enumerate(cols):
-                row = rows[h * len(free) + g]
+                row = [0] * len(free)
                 for f, t in col.items():
-                    row[f] = t.numerator * pow(t.denominator, -1, P) % P
-                row[g] = (row[g] - a_q) % P
+                    row[f] = t.numerator * pow(t.denominator, -1, P)
+                row[g] -= a_q
+                rows.append(row)
         return _nullspace_mod(rows, P)
 
     primes = (q for q in range(2, _MAX_HECKE_PRIME + 1)
@@ -285,14 +340,15 @@ def _eigen_functional(symbols: ManinSymbols, sign: int, a_of):
         kernel = kernel_mod(_MODULI[0])
         if not kernel:
             raise NonConvergence(f"no eigenvector of T_q with eigenvalue a_q, q <= {q}")
-    j0 = int(np.flatnonzero(kernel[0])[0])
+    j0 = next(j for j, v in enumerate(kernel[0]) if v)
     residues, modulus = [0] * len(free), 1
     for P in _MODULI:
         if P != _MODULI[0]:
             kernel = kernel_mod(P)
             if len(kernel) != 1 or not kernel[0][j0]:
                 continue  # P divides a minor: no information here
-        x = [int(v) for v in kernel[0] * pow(int(kernel[0][j0]), -1, P) % P]
+        scale = pow(kernel[0][j0], -1, P)
+        x = [v * scale % P for v in kernel[0]]
         k = pow(modulus, -1, P)
         residues = [r + modulus * ((v - r) * k % P) for r, v in zip(residues, x)]
         modulus *= P
@@ -308,65 +364,164 @@ def _eigen_functional(symbols: ManinSymbols, sign: int, a_of):
             values = [sum(t * phi[f] for f, t in coordinates(i).items())
                       for i in range(len(symbols.points))]
             den = math.lcm(*(Fraction(v).denominator for v in values))
-            values = [int(v * den) for v in values]
-            # int64 while a walk's sum (a few dozen terms) cannot wrap
-            dtype = np.int64 if max(map(abs, values)) < 2**50 else object
-            return np.array(values, dtype=dtype), [q for q, _, _ in hecke]
+            return [int(v * den) for v in values], [q for q, _, _ in hecke]
     raise NonConvergence("the Hecke eigenvector did not lift to Q")
 
 
 # -- the scale of each sign -----------------------------------------------------------
 
 
-def _cycles(symbols: ManinSymbols, values):
+def _cycles(symbols: ManinSymbols, functional):
     """(gamma, exact value of {0, gamma 0} = {0, b/d}) for gamma = (a b; c d)
-    in Gamma_0(N) where the functional is nonzero, by increasing c = N, 2N,
-    ... and d."""
+    in Gamma_0(N) where the functional (values, sign) is nonzero, by
+    increasing c = N, 2N, ... and d."""
+    values, _ = functional
     c = symbols.N
     while True:
         for d in range(1, c):
             if math.gcd(d, c) == 1:
                 a = pow(d, -1, c)
                 b = (a * d - 1) // c
-                exact = values[symbols.index(0, 1)] - symbols.to_infinity(values, [b], d)[0]
+                [[walk]] = symbols.to_infinity([functional], [b], d)
+                exact = values[symbols.index(0, 1)] - walk
                 if exact:
-                    yield (a, b, c, d), int(exact)
+                    yield (a, b, c, d), exact
         c += symbols.N
 
 
 def _cycle_period(curve: CurveData, a: int, c: int, d: int) -> complex:
     """2 pi i int f(z) dz from z0 = (-d + i)/c to gamma z0 = (a + i)/c, that
-    is F(gamma z0) - F(z0) with F = sum (a_n/n) q^n, in float64.  Both ends
-    have height 1/c; 6.3 c terms leave a tail below e^-39."""
+    is F(gamma z0) - F(z0) with F = sum (a_n/n) q^n, in float64, each part
+    summed exactly.  Both ends have height 1/c; 6.3 c terms leave a tail
+    below e^-39."""
     T = math.ceil(6.3 * c)
-    n = np.arange(1, T + 1)
-    w = np.array(an_expansion(curve, T, _a_ell)[1:]) / n * np.exp(-2 * np.pi * n / c)
-    turn = 2j * np.pi / c
-    return complex(np.sum(w * (np.exp(turn * (n * a % c)) - np.exp(turn * (-n * d % c)))))
+    an = an_expansion(curve, T, _a_ell)
+    turn = 2j * math.pi / c
+    root = [cmath.exp(turn * k) for k in range(c)]
+    terms = [an[n] / n * math.exp(-2 * math.pi * n / c) * (root[n * a % c] - root[-n * d % c])
+             for n in range(1, T + 1) if an[n]]
+    return complex(math.fsum(z.real for z in terms), math.fsum(z.imag for z in terms))
+
+
+# From this prime on, the build counts points by baby-step giant-step (about
+# ell^(1/4) group operations) instead of the O(ell) count of curves.a_ell.
+_BSGS_MIN_ELL = 1000
+# Points tried before the exhaustive count decides.  Of the 53,448 good primes
+# of 11a1, 37a1 and 53a1 in [10^3, 2*10^5], one point leaves several
+# candidates at 867 and two points at 7 (tests/test_modsym.py FALLBACK).
+_BSGS_POINTS = 2
 
 
 def _a_ell(curve: CurveData, ell: int) -> int:
-    """ell + 1 - #E~(F_ell): the exhaustive count of curves.a_ell, vectorized
-    over x.  A scale cycle at c = N expands to 6.3 N terms, so at N = 5077 it
-    counts every prime below 32,000, in about a sixth of the time that
-    curves.a_ell takes."""
-    if ell == 2:
-        return a_bad_prime(curve, 2)  # no completed square mod 2
-    b2, b4, b6, _ = curve.b_invariants
-    # y^2 = 4x^3 + b2 x^2 + 2 b4 x + b6 over F_ell; the partial values stay
-    # below 6 ell^2, inside int64 for ell < 10^9
-    x = np.arange(ell, dtype=np.int64)
-    rhs = (4 * x + b2 % ell) * x
-    rhs += 2 * b4 % ell
-    rhs %= ell
-    rhs *= x
-    rhs += b6 % ell
-    rhs %= ell
-    sq = x[1 : ell // 2 + 1]
-    chi = np.full(ell, -1, dtype=np.int8)
-    chi[sq * sq % ell] = 1
-    chi[0] = 0
-    return -int(chi[rhs].sum(dtype=np.int64))
+    """ell + 1 - #E~(F_ell) at a good prime, for the long q-expansions of the
+    scale cycles: at c = N one expands to 6.3 N terms, so at N = 5077 it
+    counts every prime below 32,000.  From _BSGS_MIN_ELL on, the value is the
+    one candidate that hasse_candidates leaves; below that, or when several
+    remain, it is the exhaustive count of curves.a_ell.  Either answer is
+    proved: the true a_ell is in every candidate set."""
+    if ell >= _BSGS_MIN_ELL:
+        candidates = hasse_candidates(curve, ell)
+        if len(candidates) == 1:
+            return candidates.pop()
+    return a_ell(curve, ell)
+
+
+def hasse_candidates(curve: CurveData, ell: int) -> set:
+    """The values a, a^2 <= 4 ell, that _BSGS_POINTS points allow for a_ell.
+
+    Shanks-Mestre (Cohen, A Course in Computational Algebraic Number Theory,
+    7.4): on the short model y^2 = x^3 + A x + B, A = -27 c4, B = -54 c6,
+    any x0 with f(x0) = d != 0 gives the point (d x0, d^2) on the twist
+    y^2 = x^3 + A d^2 x + B d^3, which is E when d is a square mod ell and
+    its quadratic twist (trace -a_ell) when not, so no square root is
+    needed and both twists get sampled.  The true a_ell is in every set,
+    so the intersection never loses it.  Needs a good prime ell >= 5.
+    """
+    c4, c6 = curve.c_invariants
+    A, B = -27 * c4 % ell, -54 * c6 % ell
+    bound = math.isqrt(4 * ell)
+    found = None
+    x0 = 0
+    for _ in range(_BSGS_POINTS):
+        while (d := (x0 * x0 * x0 + A * x0 + B) % ell) == 0:
+            x0 += 1
+        twist = 1 if pow(d, (ell - 1) // 2, ell) == 1 else -1
+        point = (d * x0 % ell, d * d % ell)
+        killing = _traces_killing(point, A * d * d % ell, ell, bound)
+        traces = {twist * a for a in killing}
+        found = traces if found is None else found & traces
+        if len(found) == 1:
+            break
+        x0 += 1
+    return found
+
+
+def _traces_killing(P, A, ell, bound):
+    """Every a with |a| <= bound and [ell + 1 - a]P = O, by baby-step giant-step.
+
+    Baby steps store x([j]P) for 1 <= j <= m; giant steps walk
+    G_i = [ell + 1]P - [i s]P with s = 2m + 1 and match G_i = [r]P,
+    |r| <= m (the sign of r read off y), so a = i s + r.
+    """
+    m = math.isqrt(bound) + 1
+    baby = {}
+    R = P
+    for j in range(1, m + 1):
+        if R is None or R[0] in baby:
+            # ord(P) = j, or [j]P = -[j']P: too small for giant steps
+            n = j if R is None else j + baby[R[0]][0]
+            return [a for a in range(-bound, bound + 1) if (ell + 1 - a) % n == 0]
+        baby[R[0]] = (j, R[1])
+        last = R
+        R = _ec_add(R, P, A, ell)
+    s = 2 * m + 1
+    step = _ec_add(R, last, A, ell)  # [m + 1]P + [m]P
+    i_lo = -((bound + m) // s)
+    G = _ec_add(_ec_mul(ell + 1, P, A, ell), _ec_mul(-i_lo, step, A, ell), A, ell)
+    back = None if step is None else (step[0], -step[1] % ell)
+    out = []
+    for i in range(i_lo, -i_lo + 1):
+        if G is None:
+            r = 0
+        elif G[0] in baby:
+            j, y = baby[G[0]]
+            r = j if y == G[1] else -j
+        else:
+            r = None
+        if r is not None and abs(i * s + r) <= bound:
+            out.append(i * s + r)
+        G = _ec_add(G, back, A, ell)
+    return out
+
+
+def _ec_add(P, Q, A, ell):
+    """P + Q on y^2 = x^3 + A x + B over F_ell, affine; None is the origin."""
+    if P is None:
+        return Q
+    if Q is None:
+        return P
+    x1, y1 = P
+    x2, y2 = Q
+    if x1 == x2:
+        if (y1 + y2) % ell == 0:
+            return None
+        slope = (3 * x1 * x1 + A) * pow(2 * y1, -1, ell) % ell
+    else:
+        slope = (y2 - y1) * pow(x2 - x1, -1, ell) % ell
+    x3 = (slope * slope - x1 - x2) % ell
+    return x3, (slope * (x1 - x3) - y1) % ell
+
+
+def _ec_mul(k, P, A, ell):
+    """[k]P for k >= 0 by double-and-add."""
+    R = None
+    while k:
+        if k & 1:
+            R = _ec_add(R, P, A, ell)
+        k >>= 1
+        if k:
+            P = _ec_add(P, P, A, ell)
+    return R
 
 
 def _recognize(x: float) -> Fraction:
@@ -376,14 +531,14 @@ def _recognize(x: float) -> Fraction:
     return q
 
 
-def _fix_scale(curve: CurveData, symbols: ManinSymbols, values, part, omega: float):
+def _fix_scale(curve: CurveData, symbols: ManinSymbols, functional, part, omega: float):
     """The rational s with [r]^+- = s * values on paths, and its certificate.
 
     The period of a closed cycle {0, gamma 0} divided by omega must be a
     rational of small denominator: it fixes s on the first cycle where the
     exact functional is nonzero, and the second such cycle confirms it.
     """
-    cycles = _cycles(symbols, values)
+    cycles = _cycles(symbols, functional)
     ((a, b, c, d), exact), ((a2, b2, c2, d2), exact2) = next(cycles), next(cycles)
     x = part(_cycle_period(curve, a, c, d)) / omega
     value = _recognize(x)

@@ -16,16 +16,13 @@ Lambda-side pipeline is testable on its own.
 A table holds Python ints only: per level one numerator list per sign,
 indexed by a mod p^k, over one denominator per sign (SymbolTable).  The
 Hecke check is one list identity per level and sign; the CSV format
-writes each symbol as a fraction in lowest terms.  Only the build, through
-`manin`, uses numpy.
+writes each symbol as a fraction in lowest terms.
 """
 
 from __future__ import annotations
 
 import csv
-import gc
 import math
-import sys
 from typing import NamedTuple
 
 from .curves import CurveData, a_ell, is_odd_prime, periods
@@ -80,25 +77,6 @@ def _level(p: int, k: int, values: list) -> list:
 # -- table construction ----------------------------------------------------------
 
 
-def _import_manin():
-    """The Manin-symbol code and numpy, which only a build needs.  A process
-    that froze its start-up imports (cli.entry) gets them imported the same
-    way on the first build, with the collector off and frozen after, so that
-    neither its later collections nor its shutdown walk their objects."""
-    if "signedlp.manin" not in sys.modules and gc.get_freeze_count():
-        collect = gc.isenabled()
-        gc.disable()
-        try:
-            from . import manin
-        finally:
-            gc.freeze()
-            if collect:
-                gc.enable()
-    from . import manin
-
-    return manin
-
-
 class SymbolTableBuilder:
     """Builds the full table of symbols [a/p^k]^+- for k <= K."""
 
@@ -110,7 +88,8 @@ class SymbolTableBuilder:
         """Table through level K, with the certification of its scale in meta:
         per sign the Hecke primes, and the cycle that fixed the scale with its
         exact value and the float64 deviation from it."""
-        manin = _import_manin()
+        from . import manin  # only a build needs the Manin-symbol code
+
         curve, p = self.curve, self.p
         symbols = manin.ManinSymbols(curve.conductor)
         per = periods(curve)
@@ -118,17 +97,17 @@ class SymbolTableBuilder:
             ("plus", lambda z: z.real, per.omega_plus, 1),
             ("minus", lambda z: z.imag, per.omega_minus.imag, -1),
         )
-        meta, values, scales = {}, [], []
+        meta, functionals, scales = {}, [], []
         for name, part, omega, sign in parts:
             phi, primes = manin._eigen_functional(symbols, sign, lambda q: a_ell(curve, q))
-            scale, cert = manin._fix_scale(curve, symbols, phi, part, omega)
+            scale, cert = manin._fix_scale(curve, symbols, (phi, sign), part, omega)
             meta[name] = {"hecke_primes": primes, **cert}
-            values.append(phi)
+            functionals.append((phi, sign))
             scales.append(scale.as_integer_ratio())
         (n1, d1), (n2, d2) = scales
         levels = []
         for k in range(K + 1):
-            plus, minus = symbols.to_infinity(values, _units(p, k), p**k).tolist()
+            plus, minus = symbols.to_infinity(functionals, _units(p, k), p**k)
             levels.append((_level(p, k, [n1 * v for v in plus]),
                            _level(p, k, [n2 * v for v in minus])))
         return SymbolTable(curve.label, p, (d1, d2), levels, meta=meta)

@@ -53,29 +53,25 @@ def test_entry_freezes_gc_before_main(monkeypatch):
 
 
 _IMPORT_PROBE = (
-    "import os, sys; import signedlp.cli; {run}"
-    "print(os.environ.get('OPENBLAS_NUM_THREADS'), *(m in sys.modules for m in "
+    "import sys; import signedlp.cli; {run}"
+    "print(*(m in sys.modules for m in "
     "('mpmath', 'dataclasses', 'signedlp.manin', 'fractions', 'numpy')))"
 )
 
 
-@pytest.mark.parametrize("preset, cache, expected", [
-    (None, None, ["1", "False", "False", "False", "False", "False"]),
-    ("2", None, ["2", "False", "False", "False", "False", "False"]),
-    (None, "hit", ["1", "False", "False", "False", "False", "False"]),
-    (None, "miss", ["1", "False", "False", "True", "True", "True"]),
-    (None, "import", ["1", "False", "False", "False", "False", "False"]),
-], ids=["unset", "preset", "cache-hit", "cache-miss", "import"])
-def test_cli_import_pins_openblas_and_skips_mpmath(preset, cache, expected, tmp_path,
-                                                   monkeypatch):
+@pytest.mark.parametrize("cache, expected", [
+    (None, ["False", "False", "False", "False", "False"]),
+    ("hit", ["False", "False", "False", "False", "False"]),
+    ("miss", ["False", "False", "True", "True", "False"]),
+    ("import", ["False", "False", "False", "False", "False"]),
+], ids=["unset", "cache-hit", "cache-miss", "import"])
+def test_cli_import_pins_openblas_and_skips_mpmath(cache, expected, tmp_path, monkeypatch):
     # a fresh interpreter, so that numpy, mpmath, dataclasses or fractions
     # loaded by pytest cannot mask what importing the CLI loads, and what
-    # one report then adds: the Manin-symbol code and numpy only when the
-    # table is built, not when it is read from the cache or from --import
-    env = {k: v for k, v in os.environ.items()
-           if k not in ("OPENBLAS_NUM_THREADS", "SIGNEDLP_CACHE_DIR")}
-    if preset is not None:
-        env["OPENBLAS_NUM_THREADS"] = preset
+    # one report then adds: the Manin-symbol code only when the table is
+    # built, not when it is read from the cache or from --import, and numpy
+    # never
+    env = {k: v for k, v in os.environ.items() if k != "SIGNEDLP_CACHE_DIR"}
     run = ""
     if cache is not None:
         argv = ["report", "--curve", curve_path("37a1"), "--p", "3", "--level", "1",
@@ -95,21 +91,6 @@ def test_cli_import_pins_openblas_and_skips_mpmath(preset, cache, expected, tmp_
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == expected
-
-
-def test_first_build_imports_numpy_frozen(tmp_path):
-    # in a process that froze its start-up imports, as cli.entry does, the
-    # first build imports manin and numpy with the collector off and then
-    # freezes them, so that later collections and shutdown skip them
-    argv = ["report", "--curve", curve_path("37a1"), "--p", "3", "--level", "1",
-            "--out", str(tmp_path / "report.json")]
-    code = ("import gc, signedlp.cli; gc.freeze(); frozen = gc.get_freeze_count(); "
-            f"assert signedlp.cli.main({argv!r}) == 0; "
-            "print(gc.get_freeze_count() > frozen, gc.isenabled())")
-    env = {k: v for k, v in os.environ.items() if k != "SIGNEDLP_CACHE_DIR"}
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == ["True", "True"]
 
 
 def test_signed_reports_gcd_x(capsys):

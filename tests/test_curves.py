@@ -131,7 +131,8 @@ def _short_model_count(curve, ell):
 
 @pytest.mark.parametrize("label", FIXTURES)
 def test_a_ell_matches_naive_count_below_20000(store, label):
-    # against the independent vectorized count of the table builds
+    # against the Shanks-Mestre count of the table builds, which takes over
+    # from curves.a_ell at manin._BSGS_MIN_ELL
     c = store.curve(label)
     for ell in _good_primes(c, 5, 20000):
         assert a_ell(c, ell) == manin._a_ell(c, ell), ell
@@ -207,7 +208,7 @@ def test_an_expansion_matches_per_n_recursion(store, label, monkeypatch):
 def test_an_expansion_matches_per_n_recursion_to_30030(store, monkeypatch):
     # 30030 = 2*3*5*7*11*13: the fill meets every count of distinct prime
     # factors up to six.  Both sides take their prime coefficients from the
-    # vectorized count: this checks the fill, the sweeps above the counter.
+    # build's count: this checks the fill, the sweeps above the counter.
     _check_fresh_expansion(store.curve("37a1"), 30030, monkeypatch, manin._a_ell)
 
 

@@ -1,14 +1,15 @@
 import hashlib
+import math
 import os
 import random
 from fractions import Fraction
 
 import mpmath
+import numpy as np
 import pytest
 
 from signedlp import manin
 from signedlp.curves import (
-    a_bad_prime,
     a_ell,
     an_expansion,
     ingest_curve,
@@ -379,17 +380,121 @@ def test_5077a1_p3_through_level_6():
     assert exported(SymbolTableBuilder(curve, 3).build(6)) == exported(frozen)
 
 
-@pytest.mark.parametrize("label", ["11a1", "37a1", "5077a1"])
-def test_vectorized_count_matches_a_ell(store, label):
-    # the build's numpy counter against the exhaustive count of curves.a_ell
-    # at every good prime below 2000, and against a_bad_prime at the bad ones
+# every prime in [10^3, 2*10^5] (below 32,000 for 5077a1) where the points
+# that manin.hasse_candidates tries leave several candidates for a_ell
+FALLBACK = {
+    "11a1": (22511, 24691, 107999),
+    "37a1": (1307, 1433, 3709),
+    "53a1": (1163,),
+    "5077a1": (4973, 20129),
+}
+
+
+@pytest.mark.parametrize("label", ["11a1", "37a1", "53a1", "5077a1"])
+def test_vectorized_count_matches_a_ell(store, label, monkeypatch):
+    # the build's counter against the exhaustive count of curves.a_ell at
+    # every good prime below 2000 and at the FALLBACK primes, where its
+    # Shanks-Mestre step leaves several candidates and hands the prime to
+    # that count, as it does every prime below _BSGS_MIN_ELL
     curve = _frozen(label, 3)[0] if label == "5077a1" else store.curve(label)
-    N = curve.conductor
-    for q in range(2, 2000):
-        if N % q and prime_divisors(q) == [q]:
-            assert manin._a_ell(curve, q) == a_ell(curve, q), q
-    for q in prime_divisors(N):
-        assert manin._a_ell(curve, q) == a_bad_prime(curve, q), q
+    counted = []
+    monkeypatch.setattr(manin, "a_ell", lambda c, q: counted.append(q) or a_ell(c, q))
+    primes = [q for q in range(2, 2000) if curve.conductor % q and prime_divisors(q) == [q]]
+    primes += FALLBACK[label]
+    for q in primes:
+        assert manin._a_ell(curve, q) == a_ell(curve, q), q
+    assert counted == [q for q in primes
+                       if q < manin._BSGS_MIN_ELL or q in FALLBACK[label]]
+    for q in FALLBACK[label]:
+        candidates = manin.hasse_candidates(curve, q)
+        assert len(candidates) > 1 and a_ell(curve, q) in candidates
+
+
+def _reference_nullspace(rows, P):
+    """A basis of the kernel mod P by Gauss-Jordan elimination on an int64
+    array, for P < 2^31: for each column without a pivot f, the x with
+    x_f = 1 and 0 at the other such columns."""
+    B = np.array(rows, dtype=np.int64) % P
+    pivots = []
+    for col in range(B.shape[1]):
+        r = len(pivots)
+        nz = np.flatnonzero(B[r:, col])
+        if not len(nz):
+            continue
+        B[[r, r + nz[0]]] = B[[r + nz[0], r]]
+        B[r] = B[r] * pow(int(B[r, col]), -1, P) % P
+        hit = np.flatnonzero(B[:, col])
+        hit = hit[hit != r]
+        B[hit, col:] = (B[hit, col:] - np.outer(B[hit, col], B[r, col:])) % P
+        pivots.append(col)
+    out = []
+    for col in sorted(set(range(B.shape[1])) - set(pivots)):
+        x = np.zeros(B.shape[1], dtype=np.int64)
+        x[col] = 1
+        x[pivots] = -B[: len(pivots), col] % P
+        out.append(x.tolist())
+    return out
+
+
+@pytest.mark.parametrize("P", [101, 2**31 - 1])
+@pytest.mark.parametrize("dim", [0, 1, 3])
+def test_nullspace_matches_numpy_row_reduction(P, dim):
+    # n columns; rows that span n - dim random ones, random combinations of
+    # them and a repeated row; then the same with a zero column put in, one
+    # more kernel direction
+    rng = random.Random(P * 10 + dim)
+    for n in (1, 2, 7, 24):
+        if dim > n:
+            continue
+        basis = [[rng.randrange(P) for _ in range(n)] for _ in range(n - dim)]
+        mixes = [[rng.randrange(P) for _ in basis] for _ in range(n + 3)]
+        rows = [[sum(c * b[j] for c, b in zip(mix, basis)) % P for j in range(n)]
+                for mix in mixes] + [list(b) for b in basis]
+        rows.append(rows[0][:])
+        rng.shuffle(rows)
+        for matrix in (rows, [row[:1] + [0] + row[1:] for row in rows]):
+            kernel = manin._nullspace_mod(matrix, P)
+            assert kernel == _reference_nullspace(matrix, P)
+            assert len(kernel) == (dim if matrix is rows else dim + 1)
+            for x in kernel:
+                assert all(sum(a * b for a, b in zip(row, x)) % P == 0 for row in matrix)
+    # negative and unreduced entries are read mod P
+    assert manin._nullspace_mod([[-1, 1], [P + 1, -1]], P) == [[1, 1]]
+
+
+def _reference_walk(symbols, values, a, m):
+    """{a/m, oo} one Euclid step at a time, every term through index."""
+    num, den, q2, q1, s, total = a % m, m, 1, 0, -1, 0
+    while den:
+        t = num // den
+        q2, q1 = q1, t * q1 + q2
+        total -= values[symbols.index(s * q1, q2)]
+        s = -s
+        num, den = den, num - t * den
+    return total
+
+
+@pytest.mark.parametrize("N", [14, 15, 36, 37])
+@pytest.mark.parametrize("sign", [1, -1])
+def test_symbol_walk_matches_reference_walk(N, sign):
+    # a random functional on the sign-quotient, walked at every residue
+    # (units or not, a and m - a) for prime and composite m, where q_j mod N
+    # leaves and re-enters the units; a second functional rides in the
+    # packed slots
+    rng = random.Random(N * sign)
+    symbols = manin.ManinSymbols(N)
+    rep, coef, expand, free = manin._quotient(symbols, sign)
+    phi = {f: rng.randrange(-50, 50) for f in free}
+    values = [coef[i] * sum(t * phi[u] for u, t in expand(rep[i]).items()) if coef[i] else 0
+              for i in range(len(symbols.points))]
+    den = math.lcm(*(Fraction(v).denominator for v in values))
+    values = [int(v * den) for v in values]
+    for m in (1, 9, 49, 97, 1000, 3**7):
+        want = [_reference_walk(symbols, values, a, m) for a in range(m)]
+        assert symbols.to_infinity([(values, sign)], range(m), m) == [want]
+        negated = [-v for v in values]
+        assert symbols.to_infinity([(values, sign), (negated, sign)], range(m), m) == [
+            want, [-w for w in want]]
 
 
 def test_manin_symbol_count():

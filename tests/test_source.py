@@ -38,18 +38,30 @@ def test_no_assert_statements_in_package():
     assert not found, f"assert statements in package source: {found}"
 
 
-def test_no_module_imports_mpmath():
-    # periods are float64; the multiprecision reference lives in the tests
-    found = [
+def _imports_of(package):
+    """Where package source imports the top-level module package."""
+    return [
         f"{name}:{node.lineno}"
         for name, tree in _package_trees().items()
         for node in ast.walk(tree)
         if (isinstance(node, ast.Import)
-            and any(alias.name.split(".")[0] == "mpmath" for alias in node.names))
+            and any(alias.name.split(".")[0] == package for alias in node.names))
         or (isinstance(node, ast.ImportFrom) and node.level == 0
-            and (node.module or "").split(".")[0] == "mpmath")
+            and (node.module or "").split(".")[0] == package)
     ]
+
+
+def test_no_module_imports_mpmath():
+    # periods are float64; the multiprecision reference lives in the tests
+    found = _imports_of("mpmath")
     assert not found, f"mpmath imported in package source: {found}"
+
+
+def test_no_module_imports_numpy():
+    # the package runs on the standard library; numpy serves as a reference
+    # in the tests only
+    found = _imports_of("numpy")
+    assert not found, f"numpy imported in package source: {found}"
 
 
 def _referenced_names(trees):
