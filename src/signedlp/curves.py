@@ -92,6 +92,14 @@ def ingest_curve(path) -> CurveData:
     return curve
 
 
+def _json_int(raw: dict, key: str, default=None) -> int:
+    """raw[key] when it is a JSON integer (not a bool, not a float)."""
+    value = raw.get(key, default)
+    if type(value) is not int:
+        raise ParseError(f"{key} must be an integer, not {value!r}")
+    return value
+
+
 def curve_from_dict(raw: dict) -> CurveData:
     unknown = set(raw) - _CURVE_FIELDS
     if unknown:
@@ -102,19 +110,21 @@ def curve_from_dict(raw: dict) -> CurveData:
     ai = raw["a_invariants"]
     if not (isinstance(ai, list) and len(ai) == 5 and all(isinstance(v, int) for v in ai)):
         raise ParseError("a_invariants must be five integers")
-    rank = int(raw["rank"])
+    rank = _json_int(raw, "rank")
     e_seq = raw.get("e_sequence")
     if e_seq is None:
         e_seq = [rank]
+    if not (isinstance(e_seq, list) and all(type(v) is int and v >= 0 for v in e_seq)):
+        raise ParseError(f"e_sequence must be a list of nonnegative integers, not {e_seq!r}")
     if not e_seq or e_seq[0] != rank:
         raise ParseError("e_sequence[0] must equal the rank")
-    fricke = int(raw.get("fricke_sign", 1))
+    fricke = _json_int(raw, "fricke_sign", 1)
     if fricke not in (1, -1):
         raise ParseError("fricke_sign must be +1 or -1")
     curve = CurveData(
         label=str(raw["label"]),
         a_invariants=tuple(ai),
-        conductor=int(raw["conductor"]),
+        conductor=_json_int(raw, "conductor"),
         rank=rank,
         e_sequence=RankSequence(e_seq),
         fricke_sign=fricke,

@@ -29,12 +29,6 @@ class PrecisionExhausted(SignedLPError):
     """The p-adic precision budget ran out before a result was certified."""
 
 
-# -- module model ----------------------------------------------------------------
-
-class NotTorsion(SignedLPError):
-    """Characteristic-ideal operation on a module of positive free rank."""
-
-
 # -- curve engine ----------------------------------------------------------------
 
 class ParseError(SignedLPError):

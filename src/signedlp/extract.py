@@ -35,7 +35,7 @@ from .lambda_ring import (
     IwasawaContext,
     InvariantReport,
     LambdaElement,
-    divrem,
+    divides_at_precision,
     exact_quotient,
     mu_lambda,
     weierstrass,
@@ -66,20 +66,6 @@ class SignedPair(NamedTuple):
     method: str        # "parity-factor" | "linear-system" | "invariant-fit"
     stabilized: bool
 
-    @property
-    def mu(self):
-        return tuple(c.invariants.mu for c in self.components)
-
-    @property
-    def lam(self):
-        return tuple(c.invariants.lam for c in self.components)
-
-    def component(self, label: str) -> SignedSeries:
-        for c in self.components:
-            if c.label == label:
-                return c
-        raise KeyError(label)
-
 
 def _wide_context(thetas) -> IwasawaContext:
     top = max(thetas)
@@ -107,12 +93,6 @@ def _class_invariants(rep: LambdaElement):
     return w, w.conclusive and w.mu == 0
 
 
-def _coherent(top: LambdaElement, lower: LambdaElement, modulus: LambdaElement) -> bool:
-    diff = top - lower
-    _, R = divrem(diff, modulus)
-    return R.is_zero_at_precision
-
-
 def extract_plus_minus(thetas, a_p: int) -> SignedPair:
     """Plus/minus pair from the parity-decoupled theta chains (a_p = 0)."""
     if a_p != 0:
@@ -138,7 +118,7 @@ def extract_plus_minus(thetas, a_p: int) -> SignedPair:
             low = levels[-2]
             # class modulus at the lower level: omega_low / parity product
             modulus = exact_quotient(wide.omega(low), _parity_product(wide, low))
-            if not _coherent(quotients[top], quotients[low], modulus):
+            if not divides_at_precision(quotients[top] - quotients[low], modulus):
                 raise NotStabilized(
                     f"{label}: quotients at levels {low} and {top} disagree"
                 )

@@ -1,28 +1,17 @@
-"""Executable semantics for elementary torsion Lambda-modules.
+"""Rank sequences and the ideals of Lambda kept in factored form.
 
-A finitely generated Lambda-module is handled only in pseudo-decomposed
-form: a free rank, p-power cyclic pieces Lambda/p^a and cyclic pieces
-Lambda/(F^b) with F an irreducible distinguished polynomial.  That is all
-the invariant theory needs, since mu, lambda and characteristic ideals are
-pseudo-isomorphism invariants.
-
-The predicted ideals attached to a Mordell-Weil rank sequence are kept in
-factored form so they can be compared exactly against computed gcds.
+An ideal here is p^a * X^alpha * prod Phi_n^beta_n, written out by its
+exponents: the fine characteristic given on the command line and the
+ideals that the Greenberg and Pollack-Kurihara predictions attach to a
+Mordell-Weil rank sequence.  Both are compared against a computed gcd
+exponent by exponent, so no Lambda element is ever formed.
 """
 
 from __future__ import annotations
 
 from typing import NamedTuple
 
-from .errors import NotTorsion
-from .lambda_ring import (
-    IwasawaContext,
-    LambdaElement,
-    divides_at_precision,
-    factored_string,
-    mu_lambda,
-    refuse_assignment,
-)
+from .lambda_ring import factored_string, refuse_assignment
 
 
 class RankSequence:
@@ -56,14 +45,20 @@ class RankSequence:
 class FactoredIdeal(NamedTuple("FactoredIdeal",
                                [("p_exp", int), ("x_exp", int), ("phi_exps", tuple)])):
     """Principal ideal written as p^a * X^alpha * prod Phi_n^beta_n; phi_exps
-    may be given as a dict and is kept as sorted (n, beta_n) pairs."""
+    may be given as a dict and is kept as sorted (n, beta_n) pairs.  Every
+    exponent is nonnegative and every n at least 1 (Phi_0 is X)."""
 
     __slots__ = ()
 
     def __new__(cls, p_exp=0, x_exp=0, phi_exps=()):
         if isinstance(phi_exps, dict):
             phi_exps = tuple(sorted((n, b) for n, b in phi_exps.items() if b))
-        return super().__new__(cls, int(p_exp), int(x_exp), tuple(phi_exps))
+        self = super().__new__(cls, int(p_exp), int(x_exp), tuple(phi_exps))
+        if min(self.p_exp, self.x_exp, *(b for _, b in self.phi_exps)) < 0:
+            raise ValueError(f"negative exponent in the ideal {self}")
+        if any(n < 1 for n, _ in self.phi_exps):
+            raise ValueError(f"Phi index below 1 in the ideal {self}")
+        return self
 
     @property
     def phi_dict(self) -> dict:
@@ -85,13 +80,21 @@ def parse_factored_ideal(spec: str) -> FactoredIdeal:
     phi: dict = {}
     for token in text.split("*"):
         base, _, exp = token.partition("^")
-        k = int(exp) if exp else 1
+        is_phi = base.lower().startswith("phi")
+        try:
+            k = int(exp) if exp else 1
+            phi_n = int(base[3:]) if is_phi else 0
+        except ValueError:
+            raise ValueError(
+                f"non-integer exponent or index in {token!r} of ideal spec {spec!r}"
+            ) from None
+        if k < 0 or phi_n < 0:
+            raise ValueError(f"negative exponent or index in {token!r} of ideal spec {spec!r}")
         if base in ("X", "x"):
             x_exp += k
         elif base == "p":
             p_exp += k
-        elif base.lower().startswith("phi"):
-            phi_n = int(base[3:])
+        elif is_phi:
             if phi_n == 0:
                 x_exp += k
             else:
@@ -112,115 +115,3 @@ def kp_ideal(e: RankSequence) -> FactoredIdeal:
     """X^(e_0) * prod over e_n >= 1, n >= 1 of Phi_n^(e_n - 1)."""
     phi = {n: e[n] - 1 for n in e.support() if n >= 1 and e[n] >= 2}
     return FactoredIdeal(0, e[0], phi)
-
-
-# -- elementary modules ----------------------------------------------------------
-
-
-class ElementaryModule(NamedTuple("ElementaryModule",
-                                  [("p_part", tuple), ("poly_part", tuple), ("free_rank", int)])):
-    """Formal direct sum Lambda^r + sum Lambda/p^a_i + sum Lambda/(F_i^b_i);
-    poly_part holds the pairs (F_i as LambdaElement, b_i)."""
-
-    __slots__ = ()
-
-    def __new__(cls, p_part=(), poly_part=(), free_rank=0):
-        p_part = tuple(int(a) for a in p_part)
-        poly_part = tuple((F, int(b)) for F, b in poly_part)
-        if any(a < 1 for a in p_part) or any(b < 1 for _, b in poly_part):
-            raise ValueError("exponents must be at least 1")
-        if free_rank < 0:
-            raise ValueError("free rank must be nonnegative")
-        for F, _ in poly_part:
-            if not F.is_distinguished():
-                raise ValueError(f"{F!s} is not distinguished")
-        return super().__new__(cls, p_part, poly_part, free_rank)
-
-    @property
-    def is_torsion(self) -> bool:
-        return self.free_rank == 0
-
-    def torsion_part(self) -> "ElementaryModule":
-        return ElementaryModule(self.p_part, self.poly_part, 0)
-
-    def direct_sum(self, other: "ElementaryModule") -> "ElementaryModule":
-        return ElementaryModule(
-            self.p_part + other.p_part,
-            self.poly_part + other.poly_part,
-            self.free_rank + other.free_rank,
-        )
-
-    def mu(self) -> int:
-        return sum(self.p_part)
-
-    def lam(self) -> int:
-        return sum(b * F.degree() for F, b in self.poly_part)
-
-
-def char_ideal(M: ElementaryModule, ctx: IwasawaContext) -> LambdaElement:
-    """Generator p^(sum a_i) * prod F_i^(b_i) of the characteristic ideal."""
-    if not M.is_torsion:
-        raise NotTorsion(f"free rank {M.free_rank} > 0")
-    gen = ctx.one().scale(ctx.prime ** M.mu())
-    for F, b in M.poly_part:
-        F = F.in_context(ctx)
-        for _ in range(b):
-            gen = gen * F
-    return gen
-
-
-def _is_p_element(f: LambdaElement) -> bool:
-    mu, lam = mu_lambda(f)
-    return bool(mu) and lam == 0  # mu >= 1; INCONCLUSIVE is None
-
-
-def f_torsion_finite(M: ElementaryModule, f: LambdaElement, ctx: IwasawaContext) -> bool:
-    """Whether M[f] is finite, i.e. f does not divide Char(M_tor).
-
-    Computed two ways that must agree: divisibility of the characteristic
-    generator, and direct inspection of the elementary factors.
-    """
-    gen = char_ideal(M.torsion_part(), ctx)
-    if _is_p_element(f):
-        by_divisibility = not mu_lambda(gen)[0]  # mu is 0 or INCONCLUSIVE
-        by_inspection = len(M.p_part) == 0
-    else:
-        by_divisibility = not divides_at_precision(gen, f)
-        by_inspection = not any(
-            _same_distinguished(F, f) for F, _ in M.poly_part
-        )
-    if by_divisibility != by_inspection:
-        raise AssertionError(
-            "divisibility test and factor inspection disagree "
-            f"for f={f!s} on {M}"
-        )
-    return by_divisibility
-
-
-def _same_distinguished(F: LambdaElement, G: LambdaElement) -> bool:
-    if F.degree() != G.degree():
-        return False
-    step = F.context.prime ** min(F.context.precision, G.context.precision)
-    return all((a - b) % step == 0 for a, b in zip(F.coeffs, G.coeffs))
-
-
-class SesVerdict(NamedTuple):
-    passed: bool
-    detail: str
-
-
-def ses_char_check(
-    A: ElementaryModule, B: ElementaryModule, C: ElementaryModule, ctx: IwasawaContext
-) -> SesVerdict:
-    """Char(A) * Char(C_tor) = Char(B_tor) for a split exact sequence.
-
-    The harness constructs B as a direct sum refining A and C; the check
-    multiplies the generators out and compares them coefficientwise.
-    """
-    if not A.is_torsion:
-        raise NotTorsion("left-hand module must be torsion")
-    lhs = char_ideal(A, ctx) * char_ideal(C.torsion_part(), ctx)
-    rhs = char_ideal(B.torsion_part(), ctx)
-    same = lhs.coeffs == rhs.coeffs
-    detail = f"Char(A)*Char(C_tor) = {lhs!s}, Char(B_tor) = {rhs!s}"
-    return SesVerdict(same, detail)

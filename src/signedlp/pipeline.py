@@ -47,8 +47,9 @@ CACHE_ENV = "SIGNEDLP_CACHE_DIR"
 
 class RunConfig:
     """One run's inputs, checked on construction: p an odd prime, p-adic
-    precision M >= 2, and the top level n_max (default 2 for p <= 5,
-    else 1) nonnegative."""
+    precision M >= 2, the top level n_max (default 2 for p <= 5, else 1)
+    nonnegative, and the fine characteristic spec, if given, a factored
+    ideal; fine_ideal holds it parsed."""
 
     def __init__(self, curve_file: str, p: int, n_max: Optional[int] = None,
                  precision: int = 8, table_path: Optional[str] = None,
@@ -69,6 +70,7 @@ class RunConfig:
         self.table_path = table_path
         self.table_mode = table_mode
         self.fine_char = fine_char
+        self.fine_ideal = None if fine_char is None else parse_factored_ideal(fine_char)
 
 
 class PipelineResult(NamedTuple):
@@ -275,11 +277,10 @@ def run_pipeline(cfg: RunConfig, last_stage: Optional[str] = None) -> PipelineRe
         }
 
         verdict = Verdict()
-        if cfg.fine_char is not None:
+        if cfg.fine_ideal is not None:
             stage = "compare"
-            fine = parse_factored_ideal(cfg.fine_char)
-            verdict = compare_predictions(gcd, curve.e_sequence, fine)
-            theorem = theorem_consistency(gcd, fine)
+            verdict = compare_predictions(gcd, curve.e_sequence, cfg.fine_ideal)
+            theorem = theorem_consistency(gcd, cfg.fine_ideal)
             record["stages"]["compare"] = {
                 "delta_E": verdict.delta_e,
                 "KP": verdict.status_of("KP"),

@@ -106,6 +106,12 @@ def omega_signed(ctx, n, parity):
     return out
 
 
+def mu_lambda_of(pair):
+    """(mu of each component, lambda of each component) of a signed pair."""
+    return (tuple(c.invariants.mu for c in pair.components),
+            tuple(c.invariants.lam for c in pair.components))
+
+
 def ideal_to_lambda(ideal, ctx):
     """The generator p^a X^b prod Phi_n^(e_n) of a FactoredIdeal in ctx."""
     out = ctx.one().scale(ctx.prime**ideal.p_exp)

@@ -8,6 +8,7 @@ import pytest
 from signedlp import cli
 from signedlp.cli import main
 from signedlp.curves import ingest_curve
+from signedlp.errors import CompatFailed
 from signedlp.modsym import SymbolTableBuilder, export_table
 from signedlp.pipeline import RunConfig, run_pipeline
 
@@ -30,8 +31,14 @@ _REPORT_53A1 = ["report", "--curve", curve_path("53a1")]
     _REPORT_53A1 + ["--p", "5", "--level", "-1"],
     _REPORT_53A1 + ["--p", "5", "--import"],
     ["gcd", "--curve", curve_path("53a1"), "--p", "3", "--format", "csv"],
+    _REPORT_53A1 + ["--p", "5", "--fine-char", "X^a"],
+    _REPORT_53A1 + ["--p", "5", "--fine-char", "Y"],
+    _REPORT_53A1 + ["--p", "5", "--fine-char", "Phi1^-1"],
+    _REPORT_53A1 + ["--p", "5", "--fine-char", "p^-1"],
 ], ids=["unknown-flag", "p-not-prime", "prec-1", "level-negative", "import-without-table",
-        "format-without-csv-form"])
+        "format-without-csv-form", "fine-char-exponent-not-integer",
+        "fine-char-unknown-factor", "fine-char-phi-exponent-negative",
+        "fine-char-p-exponent-negative"])
 def test_unknown_flag_exits_2(argv):
     proc = subprocess.run(
         [sys.executable, "-m", "signedlp", *argv], capture_output=True, text=True,
@@ -65,7 +72,7 @@ _IMPORT_PROBE = (
     ("miss", ["False", "False", "True", "True", "False"]),
     ("import", ["False", "False", "False", "False", "False"]),
 ], ids=["unset", "cache-hit", "cache-miss", "import"])
-def test_cli_import_pins_openblas_and_skips_mpmath(cache, expected, tmp_path, monkeypatch):
+def test_report_loads_only_the_modules_it_needs(cache, expected, tmp_path, monkeypatch):
     # a fresh interpreter, so that numpy, mpmath, dataclasses or fractions
     # loaded by pytest cannot mask what importing the CLI loads, and what
     # one report then adds: the Manin-symbol code only when the table is
@@ -128,6 +135,27 @@ def test_ordinary_prime_fails_at_extract_stage(capsys):
     assert code == 1
     assert "WrongReductionType" in err
     assert "stage: extract" in err
+
+
+def test_broken_congruence_stops_report_at_compat(capsys, monkeypatch):
+    from signedlp import pipeline
+
+    build = pipeline.build_theta
+
+    def shifted(table, n, M):
+        # theta_2 + X: the remainder mod omega_1 is X, so coefficient 1 breaks
+        theta = build(table, n, M)
+        return theta + theta.context.x_power(1) if n == 2 else theta
+
+    monkeypatch.setattr(pipeline, "build_theta", shifted)
+    argv = ["report", "--curve", curve_path("53a1"), "--p", "3", "--level", "2"]
+    code, out, err = run_cli(argv, capsys)
+    assert code == 1 and out == ""
+    assert "CompatFailed: level 2: coefficient 1 " in err
+    assert err.rstrip().endswith("[stage: compat]")
+    with pytest.raises(CompatFailed) as exc:
+        run_pipeline(RunConfig(curve_path("53a1"), 3, n_max=2))
+    assert exc.value.index == 1
 
 
 def test_bad_prime_fails_at_classify_stage(capsys):

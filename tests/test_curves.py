@@ -56,17 +56,31 @@ def test_is_odd_prime_matches_trial_division():
     assert is_odd_prime(2**61 - 1)
 
 
+_RECORD_37A1 = {"label": "37a1", "a_invariants": [0, 0, 1, -1, 0], "conductor": 37, "rank": 1}
+
+
 def test_default_e_sequence():
-    c = curve_from_dict({
-        "label": "37a1", "a_invariants": [0, 0, 1, -1, 0],
-        "conductor": 37, "rank": 1,
-    })
+    c = curve_from_dict(_RECORD_37A1)
     assert list(c.e_sequence.e) == [1]
-    with pytest.raises(ParseError):
-        curve_from_dict({
-            "label": "x", "a_invariants": [0, 0, 1, -1, 0],
-            "conductor": 37, "rank": 1, "e_sequence": [2],
-        })
+
+
+@pytest.mark.parametrize("field, value", [
+    ("e_sequence", [2]),
+    ("rank", "one"),
+    ("rank", 1.7),
+    ("conductor", None),
+    ("fricke_sign", "x"),
+    ("e_sequence", 5),
+    ("e_sequence", [1, "a"]),
+    ("e_sequence", [1, -1]),
+], ids=["e_sequence-head-not-rank", "rank-string", "rank-float", "conductor-null",
+        "fricke_sign-string", "e_sequence-not-list", "e_sequence-string-entry",
+        "e_sequence-negative-entry"])
+def test_malformed_field_is_parse_error(field, value):
+    # each field must be a JSON integer (e_sequence a list of nonnegative
+    # ones), refused at ingest under its own name
+    with pytest.raises(ParseError, match=field):
+        curve_from_dict({**_RECORD_37A1, field: value})
 
 
 def test_a_ell_values(store):

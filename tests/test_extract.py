@@ -1,6 +1,6 @@
 import pytest
 
-from signedlp.errors import NotStabilized, WrongReductionType
+from signedlp.errors import NotStabilized, SingularSystem, WrongReductionType
 from signedlp.extract import (
     _parity_product,
     _wide_context,
@@ -10,6 +10,8 @@ from signedlp.extract import (
     invariant_fit,
 )
 from signedlp.lambda_ring import IwasawaContext, divrem
+
+from conftest import mu_lambda_of
 
 
 def _synthetic_thetas(p, M, F_coeffs, n_max=3, alternate=True, scale_mu=None):
@@ -97,6 +99,13 @@ def test_wrong_reduction_type():
         extract_sharp_flat(thetas, a_p=1, p=3)
 
 
+def test_sharp_flat_solve_that_does_not_divide_is_singular():
+    # level 2: a_p theta_1 - theta_2 = -4 is no multiple of Phi_1
+    thetas = {n: IwasawaContext(3, 6, 3**n).element([1]) for n in range(3)}
+    with pytest.raises(SingularSystem, match="level 2"):
+        extract_sharp_flat(thetas, a_p=-3, p=3)
+
+
 # -- fixtures ---------------------------------------------------------------------
 
 
@@ -104,8 +113,7 @@ def test_53a1_p5_plus_minus(store):
     thetas = store.thetas("53a1", 5, 2)
     pair = extract_plus_minus(thetas, store.ap("53a1", 5))
     assert pair.labels == ("plus", "minus")
-    assert pair.mu == (0, 0)
-    assert pair.lam == (1, 1)
+    assert mu_lambda_of(pair) == ((0, 0), (1, 1))
     for comp in pair.components:
         assert comp.is_x_times_unit and comp.limit_certified
     fits = invariant_fit(thetas)
@@ -120,7 +128,7 @@ def test_53a1_p3_sharp_flat(store):
     thetas = store.thetas("53a1", 3, 2)
     pair = extract_sharp_flat(thetas, store.ap("53a1", 3), 3)
     assert pair.labels == ("sharp", "flat")
-    assert pair.mu == (0, 0) and pair.lam == (1, 1)
+    assert mu_lambda_of(pair) == ((0, 0), (1, 1))
     assert all(c.is_x_times_unit for c in pair.components)
     assert pair.stabilized
 
@@ -128,16 +136,15 @@ def test_53a1_p3_sharp_flat(store):
 def test_37a1_p3_sharp_flat(store):
     thetas = store.thetas("37a1", 3, 2)
     pair = extract_sharp_flat(thetas, store.ap("37a1", 3), 3)
-    assert 1 in pair.lam
-    assert pair.mu == (0, 0)
+    assert 1 in mu_lambda_of(pair)[1]
+    assert mu_lambda_of(pair)[0] == (0, 0)
     assert fit_matches_pair(invariant_fit(thetas), pair)
 
 
 def test_37a1_p17_plus_minus_level_one(store):
     thetas = store.thetas("37a1", 17, 1)
     pair = extract_plus_minus(thetas, store.ap("37a1", 17))
-    plus = pair.component("plus")
-    minus = pair.component("minus")
+    plus, minus = pair.components
     assert (plus.invariants.mu, plus.invariants.lam) == (0, 1)
     assert plus.is_x_times_unit
     assert minus.stabilization == "zero-chain"
@@ -161,9 +168,9 @@ def test_level_three_solve_regression(store):
         from signedlp.theta import check_compat
         assert check_compat(thetas, 3, ap).passed
         pair = extract_sharp_flat(thetas, ap, 3)
-        assert (pair.component("sharp").invariants.mu,
-                pair.component("sharp").invariants.lam) == (0, 1)
-        assert pair.component("flat").invariants.lam == lam_flat
+        sharp, flat = pair.components
+        assert (sharp.invariants.mu, sharp.invariants.lam) == (0, 1)
+        assert flat.invariants.lam == lam_flat
         assert fit_matches_pair(invariant_fit(thetas), pair)
 
 
@@ -171,4 +178,4 @@ def test_level_three_plus_minus_fully_stabilized(store):
     thetas = store.thetas("53a1", 5, 3)
     pair = extract_plus_minus(thetas, store.ap("53a1", 5))
     assert pair.stabilized  # both parities now have two conclusive levels
-    assert pair.mu == (0, 0) and pair.lam == (1, 1)
+    assert mu_lambda_of(pair) == ((0, 0), (1, 1))

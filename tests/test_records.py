@@ -5,7 +5,7 @@ import pytest
 from signedlp.curves import CurveData, Periods, ReductionType
 from signedlp.extract import FitResult, SignedPair, SignedSeries
 from signedlp.lambda_ring import InvariantReport, IwasawaContext, LambdaElement
-from signedlp.modules import ElementaryModule, FactoredIdeal, RankSequence, SesVerdict
+from signedlp.modules import FactoredIdeal, RankSequence
 
 
 def _element():
@@ -37,8 +37,6 @@ RECORDS = {
     "FitResult": (lambda: FitResult("odd", 0, 1, (1, 3), True), "lambda_star"),
     "RankSequence": (lambda: RankSequence([1, 0, 2, 0]), "e"),
     "FactoredIdeal": (lambda: FactoredIdeal(0, 1, {1: 2, 2: 0}), "x_exp"),
-    "ElementaryModule": (lambda: ElementaryModule((2,), ((_element(), 1),), 0), "free_rank"),
-    "SesVerdict": (lambda: SesVerdict(True, "same"), "passed"),
 }
 
 

@@ -5,20 +5,6 @@ import pathlib
 
 PACKAGE = pathlib.Path(__file__).resolve().parents[1] / "src" / "signedlp"
 
-# module-level functions that nothing in the package calls, each with its reason
-UNCALLED_ALLOWED = {
-    "f_torsion_finite": "module semantics checked by the acceptance suite",
-    "ses_char_check": "module semantics checked by the acceptance suite",
-}
-
-
-# methods that nothing in the package calls, each with its reason
-UNCALLED_METHODS_ALLOWED = {
-    "ElementaryModule.direct_sum": "module semantics checked by the acceptance suite",
-    "SignedPair.component": "label lookup the acceptance suite reads",
-}
-
-
 def _package_trees():
     sources = sorted(PACKAGE.glob("*.py"))
     assert sources, f"no package source under {PACKAGE}"
@@ -77,7 +63,7 @@ def _referenced_names(trees):
 
 def test_every_module_function_is_called_in_package():
     # code that only tests call is dead weight: a function must be referenced
-    # by name somewhere in the package, or be listed above with its reason
+    # by name somewhere in the package
     trees = _package_trees()
     defined = {}
     for name, tree in trees.items():
@@ -85,11 +71,8 @@ def test_every_module_function_is_called_in_package():
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 defined[node.name] = name
     referenced = _referenced_names(trees)
-    uncalled = {fn for fn in defined if fn not in referenced}
-    unlisted = sorted(f"{defined[fn]}:{fn}" for fn in uncalled - UNCALLED_ALLOWED.keys())
-    assert not unlisted, f"module-level functions no package code calls: {unlisted}"
-    stale = sorted(set(UNCALLED_ALLOWED) - uncalled)
-    assert not stale, f"allowed entries that are gone or now called: {stale}"
+    uncalled = sorted(f"{defined[fn]}:{fn}" for fn in defined if fn not in referenced)
+    assert not uncalled, f"module-level functions no package code calls: {uncalled}"
 
 
 def test_every_method_is_called_in_package():
@@ -106,10 +89,7 @@ def test_every_method_is_called_in_package():
                     if not (node.name.startswith("__") and node.name.endswith("__")):
                         defined[f"{cls.name}.{node.name}"] = name
     referenced = _referenced_names(trees)
-    uncalled = {m for m in defined if m.split(".")[1] not in referenced}
-    unlisted = sorted(
-        f"{defined[m]}:{m}" for m in uncalled - UNCALLED_METHODS_ALLOWED.keys()
+    uncalled = sorted(
+        f"{defined[m]}:{m}" for m in defined if m.split(".")[1] not in referenced
     )
-    assert not unlisted, f"methods no package code calls: {unlisted}"
-    stale = sorted(set(UNCALLED_METHODS_ALLOWED) - uncalled)
-    assert not stale, f"allowed entries that are gone or now called: {stale}"
+    assert not uncalled, f"methods no package code calls: {uncalled}"
