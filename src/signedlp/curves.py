@@ -108,7 +108,7 @@ def curve_from_dict(raw: dict) -> CurveData:
         if key not in raw:
             raise ParseError(f"missing field {key!r}")
     ai = raw["a_invariants"]
-    if not (isinstance(ai, list) and len(ai) == 5 and all(isinstance(v, int) for v in ai)):
+    if not (isinstance(ai, list) and len(ai) == 5 and all(type(v) is int for v in ai)):
         raise ParseError("a_invariants must be five integers")
     rank = _json_int(raw, "rank")
     e_seq = raw.get("e_sequence")

@@ -99,4 +99,4 @@ class SingularSystem(SignedLPError):
 # -- reporting ------------------------------------------------------------------
 
 class IoError(SignedLPError):
-    """Wraps OS-level failures while writing reports."""
+    """Wraps OS-level failures writing a report or a cache entry, or making the cache."""

@@ -309,7 +309,7 @@ _BIG_ENDIAN = sys.byteorder == "big"
 
 def _pack(values, width: int) -> int:
     """The integer whose little-endian slots of `width` bytes hold `values`."""
-    if width <= 8:
+    if width in _TYPECODES:
         slots = array(_TYPECODES[width], values)
         if _BIG_ENDIAN:
             slots.byteswap()
@@ -319,13 +319,23 @@ def _pack(values, width: int) -> int:
     return int.from_bytes(raw, "little")
 
 
+def _unpack(raw: bytes, width: int, mod: int) -> list:
+    """The little-endian slots of `width` bytes in `raw`, each reduced mod `mod`."""
+    if width in _TYPECODES:
+        slots = array(_TYPECODES[width], raw)
+        if _BIG_ENDIAN:
+            slots.byteswap()
+        return [c % mod for c in slots]
+    return [int.from_bytes(raw[i : i + width], "little") % mod for i in range(0, len(raw), width)]
+
+
 def _mul(a, b, mod: int) -> list:
     """Product of two residue lists mod `mod`, by Kronecker substitution.
 
     A product coefficient is a sum of at most min(len) terms below mod^2, so
     slots of 2*bits(mod) + bits(min(len)) bits never overflow: one integer
     product carries the whole convolution.  Slots of 1, 2, 4 or 8 bytes are
-    packed and read through array.array, wider ones through bytes.  The
+    packed and read through array.array, other widths through bytes.  The
     result has len(a) + len(b) - 1 entries, none when an operand is empty.
     """
     if not a or not b:
@@ -334,16 +344,8 @@ def _mul(a, b, mod: int) -> list:
     bits = 2 * (mod - 1).bit_length() + min(len(a), len(b)).bit_length()
     width = next((w for w in (1, 2, 4, 8) if 8 * w >= bits), (bits + 7) // 8)
     A = _pack(a, width)
-    raw = (A * (A if b is a else _pack(b, width))).to_bytes(n * width, "little")
-    if width <= 8:
-        slots = array(_TYPECODES[width], raw)
-        if _BIG_ENDIAN:
-            slots.byteswap()
-        return [c % mod for c in slots]
-    return [
-        int.from_bytes(raw[i : i + width], "little") % mod
-        for i in range(0, n * width, width)
-    ]
+    return _unpack((A * (A if b is a else _pack(b, width))).to_bytes(n * width, "little"),
+                   width, mod)
 
 
 def _reciprocal(f, n: int, mod: int) -> list:

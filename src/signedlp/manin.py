@@ -32,6 +32,7 @@ from fractions import Fraction
 
 from .curves import CurveData, a_ell, an_expansion, prime_divisors
 from .errors import NonConvergence
+from .lambda_ring import _pack, _unpack
 
 
 # -- Manin symbols ------------------------------------------------------------------
@@ -246,21 +247,15 @@ def _nullspace_mod(rows, P: int) -> list:
     n = len(rows[0]) if rows else 0
     size = ((n + 1) * P * P).bit_length() // 8 + 1  # bytes per slot
     width, low = 8 * size, (1 << 8 * size) - 1
-
-    def pack(entries):
-        return int.from_bytes(b"".join(v.to_bytes(size, "little") for v in entries), "little")
-
-    live = [pack([v % P for v in row]) for row in rows]
+    live = [_pack([v % P for v in row], size) for row in rows]
     pivots = {}  # column -> its pivot row from that column on, reduced
     for col in range(n):
         i = next((i for i, row in enumerate(live) if (row & low) % P), None)
         if i is not None:
-            data = live.pop(i).to_bytes((n - col) * size, "little")
-            entries = [int.from_bytes(data[j : j + size], "little") % P
-                       for j in range(0, len(data), size)]
+            entries = _unpack(live.pop(i).to_bytes((n - col) * size, "little"), size, P)
             inverse = pow(entries[0], -1, P)
             entries = pivots[col] = [v * inverse % P for v in entries]
-            pivot = pack(entries)
+            pivot = _pack(entries, size)
             live = [row + (P - c) * pivot if (c := (row & low) % P) else row for row in live]
         live = [row >> width for row in live]
     out = []

@@ -24,7 +24,7 @@ from .analyzer import (
     theorem_consistency,
 )
 from .curves import CurveData, classify_reduction, ingest_curve, is_odd_prime
-from .errors import CompatFailed, NotStabilized, SignedLPError, WrongReductionType
+from .errors import CompatFailed, IoError, NotStabilized, SignedLPError, WrongReductionType
 from .extract import (
     SignedPair,
     extract_plus_minus,
@@ -90,67 +90,70 @@ class PipelineResult(NamedTuple):
 
 
 def cache_path(cfg: RunConfig, curve: CurveData) -> Optional[str]:
-    """The cached table's CSV path, named by every input that changes the
-    table; its meta sits next to it in the same path plus ".json".
-
-    The inputs are spelled out rather than hashed: hashlib would load
-    OpenSSL into every run, about 3.6 MB of resident memory.
-    """
+    """The cached table's JSON path, named by every input that changes the
+    table (not the label: a cached table takes it from the curve in hand),
+    spelled out rather than hashed, since hashlib would load OpenSSL into
+    every run (about 3.6 MB of resident memory).  A cache directory that
+    cannot be created raises IoError."""
     root = os.environ.get(CACHE_ENV)
     if not root:
         return None
-    os.makedirs(root, exist_ok=True)
+    try:
+        os.makedirs(root, exist_ok=True)
+    except OSError as exc:
+        raise IoError(f"cannot create cache directory {root}: {exc}") from exc
     ainvs = ",".join(str(a) for a in curve.a_invariants)
-    name = (
-        f"{curve.label}_p{cfg.p}_k{cfg.n_max + 1}_a{ainvs}_N{curve.conductor}"
-        f"_e{curve.fricke_sign}_v{__version__}.csv"
-    )
-    return os.path.join(root, name)
+    return os.path.join(root, f"p{cfg.p}_k{cfg.n_max + 1}_a{ainvs}_N{curve.conductor}"
+                              f"_e{curve.fricke_sign}_v{__version__}.json")
 
 
-def _write_atomically(path: str, write) -> None:
-    """write(tmp), then rename tmp over path: readers never see a partial file."""
+def _write_atomically(path: str, text: str) -> None:
+    """text to tmp, renamed over path: readers never see a partial file."""
     tmp = f"{path}.{os.getpid()}.tmp"
     try:
-        write(tmp)
+        with open(tmp, "w") as fh:
+            fh.write(text)
         os.replace(tmp, path)
+    except OSError as exc:
+        raise IoError(f"cannot write cache entry {path}: {exc}") from exc
     finally:
         if os.path.exists(tmp):
             os.remove(tmp)
 
 
-def _write_meta(meta: dict, path: str) -> None:
-    with open(path, "w") as fh:
-        json.dump(meta, fh, sort_keys=True)
+def _ints(values, length: int) -> bool:
+    return type(values) is list and len(values) == length and set(map(type, values)) == {int}
 
 
-def _read_cached(path: str, curve: CurveData, p: int) -> SymbolTable:
-    """A cached table exactly as it was built: symbols, meta and provenance."""
-    table = import_table(path, expect_curve=curve.label, expect_p=p)
-    with open(path + ".json") as fh:
-        table.meta = json.load(fh)
-    table.provenance = "computed"
-    return table
+def _read_cached(path: str, curve: CurveData, p: int, K: int) -> Optional[SymbolTable]:
+    """The table of a cache entry as it was built; None when the entry is
+    missing, does not parse or does not have the shape of its key: two
+    positive denominators, and levels 0..K of p^k numerators per sign."""
+    try:
+        with open(path) as fh:
+            entry = json.load(fh)
+        meta, dens, levels = entry["meta"], entry["denominators"], entry["levels"]
+        shaped = (type(meta) is dict and _ints(dens, 2) and min(dens) > 0 and len(levels) == K + 1
+                  and all(len(level) == 2 and all(_ints(sign, p**k) for sign in level)
+                          for k, level in enumerate(levels)))
+    except (OSError, ValueError, TypeError, KeyError):
+        return None
+    return SymbolTable(curve.label, p, tuple(dens), levels, meta=meta) if shaped else None
 
 
 def load_or_build_table(cfg: RunConfig, curve: CurveData) -> SymbolTable:
     K = cfg.n_max + 1
     if cfg.table_path and cfg.table_mode == "import":
-        table = import_table(cfg.table_path, expect_curve=curve.label, expect_p=cfg.p)
-        for k in range(K + 1):
-            if not table.has_level(k):
-                raise SignedLPError(
-                    f"imported table lacks level {k}; need levels through {K}"
-                )
-        return table
+        # validate_hecke refuses a table without every level 0..K
+        return import_table(cfg.table_path, expect_curve=curve.label, expect_p=cfg.p)
     cached = cache_path(cfg, curve)
-    if cached and os.path.exists(cached):
-        return _read_cached(cached, curve, cfg.p)
+    table = _read_cached(cached, curve, cfg.p, K) if cached else None
+    if table is not None:
+        return table
     table = SymbolTableBuilder(curve, cfg.p).build(K)
     if cached:
-        # the meta first: a cached CSV always has its meta next to it
-        _write_atomically(cached + ".json", lambda tmp: _write_meta(table.meta, tmp))
-        _write_atomically(cached, lambda tmp: export_table(table, tmp))
+        entry = {"meta": table.meta, "denominators": table.denominators, "levels": table.levels}
+        _write_atomically(cached, json.dumps(entry, sort_keys=True))
     if cfg.table_path and cfg.table_mode == "export":
         export_table(table, cfg.table_path)
     return table

@@ -86,7 +86,7 @@ def test_report_loads_only_the_modules_it_needs(cache, expected, tmp_path, monke
         env["SIGNEDLP_CACHE_DIR"] = str(tmp_path / "cache")
         if cache == "hit":
             monkeypatch.setenv("SIGNEDLP_CACHE_DIR", env["SIGNEDLP_CACHE_DIR"])
-            assert main(argv) == 0 and list((tmp_path / "cache").glob("*.csv"))
+            assert main(argv) == 0 and list((tmp_path / "cache").glob("*.json"))
         if cache == "import":
             table = str(tmp_path / "table.csv")
             assert main(argv + ["--table", table, "--export"]) == 0
@@ -365,7 +365,7 @@ def test_cache_round_trip(tmp_path, capsys, monkeypatch):
     args = ["gcd"] + flags + ["--prec", "8"]
     code, out1, _ = run_cli(args, capsys)
     assert code == 0
-    cached = list(cache.glob("*.csv"))
+    cached = list(cache.glob("*.json"))
     assert len(cached) == 1
     code, out2, _ = run_cli(args, capsys)
     assert code == 0 and json.loads(out1) == json.loads(out2)
@@ -374,11 +374,114 @@ def test_cache_round_trip(tmp_path, capsys, monkeypatch):
     for prec, digits in (("8", "14"), ("6", "14"), ("6", "40")):
         report = ["report"] + flags + ["--prec", prec, "--digits", digits, "--fine-char", "1"]
         code, warm, _ = run_cli(report, capsys)
-        assert code == 0 and len(list(cache.glob("*.csv"))) == 1
+        assert code == 0 and len(list(cache.glob("*.json"))) == 1
         monkeypatch.delenv("SIGNEDLP_CACHE_DIR")
         code, cold, _ = run_cli(report, capsys)
         monkeypatch.setenv("SIGNEDLP_CACHE_DIR", str(cache))
         assert code == 0 and warm == cold
+
+
+_REPORT_37A1_P3 = ["report", "--p", "3", "--level", "1"]
+
+
+def _corrupt_truncated(path):
+    path.write_bytes(path.read_bytes()[: path.stat().st_size // 2])
+
+
+def _corrupt_entry(change):
+    def corrupt(path):
+        entry = json.loads(path.read_text())
+        change(entry)
+        path.write_text(json.dumps(entry))
+    return corrupt
+
+
+def _float_numerator(entry):
+    entry["levels"][1][0][1] += 0.5
+
+
+@pytest.mark.parametrize("corrupt", [
+    _corrupt_truncated,
+    _corrupt_entry(_float_numerator),
+    _corrupt_entry(lambda entry: entry["levels"].pop()),
+], ids=["truncated", "float-numerator", "one-level-short"])
+def test_bad_cache_entry_is_rebuilt(corrupt, tmp_path, capsys, monkeypatch):
+    # an entry that does not parse, or whose shape does not match its key,
+    # is a miss: the report is the cold one and the entry is written again
+    argv = _REPORT_37A1_P3 + ["--curve", curve_path("37a1")]
+    code, cold, _ = run_cli(argv, capsys)
+    assert code == 0
+    cache = tmp_path / "cache"
+    monkeypatch.setenv("SIGNEDLP_CACHE_DIR", str(cache))
+    assert run_cli(argv, capsys)[:2] == (0, cold)
+    (entry,) = cache.iterdir()
+    written = entry.read_bytes()
+    corrupt(entry)
+    assert entry.read_bytes() != written
+    assert run_cli(argv, capsys)[:2] == (0, cold)
+    assert list(cache.iterdir()) == [entry] and entry.read_bytes() == written
+    json.loads(written)
+
+
+@pytest.mark.parametrize("label", ["a/b", "../escaped"])
+def test_label_stays_out_of_the_cache_name(label, tmp_path, capsys, monkeypatch):
+    # the label does not change the table, so it is not part of the entry's
+    # name: a label that reads as a path neither fails nor escapes the cache
+    with open(curve_path("37a1")) as fh:
+        raw = json.load(fh)
+    curve = tmp_path / "curve.json"
+    curve.write_text(json.dumps({**raw, "label": label}))
+    argv = _REPORT_37A1_P3 + ["--curve", str(curve)]
+    code, cold, _ = run_cli(argv, capsys)
+    assert code == 0 and json.loads(cold)["curve"] == label
+    cache = tmp_path / "cache"
+    monkeypatch.setenv("SIGNEDLP_CACHE_DIR", str(cache))
+    for _ in range(2):  # cold, then a hit
+        assert run_cli(argv, capsys)[:2] == (0, cold)
+    (entry,) = cache.iterdir()
+    assert entry.is_file() and entry.suffix == ".json"
+    assert sorted(tmp_path.rglob("*")) == sorted([curve, cache, entry])
+
+
+def _cache_under_a_file(tmp_path):
+    (tmp_path / "file").write_text("")
+    return tmp_path / "file" / "cache"
+
+
+def _entry_is_a_directory(tmp_path):
+    cache = tmp_path / "cache"
+    env = {**os.environ, "SIGNEDLP_CACHE_DIR": str(cache)}
+    argv = _REPORT_37A1_P3 + ["--curve", curve_path("37a1")]
+    subprocess.run([sys.executable, "-m", "signedlp", *argv], env=env, check=True,
+                   capture_output=True)
+    (entry,) = cache.iterdir()
+    entry.unlink()
+    entry.mkdir()
+    return cache
+
+
+@pytest.mark.parametrize("make_cache", [_cache_under_a_file, _entry_is_a_directory],
+                         ids=["directory-under-a-file", "entry-is-a-directory"])
+def test_unusable_cache_is_an_io_error(make_cache, tmp_path):
+    env = {**os.environ, "SIGNEDLP_CACHE_DIR": str(make_cache(tmp_path))}
+    proc = subprocess.run(
+        [sys.executable, "-m", "signedlp", *_REPORT_37A1_P3, "--curve", curve_path("37a1")],
+        capture_output=True, text=True, env=env,
+    )
+    assert (proc.returncode, proc.stdout) == (1, "")
+    assert proc.stderr.startswith("signedlp: IoError: cannot ")
+    assert proc.stderr.rstrip().endswith("[stage: symbols]")
+    assert "Traceback" not in proc.stderr
+
+
+def test_too_shallow_import_fails_at_validate_hecke(tmp_path, capsys):
+    table = str(tmp_path / "table.csv")
+    flags = ["--curve", curve_path("53a1"), "--p", "3", "--table", table]
+    assert run_cli(["symbols", "--level", "1", "--export"] + flags, capsys)[0] == 0
+    code, out, err = run_cli(["report", "--level", "2", "--import"] + flags, capsys)
+    assert (code, out) == (1, "")
+    assert err.startswith("signedlp: IncompleteTable: table missing level 3")
+    assert err.rstrip().endswith("[stage: validate_hecke]")
 
 
 @pytest.mark.parametrize("label, p, x", [("37a1", 3, 1), ("53a1", 5, 1), ("11a1", 19, 0)])

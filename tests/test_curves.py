@@ -73,9 +73,10 @@ def test_default_e_sequence():
     ("e_sequence", 5),
     ("e_sequence", [1, "a"]),
     ("e_sequence", [1, -1]),
+    ("a_invariants", [0, 0, True, -1, 0]),
 ], ids=["e_sequence-head-not-rank", "rank-string", "rank-float", "conductor-null",
         "fricke_sign-string", "e_sequence-not-list", "e_sequence-string-entry",
-        "e_sequence-negative-entry"])
+        "e_sequence-negative-entry", "a_invariants-bool-entry"])
 def test_malformed_field_is_parse_error(field, value):
     # each field must be a JSON integer (e_sequence a list of nonnegative
     # ones), refused at ingest under its own name
