@@ -14,7 +14,6 @@ truncation alone.
 
 from __future__ import annotations
 
-import csv
 import io
 import json
 import sys
@@ -222,6 +221,8 @@ def emit(payload, fmt: str, path=None) -> None:
     if fmt == "json":
         text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
     elif fmt == "csv":
+        import csv  # only the CSV form needs it
+
         buf = io.StringIO()
         writer = csv.writer(buf)
         writer.writerow(["curve", "p", "gcd", "delta_E", "check", "status", "detail"])

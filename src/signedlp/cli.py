@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import gc
+import os
 import sys
 
 from .analyzer import emit, report_payload
@@ -193,16 +194,45 @@ def main(argv=None) -> int:
         return 1
 
 
+def _run_by_interpreter(frame) -> bool:
+    """Whether frame, the caller of entry(), is the process's main program:
+    below it on the stack lie only the interpreter's start-up frames (runpy's
+    for `python -m`), so nothing would run after entry() but shutdown."""
+    frame = frame.f_back
+    while frame is not None and frame.f_globals.get("__name__") == "runpy":
+        frame = frame.f_back
+    return frame is None
+
+
 def entry() -> None:
-    """The process entry point of `signedlp` and `python -m signedlp`."""
-    # Shutdown would otherwise walk and free every object the imports made
-    # (about 35 ms of each report); frozen, the collector skips them.  Not
-    # in main(), which tests call in-process many times.  `python -m
-    # signedlp` runs the imports with the collector off, so it is enabled
-    # only after the freeze.
+    """The process entry point of `signedlp` and `python -m signedlp`.
+
+    Once main() returns, stdout and stderr are flushed and the process
+    leaves through os._exit, skipping interpreter shutdown: every file the
+    program writes (a cache entry, --out, --export) is closed by its `with`
+    block before main() returns, so shutdown would only free memory, and
+    atexit hooks registered before the run do not run.  A flush that fails
+    (a closed pipe) ends through sys.exit, as every run did before; so does
+    a run that a Python caller started in-process (runpy.run_module, as
+    perfbench/trace_child.py does, or cProfile), which gets SystemExit
+    back.  An exception or SystemExit raised by main() propagates.
+    """
+    # Shutdown would otherwise walk and free every object the imports made,
+    # and the collector would keep scanning them during the run; frozen, it
+    # skips them.  Not in main(), which tests call in-process many times.
+    # `python -m signedlp` runs the imports with the collector off, so it is
+    # enabled only after the freeze.
     gc.freeze()
     gc.enable()
-    sys.exit(main())
+    code = main()
+    if not _run_by_interpreter(sys._getframe(1)):
+        sys.exit(code)
+    try:
+        sys.stdout.flush()
+        sys.stderr.flush()
+    except OSError:
+        sys.exit(code)
+    os._exit(code)
 
 
 if __name__ == "__main__":

@@ -28,7 +28,6 @@ from __future__ import annotations
 import cmath
 import math
 import operator
-from fractions import Fraction
 
 from .curves import CurveData, a_ell, an_expansion, prime_divisors
 from .errors import NonConvergence
@@ -157,7 +156,11 @@ def _quotient(symbols: ManinSymbols, sign: int):
     representative rep[i]; expand(r) writes a representative as a combination
     {free point: coefficient} of the free ones, the basis of the quotient.
     The three-term relations are eliminated sparsely, on unit pivots where
-    there is one, so the coordinates stay integral on every fixture.
+    there is one.  The coefficients are ints, except where a relation with
+    other terms has no unit pivot: there its terms are divided by the
+    pivot's coefficient as Fractions, the one place this module imports
+    fractions.  Of the fixtures, only the minus quotients of 15a1 and
+    5077a1 reach it.
     """
     S, star, R = symbols.S, symbols.star, symbols.R
     n = len(symbols.points)
@@ -189,7 +192,12 @@ def _quotient(symbols: ManinSymbols, sign: int):
             continue
         x = min(rel, key=lambda v: (abs(rel[v]) != 1, v))
         c = rel.pop(x)
-        expr = {v: -w * c if c in (1, -1) else Fraction(-w, c) for v, w in rel.items()}
+        if c in (1, -1) or not rel:
+            expr = {v: -w * c for v, w in rel.items()}
+        else:
+            from fractions import Fraction  # no unit pivot: the one rational branch
+
+            expr = {v: Fraction(-w, c) for v, w in rel.items()}
         for y in users.pop(x, ()):
             held = pivots[y]
             w = held.pop(x, 0)
@@ -272,8 +280,15 @@ def _nullspace_mod(rows, P: int) -> list:
     return out
 
 
+def _reduced(n: int, d: int) -> tuple:
+    """n/d in lowest terms as (num, den) with den > 0; d != 0."""
+    g = math.gcd(n, d)
+    return (n // g, d // g) if d > 0 else (-n // g, -d // g)
+
+
 def _rational(x: int, M: int):
-    """n/d with |n|, d <= sqrt(M/2) and n = d x mod M, or None."""
+    """n/d with |n|, d <= sqrt(M/2) and n = d x mod M, as a reduced
+    (n, d) with d > 0, or None."""
     bound = math.isqrt(M // 2)
     r0, r1, s0, s1 = M, x % M, 0, 1
     while r1 > bound:
@@ -281,7 +296,7 @@ def _rational(x: int, M: int):
         r0, r1, s0, s1 = r1, r0 - q * r1, s1, s0 - q * s1
     if abs(s1) > bound or math.gcd(s1, M) != 1:
         return None
-    return Fraction(r1, s1)
+    return _reduced(r1, s1)
 
 
 def _eigen_functional(symbols: ManinSymbols, sign: int, a_of):
@@ -350,15 +365,16 @@ def _eigen_functional(symbols: ManinSymbols, sign: int, a_of):
         phi = [_rational(r, modulus) for r in residues]
         if None in phi:
             continue
-        den = math.lcm(*(v.denominator for v in phi))
-        phi = [int(v * den) for v in phi]
+        den = math.lcm(*(d for _, d in phi))
+        phi = [n * (den // d) for n, d in phi]
         if all(
             sum(t * phi[f] for f, t in col.items()) == a_q * phi[g]
             for _, a_q, cols in hecke for g, col in enumerate(cols)
         ):
             values = [sum(t * phi[f] for f, t in coordinates(i).items())
                       for i in range(len(symbols.points))]
-            den = math.lcm(*(Fraction(v).denominator for v in values))
+            # ints, or Fractions after a quotient's rational branch
+            den = math.lcm(*(v.denominator for v in values))
             return [int(v * den) for v in values], [q for q, _, _ in hecke]
     raise NonConvergence("the Hecke eigenvector did not lift to Q")
 
@@ -519,15 +535,49 @@ def _ec_mul(k, P, A, ell):
     return R
 
 
-def _recognize(x: float) -> Fraction:
-    q = Fraction(x).limit_denominator(10**4)
-    if abs(x - q) > 1e-9:
+def _limit_denominator(n: int, d: int, bound: int) -> tuple:
+    """The closest rational to n/d (d > 0, in lowest terms) with denominator
+    at most bound, as a reduced (num, den): the rule of
+    Fraction.limit_denominator.  The answer is the closer of the best lower
+    and upper approximations, the last convergent p1/q1 of n/d within the
+    bound and the semiconvergent (p0 + k p1)/(q0 + k q1) with the largest k
+    that keeps the bound; a tie goes to the convergent."""
+    if d <= bound:
+        return n, d
+    p0, q0, p1, q1 = 0, 1, 1, 0
+    num, den = n, d
+    while True:
+        a = num // den
+        q2 = q0 + a * q1
+        if q2 > bound:
+            break
+        p0, q0, p1, q1 = p1, q1, p0 + a * p1, q2
+        num, den = den, num - a * den
+    k = (bound - q0) // q1
+    p2, q2 = p0 + k * p1, q0 + k * q1
+    # |p1/q1 - n/d| <= |p2/q2 - n/d|, over the common denominator d q1 q2
+    if abs(p1 * d - n * q1) * q2 <= abs(p2 * d - n * q2) * q1:
+        return p1, q1
+    return p2, q2
+
+
+def _recognize(x: float) -> tuple:
+    """The rational of denominator at most 10^4 closest to x, as a reduced
+    (num, den); NonConvergence unless it lies within 1e-9 of x."""
+    n, d = _limit_denominator(*x.as_integer_ratio(), 10**4)
+    if abs(x - n / d) > 1e-9:
         raise NonConvergence(f"cycle period {x!r} is no rational of denominator <= 10^4")
-    return q
+    return n, d
+
+
+def _ratio_str(n: int, d: int) -> str:
+    """A reduced (num, den) as str(Fraction) writes it: n, or n/d."""
+    return str(n) if d == 1 else f"{n}/{d}"
 
 
 def _fix_scale(curve: CurveData, symbols: ManinSymbols, functional, part, omega: float):
-    """The rational s with [r]^+- = s * values on paths, and its certificate.
+    """The rational s with [r]^+- = s * values on paths, as a reduced
+    (num, den), and its certificate.
 
     The period of a closed cycle {0, gamma 0} divided by omega must be a
     rational of small denominator: it fixes s on the first cycle where the
@@ -536,14 +586,17 @@ def _fix_scale(curve: CurveData, symbols: ManinSymbols, functional, part, omega:
     cycles = _cycles(symbols, functional)
     ((a, b, c, d), exact), ((a2, b2, c2, d2), exact2) = next(cycles), next(cycles)
     x = part(_cycle_period(curve, a, c, d)) / omega
-    value = _recognize(x)
+    n, den = _recognize(x)
     x2 = part(_cycle_period(curve, a2, c2, d2)) / omega
-    if _recognize(x2) != value / exact * exact2:
+    n2, den2 = _recognize(x2)
+    # the second cycle must read value / exact * exact2
+    if n2 * den * exact != n * exact2 * den2:
         raise NonConvergence(
-            f"cycle {[[a2, b2], [c2, d2]]} reads {x2!r}, not {value / exact * exact2}"
+            f"cycle {[[a2, b2], [c2, d2]]} reads {x2!r}, "
+            f"not {_ratio_str(*_reduced(n * exact2, den * exact))}"
         )
-    return value / exact, {
+    return _reduced(n, den * exact), {
         "cycle": [[a, b], [c, d]],
-        "value": str(value),
-        "deviation": float(f"{abs(x - value):.1e}"),
+        "value": _ratio_str(n, den),
+        "deviation": float(f"{abs(x - n / den):.1e}"),
     }

@@ -21,7 +21,6 @@ writes each symbol as a fraction in lowest terms.
 
 from __future__ import annotations
 
-import csv
 import math
 from typing import NamedTuple
 
@@ -103,7 +102,7 @@ class SymbolTableBuilder:
             scale, cert = manin._fix_scale(curve, symbols, (phi, sign), part, omega)
             meta[name] = {"hecke_primes": primes, **cert}
             functionals.append((phi, sign))
-            scales.append(scale.as_integer_ratio())
+            scales.append(scale)
         (n1, d1), (n2, d2) = scales
         levels = []
         for k in range(K + 1):
@@ -168,6 +167,8 @@ def validate_hecke(table: SymbolTable, p: int, max_level: int, a_p: int) -> Heck
 def export_table(table: SymbolTable, path) -> None:
     """One row k, a, plus numerator, denominator, minus numerator, denominator
     per symbol, by level and residue, each fraction in lowest terms."""
+    import csv  # only CSV I/O needs it
+
     gcd = math.gcd
     dp, dm = table.denominators
     with open(path, "w", newline="") as fh:
@@ -186,6 +187,8 @@ def import_table(path, expect_curve=None, expect_p=None) -> SymbolTable:
     """A table from the CSV format of export_table.  The fractions may come in
     any form; each sign is brought to the lcm of its reduced denominators.
     A level is kept when its rows cover every unit residue."""
+    import csv  # only CSV I/O needs it
+
     try:
         fh = open(path, newline="")
     except OSError as exc:

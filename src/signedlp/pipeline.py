@@ -148,12 +148,13 @@ def load_or_build_table(cfg: RunConfig, curve: CurveData) -> SymbolTable:
         return import_table(cfg.table_path, expect_curve=curve.label, expect_p=cfg.p)
     cached = cache_path(cfg, curve)
     table = _read_cached(cached, curve, cfg.p, K) if cached else None
-    if table is not None:
-        return table
-    table = SymbolTableBuilder(curve, cfg.p).build(K)
-    if cached:
-        entry = {"meta": table.meta, "denominators": table.denominators, "levels": table.levels}
-        _write_atomically(cached, json.dumps(entry, sort_keys=True))
+    if table is None:
+        table = SymbolTableBuilder(curve, cfg.p).build(K)
+        if cached:
+            entry = {"meta": table.meta, "denominators": table.denominators,
+                     "levels": table.levels}
+            _write_atomically(cached, json.dumps(entry, sort_keys=True))
+    # a cached table is exported too
     if cfg.table_path and cfg.table_mode == "export":
         export_table(table, cfg.table_path)
     return table

@@ -49,48 +49,149 @@ def test_unknown_flag_exits_2(argv):
 
 
 def test_entry_freezes_gc_before_main(monkeypatch):
+    # as the process's main program, entry() leaves through os._exit
     calls = []
     monkeypatch.setattr(cli.gc, "freeze", lambda: calls.append("freeze"))
     monkeypatch.setattr(cli.gc, "enable", lambda: calls.append("enable"))
     monkeypatch.setattr(cli, "main", lambda: calls.append("main") or 3)
+    monkeypatch.setattr(cli.os, "_exit", lambda code: calls.append(f"_exit({code})"))
+    monkeypatch.setattr(cli, "_run_by_interpreter", lambda frame: True)
+    cli.entry()
+    assert calls == ["freeze", "enable", "main", "_exit(3)"]
+
+
+def test_entry_called_in_process_raises_system_exit(monkeypatch):
+    # a Python caller below entry() (here pytest) gets SystemExit back, and
+    # the process goes on
+    calls = []
+    monkeypatch.setattr(cli.gc, "freeze", lambda: None)
+    monkeypatch.setattr(cli, "main", lambda: calls.append("main") or 3)
+    monkeypatch.setattr(cli.os, "_exit", lambda code: calls.append(f"_exit({code})"))
     with pytest.raises(SystemExit) as exc:
         cli.entry()
     assert exc.value.code == 3
-    assert calls == ["freeze", "enable", "main"]
+    assert calls == ["main"]
+
+
+def _pythonpath(*first):
+    """PYTHONPATH with the given directories first and every entry absolute,
+    for a child that runs in another directory."""
+    inherited = filter(None, os.environ.get("PYTHONPATH", "").split(os.pathsep))
+    return os.pathsep.join([*first, *map(os.path.abspath, inherited)])
+
+
+# how a run ended before entry() left through os._exit: interpreter shutdown
+_TEARDOWN_EXIT = "import sys; from signedlp.cli import main; sys.exit(main())"
+_REPORT_53A1_P5 = _REPORT_53A1 + ["--p", "5", "--level", "1"]
+_GCD_53A1_P5 = ["gcd", *_REPORT_53A1_P5[1:]]  # a payload that fits the stdout buffer
+
+
+@pytest.mark.parametrize("argv, stdout, code, err", [
+    (_REPORT_53A1_P5, "pipe", 0, b""),
+    (_REPORT_53A1_P5 + ["--out", "r.json"], "pipe", 0, b""),
+    (_REPORT_53A1_P5 + ["--format", "csv", "--table", "t.csv", "--export"], "pipe", 0, b""),
+    (_REPORT_53A1 + ["--p", "4"], "pipe", 2, b"usage: signedlp"),
+    (["report", "--curve", curve_path("37a1"), "--p", "5", "--level", "1"], "pipe", 1,
+     b"signedlp: WrongReductionType: "),
+    (_GCD_53A1_P5, "closed-unbuffered", 1, b"signedlp: IoError: cannot write stdout"),
+    (_GCD_53A1_P5, "closed", 120, b"Exception ignored in: <_io.TextIOWrapper name='<stdout>'"),
+], ids=["stdout", "out", "csv-export", "usage-error", "stage-failure",
+        "closed-pipe-unbuffered", "closed-pipe-buffered"])
+def test_fast_exit_ends_as_interpreter_shutdown(argv, stdout, code, err, tmp_path):
+    # exit code, stdout bytes, stderr and the files written match a run that
+    # ends by shutting the interpreter down
+    env = {k: v for k, v in os.environ.items()
+           if k not in ("SIGNEDLP_CACHE_DIR", "PYTHONUNBUFFERED")}
+    env["PYTHONPATH"] = _pythonpath()
+    if stdout == "closed-unbuffered":
+        env["PYTHONUNBUFFERED"] = "1"
+    cwd = tmp_path / "cwd"
+    cwd.mkdir()
+    ends = []
+    for cmd in (["-m", "signedlp"], ["-c", _TEARDOWN_EXIT]):
+        for f in cwd.iterdir():
+            f.unlink()
+        out = subprocess.PIPE
+        if stdout != "pipe":
+            read, out = os.pipe()
+            os.close(read)
+        try:
+            proc = subprocess.run([sys.executable, *cmd, *argv], cwd=cwd, env=env,
+                                  stdout=out, stderr=subprocess.PIPE)
+        finally:
+            if stdout != "pipe":
+                os.close(out)
+        written = {f.name: f.read_bytes() for f in sorted(cwd.iterdir())}
+        ends.append((proc.returncode, proc.stdout, proc.stderr, written))
+    fast, teardown = ends
+    assert fast == teardown
+    returncode, printed, logged, written = fast
+    assert returncode == code and logged.startswith(err), logged
+    assert bool(printed) == (stdout == "pipe" and code == 0 and "--out" not in argv)
+    assert bool(written) == (code == 0 and ("--out" in argv or "--export" in argv))
+    if code == 1 and stdout == "pipe":
+        assert logged.rstrip().endswith(b"[stage: extract]")
+
+
+def test_in_process_caller_gets_control_back(tmp_path):
+    # runpy.run_module, as perfbench/trace_child.py runs the program, gets
+    # SystemExit and goes on; `python -m signedlp` skips shutdown, and with
+    # it an atexit hook registered at start-up
+    (tmp_path / "sitecustomize.py").write_text(
+        "import atexit, sys\natexit.register(lambda: sys.stderr.write('atexit ran'))\n")
+    env = dict(os.environ, PYTHONPATH=_pythonpath(str(tmp_path)))
+    argv = ["curve-info", "--curve", curve_path("11a1")]
+    direct = subprocess.run([sys.executable, "-m", "signedlp", *argv], env=env,
+                            capture_output=True, text=True)
+    assert direct.returncode == 0 and direct.stderr == ""
+    wrapped = subprocess.run([sys.executable, "-c", (
+        "import runpy, sys\n"
+        f"sys.argv = ['signedlp', *{argv!r}]\n"
+        "try:\n"
+        "    runpy.run_module('signedlp', run_name='__main__', alter_sys=True)\n"
+        "except SystemExit as exc:\n"
+        "    print('back', exc.code)\n")], env=env, capture_output=True, text=True)
+    assert wrapped.returncode == 0
+    assert wrapped.stdout == direct.stdout + "back 0\n"
+    assert wrapped.stderr == "atexit ran"
 
 
 _IMPORT_PROBE = (
     "import sys; import signedlp.cli; {run}"
     "print(*(m in sys.modules for m in "
-    "('mpmath', 'dataclasses', 'signedlp.manin', 'fractions', 'numpy')))"
+    "('mpmath', 'dataclasses', 'signedlp.manin', 'fractions', 'numpy', 'decimal', 'csv')))"
 )
 
 
 @pytest.mark.parametrize("cache, expected", [
-    (None, ["False", "False", "False", "False", "False"]),
-    ("hit", ["False", "False", "False", "False", "False"]),
-    ("miss", ["False", "False", "True", "True", "False"]),
-    ("import", ["False", "False", "False", "False", "False"]),
-], ids=["unset", "cache-hit", "cache-miss", "import"])
+    (None, ["False", "False", "False", "False", "False", "False", "False"]),
+    ("hit", ["False", "False", "False", "False", "False", "False", "False"]),
+    ("miss", ["False", "False", "True", "False", "False", "False", "False"]),
+    ("import", ["False", "False", "False", "False", "False", "False", "True"]),
+    ("csv", ["False", "False", "False", "False", "False", "False", "True"]),
+], ids=["unset", "cache-hit", "cache-miss", "import", "report-csv"])
 def test_report_loads_only_the_modules_it_needs(cache, expected, tmp_path, monkeypatch):
-    # a fresh interpreter, so that numpy, mpmath, dataclasses or fractions
-    # loaded by pytest cannot mask what importing the CLI loads, and what
-    # one report then adds: the Manin-symbol code only when the table is
-    # built, not when it is read from the cache or from --import, and numpy
-    # never
+    # a fresh interpreter, so that numpy, mpmath, dataclasses, fractions,
+    # decimal or csv loaded by pytest cannot mask what importing the CLI
+    # loads, and what one report then adds: the Manin-symbol code only when
+    # the table is built, not when it is read from the cache or from
+    # --import; csv only for CSV input or output; numpy, fractions and
+    # decimal never
     env = {k: v for k, v in os.environ.items() if k != "SIGNEDLP_CACHE_DIR"}
     run = ""
     if cache is not None:
         argv = ["report", "--curve", curve_path("37a1"), "--p", "3", "--level", "1",
                 "--out", str(tmp_path / "report.json")]
         env["SIGNEDLP_CACHE_DIR"] = str(tmp_path / "cache")
-        if cache == "hit":
+        if cache in ("hit", "csv"):
             monkeypatch.setenv("SIGNEDLP_CACHE_DIR", env["SIGNEDLP_CACHE_DIR"])
             assert main(argv) == 0 and list((tmp_path / "cache").glob("*.json"))
         if cache == "import":
             table = str(tmp_path / "table.csv")
             assert main(argv + ["--table", table, "--export"]) == 0
             argv += ["--table", table, "--import"]
+        if cache == "csv":
+            argv += ["--format", "csv"]
         run = f"sys.exit(1) if signedlp.cli.main({argv!r}) else None; "
     proc = subprocess.run(
         [sys.executable, "-c", _IMPORT_PROBE.format(run=run)], capture_output=True,
@@ -98,6 +199,24 @@ def test_report_loads_only_the_modules_it_needs(cache, expected, tmp_path, monke
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == expected
+
+
+@pytest.mark.parametrize("label, p", [("11a1", 19), ("53a1", 5)])
+def test_build_and_cache_hit_load_no_fractions_decimal_or_csv(label, p, tmp_path):
+    # one fresh interpreter builds the table, then reads it from the cache;
+    # test_report_loads_only_the_modules_it_needs covers 37a1
+    argv = ["report", "--curve", curve_path(label), "--p", str(p), "--level", "1",
+            "--out", str(tmp_path / "report.json")]
+    env = {**os.environ, "SIGNEDLP_CACHE_DIR": str(tmp_path / "cache")}
+    code = (
+        "import sys; from signedlp.cli import main\n"
+        f"assert main({argv!r}) == 0 and main({argv!r}) == 0\n"
+        "print(*(m in sys.modules for m in ('signedlp.manin', 'fractions', 'decimal', 'csv')))"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["True", "False", "False", "False"]
+    assert len(list((tmp_path / "cache").glob("*.json"))) == 1
 
 
 def test_signed_reports_gcd_x(capsys):
@@ -379,6 +498,21 @@ def test_cache_round_trip(tmp_path, capsys, monkeypatch):
         code, cold, _ = run_cli(report, capsys)
         monkeypatch.setenv("SIGNEDLP_CACHE_DIR", str(cache))
         assert code == 0 and warm == cold
+
+
+def test_export_writes_from_a_filled_cache(tmp_path, capsys, monkeypatch):
+    # --export writes whenever it is given: a table read from the cache is
+    # exported byte for byte as the one built without a cache
+    argv = ["symbols", "--curve", curve_path("53a1"), "--p", "5", "--level", "2", "--export"]
+    exports = {}
+    for run in ("cold", "miss", "hit"):
+        if run == "miss":
+            monkeypatch.setenv("SIGNEDLP_CACHE_DIR", str(tmp_path / "cache"))
+        path = tmp_path / f"{run}.csv"
+        assert run_cli(argv + ["--table", str(path)], capsys)[0] == 0
+        exports[run] = path.read_bytes()
+    assert len(list((tmp_path / "cache").glob("*.json"))) == 1
+    assert exports["hit"] == exports["miss"] == exports["cold"]
 
 
 _REPORT_37A1_P3 = ["report", "--p", "3", "--level", "1"]

@@ -279,8 +279,8 @@ def test_import_errors(tmp_path):
 
 
 def test_recognition():
-    assert manin._recognize(0.5) == Fraction(1, 2)
-    assert manin._recognize(-2.0 / 3) == Fraction(-2, 3)
+    assert manin._recognize(0.5) == Fraction(1, 2).as_integer_ratio()
+    assert manin._recognize(-2.0 / 3) == Fraction(-2, 3).as_integer_ratio()
     with pytest.raises(NonConvergence):
         manin._recognize(0.6180339887498949)
 
@@ -295,13 +295,59 @@ from hypothesis import strategies as st
 )
 @settings(max_examples=150, deadline=None)
 def test_recognition_round_trip(num, den):
-    assert manin._recognize(num / den) == Fraction(num, den)
+    assert manin._recognize(num / den) == Fraction(num, den).as_integer_ratio()
 
 
 def test_recognition_prefers_small_denominator():
     # a value near 1/3 must not be matched to a huge convergent
     x = 1 / 3 + 2e-13
-    assert manin._recognize(x) == Fraction(1, 3)
+    assert manin._recognize(x) == Fraction(1, 3).as_integer_ratio()
+
+
+def _farey_midpoints(rng, count, bound=10**4):
+    """Floats at and next to the midpoint of a/b and its right neighbour c/e
+    in the Farey sequence of order bound: the candidates that
+    limit_denominator weighs there are a/b and c/e, at equal distance."""
+    out = []
+    while len(out) < 3 * count:
+        b = rng.randrange(2, bound + 1)
+        a = rng.randrange(-3 * b, 3 * b)
+        if math.gcd(a, b) != 1:
+            continue
+        # c b - a e = 1 with e <= bound as large as it goes
+        e0 = -pow(a, -1, b) % b
+        e = e0 + (bound - e0) // b * b
+        c = (1 + a * e) // b
+        mid = float(Fraction(a * e + c * b, 2 * b * e))
+        out += [math.nextafter(mid, -math.inf), mid, math.nextafter(mid, math.inf)]
+    return out
+
+
+def test_recognize_matches_limit_denominator():
+    # differential: the integer continued-fraction rule against
+    # Fraction.limit_denominator on seeded floats
+    rng = random.Random(20240518)
+    exact = [n / d for n, d in ((0, 1), (1, 1), (-1, 1), (1, 2), (-2, 3), (7, 10**4),
+                                (-9999, 10**4), (355, 113), (-1, 9973))]
+    exact += [rng.randrange(-10**5, 10**5) / rng.randrange(1, 10**4 + 1) for _ in range(300)]
+    near = [x + rng.uniform(-1e-11, 1e-11) for x in exact]
+    ties = _farey_midpoints(rng, 200)
+    wide = [rng.uniform(-50, 50) for _ in range(300)] + [rng.uniform(-1e-6, 1e-6) for _ in range(50)]
+    recognized = refused = 0
+    for x in [0.0, -0.0, *exact, *near, *ties, *wide]:
+        n, d = x.as_integer_ratio()
+        want = Fraction(x).limit_denominator(10**4)
+        assert manin._limit_denominator(n, d, 10**4) == want.as_integer_ratio(), x
+        if abs(x - want) > 1e-9:
+            with pytest.raises(NonConvergence):
+                manin._recognize(x)
+            refused += 1
+        else:
+            assert manin._recognize(x) == want.as_integer_ratio(), x
+            recognized += 1
+    # every tie point is 5e-9 or more from both candidates
+    assert all(abs(x - Fraction(x).limit_denominator(10**4)) > 1e-9 for x in ties)
+    assert recognized > 600 and refused > 900
 
 
 def test_hecke_sum_identity_37a1_p17(store):

@@ -3,6 +3,8 @@
 import ast
 import pathlib
 
+import pytest
+
 PACKAGE = pathlib.Path(__file__).resolve().parents[1] / "src" / "signedlp"
 
 def _package_trees():
@@ -24,12 +26,24 @@ def test_no_assert_statements_in_package():
     assert not found, f"assert statements in package source: {found}"
 
 
-def _imports_of(package):
-    """Where package source imports the top-level module package."""
+def _run_on_import(tree):
+    """The nodes of a module that run when it is imported: all but the
+    bodies of its functions."""
+    stack = list(tree.body)
+    while stack:
+        node = stack.pop()
+        yield node
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            stack.extend(ast.iter_child_nodes(node))
+
+
+def _imports_of(package, nodes=ast.walk):
+    """Where package source imports the top-level module package, among the
+    nodes of each module tree."""
     return [
         f"{name}:{node.lineno}"
         for name, tree in _package_trees().items()
-        for node in ast.walk(tree)
+        for node in nodes(tree)
         if (isinstance(node, ast.Import)
             and any(alias.name.split(".")[0] == package for alias in node.names))
         or (isinstance(node, ast.ImportFrom) and node.level == 0
@@ -48,6 +62,15 @@ def test_no_module_imports_numpy():
     # in the tests only
     found = _imports_of("numpy")
     assert not found, f"numpy imported in package source: {found}"
+
+
+@pytest.mark.parametrize("module", ["fractions", "decimal", "csv"])
+def test_no_module_imports_on_import(module):
+    # a report builds and prints on ints and JSON: fractions (which loads
+    # decimal) only where a quotient needs a rational, csv only for CSV input
+    # or output, each imported inside the function that needs it
+    found = _imports_of(module, _run_on_import)
+    assert not found, f"{module} imported when package source is imported: {found}"
 
 
 def _referenced_names(trees):
