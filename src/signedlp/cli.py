@@ -5,40 +5,30 @@ gcd, verify, report.  Each of the last six is one run_pipeline call, stopped
 after the stage it shows, and one payload written by analyzer.emit.  Exit
 codes: 0 success, 1 computational failure (precision, stabilization,
 validation, an unwritable --out), 2 usage errors.
+
+FLAGS declares every flag once; both readers of a command line are built
+from it.  main() reads a command line directly when it is a subcommand
+followed only by that subcommand's own flags, each spelled `--flag value`
+(a switch alone), every value valid as given and every required flag
+present.  Every other command line (--help, an abbreviated flag,
+--flag=value, a value starting with '-', a usage error) goes to the
+argparse parser, and so does a usage error found later (--import without
+--table, a value RunConfig refuses).  Only build_parser imports argparse,
+and with it gettext and locale; help, usage lines, error messages and exit
+codes are argparse's.
 """
 
 from __future__ import annotations
 
-import argparse
 import gc
 import os
 import sys
+import types
 
 from .analyzer import emit, report_payload
-from .curves import classify_reduction, ingest_curve, periods
+from .curves import classify_reduction, ingest_curve, is_odd_prime, periods
 from .errors import SignedLPError
 from .pipeline import RunConfig, run_pipeline
-
-
-def _common_flags() -> argparse.ArgumentParser:
-    """The flags of every pipeline subcommand, as a parent parser: built once,
-    its actions are copied into each subcommand rather than built again."""
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--curve", required=True, help="curve JSON file")
-    common.add_argument("--p", type=int, required=True, help="odd supersingular prime")
-    common.add_argument("--level", type=int, default=None,
-                        help="top theta level n_max (default: 2 for p <= 5, else 1)")
-    common.add_argument("--prec", type=int, default=8, help="p-adic precision M")
-    common.add_argument("--digits", type=int, default=30,
-                        help="accepted and ignored: symbol tables are exact")
-    common.add_argument("--table", default=None, help="symbol table CSV path")
-    group = common.add_mutually_exclusive_group()
-    group.add_argument("--import", dest="table_import", action="store_true",
-                       help="read the symbol table from --table instead of computing")
-    group.add_argument("--export", dest="table_export", action="store_true",
-                       help="write the computed symbol table to --table")
-    common.add_argument("--out", default=None, help="output file (default: stdout)")
-    return common
 
 
 def _config(args) -> RunConfig:
@@ -61,6 +51,8 @@ def _config(args) -> RunConfig:
 
 
 def cmd_curve_info(args) -> int:
+    if args.p is not None and not is_odd_prime(args.p):
+        args.usage_error("p must be an odd prime")
     curve = ingest_curve(args.curve)
     info = {
         "label": curve.label,
@@ -70,7 +62,7 @@ def cmd_curve_info(args) -> int:
         "e_sequence": list(curve.e_sequence.e),
         "fricke_sign": curve.fricke_sign,
     }
-    if args.p:
+    if args.p is not None:
         red = classify_reduction(curve, args.p)
         info["reduction_at_p"] = {"p": args.p, "type": red.kind, "a_p": red.a_p}
     per = periods(curve)
@@ -154,37 +146,129 @@ def cmd_pipeline(args) -> int:
     return 1 if args.command == "verify" and not result.verdict.all_pass else 0
 
 
-def build_parser() -> argparse.ArgumentParser:
+REQUIRED = object()  # the default of a flag that must be given
+_INFO = ("curve-info",)
+_PIPELINE = tuple(PIPELINE_COMMANDS)
+_CHECKED = ("verify", "report")  # the report payload: checks, and a CSV form
+
+# (flag, dest, type, default, help, subcommands), in the order --help lists
+# them.  type is int, str, a tuple of the choices, or bool for a switch; the
+# two switches, --import and --export, exclude each other.
+FLAGS = (
+    ("--curve", "curve", str, REQUIRED, None, _INFO),
+    ("--curve", "curve", str, REQUIRED, "curve JSON file", _PIPELINE),
+    ("--p", "p", int, None, None, _INFO),
+    ("--p", "p", int, REQUIRED, "odd supersingular prime", _PIPELINE),
+    ("--level", "level", int, None,
+     "top theta level n_max (default: 2 for p <= 5, else 1)", _PIPELINE),
+    ("--prec", "prec", int, 8, "p-adic precision M", _PIPELINE),
+    ("--digits", "digits", int, 30, "accepted and ignored: periods are float64", _INFO),
+    ("--digits", "digits", int, 30, "accepted and ignored: symbol tables are exact",
+     _PIPELINE),
+    ("--table", "table", str, None, "symbol table CSV path", _PIPELINE),
+    ("--import", "table_import", bool, False,
+     "read the symbol table from --table instead of computing", _PIPELINE),
+    ("--export", "table_export", bool, False,
+     "write the computed symbol table to --table", _PIPELINE),
+    ("--out", "out", str, None, None, _INFO),
+    ("--out", "out", str, None, "output file (default: stdout)", _PIPELINE),
+    ("--format", "format", ("json", "csv"), "json", None, _CHECKED),
+    ("--fine-char", "fine_char", str, "1",
+     "fine characteristic hypothesis, e.g. '1' or 'X'", _CHECKED),
+)
+
+
+def _settings(command) -> dict:
+    """What a subcommand sets in the namespace besides its flags."""
+    if command == "curve-info":
+        return {"func": cmd_curve_info}
+    last_stage, payload = PIPELINE_COMMANDS[command]
+    return {"func": cmd_pipeline, "last_stage": last_stage, "payload": payload,
+            "format": "json"}
+
+
+def build_parser():
+    """The argparse parser of FLAGS: it reads every command line that
+    _read_directly leaves, and prints help and usage errors."""
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="signedlp",
         description="signed p-adic L-series approximations, invariants and "
                     "gcd audits at supersingular primes",
     )
     subs = parser.add_subparsers(dest="command", required=True)
-
-    info = subs.add_parser("curve-info", help="curve invariants and periods")
-    info.add_argument("--curve", required=True)
-    info.add_argument("--p", type=int, default=None)
-    info.add_argument("--digits", type=int, default=30,
-                      help="accepted and ignored: periods are float64")
-    info.add_argument("--out", default=None)
-    info.set_defaults(func=cmd_curve_info)
-
-    common = _common_flags()
-    for name, (last_stage, payload) in PIPELINE_COMMANDS.items():
-        sub = subs.add_parser(name, parents=[common])
-        if payload is _report_payload:  # the one payload with checks and a CSV form
-            sub.add_argument("--format", choices=("json", "csv"), default="json")
-            sub.add_argument("--fine-char", dest="fine_char", default="1",
-                             help="fine characteristic hypothesis, e.g. '1' or 'X'")
-        sub.set_defaults(func=cmd_pipeline, last_stage=last_stage, payload=payload,
-                         format="json", usage_error=sub.error)
+    for command in _INFO + _PIPELINE:
+        if command == "curve-info":
+            sub = subs.add_parser(command, help="curve invariants and periods")
+        else:
+            sub = subs.add_parser(command)
+        switches = None  # an empty group breaks the usage line
+        for flag, dest, kind, default, text, commands in FLAGS:
+            if command not in commands:
+                continue
+            if kind is bool:
+                switches = switches or sub.add_mutually_exclusive_group()
+                switches.add_argument(flag, dest=dest, action="store_true", help=text)
+                continue
+            required = default is REQUIRED
+            sub.add_argument(flag, dest=dest, type=int if kind is int else None,
+                             choices=kind if isinstance(kind, tuple) else None,
+                             required=required, default=None if required else default,
+                             help=text)
+        sub.set_defaults(**_settings(command), usage_error=sub.error)
     return parser
 
 
+def _parse(argv):
+    """argparse's reading of argv; a usage error exits 2."""
+    return build_parser().parse_args(argv)
+
+
+def _read_directly(argv):
+    """The namespace _parse(argv) returns, read from FLAGS without argparse;
+    None unless argv is a subcommand followed only by its own flags, each
+    spelled `--flag value` (a switch alone) with a value that does not start
+    with '-' and that the flag's type takes, every required flag given and
+    not both switches.  Its usage_error hands argv to argparse, to print the
+    subcommand's usage line."""
+    if not argv or argv[0] not in _INFO + _PIPELINE:
+        return None
+    command, tokens = argv[0], iter(argv[1:])
+    flags = {row[0]: row for row in FLAGS if command in row[5]}
+    values = {row[1]: row[3] for row in flags.values()}
+    for token in tokens:
+        if token not in flags:
+            return None
+        _, dest, kind, _, _, _ = flags[token]
+        if kind is bool:
+            values[dest] = True
+            continue
+        value = next(tokens, None)
+        if value is None or value.startswith("-"):
+            return None
+        if kind is int:
+            try:
+                value = int(value)
+            except ValueError:
+                return None
+        elif kind is not str and value not in kind:
+            return None
+        values[dest] = value
+    if REQUIRED in values.values() or (values.get("table_import")
+                                        and values.get("table_export")):
+        return None
+    # a flag's value overrides its subcommand's setting, as in argparse
+    return types.SimpleNamespace(
+        **{"command": command, **_settings(command), **values},
+        usage_error=lambda message: _parse(argv).usage_error(message),
+    )
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    args = _read_directly(argv) or _parse(argv)
     try:
         return args.func(args)
     except SignedLPError as exc:

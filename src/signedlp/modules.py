@@ -79,10 +79,10 @@ def parse_factored_ideal(spec: str) -> FactoredIdeal:
     p_exp = x_exp = 0
     phi: dict = {}
     for token in text.split("*"):
-        base, _, exp = token.partition("^")
+        base, caret, exp = token.partition("^")
         is_phi = base.lower().startswith("phi")
         try:
-            k = int(exp) if exp else 1
+            k = int(exp) if caret else 1
             phi_n = int(base[3:]) if is_phi else 0
         except ValueError:
             raise ValueError(

@@ -35,10 +35,14 @@ _REPORT_53A1 = ["report", "--curve", curve_path("53a1")]
     _REPORT_53A1 + ["--p", "5", "--fine-char", "Y"],
     _REPORT_53A1 + ["--p", "5", "--fine-char", "Phi1^-1"],
     _REPORT_53A1 + ["--p", "5", "--fine-char", "p^-1"],
+    _REPORT_53A1 + ["--p", "5", "--fine-char", "X^"],
+    *(["curve-info", "--curve", curve_path("37a1"), "--p", p] for p in ("4", "-3", "1", "0", "2")),
 ], ids=["unknown-flag", "p-not-prime", "prec-1", "level-negative", "import-without-table",
         "format-without-csv-form", "fine-char-exponent-not-integer",
         "fine-char-unknown-factor", "fine-char-phi-exponent-negative",
-        "fine-char-p-exponent-negative"])
+        "fine-char-p-exponent-negative", "fine-char-dangling-caret",
+        "curve-info-p-4", "curve-info-p-negative", "curve-info-p-1", "curve-info-p-0",
+        "curve-info-p-2"])
 def test_unknown_flag_exits_2(argv):
     proc = subprocess.run(
         [sys.executable, "-m", "signedlp", *argv], capture_output=True, text=True,
@@ -46,6 +50,101 @@ def test_unknown_flag_exits_2(argv):
     assert proc.returncode == 2
     assert "usage" in proc.stderr.lower()
     assert "Traceback" not in proc.stderr and "SignedLPError" not in proc.stderr
+
+
+def _command_lines(command):
+    """(argv, well_formed) pairs built from cli.FLAGS for one subcommand, or
+    for the top level when command is None.  A well-formed command line is
+    the subcommand followed only by its own flags, each spelled `--flag
+    value` (a switch alone) with a value that does not start with '-' and
+    that the flag takes, every required flag given and not both switches."""
+    if command is None:
+        return [([], False), (["bogus"], False), (["--help"], False),
+                (["-h", "report"], False), (["--curve", "f.json", "report"], False)]
+    rows = [row for row in cli.FLAGS if command in row[5]]
+    own = {row[0] for row in rows}
+
+    def spell(row, value=None):
+        flag, _, kind, _, _, _ = row
+        if kind is bool:
+            return [flag]
+        if value is None:
+            value = kind[-1] if isinstance(kind, tuple) else "7" if kind is int else "f.json"
+        return [flag, value]
+
+    required = [row for row in rows if row[3] is cli.REQUIRED]
+    base = [command, *(token for row in required for token in spell(row))]
+    # value -> whether the flag takes it as given
+    samples = {int: {" 5": True, "+5": True, "0": True, "-3": False, "2.5": False,
+                     "x": False, "": False},
+               str: {"": True, "a=b": True, "report": True, "-x": False, "-": False,
+                     "--curve": False}}
+    lines = [(base, True), (base + ["stray"], False), (base + ["--bogus", "x"], False),
+             (base + ["--help"], False), (base + ["-h"], False), (base + ["--"], False)]
+    lines += [(base + spell(row), False) for row in cli.FLAGS if row[0] not in own]
+    switches = [row for row in rows if row[2] is bool]
+    singles = [row for row in rows if row[2] is not bool] + switches[:1]
+    lines.append(([command, *(t for row in reversed(singles) for t in spell(row))], True))
+    if switches:
+        lines.append((base + [token for row in switches for token in spell(row)], False))
+    for row in rows:
+        flag, _, kind, _, _, _ = row
+        lines.append((base + spell(row), True))
+        lines.append((base + spell(row) + spell(row), True))
+        lines.append((base + [flag[:-1], *spell(row)[1:]], False))
+        if row in required:
+            rest = [token for other in required if other is not row for token in spell(other)]
+            lines.append(([command, *rest], False))
+        if kind is bool:
+            continue
+        lines.append((base + [f"{flag}={spell(row)[1]}"], False))
+        lines.append((base + [flag], False))
+        if isinstance(kind, tuple):
+            samples[kind] = {**dict.fromkeys(kind, True), "xml": False, "": False,
+                             "-json": False}
+        for value, taken in samples[kind].items():
+            lines.append((base + spell(row, value), taken))
+            lines.append((base + spell(row, value) + spell(row), taken))
+    return lines
+
+
+def _outcome(read, argv, capsys):
+    """What reading argv gives: the exit code and output of a parse that
+    exits, else the namespace's fields, with usage_error replaced by the exit
+    code and stderr of calling it."""
+    try:
+        args = read(argv)
+    except SystemExit as exc:
+        out = capsys.readouterr()
+        return exc.code, out.out, out.err
+    fields = dict(vars(args))
+    with pytest.raises(SystemExit) as exc:
+        fields.pop("usage_error")("p must be an odd prime")
+    fields["usage_error"] = (exc.value.code, capsys.readouterr().err)
+    return fields
+
+
+@pytest.mark.parametrize("command", [None, "curve-info", *cli.PIPELINE_COMMANDS])
+def test_direct_read_agrees_with_argparse(command, capsys, monkeypatch):
+    # the direct read takes exactly the well-formed command lines, and main()
+    # ends every command line as argparse's parse would: the same namespace
+    # handed to the subcommand, or the same exit code and output
+    handed = []
+    for name in ("cmd_curve_info", "cmd_pipeline"):
+        monkeypatch.setattr(cli, name, handed.append)
+
+    def read(argv):
+        assert main(argv) is None
+        return handed.pop()
+
+    parser = cli.build_parser()
+    monkeypatch.setattr(cli, "build_parser", lambda: parser)  # built once: 5 ms
+    lines = _command_lines(command)
+    assert command is None or any(well_formed for _, well_formed in lines)
+    for argv, well_formed in lines:
+        assert (cli._read_directly(argv) is not None) == well_formed, argv
+        assert _outcome(read, argv, capsys) == _outcome(parser.parse_args, argv, capsys), argv
+    assert not handed
 
 
 def test_entry_freezes_gc_before_main(monkeypatch):
@@ -157,42 +256,48 @@ def test_in_process_caller_gets_control_back(tmp_path):
 
 
 _IMPORT_PROBE = (
-    "import sys; import signedlp.cli; {run}"
-    "print(*(m in sys.modules for m in "
-    "('mpmath', 'dataclasses', 'signedlp.manin', 'fractions', 'numpy', 'decimal', 'csv')))"
+    "import sys; import signedlp.cli\n{run}"
+    "print(*(m in sys.modules for m in ('mpmath', 'dataclasses', 'signedlp.manin', "
+    "'fractions', 'numpy', 'decimal', 'csv', 'argparse', 'gettext', 'locale')))"
 )
+_NONE = ["False"] * 10
 
 
-@pytest.mark.parametrize("cache, expected", [
-    (None, ["False", "False", "False", "False", "False", "False", "False"]),
-    ("hit", ["False", "False", "False", "False", "False", "False", "False"]),
-    ("miss", ["False", "False", "True", "False", "False", "False", "False"]),
-    ("import", ["False", "False", "False", "False", "False", "False", "True"]),
-    ("csv", ["False", "False", "False", "False", "False", "False", "True"]),
-], ids=["unset", "cache-hit", "cache-miss", "import", "report-csv"])
-def test_report_loads_only_the_modules_it_needs(cache, expected, tmp_path, monkeypatch):
+@pytest.mark.parametrize("case, expected", [
+    (None, _NONE),
+    ("hit", _NONE),
+    ("miss", _NONE[:2] + ["True"] + _NONE[3:]),
+    ("import", _NONE[:6] + ["True"] + _NONE[7:]),
+    ("csv", _NONE[:6] + ["True"] + _NONE[7:]),
+    ("usage-error", _NONE[:7] + ["True"] * 3),
+], ids=["unset", "cache-hit", "cache-miss", "import", "report-csv", "usage-error"])
+def test_report_loads_only_the_modules_it_needs(case, expected, tmp_path, monkeypatch):
     # a fresh interpreter, so that numpy, mpmath, dataclasses, fractions,
-    # decimal or csv loaded by pytest cannot mask what importing the CLI
-    # loads, and what one report then adds: the Manin-symbol code only when
-    # the table is built, not when it is read from the cache or from
-    # --import; csv only for CSV input or output; numpy, fractions and
-    # decimal never
+    # decimal, csv or argparse loaded by pytest cannot mask what importing
+    # the CLI loads, and what one report then adds: the Manin-symbol code
+    # only when the table is built, not when it is read from the cache or
+    # from --import; csv only for CSV input or output; argparse, gettext and
+    # locale only for a usage error; numpy, fractions and decimal never
     env = {k: v for k, v in os.environ.items() if k != "SIGNEDLP_CACHE_DIR"}
     run = ""
-    if cache is not None:
+    if case is not None:
         argv = ["report", "--curve", curve_path("37a1"), "--p", "3", "--level", "1",
                 "--out", str(tmp_path / "report.json")]
         env["SIGNEDLP_CACHE_DIR"] = str(tmp_path / "cache")
-        if cache in ("hit", "csv"):
+        if case in ("hit", "csv"):
             monkeypatch.setenv("SIGNEDLP_CACHE_DIR", env["SIGNEDLP_CACHE_DIR"])
             assert main(argv) == 0 and list((tmp_path / "cache").glob("*.json"))
-        if cache == "import":
+        if case == "import":
             table = str(tmp_path / "table.csv")
             assert main(argv + ["--table", table, "--export"]) == 0
             argv += ["--table", table, "--import"]
-        if cache == "csv":
+        if case == "csv":
             argv += ["--format", "csv"]
-        run = f"sys.exit(1) if signedlp.cli.main({argv!r}) else None; "
+        run = f"sys.exit(1) if signedlp.cli.main({argv!r}) else None\n"
+        if case == "usage-error":  # read directly, then refused by RunConfig
+            argv[argv.index("--p") + 1] = "4"
+            run = (f"try:\n    signedlp.cli.main({argv!r})\n"
+                   "except SystemExit as exc:\n    assert exc.code == 2\n")
     proc = subprocess.run(
         [sys.executable, "-c", _IMPORT_PROBE.format(run=run)], capture_output=True,
         text=True, env=env,
@@ -306,6 +411,8 @@ def test_curve_info(capsys):
     assert payload["conductor"] == 37
     assert payload["reduction_at_p"]["type"] == "good-supersingular"
     assert abs(payload["omega_plus"] - 5.9869172924639) < 1e-10
+    code, out, _ = run_cli(["curve-info", "--curve", curve_path("37a1")], capsys)
+    assert code == 0 and "reduction_at_p" not in json.loads(out)
 
 
 def test_imported_table_matches_computed(tmp_path, capsys):

@@ -49,7 +49,7 @@ def test_factored_ideal_parse_and_render():
     assert (spec.p_exp, spec.x_exp, spec.phi_dict) == (2, 1, {1: 3})
     assert str(spec) == "p^2*X*Phi1^3"
     assert parse_factored_ideal("Phi0^2") == FactoredIdeal(x_exp=2)
-    for spec in ("X^a", "Y", "Phi", "Phi1^-1", "p^-1", "X*X^-1"):
+    for spec in ("X^a", "Y", "Phi", "Phi1^-1", "p^-1", "X*X^-1", "X^", "Phi1^"):
         with pytest.raises(ValueError, match=re.escape(f"ideal spec {spec!r}")):
             parse_factored_ideal(spec)
     for ideal in ((-1, 0, ()), (0, -1, ()), (0, 0, ((1, -1),)), (0, 0, ((-1, 1),))):

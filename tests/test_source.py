@@ -64,11 +64,12 @@ def test_no_module_imports_numpy():
     assert not found, f"numpy imported in package source: {found}"
 
 
-@pytest.mark.parametrize("module", ["fractions", "decimal", "csv"])
+@pytest.mark.parametrize("module", ["fractions", "decimal", "csv", "argparse"])
 def test_no_module_imports_on_import(module):
     # a report builds and prints on ints and JSON: fractions (which loads
     # decimal) only where a quotient needs a rational, csv only for CSV input
-    # or output, each imported inside the function that needs it
+    # or output, argparse (which loads gettext and locale) only for help and
+    # usage errors, each imported inside the function that needs it
     found = _imports_of(module, _run_on_import)
     assert not found, f"{module} imported when package source is imported: {found}"
 
