@@ -36,6 +36,8 @@ def _config(args) -> RunConfig:
     mode = "import" if args.table_import else ("export" if args.table_export else "")
     if mode and not args.table:
         args.usage_error("--import/--export need --table FILE")
+    if args.table and not mode:
+        args.usage_error("--table FILE needs --import or --export")
     try:
         return RunConfig(
             curve_file=args.curve,
@@ -89,7 +91,7 @@ def _theta_payload(result, cfg):
         "curve": result.curve.label,
         "p": cfg.p,
         "thetas": {
-            str(n): {"body": str(theta), "value_at_zero_vanishes": not theta.coeffs[0]}
+            str(n): {"body": str(theta), "value_at_zero_vanishes": not theta.value_at_zero()}
             for n, theta in result.thetas.items()
         },
         "compat": {str(rep.level): rep.passed for rep in result.compat},

@@ -12,14 +12,11 @@ class NotIntegral(SignedLPError):
 
 
 class MixedContext(SignedLPError):
-    """Operands belong to different (p, precision) or truncation contexts."""
+    """Operands belong to different (p, precision) contexts, or a precision
+    would be extended."""
 
 
 # -- Lambda ring ---------------------------------------------------------------
-
-class TruncationTooSmall(SignedLPError):
-    """A requested element does not fit inside the working truncation."""
-
 
 class NotDistinguished(SignedLPError):
     """Divisor is not a distinguished polynomial."""

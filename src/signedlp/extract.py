@@ -67,28 +67,39 @@ class SignedPair(NamedTuple):
     stabilized: bool
 
 
-def _wide_context(thetas) -> IwasawaContext:
-    top = max(thetas)
-    ctx = thetas[top].context
-    return IwasawaContext(ctx.prime, ctx.precision, ctx.prime**top + 1)
-
-
-def _parity_product(wide: IwasawaContext, n: int) -> LambdaElement:
+def _parity_product(ctx: IwasawaContext, n: int) -> LambdaElement:
     """prod of Phi_i for 1 <= i < n with i of the same parity as n - 1."""
-    out = wide.one()
+    out = ctx.one()
     i = n - 1
     while i >= 1:
-        out = out * wide.phi(i)
+        out = out * ctx.phi(i)
         i -= 2
     return out
 
 
 def _x_lower_bound(rep: LambdaElement) -> int:
-    return 0 if rep.coeffs[0] else 1
+    return 0 if rep.value_at_zero() else 1
 
 
 def _class_invariants(rep: LambdaElement):
-    """(InvariantReport, limit_certified); the limit needs mu = 0."""
+    """(InvariantReport, limit_certified); the limit needs mu = 0.
+
+    (mu, lambda) are read from the whole representative F, and weierstrass
+    prepares only its first N = max(lambda + 1, lambda * M' + 1)
+    coefficients, M' = M - mu.  This gives the same distinguished part:
+    let P be the distinguished part of F at precision M', of degree
+    lambda.  P - X^lambda lies in p*Lambda, so X^(lambda*M') = (P - (P -
+    X^lambda))^M' lies in (P, p^M').  Two series that agree below X^N, with
+    N >= lambda*M' and N > lambda, therefore lie in the same classes modulo
+    (P, p^M'); they have the same (mu, lambda) reading, and by the
+    uniqueness of Weierstrass preparation modulo p^M' the same
+    distinguished part (Washington, Introduction to Cyclotomic Fields,
+    section 7.1).  The unit part is that of the truncation.
+    """
+    mu, lam = mu_lambda(rep)
+    if mu is not INCONCLUSIVE:
+        n = max(lam + 1, lam * (rep.context.precision - mu) + 1)
+        rep = rep.context.element(rep.coeffs[:n])
     w = weierstrass(rep)
     return w, w.conclusive and w.mu == 0
 
@@ -97,7 +108,7 @@ def extract_plus_minus(thetas, a_p: int) -> SignedPair:
     """Plus/minus pair from the parity-decoupled theta chains (a_p = 0)."""
     if a_p != 0:
         raise WrongReductionType("plus/minus extraction requires a_p = 0")
-    wide = _wide_context(thetas)
+    ctx = thetas[max(thetas)].context
     components = []
     for label, parity in (("plus", 1), ("minus", 0)):
         levels = sorted(n for n in thetas if n % 2 == parity)
@@ -105,19 +116,17 @@ def extract_plus_minus(thetas, a_p: int) -> SignedPair:
             raise NotStabilized(f"no theta levels of parity {parity}")
         quotients = {}
         for n in levels:
-            lifted = thetas[n].in_context(wide)
-            W = _parity_product(wide, n)
+            q = thetas[n]
+            W = _parity_product(ctx, n)
             if W.degree() > 0:
-                lifted = exact_quotient(lifted, W)
-            if (n // 2) % 2 == 1:
-                lifted = -lifted
-            quotients[n] = lifted
+                q = exact_quotient(q, W)
+            quotients[n] = -q if (n // 2) % 2 == 1 else q
         top = levels[-1]
         grade = "single-level"
         if len(levels) >= 2:
             low = levels[-2]
             # class modulus at the lower level: omega_low / parity product
-            modulus = exact_quotient(wide.omega(low), _parity_product(wide, low))
+            modulus = exact_quotient(ctx.omega(low), _parity_product(ctx, low))
             if not divides_at_precision(quotients[top] - quotients[low], modulus):
                 raise NotStabilized(
                     f"{label}: quotients at levels {low} and {top} disagree"
@@ -136,7 +145,7 @@ def extract_plus_minus(thetas, a_p: int) -> SignedPair:
             SignedSeries(
                 label=label,
                 series=rep,
-                modulus_desc=_modulus_desc(thetas[top].context, top, parity),
+                modulus_desc=_modulus_desc(ctx, top, parity),
                 invariants=inv,
                 levels_used=tuple(levels),
                 stabilization=grade,
@@ -167,15 +176,15 @@ def extract_sharp_flat(thetas, a_p: int, p: int) -> SignedPair:
         )
     if not any(n >= 1 for n in thetas):
         raise NotStabilized("need at least theta_0 and theta_1")
-    wide = _wide_context(thetas)
+    ctx = thetas[max(thetas)].context
     solves = {}
     for n in sorted(n for n in thetas if n >= 1):
         if n - 1 not in thetas:
             continue
-        u, v = thetas[n].in_context(wide), thetas[n - 1].in_context(wide)
+        u, v = thetas[n], thetas[n - 1]
         try:
             for k in range(n - 1, 0, -1):
-                u, v = v, exact_quotient(v.scale(a_p) - u, wide.phi(k))
+                u, v = v, exact_quotient(v.scale(a_p) - u, ctx.phi(k))
         except PrecisionExhausted as exc:
             raise SingularSystem(f"level {n}: {exc}") from exc
         solves[n] = (u, v)
@@ -195,10 +204,9 @@ def extract_sharp_flat(thetas, a_p: int, p: int) -> SignedPair:
             elif lo.is_zero_at_precision:
                 # lower solve is degenerate; consistency means the top
                 # component vanishes modulo the lower class modulus (X)
-                if not hi.coeffs[0]:
+                if not hi.value_at_zero():
                     grades[idx] = "two-level"
     components = []
-    ctx = thetas[top].context
     for label, rep, grade, mdesc in (
         ("sharp", A, grades[0], f"(p^{ctx.precision}, omega_{top - 1})"),
         ("flat", B, grades[1], f"(p^{ctx.precision}, X*Phi_{top})"),

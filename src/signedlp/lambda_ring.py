@@ -1,10 +1,11 @@
 """Arithmetic in Lambda = Z_p[[X]] at finite precision.
 
-Elements are coefficient vectors reduced modulo (p^M, X^D).  Each
-coefficient is stored as a plain integer residue in [0, p^M), so a
-coefficient that reads 0 only vanishes at the working precision; callers
-read coeffs[i] directly.  The topological generator convention is fixed
-once and for all: gamma = 1 + p, sent to 1 + X.
+Elements are polynomials over Z/p^M: each coefficient is stored as a plain
+integer residue in [0, p^M) up to the degree, with no trailing zeros, so a
+coefficient that reads 0 only vanishes at the working precision.  No degree
+bound is imposed: products, Phi_n, omega_n and X^k are exact at any degree.
+The topological generator convention is fixed once and for all: gamma =
+1 + p, sent to 1 + X.
 
 The cyclotomic pieces Phi_n (Phi_0 = X) are constructed with exact integer
 coefficients.  All polynomial arithmetic runs on residue lists through one
@@ -27,15 +28,10 @@ from __future__ import annotations
 import math
 import sys
 from array import array
-from itertools import count, repeat
+from itertools import count, repeat, zip_longest
 from typing import NamedTuple, Optional
 
-from .errors import (
-    MixedContext,
-    NotDistinguished,
-    PrecisionExhausted,
-    TruncationTooSmall,
-)
+from .errors import MixedContext, NotDistinguished, PrecisionExhausted
 from .padic import padic_valuation
 
 #: invariant value when a series cannot be read at the working precision
@@ -63,37 +59,27 @@ def _binomial_row(n: int):
 
 
 class IwasawaContext:
-    """Working modulus for Lambda: prime, p-precision M and the degree
-    bound D of the X^D truncation (an element keeps D coefficients)."""
+    """Working modulus for Lambda: the prime and the p-precision M."""
 
-    __slots__ = ("prime", "precision", "trunc_len")
+    __slots__ = ("prime", "precision")
 
-    def __init__(self, prime: int, precision: int, trunc_len: int):
-        if trunc_len < 1:
-            raise ValueError("degree bound must be at least 1")
+    def __init__(self, prime: int, precision: int):
         if precision < 1:
             raise ValueError("precision must be at least 1")
         object.__setattr__(self, "prime", prime)
         object.__setattr__(self, "precision", precision)
-        object.__setattr__(self, "trunc_len", trunc_len)
 
     __setattr__ = refuse_assignment
 
     def __eq__(self, other):
         return (type(other) is IwasawaContext and self.prime == other.prime
-                and self.precision == other.precision and self.trunc_len == other.trunc_len)
+                and self.precision == other.precision)
 
     def __hash__(self):
-        return hash((self.prime, self.precision, self.trunc_len))
+        return hash((self.prime, self.precision))
 
     def __repr__(self):
-        return (f"IwasawaContext(prime={self.prime!r}, precision={self.precision!r}, "
-                f"trunc_len={self.trunc_len!r})")
-
-    @property
-    def gamma(self) -> int:
-        # fixed convention; comparisons with external tables must match it
-        return 1 + self.prime
+        return f"IwasawaContext(prime={self.prime!r}, precision={self.precision!r})"
 
     @property
     def modulus(self) -> int:
@@ -102,7 +88,7 @@ class IwasawaContext:
     def with_precision(self, M: int) -> "IwasawaContext":
         if M > self.precision:
             raise MixedContext("cannot extend precision")
-        return IwasawaContext(self.prime, M, self.trunc_len)
+        return IwasawaContext(self.prime, M)
 
     # -- canonical elements ------------------------------------------------------
 
@@ -110,15 +96,10 @@ class IwasawaContext:
         """The class of sum c_i X^i for exact integers c_i."""
         return LambdaElement(self, int_coeffs)
 
-    def zero(self) -> "LambdaElement":
-        return LambdaElement(self, [])
-
     def one(self) -> "LambdaElement":
         return self.element([1])
 
     def x_power(self, k: int) -> "LambdaElement":
-        if k >= self.trunc_len:
-            raise TruncationTooSmall(f"X^{k} does not fit below {self.trunc_len}")
         return self.element([0] * k + [1])
 
     def phi(self, n: int) -> "LambdaElement":
@@ -128,13 +109,8 @@ class IwasawaContext:
         if n == 0:
             return self.x_power(1)
         p = self.prime
-        deg = p ** (n - 1) * (p - 1)
-        if deg >= self.trunc_len:
-            raise TruncationTooSmall(
-                f"deg Phi_{n} = {deg} exceeds truncation {self.trunc_len}"
-            )
         # Phi_n = sum_{k<p} (1+X)^{k p^(n-1)}, assembled with exact integers
-        coeffs = [0] * (deg + 1)
+        coeffs = [0] * (p ** (n - 1) * (p - 1) + 1)
         for k in range(p):
             for j, b in enumerate(_binomial_row(k * p ** (n - 1))):
                 coeffs[j] += b
@@ -144,30 +120,28 @@ class IwasawaContext:
         """omega_n = (1+X)^{p^n} - 1 = X * prod_{1<=i<=n} Phi_i."""
         if n < 0:
             raise ValueError("level must be nonnegative")
-        deg = self.prime**n
-        if deg >= self.trunc_len:
-            raise TruncationTooSmall(
-                f"deg omega_{n} = {deg} exceeds truncation {self.trunc_len}"
-            )
-        coeffs = _binomial_row(deg)[:]
+        coeffs = _binomial_row(self.prime**n)
         coeffs[0] -= 1
         return self.element(coeffs)
 
 
 class LambdaElement:
-    """Truncated element of Lambda; immutable, value semantics.
+    """Element of Lambda at precision M; immutable, value semantics.
 
-    coeffs holds trunc_len integer residues in [0, p^M).  The constructor
-    accepts any integers and reduces them into the context modulus.
+    coeffs holds the integer residues in [0, p^M) of a polynomial up to its
+    degree, so the zero element has coeffs == ().  The constructor accepts
+    any integers and reduces them into the context modulus.
     """
 
-    __slots__ = ("context", "coeffs", "_degree")
+    __slots__ = ("context", "coeffs")
 
     def __init__(self, context, coeffs):
-        coeffs, degree = _reduce_coeffs(context, coeffs)
+        mod = context.modulus
+        work = [c % mod for c in coeffs]
+        while work and not work[-1]:
+            work.pop()
         object.__setattr__(self, "context", context)
-        object.__setattr__(self, "coeffs", coeffs)
-        object.__setattr__(self, "_degree", degree)
+        object.__setattr__(self, "coeffs", tuple(work))
 
     __setattr__ = refuse_assignment
 
@@ -182,19 +156,22 @@ class LambdaElement:
 
     def degree(self) -> int:
         """Index of the last coefficient nonzero at precision; -1 for zero."""
-        return self._degree
+        return len(self.coeffs) - 1
 
     @property
     def is_zero_at_precision(self) -> bool:
-        return self._degree < 0
+        return not self.coeffs
+
+    def value_at_zero(self) -> int:
+        """The constant coefficient, as a residue; 0 for the zero element."""
+        return self.coeffs[0] if self.coeffs else 0
 
     def is_distinguished(self) -> bool:
         """Monic polynomial whose lower coefficients are divisible by p."""
-        d = self.degree()
-        if d < 0 or self.coeffs[d] != 1:
+        if not self.coeffs or self.coeffs[-1] != 1:
             return False
         p = self.context.prime
-        return all(c % p == 0 for c in self.coeffs[:d])
+        return all(c % p == 0 for c in self.coeffs[:-1])
 
     # -- ring structure ------------------------------------------------------------
 
@@ -202,58 +179,36 @@ class LambdaElement:
         if self.context != other.context:
             raise MixedContext(f"{self.context} vs {other.context}")
 
-    # sums, differences and scalings read coefficients up to the degree
-    # only: the zero tail is left to the constructor's padding
-
     def __add__(self, other):
         self._check(other)
-        n = max(self._degree, other._degree) + 1
         return LambdaElement(
-            self.context, [a + b for a, b in zip(self.coeffs[:n], other.coeffs[:n])]
+            self.context, [a + b for a, b in zip_longest(self.coeffs, other.coeffs, fillvalue=0)]
         )
 
     def __sub__(self, other):
         self._check(other)
-        n = max(self._degree, other._degree) + 1
         return LambdaElement(
-            self.context, [a - b for a, b in zip(self.coeffs[:n], other.coeffs[:n])]
+            self.context, [a - b for a, b in zip_longest(self.coeffs, other.coeffs, fillvalue=0)]
         )
 
     def __neg__(self):
-        top = self.coeffs[: self._degree + 1]
-        return LambdaElement(self.context, [-a for a in top])
+        return LambdaElement(self.context, [-a for a in self.coeffs])
 
     def scale(self, c: int) -> "LambdaElement":
-        top = self.coeffs[: self._degree + 1]
-        return LambdaElement(self.context, [c * a for a in top])
+        return LambdaElement(self.context, [c * a for a in self.coeffs])
 
     def __mul__(self, other):
         if isinstance(other, int):
             return self.scale(other)
         self._check(other)
-        da, db = self.degree(), other.degree()
-        if da < 0 or db < 0:
-            return self.context.zero()
         return LambdaElement(
-            self.context,
-            _mul(self.coeffs[: da + 1], other.coeffs[: db + 1], self.context.modulus),
+            self.context, _mul(self.coeffs, other.coeffs, self.context.modulus)
         )
 
     __rmul__ = __mul__
 
     def reduce_precision(self, M: int) -> "LambdaElement":
         return LambdaElement(self.context.with_precision(M), self.coeffs)
-
-    def in_context(self, ctx: IwasawaContext) -> "LambdaElement":
-        """The same representative read in ctx: same prime, no more precision.
-
-        The residues are reduced to ctx's precision and cut or padded to its
-        degree bound; a different prime or a higher precision is refused.
-        """
-        own = self.context
-        if ctx.prime != own.prime or ctx.precision > own.precision:
-            raise MixedContext(f"cannot read {own} in {ctx}")
-        return LambdaElement(ctx, self.coeffs)
 
     # -- presentation -----------------------------------------------------------
 
@@ -283,20 +238,7 @@ class LambdaElement:
 
     def __repr__(self):
         ctx = self.context
-        return f"<{self} mod (p^{ctx.precision}, X^{ctx.trunc_len}), p={ctx.prime}>"
-
-
-def _reduce_coeffs(ctx: IwasawaContext, coeffs):
-    """Residues of a raw integer coefficient list in the context modulus, cut
-    or padded with zeros to trunc_len, and the degree, found before padding."""
-    mod = ctx.modulus
-    n = ctx.trunc_len
-    work = [c % mod for c in coeffs[:n]]
-    degree = len(work) - 1
-    while degree >= 0 and not work[degree]:
-        degree -= 1
-    work.extend([0] * (n - len(work)))
-    return tuple(work), degree
+        return f"<{self} mod p^{ctx.precision}, p={ctx.prime}>"
 
 
 # -- the kernel: one multiply, one division ---------------------------------------
@@ -429,16 +371,14 @@ def divrem(F: LambdaElement, P: LambdaElement):
     """Division with remainder by a distinguished polynomial.
 
     Monic division of the representatives (_divmod_monic): exact modulo
-    (p^M, truncation), no p-adic digits are lost, and the identity
-    F = Q*P + R is re-verified on every call.
+    p^M, no p-adic digits are lost, and the identity F = Q*P + R is
+    re-verified on every call.
     """
     F._check(P)
     if not P.is_distinguished():
         raise NotDistinguished(f"{P!s} is not distinguished")
     ctx = F.context
-    q, r = _divmod_monic(
-        F.coeffs[: F.degree() + 1], P.coeffs[: P.degree() + 1], ctx.modulus
-    )
+    q, r = _divmod_monic(F.coeffs, P.coeffs, ctx.modulus)
     return LambdaElement(ctx, q), LambdaElement(ctx, r)
 
 
@@ -512,7 +452,7 @@ def weierstrass(F: LambdaElement) -> InvariantReport:
         # delta = R / Q mod X^lam; Q(0) is a unit since P = X^lam mod p
         # makes Q(0) = G's lambda-th coefficient mod p
         inverse = _reciprocal(Q.coeffs[:lam], lam, mod)
-        delta = _mul(R.coeffs[:lam], inverse, mod)
+        delta = _mul(R.coeffs, inverse, mod)
         lower = [(a + d) % mod for a, d in zip(lower, delta)]
     raise NotDistinguished(
         f"no distinguished part of degree {lam} after {ctx.precision + 1} divisions"

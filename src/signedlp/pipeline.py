@@ -221,7 +221,7 @@ def run_pipeline(cfg: RunConfig, last_stage: Optional[str] = None) -> PipelineRe
         record["stages"]["theta"] = {
             "levels": sorted(thetas),
             "value_at_zero_vanishes": [
-                not thetas[n].coeffs[0] for n in sorted(thetas)
+                not thetas[n].value_at_zero() for n in sorted(thetas)
             ],
         }
 

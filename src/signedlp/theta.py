@@ -7,8 +7,8 @@ collects the plus symbols along each gamma-fiber,
     theta_n = sum_j c_j (1+X)^j,   c_j = sum_i [ omega^i gamma^j / p^(n+1) ]^+,
 
 a class in Lambda/(omega_n, p^M).  Its representative of degree below p^n
-is a plain LambdaElement in the context (p^M, X^(p^n)), and a theta
-sequence is a dict from level to that element.  Only the trivial tame
+is a plain LambdaElement at precision M, and a theta sequence is a dict
+from level to that element; all levels share one context.  Only the trivial tame
 character enters, so only plus symbols are used; minus symbols stay in the
 table for symmetry checks.  The c_j are gathered from the plus numerator
 list of level n+1, one row omega^i gamma^j of the grid at a time, and
@@ -71,7 +71,7 @@ def build_theta(table: SymbolTable, n: int, M: int) -> LambdaElement:
     if not table.has_level(n + 1):
         raise IncompleteTable(f"theta at level {n} needs symbols mod {p}^{n+1}")
     modulus, d = p ** (n + 1), p**n
-    ctx = IwasawaContext(p, M, d)
+    ctx = IwasawaContext(p, M)
     gamma = [1]  # gamma^j mod p^(n+1)
     for _ in range(d - 1):
         gamma.append(gamma[-1] * (1 + p) % modulus)
@@ -104,10 +104,8 @@ def check_compat(thetas, n: int, a_p: int) -> CompatReport:
     if n < 2:
         raise ValueError("the three-term congruence starts at level 2")
     ctx = thetas[n].context
-    wide = IwasawaContext(ctx.prime, ctx.precision, ctx.prime**n + 1)
-    th_n, th_n1, th_n2 = (thetas[k].in_context(wide) for k in (n, n - 1, n - 2))
-    lhs = th_n - th_n1.scale(a_p) + wide.phi(n - 1) * th_n2
-    _, R = divrem(lhs, wide.omega(n - 1))
+    lhs = thetas[n] - thetas[n - 1].scale(a_p) + ctx.phi(n - 1) * thetas[n - 2]
+    _, R = divrem(lhs, ctx.omega(n - 1))
     for idx, c in enumerate(R.coeffs):
         if c:
             return CompatReport(

@@ -30,6 +30,7 @@ _REPORT_53A1 = ["report", "--curve", curve_path("53a1")]
     _REPORT_53A1 + ["--p", "5", "--prec", "1"],
     _REPORT_53A1 + ["--p", "5", "--level", "-1"],
     _REPORT_53A1 + ["--p", "5", "--import"],
+    ["gcd", "--curve", curve_path("53a1"), "--p", "3", "--level", "1", "--table", "t.csv"],
     ["gcd", "--curve", curve_path("53a1"), "--p", "3", "--format", "csv"],
     _REPORT_53A1 + ["--p", "5", "--fine-char", "X^a"],
     _REPORT_53A1 + ["--p", "5", "--fine-char", "Y"],
@@ -38,6 +39,7 @@ _REPORT_53A1 = ["report", "--curve", curve_path("53a1")]
     _REPORT_53A1 + ["--p", "5", "--fine-char", "X^"],
     *(["curve-info", "--curve", curve_path("37a1"), "--p", p] for p in ("4", "-3", "1", "0", "2")),
 ], ids=["unknown-flag", "p-not-prime", "prec-1", "level-negative", "import-without-table",
+        "table-without-import-or-export",
         "format-without-csv-form", "fine-char-exponent-not-integer",
         "fine-char-unknown-factor", "fine-char-phi-exponent-negative",
         "fine-char-p-exponent-negative", "fine-char-dangling-caret",

@@ -1,15 +1,17 @@
+import random
+
 import pytest
 
 from signedlp.errors import NotStabilized, SingularSystem, WrongReductionType
 from signedlp.extract import (
+    _class_invariants,
     _parity_product,
-    _wide_context,
     extract_plus_minus,
     extract_sharp_flat,
     fit_matches_pair,
     invariant_fit,
 )
-from signedlp.lambda_ring import IwasawaContext, divrem
+from signedlp.lambda_ring import IwasawaContext, divrem, weierstrass
 
 from conftest import mu_lambda_of
 
@@ -17,18 +19,16 @@ from conftest import mu_lambda_of
 def _synthetic_thetas(p, M, F_coeffs, n_max=3, alternate=True, scale_mu=None):
     """theta_n := (+-) W(n) * F mod omega_n for a fixed F, as its
     representative of degree below p^n."""
+    ctx = IwasawaContext(p, M)
     thetas = {}
     for n in range(n_max + 1):
-        wide = IwasawaContext(p, M, p**n_max + 2)
-        F = wide.element(F_coeffs)
+        F = ctx.element(F_coeffs)
         if scale_mu:
             F = F.scale(p ** scale_mu.get(n, 0))
-        W = _parity_product(wide, n)
-        body = (W * F)
+        body = _parity_product(ctx, n) * F
         if alternate and (n // 2) % 2 == 1:
             body = -body
-        _, body = divrem(body, wide.omega(n))
-        thetas[n] = IwasawaContext(p, M, p**n).element(list(body.coeffs))
+        _, thetas[n] = divrem(body, ctx.omega(n))
     return thetas
 
 
@@ -52,15 +52,13 @@ def test_synthetic_recovery_exact():
 def test_synthetic_remultiplication():
     F = [0, 3, 1]
     thetas = _synthetic_thetas(3, 8, F, n_max=3)
-    wide = _wide_context(thetas)
+    ctx = thetas[3].context
     pair = extract_plus_minus(thetas, a_p=0)
     for comp in pair.components:
         top = max(comp.levels_used)
-        W = _parity_product(wide, top)
-        recon = W * wide.element(list(comp.series.coeffs))
+        recon = _parity_product(ctx, top) * comp.series
         sign = -1 if (top // 2) % 2 == 1 else 1
-        lifted = wide.element(list(thetas[top].coeffs))
-        diff = recon.scale(sign) - lifted
+        diff = recon.scale(sign) - thetas[top]
         assert diff.is_zero_at_precision
 
 
@@ -101,7 +99,7 @@ def test_wrong_reduction_type():
 
 def test_sharp_flat_solve_that_does_not_divide_is_singular():
     # level 2: a_p theta_1 - theta_2 = -4 is no multiple of Phi_1
-    thetas = {n: IwasawaContext(3, 6, 3**n).element([1]) for n in range(3)}
+    thetas = {n: IwasawaContext(3, 6).element([1]) for n in range(3)}
     with pytest.raises(SingularSystem, match="level 2"):
         extract_sharp_flat(thetas, a_p=-3, p=3)
 
@@ -179,3 +177,49 @@ def test_level_three_plus_minus_fully_stabilized(store):
     pair = extract_plus_minus(thetas, store.ap("53a1", 5))
     assert pair.stabilized  # both parities now have two conclusive levels
     assert mu_lambda_of(pair) == ((0, 0), (1, 1))
+
+
+# -- Weierstrass preparation on a truncation ----------------------------------------
+
+
+def _prepared_in_full_and_truncated(F):
+    """(full, truncated) readings (mu, lambda, distinguished part), and whether
+    the truncated preparation ran on fewer coefficients than F has."""
+    full, (short, _) = weierstrass(F), _class_invariants(F)
+    readings = [(w.mu, w.lam, w.distinguished_part) for w in (full, short)]
+    shortened = full.conclusive and short.unit_part.degree() < full.unit_part.degree()
+    return readings, shortened
+
+
+def test_truncated_preparation_matches_full_on_planted_series():
+    # F = p^mu * P * U with a planted distinguished P of degree lambda <= 40
+    # and mu <= 3: the first max(lambda + 1, lambda(M - mu) + 1) coefficients
+    # give the same mu, lambda and distinguished part as all of them
+    rng = random.Random(2110)
+    shortened = 0
+    for _ in range(60):
+        p, M = rng.choice([3, 5, 17, 31]), rng.randint(1, 30)
+        mu, lam = rng.randint(0, min(3, M - 1)), rng.randint(0, 40)
+        ctx = IwasawaContext(p, M)
+        mod = ctx.modulus
+        P = [p * rng.randrange(mod) for _ in range(lam)] + [1]
+        U = [rng.randrange(1, p) + p * rng.randrange(mod)]
+        U += [rng.randrange(mod) for _ in range(rng.randint(0, 150))]
+        F = (ctx.element(P) * ctx.element(U)).scale(p**mu)
+        (full, short), cut = _prepared_in_full_and_truncated(F)
+        assert full == short == (mu, lam, ctx.with_precision(M - mu).element(P)), (p, M, mu, lam)
+        shortened += cut
+    assert shortened >= 15
+
+
+def test_truncated_preparation_matches_full_on_fixtures(store):
+    shortened = 0
+    for label, p, n_max in (("53a1", 5, 3), ("53a1", 3, 3), ("37a1", 3, 3), ("37a1", 17, 1)):
+        thetas = store.thetas(label, p, n_max)
+        ap = store.ap(label, p)
+        pair = extract_plus_minus(thetas, ap) if ap == 0 else extract_sharp_flat(thetas, ap, p)
+        for F in [*thetas.values(), *(c.series for c in pair.components)]:
+            (full, short), cut = _prepared_in_full_and_truncated(F)
+            assert full == short, (label, p, n_max)
+            shortened += cut
+    assert shortened >= 4

@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -7,7 +8,6 @@ from signedlp.errors import (
     MixedContext,
     NotDistinguished,
     PrecisionExhausted,
-    TruncationTooSmall,
 )
 from signedlp.lambda_ring import (
     IwasawaContext,
@@ -19,8 +19,8 @@ from signedlp.lambda_ring import (
 )
 
 
-def ctx3(D=24, M=8):
-    return IwasawaContext(3, M, D)
+def ctx3(M=8):
+    return IwasawaContext(3, M)
 
 
 def same(a, b):
@@ -33,27 +33,37 @@ def same(a, b):
 def test_phi_examples():
     c = ctx3()
     assert str(c.phi(1)) == "X^2 + 3*X + 3"
-    c5 = IwasawaContext(5, 8, 24)
+    c5 = IwasawaContext(5, 8)
     assert str(c5.phi(1)) == "X^4 + 5*X^3 + 10*X^2 + 10*X + 5"
     assert str(c.phi(0)) == "X"
 
 
-def test_phi_truncation_guard():
-    small = IwasawaContext(3, 8, 4)
-    with pytest.raises(TruncationTooSmall):
-        small.phi(2)
-    # omega_2 has degree 9: modulo X^9 it would lose its leading term
-    with pytest.raises(TruncationTooSmall):
-        IwasawaContext(3, 8, 9).omega(2)
-    assert IwasawaContext(3, 8, 10).omega(2).degree() == 9
+def test_elements_are_exact_polynomials_at_any_degree():
+    c = ctx3(M=4)
+    assert c.element([1, 2, 0, 0]).coeffs == (1, 2)
+    zero = c.element([])
+    assert zero.coeffs == () and zero.degree() == -1 and zero.value_at_zero() == 0
+    assert c.element([3**4, 0, 2 * 3**4]) == zero
+    # X^a * X^b, Phi_n and omega_n keep every coefficient, far beyond the
+    # degrees any single level of the pipeline needs
+    assert (c.x_power(700) * c.x_power(1300)).coeffs == (0,) * 2000 + (1,)
+    omega = c.omega(7)  # (1+X)^2187 - 1
+    assert omega.coeffs == tuple(
+        (math.comb(3**7, k) - (k == 0)) % 3**4 for k in range(3**7 + 1)
+    )
+    product = c.x_power(1)
+    for n in range(1, 8):
+        phi = c.phi(n)
+        assert phi.degree() == 2 * 3 ** (n - 1) and phi.coeffs[-1] == 1
+        assert phi * c.omega(n - 1) == c.omega(n)
+        product = product * phi
+    assert product == omega
 
 
 def test_phi_degree_and_value_at_zero():
     for p in (3, 5):
-        c = IwasawaContext(p, 6, p * p * (p - 1) + 2)
+        c = IwasawaContext(p, 6)
         for n in (1, 2, 3):
-            if p ** (n - 1) * (p - 1) >= c.trunc_len:
-                continue
             phi = c.phi(n)
             assert phi.degree() == p ** (n - 1) * (p - 1)
             assert phi.coeffs[0] == p
@@ -90,7 +100,7 @@ def test_divrem_rejects_non_distinguished():
 
 
 def test_divrem_identity_random():
-    c = ctx3(D=20, M=6)
+    c = ctx3(M=6)
     rng = random.Random(7)
     for _ in range(50):
         F = c.element([rng.randrange(-40, 40) for _ in range(12)])
@@ -118,11 +128,10 @@ def test_weierstrass_remultiplication_round_trip():
     # together pin the factorization down: it is unique
     rng = random.Random(11)
     for p in (3, 5, 7):
-        for D in (16, 7, p, p * p):
+        for n in (16, 7, p, p * p):
             for _ in range(12):
                 M = rng.randrange(2, 9)
-                c = IwasawaContext(p, M, D)
-                n = c.trunc_len
+                c = IwasawaContext(p, M)
                 if n > 30:
                     break
                 lam = rng.choice([rng.randrange(0, n), n - 1])
@@ -144,7 +153,7 @@ def test_weierstrass_remultiplication_round_trip():
 
 def test_invariant_additivity_500_pairs():
     rng = random.Random(2024)
-    c = ctx3(D=30, M=8)
+    c = ctx3(M=8)
 
     def random_conclusive():
         lam = rng.randrange(0, 6)
@@ -179,7 +188,7 @@ def test_gcd_examples():
 
 
 def test_gcd_detects_phi_factors_and_divides_both():
-    c = ctx3(D=30)
+    c = ctx3()
     F = c.phi(1) * c.element([1, 1]) * c.x_power(1)
     G = c.phi(1) * c.element([2, 0, 1])  # X^2 + 2 is a unit times distinguished...
     g = gcd_of(F, G)
@@ -189,10 +198,9 @@ def test_gcd_detects_phi_factors_and_divides_both():
 
 
 def test_gcd_builds_no_phi_above_the_smaller_degree(monkeypatch):
-    # an X^300 context fits Phi_1 .. Phi_5, but once X and Phi_1 are divided
-    # out the smaller operand has degree 0, and no Phi_n (degree >= 2) can
-    # divide it: only Phi_1 is built
-    c = ctx3(D=300)
+    # once X and Phi_1 are divided out the smaller operand has degree 0, and
+    # no Phi_n (degree >= 2) can divide it: only Phi_1 is built
+    c = ctx3()
     F = c.phi(1) * c.x_power(1) * c.element([3, 0, 1])
     G = c.phi(1) * c.x_power(1)
     built = []
@@ -247,7 +255,7 @@ def test_euclid_residual_matches_factoring_every_pass():
     passes, later = [], 0
     for _ in range(300):
         p, M = rng.choice([3, 5, 7]), rng.randint(2, 8)
-        c = IwasawaContext(p, M, rng.choice([16, 30]))
+        c = IwasawaContext(p, M)
 
         def distinguished(deg):
             return c.element([p * rng.randrange(p**M) for _ in range(deg)] + [1])
@@ -264,28 +272,22 @@ def test_euclid_residual_matches_factoring_every_pass():
 
 
 def test_context_conversions_reduce_never_extend():
-    c = ctx3(D=16, M=6)
+    c = ctx3(M=6)
     F = c.phi(1) * c.element([1, 1]) + c.element([7])
-    # a shorter degree bound cuts the representative, a longer one pads it
-    low = F.in_context(IwasawaContext(3, 6, 2))
-    assert low.coeffs == F.coeffs[:2]
-    wide_low = c.element(low.coeffs)
-    assert wide_low.coeffs == F.coeffs[:2] + (0,) * 14
     shallow = F.reduce_precision(3)
     assert shallow.context.precision == 3
+    assert shallow.coeffs == tuple(a % 27 for a in F.coeffs)
     with pytest.raises(Exception):
         shallow.reduce_precision(6)
-    # reading in another context: same prime, precision never extended
-    assert low.in_context(c).coeffs == wide_low.coeffs
-    assert F.in_context(shallow.context).coeffs == shallow.coeffs
+    # operands of another precision or another prime do not mix
     with pytest.raises(MixedContext):
-        shallow.in_context(c)
+        F - shallow
     with pytest.raises(MixedContext):
-        F.in_context(IwasawaContext(5, 6, 16))
+        F * IwasawaContext(5, 6).one()
 
 
 def test_gcd_symmetry():
-    c = ctx3(D=30)
+    c = ctx3()
     F = c.x_power(2) * c.phi(1)
     G = c.x_power(1) * c.phi(1) * c.phi(1)
     a = gcd_of(F, G)

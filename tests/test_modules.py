@@ -17,7 +17,7 @@ from conftest import ideal_to_lambda
 
 @pytest.fixture(scope="module")
 def ctx():
-    return IwasawaContext(3, 8, 40)
+    return IwasawaContext(3, 8)
 
 
 # -- predicted ideals ----------------------------------------------------------------

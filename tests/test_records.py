@@ -9,7 +9,7 @@ from signedlp.modules import FactoredIdeal, RankSequence
 
 
 def _element():
-    return LambdaElement(IwasawaContext(3, 4, 6), [6, 3, 1])
+    return LambdaElement(IwasawaContext(3, 4), [6, 3, 1])
 
 
 def _report():
@@ -24,7 +24,7 @@ def _series():
 # each factory builds a fresh instance from the same field values; the name
 # is a field that assignment must refuse
 RECORDS = {
-    "IwasawaContext": (lambda: IwasawaContext(5, 8, 26), "precision"),
+    "IwasawaContext": (lambda: IwasawaContext(5, 8), "precision"),
     "LambdaElement": (_element, "coeffs"),
     "InvariantReport": (_report, "lam"),
     "CurveData": (lambda: CurveData("37a1", (0, 0, 1, -1, 0), 37, 1,
@@ -53,7 +53,7 @@ def test_record_is_immutable_and_compares_by_value(name):
 
 
 def test_records_of_different_values_differ():
-    assert IwasawaContext(5, 8, 26) != IwasawaContext(5, 7, 26)
-    assert _element() != LambdaElement(IwasawaContext(3, 4, 6), [6, 3, 2])
+    assert IwasawaContext(5, 8) != IwasawaContext(5, 7)
+    assert _element() != LambdaElement(IwasawaContext(3, 4), [6, 3, 2])
     assert RankSequence([1, 0]) == RankSequence([1]) != RankSequence([2])
     assert FactoredIdeal(0, 1, {1: 1}) != FactoredIdeal(0, 1)

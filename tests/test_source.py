@@ -74,11 +74,11 @@ def test_no_module_imports_on_import(module):
     assert not found, f"{module} imported when package source is imported: {found}"
 
 
-def _referenced_names(trees):
+def _referenced_names(trees, attributes_only=False):
     referenced = set()
     for tree in trees.values():
         for node in ast.walk(tree):
-            if isinstance(node, ast.Name):
+            if isinstance(node, ast.Name) and not attributes_only:
                 referenced.add(node.id)
             elif isinstance(node, ast.Attribute):
                 referenced.add(node.attr)
@@ -102,6 +102,7 @@ def test_every_module_function_is_called_in_package():
 def test_every_method_is_called_in_package():
     # the same rule for methods and properties (dunder methods are called by
     # the language); a method counts as called when its name is referenced
+    # as an attribute, so a local variable of the same name does not count
     trees = _package_trees()
     defined = {}
     for name, tree in trees.items():
@@ -112,7 +113,7 @@ def test_every_method_is_called_in_package():
                 if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
                     if not (node.name.startswith("__") and node.name.endswith("__")):
                         defined[f"{cls.name}.{node.name}"] = name
-    referenced = _referenced_names(trees)
+    referenced = _referenced_names(trees, attributes_only=True)
     uncalled = sorted(
         f"{defined[m]}:{m}" for m in defined if m.split(".")[1] not in referenced
     )
