@@ -1,8 +1,14 @@
 import random
+import re
 
 import pytest
 
-from signedlp.errors import NotStabilized, SingularSystem, WrongReductionType
+from signedlp.errors import (
+    NotStabilized,
+    PrecisionExhausted,
+    SingularSystem,
+    WrongReductionType,
+)
 from signedlp.extract import (
     _class_invariants,
     _parity_product,
@@ -100,8 +106,25 @@ def test_wrong_reduction_type():
 def test_sharp_flat_solve_that_does_not_divide_is_singular():
     # level 2: a_p theta_1 - theta_2 = -4 is no multiple of Phi_1
     thetas = {n: IwasawaContext(3, 6).element([1]) for n in range(3)}
-    with pytest.raises(SingularSystem, match="level 2"):
+    message = "level 2: X^2 + 3*X + 3 does not divide the operand at precision"
+    with pytest.raises(SingularSystem, match=f"^{re.escape(message)}$"):
         extract_sharp_flat(thetas, a_p=-3, p=3)
+
+
+@pytest.mark.parametrize("levels, divisor", [
+    # theta_2 = 1 is no multiple of Phi_1
+    ((0, 1, 2), "X^2 + 3*X + 3"),
+    # theta_4 = 1 is no multiple of Phi_3 * Phi_1, named as one product in X
+    ((1, 4), "X^20 + 21*X^19 + 210*X^18 - 129*X^17 + 135*X^16 - 216*X^15 + 231*X^14"
+             " + 225*X^13 + 279*X^12 - 195*X^11 + 144*X^10 - 72*X^9 - 144*X^8 - 162*X^7"
+             " - 81*X^6 + 90*X^5 + 54*X^4 - 351*X^3 - 78*X^2 + 90*X + 9"),
+])
+def test_parity_quotient_that_does_not_divide_names_the_divisor(levels, divisor):
+    # the constant 1 has the same coefficients in every basis
+    thetas = {n: IwasawaContext(3, 6).element([1]) for n in levels}
+    message = f"{divisor} does not divide the operand at precision"
+    with pytest.raises(PrecisionExhausted, match=f"^{re.escape(message)}$"):
+        extract_plus_minus(thetas, a_p=0)
 
 
 # -- fixtures ---------------------------------------------------------------------
