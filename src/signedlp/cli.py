@@ -28,6 +28,7 @@ import types
 from .analyzer import emit, report_payload
 from .curves import classify_reduction, ingest_curve, is_odd_prime, periods
 from .errors import SignedLPError
+from .lambda_ring import taylor_shift
 from .pipeline import RunConfig, run_pipeline
 
 
@@ -87,11 +88,14 @@ def _symbols_payload(result, cfg):
 
 
 def _theta_payload(result, cfg):
+    """Each theta, held as Y-coefficients, is printed in X."""
+    mod = cfg.p**cfg.precision
     return {
         "curve": result.curve.label,
         "p": cfg.p,
         "thetas": {
-            str(n): {"body": str(theta), "value_at_zero_vanishes": not theta.value_at_zero()}
+            str(n): {"body": str(theta.context.element(taylor_shift(theta.coeffs, mod))),
+                     "value_at_zero_vanishes": not theta.value_at_one()}
             for n, theta in result.thetas.items()
         },
         "compat": {str(rep.level): rep.passed for rep in result.compat},

@@ -9,10 +9,11 @@ internal labelling; every consumer is label-symmetric).
 
 With 0 < v_p(a_p), the pair is solved from the two top theta lifts through
 the inverse of the fundamental-solution matrix of s_(k+1) = a_p s_k -
-Phi_k s_(k-1); every division is by a monic distinguished polynomial and is
-verified to be exact at the working precision, so no p-adic digits are
-lost.  Labels sharp/flat follow the solve order and may be swapped
-relative to other tables.
+Phi_k s_(k-1); every division is by a monic polynomial and is verified to
+be exact at the working precision, so no p-adic digits are lost.  Labels
+sharp/flat follow the solve order and may be swapped relative to other
+tables.  Thetas, quotients and solves are held as Y-coefficients (Y = 1 +
+X), where each division is a pair of linear scans (phi_quotient).
 
 Invariants are read off the canonical representative; readings with mu = 0
 transfer to the limit object (a coefficient that is a unit stays a unit
@@ -32,13 +33,12 @@ from .errors import (
 )
 from .lambda_ring import (
     INCONCLUSIVE,
-    IwasawaContext,
     InvariantReport,
     LambdaElement,
-    divides_at_precision,
-    exact_quotient,
-    mu_lambda,
+    mu_lambda_y,
+    phi_quotient,
     weierstrass,
+    x_coefficients,
 )
 
 
@@ -46,7 +46,7 @@ class SignedSeries(NamedTuple):
     """One member of a signed pair, with its certification data."""
 
     label: str
-    series: Optional[LambdaElement]  # canonical representative; None if no data
+    series: Optional[LambdaElement]  # canonical representative, Y-coefficients
     modulus_desc: str
     invariants: InvariantReport
     levels_used: tuple
@@ -67,26 +67,18 @@ class SignedPair(NamedTuple):
     stabilized: bool
 
 
-def _parity_product(ctx: IwasawaContext, n: int) -> LambdaElement:
-    """prod of Phi_i for 1 <= i < n with i of the same parity as n - 1."""
-    out = ctx.one()
-    i = n - 1
-    while i >= 1:
-        out = out * ctx.phi(i)
-        i -= 2
-    return out
-
-
 def _x_lower_bound(rep: LambdaElement) -> int:
-    return 0 if rep.value_at_zero() else 1
+    """1 when rep, held as Y-coefficients, vanishes at X = 0, else 0."""
+    return 0 if rep.value_at_one() else 1
 
 
 def _class_invariants(rep: LambdaElement):
-    """(InvariantReport, limit_certified); the limit needs mu = 0.
+    """(InvariantReport, limit_certified) of rep, held as Y-coefficients;
+    the limit needs mu = 0.
 
     (mu, lambda) are read from the whole representative F, and weierstrass
     prepares only its first N = max(lambda + 1, lambda * M' + 1)
-    coefficients, M' = M - mu.  This gives the same distinguished part:
+    X-coefficients, M' = M - mu.  This gives the same distinguished part:
     let P be the distinguished part of F at precision M', of degree
     lambda.  P - X^lambda lies in p*Lambda, so X^(lambda*M') = (P - (P -
     X^lambda))^M' lies in (P, p^M').  Two series that agree below X^N, with
@@ -96,16 +88,15 @@ def _class_invariants(rep: LambdaElement):
     distinguished part (Washington, Introduction to Cyclotomic Fields,
     section 7.1).  The unit part is that of the truncation.
     """
-    mu, lam = mu_lambda(rep)
-    if mu is not INCONCLUSIVE:
-        n = max(lam + 1, lam * (rep.context.precision - mu) + 1)
-        rep = rep.context.element(rep.coeffs[:n])
-    w = weierstrass(rep)
+    mu, lam = mu_lambda_y(rep)
+    n = 0 if mu is INCONCLUSIVE else max(lam + 1, lam * (rep.context.precision - mu) + 1)
+    w = weierstrass(x_coefficients(rep, n))
     return w, w.conclusive and w.mu == 0
 
 
 def extract_plus_minus(thetas, a_p: int) -> SignedPair:
-    """Plus/minus pair from the parity-decoupled theta chains (a_p = 0)."""
+    """Plus/minus pair from the parity-decoupled theta chains (a_p = 0);
+    thetas and the components' series are held as Y-coefficients."""
     if a_p != 0:
         raise WrongReductionType("plus/minus extraction requires a_p = 0")
     ctx = thetas[max(thetas)].context
@@ -116,22 +107,22 @@ def extract_plus_minus(thetas, a_p: int) -> SignedPair:
             raise NotStabilized(f"no theta levels of parity {parity}")
         quotients = {}
         for n in levels:
-            q = thetas[n]
-            W = _parity_product(ctx, n)
-            if W.degree() > 0:
-                q = exact_quotient(q, W)
+            # theta_n / prod of the Phi_i, 1 <= i < n, i of the parity of n - 1
+            q = phi_quotient(thetas[n], range(n - 1, 0, -2))
             quotients[n] = -q if (n // 2) % 2 == 1 else q
         top = levels[-1]
         grade = "single-level"
         if len(levels) >= 2:
             low = levels[-2]
-            # class modulus at the lower level: omega_low / parity product
-            modulus = exact_quotient(ctx.omega(low), _parity_product(ctx, low))
-            if not divides_at_precision(quotients[top] - quotients[low], modulus):
+            # class modulus at the lower level: omega_low / parity product,
+            # that is X * prod of the Phi_i, 1 <= i <= low, i of the parity of low
+            try:
+                phi_quotient(quotients[top] - quotients[low], [0, *range(low, 0, -2)])
+            except PrecisionExhausted:
                 raise NotStabilized(
                     f"{label}: quotients at levels {low} and {top} disagree"
-                )
-            inv_top, inv_low = mu_lambda(quotients[top]), mu_lambda(quotients[low])
+                ) from None
+            inv_top, inv_low = mu_lambda_y(quotients[top]), mu_lambda_y(quotients[low])
             if INCONCLUSIVE not in (inv_top[0], inv_low[0]) and inv_top != inv_low:
                 raise NotStabilized(
                     f"{label}: invariants drift between levels {low} and {top}"
@@ -169,6 +160,7 @@ def extract_sharp_flat(thetas, a_p: int, p: int) -> SignedPair:
     Requires 0 < v_p(a_p); the solve at the top level n computes
     (A, B) = (D_1 ... D_(n-1))^(-1) (theta_n, theta_(n-1)) where
     D_k = [[a_p, -Phi_k], [1, 0]], each step dividing exactly by Phi_k.
+    Thetas and the components' series are held as Y-coefficients.
     """
     if a_p == 0 or a_p % p != 0:
         raise WrongReductionType(
@@ -184,7 +176,7 @@ def extract_sharp_flat(thetas, a_p: int, p: int) -> SignedPair:
         u, v = thetas[n], thetas[n - 1]
         try:
             for k in range(n - 1, 0, -1):
-                u, v = v, exact_quotient(v.scale(a_p) - u, ctx.phi(k))
+                u, v = v, phi_quotient(v.scale(a_p) - u, (k,))
         except PrecisionExhausted as exc:
             raise SingularSystem(f"level {n}: {exc}") from exc
         solves[n] = (u, v)
@@ -194,7 +186,7 @@ def extract_sharp_flat(thetas, a_p: int, p: int) -> SignedPair:
     if top - 1 in solves:
         A_low, B_low = solves[top - 1]
         for idx, (hi, lo) in enumerate(((A, A_low), (B, B_low))):
-            inv_hi, inv_lo = mu_lambda(hi), mu_lambda(lo)
+            inv_hi, inv_lo = mu_lambda_y(hi), mu_lambda_y(lo)
             if INCONCLUSIVE not in (inv_hi[0], inv_lo[0]):
                 if inv_hi != inv_lo:
                     raise NotStabilized(
@@ -204,7 +196,7 @@ def extract_sharp_flat(thetas, a_p: int, p: int) -> SignedPair:
             elif lo.is_zero_at_precision:
                 # lower solve is degenerate; consistency means the top
                 # component vanishes modulo the lower class modulus (X)
-                if not hi.value_at_zero():
+                if not hi.value_at_one():
                     grades[idx] = "two-level"
     components = []
     for label, rep, grade, mdesc in (
@@ -243,7 +235,8 @@ class FitResult(NamedTuple):
 
 
 def invariant_fit(thetas) -> dict:
-    """Fitted (mu*, lambda*) per parity class from raw theta invariants.
+    """Fitted (mu*, lambda*) per parity class from raw theta invariants,
+    read off thetas held as Y-coefficients.
 
     Model: lambda(theta_n) = lambda* + q_n with q_n the degree of the
     accumulated opposite-parity Phi-product, and mu(theta_n) = mu*
@@ -251,13 +244,12 @@ def invariant_fit(thetas) -> dict:
     averaged away; levels that vanish at precision are skipped.
     """
     out = {}
-    some_ctx = thetas[max(thetas)].context
-    p = some_ctx.prime
+    p = thetas[max(thetas)].context.prime
     for parity, name in ((1, "odd"), (0, "even")):
         levels = sorted(n for n in thetas if n % 2 == parity)
         points = []
         for n in levels:
-            mu, lam = mu_lambda(thetas[n])
+            mu, lam = mu_lambda_y(thetas[n])
             if mu is INCONCLUSIVE:
                 continue
             points.append((n, mu, lam - _accumulated_degree(p, n)))
@@ -281,12 +273,8 @@ def invariant_fit(thetas) -> dict:
 
 
 def _accumulated_degree(p: int, n: int) -> int:
-    total = 0
-    i = n - 1
-    while i >= 1:
-        total += p ** (i - 1) * (p - 1)
-        i -= 2
-    return total
+    """deg of the product of the Phi_i, 1 <= i < n, i of the parity of n - 1."""
+    return sum(p ** (i - 1) * (p - 1) for i in range(n - 1, 0, -2))
 
 
 def fit_matches_pair(fits: dict, pair: SignedPair) -> bool:

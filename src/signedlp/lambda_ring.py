@@ -3,24 +3,23 @@
 Elements are polynomials over Z/p^M: each coefficient is stored as a plain
 integer residue in [0, p^M) up to the degree, with no trailing zeros, so a
 coefficient that reads 0 only vanishes at the working precision.  No degree
-bound is imposed: products, Phi_n, omega_n and X^k are exact at any degree.
-The topological generator convention is fixed once and for all: gamma =
-1 + p, sent to 1 + X.
+bound is imposed: products, Phi_n and X^k are exact at any degree.  The
+topological generator convention is fixed once and for all: gamma = 1 + p,
+sent to 1 + X.
 
-The cyclotomic pieces Phi_n (Phi_0 = X) are constructed with exact integer
-coefficients.  All polynomial arithmetic runs on residue lists through one
-multiply and one division (von zur Gathen-Gerhard, Modern Computer Algebra,
-ch. 8-9).  The multiply is Kronecker substitution: both lists are packed
-into one integer each (through array.array for slots of up to 8 bytes),
-multiplied once, and read back.  The division by a monic polynomial is
-long division for short quotients, and otherwise the reversed dividend
-times a Newton reciprocal of the reversed divisor; every division
-re-multiplies its quotient and checks the identity.  Division
-with remainder, Weierstrass preparation and the Taylor shift of theta
-elements all run on these two.  Division by a monic polynomial loses no
-p-adic digits; the only precision loss in this module comes from stripping
-p-power content, and Weierstrass preparation records it in the precision
-of its parts.
+Theta elements, and every series divided out of them, are held as the
+coefficients c_j of sum c_j Y^j in the group-ring variable Y = 1 + X.  In
+Y, omega_n = Y^(p^n) - 1 and Phi_n = sum_{i<p} Y^(i p^(n-1)) are sparse, so
+dividing by them and reading mu, lambda and the first X-coefficients are
+linear scans.  Weierstrass preparation and the gcd work in X, on short
+polynomials (Phi_n, with Phi_0 = X, and distinguished parts), through one
+multiply and monic long division (von zur Gathen-Gerhard, Modern Computer
+Algebra, ch. 8-9).  The multiply is Kronecker substitution: both lists are
+packed into one integer each (through array.array for slots of up to 8
+bytes), multiplied once, and read back.  Every division re-multiplies its
+quotient and checks the identity, and loses no p-adic digits; the only
+precision loss in this module comes from stripping p-power content, and
+Weierstrass preparation records it in the precision of its parts.
 """
 
 from __future__ import annotations
@@ -28,7 +27,7 @@ from __future__ import annotations
 import math
 import sys
 from array import array
-from itertools import count, repeat, zip_longest
+from itertools import accumulate, count, repeat, zip_longest
 from typing import NamedTuple, Optional
 
 from .errors import MixedContext, NotDistinguished, PrecisionExhausted
@@ -37,25 +36,11 @@ from .padic import padic_valuation
 #: invariant value when a series cannot be read at the working precision
 INCONCLUSIVE = None
 
-#: a division whose (quotient length) * (divisor length) is at most this
-#: runs as monic long division; longer quotients go through Newton
-_LONG_DIVISION_WORK = 4000
-#: terms of a reciprocal series taken from the direct recurrence before the
-#: Newton steps start
-_RECURRENCE_TERMS = 32
-
 
 def refuse_assignment(record, name, value):
     """__setattr__ of the immutable value classes; their constructors set
     their slots with object.__setattr__."""
     raise AttributeError(f"cannot assign to {type(record).__name__}.{name}")
-
-
-def _binomial_row(n: int):
-    row = [1]
-    for k in range(n):
-        row.append(row[-1] * (n - k) // (k + 1))
-    return row
 
 
 class IwasawaContext:
@@ -96,9 +81,6 @@ class IwasawaContext:
         """The class of sum c_i X^i for exact integers c_i."""
         return LambdaElement(self, int_coeffs)
 
-    def one(self) -> "LambdaElement":
-        return self.element([1])
-
     def x_power(self, k: int) -> "LambdaElement":
         return self.element([0] * k + [1])
 
@@ -112,16 +94,8 @@ class IwasawaContext:
         # Phi_n = sum_{k<p} (1+X)^{k p^(n-1)}, assembled with exact integers
         coeffs = [0] * (p ** (n - 1) * (p - 1) + 1)
         for k in range(p):
-            for j, b in enumerate(_binomial_row(k * p ** (n - 1))):
-                coeffs[j] += b
-        return self.element(coeffs)
-
-    def omega(self, n: int) -> "LambdaElement":
-        """omega_n = (1+X)^{p^n} - 1 = X * prod_{1<=i<=n} Phi_i."""
-        if n < 0:
-            raise ValueError("level must be nonnegative")
-        coeffs = _binomial_row(self.prime**n)
-        coeffs[0] -= 1
+            for j in range(k * p ** (n - 1) + 1):
+                coeffs[j] += math.comb(k * p ** (n - 1), j)
         return self.element(coeffs)
 
 
@@ -162,9 +136,9 @@ class LambdaElement:
     def is_zero_at_precision(self) -> bool:
         return not self.coeffs
 
-    def value_at_zero(self) -> int:
-        """The constant coefficient, as a residue; 0 for the zero element."""
-        return self.coeffs[0] if self.coeffs else 0
+    def value_at_one(self) -> int:
+        """The sum of the coefficients mod p^M: of Y-coefficients, the value at X = 0."""
+        return sum(self.coeffs) % self.context.modulus
 
     def is_distinguished(self) -> bool:
         """Monic polynomial whose lower coefficients are divisible by p."""
@@ -290,52 +264,22 @@ def _mul(a, b, mod: int) -> list:
                    width, mod)
 
 
-def _reciprocal(f, n: int, mod: int) -> list:
-    """g with f*g = 1 mod (mod, X^n), for f[0] a unit mod `mod`.
-
-    The first _RECURRENCE_TERMS terms come from the direct recurrence; each
-    Newton step g <- g - g*(f*g - 1) then doubles the number of correct
-    terms with two products.
-    """
-    inv0 = pow(f[0], -1, mod)
-    k = min(n, _RECURRENCE_TERMS)
-    g = [inv0]
-    for i in range(1, k):
-        acc = sum(f[j] * g[i - j] for j in range(1, min(i, len(f) - 1) + 1))
-        g.append(-acc * inv0 % mod)
-    while k < n:
-        m = min(2 * k, n)
-        err = _mul(f[:m], g, mod)[k:m]  # f*g = 1 + X^k * err mod X^m
-        corr = _mul(g, err, mod)[: m - k]
-        g += [-c % mod for c in corr] + [0] * (m - k - len(corr))
-        k = m
-    return g
-
-
 def _divmod_monic(f, g, mod: int):
-    """(q, r) with f = q*g + r and deg r < deg g, for a monic residue list g.
-
-    Long division when (quotient length) * len(g) is at most
-    _LONG_DIVISION_WORK; otherwise q is read from rev(f) * rev(g)^-1 mod
-    X^(deg f - deg g + 1), where rev(g) has constant term 1.  Either way q*g
-    is computed once and PrecisionExhausted is raised unless f - q*g
-    vanishes in every degree >= deg g; r is the rest.
-    """
+    """(q, r) with f = q*g + r and deg r < deg g, for a monic residue list g,
+    by long division; q*g is then computed once and PrecisionExhausted is
+    raised unless f - q*g vanishes in every degree >= deg g."""
     d = len(g) - 1
     m = len(f) - d  # quotient length
     if m <= 0:
         return [], list(f)
-    if m * (d + 1) <= _LONG_DIVISION_WORK:
-        # the running remainder is reduced only where a quotient term is read
-        rem, low = list(f), g[:d]
-        q = [0] * m
-        for i in range(m - 1, -1, -1):
-            c = q[i] = rem[i + d] % mod
-            if c:
-                for j, b in enumerate(low, i):
-                    rem[j] -= c * b
-    else:
-        q = _mul(f[d:][::-1], _reciprocal(g[::-1], m, mod), mod)[m - 1 :: -1]
+    # the running remainder is reduced only where a quotient term is read
+    rem, low = list(f), g[:d]
+    q = [0] * m
+    for i in range(m - 1, -1, -1):
+        c = q[i] = rem[i + d] % mod
+        if c:
+            for j, b in enumerate(low, i):
+                rem[j] -= c * b
     diff = [(x - y) % mod for x, y in zip(f, _mul(q, g, mod))]
     if any(diff[d:]):
         raise PrecisionExhausted("division identity f = q*g + r failed")
@@ -343,7 +287,7 @@ def _divmod_monic(f, g, mod: int):
 
 
 def taylor_shift(values, mod: int) -> list:
-    """Monomial coefficients of sum_j values[j] * (1+X)^j, modulo `mod`.
+    """X-coefficients of sum_j values[j] * Y^j, Y = 1 + X, modulo `mod`.
 
     Divide and conquer over blocks of b = 1, 2, 4, ... coefficients: each
     pair of blocks (lo, hi) becomes lo + (1+X)^b * hi, and all the hi blocks
@@ -364,7 +308,7 @@ def taylor_shift(values, mod: int) -> list:
     return v[: len(values)]
 
 
-# -- division ---------------------------------------------------------------------
+# -- division, in X by a distinguished polynomial and in Y by omega_n and Phi_n ------
 
 
 def divrem(F: LambdaElement, P: LambdaElement):
@@ -382,18 +326,50 @@ def divrem(F: LambdaElement, P: LambdaElement):
     return LambdaElement(ctx, q), LambdaElement(ctx, r)
 
 
-def divides_at_precision(F: LambdaElement, P: LambdaElement) -> bool:
-    """Remainder of F by P vanishes at the working precision."""
-    _, R = divrem(F, P)
-    return R.is_zero_at_precision
+def fold(y, m: int) -> list:
+    """y mod (Y^m - 1) for Y-coefficients y: the m sums of y[r::m], unreduced."""
+    return [sum(y[r::m]) for r in range(m)]
 
 
-def exact_quotient(F: LambdaElement, P: LambdaElement) -> LambdaElement:
-    """Quotient when P divides F at full precision; raises otherwise."""
-    Q, R = divrem(F, P)
-    if not R.is_zero_at_precision:
-        raise PrecisionExhausted(f"{P!s} does not divide the operand at precision")
-    return Q
+def _quotient_by_y_power(y, m: int, mod: int):
+    """The residues of (sum y_j Y^j) / (Y^m - 1), or None unless the remainder
+    fold(y, m) vanishes mod `mod`; q[r::m] are the suffix sums of y[r+m::m]."""
+    if any(c % mod for c in fold(y, m)):
+        return None
+    q = [0] * max(len(y) - m, 0)
+    for r in range(min(m, len(q))):
+        q[r::m] = list(accumulate(y[r + m :: m][::-1]))[::-1]
+    return [c % mod for c in q]
+
+
+def phi_quotient(F: LambdaElement, levels) -> LambdaElement:
+    """F / prod of Phi_k over k in levels (Phi_0 = X = Y - 1), F and the
+    quotient held as Y-coefficients.  Phi_k (Y^s - 1) = Y^(ps) - 1 with s =
+    p^(k-1), so each factor is a multiplication by Y^s - 1 and an exact
+    division by Y^(ps) - 1.  Raises PrecisionExhausted, naming the product
+    in X, unless it divides F at the working precision."""
+    ctx = F.context
+    y = list(F.coeffs)
+    for k in levels:
+        if k:
+            s = ctx.prime ** (k - 1)
+            y = [a - b for a, b in zip_longest([0] * s + y, y, fillvalue=0)]
+        y = _quotient_by_y_power(y, ctx.prime**k, ctx.modulus)
+        if y is None:
+            divisor = math.prod(ctx.phi(i) for i in levels)
+            raise PrecisionExhausted(f"{divisor} does not divide the operand at precision")
+    return LambdaElement(ctx, y)
+
+
+def x_coefficients(F: LambdaElement, n: int) -> LambdaElement:
+    """The first n X-coefficients of F held as Y-coefficients: the remainders
+    (sums) of n successive divisions by Y - 1, whose quotients are suffix sums."""
+    mod = F.context.modulus
+    y, head = list(F.coeffs), []
+    for _ in range(min(n, len(y))):
+        head.append(sum(y))
+        y = [c % mod for c in accumulate(y[:0:-1])][::-1]
+    return LambdaElement(F.context, head)
 
 
 # -- Weierstrass preparation and invariants ------------------------------------------
@@ -424,6 +400,30 @@ def mu_lambda(F: LambdaElement) -> tuple:
     return mu, next(i for i, c in enumerate(F.coeffs) if c % q)
 
 
+def mu_lambda_y(F: LambdaElement) -> tuple:
+    """mu_lambda of F held as Y-coefficients.  The change of basis is
+    unitriangular over Z, so mu is the least valuation of the Y-coefficients;
+    lambda is the order of vanishing of F / p^mu mod p at Y = 1, and since
+    Y^(p^j) - 1 = (Y - 1)^(p^j) over F_p, the exact divisions by
+    Y^(p^j) - 1, largest j first, count its base-p digits."""
+    content = math.gcd(*F.coeffs)
+    if not content:
+        return INCONCLUSIVE, INCONCLUSIVE
+    p = F.context.prime
+    mu = padic_valuation(content, p)
+    y = [c // p**mu for c in F.coeffs]
+    lam, m = 0, 1
+    while m * p < len(y):
+        m *= p
+    while m:
+        q = _quotient_by_y_power(y, m, p)
+        if q is None:
+            m //= p
+        else:
+            y, lam = q, lam + m
+    return mu, lam
+
+
 def weierstrass(F: LambdaElement) -> InvariantReport:
     """Invariants mu = min coefficient valuation, lambda = first index attaining it.
 
@@ -449,10 +449,14 @@ def weierstrass(F: LambdaElement) -> InvariantReport:
         Q, R = divrem(G, P)
         if R.is_zero_at_precision:
             return InvariantReport(mu, lam, distinguished_part=P, unit_part=Q)
-        # delta = R / Q mod X^lam; Q(0) is a unit since P = X^lam mod p
-        # makes Q(0) = G's lambda-th coefficient mod p
-        inverse = _reciprocal(Q.coeffs[:lam], lam, mod)
-        delta = _mul(R.coeffs, inverse, mod)
+        # delta = R / Q mod X^lam, term by term; Q(0) is a unit since P =
+        # X^lam mod p makes Q(0) = G's lambda-th coefficient mod p
+        q, r = Q.coeffs, R.coeffs + (0,) * lam
+        inv0 = pow(q[0], -1, mod)
+        delta = []
+        for k in range(lam):
+            acc = r[k] - sum(q[j] * delta[k - j] for j in range(1, min(k, len(q) - 1) + 1))
+            delta.append(acc * inv0 % mod)
         lower = [(a + d) % mod for a, d in zip(lower, delta)]
     raise NotDistinguished(
         f"no distinguished part of degree {lam} after {ctx.precision + 1} divisions"

@@ -77,7 +77,7 @@ class PipelineResult(NamedTuple):
     """What the stages through the last one that ran produced; the fields
     of the stages after it are None.  The verdict holds the prediction
     checks, then the theorem checks named "thm:..."; it is empty when no
-    fine characteristic was given."""
+    fine characteristic was given.  thetas hold Y-coefficients."""
     record: dict
     curve: CurveData
     reduction: object
@@ -221,7 +221,7 @@ def run_pipeline(cfg: RunConfig, last_stage: Optional[str] = None) -> PipelineRe
         record["stages"]["theta"] = {
             "levels": sorted(thetas),
             "value_at_zero_vanishes": [
-                not thetas[n].value_at_zero() for n in sorted(thetas)
+                not thetas[n].value_at_one() for n in sorted(thetas)
             ],
         }
 

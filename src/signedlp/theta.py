@@ -4,18 +4,17 @@ Every unit a modulo p^(n+1) factors as omega(a) * gamma^j with gamma = 1+p
 and omega(a) the Teichmueller representative; the theta element at level n
 collects the plus symbols along each gamma-fiber,
 
-    theta_n = sum_j c_j (1+X)^j,   c_j = sum_i [ omega^i gamma^j / p^(n+1) ]^+,
+    theta_n = sum_j c_j Y^j,   Y = 1 + X,   c_j = sum_i [ omega^i gamma^j / p^(n+1) ]^+,
 
-a class in Lambda/(omega_n, p^M).  Its representative of degree below p^n
-is a plain LambdaElement at precision M, and a theta sequence is a dict
-from level to that element; all levels share one context.  Only the trivial tame
-character enters, so only plus symbols are used; minus symbols stay in the
-table for symmetry checks.  The c_j are gathered from the plus numerator
-list of level n+1, one row omega^i gamma^j of the grid at a time, and
-reduced into Z/p^M with one inverse of the unit part of the plus
-denominator.  The change to the monomial basis is a Taylor shift by 1
-(lambda_ring.taylor_shift): divide and conquer with one Kronecker product
-per doubling of the block size.
+an element of Z/p^M[Gamma_n] = Lambda/(omega_n, p^M) (Mazur-Tate, Duke Math.
+J. 54, 1987).  It is held as its Y-coefficients c_j, j < p^n: a plain
+LambdaElement at precision M whose variable is Y, and a theta sequence is
+a dict from level to that element; all levels share one context.  Only the
+trivial tame character enters, so only plus symbols are used; minus symbols
+stay in the table for symmetry checks.  The c_j are gathered from the plus
+numerator list of level n+1, one row omega^i gamma^j of the grid at a time,
+and reduced into Z/p^M with one inverse of the unit part of the plus
+denominator.
 
 The three-term congruence linking consecutive levels is a consequence of
 the Hecke relations; check_compat re-proves it numerically on each run
@@ -28,7 +27,7 @@ from typing import NamedTuple
 
 from .curves import prime_divisors
 from .errors import IncompleteTable, NotAUnit
-from .lambda_ring import IwasawaContext, LambdaElement, divrem, taylor_shift
+from .lambda_ring import IwasawaContext, LambdaElement, fold, taylor_shift
 from .modsym import SymbolTable
 from .padic import residues
 
@@ -66,7 +65,7 @@ def teichmueller_values(p: int, modulus: int) -> list:
 
 def build_theta(table: SymbolTable, n: int, M: int) -> LambdaElement:
     """Theta element at level n, at p-adic precision M, from a table complete
-    through level n+1: its representative of degree below p^n."""
+    through level n+1: its Y-coefficients c_j, j < p^n."""
     p = table.p
     if not table.has_level(n + 1):
         raise IncompleteTable(f"theta at level {n} needs symbols mod {p}^{n+1}")
@@ -79,12 +78,10 @@ def build_theta(table: SymbolTable, n: int, M: int) -> LambdaElement:
     plus = table.levels[n + 1][0]
     rows = [[plus[w * g % modulus] for g in gamma] for w in teichmueller_values(p, modulus)]
     sums = list(map(sum, zip(*rows)))
-    # Each c_j is reduced into Z/p^M once.  The change of basis from
-    # (1+X)^j to X^k is unitriangular over Z, so the monomial coefficients
-    # are p-integral exactly when every c_j is: NotIntegral is raised here
-    # or not at all.
-    coeffs = residues(sums, table.denominators[0], p, M)
-    return LambdaElement(ctx, taylor_shift(coeffs, ctx.modulus))
+    # Each c_j is reduced into Z/p^M once.  The change of basis from Y^j to
+    # X^k is unitriangular over Z, so the X-coefficients are p-integral
+    # exactly when every c_j is: NotIntegral is raised here or not at all.
+    return LambdaElement(ctx, residues(sums, table.denominators[0], p, M))
 
 
 class CompatReport(NamedTuple):
@@ -95,22 +92,27 @@ class CompatReport(NamedTuple):
 
 
 def check_compat(thetas, n: int, a_p: int) -> CompatReport:
-    """Verify theta_n = a_p theta_(n-1) - Phi_(n-1) theta_(n-2) mod omega_(n-1).
-
-    The difference must be exactly divisible by omega_(n-1) at the working
-    p-precision.  Levels 0 and 1 are covered by the Hecke validation of the
-    underlying table instead.
+    """Verify theta_n = a_p theta_(n-1) - Phi_(n-1) theta_(n-2) mod omega_(n-1)
+    on thetas held as Y-coefficients: with m = p^(n-1), omega_(n-1) = Y^m - 1
+    and Phi_(n-1) = sum_{i<p} Y^(i m/p), so the remainder, which must vanish
+    at the working p-precision, is fold(theta_n, m) - a_p fold(theta_(n-1), m)
+    plus fold(theta_(n-2), m/p) tiled p times.  Only a failing remainder is
+    Taylor-shifted, so that index and detail count X-coefficients.  Levels 0
+    and 1 are covered by the Hecke validation of the underlying table instead.
     """
     if n < 2:
         raise ValueError("the three-term congruence starts at level 2")
     ctx = thetas[n].context
-    lhs = thetas[n] - thetas[n - 1].scale(a_p) + ctx.phi(n - 1) * thetas[n - 2]
-    _, R = divrem(lhs, ctx.omega(n - 1))
-    for idx, c in enumerate(R.coeffs):
+    mod, m = ctx.modulus, ctx.prime ** (n - 1)
+    tiled = fold(thetas[n - 2].coeffs, m // ctx.prime) * ctx.prime
+    rem = [a - a_p * b + c for a, b, c in
+           zip(fold(thetas[n].coeffs, m), fold(thetas[n - 1].coeffs, m), tiled)]
+    if not any(c % mod for c in rem):
+        return CompatReport(n, True)
+    for idx, c in enumerate(taylor_shift(rem, mod)):
         if c:
             return CompatReport(
                 n, False,
                 detail=f"coefficient {idx} of the remainder is {c} mod {ctx.prime}^{ctx.precision}",
                 index=idx,
             )
-    return CompatReport(n, True)

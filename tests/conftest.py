@@ -10,6 +10,7 @@ import pytest
 
 from signedlp.curves import Periods, a_ell, an_expansion, ingest_curve
 from signedlp.errors import NonConvergence
+from signedlp.lambda_ring import taylor_shift
 from signedlp.modsym import SymbolTableBuilder, export_table, import_table
 from signedlp.theta import build_theta
 
@@ -98,6 +99,28 @@ def smoothed_l_sum(curve, t):
     return float(np.sum(an_expansion(curve, T)[1:] / n * np.exp(-2 * np.pi * n * t / root)))
 
 
+def omega(ctx, n):
+    """omega_n = (1+X)^(p^n) - 1 = X * prod_{1<=i<=n} Phi_i, in X."""
+    coeffs = [math.comb(ctx.prime**n, k) for k in range(ctx.prime**n + 1)]
+    coeffs[0] -= 1
+    return ctx.element(coeffs)
+
+
+def y_element(F):
+    """F, given in X, as the Y-coefficients of sum a_k (Y - 1)^k, Y = 1 + X.
+
+    With b_k = (-1)^k a_k, sum b_k (1 + Z)^k at Z = -Y is that sum, so the
+    Y-coefficients are the Taylor shift of the b_k with alternating signs."""
+    mod = F.context.modulus
+    shifted = taylor_shift([(-1) ** k * a for k, a in enumerate(F.coeffs)], mod)
+    return F.context.element([(-1) ** j * c for j, c in enumerate(shifted)])
+
+
+def x_element(F):
+    """F, held as Y-coefficients, in X: its full Taylor shift."""
+    return F.context.element(taylor_shift(F.coeffs, F.context.modulus))
+
+
 def omega_signed(ctx, n, parity):
     """X times the product of the Phi_i, 1 <= i <= n, with i of the given parity."""
     out = ctx.x_power(1)
@@ -114,7 +137,7 @@ def mu_lambda_of(pair):
 
 def ideal_to_lambda(ideal, ctx):
     """The generator p^a X^b prod Phi_n^(e_n) of a FactoredIdeal in ctx."""
-    out = ctx.one().scale(ctx.prime**ideal.p_exp)
+    out = ctx.element([ctx.prime**ideal.p_exp])
     if ideal.x_exp:
         out = out * ctx.x_power(ideal.x_exp)
     for n, b in ideal.phi_exps:

@@ -11,7 +11,7 @@ import time
 
 import pytest
 
-from conftest import curve_path, mu_lambda_of, omega_signed, record_acceptance, symbol
+from conftest import curve_path, mu_lambda_of, omega, omega_signed, record_acceptance, symbol
 
 from signedlp.analyzer import compare_predictions, gcd_signed_pair, theorem_consistency
 from signedlp.cli import main
@@ -62,7 +62,7 @@ def test_c01_lambda_ring_suite():
             assert phi.coeffs[0] == p
     cc = IwasawaContext(3, 8)
     lhs = omega_signed(cc, 2, "even") * omega_signed(cc, 2, "odd")
-    rhs = cc.x_power(1) * cc.omega(2)
+    rhs = cc.x_power(1) * omega(cc, 2)
     assert lhs.coeffs == rhs.coeffs
 
     dt = _elapsed(t0)
@@ -132,7 +132,7 @@ def test_c05_theta_vanishing_and_compat(store):
     for label, p, n_max in configs:
         thetas = store.thetas(label, p, n_max)
         for n, th in thetas.items():
-            assert th.value_at_zero() == 0, (label, p, n)
+            assert th.value_at_one() == 0, (label, p, n)
         if n_max >= 2:
             rep = check_compat(thetas, 2, store.ap(label, p))
             assert rep.passed, (label, p, rep.detail)

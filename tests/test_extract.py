@@ -11,7 +11,6 @@ from signedlp.errors import (
 )
 from signedlp.extract import (
     _class_invariants,
-    _parity_product,
     extract_plus_minus,
     extract_sharp_flat,
     fit_matches_pair,
@@ -19,12 +18,20 @@ from signedlp.extract import (
 )
 from signedlp.lambda_ring import IwasawaContext, divrem, weierstrass
 
-from conftest import mu_lambda_of
+from conftest import mu_lambda_of, omega, x_element, y_element
+
+
+def _parity_product(ctx, n):
+    """W(n), the product of Phi_i for 1 <= i < n with i of the parity of n - 1, in X."""
+    out = ctx.element([1])
+    for i in range(n - 1, 0, -2):
+        out = out * ctx.phi(i)
+    return out
 
 
 def _synthetic_thetas(p, M, F_coeffs, n_max=3, alternate=True, scale_mu=None):
-    """theta_n := (+-) W(n) * F mod omega_n for a fixed F, as its
-    representative of degree below p^n."""
+    """theta_n := (+-) W(n) * F mod omega_n for a fixed F given in X, as the
+    Y-coefficients of its representative of degree below p^n."""
     ctx = IwasawaContext(p, M)
     thetas = {}
     for n in range(n_max + 1):
@@ -34,7 +41,7 @@ def _synthetic_thetas(p, M, F_coeffs, n_max=3, alternate=True, scale_mu=None):
         body = _parity_product(ctx, n) * F
         if alternate and (n // 2) % 2 == 1:
             body = -body
-        _, thetas[n] = divrem(body, ctx.omega(n))
+        thetas[n] = y_element(divrem(body, omega(ctx, n))[1])
     return thetas
 
 
@@ -62,9 +69,9 @@ def test_synthetic_remultiplication():
     pair = extract_plus_minus(thetas, a_p=0)
     for comp in pair.components:
         top = max(comp.levels_used)
-        recon = _parity_product(ctx, top) * comp.series
+        recon = _parity_product(ctx, top) * x_element(comp.series)
         sign = -1 if (top // 2) % 2 == 1 else 1
-        diff = recon.scale(sign) - thetas[top]
+        diff = recon.scale(sign) - x_element(thetas[top])
         assert diff.is_zero_at_precision
 
 
@@ -206,9 +213,10 @@ def test_level_three_plus_minus_fully_stabilized(store):
 
 
 def _prepared_in_full_and_truncated(F):
-    """(full, truncated) readings (mu, lambda, distinguished part), and whether
-    the truncated preparation ran on fewer coefficients than F has."""
-    full, (short, _) = weierstrass(F), _class_invariants(F)
+    """(full, truncated) readings (mu, lambda, distinguished part) of F, given
+    in X, and whether the truncated preparation ran on fewer coefficients
+    than F has."""
+    full, (short, _) = weierstrass(F), _class_invariants(y_element(F))
     readings = [(w.mu, w.lam, w.distinguished_part) for w in (full, short)]
     shortened = full.conclusive and short.unit_part.degree() < full.unit_part.degree()
     return readings, shortened
@@ -242,7 +250,7 @@ def test_truncated_preparation_matches_full_on_fixtures(store):
         ap = store.ap(label, p)
         pair = extract_plus_minus(thetas, ap) if ap == 0 else extract_sharp_flat(thetas, ap, p)
         for F in [*thetas.values(), *(c.series for c in pair.components)]:
-            (full, short), cut = _prepared_in_full_and_truncated(F)
+            (full, short), cut = _prepared_in_full_and_truncated(x_element(F))
             assert full == short, (label, p, n_max)
             shortened += cut
     assert shortened >= 4

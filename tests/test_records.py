@@ -14,7 +14,7 @@ def _element():
 
 def _report():
     F = _element()
-    return InvariantReport(0, 2, F, F.context.one())
+    return InvariantReport(0, 2, F, F.context.element([1]))
 
 
 def _series():

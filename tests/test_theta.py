@@ -14,7 +14,7 @@ from signedlp.theta import (
     teichmueller_values,
 )
 
-from conftest import symbol, synthetic_table, table_keys
+from conftest import symbol, synthetic_table, table_keys, x_element
 
 
 def test_decompose_examples():
@@ -76,8 +76,9 @@ def test_build_theta_linearity():
 
 
 def _reference_theta(table, n, M):
-    """Residues of sum_j c_j (1+X)^j expanded exactly over Q, reduced last,
-    up to the degree."""
+    """(Y-coefficients, X-coefficients) of sum_j c_j (1+X)^j: the residues
+    of the c_j, and of its expansion in X exactly over Q, each reduced last
+    and up to the degree."""
     p = table.p
     modulus = p ** (n + 1)
     d = p**n
@@ -96,10 +97,19 @@ def _reference_theta(table, n, M):
         for k in range(len(row), 0, -1):
             nxt[k] = row[k - 1] + (row[k] if k < len(row) else 0)
         row = nxt
-    out = [residues([q.numerator], q.denominator, p, M)[0] for q in monomial]
-    while out and not out[-1]:
-        out.pop()
-    return tuple(out)
+    def reduced(values):
+        out = [residues([q.numerator], q.denominator, p, M)[0] for q in values]
+        while out and not out[-1]:
+            out.pop()
+        return tuple(out)
+
+    return reduced(sums), reduced(monomial)
+
+
+def _theta_in_both_bases(table, n, M):
+    """build_theta's Y-coefficients and their Taylor shift to X."""
+    th = build_theta(table, n, M)
+    return th.coeffs, x_element(th).coeffs
 
 
 def _random_table(rng, p, K):
@@ -130,7 +140,7 @@ def test_build_theta_matches_rational_reference_on_random_tables():
         for _ in range(3):
             table = _random_table(rng, p, K)
             for n in range(K):
-                got = build_theta(table, n, M).coeffs
+                got = _theta_in_both_bases(table, n, M)
                 assert got == _reference_theta(table, n, M), (p, K, n)
 
 
@@ -140,7 +150,7 @@ def test_taylor_shift_matches_rational_reference_at_levels_4_and_5():
     # since the Fraction reference is quadratic in p^n
     table = _random_table(random.Random(2104), 3, 6)
     for n, M in ((4, 1), (4, 30), (5, 8)):
-        got = build_theta(table, n, M).coeffs
+        got = _theta_in_both_bases(table, n, M)
         assert got == _reference_theta(table, n, M), (n, M)
 
 
@@ -148,7 +158,7 @@ def test_build_theta_matches_rational_reference_on_fixtures(store):
     for label, p in (("53a1", 3), ("53a1", 5), ("37a1", 3)):
         table = store.table(label, p, 3)
         for n in range(3):
-            got = build_theta(table, n, 8).coeffs
+            got = _theta_in_both_bases(table, n, 8)
             assert got == _reference_theta(table, n, 8), (label, p, n)
 
 
@@ -173,18 +183,17 @@ def test_theta_vanishes_at_zero_for_rank_one(store):
     for label, p in (("53a1", 3), ("53a1", 5), ("37a1", 3)):
         thetas = store.thetas(label, p, 2)
         for n, th in thetas.items():
-            assert th.value_at_zero() == 0, (label, p, n)
+            assert th.value_at_one() == 0, (label, p, n)
     thetas = store.thetas("37a1", 17, 1)
     for th in thetas.values():
-        assert th.value_at_zero() == 0
+        assert th.value_at_one() == 0
 
 
 def test_x_divides_theta_for_rank_one(store):
     thetas = store.thetas("53a1", 5, 2)
     for n in (1, 2):
-        body = thetas[n]
-        assert body.value_at_zero() == 0
-        w = weierstrass(body)
+        assert thetas[n].value_at_one() == 0
+        w = weierstrass(x_element(thetas[n]))
         assert w.conclusive and w.lam >= 1
 
 
@@ -206,7 +215,7 @@ def test_compat_on_hecke_exact_synthetic_table():
 def test_compat_detects_corruption():
     table = _table_from_plus(3, 3, lambda k, a: {0: 9, 1: 3, 2: -3, 3: -1}[k])
     thetas = {n: build_theta(table, n, 6) for n in range(3)}
-    thetas[2] = thetas[2] + thetas[2].context.one()
+    thetas[2] = thetas[2] + thetas[2].context.element([1])
     rep = check_compat(thetas, 2, a_p=0)
     assert not rep.passed
     assert re.fullmatch(r"coefficient \d+ of the remainder is \d+ mod 3\^6", rep.detail)
