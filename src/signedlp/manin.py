@@ -5,10 +5,10 @@ Cremona, Algorithms for Modular Elliptic Curves, ch. 2; Merel, "Universal
 Fourier expansions of modular forms", 1994:
 
 * the Manin symbols (c:d) in P^1(Z/NZ), modulo the two-term, three-term
-  and star relations of each sign;
+  and star relations of each sign, eliminated over F_P;
 * the eigen-functional phi+- cut out by T_q - a_q for primes q not dividing
   N, with Merel's Heilbronn matrices, adding primes until the kernel is a
-  line;
+  line, lifted from F_P to Q and certified exactly on every point;
 * [a/p^k]+- as phi+-({a/p^k, oo}), a sum over the continued-fraction
   convergents of a/p^k.
 
@@ -148,19 +148,16 @@ class ManinSymbols:
                 for column, sign in zip(columns, signs)]
 
 
-def _quotient(symbols: ManinSymbols, sign: int):
-    """One sign-quotient of the Manin symbols: x + S x = 0, x = sign * star x
-    and x + R x + R^2 x = 0.
+def _quotient(symbols: ManinSymbols, sign: int, P: int):
+    """One sign-quotient of the Manin symbols over F_P: x + S x = 0,
+    x = sign * star x and x + R x + R^2 x = 0.
 
-    Returns (rep, coef, expand, free): point i equals coef[i] times the
-    representative rep[i]; expand(r) writes a representative as a combination
-    {free point: coefficient} of the free ones, the basis of the quotient.
-    The three-term relations are eliminated sparsely, on unit pivots where
-    there is one.  The coefficients are ints, except where a relation with
-    other terms has no unit pivot: there its terms are divided by the
-    pivot's coefficient as Fractions, the one place this module imports
-    fractions.  Of the fixtures, only the minus quotients of 15a1 and
-    5077a1 reach it.
+    Returns (rep, coef, expand, free): point i equals coef[i] (0 or +-1)
+    times the representative rep[i]; expand(r) writes a representative as a
+    combination {free point: coefficient mod P} of the free ones, the basis
+    of the quotient.  The three-term relations are eliminated sparsely, each
+    on its largest representative, with the pivot inverted mod P; a later
+    relation's pivot is substituted back into the expressions that hold it.
     """
     S, star, R = symbols.S, symbols.star, symbols.R
     n = len(symbols.points)
@@ -187,22 +184,17 @@ def _quotient(symbols: ManinSymbols, sign: int):
             w = rel.pop(v)
             for u, t in pivots[v].items():
                 rel[u] = rel.get(u, 0) + w * t
-        rel = {v: w for v, w in rel.items() if w}
+        rel = {v: w % P for v, w in rel.items() if w % P}
         if not rel:
             continue
-        x = min(rel, key=lambda v: (abs(rel[v]) != 1, v))
-        c = rel.pop(x)
-        if c in (1, -1) or not rel:
-            expr = {v: -w * c for v, w in rel.items()}
-        else:
-            from fractions import Fraction  # no unit pivot: the one rational branch
-
-            expr = {v: Fraction(-w, c) for v, w in rel.items()}
+        x = max(rel)
+        inverse = -pow(rel.pop(x), -1, P)
+        expr = {v: w * inverse % P for v, w in rel.items()}
         for y in users.pop(x, ()):
             held = pivots[y]
             w = held.pop(x, 0)
             for u, t in expr.items() if w else ():
-                held[u] = held.get(u, 0) + w * t
+                held[u] = (held.get(u, 0) + w * t) % P
                 if held[u]:
                     users.setdefault(u, set()).add(y)
                 else:
@@ -304,78 +296,77 @@ def _eigen_functional(symbols: ManinSymbols, sign: int, a_of):
     the primes q not dividing N, as exact values on every point, and the
     primes q it took for the kernel of the T_q - a_q to become a line.
 
-    The kernel is found modulo a 31-bit prime, lifted by rational
-    reconstruction (with CRT over further primes if needed), and then proved
-    exact: phi o T_q = a_q phi is re-checked in rational arithmetic, and a
-    kernel of dimension one modulo a prime has dimension at most one over Q.
+    Modulo each 31-bit prime P, one quotient and the rows of T_q - a_q on
+    its free symbols give the kernel, which is written as values mod P on
+    every point; those are lifted by rational reconstruction, with CRT over
+    further primes if needed.  The lift is certified in ints at every point
+    x: x + S x = 0, x = sign star x, x + R x + R^2 x = 0 and
+    phi(T_q x) = a_q phi(x) for each q used.  This is sound whatever the
+    elimination did: the true functional satisfies every one of these rows,
+    by Merel's theorem, and the rows imposed mod P are a subset of the rows
+    checked exactly, so a kernel of dimension one mod P bounds the
+    dimension over Q by one.
     """
-    rep, coef, expand, free = _quotient(symbols, sign)
-    pos = {f: k for k, f in enumerate(free)}
+    points, index = symbols.points, symbols.index
+    S, star, R = symbols.S, symbols.star, symbols.R
 
-    def coordinates(j):
-        """Point j in the free basis: {position in free: coefficient}."""
-        return {pos[u]: coef[j] * t for u, t in expand(rep[j]).items()} if coef[j] else {}
-
-    def column(q, f):
-        """T_q of the free symbol f in the free basis."""
-        c, d = symbols.points[f]
-        col = {}
-        for a, b, cc, dd in _heilbronn(q):
-            for g, t in coordinates(symbols.index(c * a + d * cc, c * b + d * dd)).items():
-                col[g] = col.get(g, 0) + t
-        return col
-
-    hecke = []  # (q, a_q, the columns of T_q)
-
-    def kernel_mod(P):
+    def rows_of(free, coordinates, a_q, matrices):
+        """The rows of T_q - a_q on the free symbols of a quotient."""
         rows = []
-        for _, a_q, cols in hecke:
-            for g, col in enumerate(cols):
-                row = [0] * len(free)
-                for f, t in col.items():
-                    row[f] = t.numerator * pow(t.denominator, -1, P)
-                row[g] -= a_q
-                rows.append(row)
-        return _nullspace_mod(rows, P)
+        for g, f in enumerate(free):
+            c, d = points[f]
+            row = [0] * len(free)
+            row[g] = -a_q
+            for a, b, cc, dd in matrices:
+                for k, t in coordinates[index(c * a + d * cc, c * b + d * dd)].items():
+                    row[k] += t
+            rows.append(row)
+        return rows
 
     primes = (q for q in range(2, _MAX_HECKE_PRIME + 1)
               if symbols.N % q and prime_divisors(q) == [q])
-    kernel = []
-    while len(kernel) != 1:
-        q = next(primes, None)
-        if q is None:
-            raise NonConvergence(
-                f"the T_q - a_q kernel did not become a line by q = {_MAX_HECKE_PRIME}")
-        hecke.append((q, a_of(q), [column(q, f) for f in free]))
-        kernel = kernel_mod(_MODULI[0])
-        if not kernel:
-            raise NonConvergence(f"no eigenvector of T_q with eigenvalue a_q, q <= {q}")
-    j0 = next(j for j, v in enumerate(kernel[0]) if v)
-    residues, modulus = [0] * len(free), 1
+    hecke = []  # (q, a_q, the Heilbronn matrices of q)
+    residues, modulus, j0 = [0] * len(points), 1, None
     for P in _MODULI:
-        if P != _MODULI[0]:
-            kernel = kernel_mod(P)
-            if len(kernel) != 1 or not kernel[0][j0]:
-                continue  # P divides a minor: no information here
-        scale = pow(kernel[0][j0], -1, P)
-        x = [v * scale % P for v in kernel[0]]
-        k = pow(modulus, -1, P)
-        residues = [r + modulus * ((v - r) * k % P) for r, v in zip(residues, x)]
+        rep, coef, expand, free = _quotient(symbols, sign, P)
+        pos = {f: k for k, f in enumerate(free)}
+        # each point in the free basis: {position in free: coefficient}
+        coordinates = [{pos[u]: c * t for u, t in expand(r).items()} if c else {}
+                       for r, c in zip(rep, coef)]
+        rows = [row for _, a_q, m in hecke for row in rows_of(free, coordinates, a_q, m)]
+        kernel = _nullspace_mod(rows, P)
+        while j0 is None and len(kernel) != 1:  # the first P decides the Hecke primes
+            q = next(primes, None)
+            if q is None:
+                raise NonConvergence(
+                    f"the T_q - a_q kernel did not become a line by q = {_MAX_HECKE_PRIME}")
+            hecke.append((q, a_of(q), _heilbronn(q)))
+            rows += rows_of(free, coordinates, *hecke[-1][1:])
+            kernel = _nullspace_mod(rows, P)
+            if not kernel:
+                raise NonConvergence(f"no eigenvector of T_q with eigenvalue a_q, q <= {q}")
+        if len(kernel) != 1:
+            continue  # P divides a minor: no information here
+        x = [sum(t * kernel[0][k] for k, t in point.items()) % P for point in coordinates]
+        j0 = next(j for j, v in enumerate(x) if v) if j0 is None else j0
+        if not x[j0]:
+            continue  # P divides the value at j0: no information here either
+        scale, k = pow(x[j0], -1, P), pow(modulus, -1, P)
+        residues = [r + modulus * ((v * scale - r) * k % P) for r, v in zip(residues, x)]
         modulus *= P
         phi = [_rational(r, modulus) for r in residues]
         if None in phi:
             continue
         den = math.lcm(*(d for _, d in phi))
         phi = [n * (den // d) for n, d in phi]
-        if all(
-            sum(t * phi[f] for f, t in col.items()) == a_q * phi[g]
-            for _, a_q, cols in hecke for g, col in enumerate(cols)
+        # the certificate: every relation and every Hecke row, at every point
+        if all(v + phi[S[i]] == 0 and v == sign * phi[star[i]]
+               and v + phi[R[i]] + phi[R[R[i]]] == 0 for i, v in enumerate(phi)) and all(
+            a_q * phi[i] == sum(phi[index(c * a + d * cc, c * b + d * dd)]
+                                for a, b, cc, dd in matrices)
+            for _, a_q, matrices in hecke for i, (c, d) in enumerate(points)
         ):
-            values = [sum(t * phi[f] for f, t in coordinates(i).items())
-                      for i in range(len(symbols.points))]
-            # ints, or Fractions after a quotient's rational branch
-            den = math.lcm(*(v.denominator for v in values))
-            return [int(v * den) for v in values], [q for q, _, _ in hecke]
+            return phi, [q for q, _, _ in hecke]
     raise NonConvergence("the Hecke eigenvector did not lift to Q")
 
 
@@ -537,8 +528,8 @@ def _ec_mul(k, P, A, ell):
 
 def _limit_denominator(n: int, d: int, bound: int) -> tuple:
     """The closest rational to n/d (d > 0, in lowest terms) with denominator
-    at most bound, as a reduced (num, den): the rule of
-    Fraction.limit_denominator.  The answer is the closer of the best lower
+    at most bound, as a reduced (num, den): the rule of the standard
+    library's limit_denominator.  The answer is the closer of the best lower
     and upper approximations, the last convergent p1/q1 of n/d within the
     bound and the semiconvergent (p0 + k p1)/(q0 + k q1) with the largest k
     that keeps the bound; a tie goes to the convergent."""
@@ -571,7 +562,7 @@ def _recognize(x: float) -> tuple:
 
 
 def _ratio_str(n: int, d: int) -> str:
-    """A reduced (num, den) as str(Fraction) writes it: n, or n/d."""
+    """A reduced (num, den) written as the standard library writes a rational: n, or n/d."""
     return str(n) if d == 1 else f"{n}/{d}"
 
 

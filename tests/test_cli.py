@@ -12,7 +12,7 @@ from signedlp.errors import CompatFailed
 from signedlp.modsym import SymbolTableBuilder, export_table
 from signedlp.pipeline import RunConfig, run_pipeline
 
-from conftest import curve_path
+from conftest import ROOT, curve_path
 
 
 def run_cli(args, capsys):
@@ -308,11 +308,16 @@ def test_report_loads_only_the_modules_it_needs(case, expected, tmp_path, monkey
     assert proc.stdout.split() == expected
 
 
-@pytest.mark.parametrize("label, p", [("11a1", 19), ("53a1", 5)])
-def test_build_and_cache_hit_load_no_fractions_decimal_or_csv(label, p, tmp_path):
+@pytest.mark.parametrize("path, p", [
+    (curve_path("11a1"), 19),
+    (curve_path("53a1"), 5),
+    (os.path.join(ROOT, "tests", "data", "15a1.json"), 7),
+], ids=["11a1-19", "53a1-5", "15a1-7"])
+def test_build_and_cache_hit_load_no_fractions_decimal_or_csv(path, p, tmp_path):
     # one fresh interpreter builds the table, then reads it from the cache;
-    # test_report_loads_only_the_modules_it_needs covers 37a1
-    argv = ["report", "--curve", curve_path(label), "--p", str(p), "--level", "1",
+    # test_report_loads_only_the_modules_it_needs covers 37a1.  The minus
+    # quotient of 15a1 has a three-term relation with no unit coefficient
+    argv = ["report", "--curve", path, "--p", str(p), "--level", "1",
             "--out", str(tmp_path / "report.json")]
     env = {**os.environ, "SIGNEDLP_CACHE_DIR": str(tmp_path / "cache")}
     code = (

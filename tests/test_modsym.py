@@ -526,15 +526,17 @@ def test_symbol_walk_matches_reference_walk(N, sign):
     # a random functional on the sign-quotient, walked at every residue
     # (units or not, a and m - a) for prime and composite m, where q_j mod N
     # leaves and re-enters the units; a second functional rides in the
-    # packed slots
+    # packed slots.  The functional is built on the quotient mod P and its
+    # values centred; S and star symmetry stay exact, as coef is +-1 on each
+    # orbit
     rng = random.Random(N * sign)
     symbols = manin.ManinSymbols(N)
-    rep, coef, expand, free = manin._quotient(symbols, sign)
+    P = manin._MODULI[0]
+    rep, coef, expand, free = manin._quotient(symbols, sign, P)
     phi = {f: rng.randrange(-50, 50) for f in free}
-    values = [coef[i] * sum(t * phi[u] for u, t in expand(rep[i]).items()) if coef[i] else 0
+    values = [coef[i] * sum(t * phi[u] for u, t in expand(rep[i]).items()) % P if coef[i] else 0
               for i in range(len(symbols.points))]
-    den = math.lcm(*(Fraction(v).denominator for v in values))
-    values = [int(v * den) for v in values]
+    values = [v - P if 2 * v > P else v for v in values]
     for m in (1, 9, 49, 97, 1000, 3**7):
         want = [_reference_walk(symbols, values, a, m) for a in range(m)]
         assert symbols.to_infinity([(values, sign)], range(m), m) == [want]
@@ -567,17 +569,36 @@ def test_scale_that_is_no_rational_is_refused(store, monkeypatch):
         SymbolTableBuilder(store.curve("53a1"), 5).build(1)
 
 
+def test_lift_that_breaks_a_relation_is_refused(store, monkeypatch):
+    # the first value reconstructed at each modulus comes out one too large:
+    # the exact certificate must refuse every lift
+    rational = manin._rational
+    seen = set()
+
+    def off_by_one(x, M):
+        r = rational(x, M)
+        if r is None or M in seen:
+            return r
+        seen.add(M)
+        return r[0] + r[1], r[1]
+
+    monkeypatch.setattr(manin, "_rational", off_by_one)
+    with pytest.raises(NonConvergence, match="did not lift to Q"):
+        SymbolTableBuilder(store.curve("37a1"), 3).build(1)
+
+
 @pytest.mark.extended
 def test_eigen_functional_lifts_by_crt(monkeypatch):
-    # with moduli near 100 one prime cannot reconstruct the 5077a1 functional:
-    # the lift goes through CRT over two and must give the same table
+    # with moduli near 60 one prime cannot reconstruct the values of the
+    # 5077a1 functional on the points: the lift goes through CRT over two
+    # and must give the same table
     curve, frozen = _frozen("5077a1", 3)
-    monkeypatch.setattr(manin, "_MODULI", (101, 103, 107, 109))
+    monkeypatch.setattr(manin, "_MODULI", (53, 59, 61, 67))
     lifted = []
     rational = manin._rational
     monkeypatch.setattr(
         manin, "_rational", lambda x, M: lifted.append(M) or rational(x, M))
     table = SymbolTableBuilder(curve, 3).build(2)
-    assert 101 * 103 in lifted
+    assert 53 * 59 in lifted
     rows = exported(table).splitlines()
     assert rows == exported(frozen).splitlines()[: len(rows)]

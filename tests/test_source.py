@@ -67,11 +67,18 @@ def test_no_module_imports_numpy():
 @pytest.mark.parametrize("module", ["fractions", "decimal", "csv", "argparse"])
 def test_no_module_imports_on_import(module):
     # a report builds and prints on ints and JSON: fractions (which loads
-    # decimal) only where a quotient needs a rational, csv only for CSV input
-    # or output, argparse (which loads gettext and locale) only for help and
+    # decimal) only to render Hecke violations, csv only for CSV input or
+    # output, argparse (which loads gettext and locale) only for help and
     # usage errors, each imported inside the function that needs it
     found = _imports_of(module, _run_on_import)
     assert not found, f"{module} imported when package source is imported: {found}"
+
+
+def test_only_modsym_imports_fractions():
+    # a table builds and reads on ints; only modsym.validate_hecke renders
+    # its violations as fractions
+    found = [site for site in _imports_of("fractions") if not site.startswith("modsym.py:")]
+    assert not found, f"fractions imported outside modsym.py: {found}"
 
 
 def _referenced_names(trees, attributes_only=False):
