@@ -1,9 +1,10 @@
 """Elliptic curve data: ingestion, local coefficients, reduction types, periods.
 
-Standard library only.  Points are counted exhaustively at every prime,
-good or bad, against a bytearray of the squares mod ell; the q-expansion is
-a list computed once per curve and grown in place, its prime coefficients
-from a counter argument (the table build passes a Shanks-Mestre one).
+Standard library only.  One point counter serves every good prime and
+chooses its algorithm by ell: below _BSGS_MIN_ELL, and at bad primes, points
+are counted exhaustively against a bytearray of the squares mod ell; from
+there on Shanks-Mestre decides, with the exhaustive count as its fallback.
+The q-expansion is a list computed once per curve and grown in place.
 Periods of the real lattice are float64: Carlson's R_F by duplication on
 the roots of the cubic, cross-checked in the tests against a 40-digit
 reference and against direct numerical integration.
@@ -138,10 +139,17 @@ def curve_from_dict(raw: dict) -> CurveData:
 
 
 def a_ell(curve: CurveData, ell: int) -> int:
-    """ell + 1 - #E(F_ell) for good primes, by exhaustive count."""
+    """ell + 1 - #E(F_ell) for good primes.  From _BSGS_MIN_ELL on, the one
+    candidate that hasse_candidates leaves; below that, or when several
+    remain, the exhaustive count.  Either answer is proved: the true a_ell
+    is in every candidate set."""
     if curve.conductor % ell == 0:
         raise BadReduction(f"{ell} divides the conductor {curve.conductor}")
-    a = _a2_direct(curve) if ell == 2 else _a_ell_naive(curve, ell)
+    if ell == 2:
+        a = _a2_direct(curve)
+    else:
+        candidates = hasse_candidates(curve, ell) if ell >= _BSGS_MIN_ELL else ()
+        a = candidates.pop() if len(candidates) == 1 else _a_ell_naive(curve, ell)
     if a * a > 4 * ell:
         raise BadReduction(f"Hasse bound violated at {ell}: a = {a}")
     return a
@@ -182,6 +190,115 @@ def _a2_direct(curve: CurveData) -> int:
             if (lhs - rhs) % 2 == 0:
                 count += 1
     return 2 + 1 - count
+
+
+# From this prime on, a_ell counts points by baby-step giant-step (about
+# ell^(1/4) group operations) instead of the O(ell) exhaustive count: the
+# scale cycles of a table build expand to 6.3 N terms, every prime below
+# 32,000 at N = 5077.
+_BSGS_MIN_ELL = 1000
+# Points tried before the exhaustive count decides.  Of the 53,448 good primes
+# of 11a1, 37a1 and 53a1 in [10^3, 2*10^5], one point leaves several
+# candidates at 867 and two points at 7 (tests/test_modsym.py FALLBACK).
+_BSGS_POINTS = 2
+
+
+def hasse_candidates(curve: CurveData, ell: int) -> set:
+    """The values a, a^2 <= 4 ell, that _BSGS_POINTS points allow for a_ell.
+
+    Shanks-Mestre (Cohen, A Course in Computational Algebraic Number Theory,
+    7.4): on the short model y^2 = x^3 + A x + B, A = -27 c4, B = -54 c6,
+    any x0 with f(x0) = d != 0 gives the point (d x0, d^2) on the twist
+    y^2 = x^3 + A d^2 x + B d^3, which is E when d is a square mod ell and
+    its quadratic twist (trace -a_ell) when not, so no square root is
+    needed and both twists get sampled.  The true a_ell is in every set,
+    so the intersection never loses it.  Needs a good prime ell >= 5.
+    """
+    c4, c6 = curve.c_invariants
+    A, B = -27 * c4 % ell, -54 * c6 % ell
+    bound = math.isqrt(4 * ell)
+    found = None
+    x0 = 0
+    for _ in range(_BSGS_POINTS):
+        while (d := (x0 * x0 * x0 + A * x0 + B) % ell) == 0:
+            x0 += 1
+        twist = 1 if pow(d, (ell - 1) // 2, ell) == 1 else -1
+        point = (d * x0 % ell, d * d % ell)
+        killing = _traces_killing(point, A * d * d % ell, ell, bound)
+        traces = {twist * a for a in killing}
+        found = traces if found is None else found & traces
+        if len(found) == 1:
+            break
+        x0 += 1
+    return found
+
+
+def _traces_killing(P, A, ell, bound):
+    """Every a with |a| <= bound and [ell + 1 - a]P = O, by baby-step giant-step.
+
+    Baby steps store x([j]P) for 1 <= j <= m; giant steps walk
+    G_i = [ell + 1]P - [i s]P with s = 2m + 1 and match G_i = [r]P,
+    |r| <= m (the sign of r read off y), so a = i s + r.
+    """
+    m = math.isqrt(bound) + 1
+    baby = {}
+    R = P
+    for j in range(1, m + 1):
+        if R is None or R[0] in baby:
+            # ord(P) = j, or [j]P = -[j']P: too small for giant steps
+            n = j if R is None else j + baby[R[0]][0]
+            return [a for a in range(-bound, bound + 1) if (ell + 1 - a) % n == 0]
+        baby[R[0]] = (j, R[1])
+        last = R
+        R = _ec_add(R, P, A, ell)
+    s = 2 * m + 1
+    step = _ec_add(R, last, A, ell)  # [m + 1]P + [m]P
+    i_lo = -((bound + m) // s)
+    G = _ec_add(_ec_mul(ell + 1, P, A, ell), _ec_mul(-i_lo, step, A, ell), A, ell)
+    back = None if step is None else (step[0], -step[1] % ell)
+    out = []
+    for i in range(i_lo, -i_lo + 1):
+        if G is None:
+            r = 0
+        elif G[0] in baby:
+            j, y = baby[G[0]]
+            r = j if y == G[1] else -j
+        else:
+            r = None
+        if r is not None and abs(i * s + r) <= bound:
+            out.append(i * s + r)
+        G = _ec_add(G, back, A, ell)
+    return out
+
+
+def _ec_add(P, Q, A, ell):
+    """P + Q on y^2 = x^3 + A x + B over F_ell, affine; None is the origin."""
+    if P is None:
+        return Q
+    if Q is None:
+        return P
+    x1, y1 = P
+    x2, y2 = Q
+    if x1 == x2:
+        if (y1 + y2) % ell == 0:
+            return None
+        slope = (3 * x1 * x1 + A) * pow(2 * y1, -1, ell) % ell
+    else:
+        slope = (y2 - y1) * pow(x2 - x1, -1, ell) % ell
+    x3 = (slope * slope - x1 - x2) % ell
+    return x3, (slope * (x1 - x3) - y1) % ell
+
+
+def _ec_mul(k, P, A, ell):
+    """[k]P for k >= 0 by double-and-add."""
+    R = None
+    while k:
+        if k & 1:
+            R = _ec_add(R, P, A, ell)
+        k >>= 1
+        if k:
+            P = _ec_add(P, P, A, ell)
+    return R
 
 
 def a_bad_prime(curve: CurveData, p: int) -> int:
@@ -308,25 +425,24 @@ def is_odd_prime(n: int) -> bool:
 _EXPANSIONS: dict = {}
 
 
-def an_expansion(curve: CurveData, n_max: int, count=None) -> list:
+def an_expansion(curve: CurveData, n_max: int) -> list:
     """Coefficients a_1..a_n_max via multiplicativity and Hecke recursion.
 
     Index 0 of the returned list is unused (kept 0) so that out[n] = a_n.
     The list is a copy of a per-curve expansion that is computed once and
     extended past its end when a larger n_max is asked for.  The good
-    primes it adds take a_q from count(curve, q), a_ell by default; the bad
-    ones from a_bad_prime.
+    primes it adds take a_q from a_ell, the bad ones from a_bad_prime.
     """
     if n_max < 1:
         raise ValueError("n_max must be at least 1")
     key = (curve.a_invariants, curve.conductor)
     an = _EXPANSIONS.get(key)
     if an is None or len(an) <= n_max:
-        an = _EXPANSIONS[key] = _extend_expansion(curve, an, n_max, count or a_ell)
+        an = _EXPANSIONS[key] = _extend_expansion(curve, an, n_max)
     return an[: n_max + 1]
 
 
-def _extend_expansion(curve: CurveData, known, n_max: int, count) -> list:
+def _extend_expansion(curve: CurveData, known, n_max: int) -> list:
     """a_0..a_n_max, reusing the prefix `known` (None for a fresh start)."""
     out = [0, 1] if known is None else list(known)
     lo = len(out)
@@ -334,7 +450,7 @@ def _extend_expansion(curve: CurveData, known, n_max: int, count) -> list:
     spf = _smallest_prime_factors(n_max)
     for q in range(lo, n_max + 1):
         if spf[q] == q:
-            out[q] = a_bad_prime(curve, q) if curve.conductor % q == 0 else count(curve, q)
+            out[q] = a_bad_prime(curve, q) if curve.conductor % q == 0 else a_ell(curve, q)
     # a_(q^k) = a_q a_(q^(k-1)) - q a_(q^(k-2)), without the q term at bad q
     for q in _primes_in(spf[: math.isqrt(n_max) + 1]):
         weight = q if curve.conductor % q else 0

@@ -226,7 +226,6 @@ def extract_sharp_flat(thetas, a_p: int, p: int) -> SignedPair:
 
 
 class FitResult(NamedTuple):
-    parity: str            # "even" | "odd"
     mu_star: Optional[int]
     lambda_star: Optional[int]
     levels: tuple
@@ -254,8 +253,8 @@ def invariant_fit(thetas) -> dict:
                 continue
             points.append((n, mu, lam - _accumulated_degree(p, n)))
         if not points:
-            out[name] = FitResult(name, INCONCLUSIVE, INCONCLUSIVE,
-                                  tuple(levels), False, "no conclusive levels")
+            out[name] = FitResult(INCONCLUSIVE, INCONCLUSIVE, tuple(levels), False,
+                                  "no conclusive levels")
             continue
         mus = {m for _, m, _ in points}
         lams = {l for _, _, l in points}
@@ -265,7 +264,7 @@ def invariant_fit(thetas) -> dict:
                 f"lambda* candidates {sorted(lams)}"
             )
         out[name] = FitResult(
-            name, mus.pop(), lams.pop(),
+            mus.pop(), lams.pop(),
             tuple(n for n, _, _ in points),
             stabilized=len(points) >= 2,
         )

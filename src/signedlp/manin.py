@@ -15,8 +15,8 @@ Fourier expansions of modular forms", 1994:
 The only numerics fix one rational scale per sign: the float64 period of
 one closed cycle {0, gamma 0}, divided by Omega_plus or nu, is recognized as
 a rational of denominator at most 10^4 and confirmed on a second cycle.
-The q-expansion behind those periods takes its prime coefficients from
-Shanks-Mestre point counting.
+The q-expansion behind those periods, and every a_q of a Hecke row, comes
+from curves.a_ell, the one point counter.
 
 Standard library only, in Python ints.  modsym.SymbolTableBuilder imports
 this module when it builds, so a report that reads its table from a file
@@ -291,7 +291,7 @@ def _rational(x: int, M: int):
     return _reduced(r1, s1)
 
 
-def _eigen_functional(symbols: ManinSymbols, sign: int, a_of):
+def _eigen_functional(curve: CurveData, symbols: ManinSymbols, sign: int):
     """The functional phi on one sign-quotient with phi o T_q = a_q phi for
     the primes q not dividing N, as exact values on every point, and the
     primes q it took for the kernel of the T_q - a_q to become a line.
@@ -340,7 +340,7 @@ def _eigen_functional(symbols: ManinSymbols, sign: int, a_of):
             if q is None:
                 raise NonConvergence(
                     f"the T_q - a_q kernel did not become a line by q = {_MAX_HECKE_PRIME}")
-            hecke.append((q, a_of(q), _heilbronn(q)))
+            hecke.append((q, a_ell(curve, q), _heilbronn(q)))
             rows += rows_of(free, coordinates, *hecke[-1][1:])
             kernel = _nullspace_mod(rows, P)
             if not kernel:
@@ -397,133 +397,12 @@ def _cycle_period(curve: CurveData, a: int, c: int, d: int) -> complex:
     summed exactly.  Both ends have height 1/c; 6.3 c terms leave a tail
     below e^-39."""
     T = math.ceil(6.3 * c)
-    an = an_expansion(curve, T, _a_ell)
+    an = an_expansion(curve, T)
     turn = 2j * math.pi / c
     root = [cmath.exp(turn * k) for k in range(c)]
     terms = [an[n] / n * math.exp(-2 * math.pi * n / c) * (root[n * a % c] - root[-n * d % c])
              for n in range(1, T + 1) if an[n]]
     return complex(math.fsum(z.real for z in terms), math.fsum(z.imag for z in terms))
-
-
-# From this prime on, the build counts points by baby-step giant-step (about
-# ell^(1/4) group operations) instead of the O(ell) count of curves.a_ell.
-_BSGS_MIN_ELL = 1000
-# Points tried before the exhaustive count decides.  Of the 53,448 good primes
-# of 11a1, 37a1 and 53a1 in [10^3, 2*10^5], one point leaves several
-# candidates at 867 and two points at 7 (tests/test_modsym.py FALLBACK).
-_BSGS_POINTS = 2
-
-
-def _a_ell(curve: CurveData, ell: int) -> int:
-    """ell + 1 - #E~(F_ell) at a good prime, for the long q-expansions of the
-    scale cycles: at c = N one expands to 6.3 N terms, so at N = 5077 it
-    counts every prime below 32,000.  From _BSGS_MIN_ELL on, the value is the
-    one candidate that hasse_candidates leaves; below that, or when several
-    remain, it is the exhaustive count of curves.a_ell.  Either answer is
-    proved: the true a_ell is in every candidate set."""
-    if ell >= _BSGS_MIN_ELL:
-        candidates = hasse_candidates(curve, ell)
-        if len(candidates) == 1:
-            return candidates.pop()
-    return a_ell(curve, ell)
-
-
-def hasse_candidates(curve: CurveData, ell: int) -> set:
-    """The values a, a^2 <= 4 ell, that _BSGS_POINTS points allow for a_ell.
-
-    Shanks-Mestre (Cohen, A Course in Computational Algebraic Number Theory,
-    7.4): on the short model y^2 = x^3 + A x + B, A = -27 c4, B = -54 c6,
-    any x0 with f(x0) = d != 0 gives the point (d x0, d^2) on the twist
-    y^2 = x^3 + A d^2 x + B d^3, which is E when d is a square mod ell and
-    its quadratic twist (trace -a_ell) when not, so no square root is
-    needed and both twists get sampled.  The true a_ell is in every set,
-    so the intersection never loses it.  Needs a good prime ell >= 5.
-    """
-    c4, c6 = curve.c_invariants
-    A, B = -27 * c4 % ell, -54 * c6 % ell
-    bound = math.isqrt(4 * ell)
-    found = None
-    x0 = 0
-    for _ in range(_BSGS_POINTS):
-        while (d := (x0 * x0 * x0 + A * x0 + B) % ell) == 0:
-            x0 += 1
-        twist = 1 if pow(d, (ell - 1) // 2, ell) == 1 else -1
-        point = (d * x0 % ell, d * d % ell)
-        killing = _traces_killing(point, A * d * d % ell, ell, bound)
-        traces = {twist * a for a in killing}
-        found = traces if found is None else found & traces
-        if len(found) == 1:
-            break
-        x0 += 1
-    return found
-
-
-def _traces_killing(P, A, ell, bound):
-    """Every a with |a| <= bound and [ell + 1 - a]P = O, by baby-step giant-step.
-
-    Baby steps store x([j]P) for 1 <= j <= m; giant steps walk
-    G_i = [ell + 1]P - [i s]P with s = 2m + 1 and match G_i = [r]P,
-    |r| <= m (the sign of r read off y), so a = i s + r.
-    """
-    m = math.isqrt(bound) + 1
-    baby = {}
-    R = P
-    for j in range(1, m + 1):
-        if R is None or R[0] in baby:
-            # ord(P) = j, or [j]P = -[j']P: too small for giant steps
-            n = j if R is None else j + baby[R[0]][0]
-            return [a for a in range(-bound, bound + 1) if (ell + 1 - a) % n == 0]
-        baby[R[0]] = (j, R[1])
-        last = R
-        R = _ec_add(R, P, A, ell)
-    s = 2 * m + 1
-    step = _ec_add(R, last, A, ell)  # [m + 1]P + [m]P
-    i_lo = -((bound + m) // s)
-    G = _ec_add(_ec_mul(ell + 1, P, A, ell), _ec_mul(-i_lo, step, A, ell), A, ell)
-    back = None if step is None else (step[0], -step[1] % ell)
-    out = []
-    for i in range(i_lo, -i_lo + 1):
-        if G is None:
-            r = 0
-        elif G[0] in baby:
-            j, y = baby[G[0]]
-            r = j if y == G[1] else -j
-        else:
-            r = None
-        if r is not None and abs(i * s + r) <= bound:
-            out.append(i * s + r)
-        G = _ec_add(G, back, A, ell)
-    return out
-
-
-def _ec_add(P, Q, A, ell):
-    """P + Q on y^2 = x^3 + A x + B over F_ell, affine; None is the origin."""
-    if P is None:
-        return Q
-    if Q is None:
-        return P
-    x1, y1 = P
-    x2, y2 = Q
-    if x1 == x2:
-        if (y1 + y2) % ell == 0:
-            return None
-        slope = (3 * x1 * x1 + A) * pow(2 * y1, -1, ell) % ell
-    else:
-        slope = (y2 - y1) * pow(x2 - x1, -1, ell) % ell
-    x3 = (slope * slope - x1 - x2) % ell
-    return x3, (slope * (x1 - x3) - y1) % ell
-
-
-def _ec_mul(k, P, A, ell):
-    """[k]P for k >= 0 by double-and-add."""
-    R = None
-    while k:
-        if k & 1:
-            R = _ec_add(R, P, A, ell)
-        k >>= 1
-        if k:
-            P = _ec_add(P, P, A, ell)
-    return R
 
 
 def _limit_denominator(n: int, d: int, bound: int) -> tuple:

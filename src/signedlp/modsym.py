@@ -24,7 +24,7 @@ from __future__ import annotations
 import math
 from typing import NamedTuple
 
-from .curves import CurveData, a_ell, is_odd_prime, periods
+from .curves import CurveData, is_odd_prime, periods
 from .errors import ContextMismatch, IncompleteTable, ParseError
 
 
@@ -98,7 +98,7 @@ class SymbolTableBuilder:
         )
         meta, functionals, scales = {}, [], []
         for name, part, omega, sign in parts:
-            phi, primes = manin._eigen_functional(symbols, sign, lambda q: a_ell(curve, q))
+            phi, primes = manin._eigen_functional(curve, symbols, sign)
             scale, cert = manin._fix_scale(curve, symbols, (phi, sign), part, omega)
             meta[name] = {"hecke_primes": primes, **cert}
             functionals.append((phi, sign))

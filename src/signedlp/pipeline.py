@@ -80,7 +80,6 @@ class PipelineResult(NamedTuple):
     fine characteristic was given.  thetas hold Y-coefficients."""
     record: dict
     curve: CurveData
-    reduction: object
     table: SymbolTable
     thetas: Optional[dict] = None
     compat: Optional[list] = None
@@ -211,7 +210,7 @@ def run_pipeline(cfg: RunConfig, last_stage: Optional[str] = None) -> PipelineRe
         if not hecke.passed:
             raise SignedLPError(str(hecke))
         if last_stage == "validate_hecke":
-            return PipelineResult(record, curve, red, table)
+            return PipelineResult(record, curve, table)
 
         stage = "theta"
         thetas = {
@@ -236,7 +235,7 @@ def run_pipeline(cfg: RunConfig, last_stage: Optional[str] = None) -> PipelineRe
                 )
         record["stages"]["compat"] = {"levels": [c.level for c in compat]}
         if last_stage == "compat":
-            return PipelineResult(record, curve, red, table, thetas, compat)
+            return PipelineResult(record, curve, table, thetas, compat)
 
         stage = "extract"
         if not red.is_supersingular:
@@ -293,7 +292,7 @@ def run_pipeline(cfg: RunConfig, last_stage: Optional[str] = None) -> PipelineRe
             }
             for c in theorem.checks:
                 verdict.add(f"thm:{c.name}", c.status, c.detail)
-        return PipelineResult(record, curve, red, table, thetas, compat, pair, gcd, verdict)
+        return PipelineResult(record, curve, table, thetas, compat, pair, gcd, verdict)
     except SignedLPError as exc:
         exc.stage = stage
         raise

@@ -5,7 +5,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from signedlp import curves, manin
+from signedlp import curves
 from signedlp.curves import (
     a_bad_prime,
     a_ell,
@@ -146,11 +146,11 @@ def _short_model_count(curve, ell):
 
 @pytest.mark.parametrize("label", FIXTURES)
 def test_a_ell_matches_naive_count_below_20000(store, label):
-    # against the Shanks-Mestre count of the table builds, which takes over
-    # from curves.a_ell at manin._BSGS_MIN_ELL
+    # a_ell counts exhaustively below curves._BSGS_MIN_ELL and by
+    # Shanks-Mestre from there on: both against the exhaustive count
     c = store.curve(label)
     for ell in _good_primes(c, 5, 20000):
-        assert a_ell(c, ell) == manin._a_ell(c, ell), ell
+        assert a_ell(c, ell) == curves._a_ell_naive(c, ell), ell
 
 
 @pytest.mark.parametrize("label", FIXTURES)
@@ -172,9 +172,8 @@ def _reference_smallest_prime_factors(n):
     return spf
 
 
-def _reference_an_expansion(curve, n_max, count=a_ell):
-    """The per-n recursion the vectorized fill replaced, kept verbatim but
-    for the prime coefficients, which count(curve, q) gives."""
+def _reference_an_expansion(curve, n_max):
+    """The per-n recursion the vectorized fill replaced, kept verbatim."""
     out = np.zeros(n_max + 1, dtype=np.int64)
     out[1] = 1
     spf = _reference_smallest_prime_factors(n_max)
@@ -187,7 +186,7 @@ def _reference_an_expansion(curve, n_max, count=a_ell):
         if curve.conductor % p == 0:
             val = a_bad_prime(curve, p) ** k
         else:
-            ap = int(count(curve, p))
+            ap = int(a_ell(curve, p))
             a_prev, a_cur = 1, ap
             for _ in range(k - 1):
                 a_prev, a_cur = a_cur, ap * a_cur - p * a_prev
@@ -205,10 +204,9 @@ def _reference_an_expansion(curve, n_max, count=a_ell):
     return out
 
 
-def _check_fresh_expansion(curve, n, monkeypatch, count=a_ell):
+def _check_fresh_expansion(curve, n, monkeypatch):
     monkeypatch.setattr(curves, "_EXPANSIONS", {})
-    assert np.array_equal(an_expansion(curve, n, count),
-                          _reference_an_expansion(curve, n, count))
+    assert np.array_equal(an_expansion(curve, n), _reference_an_expansion(curve, n))
     assert np.array_equal(
         curves._smallest_prime_factors(n)[2:], _reference_smallest_prime_factors(n)[2:]
     )
@@ -222,21 +220,20 @@ def test_an_expansion_matches_per_n_recursion(store, label, monkeypatch):
 
 def test_an_expansion_matches_per_n_recursion_to_30030(store, monkeypatch):
     # 30030 = 2*3*5*7*11*13: the fill meets every count of distinct prime
-    # factors up to six.  Both sides take their prime coefficients from the
-    # build's count: this checks the fill, the sweeps above the counter.
-    _check_fresh_expansion(store.curve("37a1"), 30030, monkeypatch, manin._a_ell)
+    # factors up to six.  Both sides take their prime coefficients from
+    # a_ell: this checks the fill, the sweeps above the counter.
+    _check_fresh_expansion(store.curve("37a1"), 30030, monkeypatch)
 
 
 def test_an_expansion_extends_in_place(store, monkeypatch):
     c = store.curve("53a1")
     monkeypatch.setattr(curves, "_EXPANSIONS", {})
-    count = manin._a_ell    # the extension is under test, not the counter
-    small = an_expansion(c, 100, count)
-    grown = an_expansion(c, 30011, count)    # a prime end, past a prime power
+    small = an_expansion(c, 100)
+    grown = an_expansion(c, 30011)    # a prime end, past a prime power
     assert len(small) == 101 and len(grown) == 30012
     assert np.array_equal(an_expansion(c, 5000), grown[:5001])
     monkeypatch.setattr(curves, "_EXPANSIONS", {})
-    assert np.array_equal(grown, an_expansion(c, 30011, count))
+    assert np.array_equal(grown, an_expansion(c, 30011))
     grown[1] = 0    # a copy: the stored expansion keeps a_1 = 1
     assert an_expansion(c, 30011)[1] == 1
 

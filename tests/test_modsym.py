@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import math
 import os
 import random
@@ -8,10 +9,11 @@ import mpmath
 import numpy as np
 import pytest
 
-from signedlp import manin
+from signedlp import curves, manin
 from signedlp.curves import (
     a_ell,
     an_expansion,
+    curve_from_dict,
     ingest_curve,
     periods,
     prime_divisors,
@@ -427,7 +429,7 @@ def test_5077a1_p3_through_level_6():
 
 
 # every prime in [10^3, 2*10^5] (below 32,000 for 5077a1) where the points
-# that manin.hasse_candidates tries leave several candidates for a_ell
+# that curves.hasse_candidates tries leave several candidates for a_ell
 FALLBACK = {
     "11a1": (22511, 24691, 107999),
     "37a1": (1307, 1433, 3709),
@@ -438,21 +440,22 @@ FALLBACK = {
 
 @pytest.mark.parametrize("label", ["11a1", "37a1", "53a1", "5077a1"])
 def test_vectorized_count_matches_a_ell(store, label, monkeypatch):
-    # the build's counter against the exhaustive count of curves.a_ell at
-    # every good prime below 2000 and at the FALLBACK primes, where its
-    # Shanks-Mestre step leaves several candidates and hands the prime to
-    # that count, as it does every prime below _BSGS_MIN_ELL
+    # a_ell against the exhaustive count at every odd good prime below 2000
+    # and at the FALLBACK primes, where its Shanks-Mestre step leaves several
+    # candidates and hands the prime to that count, as it does every prime
+    # below _BSGS_MIN_ELL
     curve = _frozen(label, 3)[0] if label == "5077a1" else store.curve(label)
+    naive = curves._a_ell_naive
     counted = []
-    monkeypatch.setattr(manin, "a_ell", lambda c, q: counted.append(q) or a_ell(c, q))
-    primes = [q for q in range(2, 2000) if curve.conductor % q and prime_divisors(q) == [q]]
+    monkeypatch.setattr(curves, "_a_ell_naive", lambda c, q: counted.append(q) or naive(c, q))
+    primes = [q for q in range(3, 2000) if curve.conductor % q and prime_divisors(q) == [q]]
     primes += FALLBACK[label]
     for q in primes:
-        assert manin._a_ell(curve, q) == a_ell(curve, q), q
+        assert a_ell(curve, q) == naive(curve, q), q
     assert counted == [q for q in primes
-                       if q < manin._BSGS_MIN_ELL or q in FALLBACK[label]]
+                       if q < curves._BSGS_MIN_ELL or q in FALLBACK[label]]
     for q in FALLBACK[label]:
-        candidates = manin.hasse_candidates(curve, q)
+        candidates = curves.hasse_candidates(curve, q)
         assert len(candidates) > 1 and a_ell(curve, q) in candidates
 
 
@@ -585,6 +588,56 @@ def test_lift_that_breaks_a_relation_is_refused(store, monkeypatch):
     monkeypatch.setattr(manin, "_rational", off_by_one)
     with pytest.raises(NonConvergence, match="did not lift to Q"):
         SymbolTableBuilder(store.curve("37a1"), 3).build(1)
+
+
+def _certificate_rows(curve, symbols, phi, sign, primes):
+    """Whether phi keeps, at every point, (the two- and three-term
+    relations, the star relation of the sign, every T_q - a_q row)."""
+    S, star, R, index = symbols.S, symbols.star, symbols.R, symbols.index
+    return (
+        all(v + phi[S[i]] == 0 and v + phi[R[i]] + phi[R[R[i]]] == 0
+            for i, v in enumerate(phi)),
+        all(v == sign * phi[star[i]] for i, v in enumerate(phi)),
+        all(a_ell(curve, q) * phi[i] == sum(phi[index(c * a + d * cc, c * b + d * dd)]
+                                            for a, b, cc, dd in manin._heilbronn(q))
+            for q in primes for i, (c, d) in enumerate(symbols.points)),
+    )
+
+
+def _offer(monkeypatch, phi):
+    """Every lift of manin._eigen_functional reads phi: _rational is called
+    once per point, in order, at each modulus."""
+    lifts = itertools.cycle([(v, 1) for v in phi])
+    monkeypatch.setattr(manin, "_rational", lambda x, M: next(lifts))
+
+
+def test_lift_of_the_other_sign_is_refused(store, monkeypatch):
+    # 37a1's sign -1 functional on the sign +1 quotient keeps every Hecke row
+    # and the two- and three-term relations: only the star relation refuses it
+    curve = store.curve("37a1")
+    symbols = manin.ManinSymbols(37)
+    minus, _ = manin._eigen_functional(curve, symbols, -1)
+    _, primes = manin._eigen_functional(curve, symbols, 1)
+    assert _certificate_rows(curve, symbols, minus, 1, primes) == (True, False, True)
+    _offer(monkeypatch, minus)
+    with pytest.raises(NonConvergence, match="did not lift to Q"):
+        manin._eigen_functional(curve, symbols, 1)
+
+
+def test_lift_of_another_eigenform_is_refused(store, monkeypatch):
+    # 37b1 has level 37 too, with a_2 = 0 against -2 on 37a1: its sign +1
+    # functional keeps every relation, and only a T_q - a_q row refuses it
+    curve = store.curve("37a1")
+    other = curve_from_dict({"label": "37b1", "a_invariants": [0, 1, 1, -23, -50],
+                             "conductor": 37, "rank": 0, "fricke_sign": -1})
+    assert (a_ell(curve, 2), a_ell(other, 2)) == (-2, 0)
+    symbols = manin.ManinSymbols(37)
+    plus, _ = manin._eigen_functional(other, symbols, 1)
+    _, primes = manin._eigen_functional(curve, symbols, 1)
+    assert _certificate_rows(curve, symbols, plus, 1, primes) == (True, True, False)
+    _offer(monkeypatch, plus)
+    with pytest.raises(NonConvergence, match="did not lift to Q"):
+        manin._eigen_functional(curve, symbols, 1)
 
 
 @pytest.mark.extended

@@ -34,7 +34,7 @@ RECORDS = {
     "SignedSeries": (_series, "x_lower_bound"),
     "SignedPair": (lambda: SignedPair(("plus", "minus"), (_series(), _series()),
                                       "parity-factor", True), "stabilized"),
-    "FitResult": (lambda: FitResult("odd", 0, 1, (1, 3), True), "lambda_star"),
+    "FitResult": (lambda: FitResult(0, 1, (1, 3), True), "lambda_star"),
     "RankSequence": (lambda: RankSequence([1, 0, 2, 0]), "e"),
     "FactoredIdeal": (lambda: FactoredIdeal(0, 1, {1: 2, 2: 0}), "x_exp"),
 }

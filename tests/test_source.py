@@ -81,6 +81,21 @@ def test_only_modsym_imports_fractions():
     assert not found, f"fractions imported outside modsym.py: {found}"
 
 
+def test_only_curves_reaches_the_point_counting_algorithms():
+    # one point counter: curves.a_ell chooses its algorithm by ell, so no
+    # other module defines, imports or calls a counting algorithm of its own
+    algorithms = {"_a_ell_naive", "hasse_candidates", "_traces_killing"}
+    found = [
+        f"{name}:{node.lineno}"
+        for name, tree in _package_trees().items() if name != "curves.py"
+        for node in ast.walk(tree)
+        if (isinstance(node, ast.Name) and node.id in algorithms)
+        or (isinstance(node, ast.Attribute) and node.attr in algorithms)
+        or (isinstance(node, (ast.alias, ast.FunctionDef)) and node.name in algorithms)
+    ]
+    assert not found, f"point-counting algorithms reached outside curves.py: {found}"
+
+
 def _referenced_names(trees, attributes_only=False):
     referenced = set()
     for tree in trees.values():
