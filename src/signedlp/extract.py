@@ -15,6 +15,12 @@ sharp/flat follow the solve order and may be swapped relative to other
 tables.  Thetas, quotients and solves are held as Y-coefficients (Y = 1 +
 X), where each division is a pair of linear scans (phi_quotient).
 
+Sprung's pair specializes to Pollack's: with a_p = 0 the solve at level n
+returns exactly the sign-corrected parity quotients at n and n - 1, odd
+level first (tests/test_extract.py::test_solve_at_a_p_zero_is_the_parity_quotients).
+So the two differ only in how they reach and grade their top
+representatives; one builder (_component) makes each component from them.
+
 Invariants are read off the canonical representative; readings with mu = 0
 transfer to the limit object (a coefficient that is a unit stays a unit
 under any change of representative modulo a distinguished ideal), readings
@@ -49,7 +55,6 @@ class SignedSeries(NamedTuple):
     series: Optional[LambdaElement]  # canonical representative, Y-coefficients
     modulus_desc: str
     invariants: InvariantReport
-    levels_used: tuple
     stabilization: str  # "two-level" | "single-level" | "zero-chain"
     x_lower_bound: int  # certified X-divisibility of the limit at precision
     limit_certified: bool  # invariants transfer to the limit (mu = 0 reading)
@@ -67,15 +72,12 @@ class SignedPair(NamedTuple):
     stabilized: bool
 
 
-def _x_lower_bound(rep: LambdaElement) -> int:
-    """1 when rep, held as Y-coefficients, vanishes at X = 0, else 0."""
-    return 0 if rep.value_at_one() else 1
+def _component(label, rep, modulus, grade, reading=None) -> SignedSeries:
+    """The component named label: its top representative rep, held as
+    Y-coefficients, its class modulus (p^M, modulus) and its grade across
+    levels; reading is mu_lambda_y(rep) when the caller has made it.
 
-
-def _class_invariants(rep: LambdaElement):
-    """(InvariantReport, limit_certified) of rep, held as Y-coefficients;
-    the limit needs mu = 0.
-
+    A representative that vanishes at precision is graded "zero-chain".
     (mu, lambda) are read from the whole representative F, and weierstrass
     prepares only its first N = max(lambda + 1, lambda * M' + 1)
     X-coefficients, M' = M - mu.  This gives the same distinguished part:
@@ -86,12 +88,21 @@ def _class_invariants(rep: LambdaElement):
     (P, p^M'); they have the same (mu, lambda) reading, and by the
     uniqueness of Weierstrass preparation modulo p^M' the same
     distinguished part (Washington, Introduction to Cyclotomic Fields,
-    section 7.1).  The unit part is that of the truncation.
+    section 7.1).  The unit part is that of the truncation.  The limit is
+    certified by a mu = 0 reading, and divisible by X when F(0) = 0.
     """
-    mu, lam = mu_lambda_y(rep)
+    mu, lam = mu_lambda_y(rep) if reading is None else reading
     n = 0 if mu is INCONCLUSIVE else max(lam + 1, lam * (rep.context.precision - mu) + 1)
-    w = weierstrass(x_coefficients(rep, n))
-    return w, w.conclusive and w.mu == 0
+    inv = weierstrass(x_coefficients(rep, n))
+    grade = "zero-chain" if rep.is_zero_at_precision else grade
+    return SignedSeries(label, rep, f"(p^{rep.context.precision}, {modulus})", inv, grade,
+                        0 if rep.value_at_one() else 1, inv.conclusive and inv.mu == 0)
+
+
+def _pair(method, *components) -> SignedPair:
+    """The pair of two components, stabilized when both are graded two-level."""
+    stabilized = all(c.stabilization == "two-level" for c in components)
+    return SignedPair(tuple(c.label for c in components), components, method, stabilized)
 
 
 def extract_plus_minus(thetas, a_p: int) -> SignedPair:
@@ -99,7 +110,6 @@ def extract_plus_minus(thetas, a_p: int) -> SignedPair:
     thetas and the components' series are held as Y-coefficients."""
     if a_p != 0:
         raise WrongReductionType("plus/minus extraction requires a_p = 0")
-    ctx = thetas[max(thetas)].context
     components = []
     for label, parity in (("plus", 1), ("minus", 0)):
         levels = sorted(n for n in thetas if n % 2 == parity)
@@ -110,8 +120,7 @@ def extract_plus_minus(thetas, a_p: int) -> SignedPair:
             # theta_n / prod of the Phi_i, 1 <= i < n, i of the parity of n - 1
             q = phi_quotient(thetas[n], range(n - 1, 0, -2))
             quotients[n] = -q if (n // 2) % 2 == 1 else q
-        top = levels[-1]
-        grade = "single-level"
+        top, grade, reading = levels[-1], "single-level", None
         if len(levels) >= 2:
             low = levels[-2]
             # class modulus at the lower level: omega_low / parity product,
@@ -122,73 +131,49 @@ def extract_plus_minus(thetas, a_p: int) -> SignedPair:
                 raise NotStabilized(
                     f"{label}: quotients at levels {low} and {top} disagree"
                 ) from None
-            inv_top, inv_low = mu_lambda_y(quotients[top]), mu_lambda_y(quotients[low])
-            if INCONCLUSIVE not in (inv_top[0], inv_low[0]) and inv_top != inv_low:
+            reading, inv_low = mu_lambda_y(quotients[top]), mu_lambda_y(quotients[low])
+            if INCONCLUSIVE not in (reading[0], inv_low[0]) and reading != inv_low:
                 raise NotStabilized(
                     f"{label}: invariants drift between levels {low} and {top}"
                 )
             grade = "two-level"
-        rep = quotients[top]
-        if rep.is_zero_at_precision:
-            grade = "zero-chain"
-        inv, certified = _class_invariants(rep)
+        div = "*".join(f"Phi{i}" for i in reversed(range(top - 1, 0, -2))) or "1"
         components.append(
-            SignedSeries(
-                label=label,
-                series=rep,
-                modulus_desc=_modulus_desc(ctx, top, parity),
-                invariants=inv,
-                levels_used=tuple(levels),
-                stabilization=grade,
-                x_lower_bound=_x_lower_bound(rep),
-                limit_certified=certified,
-            )
+            _component(label, quotients[top], f"omega_{top}/{div}", grade, reading)
         )
-    stabilized = all(c.stabilization == "two-level" for c in components)
-    return SignedPair(("plus", "minus"), tuple(components), "parity-factor", stabilized)
+    return _pair("parity-factor", *components)
 
 
-def _modulus_desc(ctx, top, parity):
-    prim = [i for i in range(1, top) if i % 2 == (top - 1) % 2]
-    div = "*".join(f"Phi{i}" for i in prim) if prim else "1"
-    return f"(p^{ctx.precision}, omega_{top}/{div})"
+def _solve(thetas, n: int, a_p: int) -> tuple:
+    """(A, B) = (D_1 ... D_(n-1))^(-1) (theta_n, theta_(n-1)), where
+    D_k = [[a_p, -Phi_k], [1, 0]], each step dividing exactly by Phi_k."""
+    u, v = thetas[n], thetas[n - 1]
+    try:
+        for k in range(n - 1, 0, -1):
+            u, v = v, phi_quotient(v.scale(a_p) - u, (k,))
+    except PrecisionExhausted as exc:
+        raise SingularSystem(f"level {n}: {exc}") from exc
+    return u, v
 
 
 def extract_sharp_flat(thetas, a_p: int, p: int) -> SignedPair:
-    """Sharp/flat pair by inverting the fundamental-solution system.
-
-    Requires 0 < v_p(a_p); the solve at the top level n computes
-    (A, B) = (D_1 ... D_(n-1))^(-1) (theta_n, theta_(n-1)) where
-    D_k = [[a_p, -Phi_k], [1, 0]], each step dividing exactly by Phi_k.
-    Thetas and the components' series are held as Y-coefficients.
-    """
+    """Sharp/flat pair by inverting the fundamental-solution system
+    (0 < v_p(a_p)): the solve at the top level, graded against the solve one
+    level below; thetas and the components' series are held as Y-coefficients."""
     if a_p == 0 or a_p % p != 0:
         raise WrongReductionType(
             f"sharp/flat extraction requires 0 < v_p(a_p); a_p = {a_p}"
         )
-    if not any(n >= 1 for n in thetas):
+    solves = {n: _solve(thetas, n, a_p) for n in sorted(thetas) if n - 1 in thetas}
+    if not solves:
         raise NotStabilized("need at least theta_0 and theta_1")
-    ctx = thetas[max(thetas)].context
-    solves = {}
-    for n in sorted(n for n in thetas if n >= 1):
-        if n - 1 not in thetas:
-            continue
-        u, v = thetas[n], thetas[n - 1]
-        try:
-            for k in range(n - 1, 0, -1):
-                u, v = v, phi_quotient(v.scale(a_p) - u, (k,))
-        except PrecisionExhausted as exc:
-            raise SingularSystem(f"level {n}: {exc}") from exc
-        solves[n] = (u, v)
     top = max(solves)
-    A, B = solves[top]
-    grades = ["single-level", "single-level"]
+    grades, readings = ["single-level", "single-level"], [None, None]
     if top - 1 in solves:
-        A_low, B_low = solves[top - 1]
-        for idx, (hi, lo) in enumerate(((A, A_low), (B, B_low))):
-            inv_hi, inv_lo = mu_lambda_y(hi), mu_lambda_y(lo)
-            if INCONCLUSIVE not in (inv_hi[0], inv_lo[0]):
-                if inv_hi != inv_lo:
+        for idx, (hi, lo) in enumerate(zip(solves[top], solves[top - 1])):
+            readings[idx], inv_lo = mu_lambda_y(hi), mu_lambda_y(lo)
+            if INCONCLUSIVE not in (readings[idx][0], inv_lo[0]):
+                if readings[idx] != inv_lo:
                     raise NotStabilized(
                         f"component {idx}: invariants drift at level {top}"
                     )
@@ -198,28 +183,12 @@ def extract_sharp_flat(thetas, a_p: int, p: int) -> SignedPair:
                 # component vanishes modulo the lower class modulus (X)
                 if not hi.value_at_one():
                     grades[idx] = "two-level"
-    components = []
-    for label, rep, grade, mdesc in (
-        ("sharp", A, grades[0], f"(p^{ctx.precision}, omega_{top - 1})"),
-        ("flat", B, grades[1], f"(p^{ctx.precision}, X*Phi_{top})"),
-    ):
-        if rep.is_zero_at_precision:
-            grade = "zero-chain"
-        inv, certified = _class_invariants(rep)
-        components.append(
-            SignedSeries(
-                label=label,
-                series=rep,
-                modulus_desc=mdesc,
-                invariants=inv,
-                levels_used=tuple(sorted(solves)),
-                stabilization=grade,
-                x_lower_bound=_x_lower_bound(rep),
-                limit_certified=certified,
-            )
-        )
-    stabilized = all(c.stabilization == "two-level" for c in components)
-    return SignedPair(("sharp", "flat"), tuple(components), "linear-system", stabilized)
+    A, B = solves[top]
+    return _pair(
+        "linear-system",
+        _component("sharp", A, f"omega_{top - 1}", grades[0], readings[0]),
+        _component("flat", B, f"X*Phi_{top}", grades[1], readings[1]),
+    )
 
 
 # -- invariant fit -----------------------------------------------------------------

@@ -16,9 +16,7 @@ from signedlp.analyzer import (
 from signedlp.errors import PrecisionExhausted
 from signedlp.extract import (
     SignedPair,
-    SignedSeries,
-    _class_invariants,
-    _x_lower_bound,
+    _component,
     extract_plus_minus,
     extract_sharp_flat,
 )
@@ -31,18 +29,7 @@ from conftest import curve_path, ideal_to_lambda, x_element, y_element
 
 def _series(label, elt):
     """The component of a pair whose series is elt, given in X."""
-    elt = y_element(elt)
-    inv, certified = _class_invariants(elt)
-    return SignedSeries(
-        label=label,
-        series=elt,
-        modulus_desc="(test)",
-        invariants=inv,
-        levels_used=(1,),
-        stabilization="two-level",
-        x_lower_bound=_x_lower_bound(elt),
-        limit_certified=certified,
-    )
+    return _component(label, y_element(elt), "test", "two-level")
 
 
 def _pair(a, b):
@@ -119,7 +106,7 @@ def test_report_factors_each_component_once(monkeypatch):
         monkeypatch.setattr(module, "weierstrass", counted)
     monkeypatch.delenv("SIGNEDLP_CACHE_DIR", raising=False)
     run_pipeline(RunConfig(curve_path("53a1"), 5, n_max=3))
-    assert callers.count("_class_invariants") == 2
+    assert callers.count("_component") == 2
     assert "gcd_lambda" not in callers
     assert len(callers) == 2, callers
 

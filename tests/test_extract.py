@@ -10,7 +10,8 @@ from signedlp.errors import (
     WrongReductionType,
 )
 from signedlp.extract import (
-    _class_invariants,
+    _component,
+    _solve,
     extract_plus_minus,
     extract_sharp_flat,
     fit_matches_pair,
@@ -67,8 +68,8 @@ def test_synthetic_remultiplication():
     thetas = _synthetic_thetas(3, 8, F, n_max=3)
     ctx = thetas[3].context
     pair = extract_plus_minus(thetas, a_p=0)
-    for comp in pair.components:
-        top = max(comp.levels_used)
+    for comp, parity in zip(pair.components, (1, 0)):
+        top = max(n for n in thetas if n % 2 == parity)
         recon = _parity_product(ctx, top) * x_element(comp.series)
         sign = -1 if (top // 2) % 2 == 1 else 1
         diff = recon.scale(sign) - x_element(thetas[top])
@@ -108,6 +109,14 @@ def test_wrong_reduction_type():
         extract_sharp_flat(thetas, a_p=0, p=3)
     with pytest.raises(WrongReductionType):
         extract_sharp_flat(thetas, a_p=1, p=3)
+
+
+@pytest.mark.parametrize("levels", [(1,), (0, 2)])
+def test_sharp_flat_without_consecutive_levels_is_not_stabilized(levels):
+    # no level n has theta_(n-1) beside it, so there is nothing to solve
+    thetas = {n: IwasawaContext(3, 6).element([1]) for n in levels}
+    with pytest.raises(NotStabilized, match="^need at least theta_0 and theta_1$"):
+        extract_sharp_flat(thetas, a_p=-3, p=3)
 
 
 def test_sharp_flat_solve_that_does_not_divide_is_singular():
@@ -202,6 +211,19 @@ def test_level_three_solve_regression(store):
         assert fit_matches_pair(invariant_fit(thetas), pair)
 
 
+@pytest.mark.parametrize("label, p, n_max", [("37a1", 17, 3), ("53a1", 5, 4), ("11a1", 19, 2)])
+def test_solve_at_a_p_zero_is_the_parity_quotients(store, label, p, n_max):
+    # Sprung's pair specializes to Pollack's: at a_p = 0 the fundamental-
+    # solution solve at every top level n returns the sign-corrected parity
+    # quotients at n and n - 1, odd level first, signs included
+    thetas = store.thetas(label, p, n_max)
+    assert store.ap(label, p) == 0
+    for n in range(1, n_max + 1):
+        below = {k: thetas[k] for k in range(n + 1)}
+        plus, minus = (c.series for c in extract_plus_minus(below, 0).components)
+        assert _solve(thetas, n, 0) == (plus, minus), (label, p, n)
+
+
 def test_level_three_plus_minus_fully_stabilized(store):
     thetas = store.thetas("53a1", 5, 3)
     pair = extract_plus_minus(thetas, store.ap("53a1", 5))
@@ -216,7 +238,8 @@ def _prepared_in_full_and_truncated(F):
     """(full, truncated) readings (mu, lambda, distinguished part) of F, given
     in X, and whether the truncated preparation ran on fewer coefficients
     than F has."""
-    full, (short, _) = weierstrass(F), _class_invariants(y_element(F))
+    full = weierstrass(F)
+    short = _component("test", y_element(F), "test", "two-level").invariants
     readings = [(w.mu, w.lam, w.distinguished_part) for w in (full, short)]
     shortened = full.conclusive and short.unit_part.degree() < full.unit_part.degree()
     return readings, shortened

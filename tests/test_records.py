@@ -18,7 +18,7 @@ def _report():
 
 
 def _series():
-    return SignedSeries("plus", _element(), "(test)", _report(), (1, 2), "two-level", 1, True)
+    return SignedSeries("plus", _element(), "(test)", _report(), "two-level", 1, True)
 
 
 # each factory builds a fresh instance from the same field values; the name

@@ -96,6 +96,29 @@ def test_only_curves_reaches_the_point_counting_algorithms():
     assert not found, f"point-counting algorithms reached outside curves.py: {found}"
 
 
+def _callers(tree, callee):
+    """The top-level definition of tree around each call of callee by name,
+    or "<module>" for a call outside every definition."""
+    return [
+        getattr(top, "name", "<module>")
+        for top in tree.body
+        for node in ast.walk(top)
+        if isinstance(node, ast.Call)
+        and callee in (getattr(node.func, "id", None), getattr(node.func, "attr", None))
+    ]
+
+
+def test_one_builder_makes_every_signed_component():
+    # plus/minus and sharp/flat differ only in how they reach and grade their
+    # top representatives: one function builds every SignedSeries, and in
+    # extract.py only that function factors a representative
+    trees = _package_trees()
+    builders = [f"{name}:{fn}" for name, tree in trees.items()
+                for fn in _callers(tree, "SignedSeries")]
+    assert builders == ["extract.py:_component"], builders
+    assert _callers(trees["extract.py"], "weierstrass") == ["_component"]
+
+
 def _referenced_names(trees, attributes_only=False):
     referenced = set()
     for tree in trees.values():
