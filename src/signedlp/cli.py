@@ -1,4 +1,4 @@
-"""Command-line front end.
+"""Command-line front end: the path of report and verify.
 
 Subcommands mirror the pipeline stages: curve-info, symbols, theta, signed,
 gcd, verify, report.  Each of the last six is one run_pipeline call, stopped
@@ -13,9 +13,14 @@ followed only by that subcommand's own flags, each spelled `--flag value`
 present.  Every other command line (--help, an abbreviated flag,
 --flag=value, a value starting with '-', a usage error) goes to the
 argparse parser, and so does a usage error found later (--import without
---table, a value RunConfig refuses).  Only build_parser imports argparse,
+--table, a value RunConfig refuses).  Only the parser imports argparse,
 and with it gettext and locale; help, usage lines, error messages and exit
 codes are argparse's.
+
+A process compiles every module it imports when no bytecode is cached, so
+this module holds only what a report or verify run executes.  curve-info,
+the symbols, theta, signed and gcd payloads and the argparse parser live in
+`subcommands`, which is imported when one of them is needed.
 """
 
 from __future__ import annotations
@@ -26,9 +31,7 @@ import sys
 import types
 
 from .analyzer import emit, report_payload
-from .curves import classify_reduction, ingest_curve, is_odd_prime, periods
 from .errors import SignedLPError
-from .lambda_ring import taylor_shift
 from .pipeline import RunConfig, run_pipeline
 
 
@@ -54,78 +57,10 @@ def _config(args) -> RunConfig:
 
 
 def cmd_curve_info(args) -> int:
-    if args.p is not None and not is_odd_prime(args.p):
-        args.usage_error("p must be an odd prime")
-    curve = ingest_curve(args.curve)
-    info = {
-        "label": curve.label,
-        "conductor": curve.conductor,
-        "discriminant": curve.discriminant,
-        "rank": curve.rank,
-        "e_sequence": list(curve.e_sequence.e),
-        "fricke_sign": curve.fricke_sign,
-    }
-    if args.p is not None:
-        red = classify_reduction(curve, args.p)
-        info["reduction_at_p"] = {"p": args.p, "type": red.kind, "a_p": red.a_p}
-    per = periods(curve)
-    info["omega_plus"] = per.omega_plus
-    info["omega_minus_imag"] = per.omega_minus.imag
-    info["real_components"] = per.real_components
-    emit(info, "json", args.out)
-    return 0
+    """curve-info (subcommands.cmd_curve_info)."""
+    from . import subcommands
 
-
-def _symbols_payload(result, cfg):
-    return {
-        "curve": result.curve.label,
-        "p": cfg.p,
-        "levels": cfg.n_max + 1,
-        "entries": result.table.entries,
-        "provenance": result.table.provenance,
-        "hecke": "PASS",  # a table that fails validation stops the run
-    }
-
-
-def _theta_payload(result, cfg):
-    """Each theta, held as Y-coefficients, is printed in X."""
-    mod = cfg.p**cfg.precision
-    return {
-        "curve": result.curve.label,
-        "p": cfg.p,
-        "thetas": {
-            str(n): {"body": str(theta.context.element(taylor_shift(theta.coeffs, mod))),
-                     "value_at_zero_vanishes": not theta.value_at_one()}
-            for n, theta in result.thetas.items()
-        },
-        "compat": {str(rep.level): rep.passed for rep in result.compat},
-    }
-
-
-def _signed_payload(result, cfg):
-    return {
-        "curve": result.curve.label,
-        "p": cfg.p,
-        "method": result.pair.method,
-        "labels": list(result.pair.labels),
-        "components": result.record["stages"]["extract"]["components"],
-        "stabilized": result.pair.stabilized,
-        "gcd": result.gcd.as_string(),
-        "gcd_certified": result.gcd.certified,
-    }
-
-
-def _gcd_payload(result, cfg):
-    return {
-        "curve": result.curve.label,
-        "p": cfg.p,
-        "gcd": result.gcd.as_string(),
-        "mu": result.gcd.mu,
-        "x": result.gcd.x_exp,
-        "phi": {str(k): v for k, v in sorted(result.gcd.phi_exps.items())},
-        "residual": result.gcd.residual,
-        "certified": result.gcd.certified,
-    }
+    return subcommands.cmd_curve_info(args)
 
 
 def _report_payload(result, cfg):
@@ -133,14 +68,14 @@ def _report_payload(result, cfg):
                           header=result.record)
 
 
-# subcommand -> (the stage its run stops after, None for all; its payload)
+# subcommand -> the stage its run stops after, None for all
 PIPELINE_COMMANDS = {
-    "symbols": ("validate_hecke", _symbols_payload),
-    "theta": ("compat", _theta_payload),
-    "signed": (None, _signed_payload),
-    "gcd": (None, _gcd_payload),
-    "verify": (None, _report_payload),
-    "report": (None, _report_payload),
+    "symbols": "validate_hecke",
+    "theta": "compat",
+    "signed": None,
+    "gcd": None,
+    "verify": None,
+    "report": None,
 }
 
 
@@ -188,51 +123,25 @@ def _settings(command) -> dict:
     """What a subcommand sets in the namespace besides its flags."""
     if command == "curve-info":
         return {"func": cmd_curve_info}
-    last_stage, payload = PIPELINE_COMMANDS[command]
-    return {"func": cmd_pipeline, "last_stage": last_stage, "payload": payload,
-            "format": "json"}
+    if command in _CHECKED:
+        payload = _report_payload
+    else:
+        from .subcommands import PAYLOADS
+
+        payload = PAYLOADS[command]
+    return {"func": cmd_pipeline, "last_stage": PIPELINE_COMMANDS[command],
+            "payload": payload, "format": "json"}
 
 
 def build_parser():
-    """The argparse parser of FLAGS: it reads every command line that
-    _read_directly leaves, and prints help and usage errors."""
-    import argparse
+    """The argparse parser of FLAGS (subcommands.build_parser)."""
+    from . import subcommands
 
-    parser = argparse.ArgumentParser(
-        prog="signedlp",
-        description="signed p-adic L-series approximations, invariants and "
-                    "gcd audits at supersingular primes",
-    )
-    subs = parser.add_subparsers(dest="command", required=True)
-    for command in _INFO + _PIPELINE:
-        if command == "curve-info":
-            sub = subs.add_parser(command, help="curve invariants and periods")
-        else:
-            sub = subs.add_parser(command)
-        switches = None  # an empty group breaks the usage line
-        for flag, dest, kind, default, text, commands in FLAGS:
-            if command not in commands:
-                continue
-            if kind is bool:
-                switches = switches or sub.add_mutually_exclusive_group()
-                switches.add_argument(flag, dest=dest, action="store_true", help=text)
-                continue
-            required = default is REQUIRED
-            sub.add_argument(flag, dest=dest, type=int if kind is int else None,
-                             choices=kind if isinstance(kind, tuple) else None,
-                             required=required, default=None if required else default,
-                             help=text)
-        sub.set_defaults(**_settings(command), usage_error=sub.error)
-    return parser
-
-
-def _parse(argv):
-    """argparse's reading of argv; a usage error exits 2."""
-    return build_parser().parse_args(argv)
+    return subcommands.build_parser()
 
 
 def _read_directly(argv):
-    """The namespace _parse(argv) returns, read from FLAGS without argparse;
+    """The namespace argparse's parser returns for argv, read from FLAGS;
     None unless argv is a subcommand followed only by its own flags, each
     spelled `--flag value` (a switch alone) with a value that does not start
     with '-' and that the flag's type takes, every required flag given and
@@ -267,14 +176,15 @@ def _read_directly(argv):
     # a flag's value overrides its subcommand's setting, as in argparse
     return types.SimpleNamespace(
         **{"command": command, **_settings(command), **values},
-        usage_error=lambda message: _parse(argv).usage_error(message),
+        usage_error=lambda message: build_parser().parse_args(argv).usage_error(message),
     )
 
 
 def main(argv=None) -> int:
     if argv is None:
         argv = sys.argv[1:]
-    args = _read_directly(argv) or _parse(argv)
+    # any other command line goes to argparse; a usage error exits 2
+    args = _read_directly(argv) or build_parser().parse_args(argv)
     try:
         return args.func(args)
     except SignedLPError as exc:

@@ -68,7 +68,7 @@ class SignedSeries(NamedTuple):
 class SignedPair(NamedTuple):
     labels: tuple
     components: tuple  # two SignedSeries
-    method: str        # "parity-factor" | "linear-system" | "invariant-fit"
+    method: str        # "parity-factor" | "linear-system"
     stabilized: bool
 
 

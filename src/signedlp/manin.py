@@ -18,9 +18,14 @@ a rational of denominator at most 10^4 and confirmed on a second cycle.
 The q-expansion behind those periods, and every a_q of a Hecke row, comes
 from curves.a_ell, the one point counter.
 
-Standard library only, in Python ints.  modsym.SymbolTableBuilder imports
-this module when it builds, so a report that reads its table from a file
-never compiles it.
+build_table assembles the table; the float64 periods (Carlson's R_F by
+duplication on the roots of the cubic, cross-checked in the tests against a
+40-digit reference and against direct numerical integration) are computed
+here too, since a build and curve-info are their only callers.
+
+Standard library only, in Python ints.  modsym.SymbolTableBuilder.build and
+curves.periods import this module when they are called, so a report that
+reads its table from the cache or a file never compiles it.
 """
 
 from __future__ import annotations
@@ -29,9 +34,10 @@ import cmath
 import math
 import operator
 
-from .curves import CurveData, a_ell, an_expansion, prime_divisors
+from .curves import CurveData, Periods, a_ell, an_expansion, prime_divisors
 from .errors import NonConvergence
 from .lambda_ring import _pack, _unpack
+from .modsym import SymbolTable, _level, _units
 
 
 # -- Manin symbols ------------------------------------------------------------------
@@ -470,3 +476,110 @@ def _fix_scale(curve: CurveData, symbols: ManinSymbols, functional, part, omega:
         "value": _ratio_str(n, den),
         "deviation": float(f"{abs(x - n / den):.1e}"),
     }
+
+
+# -- the table ----------------------------------------------------------------------
+
+
+def build_table(curve: CurveData, p: int, K: int) -> SymbolTable:
+    """The table of [a/p^k]^+- through level K, with the certification of its
+    scale in meta: per sign the Hecke primes, and the cycle that fixed the
+    scale with its exact value and the float64 deviation from it."""
+    symbols = ManinSymbols(curve.conductor)
+    per = periods(curve)
+    parts = (
+        ("plus", lambda z: z.real, per.omega_plus, 1),
+        ("minus", lambda z: z.imag, per.omega_minus.imag, -1),
+    )
+    meta, functionals, scales = {}, [], []
+    for name, part, omega, sign in parts:
+        phi, primes = _eigen_functional(curve, symbols, sign)
+        scale, cert = _fix_scale(curve, symbols, (phi, sign), part, omega)
+        meta[name] = {"hecke_primes": primes, **cert}
+        functionals.append((phi, sign))
+        scales.append(scale)
+    (n1, d1), (n2, d2) = scales
+    levels = []
+    for k in range(K + 1):
+        plus, minus = symbols.to_infinity(functionals, _units(p, k), p**k)
+        levels.append((_level(p, k, [n1 * v for v in plus]),
+                       _level(p, k, [n2 * v for v in minus])))
+    return SymbolTable(curve.label, p, (d1, d2), levels, meta=meta)
+
+
+# -- periods ------------------------------------------------------------------------
+
+
+def periods(curve: CurveData) -> Periods:
+    """Generators of the real/imaginary period lattice directions, in float64.
+
+    Carlson's R_F on the roots of the completed-square cubic
+    4x^3 + b2 x^2 + 2 b4 x + b6, for both signs of the discriminant (Cremona,
+    Algorithms for Modular Elliptic Curves, ch. 3).  The roots are the closed
+    form of t^3 - (c4/48) t - c6/864 = 0 at t = x + b2/12, polished by Newton
+    steps on the integer cubic.
+    """
+    b2, b4, b6, _ = curve.b_invariants
+    c4, c6 = curve.c_invariants
+
+    def root(t):  # x = t - b2/12 after three Newton steps
+        x = t - b2 / 12
+        for _ in range(3):
+            x -= (((4 * x + b2) * x + 2 * b4) * x + b6) / ((12 * x + 2 * b2) * x + 2 * b4)
+        return x
+
+    if curve.discriminant > 0:
+        # t_k = (sqrt(c4)/6) cos((theta - 2 pi k)/3), cos(theta) = c6/c4^(3/2)
+        theta = math.acos(max(-1.0, min(1.0, c6 / c4**1.5)))
+        e1, e2, e3 = sorted((root(math.sqrt(c4) / 6 * math.cos((theta - 2 * math.pi * k) / 3))
+                             for k in range(3)), reverse=True)
+        omega_least = 2 * _carlson_rf(0, e1 - e2, e1 - e3).real
+        nu = 2 * _carlson_rf(0, e1 - e3, e2 - e3).real
+        components = 2
+    else:
+        # Cardano: the two cube roots multiply to c4, so the second is read
+        # off the first, taken where c6 and the square root agree in sign
+        w = c6 + math.copysign(math.sqrt(c6 * c6 - c4**3), c6)
+        u = math.copysign(abs(w) ** (1 / 3), w)
+        t = (u + c4 / u) / 12
+        e1 = root(t)
+        # the conjugate pair solves s^2 + t s + t^2 - c4/48 = 0
+        ra = root(complex(-t / 2, math.sqrt(max(0.75 * t * t - c4 / 48, 0.0))))
+        if not ra.imag > 0:
+            raise NonConvergence("expected exactly one real root")
+        omega = 2 * _carlson_rf(0, e1 - ra, e1 - ra.conjugate())
+        if abs(omega.imag) > 1e-12 * abs(omega):
+            raise NonConvergence("real period came out complex")
+        omega_least = omega.real
+        # purely imaginary generator, 2 int_(-oo)^e1 dx / sqrt(-cubic(x)):
+        # R_F of the conjugate pair is real up to rounding
+        nu = 2 * _carlson_rf(0, ra - e1, ra.conjugate() - e1).real
+        components = 1
+    omega_plus = components * omega_least
+    if not omega_plus > 0:
+        raise NonConvergence("real period is not positive")
+    return Periods(omega_plus, complex(0, nu), components)
+
+
+def _carlson_rf(x, y, z) -> complex:
+    """Carlson's R_F by duplication in complex float64, for arguments off the
+    negative real axis with at most one zero (Carlson, Numer. Algorithms 10
+    (1995); the series is DLMF 19.36.1 through degree 7)."""
+    v0 = v = [complex(x), complex(y), complex(z)]
+    a0 = a = sum(v) / 3
+    # duplication stops once 4^-m (3 r)^(-1/8) max|A0 - v| < |A_m| with
+    # r = 2^-53: the degree-7 series then truncates below rounding
+    q = (3 * 2.0**-53) ** (-1 / 8) * max(abs(a0 - t) for t in v)
+    for m in range(64):
+        if q < abs(a):
+            break
+        sx, sy, sz = map(cmath.sqrt, v)
+        lam = sx * sy + sx * sz + sy * sz
+        v, a, q = [(t + lam) / 4 for t in v], (a + lam) / 4, q / 4
+    else:
+        raise NonConvergence("R_F duplication did not converge")
+    dx, dy = ((a0 - t) / (4.0**m * a) for t in v0[:2])
+    dz = -dx - dy
+    e2, e3 = dx * dy - dz * dz, dx * dy * dz
+    return (1 - e2 / 10 + e3 / 14 + e2 * e2 / 24 - 3 * e2 * e3 / 44 - 5 * e2**3 / 208
+            + 3 * e3 * e3 / 104 + e2 * e2 * e3 / 16) / cmath.sqrt(a)

@@ -1,5 +1,5 @@
-"""Exact modular symbols [a/p^k]^+- for one curve: the table, its Hecke
-validation, and its CSV import/export.
+"""Exact modular symbols [a/p^k]^+- for one curve: the table and its Hecke
+validation.
 
 The plus (resp. minus) symbol is the real (resp. imaginary) part of the
 period integral lambda(a/m) = 2 pi i int_{a/m}^{i oo} f(z) dz, divided by
@@ -8,24 +8,25 @@ normalisation of nu is an internal convention; every downstream consumer is
 insensitive to a global rescaling of the minus symbols.
 
 Both parts are exact rationals.  SymbolTableBuilder computes them with
-Manin symbols on Gamma_0(N) (the `manin` module, imported only when a table
-is built); the exact Hecke relations at p are then an independent
-cross-check.  An imported table bypasses the computation, so the
-Lambda-side pipeline is testable on its own.
+Manin symbols on Gamma_0(N) (manin.build_table); the exact Hecke relations
+at p are then an independent cross-check.  An imported table bypasses the
+computation, so the Lambda-side pipeline is testable on its own.
 
 A table holds Python ints only: per level one numerator list per sign,
 indexed by a mod p^k, over one denominator per sign (SymbolTable).  The
-Hecke check is one list identity per level and sign; the CSV format
-writes each symbol as a fraction in lowest terms.
+Hecke check is one list identity per level and sign.
+
+Every report imports this module, so it holds only what a report runs.
+The table build (manin) and the CSV format (tablefile) are imported by the
+functions below that call them, when they are called.
 """
 
 from __future__ import annotations
 
-import math
 from typing import NamedTuple
 
-from .curves import CurveData, is_odd_prime, periods
-from .errors import ContextMismatch, IncompleteTable, ParseError
+from .curves import CurveData
+from .errors import ContextMismatch, IncompleteTable
 
 
 class SymbolTable:
@@ -48,12 +49,6 @@ class SymbolTable:
 
     def has_level(self, k: int) -> bool:
         return k < len(self.levels) and self.levels[k] is not None
-
-    @property
-    def entries(self) -> int:
-        """The number of symbols held."""
-        return sum(len(_units(self.p, k))
-                   for k in range(len(self.levels)) if self.has_level(k))
 
 
 def _units(p: int, k: int) -> list:
@@ -84,32 +79,11 @@ class SymbolTableBuilder:
         self.p = p
 
     def build(self, K: int) -> SymbolTable:
-        """Table through level K, with the certification of its scale in meta:
-        per sign the Hecke primes, and the cycle that fixed the scale with its
-        exact value and the float64 deviation from it."""
-        from . import manin  # only a build needs the Manin-symbol code
+        """Table through level K, with the certification of its scale in meta
+        (manin.build_table)."""
+        from .manin import build_table  # only a build needs the Manin-symbol code
 
-        curve, p = self.curve, self.p
-        symbols = manin.ManinSymbols(curve.conductor)
-        per = periods(curve)
-        parts = (
-            ("plus", lambda z: z.real, per.omega_plus, 1),
-            ("minus", lambda z: z.imag, per.omega_minus.imag, -1),
-        )
-        meta, functionals, scales = {}, [], []
-        for name, part, omega, sign in parts:
-            phi, primes = manin._eigen_functional(curve, symbols, sign)
-            scale, cert = manin._fix_scale(curve, symbols, (phi, sign), part, omega)
-            meta[name] = {"hecke_primes": primes, **cert}
-            functionals.append((phi, sign))
-            scales.append(scale)
-        (n1, d1), (n2, d2) = scales
-        levels = []
-        for k in range(K + 1):
-            plus, minus = symbols.to_infinity(functionals, _units(p, k), p**k)
-            levels.append((_level(p, k, [n1 * v for v in plus]),
-                           _level(p, k, [n2 * v for v in minus])))
-        return SymbolTable(curve.label, p, (d1, d2), levels, meta=meta)
+        return build_table(self.curve, self.p, K)
 
 
 # -- Hecke validation --------------------------------------------------------------
@@ -165,91 +139,14 @@ def validate_hecke(table: SymbolTable, p: int, max_level: int, a_p: int) -> Heck
 
 
 def export_table(table: SymbolTable, path) -> None:
-    """One row k, a, plus numerator, denominator, minus numerator, denominator
-    per symbol, by level and residue, each fraction in lowest terms."""
-    import csv  # only CSV I/O needs it
+    """Write table to path in the CSV format (tablefile.export_table)."""
+    from . import tablefile  # only CSV output needs it
 
-    gcd = math.gcd
-    dp, dm = table.denominators
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow([table.curve_label, table.p])
-        for k, level in enumerate(table.levels):
-            if level is None:
-                continue
-            plus, minus = level
-            for a in _units(table.p, k):
-                g, h = gcd(plus[a], dp), gcd(minus[a], dm)
-                writer.writerow((k, a, plus[a] // g, dp // g, minus[a] // h, dm // h))
+    tablefile.export_table(table, path)
 
 
 def import_table(path, expect_curve=None, expect_p=None) -> SymbolTable:
-    """A table from the CSV format of export_table.  The fractions may come in
-    any form; each sign is brought to the lcm of its reduced denominators.
-    A level is kept when its rows cover every unit residue."""
-    import csv  # only CSV I/O needs it
+    """A table read from the CSV format (tablefile.import_table)."""
+    from . import tablefile  # only CSV input needs it
 
-    try:
-        fh = open(path, newline="")
-    except OSError as exc:
-        raise ParseError(f"cannot open {path}: {exc}") from exc
-    with fh:
-        rows = list(csv.reader(fh))
-    if not rows or len(rows[0]) != 2:
-        raise ParseError("expected header 'curve,p'", line=1)
-    label = rows[0][0]
-    try:
-        p = int(rows[0][1])
-    except ValueError:
-        raise ParseError(f"bad prime {rows[0][1]!r}", line=1) from None
-    if not is_odd_prime(p):
-        raise ParseError(f"{p} is not an odd prime", line=1)
-    if expect_curve is not None and label != expect_curve:
-        raise ContextMismatch(f"table is for {label!r}, expected {expect_curve!r}")
-    if expect_p is not None and p != expect_p:
-        raise ContextMismatch(f"table is for p = {p}, expected {expect_p}")
-    gcd = math.gcd
-    found = {}  # k -> (p^k, {a mod p^k: (plus num, den, minus num, den)}), reduced
-    for i, row in enumerate(rows[1:], start=2):
-        if not row:
-            continue
-        if len(row) != 6:
-            raise ParseError(f"expected 6 fields, got {len(row)}", line=i)
-        try:
-            k, a, pn, pd, mn_, md = map(int, row)
-        except ValueError:
-            raise ParseError(f"non-integer field in {row}", line=i) from None
-        if pd == 0 or md == 0:
-            raise ParseError("zero denominator", line=i)
-        if k < 0:
-            raise ParseError(f"negative level {k}", line=i)
-        level = found.get(k)
-        if level is None:
-            # level k has p^(k-1) * (p-1) rows; p^(k-1) >= 2^(k-1) bounds a huge k
-            # before any power of p is built
-            if k and (k - 1 > len(rows).bit_length() or p ** (k - 1) * (p - 1) >= len(rows)):
-                raise ParseError(
-                    f"level {k} needs {p}^{k - 1}*{p - 1} rows, the file has {len(rows) - 1}",
-                    line=i,
-                )
-            level = found[k] = (p**k, {})
-        if k and a % p == 0:
-            raise ParseError(f"residue {a} is not a unit mod {p}", line=i)
-        m, held = level
-        r = a % m
-        if r in held:
-            raise ParseError(f"second row for [{a}/{p}^{k}]", line=i)
-        # lowest terms, denominators positive
-        g = gcd(pn, pd) if pd > 0 else -gcd(pn, pd)
-        h = gcd(mn_, md) if md > 0 else -gcd(mn_, md)
-        held[r] = (pn // g, pd // g, mn_ // h, md // h)
-    dens = tuple(math.lcm(*{v[s] for _, held in found.values() for v in held.values()})
-                 for s in (1, 3))
-    levels = [None] * (max(found, default=0) + 1)
-    for k, (m, held) in found.items():
-        if len(held) != m - m // p:
-            continue  # a unit residue has no row
-        units = [held[r] for r in _units(p, k)]
-        levels[k] = (_level(p, k, [n * (dens[0] // d) for n, d, _, _ in units]),
-                     _level(p, k, [n * (dens[1] // d) for _, _, n, d in units]))
-    return SymbolTable(label, p, dens, levels, provenance="imported")
+    return tablefile.import_table(path, expect_curve, expect_p)
