@@ -17,7 +17,7 @@ from __future__ import annotations
 import io
 import json
 import sys
-from typing import NamedTuple
+from collections import namedtuple
 
 from .errors import IoError, PrecisionExhausted
 from .extract import SignedPair, SignedSeries
@@ -82,10 +82,10 @@ def _gcd_one_degenerate(good: SignedSeries, degenerate: SignedSeries) -> GcdRepo
 # -- verdicts -----------------------------------------------------------------------
 
 
-class Check(NamedTuple):
-    name: str
-    status: str  # PASS | FAIL | INCONCLUSIVE
-    detail: str = ""
+class Check(namedtuple("Check", "name status detail", defaults=("",))):
+    """status is PASS, FAIL or INCONCLUSIVE."""
+
+    __slots__ = ()
 
 
 class Verdict:

@@ -19,8 +19,8 @@ from __future__ import annotations
 
 import json
 import math
+from collections import namedtuple
 from operator import itemgetter
-from typing import NamedTuple, Optional
 
 from .errors import (
     BadReduction,
@@ -37,13 +37,9 @@ _CURVE_FIELDS = {
 }
 
 
-class CurveData(NamedTuple):
-    label: str
-    a_invariants: tuple
-    conductor: int
-    rank: int
-    e_sequence: RankSequence
-    fricke_sign: int
+class CurveData(namedtuple("CurveData",
+                           "label a_invariants conductor rank e_sequence fricke_sign")):
+    __slots__ = ()
 
     @property
     def b_invariants(self):
@@ -314,9 +310,11 @@ def a_bad_prime(curve: CurveData, p: int) -> int:
     return _a2_direct(curve) if p == 2 else _a_ell_naive(curve, p)
 
 
-class ReductionType(NamedTuple):
-    kind: str  # good-ordinary | good-supersingular | multiplicative | additive
-    a_p: Optional[int] = None
+class ReductionType(namedtuple("ReductionType", "kind a_p", defaults=(None,))):
+    """kind is good-ordinary, good-supersingular, multiplicative or additive;
+    a_p is None at a bad prime."""
+
+    __slots__ = ()
 
     @property
     def is_supersingular(self) -> bool:
@@ -337,7 +335,7 @@ def classify_reduction(curve: CurveData, p: int) -> ReductionType:
     return ReductionType("good-ordinary", ap)
 
 
-def verify_conductor(curve: CurveData) -> Optional[bool]:
+def verify_conductor(curve: CurveData) -> bool | None:
     """Whether the conductor re-derived from the discriminant matches the record.
 
     Multiplicative primes contribute exponent 1, additive primes >= 5
@@ -499,10 +497,12 @@ def _primes_in(spf: list) -> list:
 # -- periods ----------------------------------------------------------------------
 
 
-class Periods(NamedTuple):
-    omega_plus: float     # positive real
-    omega_minus: complex  # purely imaginary with positive imaginary part
-    real_components: int
+class Periods(namedtuple("Periods", "omega_plus omega_minus real_components")):
+    """omega_plus is a positive float, omega_minus a purely imaginary complex
+    with positive imaginary part, real_components the number of connected
+    components of E(R)."""
+
+    __slots__ = ()
 
 
 def periods(curve: CurveData) -> Periods:

@@ -29,7 +29,7 @@ with mu > 0 do not, and are reported as observed-but-uncertified.
 
 from __future__ import annotations
 
-from typing import NamedTuple, Optional
+from collections import namedtuple
 
 from .errors import (
     NotStabilized,
@@ -39,8 +39,6 @@ from .errors import (
 )
 from .lambda_ring import (
     INCONCLUSIVE,
-    InvariantReport,
-    LambdaElement,
     mu_lambda_y,
     phi_quotient,
     weierstrass,
@@ -48,16 +46,16 @@ from .lambda_ring import (
 )
 
 
-class SignedSeries(NamedTuple):
-    """One member of a signed pair, with its certification data."""
+class SignedSeries(namedtuple("SignedSeries", "label series modulus_desc invariants "
+                              "stabilization x_lower_bound limit_certified")):
+    """One member of a signed pair, with its certification data: series is
+    the canonical representative, a LambdaElement of Y-coefficients;
+    invariants its InvariantReport; stabilization "two-level",
+    "single-level" or "zero-chain"; x_lower_bound the certified
+    X-divisibility of the limit at precision; limit_certified whether the
+    invariants transfer to the limit (a mu = 0 reading)."""
 
-    label: str
-    series: Optional[LambdaElement]  # canonical representative, Y-coefficients
-    modulus_desc: str
-    invariants: InvariantReport
-    stabilization: str  # "two-level" | "single-level" | "zero-chain"
-    x_lower_bound: int  # certified X-divisibility of the limit at precision
-    limit_certified: bool  # invariants transfer to the limit (mu = 0 reading)
+    __slots__ = ()
 
     @property
     def is_x_times_unit(self) -> bool:
@@ -65,11 +63,11 @@ class SignedSeries(NamedTuple):
         return r.conclusive and r.mu == 0 and r.lam == 1 and self.x_lower_bound >= 1
 
 
-class SignedPair(NamedTuple):
-    labels: tuple
-    components: tuple  # two SignedSeries
-    method: str        # "parity-factor" | "linear-system"
-    stabilized: bool
+class SignedPair(namedtuple("SignedPair", "labels components method stabilized")):
+    """Two SignedSeries in components; method is "parity-factor" or
+    "linear-system"."""
+
+    __slots__ = ()
 
 
 def _component(label, rep, modulus, grade, reading=None) -> SignedSeries:
@@ -112,7 +110,8 @@ def extract_plus_minus(thetas, a_p: int) -> SignedPair:
         raise WrongReductionType("plus/minus extraction requires a_p = 0")
     components = []
     for label, parity in (("plus", 1), ("minus", 0)):
-        levels = sorted(n for n in thetas if n % 2 == parity)
+        # only the top two levels of the parity are graded
+        levels = sorted(n for n in thetas if n % 2 == parity)[-2:]
         if not levels:
             raise NotStabilized(f"no theta levels of parity {parity}")
         quotients = {}
@@ -164,10 +163,11 @@ def extract_sharp_flat(thetas, a_p: int, p: int) -> SignedPair:
         raise WrongReductionType(
             f"sharp/flat extraction requires 0 < v_p(a_p); a_p = {a_p}"
         )
-    solves = {n: _solve(thetas, n, a_p) for n in sorted(thetas) if n - 1 in thetas}
-    if not solves:
+    top = max((n for n in thetas if n - 1 in thetas), default=None)
+    if top is None:
         raise NotStabilized("need at least theta_0 and theta_1")
-    top = max(solves)
+    # only the top solve and the one below it are graded
+    solves = {n: _solve(thetas, n, a_p) for n in (top - 1, top) if n - 1 in thetas}
     grades, readings = ["single-level", "single-level"], [None, None]
     if top - 1 in solves:
         for idx, (hi, lo) in enumerate(zip(solves[top], solves[top - 1])):
@@ -194,12 +194,12 @@ def extract_sharp_flat(thetas, a_p: int, p: int) -> SignedPair:
 # -- invariant fit -----------------------------------------------------------------
 
 
-class FitResult(NamedTuple):
-    mu_star: Optional[int]
-    lambda_star: Optional[int]
-    levels: tuple
-    stabilized: bool       # at least two consistent levels
-    detail: str = ""
+class FitResult(namedtuple("FitResult", "mu_star lambda_star levels stabilized detail",
+                           defaults=("",))):
+    """mu_star and lambda_star are INCONCLUSIVE (None) without a conclusive
+    level; stabilized means at least two consistent levels."""
+
+    __slots__ = ()
 
 
 def invariant_fit(thetas) -> dict:

@@ -16,10 +16,11 @@ polynomials (Phi_n, with Phi_0 = X, and distinguished parts), through one
 multiply and monic long division (von zur Gathen-Gerhard, Modern Computer
 Algebra, ch. 8-9).  The multiply is Kronecker substitution: both lists are
 packed into one integer each (through array.array for slots of up to 8
-bytes), multiplied once, and read back.  Every division re-multiplies its
-quotient and checks the identity, and loses no p-adic digits; the only
-precision loss in this module comes from stripping p-power content, and
-Weierstrass preparation records it in the precision of its parts.
+bytes), multiplied once, and read back as array.array words.  Every
+division re-multiplies its quotient and checks the identity, and loses no
+p-adic digits; the only precision loss in this module comes from stripping
+p-power content, and Weierstrass preparation records it in the precision
+of its parts.
 """
 
 from __future__ import annotations
@@ -27,8 +28,8 @@ from __future__ import annotations
 import math
 import sys
 from array import array
+from collections import namedtuple
 from itertools import accumulate, count, repeat, zip_longest
-from typing import NamedTuple, Optional
 
 from .errors import MixedContext, NotDistinguished, PrecisionExhausted
 from .padic import padic_valuation
@@ -37,34 +38,15 @@ from .padic import padic_valuation
 INCONCLUSIVE = None
 
 
-def refuse_assignment(record, name, value):
-    """__setattr__ of the immutable value classes; their constructors set
-    their slots with object.__setattr__."""
-    raise AttributeError(f"cannot assign to {type(record).__name__}.{name}")
-
-
-class IwasawaContext:
+class IwasawaContext(namedtuple("IwasawaContext", "prime precision")):
     """Working modulus for Lambda: the prime and the p-precision M."""
 
-    __slots__ = ("prime", "precision")
+    __slots__ = ()
 
-    def __init__(self, prime: int, precision: int):
+    def __new__(cls, prime: int, precision: int):
         if precision < 1:
             raise ValueError("precision must be at least 1")
-        object.__setattr__(self, "prime", prime)
-        object.__setattr__(self, "precision", precision)
-
-    __setattr__ = refuse_assignment
-
-    def __eq__(self, other):
-        return (type(other) is IwasawaContext and self.prime == other.prime
-                and self.precision == other.precision)
-
-    def __hash__(self):
-        return hash((self.prime, self.precision))
-
-    def __repr__(self):
-        return f"IwasawaContext(prime={self.prime!r}, precision={self.precision!r})"
+        return super().__new__(cls, prime, precision)
 
     @property
     def modulus(self) -> int:
@@ -104,7 +86,9 @@ class LambdaElement:
 
     coeffs holds the integer residues in [0, p^M) of a polynomial up to its
     degree, so the zero element has coeffs == ().  The constructor accepts
-    any integers and reduces them into the context modulus.
+    any integers and reduces them into the context modulus.  Unlike the
+    record types, which are namedtuples, an element is no tuple: a ring
+    element must not pick up tuple length, indexing or ordering.
     """
 
     __slots__ = ("context", "coeffs")
@@ -117,7 +101,8 @@ class LambdaElement:
         object.__setattr__(self, "context", context)
         object.__setattr__(self, "coeffs", tuple(work))
 
-    __setattr__ = refuse_assignment
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to {type(self).__name__}.{name}")
 
     def __eq__(self, other):
         return (type(other) is LambdaElement and self.context == other.context
@@ -236,13 +221,30 @@ def _pack(values, width: int) -> int:
 
 
 def _unpack(raw: bytes, width: int, mod: int) -> list:
-    """The little-endian slots of `width` bytes in `raw`, each reduced mod `mod`."""
+    """The little-endian slots of `width` bytes in `raw`, each reduced mod `mod`.
+
+    Slots of 1, 2, 4 or 8 bytes are one array.array read.  Other widths are
+    read as 8-byte words through array.array, highest word first: byte b of
+    every slot is the extended slice raw[b::width], so each word is
+    gathered by at most eight slice assignments, and a slot is its words
+    shifted together.  The slots keep their width: rounding them up to
+    whole words would enlarge the product that dominates _mul.
+    """
     if width in _TYPECODES:
         slots = array(_TYPECODES[width], raw)
         if _BIG_ENDIAN:
             slots.byteswap()
         return [c % mod for c in slots]
-    return [int.from_bytes(raw[i : i + width], "little") % mod for i in range(0, len(raw), width)]
+    n, slots = len(raw) // width, None
+    for start in reversed(range(0, width, 8)):
+        word = bytearray(8 * n)
+        for b in range(start, min(start + 8, width)):
+            word[b - start :: 8] = raw[b::width]
+        column = array(_TYPECODES[8], word)
+        if _BIG_ENDIAN:
+            column.byteswap()
+        slots = column if slots is None else [v << 64 | w for v, w in zip(slots, column)]
+    return [c % mod for c in slots]
 
 
 def _mul(a, b, mod: int) -> list:
@@ -251,7 +253,8 @@ def _mul(a, b, mod: int) -> list:
     A product coefficient is a sum of at most min(len) terms below mod^2, so
     slots of 2*bits(mod) + bits(min(len)) bits never overflow: one integer
     product carries the whole convolution.  Slots of 1, 2, 4 or 8 bytes are
-    packed and read through array.array, other widths through bytes.  The
+    packed and read through array.array; other widths are packed through
+    bytes and read as 8-byte words (_unpack).  The
     result has len(a) + len(b) - 1 entries, none when an operand is empty.
     """
     if not a or not b:
@@ -375,13 +378,12 @@ def x_coefficients(F: LambdaElement, n: int) -> LambdaElement:
 # -- Weierstrass preparation and invariants ------------------------------------------
 
 
-class InvariantReport(NamedTuple):
-    """mu/lambda reading of a series, with the part that certifies it."""
+class InvariantReport(namedtuple("InvariantReport", "mu lam distinguished_part unit_part",
+                                 defaults=(None, None))):
+    """mu/lambda reading of a series, with the part that certifies it; mu and
+    lam are INCONCLUSIVE (None) when the series vanishes at precision."""
 
-    mu: Optional[int]
-    lam: Optional[int]
-    distinguished_part: Optional[LambdaElement] = None
-    unit_part: Optional[LambdaElement] = None
+    __slots__ = ()
 
     @property
     def conclusive(self) -> bool:
@@ -484,21 +486,18 @@ def factored_string(mu, x_exp: int, phi_pairs, residual: str = "1") -> str:
     return "*".join(parts) if parts else "1"
 
 
-class GcdReport(NamedTuple):
+class GcdReport(namedtuple("GcdReport", "mu x_exp phi_exps residual certified detail",
+                           defaults=("",))):
     """gcd presented as p^mu * X^x_exp * prod Phi_n^b_n * (residual).
 
-    mu follows gcd_mu; residual is "1" or the rendering of a common factor
-    that no named factor accounts for.  From gcd_lambda, certified says
-    whether the residual was decided; analyzer.gcd_signed_pair narrows it
-    to whether the gcd holds for the limit objects, and detail says why not.
+    mu follows gcd_mu; phi_exps maps n to b_n; residual is "1" or the
+    rendering of a common factor that no named factor accounts for.  From
+    gcd_lambda, certified says whether the residual was decided;
+    analyzer.gcd_signed_pair narrows it to whether the gcd holds for the
+    limit objects, and detail says why not.
     """
 
-    mu: Optional[int]
-    x_exp: int
-    phi_exps: dict
-    residual: str
-    certified: bool
-    detail: str = ""
+    __slots__ = ()
 
     def as_string(self) -> str:
         return factored_string(

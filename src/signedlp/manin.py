@@ -34,7 +34,7 @@ import cmath
 import math
 import operator
 
-from .curves import CurveData, Periods, a_ell, an_expansion, prime_divisors
+from .curves import CurveData, Periods, _primes_in, _smallest_prime_factors, a_ell, an_expansion
 from .errors import NonConvergence
 from .lambda_ring import _pack, _unpack
 from .modsym import SymbolTable, _level, _units
@@ -329,8 +329,8 @@ def _eigen_functional(curve: CurveData, symbols: ManinSymbols, sign: int):
             rows.append(row)
         return rows
 
-    primes = (q for q in range(2, _MAX_HECKE_PRIME + 1)
-              if symbols.N % q and prime_divisors(q) == [q])
+    primes = (q for q in _primes_in(_smallest_prime_factors(_MAX_HECKE_PRIME))
+              if symbols.N % q)
     hecke = []  # (q, a_q, the Heilbronn matrices of q)
     residues, modulus, j0 = [0] * len(points), 1, None
     for P in _MODULI:

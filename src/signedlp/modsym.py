@@ -23,29 +23,30 @@ functions below that call them, when they are called.
 
 from __future__ import annotations
 
-from typing import NamedTuple
+from collections import namedtuple
 
 from .curves import CurveData
 from .errors import ContextMismatch, IncompleteTable
 
 
-class SymbolTable:
+class SymbolTable(namedtuple("SymbolTable",
+                             "curve_label p denominators levels provenance meta")):
     """[a/p^k]^+- for k <= K as integer numerators over one positive
-    denominator per sign.
+    denominator per sign: denominators is the pair (plus, minus).
 
     levels[k] is a pair (plus, minus) of lists of p^k numerators, indexed
     by a mod p^k, with 0 at the non-units; levels[0] holds the boundary
     symbol [0].  A level that an imported file does not cover is None.
+    provenance is "computed" or "imported"; meta holds the certification of
+    a build ({} when there is none).
     """
 
-    def __init__(self, curve_label: str, p: int, denominators: tuple, levels: list,
-                 provenance: str = "computed", meta: dict = None):
-        self.curve_label = curve_label
-        self.p = p
-        self.denominators = denominators  # (plus, minus)
-        self.levels = levels
-        self.provenance = provenance
-        self.meta = {} if meta is None else meta  # build certification
+    __slots__ = ()
+
+    def __new__(cls, curve_label: str, p: int, denominators: tuple, levels: list,
+                provenance: str = "computed", meta: dict | None = None):
+        return super().__new__(cls, curve_label, p, denominators, levels, provenance,
+                               {} if meta is None else meta)
 
     def has_level(self, k: int) -> bool:
         return k < len(self.levels) and self.levels[k] is not None
@@ -89,10 +90,10 @@ class SymbolTableBuilder:
 # -- Hecke validation --------------------------------------------------------------
 
 
-class HeckeReport(NamedTuple):
-    passed: bool
-    levels_checked: tuple
-    violations: list  # (level, residue, side, lhs, rhs)
+class HeckeReport(namedtuple("HeckeReport", "passed levels_checked violations")):
+    """violations lists (level, residue, side, lhs, rhs)."""
+
+    __slots__ = ()
 
     def __str__(self):
         if self.passed:

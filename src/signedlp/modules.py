@@ -9,41 +9,40 @@ exponent by exponent, so no Lambda element is ever formed.
 
 from __future__ import annotations
 
-from typing import NamedTuple
+from collections import namedtuple
 
-from .lambda_ring import factored_string, refuse_assignment
+from .lambda_ring import factored_string
 
 
-class RankSequence:
-    """e_0, e_1, ... with finite support; e_0 is the rank over Q."""
+class RankSequence(namedtuple("RankSequence", "e")):
+    """e_0, e_1, ... with finite support; e_0 is the rank over Q.  seq[n]
+    reads e_n, 0 past the support; iteration and `in` range over e_0 up to
+    the last nonzero e_n (e_0 alone when every e_n is 0)."""
 
-    __slots__ = ("e",)
+    __slots__ = ()
 
-    def __init__(self, e):
+    def __new__(cls, e):
         e = tuple(int(v) for v in e)
         if any(v < 0 for v in e):
             raise ValueError("rank increments must be nonnegative")
         while len(e) > 1 and e[-1] == 0:
             e = e[:-1]
-        object.__setattr__(self, "e", e)
-
-    __setattr__ = refuse_assignment
-
-    def __eq__(self, other):
-        return type(other) is RankSequence and self.e == other.e
-
-    def __hash__(self):
-        return hash(self.e)
+        return super().__new__(cls, e)
 
     def __getitem__(self, n: int) -> int:
         return self.e[n] if n < len(self.e) else 0
+
+    def __iter__(self):
+        return iter(self.e)
+
+    def __contains__(self, value):
+        return value in self.e
 
     def support(self):
         return [n for n, v in enumerate(self.e) if v >= 1]
 
 
-class FactoredIdeal(NamedTuple("FactoredIdeal",
-                               [("p_exp", int), ("x_exp", int), ("phi_exps", tuple)])):
+class FactoredIdeal(namedtuple("FactoredIdeal", "p_exp x_exp phi_exps")):
     """Principal ideal written as p^a * X^alpha * prod Phi_n^beta_n; phi_exps
     may be given as a dict and is kept as sorted (n, beta_n) pairs.  Every
     exponent is nonnegative and every n at least 1 (Phi_0 is X)."""

@@ -13,11 +13,10 @@ from __future__ import annotations
 
 import json
 import os
-from typing import NamedTuple, Optional
+from collections import namedtuple
 
 from . import __version__
 from .analyzer import (
-    GcdReport,
     Verdict,
     compare_predictions,
     gcd_signed_pair,
@@ -26,7 +25,6 @@ from .analyzer import (
 from .curves import CurveData, classify_reduction, ingest_curve, is_odd_prime
 from .errors import CompatFailed, IoError, NotStabilized, SignedLPError, WrongReductionType
 from .extract import (
-    SignedPair,
     extract_plus_minus,
     extract_sharp_flat,
     fit_matches_pair,
@@ -45,16 +43,19 @@ from .theta import build_theta, check_compat
 CACHE_ENV = "SIGNEDLP_CACHE_DIR"
 
 
-class RunConfig:
+class RunConfig(namedtuple("RunConfig", "curve_file p n_max precision table_path "
+                           "table_mode fine_char fine_ideal")):
     """One run's inputs, checked on construction: p an odd prime, p-adic
     precision M >= 2, the top level n_max (default 2 for p <= 5, else 1)
     nonnegative, and the fine characteristic spec, if given, a factored
-    ideal; fine_ideal holds it parsed."""
+    ideal; table_mode is "import", "export" or "", and fine_ideal holds
+    fine_char parsed."""
 
-    def __init__(self, curve_file: str, p: int, n_max: Optional[int] = None,
-                 precision: int = 8, table_path: Optional[str] = None,
-                 table_mode: str = "",  # "import" | "export" | ""
-                 fine_char: Optional[str] = None):
+    __slots__ = ()
+
+    def __new__(cls, curve_file: str, p: int, n_max: int | None = None,
+                precision: int = 8, table_path: str | None = None,
+                table_mode: str = "", fine_char: str | None = None):
         if not is_odd_prime(p):
             raise ValueError("p must be an odd prime")
         if precision < 2:
@@ -63,32 +64,22 @@ class RunConfig:
             n_max = 2 if p <= 5 else 1
         if n_max < 0:
             raise ValueError("level must be nonnegative")
-        self.curve_file = curve_file
-        self.p = p
-        self.n_max = n_max
-        self.precision = precision  # p-adic digits M
-        self.table_path = table_path
-        self.table_mode = table_mode
-        self.fine_char = fine_char
-        self.fine_ideal = None if fine_char is None else parse_factored_ideal(fine_char)
+        fine_ideal = None if fine_char is None else parse_factored_ideal(fine_char)
+        return super().__new__(cls, curve_file, p, n_max, precision, table_path, table_mode,
+                               fine_char, fine_ideal)
 
 
-class PipelineResult(NamedTuple):
+class PipelineResult(namedtuple("PipelineResult", "record curve table thetas compat pair "
+                                "gcd verdict", defaults=(None,) * 5)):
     """What the stages through the last one that ran produced; the fields
     of the stages after it are None.  The verdict holds the prediction
     checks, then the theorem checks named "thm:..."; it is empty when no
     fine characteristic was given.  thetas hold Y-coefficients."""
-    record: dict
-    curve: CurveData
-    table: SymbolTable
-    thetas: Optional[dict] = None
-    compat: Optional[list] = None
-    pair: Optional[SignedPair] = None
-    gcd: Optional[GcdReport] = None
-    verdict: Optional[Verdict] = None
+
+    __slots__ = ()
 
 
-def cache_path(cfg: RunConfig, curve: CurveData) -> Optional[str]:
+def cache_path(cfg: RunConfig, curve: CurveData) -> str | None:
     """The cached table's JSON path, named by every input that changes the
     table (not the label: a cached table takes it from the curve in hand),
     spelled out rather than hashed, since hashlib would load OpenSSL into
@@ -124,7 +115,7 @@ def _ints(values, length: int) -> bool:
     return type(values) is list and len(values) == length and set(map(type, values)) == {int}
 
 
-def _read_cached(path: str, curve: CurveData, p: int, K: int) -> Optional[SymbolTable]:
+def _read_cached(path: str, curve: CurveData, p: int, K: int) -> SymbolTable | None:
     """The table of a cache entry as it was built; None when the entry is
     missing, does not parse or does not have the shape of its key: two
     positive denominators, and levels 0..K of p^k numerators per sign."""
@@ -159,7 +150,7 @@ def load_or_build_table(cfg: RunConfig, curve: CurveData) -> SymbolTable:
     return table
 
 
-def run_pipeline(cfg: RunConfig, last_stage: Optional[str] = None) -> PipelineResult:
+def run_pipeline(cfg: RunConfig, last_stage: str | None = None) -> PipelineResult:
     """Run the stages in order, through last_stage ("validate_hecke" or
     "compat"; None runs them all)."""
     if last_stage not in (None, "validate_hecke", "compat"):

@@ -23,7 +23,7 @@ rather than assuming it (the sign below is the empirically pinned one).
 
 from __future__ import annotations
 
-from typing import NamedTuple
+from collections import namedtuple
 
 from .curves import prime_divisors
 from .errors import IncompleteTable, NotAUnit
@@ -84,11 +84,11 @@ def build_theta(table: SymbolTable, n: int, M: int) -> LambdaElement:
     return LambdaElement(ctx, residues(sums, table.denominators[0], p, M))
 
 
-class CompatReport(NamedTuple):
-    level: int
-    passed: bool
-    detail: str = ""
-    index: int = None  # first offending coefficient when failed
+class CompatReport(namedtuple("CompatReport", "level passed detail index",
+                              defaults=("", None))):
+    """index is the first offending coefficient when the check failed."""
+
+    __slots__ = ()
 
 
 def check_compat(thetas, n: int, a_p: int) -> CompatReport:

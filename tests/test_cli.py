@@ -263,7 +263,7 @@ _PROBED = ("mpmath", "dataclasses", "numpy", "fractions", "decimal", "csv", "arg
            "signedlp.subcommands")
 _IMPORT_PROBE = (
     "import sys; import signedlp.cli\n{run}"
-    f"print(*(m for m in {_PROBED!r} if m in sys.modules))"
+    "print(*(m for m in {probed!r} if m in sys.modules))"
 )
 
 
@@ -276,8 +276,9 @@ _IMPORT_PROBE = (
     ("csv", ["csv"]),
     ("usage-error", ["argparse", "gettext", "locale", "signedlp.subcommands"]),
     ("curve-info", ["signedlp.manin", "signedlp.subcommands"]),
+    ("no-site", []),
 ], ids=["unset", "cache-hit", "cache-miss", "import", "export", "report-csv", "usage-error",
-        "curve-info"])
+        "curve-info", "no-site"])
 def test_report_loads_only_the_modules_it_needs(case, expected, tmp_path, monkeypatch):
     # a fresh interpreter, so that modules loaded by pytest cannot mask what
     # importing the CLI loads, and what one run then adds: the Manin-symbol
@@ -286,14 +287,18 @@ def test_report_loads_only_the_modules_it_needs(case, expected, tmp_path, monkey
     # format and csv only for --import and --export; csv alone for --format
     # csv; the rest of the command line only for curve-info and a usage
     # error, and argparse, gettext and locale only for the latter; numpy,
-    # mpmath, dataclasses, fractions and decimal never
+    # mpmath, dataclasses, fractions and decimal never.  typing is probed
+    # only without site (-S), which can preload it through a .pth file
     env = {k: v for k, v in os.environ.items() if k != "SIGNEDLP_CACHE_DIR"}
-    run = ""
+    run, flags, probed = "", [], _PROBED
+    if case == "no-site":
+        flags, probed = ["-S"], _PROBED + ("typing",)
+        env["PYTHONPATH"] = _pythonpath(os.path.join(ROOT, "src"))
     if case == "curve-info":
         argv = ["curve-info", "--curve", curve_path("37a1"), "--p", "17",
                 "--out", str(tmp_path / "info.json")]
         run = f"sys.exit(1) if signedlp.cli.main({argv!r}) else None\n"
-    elif case is not None:
+    elif case not in (None, "no-site"):
         argv = ["report", "--curve", curve_path("37a1"), "--p", "3", "--level", "1",
                 "--out", str(tmp_path / "report.json")]
         env["SIGNEDLP_CACHE_DIR"] = str(tmp_path / "cache")
@@ -314,8 +319,8 @@ def test_report_loads_only_the_modules_it_needs(case, expected, tmp_path, monkey
             run = (f"try:\n    signedlp.cli.main({argv!r})\n"
                    "except SystemExit as exc:\n    assert exc.code == 2\n")
     proc = subprocess.run(
-        [sys.executable, "-c", _IMPORT_PROBE.format(run=run)], capture_output=True,
-        text=True, env=env,
+        [sys.executable, *flags, "-c", _IMPORT_PROBE.format(run=run, probed=probed)],
+        capture_output=True, text=True, env=env,
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == expected

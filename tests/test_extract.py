@@ -211,6 +211,22 @@ def test_level_three_solve_regression(store):
         assert fit_matches_pair(invariant_fit(thetas), pair)
 
 
+def test_sharp_flat_solves_only_the_graded_levels(store, monkeypatch):
+    # the grade reads the top solve and the one below it, so no solve at a
+    # lower level is made
+    from signedlp import extract
+
+    levels = []
+
+    def counted(thetas, n, a_p):
+        levels.append(n)
+        return _solve(thetas, n, a_p)
+
+    monkeypatch.setattr(extract, "_solve", counted)
+    pair = extract_sharp_flat(store.thetas("37a1", 3, 4), store.ap("37a1", 3), 3)
+    assert levels == [3, 4] and pair.stabilized
+
+
 @pytest.mark.parametrize("label, p, n_max", [("37a1", 17, 3), ("53a1", 5, 4), ("11a1", 19, 2)])
 def test_solve_at_a_p_zero_is_the_parity_quotients(store, label, p, n_max):
     # Sprung's pair specializes to Pollack's: at a_p = 0 the fundamental-

@@ -16,6 +16,8 @@ from signedlp.errors import PrecisionExhausted
 from signedlp.lambda_ring import (
     IwasawaContext,
     _mul,
+    _pack,
+    _unpack,
     divrem,
     weierstrass,
 )
@@ -105,7 +107,8 @@ def random_conclusive(rng, ctx, n, lam, mu):
 
 
 def test_mul_matches_schoolbook_across_slot_widths():
-    # slots of 1, 2, 4 and 8 bytes go through array, wider ones through bytes
+    # slots of 1, 2, 4 and 8 bytes go through array, wider ones are packed
+    # through bytes and read as 8-byte words
     rng = random.Random(81)
     for p in PRIMES:
         for M in PRECISIONS:
@@ -118,6 +121,22 @@ def test_mul_matches_schoolbook_across_slot_widths():
             a = [mod - 1] * 100
             assert _mul(a, a, mod) == schoolbook(a, a, mod)
             assert _mul([], [1, 2], mod) == [] and _mul([1], [], mod) == []
+
+
+@pytest.mark.parametrize("width", range(9, 25))
+def test_wide_slots_read_as_words_match_per_slot_bytes(width):
+    # the word reading against one int.from_bytes per slot, on slots whose
+    # every byte is used, a full top byte included
+    rng = random.Random(width)
+    mod = rng.randrange(2**40, 2**64) | 1
+    for n in (1, 2, 7, 300):
+        values = [rng.randrange(256 ** width) for _ in range(n)]
+        values[0] = 256**width - 1
+        raw = _pack(values, width).to_bytes(n * width, "little")
+        reference = [int.from_bytes(raw[i : i + width], "little") % mod
+                     for i in range(0, len(raw), width)]
+        assert reference == [v % mod for v in values]
+        assert _unpack(raw, width, mod) == reference, (width, n)
 
 
 def test_element_product_matches_reference_in_both_contexts():

@@ -1,11 +1,17 @@
 """Value semantics of the immutable record types."""
 
+from itertools import islice
+
 import pytest
 
+from signedlp.analyzer import Check
 from signedlp.curves import CurveData, Periods, ReductionType
 from signedlp.extract import FitResult, SignedPair, SignedSeries
-from signedlp.lambda_ring import InvariantReport, IwasawaContext, LambdaElement
+from signedlp.lambda_ring import GcdReport, InvariantReport, IwasawaContext, LambdaElement
+from signedlp.modsym import HeckeReport, SymbolTable
 from signedlp.modules import FactoredIdeal, RankSequence
+from signedlp.pipeline import PipelineResult, RunConfig
+from signedlp.theta import CompatReport
 
 
 def _element():
@@ -57,3 +63,24 @@ def test_records_of_different_values_differ():
     assert _element() != LambdaElement(IwasawaContext(3, 4), [6, 3, 2])
     assert RankSequence([1, 0]) == RankSequence([1]) != RankSequence([2])
     assert FactoredIdeal(0, 1, {1: 1}) != FactoredIdeal(0, 1)
+
+
+@pytest.mark.parametrize("record", [
+    IwasawaContext, InvariantReport, GcdReport, CurveData, ReductionType, Periods,
+    SignedSeries, SignedPair, FitResult, RankSequence, FactoredIdeal, SymbolTable,
+    HeckeReport, CompatReport, Check, RunConfig, PipelineResult,
+], ids=lambda record: record.__name__)
+def test_record_types_are_namedtuples_without_instance_dicts(record):
+    # one declaration for every record: a namedtuple subclass whose empty
+    # __slots__ keeps attributes other than the fields from being set
+    assert issubclass(record, tuple) and record._fields
+    assert vars(record)["__slots__"] == () and "__dict__" not in dir(record)
+
+
+def test_rank_sequence_iterates_over_its_support():
+    # indexing reads 0 past the support, but iteration and `in` stop at the
+    # last nonzero e_n
+    seq = RankSequence([1, 0, 2, 0])
+    assert list(islice(iter(seq), 10)) == [1, 0, 2]
+    assert 7 not in seq and 2 in seq and 0 in seq
+    assert seq[5] == 0

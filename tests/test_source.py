@@ -64,6 +64,32 @@ def test_no_module_imports_numpy():
     assert not found, f"numpy imported in package source: {found}"
 
 
+def test_no_module_imports_typing():
+    # records are collections.namedtuple subclasses and annotations are not
+    # evaluated, so no report loads typing
+    found = _imports_of("typing")
+    assert not found, f"typing imported in package source: {found}"
+
+
+def test_only_lambda_element_defines_value_semantics():
+    # every record is a namedtuple, whose tuple equality, hash and read-only
+    # fields it keeps; only the ring element, which must not be a tuple,
+    # defines its own
+    dunders = {"__setattr__", "__eq__", "__hash__"}
+    found = [
+        f"{name}:{cls.name}.{target}"
+        for name, tree in _package_trees().items()
+        for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef)
+        for node in cls.body
+        for target in (
+            [node.name] if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+            else [t.id for t in getattr(node, "targets", []) if isinstance(t, ast.Name)]
+        )
+        if target in dunders
+    ]
+    assert sorted(found) == [f"lambda_ring.py:LambdaElement.{d}" for d in sorted(dunders)], found
+
+
 @pytest.mark.parametrize("module", ["fractions", "decimal", "csv", "argparse"])
 def test_no_module_imports_on_import(module):
     # a report builds and prints on ints and JSON: fractions (which loads
