@@ -22,7 +22,7 @@ from collections import namedtuple
 from .errors import IoError, PrecisionExhausted
 from .extract import SignedPair, SignedSeries
 from .lambda_ring import INCONCLUSIVE, GcdReport, gcd_lambda, gcd_mu
-from .modules import FactoredIdeal, RankSequence, gr_ideal, kp_ideal
+from .modules import FactoredIdeal, gr_ideal, kp_ideal
 
 
 def gcd_ideal(gcd: GcdReport) -> FactoredIdeal:
@@ -88,15 +88,11 @@ class Check(namedtuple("Check", "name status detail", defaults=("",))):
     __slots__ = ()
 
 
-class Verdict:
-    """Checks in the order they ran; delta_e once the X-shift check sets it."""
+class Verdict(namedtuple("Verdict", "checks delta_e", defaults=((), None))):
+    """Checks in the order they ran, a tuple of Check; delta_e once the
+    X-shift check sets it."""
 
-    def __init__(self):
-        self.checks = []
-        self.delta_e = None
-
-    def add(self, name, status, detail=""):
-        self.checks.append(Check(name, status, detail))
+    __slots__ = ()
 
     @property
     def all_pass(self) -> bool:
@@ -109,51 +105,35 @@ class Verdict:
         raise KeyError(name)
 
 
-def compare_predictions(
-    gcd: GcdReport, e: RankSequence, fine_char: FactoredIdeal
-) -> Verdict:
-    """Audit the gcd against the rank-sequence predictions.
+def compare_predictions(gcd: GcdReport, e: tuple, fine_char: FactoredIdeal) -> Verdict:
+    """Audit the gcd against the predictions of the rank sequence e.
 
     Three checks: the gcd equals the Kurihara-Pollack ideal, the fine
     characteristic hypothesis equals the Greenberg ideal, and the two sides
     differ by X^delta with delta in {0, 1} (delta is recorded, not
     predicted).
     """
-    v = Verdict()
     kp = kp_ideal(e)
     gr = gr_ideal(e)
-    if gcd.mu is INCONCLUSIVE or gcd.has_unknown_part or not gcd.certified:
-        v.add("KP", "INCONCLUSIVE", f"gcd not certified: {gcd.as_string()}")
+    certified = gcd.mu is not INCONCLUSIVE and gcd.certified
+    got = gcd_ideal(gcd) if certified else None
+    if not certified or gcd.has_unknown_part:
+        checks = [Check("KP", "INCONCLUSIVE", f"gcd not certified: {gcd.as_string()}")]
     else:
-        got = gcd_ideal(gcd)
-        v.add(
-            "KP",
-            "PASS" if got == kp else "FAIL",
-            f"gcd = {got}, predicted {kp}",
-        )
-    v.add(
-        "Gr",
-        "PASS" if fine_char == gr else "FAIL",
-        f"hypothesis {fine_char}, predicted {gr}",
-    )
-    if gcd.mu is INCONCLUSIVE or not gcd.certified:
-        v.add("X-shift", "INCONCLUSIVE", "gcd not certified")
-        return v
-    got = gcd_ideal(gcd)
+        checks = [Check("KP", "PASS" if got == kp else "FAIL", f"gcd = {got}, predicted {kp}")]
+    checks.append(Check("Gr", "PASS" if fine_char == gr else "FAIL",
+                        f"hypothesis {fine_char}, predicted {gr}"))
     delta = None
-    for d in (0, 1):
-        if got == fine_char.times_x(d):
-            delta = d
-            break
-    if delta is None:
-        v.add(
-            "X-shift", "FAIL",
-            f"gcd {got} is not fine_char * X^delta for delta in {{0,1}}",
-        )
+    if not certified:
+        checks.append(Check("X-shift", "INCONCLUSIVE", "gcd not certified"))
     else:
-        v.delta_e = delta
-        v.add("X-shift", "PASS", f"delta_E = {delta}")
-    return v
+        delta = next((d for d in (0, 1) if got == fine_char.times_x(d)), None)
+        if delta is None:
+            checks.append(Check("X-shift", "FAIL",
+                                f"gcd {got} is not fine_char * X^delta for delta in {{0,1}}"))
+        else:
+            checks.append(Check("X-shift", "PASS", f"delta_E = {delta}"))
+    return Verdict(tuple(checks), delta)
 
 
 def theorem_consistency(gcd: GcdReport, fine_char: FactoredIdeal) -> Verdict:
@@ -163,29 +143,28 @@ def theorem_consistency(gcd: GcdReport, fine_char: FactoredIdeal) -> Verdict:
     and each Phi_n) must divide the fine characteristic hypothesis, and
     conversely.  X is exempt on both sides.
     """
-    v = Verdict()
     if gcd.mu is INCONCLUSIVE:
-        v.add("mu(gcd)", "INCONCLUSIVE", "p-part of the gcd undetermined")
+        checks = [Check("mu(gcd)", "INCONCLUSIVE", "p-part of the gcd undetermined")]
     elif gcd.mu > 0:
         status = "PASS" if fine_char.p_exp > 0 else "FAIL"
-        v.add("p | both", status, f"mu(gcd) = {gcd.mu}, fine side p^{fine_char.p_exp}")
+        checks = [Check("p | both", status, f"mu(gcd) = {gcd.mu}, fine side p^{fine_char.p_exp}")]
     elif fine_char.p_exp > 0:
-        v.add("p | both", "FAIL", "p divides the fine side but mu(gcd) = 0")
+        checks = [Check("p | both", "FAIL", "p divides the fine side but mu(gcd) = 0")]
     else:
-        v.add("p | both", "PASS", "mu = 0 on both sides")
+        checks = [Check("p | both", "PASS", "mu = 0 on both sides")]
     fine_phis = fine_char.phi_dict
     for n in sorted(gcd.phi_exps):
         status = "PASS" if fine_phis.get(n, 0) >= 1 else "FAIL"
-        v.add(f"Phi{n} | fine", status,
-              f"Phi{n}^{gcd.phi_exps[n]} divides the gcd")
+        checks.append(Check(f"Phi{n} | fine", status,
+                            f"Phi{n}^{gcd.phi_exps[n]} divides the gcd"))
     for n in sorted(fine_phis):
         status = "PASS" if gcd.phi_exps.get(n, 0) >= 1 else "FAIL"
-        v.add(f"Phi{n} | gcd", status,
-              f"Phi{n}^{fine_phis[n]} divides the fine side")
+        checks.append(Check(f"Phi{n} | gcd", status,
+                            f"Phi{n}^{fine_phis[n]} divides the fine side"))
     if gcd.has_unknown_part:
-        v.add("residual", "INCONCLUSIVE",
-              f"unfactored common part ({gcd.residual})")
-    return v
+        checks.append(Check("residual", "INCONCLUSIVE",
+                            f"unfactored common part ({gcd.residual})"))
+    return Verdict(tuple(checks))
 
 
 # -- emission ----------------------------------------------------------------------

@@ -28,7 +28,6 @@ from .errors import (
     ParseError,
     SingularCurve,
 )
-from .modules import RankSequence
 
 # torsion_bound is accepted for older curve files and ignored
 _CURVE_FIELDS = {
@@ -39,6 +38,9 @@ _CURVE_FIELDS = {
 
 class CurveData(namedtuple("CurveData",
                            "label a_invariants conductor rank e_sequence fricke_sign")):
+    """e_sequence is the rank sequence (e_0, e_1, ...) as a tuple of ints,
+    e_0 the rank, without trailing zeros past e_0."""
+
     __slots__ = ()
 
     @property
@@ -121,6 +123,8 @@ def curve_from_dict(raw: dict) -> CurveData:
         raise ParseError(f"e_sequence must be a list of nonnegative integers, not {e_seq!r}")
     if not e_seq or e_seq[0] != rank:
         raise ParseError("e_sequence[0] must equal the rank")
+    while len(e_seq) > 1 and e_seq[-1] == 0:
+        e_seq = e_seq[:-1]
     fricke = _json_int(raw, "fricke_sign", 1)
     if fricke not in (1, -1):
         raise ParseError("fricke_sign must be +1 or -1")
@@ -129,7 +133,7 @@ def curve_from_dict(raw: dict) -> CurveData:
         a_invariants=tuple(ai),
         conductor=_json_int(raw, "conductor"),
         rank=rank,
-        e_sequence=RankSequence(e_seq),
+        e_sequence=tuple(e_seq),
         fricke_sign=fricke,
     )
     if curve.discriminant == 0:

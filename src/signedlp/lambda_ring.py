@@ -29,7 +29,7 @@ import math
 import sys
 from array import array
 from collections import namedtuple
-from itertools import accumulate, count, repeat, zip_longest
+from itertools import accumulate, count, islice, repeat, zip_longest
 
 from .errors import MixedContext, NotDistinguished, PrecisionExhausted
 from .padic import padic_valuation
@@ -289,28 +289,6 @@ def _divmod_monic(f, g, mod: int):
     return q, diff[:d]
 
 
-def taylor_shift(values, mod: int) -> list:
-    """X-coefficients of sum_j values[j] * Y^j, Y = 1 + X, modulo `mod`.
-
-    Divide and conquer over blocks of b = 1, 2, 4, ... coefficients: each
-    pair of blocks (lo, hi) becomes lo + (1+X)^b * hi, and all the hi blocks
-    of one round, spaced 2b apart, are multiplied by (1+X)^b in one product.
-    """
-    size = 1 << max(len(values) - 1, 0).bit_length()
-    v = [c % mod for c in values] + [0] * (size - len(values))
-    power, b = [1, 1], 1  # (1+X)^b
-    while b < size:
-        hi = []
-        for s in range(0, size, 2 * b):
-            hi += v[s + b : s + 2 * b] + [0] * b
-            v[s + b : s + 2 * b] = [0] * b
-        v = [(x + y) % mod for x, y in zip(v, _mul(hi, power, mod))]
-        b *= 2
-        if b < size:
-            power = _mul(power, power, mod)
-    return v[: len(values)]
-
-
 # -- division, in X by a distinguished polynomial and in Y by omega_n and Phi_n ------
 
 
@@ -364,15 +342,18 @@ def phi_quotient(F: LambdaElement, levels) -> LambdaElement:
     return LambdaElement(ctx, y)
 
 
-def x_coefficients(F: LambdaElement, n: int) -> LambdaElement:
-    """The first n X-coefficients of F held as Y-coefficients: the remainders
-    (sums) of n successive divisions by Y - 1, whose quotients are suffix sums."""
-    mod = F.context.modulus
-    y, head = list(F.coeffs), []
-    for _ in range(min(n, len(y))):
-        head.append(sum(y))
+def x_scan(y, mod: int):
+    """The X-coefficients of sum_j y[j] * Y^j modulo `mod`, in order: the
+    remainders (sums) of successive divisions by Y - 1, whose quotients are
+    suffix sums.  Each costs one pass over y, so a caller stops early."""
+    while y:
+        yield sum(y) % mod
         y = [c % mod for c in accumulate(y[:0:-1])][::-1]
-    return LambdaElement(F.context, head)
+
+
+def x_coefficients(F: LambdaElement, n: int) -> LambdaElement:
+    """The first n X-coefficients of F held as Y-coefficients."""
+    return LambdaElement(F.context, list(islice(x_scan(F.coeffs, F.context.modulus), n)))
 
 
 # -- Weierstrass preparation and invariants ------------------------------------------

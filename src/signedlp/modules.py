@@ -1,4 +1,4 @@
-"""Rank sequences and the ideals of Lambda kept in factored form.
+"""The ideals of Lambda kept in factored form.
 
 An ideal here is p^a * X^alpha * prod Phi_n^beta_n, written out by its
 exponents: the fine characteristic given on the command line and the
@@ -12,34 +12,6 @@ from __future__ import annotations
 from collections import namedtuple
 
 from .lambda_ring import factored_string
-
-
-class RankSequence(namedtuple("RankSequence", "e")):
-    """e_0, e_1, ... with finite support; e_0 is the rank over Q.  seq[n]
-    reads e_n, 0 past the support; iteration and `in` range over e_0 up to
-    the last nonzero e_n (e_0 alone when every e_n is 0)."""
-
-    __slots__ = ()
-
-    def __new__(cls, e):
-        e = tuple(int(v) for v in e)
-        if any(v < 0 for v in e):
-            raise ValueError("rank increments must be nonnegative")
-        while len(e) > 1 and e[-1] == 0:
-            e = e[:-1]
-        return super().__new__(cls, e)
-
-    def __getitem__(self, n: int) -> int:
-        return self.e[n] if n < len(self.e) else 0
-
-    def __iter__(self):
-        return iter(self.e)
-
-    def __contains__(self, value):
-        return value in self.e
-
-    def support(self):
-        return [n for n, v in enumerate(self.e) if v >= 1]
 
 
 class FactoredIdeal(namedtuple("FactoredIdeal", "p_exp x_exp phi_exps")):
@@ -103,14 +75,14 @@ def parse_factored_ideal(spec: str) -> FactoredIdeal:
     return FactoredIdeal(p_exp, x_exp, phi)
 
 
-def gr_ideal(e: RankSequence) -> FactoredIdeal:
-    """prod over e_n >= 1, n >= 0 of Phi_n^(e_n - 1), with Phi_0 = X."""
-    x_exp = max(e[0] - 1, 0) if e[0] >= 1 else 0
-    phi = {n: e[n] - 1 for n in e.support() if n >= 1 and e[n] >= 2}
-    return FactoredIdeal(0, x_exp, phi)
+def gr_ideal(e: tuple) -> FactoredIdeal:
+    """prod over e_n >= 1, n >= 0 of Phi_n^(e_n - 1), with Phi_0 = X, for
+    the rank sequence e = (e_0, e_1, ...)."""
+    phi = {n: v - 1 for n, v in enumerate(e) if n >= 1 and v >= 2}
+    return FactoredIdeal(0, max(e[0] - 1, 0), phi)
 
 
-def kp_ideal(e: RankSequence) -> FactoredIdeal:
-    """X^(e_0) * prod over e_n >= 1, n >= 1 of Phi_n^(e_n - 1)."""
-    phi = {n: e[n] - 1 for n in e.support() if n >= 1 and e[n] >= 2}
-    return FactoredIdeal(0, e[0], phi)
+def kp_ideal(e: tuple) -> FactoredIdeal:
+    """X^(e_0) * prod over e_n >= 1, n >= 1 of Phi_n^(e_n - 1): the Greenberg
+    ideal times X when e_0 >= 1, since its X-exponent is then e_0 - 1."""
+    return gr_ideal(e).times_x(min(e[0], 1))

@@ -11,6 +11,7 @@ byte-identical output.
 
 from __future__ import annotations
 
+import binascii
 import json
 import os
 from collections import namedtuple
@@ -97,12 +98,12 @@ def cache_path(cfg: RunConfig, curve: CurveData) -> str | None:
                               f"_e{curve.fricke_sign}_v{__version__}.json")
 
 
-def _write_atomically(path: str, text: str) -> None:
-    """text to tmp, renamed over path: readers never see a partial file."""
+def _write_atomically(path: str, data: bytes) -> None:
+    """data to tmp, renamed over path: readers never see a partial file."""
     tmp = f"{path}.{os.getpid()}.tmp"
     try:
-        with open(tmp, "w") as fh:
-            fh.write(text)
+        with open(tmp, "wb") as fh:
+            fh.write(data)
         os.replace(tmp, path)
     except OSError as exc:
         raise IoError(f"cannot write cache entry {path}: {exc}") from exc
@@ -117,11 +118,16 @@ def _ints(values, length: int) -> bool:
 
 def _read_cached(path: str, curve: CurveData, p: int, K: int) -> SymbolTable | None:
     """The table of a cache entry as it was built; None when the entry is
-    missing, does not parse or does not have the shape of its key: two
-    positive denominators, and levels 0..K of p^k numerators per sign."""
+    missing, fails its checksum, does not parse or does not have the shape
+    of its key: two positive denominators, and levels 0..K of p^k
+    numerators per sign.  An entry is a line with the CRC-32 of the rest in
+    eight hex digits, then the table as one JSON document."""
     try:
-        with open(path) as fh:
-            entry = json.load(fh)
+        with open(path, "rb") as fh:
+            crc, _, body = fh.read().partition(b"\n")
+        if crc != b"%08x" % binascii.crc32(body):
+            return None
+        entry = json.loads(body)
         meta, dens, levels = entry["meta"], entry["denominators"], entry["levels"]
         shaped = (type(meta) is dict and _ints(dens, 2) and min(dens) > 0 and len(levels) == K + 1
                   and all(len(level) == 2 and all(_ints(sign, p**k) for sign in level)
@@ -143,7 +149,8 @@ def load_or_build_table(cfg: RunConfig, curve: CurveData) -> SymbolTable:
         if cached:
             entry = {"meta": table.meta, "denominators": table.denominators,
                      "levels": table.levels}
-            _write_atomically(cached, json.dumps(entry, sort_keys=True))
+            body = json.dumps(entry, sort_keys=True).encode()
+            _write_atomically(cached, b"%08x\n" % binascii.crc32(body) + body)
     # a cached table is exported too
     if cfg.table_path and cfg.table_mode == "export":
         export_table(table, cfg.table_path)
@@ -281,8 +288,8 @@ def run_pipeline(cfg: RunConfig, last_stage: str | None = None) -> PipelineResul
                 "Gr": verdict.status_of("Gr"),
                 "theorem": "PASS" if theorem.all_pass else "FAIL",
             }
-            for c in theorem.checks:
-                verdict.add(f"thm:{c.name}", c.status, c.detail)
+            verdict = verdict._replace(checks=verdict.checks + tuple(
+                c._replace(name=f"thm:{c.name}") for c in theorem.checks))
         return PipelineResult(record, curve, table, thetas, compat, pair, gcd, verdict)
     except SignedLPError as exc:
         exc.stage = stage

@@ -11,7 +11,7 @@ from __future__ import annotations
 from .analyzer import emit
 from .cli import _INFO, _PIPELINE, FLAGS, REQUIRED, _settings
 from .curves import classify_reduction, ingest_curve, is_odd_prime, periods
-from .lambda_ring import taylor_shift
+from .lambda_ring import _mul
 from .modsym import _units
 
 
@@ -24,7 +24,7 @@ def cmd_curve_info(args) -> int:
         "conductor": curve.conductor,
         "discriminant": curve.discriminant,
         "rank": curve.rank,
-        "e_sequence": list(curve.e_sequence.e),
+        "e_sequence": list(curve.e_sequence),
         "fricke_sign": curve.fricke_sign,
     }
     if args.p is not None:
@@ -50,6 +50,28 @@ def _symbols_payload(result, cfg):
         "provenance": table.provenance,
         "hecke": "PASS",  # a table that fails validation stops the run
     }
+
+
+def taylor_shift(values, mod: int) -> list:
+    """X-coefficients of sum_j values[j] * Y^j, Y = 1 + X, modulo `mod`.
+
+    Divide and conquer over blocks of b = 1, 2, 4, ... coefficients: each
+    pair of blocks (lo, hi) becomes lo + (1+X)^b * hi, and all the hi blocks
+    of one round, spaced 2b apart, are multiplied by (1+X)^b in one product.
+    """
+    size = 1 << max(len(values) - 1, 0).bit_length()
+    v = [c % mod for c in values] + [0] * (size - len(values))
+    power, b = [1, 1], 1  # (1+X)^b
+    while b < size:
+        hi = []
+        for s in range(0, size, 2 * b):
+            hi += v[s + b : s + 2 * b] + [0] * b
+            v[s + b : s + 2 * b] = [0] * b
+        v = [(x + y) % mod for x, y in zip(v, _mul(hi, power, mod))]
+        b *= 2
+        if b < size:
+            power = _mul(power, power, mod)
+    return v[: len(values)]
 
 
 def _theta_payload(result, cfg):

@@ -27,7 +27,7 @@ from collections import namedtuple
 
 from .curves import prime_divisors
 from .errors import IncompleteTable, NotAUnit
-from .lambda_ring import IwasawaContext, LambdaElement, fold, taylor_shift
+from .lambda_ring import IwasawaContext, LambdaElement, fold, x_scan
 from .modsym import SymbolTable
 from .padic import residues
 
@@ -96,9 +96,10 @@ def check_compat(thetas, n: int, a_p: int) -> CompatReport:
     on thetas held as Y-coefficients: with m = p^(n-1), omega_(n-1) = Y^m - 1
     and Phi_(n-1) = sum_{i<p} Y^(i m/p), so the remainder, which must vanish
     at the working p-precision, is fold(theta_n, m) - a_p fold(theta_(n-1), m)
-    plus fold(theta_(n-2), m/p) tiled p times.  Only a failing remainder is
-    Taylor-shifted, so that index and detail count X-coefficients.  Levels 0
-    and 1 are covered by the Hecke validation of the underlying table instead.
+    plus fold(theta_(n-2), m/p) tiled p times.  A failing remainder is read
+    in X only up to its first nonzero X-coefficient, so that index and
+    detail count X-coefficients.  Levels 0 and 1 are covered by the Hecke
+    validation of the underlying table instead.
     """
     if n < 2:
         raise ValueError("the three-term congruence starts at level 2")
@@ -109,10 +110,9 @@ def check_compat(thetas, n: int, a_p: int) -> CompatReport:
            zip(fold(thetas[n].coeffs, m), fold(thetas[n - 1].coeffs, m), tiled)]
     if not any(c % mod for c in rem):
         return CompatReport(n, True)
-    for idx, c in enumerate(taylor_shift(rem, mod)):
-        if c:
-            return CompatReport(
-                n, False,
-                detail=f"coefficient {idx} of the remainder is {c} mod {ctx.prime}^{ctx.precision}",
-                index=idx,
-            )
+    idx, c = next((idx, c) for idx, c in enumerate(x_scan(rem, mod)) if c)
+    return CompatReport(
+        n, False,
+        detail=f"coefficient {idx} of the remainder is {c} mod {ctx.prime}^{ctx.precision}",
+        index=idx,
+    )

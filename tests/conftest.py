@@ -10,8 +10,8 @@ import pytest
 
 from signedlp.curves import Periods, a_ell, an_expansion, ingest_curve
 from signedlp.errors import NonConvergence
-from signedlp.lambda_ring import taylor_shift
 from signedlp.modsym import SymbolTableBuilder, export_table, import_table
+from signedlp.subcommands import taylor_shift
 from signedlp.theta import build_theta
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))

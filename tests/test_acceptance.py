@@ -20,7 +20,6 @@ from signedlp.extract import extract_plus_minus, extract_sharp_flat
 from signedlp.lambda_ring import IwasawaContext, weierstrass
 from signedlp.modules import (
     FactoredIdeal,
-    RankSequence,
     gr_ideal,
     kp_ideal,
     parse_factored_ideal,
@@ -72,12 +71,12 @@ def test_c01_lambda_ring_suite():
 
 def test_c02_module_model_suite():
     t0 = time.time()
-    assert gr_ideal(RankSequence([1])) == FactoredIdeal()
-    assert kp_ideal(RankSequence([1])) == FactoredIdeal(x_exp=1)
-    assert gr_ideal(RankSequence([2, 1])) == FactoredIdeal(x_exp=1)
-    assert kp_ideal(RankSequence([2, 1])) == FactoredIdeal(x_exp=2)
-    assert gr_ideal(RankSequence([0, 2])) == FactoredIdeal(phi_exps={1: 1})
-    assert kp_ideal(RankSequence([0, 2])) == FactoredIdeal(phi_exps={1: 1})
+    assert gr_ideal((1,)) == FactoredIdeal()
+    assert kp_ideal((1,)) == FactoredIdeal(x_exp=1)
+    assert gr_ideal((2, 1)) == FactoredIdeal(x_exp=1)
+    assert kp_ideal((2, 1)) == FactoredIdeal(x_exp=2)
+    assert gr_ideal((0, 2)) == FactoredIdeal(phi_exps={1: 1})
+    assert kp_ideal((0, 2)) == FactoredIdeal(phi_exps={1: 1})
 
     dt = _elapsed(t0)
     assert dt < 1.0, f"predicted-ideal suite took {dt:.2f}s"

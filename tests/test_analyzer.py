@@ -21,7 +21,7 @@ from signedlp.extract import (
     extract_sharp_flat,
 )
 from signedlp.lambda_ring import IwasawaContext, divrem
-from signedlp.modules import RankSequence, parse_factored_ideal
+from signedlp.modules import parse_factored_ideal
 from signedlp.pipeline import RunConfig, run_pipeline
 
 from conftest import curve_path, ideal_to_lambda, x_element, y_element
@@ -116,7 +116,7 @@ def test_report_factors_each_component_once(monkeypatch):
 
 def test_compare_predictions_rank_one_configuration():
     gcd = GcdReport(0, 1, {}, "1", True)
-    v = compare_predictions(gcd, RankSequence([1]), parse_factored_ideal("1"))
+    v = compare_predictions(gcd, (1,), parse_factored_ideal("1"))
     assert v.status_of("KP") == "PASS"
     assert v.status_of("Gr") == "PASS"
     assert v.status_of("X-shift") == "PASS" and v.delta_e == 1
@@ -124,13 +124,13 @@ def test_compare_predictions_rank_one_configuration():
 
 def test_compare_predictions_failure_modes():
     too_big = GcdReport(0, 2, {}, "1", True)
-    v = compare_predictions(too_big, RankSequence([1]), parse_factored_ideal("1"))
+    v = compare_predictions(too_big, (1,), parse_factored_ideal("1"))
     assert v.status_of("KP") == "FAIL"
     gcd = GcdReport(0, 1, {}, "1", True)
-    v = compare_predictions(gcd, RankSequence([1]), parse_factored_ideal("X"))
+    v = compare_predictions(gcd, (1,), parse_factored_ideal("X"))
     assert v.status_of("X-shift") == "PASS" and v.delta_e == 0
     uncertified = GcdReport(None, 1, {}, "1", False)
-    v = compare_predictions(uncertified, RankSequence([1]), parse_factored_ideal("1"))
+    v = compare_predictions(uncertified, (1,), parse_factored_ideal("1"))
     assert v.status_of("KP") == "INCONCLUSIVE"
 
 
@@ -140,7 +140,7 @@ def test_delta_recording_on_generated_rank_sequences():
 
     rng = random.Random(99)
     for _ in range(60):
-        e = RankSequence([rng.randrange(0, 2) for _ in range(5)])
+        e = tuple(rng.randrange(0, 2) for _ in range(5))
         kp = kp_ideal(e)
         gcd = GcdReport(0, kp.x_exp, kp.phi_dict, "1", True)
         v = compare_predictions(gcd, e, gr_ideal(e))
@@ -177,7 +177,7 @@ def test_theorem_consistency_both_directions():
 
 def _rank_one_payload():
     gcd = GcdReport(0, 1, {}, "1", True)
-    v = compare_predictions(gcd, RankSequence([1]), parse_factored_ideal("1"))
+    v = compare_predictions(gcd, (1,), parse_factored_ideal("1"))
     return report_payload("37a1", 17, gcd, v)
 
 

@@ -1,3 +1,4 @@
+import binascii
 import json
 import os
 import subprocess
@@ -686,11 +687,19 @@ def _corrupt_truncated(path):
     path.write_bytes(path.read_bytes()[: path.stat().st_size // 2])
 
 
-def _corrupt_entry(change):
+def _corrupt_entry(change, checksum=False):
+    """Edit the JSON table of an entry in place.  The entry's checksum line,
+    if any, is kept and so no longer matches, unless checksum asks for one
+    that does."""
     def corrupt(path):
-        entry = json.loads(path.read_text())
+        text = path.read_text()
+        head, body = text[: text.index("{")], text[text.index("{"):]
+        entry = json.loads(body)
         change(entry)
-        path.write_text(json.dumps(entry))
+        body = json.dumps(entry)
+        if checksum:
+            head = "%08x\n" % binascii.crc32(body.encode())
+        path.write_text(head + body)
     return corrupt
 
 
@@ -698,15 +707,37 @@ def _float_numerator(entry):
     entry["levels"][1][0][1] += 0.5
 
 
+def _numerator_plus_one(entry):
+    entry["levels"][2][0][7] += 1
+
+
+def _certification_value(entry):
+    entry["meta"]["plus"]["value"] = "7"
+
+
+def _numerators_times_five(entry):
+    for level in entry["levels"]:
+        for sign in level:
+            sign[:] = [5 * a for a in sign]
+
+
 @pytest.mark.parametrize("corrupt", [
     _corrupt_truncated,
     _corrupt_entry(_float_numerator),
     _corrupt_entry(lambda entry: entry["levels"].pop()),
-], ids=["truncated", "float-numerator", "one-level-short"])
+    _corrupt_entry(lambda entry: entry["levels"].pop(), checksum=True),
+    _corrupt_entry(_numerator_plus_one),
+    _corrupt_entry(_certification_value),
+    _corrupt_entry(_numerators_times_five),
+], ids=["truncated", "float-numerator", "one-level-short", "one-level-short-checksummed",
+        "numerator-plus-one", "certification-value", "numerators-times-five"])
 def test_bad_cache_entry_is_rebuilt(corrupt, tmp_path, capsys, monkeypatch):
-    # an entry that does not parse, or whose shape does not match its key,
-    # is a miss: the report is the cold one and the entry is written again
-    argv = _REPORT_37A1_P3 + ["--curve", curve_path("37a1")]
+    # an entry that fails its checksum, does not parse, or whose shape does
+    # not match its key is a miss: the report is the cold one and the entry
+    # is written again.  An edit that keeps the shape (a numerator off by
+    # one, another certification value, every numerator times 5) would
+    # otherwise fail the Hecke check or change the report
+    argv = ["report", "--curve", curve_path("53a1"), "--p", "5", "--level", "2"]
     code, cold, _ = run_cli(argv, capsys)
     assert code == 0
     cache = tmp_path / "cache"
@@ -718,7 +749,10 @@ def test_bad_cache_entry_is_rebuilt(corrupt, tmp_path, capsys, monkeypatch):
     assert entry.read_bytes() != written
     assert run_cli(argv, capsys)[:2] == (0, cold)
     assert list(cache.iterdir()) == [entry] and entry.read_bytes() == written
-    json.loads(written)
+    # a line with the CRC-32 of the rest in eight hex digits, then the table
+    crc, body = written.split(b"\n", 1)
+    assert crc == b"%08x" % binascii.crc32(body)
+    json.loads(body)
 
 
 @pytest.mark.parametrize("label", ["a/b", "../escaped"])

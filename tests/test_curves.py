@@ -61,7 +61,19 @@ _RECORD_37A1 = {"label": "37a1", "a_invariants": [0, 0, 1, -1, 0], "conductor": 
 
 def test_default_e_sequence():
     c = curve_from_dict(_RECORD_37A1)
-    assert list(c.e_sequence.e) == [1]
+    assert c.e_sequence == (1,)
+
+
+@pytest.mark.parametrize("given, kept", [
+    ([1, 0, 2, 0, 0], (1, 0, 2)),
+    ([1, 0], (1,)),
+    ([1], (1,)),
+    ([0, 0, 0], (0,)),
+])
+def test_e_sequence_is_a_tuple_without_trailing_zeros(given, kept):
+    # e_0, the rank, is always kept
+    raw = {**_RECORD_37A1, "rank": given[0], "e_sequence": given}
+    assert curve_from_dict(raw).e_sequence == kept
 
 
 @pytest.mark.parametrize("field, value", [
@@ -341,7 +353,7 @@ def test_fricke_sign_verified_numerically(store):
         flipped = curve_from_dict({
             "label": c.label, "a_invariants": list(c.a_invariants),
             "conductor": c.conductor, "rank": c.rank,
-            "e_sequence": list(c.e_sequence.e),
+            "e_sequence": list(c.e_sequence),
             "fricke_sign": -c.fricke_sign,
         })
         assert fricke_residual(flipped) > 1e-3

@@ -6,7 +6,6 @@ import pytest
 from signedlp.lambda_ring import IwasawaContext, divrem, weierstrass
 from signedlp.modules import (
     FactoredIdeal,
-    RankSequence,
     gr_ideal,
     kp_ideal,
     parse_factored_ideal,
@@ -24,13 +23,13 @@ def ctx():
 
 
 def test_gr_kp_examples():
-    e = RankSequence([1])
+    e = (1,)
     assert gr_ideal(e) == FactoredIdeal()
     assert kp_ideal(e) == FactoredIdeal(x_exp=1)
-    e = RankSequence([2, 1])
+    e = (2, 1)
     assert gr_ideal(e) == FactoredIdeal(x_exp=1)
     assert kp_ideal(e) == FactoredIdeal(x_exp=2)
-    e = RankSequence([0, 2])
+    e = (0, 2)
     assert gr_ideal(e) == FactoredIdeal(phi_exps={1: 1})
     assert kp_ideal(e) == FactoredIdeal(phi_exps={1: 1})
 
@@ -38,7 +37,7 @@ def test_gr_kp_examples():
 def test_kp_is_gr_times_x_for_rank_one():
     rng = random.Random(3)
     for _ in range(40):
-        e = RankSequence([1] + [rng.randrange(0, 2) for _ in range(4)])
+        e = (1, *(rng.randrange(0, 2) for _ in range(4)))
         assert kp_ideal(e) == gr_ideal(e).times_x()
 
 

@@ -1,15 +1,13 @@
 """Value semantics of the immutable record types."""
 
-from itertools import islice
-
 import pytest
 
-from signedlp.analyzer import Check
+from signedlp.analyzer import Check, Verdict
 from signedlp.curves import CurveData, Periods, ReductionType
 from signedlp.extract import FitResult, SignedPair, SignedSeries
 from signedlp.lambda_ring import GcdReport, InvariantReport, IwasawaContext, LambdaElement
 from signedlp.modsym import HeckeReport, SymbolTable
-from signedlp.modules import FactoredIdeal, RankSequence
+from signedlp.modules import FactoredIdeal
 from signedlp.pipeline import PipelineResult, RunConfig
 from signedlp.theta import CompatReport
 
@@ -33,16 +31,17 @@ RECORDS = {
     "IwasawaContext": (lambda: IwasawaContext(5, 8), "precision"),
     "LambdaElement": (_element, "coeffs"),
     "InvariantReport": (_report, "lam"),
-    "CurveData": (lambda: CurveData("37a1", (0, 0, 1, -1, 0), 37, 1,
-                                    RankSequence([1]), -1), "conductor"),
+    "CurveData": (lambda: CurveData("37a1", (0, 0, 1, -1, 0), 37, 1, (1,), -1),
+                  "conductor"),
     "ReductionType": (lambda: ReductionType("good-supersingular", 0), "a_p"),
     "Periods": (lambda: Periods(5.98, 2.45j, 2), "omega_plus"),
     "SignedSeries": (_series, "x_lower_bound"),
     "SignedPair": (lambda: SignedPair(("plus", "minus"), (_series(), _series()),
                                       "parity-factor", True), "stabilized"),
     "FitResult": (lambda: FitResult(0, 1, (1, 3), True), "lambda_star"),
-    "RankSequence": (lambda: RankSequence([1, 0, 2, 0]), "e"),
     "FactoredIdeal": (lambda: FactoredIdeal(0, 1, {1: 2, 2: 0}), "x_exp"),
+    "Verdict": (lambda: Verdict((Check("KP", "PASS"), Check("Gr", "FAIL", "hypothesis X")), 1),
+                "checks"),
 }
 
 
@@ -61,14 +60,14 @@ def test_record_is_immutable_and_compares_by_value(name):
 def test_records_of_different_values_differ():
     assert IwasawaContext(5, 8) != IwasawaContext(5, 7)
     assert _element() != LambdaElement(IwasawaContext(3, 4), [6, 3, 2])
-    assert RankSequence([1, 0]) == RankSequence([1]) != RankSequence([2])
     assert FactoredIdeal(0, 1, {1: 1}) != FactoredIdeal(0, 1)
+    assert Verdict((Check("KP", "PASS"),)) != Verdict((Check("KP", "PASS"),), 1)
 
 
 @pytest.mark.parametrize("record", [
     IwasawaContext, InvariantReport, GcdReport, CurveData, ReductionType, Periods,
-    SignedSeries, SignedPair, FitResult, RankSequence, FactoredIdeal, SymbolTable,
-    HeckeReport, CompatReport, Check, RunConfig, PipelineResult,
+    SignedSeries, SignedPair, FitResult, FactoredIdeal, SymbolTable,
+    HeckeReport, CompatReport, Check, Verdict, RunConfig, PipelineResult,
 ], ids=lambda record: record.__name__)
 def test_record_types_are_namedtuples_without_instance_dicts(record):
     # one declaration for every record: a namedtuple subclass whose empty
@@ -76,11 +75,3 @@ def test_record_types_are_namedtuples_without_instance_dicts(record):
     assert issubclass(record, tuple) and record._fields
     assert vars(record)["__slots__"] == () and "__dict__" not in dir(record)
 
-
-def test_rank_sequence_iterates_over_its_support():
-    # indexing reads 0 past the support, but iteration and `in` stop at the
-    # last nonzero e_n
-    seq = RankSequence([1, 0, 2, 0])
-    assert list(islice(iter(seq), 10)) == [1, 0, 2]
-    assert 7 not in seq and 2 in seq and 0 in seq
-    assert seq[5] == 0

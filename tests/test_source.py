@@ -90,6 +90,39 @@ def test_only_lambda_element_defines_value_semantics():
     assert sorted(found) == [f"lambda_ring.py:LambdaElement.{d}" for d in sorted(dunders)], found
 
 
+# the classes that hold more than an immutable record, and why
+STATEFUL_CLASSES = {
+    "LambdaElement": "a ring element, which must not pick up tuple length, "
+                     "indexing or ordering",
+    "ManinSymbols": "the points of P^1(Z/NZ) with the index and relation maps "
+                    "that one table build reads",
+    "SymbolTableBuilder": "a table build, whose __init__ and build perfbench "
+                          "traces as separate spans",
+}
+
+
+def test_every_class_is_an_exception_a_record_or_named_stateful():
+    # plain data is a collections.namedtuple subclass; an exception derives
+    # from Exception through the package's own exceptions
+    classes = [
+        (name, cls) for name, tree in _package_trees().items()
+        for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef)
+    ]
+    exceptions = {"Exception"}
+    for _ in classes:  # each pass adds one more generation of subclasses
+        exceptions |= {cls.name for _, cls in classes
+                       if any(getattr(base, "id", None) in exceptions for base in cls.bases)}
+    found = [
+        f"{name}:{cls.name}" for name, cls in classes
+        if cls.name not in exceptions and cls.name not in STATEFUL_CLASSES
+        and not (len(cls.bases) == 1 and isinstance(cls.bases[0], ast.Call)
+                 and getattr(cls.bases[0].func, "id", None) == "namedtuple")
+    ]
+    assert not found, f"classes that are neither exceptions nor namedtuples: {found}"
+    stateful = sorted(cls.name for _, cls in classes if cls.name in STATEFUL_CLASSES)
+    assert stateful == sorted(STATEFUL_CLASSES), stateful
+
+
 @pytest.mark.parametrize("module", ["fractions", "decimal", "csv", "argparse"])
 def test_no_module_imports_on_import(module):
     # a report builds and prints on ints and JSON: fractions (which loads

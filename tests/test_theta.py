@@ -4,8 +4,9 @@ from fractions import Fraction
 
 import pytest
 
+from signedlp import lambda_ring, subcommands, theta
 from signedlp.errors import IncompleteTable, NotAUnit, NotIntegral
-from signedlp.lambda_ring import weierstrass
+from signedlp.lambda_ring import IwasawaContext, weierstrass
 from signedlp.padic import residues
 from signedlp.theta import (
     build_theta,
@@ -219,3 +220,20 @@ def test_compat_detects_corruption():
     rep = check_compat(thetas, 2, a_p=0)
     assert not rep.passed
     assert re.fullmatch(r"coefficient \d+ of the remainder is \d+ mod 3\^6", rep.detail)
+
+
+def test_failing_compat_at_level_10_reads_x_coefficients_without_a_shift(monkeypatch):
+    # theta_10 = 5 (Y - 1)^2 over zero thetas below it: the remainder's
+    # first nonzero X-coefficient is coefficient 2, found by dividing by
+    # Y - 1 twice, not by shifting all 3^9 coefficients to X
+    def no_shift(values, mod):
+        raise AssertionError("check_compat shifted the whole remainder")
+
+    for module in (lambda_ring, theta, subcommands):  # wherever it is held
+        monkeypatch.setattr(module, "taylor_shift", no_shift, raising=False)
+    ctx = IwasawaContext(3, 8)
+    thetas = {n: ctx.element([0] * 3**n) for n in (8, 9)}
+    thetas[10] = ctx.element([5, -10, 5] + [0] * (3**10 - 3))
+    rep = check_compat(thetas, 10, a_p=0)
+    assert (rep.passed, rep.index) == (False, 2)
+    assert rep.detail == "coefficient 2 of the remainder is 5 mod 3^8"
