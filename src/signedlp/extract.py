@@ -12,8 +12,11 @@ the inverse of the fundamental-solution matrix of s_(k+1) = a_p s_k -
 Phi_k s_(k-1); every division is by a monic polynomial and is verified to
 be exact at the working precision, so no p-adic digits are lost.  Labels
 sharp/flat follow the solve order and may be swapped relative to other
-tables.  Thetas, quotients and solves are held as Y-coefficients (Y = 1 +
-X), where each division is a pair of linear scans (phi_quotient).
+tables.  Thetas, quotients and solves are Y-vectors, plain lists of
+residues mod p^M in Y = 1 + X read beside the run's IwasawaContext, where
+each division is a pair of linear scans (phi_quotient); only the first
+X-coefficients of a top representative become a LambdaElement
+(x_coefficients), for Weierstrass preparation.
 
 Sprung's pair specializes to Pollack's: with a_p = 0 the solve at level n
 returns exactly the sign-corrected parity quotients at n and n - 1, odd
@@ -30,6 +33,7 @@ with mu > 0 do not, and are reported as observed-but-uncertified.
 from __future__ import annotations
 
 from collections import namedtuple
+from itertools import zip_longest
 
 from .errors import (
     NotStabilized,
@@ -49,7 +53,7 @@ from .lambda_ring import (
 class SignedSeries(namedtuple("SignedSeries", "label series modulus_desc invariants "
                               "stabilization x_lower_bound limit_certified")):
     """One member of a signed pair, with its certification data: series is
-    the canonical representative, a LambdaElement of Y-coefficients;
+    the canonical representative, a Y-vector (a list of residues mod p^M);
     invariants its InvariantReport; stabilization "two-level",
     "single-level" or "zero-chain"; x_lower_bound the certified
     X-divisibility of the limit at precision; limit_certified whether the
@@ -70,10 +74,10 @@ class SignedPair(namedtuple("SignedPair", "labels components method stabilized")
     __slots__ = ()
 
 
-def _component(label, rep, modulus, grade, reading=None) -> SignedSeries:
-    """The component named label: its top representative rep, held as
-    Y-coefficients, its class modulus (p^M, modulus) and its grade across
-    levels; reading is mu_lambda_y(rep) when the caller has made it.
+def _component(label, rep, modulus, grade, ctx, reading=None) -> SignedSeries:
+    """The component named label: its top representative rep, a Y-vector
+    in ctx, its class modulus (p^M, modulus) and its grade across levels;
+    reading is mu_lambda_y(rep, p) when the caller has made it.
 
     A representative that vanishes at precision is graded "zero-chain".
     (mu, lambda) are read from the whole representative F, and weierstrass
@@ -89,12 +93,12 @@ def _component(label, rep, modulus, grade, reading=None) -> SignedSeries:
     section 7.1).  The unit part is that of the truncation.  The limit is
     certified by a mu = 0 reading, and divisible by X when F(0) = 0.
     """
-    mu, lam = mu_lambda_y(rep) if reading is None else reading
-    n = 0 if mu is INCONCLUSIVE else max(lam + 1, lam * (rep.context.precision - mu) + 1)
-    inv = weierstrass(x_coefficients(rep, n))
-    grade = "zero-chain" if rep.is_zero_at_precision else grade
-    return SignedSeries(label, rep, f"(p^{rep.context.precision}, {modulus})", inv, grade,
-                        0 if rep.value_at_one() else 1, inv.conclusive and inv.mu == 0)
+    mu, lam = mu_lambda_y(rep, ctx.prime) if reading is None else reading
+    n = 0 if mu is INCONCLUSIVE else max(lam + 1, lam * (ctx.precision - mu) + 1)
+    inv = weierstrass(x_coefficients(rep, n, ctx))
+    grade = grade if any(rep) else "zero-chain"
+    return SignedSeries(label, rep, f"(p^{ctx.precision}, {modulus})", inv, grade,
+                        0 if sum(rep) % ctx.modulus else 1, inv.conclusive and inv.mu == 0)
 
 
 def _pair(method, *components) -> SignedPair:
@@ -103,9 +107,9 @@ def _pair(method, *components) -> SignedPair:
     return SignedPair(tuple(c.label for c in components), components, method, stabilized)
 
 
-def extract_plus_minus(thetas, a_p: int) -> SignedPair:
+def extract_plus_minus(thetas, a_p: int, ctx) -> SignedPair:
     """Plus/minus pair from the parity-decoupled theta chains (a_p = 0);
-    thetas and the components' series are held as Y-coefficients."""
+    thetas and the components' series are Y-vectors in ctx."""
     if a_p != 0:
         raise WrongReductionType("plus/minus extraction requires a_p = 0")
     components = []
@@ -117,20 +121,22 @@ def extract_plus_minus(thetas, a_p: int) -> SignedPair:
         quotients = {}
         for n in levels:
             # theta_n / prod of the Phi_i, 1 <= i < n, i of the parity of n - 1
-            q = phi_quotient(thetas[n], range(n - 1, 0, -2))
-            quotients[n] = -q if (n // 2) % 2 == 1 else q
+            q = phi_quotient(thetas[n], range(n - 1, 0, -2), ctx)
+            quotients[n] = [-c % ctx.modulus for c in q] if (n // 2) % 2 == 1 else q
         top, grade, reading = levels[-1], "single-level", None
         if len(levels) >= 2:
             low = levels[-2]
             # class modulus at the lower level: omega_low / parity product,
             # that is X * prod of the Phi_i, 1 <= i <= low, i of the parity of low
+            diff = [a - b for a, b in zip_longest(quotients[top], quotients[low], fillvalue=0)]
             try:
-                phi_quotient(quotients[top] - quotients[low], [0, *range(low, 0, -2)])
+                phi_quotient(diff, [0, *range(low, 0, -2)], ctx)
             except PrecisionExhausted:
                 raise NotStabilized(
                     f"{label}: quotients at levels {low} and {top} disagree"
                 ) from None
-            reading, inv_low = mu_lambda_y(quotients[top]), mu_lambda_y(quotients[low])
+            reading = mu_lambda_y(quotients[top], ctx.prime)
+            inv_low = mu_lambda_y(quotients[low], ctx.prime)
             if INCONCLUSIVE not in (reading[0], inv_low[0]) and reading != inv_low:
                 raise NotStabilized(
                     f"{label}: invariants drift between levels {low} and {top}"
@@ -138,28 +144,29 @@ def extract_plus_minus(thetas, a_p: int) -> SignedPair:
             grade = "two-level"
         div = "*".join(f"Phi{i}" for i in reversed(range(top - 1, 0, -2))) or "1"
         components.append(
-            _component(label, quotients[top], f"omega_{top}/{div}", grade, reading)
+            _component(label, quotients[top], f"omega_{top}/{div}", grade, ctx, reading)
         )
     return _pair("parity-factor", *components)
 
 
-def _solve(thetas, n: int, a_p: int) -> tuple:
+def _solve(thetas, n: int, a_p: int, ctx) -> tuple:
     """(A, B) = (D_1 ... D_(n-1))^(-1) (theta_n, theta_(n-1)), where
     D_k = [[a_p, -Phi_k], [1, 0]], each step dividing exactly by Phi_k."""
     u, v = thetas[n], thetas[n - 1]
     try:
         for k in range(n - 1, 0, -1):
-            u, v = v, phi_quotient(v.scale(a_p) - u, (k,))
+            w = [a_p * b - a for a, b in zip_longest(u, v, fillvalue=0)]
+            u, v = v, phi_quotient(w, (k,), ctx)
     except PrecisionExhausted as exc:
         raise SingularSystem(f"level {n}: {exc}") from exc
     return u, v
 
 
-def extract_sharp_flat(thetas, a_p: int, p: int) -> SignedPair:
+def extract_sharp_flat(thetas, a_p: int, ctx) -> SignedPair:
     """Sharp/flat pair by inverting the fundamental-solution system
     (0 < v_p(a_p)): the solve at the top level, graded against the solve one
-    level below; thetas and the components' series are held as Y-coefficients."""
-    if a_p == 0 or a_p % p != 0:
+    level below; thetas and the components' series are Y-vectors in ctx."""
+    if a_p == 0 or a_p % ctx.prime != 0:
         raise WrongReductionType(
             f"sharp/flat extraction requires 0 < v_p(a_p); a_p = {a_p}"
         )
@@ -167,27 +174,27 @@ def extract_sharp_flat(thetas, a_p: int, p: int) -> SignedPair:
     if top is None:
         raise NotStabilized("need at least theta_0 and theta_1")
     # only the top solve and the one below it are graded
-    solves = {n: _solve(thetas, n, a_p) for n in (top - 1, top) if n - 1 in thetas}
+    solves = {n: _solve(thetas, n, a_p, ctx) for n in (top - 1, top) if n - 1 in thetas}
     grades, readings = ["single-level", "single-level"], [None, None]
     if top - 1 in solves:
         for idx, (hi, lo) in enumerate(zip(solves[top], solves[top - 1])):
-            readings[idx], inv_lo = mu_lambda_y(hi), mu_lambda_y(lo)
+            readings[idx], inv_lo = mu_lambda_y(hi, ctx.prime), mu_lambda_y(lo, ctx.prime)
             if INCONCLUSIVE not in (readings[idx][0], inv_lo[0]):
                 if readings[idx] != inv_lo:
                     raise NotStabilized(
                         f"component {idx}: invariants drift at level {top}"
                     )
                 grades[idx] = "two-level"
-            elif lo.is_zero_at_precision:
+            elif not any(lo):
                 # lower solve is degenerate; consistency means the top
                 # component vanishes modulo the lower class modulus (X)
-                if not hi.value_at_one():
+                if not sum(hi) % ctx.modulus:
                     grades[idx] = "two-level"
     A, B = solves[top]
     return _pair(
         "linear-system",
-        _component("sharp", A, f"omega_{top - 1}", grades[0], readings[0]),
-        _component("flat", B, f"X*Phi_{top}", grades[1], readings[1]),
+        _component("sharp", A, f"omega_{top - 1}", grades[0], ctx, readings[0]),
+        _component("flat", B, f"X*Phi_{top}", grades[1], ctx, readings[1]),
     )
 
 
@@ -202,22 +209,21 @@ class FitResult(namedtuple("FitResult", "mu_star lambda_star levels stabilized d
     __slots__ = ()
 
 
-def invariant_fit(thetas) -> dict:
+def invariant_fit(thetas, ctx) -> dict:
     """Fitted (mu*, lambda*) per parity class from raw theta invariants,
-    read off thetas held as Y-coefficients.
+    read off thetas held as Y-vectors in ctx.
 
     Model: lambda(theta_n) = lambda* + q_n with q_n the degree of the
     accumulated opposite-parity Phi-product, and mu(theta_n) = mu*
     constant.  Drifting values raise NotStabilized rather than being
     averaged away; levels that vanish at precision are skipped.
     """
-    out = {}
-    p = thetas[max(thetas)].context.prime
+    out, p = {}, ctx.prime
     for parity, name in ((1, "odd"), (0, "even")):
         levels = sorted(n for n in thetas if n % 2 == parity)
         points = []
         for n in levels:
-            mu, lam = mu_lambda_y(thetas[n])
+            mu, lam = mu_lambda_y(thetas[n], p)
             if mu is INCONCLUSIVE:
                 continue
             points.append((n, mu, lam - _accumulated_degree(p, n)))

@@ -1,26 +1,28 @@
 """Arithmetic in Lambda = Z_p[[X]] at finite precision.
 
-Elements are polynomials over Z/p^M: each coefficient is stored as a plain
-integer residue in [0, p^M) up to the degree, with no trailing zeros, so a
-coefficient that reads 0 only vanishes at the working precision.  No degree
-bound is imposed: products, Phi_n and X^k are exact at any degree.  The
-topological generator convention is fixed once and for all: gamma = 1 + p,
-sent to 1 + X.
+A LambdaElement is a polynomial in X over Z/p^M: each coefficient is stored
+as a plain integer residue in [0, p^M) up to the degree, with no trailing
+zeros, so a coefficient that reads 0 only vanishes at the working
+precision.  No degree bound is imposed: products, Phi_n and X^k are exact at
+any degree.  The topological generator convention is fixed once and for
+all: gamma = 1 + p, sent to 1 + X.
 
-Theta elements, and every series divided out of them, are held as the
-coefficients c_j of sum c_j Y^j in the group-ring variable Y = 1 + X.  In
-Y, omega_n = Y^(p^n) - 1 and Phi_n = sum_{i<p} Y^(i p^(n-1)) are sparse, so
-dividing by them and reading mu, lambda and the first X-coefficients are
-linear scans.  Weierstrass preparation and the gcd work in X, on short
-polynomials (Phi_n, with Phi_0 = X, and distinguished parts), through one
-multiply and monic long division (von zur Gathen-Gerhard, Modern Computer
-Algebra, ch. 8-9).  The multiply is Kronecker substitution: both lists are
-packed into one integer each (through array.array for slots of up to 8
-bytes), multiplied once, and read back as array.array words.  Every
-division re-multiplies its quotient and checks the identity, and loses no
-p-adic digits; the only precision loss in this module comes from stripping
-p-power content, and Weierstrass preparation records it in the precision
-of its parts.
+Theta elements, and every series divided out of them, are Y-vectors: plain
+lists of the residues c_j of sum c_j Y^j in the group-ring variable
+Y = 1 + X, kept at the length they were computed, with an IwasawaContext
+passed beside them.  In Y, omega_n = Y^(p^n) - 1 and Phi_n =
+sum_{i<p} Y^(i p^(n-1)) are sparse, so dividing by them and reading mu,
+lambda and the first X-coefficients are linear scans; x_coefficients is the
+one place where a Y-vector becomes a LambdaElement.  Weierstrass preparation
+and the gcd work in X, on short polynomials (Phi_n, with Phi_0 = X, and
+distinguished parts), through one multiply and monic long division (von zur
+Gathen-Gerhard, Modern Computer Algebra, ch. 8-9).  The multiply is
+Kronecker substitution: both lists are packed into one integer each
+(through array.array for slots of up to 8 bytes), multiplied once, and read
+back as array.array words.  Every division re-multiplies its quotient and
+checks the identity, and loses no p-adic digits; the only precision loss in
+this module comes from stripping p-power content, and Weierstrass
+preparation records it in the precision of its parts.
 """
 
 from __future__ import annotations
@@ -121,10 +123,6 @@ class LambdaElement:
     def is_zero_at_precision(self) -> bool:
         return not self.coeffs
 
-    def value_at_one(self) -> int:
-        """The sum of the coefficients mod p^M: of Y-coefficients, the value at X = 0."""
-        return sum(self.coeffs) % self.context.modulus
-
     def is_distinguished(self) -> bool:
         """Monic polynomial whose lower coefficients are divisible by p."""
         if not self.coeffs or self.coeffs[-1] != 1:
@@ -138,33 +136,11 @@ class LambdaElement:
         if self.context != other.context:
             raise MixedContext(f"{self.context} vs {other.context}")
 
-    def __add__(self, other):
-        self._check(other)
-        return LambdaElement(
-            self.context, [a + b for a, b in zip_longest(self.coeffs, other.coeffs, fillvalue=0)]
-        )
-
-    def __sub__(self, other):
-        self._check(other)
-        return LambdaElement(
-            self.context, [a - b for a, b in zip_longest(self.coeffs, other.coeffs, fillvalue=0)]
-        )
-
-    def __neg__(self):
-        return LambdaElement(self.context, [-a for a in self.coeffs])
-
-    def scale(self, c: int) -> "LambdaElement":
-        return LambdaElement(self.context, [c * a for a in self.coeffs])
-
     def __mul__(self, other):
-        if isinstance(other, int):
-            return self.scale(other)
         self._check(other)
         return LambdaElement(
             self.context, _mul(self.coeffs, other.coeffs, self.context.modulus)
         )
-
-    __rmul__ = __mul__
 
     def reduce_precision(self, M: int) -> "LambdaElement":
         return LambdaElement(self.context.with_precision(M), self.coeffs)
@@ -323,23 +299,22 @@ def _quotient_by_y_power(y, m: int, mod: int):
     return [c % mod for c in q]
 
 
-def phi_quotient(F: LambdaElement, levels) -> LambdaElement:
-    """F / prod of Phi_k over k in levels (Phi_0 = X = Y - 1), F and the
-    quotient held as Y-coefficients.  Phi_k (Y^s - 1) = Y^(ps) - 1 with s =
+def phi_quotient(y, levels, ctx: IwasawaContext) -> list:
+    """The Y-vector y / prod of Phi_k over k in levels (Phi_0 = X = Y - 1):
+    y may hold any integers, and the quotient holds residues (it is y itself
+    when levels is empty).  Phi_k (Y^s - 1) = Y^(ps) - 1 with s =
     p^(k-1), so each factor is a multiplication by Y^s - 1 and an exact
     division by Y^(ps) - 1.  Raises PrecisionExhausted, naming the product
-    in X, unless it divides F at the working precision."""
-    ctx = F.context
-    y = list(F.coeffs)
+    in X, unless it divides y at the working precision."""
     for k in levels:
         if k:
             s = ctx.prime ** (k - 1)
             y = [a - b for a, b in zip_longest([0] * s + y, y, fillvalue=0)]
         y = _quotient_by_y_power(y, ctx.prime**k, ctx.modulus)
         if y is None:
-            divisor = math.prod(ctx.phi(i) for i in levels)
+            divisor = math.prod((ctx.phi(i) for i in levels), start=ctx.element([1]))
             raise PrecisionExhausted(f"{divisor} does not divide the operand at precision")
-    return LambdaElement(ctx, y)
+    return y
 
 
 def x_scan(y, mod: int):
@@ -351,9 +326,9 @@ def x_scan(y, mod: int):
         y = [c % mod for c in accumulate(y[:0:-1])][::-1]
 
 
-def x_coefficients(F: LambdaElement, n: int) -> LambdaElement:
-    """The first n X-coefficients of F held as Y-coefficients."""
-    return LambdaElement(F.context, list(islice(x_scan(F.coeffs, F.context.modulus), n)))
+def x_coefficients(y, n: int, ctx: IwasawaContext) -> LambdaElement:
+    """The first n X-coefficients of the Y-vector y, as an element in X."""
+    return ctx.element(islice(x_scan(y, ctx.modulus), n))
 
 
 # -- Weierstrass preparation and invariants ------------------------------------------
@@ -383,18 +358,17 @@ def mu_lambda(F: LambdaElement) -> tuple:
     return mu, next(i for i, c in enumerate(F.coeffs) if c % q)
 
 
-def mu_lambda_y(F: LambdaElement) -> tuple:
-    """mu_lambda of F held as Y-coefficients.  The change of basis is
-    unitriangular over Z, so mu is the least valuation of the Y-coefficients;
-    lambda is the order of vanishing of F / p^mu mod p at Y = 1, and since
+def mu_lambda_y(y, p: int) -> tuple:
+    """mu_lambda of the Y-vector y.  The change of basis is unitriangular
+    over Z, so mu is the least valuation of the Y-coefficients; lambda is
+    the order of vanishing of y / p^mu mod p at Y = 1, and since
     Y^(p^j) - 1 = (Y - 1)^(p^j) over F_p, the exact divisions by
     Y^(p^j) - 1, largest j first, count its base-p digits."""
-    content = math.gcd(*F.coeffs)
+    content = math.gcd(*y)
     if not content:
         return INCONCLUSIVE, INCONCLUSIVE
-    p = F.context.prime
     mu = padic_valuation(content, p)
-    y = [c // p**mu for c in F.coeffs]
+    y = [c // p**mu for c in y]
     lam, m = 0, 1
     while m * p < len(y):
         m *= p

@@ -31,6 +31,7 @@ from .extract import (
     fit_matches_pair,
     invariant_fit,
 )
+from .lambda_ring import IwasawaContext
 from .modsym import (
     SymbolTable,
     SymbolTableBuilder,
@@ -75,7 +76,8 @@ class PipelineResult(namedtuple("PipelineResult", "record curve table thetas com
     """What the stages through the last one that ran produced; the fields
     of the stages after it are None.  The verdict holds the prediction
     checks, then the theorem checks named "thm:..."; it is empty when no
-    fine characteristic was given.  thetas hold Y-coefficients."""
+    fine characteristic was given.  thetas map each level to its theta
+    element, a Y-vector: the list of its Y-coefficients mod p^M."""
 
     __slots__ = ()
 
@@ -211,6 +213,7 @@ def run_pipeline(cfg: RunConfig, last_stage: str | None = None) -> PipelineResul
             return PipelineResult(record, curve, table)
 
         stage = "theta"
+        ctx = IwasawaContext(cfg.p, cfg.precision)
         thetas = {
             n: build_theta(table, n, cfg.precision)
             for n in range(cfg.n_max + 1)
@@ -218,14 +221,14 @@ def run_pipeline(cfg: RunConfig, last_stage: str | None = None) -> PipelineResul
         record["stages"]["theta"] = {
             "levels": sorted(thetas),
             "value_at_zero_vanishes": [
-                not thetas[n].value_at_one() for n in sorted(thetas)
+                not sum(thetas[n]) % ctx.modulus for n in sorted(thetas)
             ],
         }
 
         stage = "compat"
         compat = []
         for n in range(2, cfg.n_max + 1):
-            rep = check_compat(thetas, n, red.a_p)
+            rep = check_compat(thetas, n, red.a_p, ctx)
             compat.append(rep)
             if not rep.passed:
                 raise CompatFailed(
@@ -242,10 +245,10 @@ def run_pipeline(cfg: RunConfig, last_stage: str | None = None) -> PipelineResul
                 "signed extraction needs good supersingular reduction"
             )
         if red.a_p == 0:
-            pair = extract_plus_minus(thetas, red.a_p)
+            pair = extract_plus_minus(thetas, red.a_p, ctx)
         else:
-            pair = extract_sharp_flat(thetas, red.a_p, cfg.p)
-        fits = invariant_fit(thetas)
+            pair = extract_sharp_flat(thetas, red.a_p, ctx)
+        fits = invariant_fit(thetas, ctx)
         fit_agrees = fit_matches_pair(fits, pair)
         if not fit_agrees:
             raise NotStabilized(

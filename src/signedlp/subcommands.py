@@ -11,7 +11,7 @@ from __future__ import annotations
 from .analyzer import emit
 from .cli import _INFO, _PIPELINE, FLAGS, REQUIRED, _settings
 from .curves import classify_reduction, ingest_curve, is_odd_prime, periods
-from .lambda_ring import _mul
+from .lambda_ring import IwasawaContext, _mul
 from .modsym import _units
 
 
@@ -75,14 +75,14 @@ def taylor_shift(values, mod: int) -> list:
 
 
 def _theta_payload(result, cfg):
-    """Each theta, held as Y-coefficients, is printed in X."""
-    mod = cfg.p**cfg.precision
+    """Each theta, a Y-vector, is printed in X."""
+    ctx = IwasawaContext(cfg.p, cfg.precision)
     return {
         "curve": result.curve.label,
         "p": cfg.p,
         "thetas": {
-            str(n): {"body": str(theta.context.element(taylor_shift(theta.coeffs, mod))),
-                     "value_at_zero_vanishes": not theta.value_at_one()}
+            str(n): {"body": str(ctx.element(taylor_shift(theta, ctx.modulus))),
+                     "value_at_zero_vanishes": not sum(theta) % ctx.modulus}
             for n, theta in result.thetas.items()
         },
         "compat": {str(rep.level): rep.passed for rep in result.compat},

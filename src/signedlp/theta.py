@@ -7,14 +7,15 @@ collects the plus symbols along each gamma-fiber,
     theta_n = sum_j c_j Y^j,   Y = 1 + X,   c_j = sum_i [ omega^i gamma^j / p^(n+1) ]^+,
 
 an element of Z/p^M[Gamma_n] = Lambda/(omega_n, p^M) (Mazur-Tate, Duke Math.
-J. 54, 1987).  It is held as its Y-coefficients c_j, j < p^n: a plain
-LambdaElement at precision M whose variable is Y, and a theta sequence is
-a dict from level to that element; all levels share one context.  Only the
-trivial tame character enters, so only plus symbols are used; minus symbols
-stay in the table for symmetry checks.  The c_j are gathered from the plus
-numerator list of level n+1, one row omega^i gamma^j of the grid at a time,
-and reduced into Z/p^M with one inverse of the unit part of the plus
-denominator.
+J. 54, 1987).  It is held as its Y-coefficients c_j, j < p^n: a Y-vector,
+that is a plain list of residues in [0, p^M) (lambda_ring), and a theta
+sequence is a dict from level to that list; every level shares the run's
+IwasawaContext, which the functions that read thetas take beside them.
+Only the trivial tame character enters, so only plus symbols are used;
+minus symbols stay in the table for symmetry checks.  The c_j are gathered
+from the plus numerator list of level n+1, one row omega^i gamma^j of the
+grid at a time, and reduced into Z/p^M with one inverse of the unit part of
+the plus denominator.
 
 The three-term congruence linking consecutive levels is a consequence of
 the Hecke relations; check_compat re-proves it numerically on each run
@@ -27,7 +28,7 @@ from collections import namedtuple
 
 from .curves import prime_divisors
 from .errors import IncompleteTable, NotAUnit
-from .lambda_ring import IwasawaContext, LambdaElement, fold, x_scan
+from .lambda_ring import fold, x_scan
 from .modsym import SymbolTable
 from .padic import residues
 
@@ -63,14 +64,13 @@ def teichmueller_values(p: int, modulus: int) -> list:
     return [pow(w, i, modulus) for i in range(p - 1)]
 
 
-def build_theta(table: SymbolTable, n: int, M: int) -> LambdaElement:
+def build_theta(table: SymbolTable, n: int, M: int) -> list:
     """Theta element at level n, at p-adic precision M, from a table complete
-    through level n+1: its Y-coefficients c_j, j < p^n."""
+    through level n+1: the residues of its Y-coefficients c_j, j < p^n."""
     p = table.p
     if not table.has_level(n + 1):
         raise IncompleteTable(f"theta at level {n} needs symbols mod {p}^{n+1}")
     modulus, d = p ** (n + 1), p**n
-    ctx = IwasawaContext(p, M)
     gamma = [1]  # gamma^j mod p^(n+1)
     for _ in range(d - 1):
         gamma.append(gamma[-1] * (1 + p) % modulus)
@@ -81,7 +81,7 @@ def build_theta(table: SymbolTable, n: int, M: int) -> LambdaElement:
     # Each c_j is reduced into Z/p^M once.  The change of basis from Y^j to
     # X^k is unitriangular over Z, so the X-coefficients are p-integral
     # exactly when every c_j is: NotIntegral is raised here or not at all.
-    return LambdaElement(ctx, residues(sums, table.denominators[0], p, M))
+    return residues(sums, table.denominators[0], p, M)
 
 
 class CompatReport(namedtuple("CompatReport", "level passed detail index",
@@ -91,23 +91,23 @@ class CompatReport(namedtuple("CompatReport", "level passed detail index",
     __slots__ = ()
 
 
-def check_compat(thetas, n: int, a_p: int) -> CompatReport:
+def check_compat(thetas, n: int, a_p: int, ctx) -> CompatReport:
     """Verify theta_n = a_p theta_(n-1) - Phi_(n-1) theta_(n-2) mod omega_(n-1)
-    on thetas held as Y-coefficients: with m = p^(n-1), omega_(n-1) = Y^m - 1
+    on thetas held as Y-vectors: with m = p^(n-1), omega_(n-1) = Y^m - 1
     and Phi_(n-1) = sum_{i<p} Y^(i m/p), so the remainder, which must vanish
     at the working p-precision, is fold(theta_n, m) - a_p fold(theta_(n-1), m)
     plus fold(theta_(n-2), m/p) tiled p times.  A failing remainder is read
     in X only up to its first nonzero X-coefficient, so that index and
-    detail count X-coefficients.  Levels 0 and 1 are covered by the Hecke
-    validation of the underlying table instead.
+    detail count X-coefficients.  ctx is the run's IwasawaContext.  Levels
+    0 and 1 are covered by the Hecke validation of the underlying table
+    instead.
     """
     if n < 2:
         raise ValueError("the three-term congruence starts at level 2")
-    ctx = thetas[n].context
     mod, m = ctx.modulus, ctx.prime ** (n - 1)
-    tiled = fold(thetas[n - 2].coeffs, m // ctx.prime) * ctx.prime
+    tiled = fold(thetas[n - 2], m // ctx.prime) * ctx.prime
     rem = [a - a_p * b + c for a, b, c in
-           zip(fold(thetas[n].coeffs, m), fold(thetas[n - 1].coeffs, m), tiled)]
+           zip(fold(thetas[n], m), fold(thetas[n - 1], m), tiled)]
     if not any(c % mod for c in rem):
         return CompatReport(n, True)
     idx, c = next((idx, c) for idx, c in enumerate(x_scan(rem, mod)) if c)

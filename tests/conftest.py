@@ -107,18 +107,39 @@ def omega(ctx, n):
 
 
 def y_element(F):
-    """F, given in X, as the Y-coefficients of sum a_k (Y - 1)^k, Y = 1 + X.
+    """F, given in X, as a Y-vector: the residues of the Y-coefficients of
+    sum a_k (Y - 1)^k, Y = 1 + X, one per X-coefficient of F.
 
     With b_k = (-1)^k a_k, sum b_k (1 + Z)^k at Z = -Y is that sum, so the
     Y-coefficients are the Taylor shift of the b_k with alternating signs."""
     mod = F.context.modulus
     shifted = taylor_shift([(-1) ** k * a for k, a in enumerate(F.coeffs)], mod)
-    return F.context.element([(-1) ** j * c for j, c in enumerate(shifted)])
+    return [(-1) ** j * c % mod for j, c in enumerate(shifted)]
 
 
-def x_element(F):
-    """F, held as Y-coefficients, in X: its full Taylor shift."""
-    return F.context.element(taylor_shift(F.coeffs, F.context.modulus))
+def stripped(y):
+    """The Y-vector y without its trailing zeros."""
+    y = list(y)
+    while y and not y[-1]:
+        y.pop()
+    return y
+
+
+def x_element(y, ctx):
+    """The Y-vector y in X, an element of ctx: its full Taylor shift."""
+    return ctx.element(taylor_shift(y, ctx.modulus))
+
+
+def combination(*terms):
+    """sum of c * F over the pairs (c, F) in terms, F elements of one context,
+    added as coefficient lists."""
+    ctx = terms[0][1].context
+    coeffs = [0] * max(len(F.coeffs) for _, F in terms)
+    for c, F in terms:
+        assert F.context == ctx, (F.context, ctx)
+        for i, a in enumerate(F.coeffs):
+            coeffs[i] += c * a
+    return ctx.element(coeffs)
 
 
 def omega_signed(ctx, n, parity):

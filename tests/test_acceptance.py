@@ -11,7 +11,15 @@ import time
 
 import pytest
 
-from conftest import curve_path, mu_lambda_of, omega, omega_signed, record_acceptance, symbol
+from conftest import (
+    combination,
+    curve_path,
+    mu_lambda_of,
+    omega,
+    omega_signed,
+    record_acceptance,
+    symbol,
+)
 
 from signedlp.analyzer import compare_predictions, gcd_signed_pair, theorem_consistency
 from signedlp.cli import main
@@ -49,7 +57,7 @@ def test_c01_lambda_ring_suite():
         wf, wg, wfg = weierstrass(F), weierstrass(G), weierstrass(F * G)
         assert (wfg.mu, wfg.lam) == (wf.mu + wg.mu, wf.lam + wg.lam)
         # Weierstrass re-multiplication round trip
-        recon = (wf.distinguished_part * wf.unit_part).scale(3**wf.mu)
+        recon = combination((3**wf.mu, wf.distinguished_part * wf.unit_part))
         Fred = F.reduce_precision(recon.context.precision)
         assert recon.coeffs == Fred.coeffs
 
@@ -131,9 +139,9 @@ def test_c05_theta_vanishing_and_compat(store):
     for label, p, n_max in configs:
         thetas = store.thetas(label, p, n_max)
         for n, th in thetas.items():
-            assert th.value_at_one() == 0, (label, p, n)
+            assert sum(th) % p**8 == 0, (label, p, n)
         if n_max >= 2:
-            rep = check_compat(thetas, 2, store.ap(label, p))
+            rep = check_compat(thetas, 2, store.ap(label, p), IwasawaContext(p, 8))
             assert rep.passed, (label, p, rep.detail)
             compat_levels += 1
     dt = _elapsed(t0)
@@ -147,7 +155,7 @@ def test_c05_theta_vanishing_and_compat(store):
 def test_c06_53a1_p5(store):
     t0 = time.time()
     thetas = store.thetas("53a1", 5, 2, M=4)
-    pair = extract_plus_minus(thetas, store.ap("53a1", 5))
+    pair = extract_plus_minus(thetas, store.ap("53a1", 5), IwasawaContext(5, 4))
     assert mu_lambda_of(pair) == ((0, 0), (1, 1))
     for comp in pair.components:
         assert comp.is_x_times_unit, comp
@@ -164,7 +172,7 @@ def test_c07_37a1_p17(store):
     t0 = time.time()
     # level n_max = 1, exactly as stated
     thetas = store.thetas("37a1", 17, 1, M=6)
-    pair = extract_plus_minus(thetas, store.ap("37a1", 17))
+    pair = extract_plus_minus(thetas, store.ap("37a1", 17), IwasawaContext(17, 6))
     assert 1 in mu_lambda_of(pair)[1]
     plus = pair.components[0]
     assert (plus.invariants.mu, plus.invariants.lam) == (0, 1)
@@ -175,7 +183,7 @@ def test_c07_37a1_p17(store):
     # curve (theta_0 = 0 exactly); a level-2 top-up supplies mu_minus = 0
     # within the stated budget
     thetas2 = store.thetas("37a1", 17, 2, M=6)
-    pair2 = extract_plus_minus(thetas2, store.ap("37a1", 17))
+    pair2 = extract_plus_minus(thetas2, store.ap("37a1", 17), IwasawaContext(17, 6))
     assert mu_lambda_of(pair2)[0] == (0, 0)
     assert 1 in mu_lambda_of(pair2)[1]
     gcd2 = gcd_signed_pair(pair2)
@@ -191,12 +199,12 @@ def test_c07_37a1_p17(store):
 def test_c08_p3_sharp_flat(store):
     t0 = time.time()
     thetas = store.thetas("53a1", 3, 2, M=4)
-    pair = extract_sharp_flat(thetas, store.ap("53a1", 3), 3)
+    pair = extract_sharp_flat(thetas, store.ap("53a1", 3), IwasawaContext(3, 4))
     assert mu_lambda_of(pair) == ((0, 0), (1, 1))
     assert all(c.is_x_times_unit for c in pair.components)
 
     thetas = store.thetas("37a1", 3, 2, M=4)
-    pair = extract_sharp_flat(thetas, store.ap("37a1", 3), 3)
+    pair = extract_sharp_flat(thetas, store.ap("37a1", 3), IwasawaContext(3, 4))
     assert 1 in mu_lambda_of(pair)[1]  # label-symmetric: one of the two series
     gcd = gcd_signed_pair(pair)
     assert gcd.as_string() == "X" and gcd.certified
@@ -217,11 +225,11 @@ def test_c09_verdicts(store):
     ]
     for label, p, kind in runs:
         thetas = store.thetas(label, p, 2)
-        ap = store.ap(label, p)
+        ap, ctx = store.ap(label, p), IwasawaContext(p, 8)
         if kind == "plus-minus":
-            pair = extract_plus_minus(thetas, ap)
+            pair = extract_plus_minus(thetas, ap, ctx)
         else:
-            pair = extract_sharp_flat(thetas, ap, p)
+            pair = extract_sharp_flat(thetas, ap, ctx)
         gcd = gcd_signed_pair(pair)
         curve = store.curve(label)
         verdict = compare_predictions(gcd, curve.e_sequence, fine)
@@ -249,7 +257,7 @@ def test_rank_zero_delta_zero_audit(store):
     assert symbol(table, 0, 0) == Fraction(-1, 5)  # +-L(E,1)/Omega, torsion 5
     assert validate_hecke(table, 19, 1, store.ap("11a1", 19)).passed
     thetas = store.thetas("11a1", 19, 1, M=6)
-    pair = extract_plus_minus(thetas, 0)
+    pair = extract_plus_minus(thetas, 0, IwasawaContext(19, 6))
     assert mu_lambda_of(pair) == ((0, 0), (0, 0))  # both series are units
     gcd = gcd_signed_pair(pair)
     assert gcd.as_string() == "1" and gcd.certified
@@ -267,7 +275,8 @@ def test_c10_extended_primes(store, label, p):
     # same assertion shape as criterion 7, at the remaining listed primes
     t0 = time.time()
     thetas = store.thetas(label, p, 1, M=6)
-    pair = extract_plus_minus(thetas, store.ap(label, p))
+    ctx = IwasawaContext(p, 6)
+    pair = extract_plus_minus(thetas, store.ap(label, p), ctx)
     assert 1 in mu_lambda_of(pair)[1]
     plus = pair.components[0]
     assert (plus.invariants.mu, plus.invariants.lam) == (0, 1)
@@ -275,8 +284,8 @@ def test_c10_extended_primes(store, label, p):
     assert gcd.as_string() == "X" and gcd.certified
 
     thetas2 = store.thetas(label, p, 2, M=6)
-    assert check_compat(thetas2, 2, store.ap(label, p)).passed
-    pair2 = extract_plus_minus(thetas2, store.ap(label, p))
+    assert check_compat(thetas2, 2, store.ap(label, p), ctx).passed
+    pair2 = extract_plus_minus(thetas2, store.ap(label, p), ctx)
     assert mu_lambda_of(pair2)[0] == (0, 0)
     assert 1 in mu_lambda_of(pair2)[1]
     gcd2 = gcd_signed_pair(pair2)

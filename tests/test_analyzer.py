@@ -29,7 +29,7 @@ from conftest import curve_path, ideal_to_lambda, x_element, y_element
 
 def _series(label, elt):
     """The component of a pair whose series is elt, given in X."""
-    return _component(label, y_element(elt), "test", "two-level")
+    return _component(label, y_element(elt), "test", "two-level", elt.context)
 
 
 def _pair(a, b):
@@ -44,12 +44,12 @@ def ctx():
 
 def test_gcd_of_fixture_pairs(store):
     thetas = store.thetas("37a1", 17, 1)
-    pair = extract_plus_minus(thetas, store.ap("37a1", 17))
+    pair = extract_plus_minus(thetas, store.ap("37a1", 17), IwasawaContext(17, 8))
     rep = gcd_signed_pair(pair)
     assert rep.as_string() == "X" and rep.certified and rep.mu == 0
 
     thetas = store.thetas("37a1", 3, 2)
-    pair = extract_sharp_flat(thetas, store.ap("37a1", 3), 3)
+    pair = extract_sharp_flat(thetas, store.ap("37a1", 3), IwasawaContext(3, 8))
     rep = gcd_signed_pair(pair)
     assert rep.as_string() == "X" and rep.certified and rep.mu == 0
 
@@ -67,7 +67,7 @@ def test_gcd_synthetic_common_phi(ctx):
 
 def test_gcd_is_label_symmetric(store):
     thetas = store.thetas("53a1", 5, 2)
-    pair = extract_plus_minus(thetas, store.ap("53a1", 5))
+    pair = extract_plus_minus(thetas, store.ap("53a1", 5), IwasawaContext(5, 8))
     swapped = SignedPair(
         tuple(reversed(pair.labels)), tuple(reversed(pair.components)),
         pair.method, pair.stabilized,
@@ -78,11 +78,12 @@ def test_gcd_is_label_symmetric(store):
 
 def test_gcd_divides_both_inputs(store, ctx):
     thetas = store.thetas("53a1", 5, 2)
-    pair = extract_plus_minus(thetas, store.ap("53a1", 5))
+    ctx5 = IwasawaContext(5, 8)
+    pair = extract_plus_minus(thetas, store.ap("53a1", 5), ctx5)
     rep = gcd_signed_pair(pair)
-    gen = ideal_to_lambda(gcd_ideal(rep), IwasawaContext(5, 8))
+    gen = ideal_to_lambda(gcd_ideal(rep), ctx5)
     for comp in pair.components:
-        assert divrem(x_element(comp.series), gen)[1].is_zero_at_precision
+        assert divrem(x_element(comp.series, ctx5), gen)[1].is_zero_at_precision
 
 
 def test_gcd_requires_some_conclusive_series(ctx):

@@ -19,7 +19,7 @@ from signedlp.extract import (
 )
 from signedlp.lambda_ring import IwasawaContext, divrem, weierstrass
 
-from conftest import mu_lambda_of, omega, x_element, y_element
+from conftest import combination, mu_lambda_of, omega, stripped, x_element, y_element
 
 
 def _parity_product(ctx, n):
@@ -32,16 +32,14 @@ def _parity_product(ctx, n):
 
 def _synthetic_thetas(p, M, F_coeffs, n_max=3, alternate=True, scale_mu=None):
     """theta_n := (+-) W(n) * F mod omega_n for a fixed F given in X, as the
-    Y-coefficients of its representative of degree below p^n."""
+    Y-vector of its representative of degree below p^n."""
     ctx = IwasawaContext(p, M)
     thetas = {}
     for n in range(n_max + 1):
-        F = ctx.element(F_coeffs)
-        if scale_mu:
-            F = F.scale(p ** scale_mu.get(n, 0))
-        body = _parity_product(ctx, n) * F
+        scale = p ** (scale_mu or {}).get(n, 0)
         if alternate and (n // 2) % 2 == 1:
-            body = -body
+            scale = -scale
+        body = _parity_product(ctx, n) * ctx.element([scale * c for c in F_coeffs])
         thetas[n] = y_element(divrem(body, omega(ctx, n))[1])
     return thetas
 
@@ -52,11 +50,12 @@ def test_synthetic_recovery_exact():
     # low-level representatives legitimately scramble the reading.
     F = [0, 1, 3]  # X + 3X^2: mu = 0, lambda = 1 over Z_3
     thetas = _synthetic_thetas(3, 8, F, n_max=3)
-    pair = extract_plus_minus(thetas, a_p=0)
+    ctx = IwasawaContext(3, 8)
+    pair = extract_plus_minus(thetas, 0, ctx)
     for comp in pair.components:
         assert (comp.invariants.mu, comp.invariants.lam) == (0, 1)
     assert pair.stabilized  # two levels per parity: {1,3} and {0,2}
-    fits = invariant_fit(thetas)
+    fits = invariant_fit(thetas, ctx)
     assert fits["odd"].mu_star == 0 and fits["odd"].lambda_star == 1
     assert fits["even"].mu_star == 0 and fits["even"].lambda_star == 1
     assert fits["odd"].stabilized
@@ -66,13 +65,13 @@ def test_synthetic_recovery_exact():
 def test_synthetic_remultiplication():
     F = [0, 3, 1]
     thetas = _synthetic_thetas(3, 8, F, n_max=3)
-    ctx = thetas[3].context
-    pair = extract_plus_minus(thetas, a_p=0)
+    ctx = IwasawaContext(3, 8)
+    pair = extract_plus_minus(thetas, 0, ctx)
     for comp, parity in zip(pair.components, (1, 0)):
         top = max(n for n in thetas if n % 2 == parity)
-        recon = _parity_product(ctx, top) * x_element(comp.series)
+        recon = _parity_product(ctx, top) * x_element(comp.series, ctx)
         sign = -1 if (top // 2) % 2 == 1 else 1
-        diff = recon.scale(sign) - x_element(thetas[top])
+        diff = combination((sign, recon), (-1, x_element(thetas[top], ctx)))
         assert diff.is_zero_at_precision
 
 
@@ -80,21 +79,20 @@ def test_drifting_chain_raises():
     # level-0 and level-2 quotients disagree at the constant term
     thetas = _synthetic_thetas(3, 8, [1, 1], n_max=3)
     bad = dict(thetas)
-    ctx0 = thetas[0].context
-    bad[0] = ctx0.element([2])
+    bad[0] = [2]
     with pytest.raises(NotStabilized):
-        extract_plus_minus(bad, a_p=0)
+        extract_plus_minus(bad, 0, IwasawaContext(3, 8))
 
 
 def test_invariant_fit_flags_mu_drift():
     thetas = _synthetic_thetas(3, 8, [1, 1], n_max=2, scale_mu={2: 1})
     with pytest.raises(NotStabilized):
-        invariant_fit(thetas)
+        invariant_fit(thetas, IwasawaContext(3, 8))
 
 
 def test_all_zero_thetas_inconclusive():
     thetas = _synthetic_thetas(3, 6, [0], n_max=2)
-    pair = extract_plus_minus(thetas, a_p=0)
+    pair = extract_plus_minus(thetas, 0, IwasawaContext(3, 6))
     assert not pair.stabilized
     for comp in pair.components:
         assert comp.stabilization == "zero-chain"
@@ -103,28 +101,29 @@ def test_all_zero_thetas_inconclusive():
 
 def test_wrong_reduction_type():
     thetas = _synthetic_thetas(3, 6, [1], n_max=2)
+    ctx = IwasawaContext(3, 6)
     with pytest.raises(WrongReductionType):
-        extract_plus_minus(thetas, a_p=-3)
+        extract_plus_minus(thetas, -3, ctx)
     with pytest.raises(WrongReductionType):
-        extract_sharp_flat(thetas, a_p=0, p=3)
+        extract_sharp_flat(thetas, 0, ctx)
     with pytest.raises(WrongReductionType):
-        extract_sharp_flat(thetas, a_p=1, p=3)
+        extract_sharp_flat(thetas, 1, ctx)
 
 
 @pytest.mark.parametrize("levels", [(1,), (0, 2)])
 def test_sharp_flat_without_consecutive_levels_is_not_stabilized(levels):
     # no level n has theta_(n-1) beside it, so there is nothing to solve
-    thetas = {n: IwasawaContext(3, 6).element([1]) for n in levels}
+    thetas = {n: [1] for n in levels}
     with pytest.raises(NotStabilized, match="^need at least theta_0 and theta_1$"):
-        extract_sharp_flat(thetas, a_p=-3, p=3)
+        extract_sharp_flat(thetas, -3, IwasawaContext(3, 6))
 
 
 def test_sharp_flat_solve_that_does_not_divide_is_singular():
     # level 2: a_p theta_1 - theta_2 = -4 is no multiple of Phi_1
-    thetas = {n: IwasawaContext(3, 6).element([1]) for n in range(3)}
+    thetas = {n: [1] for n in range(3)}
     message = "level 2: X^2 + 3*X + 3 does not divide the operand at precision"
     with pytest.raises(SingularSystem, match=f"^{re.escape(message)}$"):
-        extract_sharp_flat(thetas, a_p=-3, p=3)
+        extract_sharp_flat(thetas, -3, IwasawaContext(3, 6))
 
 
 @pytest.mark.parametrize("levels, divisor", [
@@ -137,10 +136,10 @@ def test_sharp_flat_solve_that_does_not_divide_is_singular():
 ])
 def test_parity_quotient_that_does_not_divide_names_the_divisor(levels, divisor):
     # the constant 1 has the same coefficients in every basis
-    thetas = {n: IwasawaContext(3, 6).element([1]) for n in levels}
+    thetas = {n: [1] for n in levels}
     message = f"{divisor} does not divide the operand at precision"
     with pytest.raises(PrecisionExhausted, match=f"^{re.escape(message)}$"):
-        extract_plus_minus(thetas, a_p=0)
+        extract_plus_minus(thetas, 0, IwasawaContext(3, 6))
 
 
 # -- fixtures ---------------------------------------------------------------------
@@ -148,12 +147,13 @@ def test_parity_quotient_that_does_not_divide_names_the_divisor(levels, divisor)
 
 def test_53a1_p5_plus_minus(store):
     thetas = store.thetas("53a1", 5, 2)
-    pair = extract_plus_minus(thetas, store.ap("53a1", 5))
+    ctx = IwasawaContext(5, 8)
+    pair = extract_plus_minus(thetas, store.ap("53a1", 5), ctx)
     assert pair.labels == ("plus", "minus")
     assert mu_lambda_of(pair) == ((0, 0), (1, 1))
     for comp in pair.components:
         assert comp.is_x_times_unit and comp.limit_certified
-    fits = invariant_fit(thetas)
+    fits = invariant_fit(thetas, ctx)
     # levels 1-2 pin the fitted invariants of both parity classes at (0, 1)
     assert (fits["odd"].mu_star, fits["odd"].lambda_star) == (0, 1)
     assert (fits["even"].mu_star, fits["even"].lambda_star) == (0, 1)
@@ -163,7 +163,7 @@ def test_53a1_p5_plus_minus(store):
 
 def test_53a1_p3_sharp_flat(store):
     thetas = store.thetas("53a1", 3, 2)
-    pair = extract_sharp_flat(thetas, store.ap("53a1", 3), 3)
+    pair = extract_sharp_flat(thetas, store.ap("53a1", 3), IwasawaContext(3, 8))
     assert pair.labels == ("sharp", "flat")
     assert mu_lambda_of(pair) == ((0, 0), (1, 1))
     assert all(c.is_x_times_unit for c in pair.components)
@@ -172,15 +172,16 @@ def test_53a1_p3_sharp_flat(store):
 
 def test_37a1_p3_sharp_flat(store):
     thetas = store.thetas("37a1", 3, 2)
-    pair = extract_sharp_flat(thetas, store.ap("37a1", 3), 3)
+    ctx = IwasawaContext(3, 8)
+    pair = extract_sharp_flat(thetas, store.ap("37a1", 3), ctx)
     assert 1 in mu_lambda_of(pair)[1]
     assert mu_lambda_of(pair)[0] == (0, 0)
-    assert fit_matches_pair(invariant_fit(thetas), pair)
+    assert fit_matches_pair(invariant_fit(thetas, ctx), pair)
 
 
 def test_37a1_p17_plus_minus_level_one(store):
     thetas = store.thetas("37a1", 17, 1)
-    pair = extract_plus_minus(thetas, store.ap("37a1", 17))
+    pair = extract_plus_minus(thetas, store.ap("37a1", 17), IwasawaContext(17, 8))
     plus, minus = pair.components
     assert (plus.invariants.mu, plus.invariants.lam) == (0, 1)
     assert plus.is_x_times_unit
@@ -191,8 +192,9 @@ def test_37a1_p17_plus_minus_level_one(store):
 def test_sharp_flat_agrees_with_fit_when_conclusive(store):
     for label in ("53a1", "37a1"):
         thetas = store.thetas(label, 3, 2)
-        pair = extract_sharp_flat(thetas, store.ap(label, 3), 3)
-        fits = invariant_fit(thetas)
+        ctx = IwasawaContext(3, 8)
+        pair = extract_sharp_flat(thetas, store.ap(label, 3), ctx)
+        fits = invariant_fit(thetas, ctx)
         assert fit_matches_pair(fits, pair)
 
 
@@ -201,14 +203,14 @@ def test_level_three_solve_regression(store):
     # correspondence must not depend on the parity of the top level
     for label, lam_flat in (("53a1", 1), ("37a1", 5)):
         thetas = store.thetas(label, 3, 3)
-        ap = store.ap(label, 3)
+        ap, ctx = store.ap(label, 3), IwasawaContext(3, 8)
         from signedlp.theta import check_compat
-        assert check_compat(thetas, 3, ap).passed
-        pair = extract_sharp_flat(thetas, ap, 3)
+        assert check_compat(thetas, 3, ap, ctx).passed
+        pair = extract_sharp_flat(thetas, ap, ctx)
         sharp, flat = pair.components
         assert (sharp.invariants.mu, sharp.invariants.lam) == (0, 1)
         assert flat.invariants.lam == lam_flat
-        assert fit_matches_pair(invariant_fit(thetas), pair)
+        assert fit_matches_pair(invariant_fit(thetas, ctx), pair)
 
 
 def test_sharp_flat_solves_only_the_graded_levels(store, monkeypatch):
@@ -218,12 +220,13 @@ def test_sharp_flat_solves_only_the_graded_levels(store, monkeypatch):
 
     levels = []
 
-    def counted(thetas, n, a_p):
+    def counted(thetas, n, a_p, ctx):
         levels.append(n)
-        return _solve(thetas, n, a_p)
+        return _solve(thetas, n, a_p, ctx)
 
     monkeypatch.setattr(extract, "_solve", counted)
-    pair = extract_sharp_flat(store.thetas("37a1", 3, 4), store.ap("37a1", 3), 3)
+    thetas, ctx = store.thetas("37a1", 3, 4), IwasawaContext(3, 8)
+    pair = extract_sharp_flat(thetas, store.ap("37a1", 3), ctx)
     assert levels == [3, 4] and pair.stabilized
 
 
@@ -231,18 +234,21 @@ def test_sharp_flat_solves_only_the_graded_levels(store, monkeypatch):
 def test_solve_at_a_p_zero_is_the_parity_quotients(store, label, p, n_max):
     # Sprung's pair specializes to Pollack's: at a_p = 0 the fundamental-
     # solution solve at every top level n returns the sign-corrected parity
-    # quotients at n and n - 1, odd level first, signs included
+    # quotients at n and n - 1, odd level first, signs included, up to the
+    # trailing zeros that each computation leaves
     thetas = store.thetas(label, p, n_max)
     assert store.ap(label, p) == 0
+    ctx = IwasawaContext(p, 8)
     for n in range(1, n_max + 1):
         below = {k: thetas[k] for k in range(n + 1)}
-        plus, minus = (c.series for c in extract_plus_minus(below, 0).components)
-        assert _solve(thetas, n, 0) == (plus, minus), (label, p, n)
+        quotients = [c.series for c in extract_plus_minus(below, 0, ctx).components]
+        solve = _solve(thetas, n, 0, ctx)
+        assert list(map(stripped, solve)) == list(map(stripped, quotients)), (label, p, n)
 
 
 def test_level_three_plus_minus_fully_stabilized(store):
     thetas = store.thetas("53a1", 5, 3)
-    pair = extract_plus_minus(thetas, store.ap("53a1", 5))
+    pair = extract_plus_minus(thetas, store.ap("53a1", 5), IwasawaContext(5, 8))
     assert pair.stabilized  # both parities now have two conclusive levels
     assert mu_lambda_of(pair) == ((0, 0), (1, 1))
 
@@ -255,7 +261,7 @@ def _prepared_in_full_and_truncated(F):
     in X, and whether the truncated preparation ran on fewer coefficients
     than F has."""
     full = weierstrass(F)
-    short = _component("test", y_element(F), "test", "two-level").invariants
+    short = _component("test", y_element(F), "test", "two-level", F.context).invariants
     readings = [(w.mu, w.lam, w.distinguished_part) for w in (full, short)]
     shortened = full.conclusive and short.unit_part.degree() < full.unit_part.degree()
     return readings, shortened
@@ -275,7 +281,7 @@ def test_truncated_preparation_matches_full_on_planted_series():
         P = [p * rng.randrange(mod) for _ in range(lam)] + [1]
         U = [rng.randrange(1, p) + p * rng.randrange(mod)]
         U += [rng.randrange(mod) for _ in range(rng.randint(0, 150))]
-        F = (ctx.element(P) * ctx.element(U)).scale(p**mu)
+        F = ctx.element(P) * ctx.element([c * p**mu for c in U])
         (full, short), cut = _prepared_in_full_and_truncated(F)
         assert full == short == (mu, lam, ctx.with_precision(M - mu).element(P)), (p, M, mu, lam)
         shortened += cut
@@ -286,10 +292,11 @@ def test_truncated_preparation_matches_full_on_fixtures(store):
     shortened = 0
     for label, p, n_max in (("53a1", 5, 3), ("53a1", 3, 3), ("37a1", 3, 3), ("37a1", 17, 1)):
         thetas = store.thetas(label, p, n_max)
-        ap = store.ap(label, p)
-        pair = extract_plus_minus(thetas, ap) if ap == 0 else extract_sharp_flat(thetas, ap, p)
-        for F in [*thetas.values(), *(c.series for c in pair.components)]:
-            (full, short), cut = _prepared_in_full_and_truncated(x_element(F))
+        ap, ctx = store.ap(label, p), IwasawaContext(p, 8)
+        extract = extract_plus_minus if ap == 0 else extract_sharp_flat
+        pair = extract(thetas, ap, ctx)
+        for y in [*thetas.values(), *(c.series for c in pair.components)]:
+            (full, short), cut = _prepared_in_full_and_truncated(x_element(y, ctx))
             assert full == short, (label, p, n_max)
             shortened += cut
     assert shortened >= 4

@@ -1,11 +1,13 @@
 """Differential tests of the scans in the group-ring variable Y = 1 + X.
 
 Theta elements, their parity quotients and the sharp/flat solves are held as
-Y-coefficients, and every division by omega_n = Y^(p^n) - 1 or Phi_n is a
-linear scan.  Each scan is checked here against monic division in X
-(divrem) of the Taylor-shifted operand by omega_n or Phi_n written in X, on
-operands that divide and on corrupted ones that must not, and each reading
-(the first X-coefficients, mu and lambda) against the full Taylor shift.
+Y-vectors (plain lists of Y-coefficients mod p^M), and every division by
+omega_n = Y^(p^n) - 1 or Phi_n is a linear scan.  Each scan is checked here
+against monic division in X (divrem) of the Taylor-shifted operand by
+omega_n or Phi_n written in X, on operands that divide and on corrupted
+ones that must not, and each reading (the first X-coefficients, mu and
+lambda) against the full Taylor shift; and every reading against the same
+Y-vector with trailing zeros.
 """
 
 import random
@@ -27,7 +29,7 @@ from signedlp.lambda_ring import (
 )
 from signedlp.theta import check_compat
 
-from conftest import omega, x_element, y_element
+from conftest import combination, omega, stripped, x_element, y_element
 
 PRIMES = (3, 5, 17, 31)
 PRECISIONS = (1, 8, 30)
@@ -39,15 +41,21 @@ def top_level(p):
     return {3: 4, 5: 3, 17: 1, 31: 1}[p]
 
 
+def random_vector(rng, ctx, n):
+    return [rng.randrange(ctx.modulus) for _ in range(n)]
+
+
 def random_element(rng, ctx, n):
-    return ctx.element([rng.randrange(ctx.modulus) for _ in range(n)])
+    return ctx.element(random_vector(rng, ctx, n))
 
 
-def corrupted(rng, F, length):
-    """F plus a unit in one coefficient below `length`."""
-    bump = [0] * length
-    bump[rng.randrange(length)] = rng.randrange(1, F.context.prime)
-    return F + F.context.element(bump)
+def corrupted(rng, y, length, ctx):
+    """The Y-vector y, padded to `length`, plus a unit in one coefficient
+    below `length`."""
+    bad = y + [0] * (length - len(y))
+    i = rng.randrange(length)
+    bad[i] = (bad[i] + rng.randrange(1, ctx.prime)) % ctx.modulus
+    return bad
 
 
 def phi_product(ctx, levels):
@@ -63,9 +71,9 @@ def test_fold_is_the_remainder_by_omega():
         for M in PRECISIONS:
             ctx = IwasawaContext(p, M)
             for k in range(top_level(p) + 1):
-                F = random_element(rng, ctx, rng.randint(0, 3 * p**k))
-                _, R = divrem(x_element(F), omega(ctx, k))
-                assert x_element(ctx.element(fold(F.coeffs, p**k))) == R, (p, M, k)
+                y = random_vector(rng, ctx, rng.randint(0, 3 * p**k))
+                _, R = divrem(x_element(y, ctx), omega(ctx, k))
+                assert x_element(fold(y, p**k), ctx) == R, (p, M, k)
 
 
 @pytest.mark.parametrize("p", PRIMES)
@@ -76,12 +84,12 @@ def test_quotient_by_y_power_is_the_quotient_by_omega(p):
         for k in range(top_level(p) + 1):
             m = p**k
             Q = random_element(rng, ctx, rng.randint(0, 2 * m))
-            F = y_element(Q * omega(ctx, k))
-            got = _quotient_by_y_power(list(F.coeffs), m, ctx.modulus)
-            assert x_element(ctx.element(got)) == Q, (p, M, k)
-            bad = corrupted(rng, F, m + len(F.coeffs))
-            assert _quotient_by_y_power(list(bad.coeffs), m, ctx.modulus) is None
-            assert not divrem(x_element(bad), omega(ctx, k))[1].is_zero_at_precision
+            y = y_element(Q * omega(ctx, k))
+            got = _quotient_by_y_power(y, m, ctx.modulus)
+            assert x_element(got, ctx) == Q, (p, M, k)
+            bad = corrupted(rng, y, m + len(y), ctx)
+            assert _quotient_by_y_power(bad, m, ctx.modulus) is None
+            assert not divrem(x_element(bad, ctx), omega(ctx, k))[1].is_zero_at_precision
 
 
 @pytest.mark.parametrize("p", PRIMES)
@@ -98,26 +106,38 @@ def test_phi_quotient_is_the_quotient_by_the_phi_product(p):
         for levels in cases:
             W = phi_product(ctx, levels)
             Q = random_element(rng, ctx, rng.randint(0, 2 * W.degree() + 2))
-            F = y_element(Q * W)
-            assert x_element(phi_quotient(F, levels)) == Q, (p, M, levels)
-            bad = corrupted(rng, F, W.degree() + 1)
-            assert not divrem(x_element(bad), W)[1].is_zero_at_precision
+            y = y_element(Q * W)
+            assert x_element(phi_quotient(y, levels, ctx), ctx) == Q, (p, M, levels)
+            bad = corrupted(rng, y, W.degree() + 1, ctx)
+            assert not divrem(x_element(bad, ctx), W)[1].is_zero_at_precision
             message = f"{W} does not divide the operand at precision"
             with pytest.raises(PrecisionExhausted, match=f"^{re.escape(message)}$"):
-                phi_quotient(bad, levels)
+                phi_quotient(bad, levels, ctx)
 
 
-def _compat_in_x(thetas, n, a_p):
+def _compat_in_x(thetas, n, a_p, ctx):
     """(passed, index, detail) of the three-term congruence checked in X."""
-    ctx = thetas[n].context
-    X = {k: x_element(th) for k, th in thetas.items()}
-    lhs = X[n] - X[n - 1].scale(a_p) + ctx.phi(n - 1) * X[n - 2]
+    X = {k: x_element(th, ctx) for k, th in thetas.items()}
+    lhs = combination((1, X[n]), (-a_p, X[n - 1]), (1, ctx.phi(n - 1) * X[n - 2]))
     _, R = divrem(lhs, omega(ctx, n - 1))
     if R.is_zero_at_precision:
         return True, None, ""
     idx = next(i for i, c in enumerate(R.coeffs) if c)
     detail = f"coefficient {idx} of the remainder is {R.coeffs[idx]} mod {ctx.prime}^{ctx.precision}"
     return False, idx, detail
+
+
+def compatible_thetas(rng, ctx, n, a_p):
+    """Random theta_(n-2) and theta_(n-1), and a theta_n that satisfies the
+    three-term congruence with them, as Y-vectors."""
+    p = ctx.prime
+    th = {k: random_vector(rng, ctx, p**k) for k in (n - 2, n - 1)}
+    X = {k: x_element(t, ctx) for k, t in th.items()}
+    h = random_element(rng, ctx, p**n - p ** (n - 1))
+    body = combination((a_p, X[n - 1]), (-1, ctx.phi(n - 1) * X[n - 2]),
+                       (1, h * omega(ctx, n - 1)))
+    th[n] = y_element(divrem(body, omega(ctx, n))[1])
+    return th
 
 
 @pytest.mark.parametrize("p", PRIMES)
@@ -129,15 +149,11 @@ def test_compat_scan_matches_division_by_omega(p):
         ctx = IwasawaContext(p, M)
         for n in range(2, top_level(p) + 2):
             a_p = rng.choice([0, p, -p, 2 * p])
-            th = {k: random_element(rng, ctx, p**k) for k in (n - 2, n - 1)}
-            X = {k: x_element(t) for k, t in th.items()}
-            h = random_element(rng, ctx, p**n - p ** (n - 1))
-            body = X[n - 1].scale(a_p) - ctx.phi(n - 1) * X[n - 2] + h * omega(ctx, n - 1)
-            th[n] = y_element(divrem(body, omega(ctx, n))[1])
-            for thetas in (th, {**th, n: corrupted(rng, th[n], p**n)}):
-                rep = check_compat(thetas, n, a_p)
-                assert (rep.passed, rep.index, rep.detail) == _compat_in_x(thetas, n, a_p)
-            assert check_compat(th, n, a_p).passed
+            th = compatible_thetas(rng, ctx, n, a_p)
+            for thetas in (th, {**th, n: corrupted(rng, th[n], p**n, ctx)}):
+                rep = check_compat(thetas, n, a_p, ctx)
+                assert (rep.passed, rep.index, rep.detail) == _compat_in_x(thetas, n, a_p, ctx)
+            assert check_compat(th, n, a_p, ctx).passed
 
 
 def test_class_modulus_scan_matches_division_in_x():
@@ -152,11 +168,12 @@ def test_class_modulus_scan_matches_division_in_x():
         D = random_element(rng, ctx, 4)
         if trial % 2:
             D = D * modulus
-        thetas = {0: ctx.element([0]), 2: ctx.element([0]), 1: y_element(F)}
-        thetas[3] = y_element(divrem(-(ctx.phi(2) * (F + D)), omega(ctx, 3))[1])
+        thetas = {0: [0], 2: [0] * 9, 1: y_element(F)}
+        body = combination((-1, ctx.phi(2) * F), (-1, ctx.phi(2) * D))
+        thetas[3] = y_element(divrem(body, omega(ctx, 3))[1])
         disagree = not divrem(D, modulus)[1].is_zero_at_precision
         try:
-            extract_plus_minus(thetas, 0)
+            extract_plus_minus(thetas, 0, ctx)
             raised = False
         except NotStabilized as exc:
             raised = "disagree" in str(exc)
@@ -167,7 +184,7 @@ def planted(ctx, rng, k, mu, tail):
     """p^mu * X^k * U in X, with U(0) a unit and `tail` further terms."""
     p, mod = ctx.prime, ctx.modulus
     U = [rng.randrange(1, p)] + [rng.randrange(mod) for _ in range(tail)]
-    return ctx.element([0] * k + U).scale(p**mu)
+    return ctx.element([0] * k + [c * p**mu for c in U])
 
 
 @pytest.mark.parametrize("p", PRIMES)
@@ -182,8 +199,47 @@ def test_readings_in_y_match_the_full_shift(p):
             operands.append(planted(ctx, rng, k, rng.randrange(M), rng.randint(0, p)))
         operands.append(ctx.element([p**M, 0, 2 * p**M]))
         for F in operands:
-            Y = y_element(F)
-            assert mu_lambda_y(Y) == mu_lambda(F), (p, M)
+            y = y_element(F)
+            assert mu_lambda_y(y, p) == mu_lambda(F), (p, M)
             for N in (0, 1, 5, 60):  # up to and beyond the length of some operands
-                assert x_coefficients(Y, N) == ctx.element(F.coeffs[:N]), (p, M, N)
-            assert Y.value_at_one() == (F.coeffs[0] if F.coeffs else 0)
+                assert x_coefficients(y, N, ctx) == ctx.element(F.coeffs[:N]), (p, M, N)
+            assert sum(y) % ctx.modulus == (F.coeffs[0] if F.coeffs else 0)
+
+
+@pytest.mark.parametrize("p", (3, 5, 17))
+def test_readings_ignore_trailing_zeros(p):
+    # a Y-vector keeps the length it was computed at: zeros past its last
+    # nonzero coefficient change no reading, and a quotient only by zeros
+    # at its end
+    rng = random.Random(2207 + p)
+    top = top_level(p)
+    for M in PRECISIONS:
+        ctx = IwasawaContext(p, M)
+        for t in (1, p, p * p + 1):
+            for levels in ([top], list(range(top, 0, -2)), [0, *range(top, 0, -2)]):
+                W = phi_product(ctx, levels)
+                y = y_element(random_element(rng, ctx, rng.randint(0, 2 * W.degree())) * W)
+                for operand in (y, corrupted(rng, y, W.degree() + 1, ctx)):
+                    outcomes = []
+                    for z in (operand, operand + [0] * t):
+                        try:
+                            q = phi_quotient(z, levels, ctx)
+                            assert all(0 <= c < ctx.modulus for c in q)
+                            outcomes.append(stripped(q))
+                        except PrecisionExhausted as exc:
+                            outcomes.append(str(exc))
+                    assert outcomes[0] == outcomes[1], (p, M, levels, t)
+            operands = [random_vector(rng, ctx, rng.randint(0, 3 * p)),
+                        [0] * rng.randint(0, p)]
+            operands += [y_element(planted(ctx, rng, k, rng.randrange(M), 2)) for k in (1, p + 1)]
+            for y in operands:
+                padded = y + [0] * t
+                assert mu_lambda_y(padded, p) == mu_lambda_y(y, p), (p, M, t)
+                for N in (0, 1, 5, 60):
+                    assert x_coefficients(padded, N, ctx) == x_coefficients(y, N, ctx)
+            for n in range(2, top + 2):
+                a_p = rng.choice([0, p, -p])
+                th = compatible_thetas(rng, ctx, n, a_p)
+                for thetas in (th, {**th, n: corrupted(rng, th[n], p**n, ctx)}):
+                    padded = {k: v + [0] * t for k, v in thetas.items()}
+                    assert check_compat(padded, n, a_p, ctx) == check_compat(thetas, n, a_p, ctx)

@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from conftest import omega, omega_signed
+from conftest import combination, omega, omega_signed
 from signedlp.errors import (
     MixedContext,
     NotDistinguished,
@@ -41,7 +41,7 @@ def test_elements_are_exact_polynomials_at_any_degree():
     c = ctx3(M=4)
     assert c.element([1, 2, 0, 0]).coeffs == (1, 2)
     zero = c.element([])
-    assert zero.coeffs == () and zero.degree() == -1 and zero.value_at_one() == 0
+    assert zero.coeffs == () and zero.degree() == -1
     assert c.element([3**4, 0, 2 * 3**4]) == zero
     # X^a * X^b, Phi_n and omega_n keep every coefficient, far beyond the
     # degrees any single level of the pipeline needs
@@ -146,7 +146,7 @@ def test_weierstrass_remultiplication_round_trip():
                 P, U = w.distinguished_part, w.unit_part
                 assert P.is_distinguished() and P.degree() == lam
                 assert U.coeffs[0] % p != 0
-                recon = (c.element(P.coeffs) * c.element(U.coeffs)).scale(p**mu)
+                recon = combination((p**mu, c.element(P.coeffs) * c.element(U.coeffs)))
                 assert recon.coeffs == F.coeffs
 
 
@@ -273,7 +273,7 @@ def test_euclid_residual_matches_factoring_every_pass():
 
 def test_context_conversions_reduce_never_extend():
     c = ctx3(M=6)
-    F = c.phi(1) * c.element([1, 1]) + c.element([7])
+    F = combination((1, c.phi(1) * c.element([1, 1])), (1, c.element([7])))
     shallow = F.reduce_precision(3)
     assert shallow.context.precision == 3
     assert shallow.coeffs == tuple(a % 27 for a in F.coeffs)
@@ -281,7 +281,7 @@ def test_context_conversions_reduce_never_extend():
         shallow.reduce_precision(6)
     # operands of another precision or another prime do not mix
     with pytest.raises(MixedContext):
-        F - shallow
+        F * shallow
     with pytest.raises(MixedContext):
         F * IwasawaContext(5, 6).element([1])
 

@@ -5,7 +5,7 @@ import pytest
 from signedlp.analyzer import Check, Verdict
 from signedlp.curves import CurveData, Periods, ReductionType
 from signedlp.extract import FitResult, SignedPair, SignedSeries
-from signedlp.lambda_ring import GcdReport, InvariantReport, IwasawaContext, LambdaElement
+from signedlp.lambda_ring import GcdReport, InvariantReport, IwasawaContext
 from signedlp.modsym import HeckeReport, SymbolTable
 from signedlp.modules import FactoredIdeal
 from signedlp.pipeline import PipelineResult, RunConfig
@@ -13,7 +13,7 @@ from signedlp.theta import CompatReport
 
 
 def _element():
-    return LambdaElement(IwasawaContext(3, 4), [6, 3, 1])
+    return IwasawaContext(3, 4).element([6, 3, 1])
 
 
 def _report():
@@ -59,7 +59,7 @@ def test_record_is_immutable_and_compares_by_value(name):
 
 def test_records_of_different_values_differ():
     assert IwasawaContext(5, 8) != IwasawaContext(5, 7)
-    assert _element() != LambdaElement(IwasawaContext(3, 4), [6, 3, 2])
+    assert _element() != IwasawaContext(3, 4).element([6, 3, 2])
     assert FactoredIdeal(0, 1, {1: 1}) != FactoredIdeal(0, 1)
     assert Verdict((Check("KP", "PASS"),)) != Verdict((Check("KP", "PASS"),), 1)
 

@@ -178,6 +178,24 @@ def test_one_builder_makes_every_signed_component():
     assert _callers(trees["extract.py"], "weierstrass") == ["_component"]
 
 
+def test_only_lambda_ring_makes_lambda_elements():
+    # theta elements and every series divided out of them are plain residue
+    # lists (Y-vectors); an element in X is made through lambda_ring alone
+    # (IwasawaContext.element, x_coefficients), so no other module or test
+    # calls the class, and the Y-side modules do not import it
+    trees = {**_package_trees(), **{
+        f"tests/{path.name}": ast.parse(path.read_text(), filename=str(path))
+        for path in sorted(pathlib.Path(__file__).parent.glob("*.py"))}}
+    builders = [f"{name}:{fn}" for name, tree in trees.items() if name != "lambda_ring.py"
+                for fn in _callers(tree, "LambdaElement")]
+    assert not builders, f"LambdaElement built outside lambda_ring.py: {builders}"
+    imports = [f"{name}:{node.lineno}" for name in ("theta.py", "extract.py", "pipeline.py")
+               for node in ast.walk(trees[name])
+               if isinstance(node, ast.ImportFrom)
+               and any(alias.name == "LambdaElement" for alias in node.names)]
+    assert not imports, f"LambdaElement imported on the Y side: {imports}"
+
+
 def _referenced_names(trees, attributes_only=False):
     referenced = set()
     for tree in trees.values():

@@ -15,7 +15,7 @@ from signedlp.theta import (
     teichmueller_values,
 )
 
-from conftest import symbol, synthetic_table, table_keys, x_element
+from conftest import stripped, symbol, synthetic_table, table_keys, x_element, y_element
 
 
 def test_decompose_examples():
@@ -57,14 +57,14 @@ def _table_from_plus(p, K, plus_fn):
 def test_zero_table_gives_zero_theta():
     table = _table_from_plus(3, 3, lambda k, a: 0)
     th = build_theta(table, 2, 6)
-    assert th.is_zero_at_precision
+    assert th == [0] * 9
 
 
 def test_single_symbol_gives_one():
     # only [1/p^(n+1)]^+ = 1: a = 1 sits at (i, j) = (0, 0), so theta = 1
     table = _table_from_plus(3, 2, lambda k, a: 1 if (k, a) == (2, 1) else 0)
     th = build_theta(table, 1, 6)
-    assert str(th) == "1"
+    assert th == [1, 0, 0]
 
 
 def test_build_theta_linearity():
@@ -72,14 +72,14 @@ def test_build_theta_linearity():
     t2 = _table_from_plus(3, 2, lambda k, a: (a * a + 1) % 7)
     tsum = _table_from_plus(3, 2, lambda k, a: a % 5 + (a * a + 1) % 7)
     th = build_theta(tsum, 1, 6)
-    th12 = build_theta(t1, 1, 6) + build_theta(t2, 1, 6)
-    assert th.coeffs == th12.coeffs
+    th12 = [(a + b) % 3**6 for a, b in zip(build_theta(t1, 1, 6), build_theta(t2, 1, 6))]
+    assert th == th12
 
 
 def _reference_theta(table, n, M):
     """(Y-coefficients, X-coefficients) of sum_j c_j (1+X)^j: the residues
-    of the c_j, and of its expansion in X exactly over Q, each reduced last
-    and up to the degree."""
+    of the c_j, j < p^n, and of its expansion in X exactly over Q up to the
+    degree, each reduced last."""
     p = table.p
     modulus = p ** (n + 1)
     d = p**n
@@ -99,18 +99,15 @@ def _reference_theta(table, n, M):
             nxt[k] = row[k - 1] + (row[k] if k < len(row) else 0)
         row = nxt
     def reduced(values):
-        out = [residues([q.numerator], q.denominator, p, M)[0] for q in values]
-        while out and not out[-1]:
-            out.pop()
-        return tuple(out)
+        return [residues([q.numerator], q.denominator, p, M)[0] for q in values]
 
-    return reduced(sums), reduced(monomial)
+    return reduced(sums), tuple(stripped(reduced(monomial)))
 
 
 def _theta_in_both_bases(table, n, M):
     """build_theta's Y-coefficients and their Taylor shift to X."""
     th = build_theta(table, n, M)
-    return th.coeffs, x_element(th).coeffs
+    return th, x_element(th, IwasawaContext(table.p, M)).coeffs
 
 
 def _random_table(rng, p, K):
@@ -184,24 +181,24 @@ def test_theta_vanishes_at_zero_for_rank_one(store):
     for label, p in (("53a1", 3), ("53a1", 5), ("37a1", 3)):
         thetas = store.thetas(label, p, 2)
         for n, th in thetas.items():
-            assert th.value_at_one() == 0, (label, p, n)
+            assert sum(th) % p**8 == 0, (label, p, n)
     thetas = store.thetas("37a1", 17, 1)
     for th in thetas.values():
-        assert th.value_at_one() == 0
+        assert sum(th) % 17**8 == 0
 
 
 def test_x_divides_theta_for_rank_one(store):
     thetas = store.thetas("53a1", 5, 2)
     for n in (1, 2):
-        assert thetas[n].value_at_one() == 0
-        w = weierstrass(x_element(thetas[n]))
+        assert sum(thetas[n]) % 5**8 == 0
+        w = weierstrass(x_element(thetas[n], IwasawaContext(5, 8)))
         assert w.conclusive and w.lam >= 1
 
 
 def test_compat_on_fixtures(store):
     for label, p in (("53a1", 3), ("53a1", 5), ("37a1", 3)):
         thetas = store.thetas(label, p, 2)
-        rep = check_compat(thetas, 2, store.ap(label, p))
+        rep = check_compat(thetas, 2, store.ap(label, p), IwasawaContext(p, 8))
         assert rep.passed, (label, p, rep.detail)
 
 
@@ -209,15 +206,15 @@ def test_compat_on_hecke_exact_synthetic_table():
     # level-constant table satisfying the a_p = 0 relations exactly
     table = _table_from_plus(3, 3, lambda k, a: {0: 9, 1: 3, 2: -3, 3: -1}[k])
     thetas = {n: build_theta(table, n, 6) for n in range(3)}
-    rep = check_compat(thetas, 2, a_p=0)
+    rep = check_compat(thetas, 2, 0, IwasawaContext(3, 6))
     assert rep.passed
 
 
 def test_compat_detects_corruption():
     table = _table_from_plus(3, 3, lambda k, a: {0: 9, 1: 3, 2: -3, 3: -1}[k])
     thetas = {n: build_theta(table, n, 6) for n in range(3)}
-    thetas[2] = thetas[2] + thetas[2].context.element([1])
-    rep = check_compat(thetas, 2, a_p=0)
+    thetas[2] = [(thetas[2][0] + 1) % 3**6, *thetas[2][1:]]
+    rep = check_compat(thetas, 2, 0, IwasawaContext(3, 6))
     assert not rep.passed
     assert re.fullmatch(r"coefficient \d+ of the remainder is \d+ mod 3\^6", rep.detail)
 
@@ -232,8 +229,24 @@ def test_failing_compat_at_level_10_reads_x_coefficients_without_a_shift(monkeyp
     for module in (lambda_ring, theta, subcommands):  # wherever it is held
         monkeypatch.setattr(module, "taylor_shift", no_shift, raising=False)
     ctx = IwasawaContext(3, 8)
-    thetas = {n: ctx.element([0] * 3**n) for n in (8, 9)}
-    thetas[10] = ctx.element([5, -10, 5] + [0] * (3**10 - 3))
-    rep = check_compat(thetas, 10, a_p=0)
+    thetas = {n: [0] * 3**n for n in (8, 9)}
+    thetas[10] = [5, -10 % 3**8, 5] + [0] * (3**10 - 3)
+    rep = check_compat(thetas, 10, 0, ctx)
     assert (rep.passed, rep.index) == (False, 2)
     assert rep.detail == "coefficient 2 of the remainder is 5 mod 3^8"
+
+
+@pytest.mark.parametrize("k", [0, 1, 14, 15, 16, 1000])
+def test_failing_compat_reads_a_deep_index(k):
+    # theta_10 = 5 (Y - 1)^k over zero thetas below it, so the remainder mod
+    # omega_9 is 5 X^k: index and detail name coefficient k, as the X-side
+    # reference reads it
+    ctx = IwasawaContext(3, 8)
+    thetas = {n: [0] * 3**n for n in (8, 9)}
+    y = y_element(ctx.element([0] * k + [5]))
+    thetas[10] = y + [0] * (3**10 - len(y))
+    rep = check_compat(thetas, 10, 0, ctx)
+    X = x_element(thetas[10], ctx).coeffs
+    idx = next(i for i, c in enumerate(X) if c)
+    assert (rep.passed, rep.index, idx) == (False, idx, k)
+    assert rep.detail == f"coefficient {idx} of the remainder is {X[idx]} mod 3^8"
