@@ -67,6 +67,11 @@ class ContextMismatch(SignedLPError):
     """Imported table belongs to a different curve or prime."""
 
 
+class InconsistentTable(SignedLPError):
+    """The symbols break a relation their Hecke relations imply: a theta
+    element, or a quotient of one, is not exactly divisible where it must be."""
+
+
 # -- theta / extraction ------------------------------------------------------------
 
 class NotAUnit(SignedLPError):
@@ -87,10 +92,6 @@ class NotStabilized(SignedLPError):
 
 class WrongReductionType(SignedLPError):
     """Extraction method does not match the reduction type at p."""
-
-
-class SingularSystem(SignedLPError):
-    """The two-by-two extraction system could not be inverted."""
 
 
 # -- reporting ------------------------------------------------------------------

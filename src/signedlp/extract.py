@@ -10,13 +10,15 @@ internal labelling; every consumer is label-symmetric).
 With 0 < v_p(a_p), the pair is solved from the two top theta lifts through
 the inverse of the fundamental-solution matrix of s_(k+1) = a_p s_k -
 Phi_k s_(k-1); every division is by a monic polynomial and is verified to
-be exact at the working precision, so no p-adic digits are lost.  Labels
-sharp/flat follow the solve order and may be swapped relative to other
-tables.  Thetas, quotients and solves are Y-vectors, plain lists of
-residues mod p^M in Y = 1 + X read beside the run's IwasawaContext, where
-each division is a pair of linear scans (phi_quotient); only the first
-X-coefficients of a top representative become a LambdaElement
-(x_coefficients), for Weierstrass preparation.
+be exact over Z.  Labels sharp/flat follow the solve order and may be
+swapped relative to other tables.  Thetas, quotients and solves are
+Y-vectors, plain lists of exact integers in Y = 1 + X read beside the run's
+IwasawaContext, where each division is a pair of linear scans
+(phi_quotient), and a division that does not go through is an
+InconsistentTable: the table breaks a relation its Hecke relations imply.
+The precision M enters only where the first X-coefficients of a top
+representative are reduced mod p^M into a LambdaElement (x_coefficients),
+for Weierstrass preparation.
 
 Sprung's pair specializes to Pollack's: with a_p = 0 the solve at level n
 returns exactly the sign-corrected parity quotients at n and n - 1, odd
@@ -35,12 +37,7 @@ from __future__ import annotations
 from collections import namedtuple
 from itertools import zip_longest
 
-from .errors import (
-    NotStabilized,
-    PrecisionExhausted,
-    SingularSystem,
-    WrongReductionType,
-)
+from .errors import InconsistentTable, NotStabilized, WrongReductionType
 from .lambda_ring import (
     INCONCLUSIVE,
     mu_lambda_y,
@@ -53,11 +50,12 @@ from .lambda_ring import (
 class SignedSeries(namedtuple("SignedSeries", "label series modulus_desc invariants "
                               "stabilization x_lower_bound limit_certified")):
     """One member of a signed pair, with its certification data: series is
-    the canonical representative, a Y-vector (a list of residues mod p^M);
-    invariants its InvariantReport; stabilization "two-level",
-    "single-level" or "zero-chain"; x_lower_bound the certified
-    X-divisibility of the limit at precision; limit_certified whether the
-    invariants transfer to the limit (a mu = 0 reading)."""
+    the canonical representative, a Y-vector of exact integers in the scale
+    of the thetas; invariants its InvariantReport at the working precision;
+    stabilization "two-level", "single-level" or "zero-chain" (series = 0);
+    x_lower_bound the certified X-divisibility of the limit, 1 when
+    series(X = 0) = 0; limit_certified whether the invariants transfer to
+    the limit (a mu = 0 reading)."""
 
     __slots__ = ()
 
@@ -79,10 +77,11 @@ def _component(label, rep, modulus, grade, ctx, reading=None) -> SignedSeries:
     in ctx, its class modulus (p^M, modulus) and its grade across levels;
     reading is mu_lambda_y(rep, p) when the caller has made it.
 
-    A representative that vanishes at precision is graded "zero-chain".
-    (mu, lambda) are read from the whole representative F, and weierstrass
-    prepares only its first N = max(lambda + 1, lambda * M' + 1)
-    X-coefficients, M' = M - mu.  This gives the same distinguished part:
+    A representative that is 0 is graded "zero-chain".  (mu, lambda) are
+    read exactly from the whole representative F; at mu >= M the
+    X-coefficients vanish mod p^M and the invariants are inconclusive.
+    Otherwise weierstrass prepares only the first N = lambda * M' + 1
+    X-coefficients, M' = M - mu >= 1.  This gives the same distinguished part:
     let P be the distinguished part of F at precision M', of degree
     lambda.  P - X^lambda lies in p*Lambda, so X^(lambda*M') = (P - (P -
     X^lambda))^M' lies in (P, p^M').  Two series that agree below X^N, with
@@ -94,11 +93,11 @@ def _component(label, rep, modulus, grade, ctx, reading=None) -> SignedSeries:
     certified by a mu = 0 reading, and divisible by X when F(0) = 0.
     """
     mu, lam = mu_lambda_y(rep, ctx.prime) if reading is None else reading
-    n = 0 if mu is INCONCLUSIVE else max(lam + 1, lam * (ctx.precision - mu) + 1)
+    n = 0 if mu is INCONCLUSIVE or mu >= ctx.precision else lam * (ctx.precision - mu) + 1
     inv = weierstrass(x_coefficients(rep, n, ctx))
     grade = grade if any(rep) else "zero-chain"
     return SignedSeries(label, rep, f"(p^{ctx.precision}, {modulus})", inv, grade,
-                        0 if sum(rep) % ctx.modulus else 1, inv.conclusive and inv.mu == 0)
+                        0 if sum(rep) else 1, inv.conclusive and inv.mu == 0)
 
 
 def _pair(method, *components) -> SignedPair:
@@ -122,7 +121,7 @@ def extract_plus_minus(thetas, a_p: int, ctx) -> SignedPair:
         for n in levels:
             # theta_n / prod of the Phi_i, 1 <= i < n, i of the parity of n - 1
             q = phi_quotient(thetas[n], range(n - 1, 0, -2), ctx)
-            quotients[n] = [-c % ctx.modulus for c in q] if (n // 2) % 2 == 1 else q
+            quotients[n] = [-c for c in q] if (n // 2) % 2 == 1 else q
         top, grade, reading = levels[-1], "single-level", None
         if len(levels) >= 2:
             low = levels[-2]
@@ -131,7 +130,7 @@ def extract_plus_minus(thetas, a_p: int, ctx) -> SignedPair:
             diff = [a - b for a, b in zip_longest(quotients[top], quotients[low], fillvalue=0)]
             try:
                 phi_quotient(diff, [0, *range(low, 0, -2)], ctx)
-            except PrecisionExhausted:
+            except InconsistentTable:
                 raise NotStabilized(
                     f"{label}: quotients at levels {low} and {top} disagree"
                 ) from None
@@ -153,12 +152,9 @@ def _solve(thetas, n: int, a_p: int, ctx) -> tuple:
     """(A, B) = (D_1 ... D_(n-1))^(-1) (theta_n, theta_(n-1)), where
     D_k = [[a_p, -Phi_k], [1, 0]], each step dividing exactly by Phi_k."""
     u, v = thetas[n], thetas[n - 1]
-    try:
-        for k in range(n - 1, 0, -1):
-            w = [a_p * b - a for a, b in zip_longest(u, v, fillvalue=0)]
-            u, v = v, phi_quotient(w, (k,), ctx)
-    except PrecisionExhausted as exc:
-        raise SingularSystem(f"level {n}: {exc}") from exc
+    for k in range(n - 1, 0, -1):
+        w = [a_p * b - a for a, b in zip_longest(u, v, fillvalue=0)]
+        u, v = v, phi_quotient(w, (k,), ctx)
     return u, v
 
 
@@ -188,7 +184,7 @@ def extract_sharp_flat(thetas, a_p: int, ctx) -> SignedPair:
             elif not any(lo):
                 # lower solve is degenerate; consistency means the top
                 # component vanishes modulo the lower class modulus (X)
-                if not sum(hi) % ctx.modulus:
+                if not sum(hi):
                     grades[idx] = "two-level"
     A, B = solves[top]
     return _pair(
@@ -216,7 +212,7 @@ def invariant_fit(thetas, ctx) -> dict:
     Model: lambda(theta_n) = lambda* + q_n with q_n the degree of the
     accumulated opposite-parity Phi-product, and mu(theta_n) = mu*
     constant.  Drifting values raise NotStabilized rather than being
-    averaged away; levels that vanish at precision are skipped.
+    averaged away; levels whose theta is 0 are skipped.
     """
     out, p = {}, ctx.prime
     for parity, name in ((1, "odd"), (0, "even")):

@@ -8,12 +8,14 @@ any degree.  The topological generator convention is fixed once and for
 all: gamma = 1 + p, sent to 1 + X.
 
 Theta elements, and every series divided out of them, are Y-vectors: plain
-lists of the residues c_j of sum c_j Y^j in the group-ring variable
-Y = 1 + X, kept at the length they were computed, with an IwasawaContext
-passed beside them.  In Y, omega_n = Y^(p^n) - 1 and Phi_n =
-sum_{i<p} Y^(i p^(n-1)) are sparse, so dividing by them and reading mu,
-lambda and the first X-coefficients are linear scans; x_coefficients is the
-one place where a Y-vector becomes a LambdaElement.  Weierstrass preparation
+lists of the exact integer coefficients c_j of sum c_j Y^j in the
+group-ring variable Y = 1 + X, kept at the length they were computed, with
+an IwasawaContext passed beside them.  In Y, omega_n = Y^(p^n) - 1 and
+Phi_n = sum_{i<p} Y^(i p^(n-1)) are monic with integer coefficients and
+sparse, so dividing by them is an exact linear scan over Z, and reading mu
+and lambda needs only the integers mod p; the precision M enters at
+x_coefficients alone, the one place where a Y-vector is reduced mod p^M and
+becomes a LambdaElement.  Weierstrass preparation
 and the gcd work in X, on short polynomials (Phi_n, with Phi_0 = X, and
 distinguished parts), through one multiply and monic long division (von zur
 Gathen-Gerhard, Modern Computer Algebra, ch. 8-9).  The multiply is
@@ -33,7 +35,7 @@ from array import array
 from collections import namedtuple
 from itertools import accumulate, count, islice, repeat, zip_longest
 
-from .errors import MixedContext, NotDistinguished, PrecisionExhausted
+from .errors import InconsistentTable, MixedContext, NotDistinguished, PrecisionExhausted
 from .padic import padic_valuation
 
 #: invariant value when a series cannot be read at the working precision
@@ -288,32 +290,29 @@ def fold(y, m: int) -> list:
     return [sum(y[r::m]) for r in range(m)]
 
 
-def _quotient_by_y_power(y, m: int, mod: int):
-    """The residues of (sum y_j Y^j) / (Y^m - 1), or None unless the remainder
-    fold(y, m) vanishes mod `mod`; q[r::m] are the suffix sums of y[r+m::m]."""
-    if any(c % mod for c in fold(y, m)):
-        return None
+def _quotient_by_y_power(y, m: int) -> list:
+    """(sum y_j Y^j) / (Y^m - 1) when the remainder fold(y, m) vanishes,
+    which the caller tests: q[r::m] are the suffix sums of y[r+m::m]."""
     q = [0] * max(len(y) - m, 0)
     for r in range(min(m, len(q))):
         q[r::m] = list(accumulate(y[r + m :: m][::-1]))[::-1]
-    return [c % mod for c in q]
+    return q
 
 
 def phi_quotient(y, levels, ctx: IwasawaContext) -> list:
-    """The Y-vector y / prod of Phi_k over k in levels (Phi_0 = X = Y - 1):
-    y may hold any integers, and the quotient holds residues (it is y itself
-    when levels is empty).  Phi_k (Y^s - 1) = Y^(ps) - 1 with s =
-    p^(k-1), so each factor is a multiplication by Y^s - 1 and an exact
-    division by Y^(ps) - 1.  Raises PrecisionExhausted, naming the product
-    in X, unless it divides y at the working precision."""
+    """The Y-vector y / prod of Phi_k over k in levels (Phi_0 = X = Y - 1),
+    exactly over Z (y itself when levels is empty).  Phi_k (Y^s - 1) =
+    Y^(ps) - 1 with s = p^(k-1), so each factor is a multiplication by
+    Y^s - 1 and an exact division by Y^(ps) - 1.  Raises InconsistentTable,
+    naming the product in X, unless it divides y."""
     for k in levels:
         if k:
             s = ctx.prime ** (k - 1)
             y = [a - b for a, b in zip_longest([0] * s + y, y, fillvalue=0)]
-        y = _quotient_by_y_power(y, ctx.prime**k, ctx.modulus)
-        if y is None:
+        if any(fold(y, ctx.prime**k)):
             divisor = math.prod((ctx.phi(i) for i in levels), start=ctx.element([1]))
-            raise PrecisionExhausted(f"{divisor} does not divide the operand at precision")
+            raise InconsistentTable(f"{divisor} does not divide the operand exactly")
+        y = _quotient_by_y_power(y, ctx.prime**k)
     return y
 
 
@@ -359,11 +358,12 @@ def mu_lambda(F: LambdaElement) -> tuple:
 
 
 def mu_lambda_y(y, p: int) -> tuple:
-    """mu_lambda of the Y-vector y.  The change of basis is unitriangular
-    over Z, so mu is the least valuation of the Y-coefficients; lambda is
-    the order of vanishing of y / p^mu mod p at Y = 1, and since
-    Y^(p^j) - 1 = (Y - 1)^(p^j) over F_p, the exact divisions by
-    Y^(p^j) - 1, largest j first, count its base-p digits."""
+    """(mu, lambda) of the Y-vector y, read exactly, so mu may pass the
+    working precision; INCONCLUSIVE only for y = 0.  The change of basis is
+    unitriangular over Z, so mu is the least valuation of the
+    Y-coefficients; lambda is the order of vanishing of y / p^mu mod p at
+    Y = 1, and since Y^(p^j) - 1 = (Y - 1)^(p^j) over F_p, the exact
+    divisions by Y^(p^j) - 1, largest j first, count its base-p digits."""
     content = math.gcd(*y)
     if not content:
         return INCONCLUSIVE, INCONCLUSIVE
@@ -373,11 +373,10 @@ def mu_lambda_y(y, p: int) -> tuple:
     while m * p < len(y):
         m *= p
     while m:
-        q = _quotient_by_y_power(y, m, p)
-        if q is None:
+        if any(c % p for c in fold(y, m)):
             m //= p
         else:
-            y, lam = q, lam + m
+            y, lam = [c % p for c in _quotient_by_y_power(y, m)], lam + m
     return mu, lam
 
 

@@ -1,9 +1,11 @@
-"""p-adic valuations and the reduction of rationals into Z/p^M.
+"""p-adic valuations, and the p-integral part of numerators over one denominator.
 
-Residues mod p^M are plain integers throughout the package; Lambda elements
-(lambda_ring) store one per coefficient, and a symbol table (modsym) keeps
-integer numerators over one denominator per sign, which `residues` turns
-into residues with a single modular inverse.
+A symbol table (modsym) keeps integer numerators over one denominator per
+sign.  The theta elements built from them stay integers: `p_integral`
+divides out only the p-part of the denominator, exactly, so a value differs
+from num/den by the unit part of den, which no p-adic reading sees.
+Residues mod p^M appear only where a series leaves the group ring for X
+(lambda_ring.x_coefficients).
 """
 
 from __future__ import annotations
@@ -24,17 +26,13 @@ def padic_valuation(n: int, p: int) -> int:
     return v
 
 
-def residues(numerators, den: int, p: int, M: int) -> list:
-    """num/den mod p^M for every num, or NotIntegral if one of them is not in
-    Z_p: the p-part of den must divide num, and the unit part of den is
-    inverted once for all of them."""
-    if den == 0:
-        raise ZeroDivisionError("denominator is zero")
+def p_integral(numerators, den: int, p: int) -> list:
+    """num / p^v for every num, with den = p^v u and u prime to p, or
+    NotIntegral if one of the num/den is not in Z_p: p^v must divide num.
+    Each result is u * num/den, an exact integer."""
     content = p ** padic_valuation(den, p)
     for num in numerators:
         if num % content:
             g = math.gcd(num, den)
             raise NotIntegral(f"{num // g}/{den // g} has negative {p}-adic valuation")
-    modulus = p**M
-    inverse = pow(den // content, -1, modulus)
-    return [num // content * inverse % modulus for num in numerators]
+    return [num // content for num in numerators]

@@ -24,7 +24,14 @@ from .analyzer import (
     theorem_consistency,
 )
 from .curves import CurveData, classify_reduction, ingest_curve, is_odd_prime
-from .errors import CompatFailed, IoError, NotStabilized, SignedLPError, WrongReductionType
+from .errors import (
+    CompatFailed,
+    IoError,
+    MetadataMismatch,
+    NotStabilized,
+    SignedLPError,
+    WrongReductionType,
+)
 from .extract import (
     extract_plus_minus,
     extract_sharp_flat,
@@ -77,7 +84,8 @@ class PipelineResult(namedtuple("PipelineResult", "record curve table thetas com
     of the stages after it are None.  The verdict holds the prediction
     checks, then the theorem checks named "thm:..."; it is empty when no
     fine characteristic was given.  thetas map each level to its theta
-    element, a Y-vector: the list of its Y-coefficients mod p^M."""
+    element, a Y-vector: the list of its exact Y-coefficients, each times
+    the unit part of the plus denominator (theta.build_theta)."""
 
     __slots__ = ()
 
@@ -214,15 +222,17 @@ def run_pipeline(cfg: RunConfig, last_stage: str | None = None) -> PipelineResul
 
         stage = "theta"
         ctx = IwasawaContext(cfg.p, cfg.precision)
-        thetas = {
-            n: build_theta(table, n, cfg.precision)
-            for n in range(cfg.n_max + 1)
-        }
+        thetas = {n: build_theta(table, n) for n in range(cfg.n_max + 1)}
+        if curve.rank and any(thetas[0]):
+            # theta_0 = (a_p - 2)[0]^+: theta_0 != 0 means L(E,1) != 0, and
+            # then the rank is 0 (Kolyvagin)
+            raise MetadataMismatch(
+                f"{curve.label}: rank {curve.rank} contradicts theta_0 != 0, "
+                "that is L(E,1) != 0, which forces rank 0"
+            )
         record["stages"]["theta"] = {
             "levels": sorted(thetas),
-            "value_at_zero_vanishes": [
-                not sum(thetas[n]) % ctx.modulus for n in sorted(thetas)
-            ],
+            "value_at_zero_vanishes": [not sum(thetas[n]) for n in sorted(thetas)],
         }
 
         stage = "compat"

@@ -13,6 +13,7 @@ from .cli import _INFO, _PIPELINE, FLAGS, REQUIRED, _settings
 from .curves import classify_reduction, ingest_curve, is_odd_prime, periods
 from .lambda_ring import IwasawaContext, _mul
 from .modsym import _units
+from .padic import padic_valuation
 
 
 def cmd_curve_info(args) -> int:
@@ -75,14 +76,17 @@ def taylor_shift(values, mod: int) -> list:
 
 
 def _theta_payload(result, cfg):
-    """Each theta, a Y-vector, is printed in X."""
-    ctx = IwasawaContext(cfg.p, cfg.precision)
+    """Each theta, a Y-vector, is printed in X mod p^M, divided by the unit
+    part of the plus denominator that build_theta leaves in it."""
+    ctx, den = IwasawaContext(cfg.p, cfg.precision), result.table.denominators[0]
+    inverse = pow(den // cfg.p ** padic_valuation(den, cfg.p), -1, ctx.modulus)
     return {
         "curve": result.curve.label,
         "p": cfg.p,
         "thetas": {
-            str(n): {"body": str(ctx.element(taylor_shift(theta, ctx.modulus))),
-                     "value_at_zero_vanishes": not sum(theta) % ctx.modulus}
+            str(n): {"body": str(ctx.element(taylor_shift([c * inverse for c in theta],
+                                                          ctx.modulus))),
+                     "value_at_zero_vanishes": not sum(theta)}
             for n, theta in result.thetas.items()
         },
         "compat": {str(rep.level): rep.passed for rep in result.compat},

@@ -6,20 +6,23 @@ collects the plus symbols along each gamma-fiber,
 
     theta_n = sum_j c_j Y^j,   Y = 1 + X,   c_j = sum_i [ omega^i gamma^j / p^(n+1) ]^+,
 
-an element of Z/p^M[Gamma_n] = Lambda/(omega_n, p^M) (Mazur-Tate, Duke Math.
-J. 54, 1987).  It is held as its Y-coefficients c_j, j < p^n: a Y-vector,
-that is a plain list of residues in [0, p^M) (lambda_ring), and a theta
-sequence is a dict from level to that list; every level shares the run's
-IwasawaContext, which the functions that read thetas take beside them.
-Only the trivial tame character enters, so only plus symbols are used;
-minus symbols stay in the table for symmetry checks.  The c_j are gathered
-from the plus numerator list of level n+1, one row omega^i gamma^j of the
-grid at a time, and reduced into Z/p^M with one inverse of the unit part of
-the plus denominator.
+an element of Z_p[Gamma_n] = Lambda/omega_n (Mazur-Tate, Duke Math. J. 54,
+1987).  It is held exactly, as its Y-coefficients c_j, j < p^n: a Y-vector,
+that is a plain list of integers (lambda_ring), and a theta sequence is a
+dict from level to that list; every level shares the run's IwasawaContext,
+which the functions that read thetas take beside them.  Only the trivial
+tame character enters, so only plus symbols are used; minus symbols stay in
+the table for symmetry checks.  The c_j are gathered from the plus
+numerator list of level n+1, one row omega^i gamma^j of the grid at a time,
+and divided by the p-part of the plus denominator only: each is the
+rational c_j times the unit part u of that denominator.  Every reading of a
+theta sequence (mu, lambda, distinguished parts, gcd, zero tests) is
+unchanged by the p-adic unit u; only the theta payload prints values, and
+it divides by u there.
 
-The three-term congruence linking consecutive levels is a consequence of
-the Hecke relations; check_compat re-proves it numerically on each run
-rather than assuming it (the sign below is the empirically pinned one).
+The three-term relation linking consecutive levels is a consequence of the
+Hecke relations; check_compat re-proves it exactly on each run rather than
+assuming it (the sign below is the empirically pinned one).
 """
 
 from __future__ import annotations
@@ -28,9 +31,9 @@ from collections import namedtuple
 
 from .curves import prime_divisors
 from .errors import IncompleteTable, NotAUnit
-from .lambda_ring import fold, x_scan
+from .lambda_ring import fold
 from .modsym import SymbolTable
-from .padic import residues
+from .padic import p_integral, padic_valuation
 
 
 def primitive_root_mod_p2(p: int) -> int:
@@ -64,9 +67,10 @@ def teichmueller_values(p: int, modulus: int) -> list:
     return [pow(w, i, modulus) for i in range(p - 1)]
 
 
-def build_theta(table: SymbolTable, n: int, M: int) -> list:
-    """Theta element at level n, at p-adic precision M, from a table complete
-    through level n+1: the residues of its Y-coefficients c_j, j < p^n."""
+def build_theta(table: SymbolTable, n: int) -> list:
+    """Theta element at level n from a table complete through level n+1:
+    its Y-coefficients c_j, j < p^n, times the unit part of the plus
+    denominator, as exact integers."""
     p = table.p
     if not table.has_level(n + 1):
         raise IncompleteTable(f"theta at level {n} needs symbols mod {p}^{n+1}")
@@ -78,41 +82,42 @@ def build_theta(table: SymbolTable, n: int, M: int) -> list:
     plus = table.levels[n + 1][0]
     rows = [[plus[w * g % modulus] for g in gamma] for w in teichmueller_values(p, modulus)]
     sums = list(map(sum, zip(*rows)))
-    # Each c_j is reduced into Z/p^M once.  The change of basis from Y^j to
-    # X^k is unitriangular over Z, so the X-coefficients are p-integral
-    # exactly when every c_j is: NotIntegral is raised here or not at all.
-    return residues(sums, table.denominators[0], p, M)
+    # The change of basis from Y^j to X^k is unitriangular over Z, so the
+    # X-coefficients are p-integral exactly when every c_j is: NotIntegral
+    # is raised here or not at all.
+    return p_integral(sums, table.denominators[0], p)
 
 
 class CompatReport(namedtuple("CompatReport", "level passed detail index",
                               defaults=("", None))):
-    """index is the first offending coefficient when the check failed."""
+    """index is the first offending Y-coefficient when the check failed."""
 
     __slots__ = ()
 
 
 def check_compat(thetas, n: int, a_p: int, ctx) -> CompatReport:
     """Verify theta_n = a_p theta_(n-1) - Phi_(n-1) theta_(n-2) mod omega_(n-1)
-    on thetas held as Y-vectors: with m = p^(n-1), omega_(n-1) = Y^m - 1
-    and Phi_(n-1) = sum_{i<p} Y^(i m/p), so the remainder, which must vanish
-    at the working p-precision, is fold(theta_n, m) - a_p fold(theta_(n-1), m)
-    plus fold(theta_(n-2), m/p) tiled p times.  A failing remainder is read
-    in X only up to its first nonzero X-coefficient, so that index and
-    detail count X-coefficients.  ctx is the run's IwasawaContext.  Levels
-    0 and 1 are covered by the Hecke validation of the underlying table
-    instead.
+    exactly, on thetas held as Y-vectors: with m = p^(n-1), omega_(n-1) =
+    Y^m - 1 and Phi_(n-1) = sum_{i<p} Y^(i m/p), so the remainder, which
+    must vanish, is fold(theta_n, m) - a_p fold(theta_(n-1), m) plus
+    fold(theta_(n-2), m/p) tiled p times.  A failing remainder is named by
+    its first nonzero Y-coefficient, with that coefficient's p-adic
+    valuation (the scale of the thetas leaves it unchanged).  ctx is the
+    run's IwasawaContext.  Levels 0 and 1 are covered by the Hecke
+    validation of the underlying table instead.
     """
     if n < 2:
         raise ValueError("the three-term congruence starts at level 2")
-    mod, m = ctx.modulus, ctx.prime ** (n - 1)
-    tiled = fold(thetas[n - 2], m // ctx.prime) * ctx.prime
+    p, m = ctx.prime, ctx.prime ** (n - 1)
+    tiled = fold(thetas[n - 2], m // p) * p
     rem = [a - a_p * b + c for a, b, c in
            zip(fold(thetas[n], m), fold(thetas[n - 1], m), tiled)]
-    if not any(c % mod for c in rem):
+    if not any(rem):
         return CompatReport(n, True)
-    idx, c = next((idx, c) for idx, c in enumerate(x_scan(rem, mod)) if c)
+    idx = next(idx for idx, c in enumerate(rem) if c)
     return CompatReport(
         n, False,
-        detail=f"coefficient {idx} of the remainder is {c} mod {ctx.prime}^{ctx.precision}",
+        detail=f"Y-coefficient {idx} of the remainder has {p}-adic valuation "
+               f"{padic_valuation(rem[idx], p)}",
         index=idx,
     )

@@ -3,6 +3,7 @@ import os
 import tempfile
 import time
 from fractions import Fraction
+from itertools import zip_longest
 
 import mpmath
 import numpy as np
@@ -44,13 +45,11 @@ class TableStore:
             self.build_seconds[key] = time.time() - t0
         return self._tables[key]
 
-    def thetas(self, label, p, n_max, M=8):
-        key = (label, p, n_max, M)
+    def thetas(self, label, p, n_max):
+        key = (label, p, n_max)
         if key not in self._thetas:
             table = self.table(label, p, n_max + 1)
-            self._thetas[key] = {
-                n: build_theta(table, n, M) for n in range(n_max + 1)
-            }
+            self._thetas[key] = {n: build_theta(table, n) for n in range(n_max + 1)}
         return self._thetas[key]
 
     def ap(self, label, p):
@@ -107,14 +106,34 @@ def omega(ctx, n):
 
 
 def y_element(F):
-    """F, given in X, as a Y-vector: the residues of the Y-coefficients of
-    sum a_k (Y - 1)^k, Y = 1 + X, one per X-coefficient of F.
+    """F in X, an element or a list of integers a_k, as a Y-vector: the exact
+    Y-coefficients of sum a_k (Y - 1)^k, Y = 1 + X, one per X-coefficient
+    of F, by Horner's rule in Y.  An element's residues are read as the
+    integers they are."""
+    y = []
+    for a in reversed(getattr(F, "coeffs", F)):
+        y = [u - v for u, v in zip([0, *y], [*y, 0])]
+        y[0] += a
+    return y
 
-    With b_k = (-1)^k a_k, sum b_k (1 + Z)^k at Z = -Y is that sum, so the
-    Y-coefficients are the Taylor shift of the b_k with alternating signs."""
-    mod = F.context.modulus
-    shifted = taylor_shift([(-1) ** k * a for k, a in enumerate(F.coeffs)], mod)
-    return [(-1) ** j * c % mod for j, c in enumerate(shifted)]
+
+def y_times_phi(y, levels, p):
+    """The Y-vector y times the product of the Phi_k over k in levels,
+    exactly, with Phi_0 = Y - 1 and Phi_k = sum_{i<p} Y^(i p^(k-1)); so
+    levels 0..n give omega_n = Y^(p^n) - 1."""
+    for k in levels:
+        terms = [(0, -1), (1, 1)] if k == 0 else [(i * p ** (k - 1), 1) for i in range(p)]
+        out = [0] * (len(y) + terms[-1][0])
+        for shift, c in terms:
+            for j, a in enumerate(y, shift):
+                out[j] += c * a
+        y = out
+    return y
+
+
+def y_sum(*vectors):
+    """The sum of Y-vectors of any lengths, as long as the longest."""
+    return [sum(column) for column in zip_longest(*vectors, fillvalue=0)]
 
 
 def stripped(y):

@@ -139,7 +139,7 @@ def test_c05_theta_vanishing_and_compat(store):
     for label, p, n_max in configs:
         thetas = store.thetas(label, p, n_max)
         for n, th in thetas.items():
-            assert sum(th) % p**8 == 0, (label, p, n)
+            assert sum(th) == 0, (label, p, n)
         if n_max >= 2:
             rep = check_compat(thetas, 2, store.ap(label, p), IwasawaContext(p, 8))
             assert rep.passed, (label, p, rep.detail)
@@ -154,7 +154,7 @@ def test_c05_theta_vanishing_and_compat(store):
 
 def test_c06_53a1_p5(store):
     t0 = time.time()
-    thetas = store.thetas("53a1", 5, 2, M=4)
+    thetas = store.thetas("53a1", 5, 2)
     pair = extract_plus_minus(thetas, store.ap("53a1", 5), IwasawaContext(5, 4))
     assert mu_lambda_of(pair) == ((0, 0), (1, 1))
     for comp in pair.components:
@@ -171,7 +171,7 @@ def test_c06_53a1_p5(store):
 def test_c07_37a1_p17(store):
     t0 = time.time()
     # level n_max = 1, exactly as stated
-    thetas = store.thetas("37a1", 17, 1, M=6)
+    thetas = store.thetas("37a1", 17, 1)
     pair = extract_plus_minus(thetas, store.ap("37a1", 17), IwasawaContext(17, 6))
     assert 1 in mu_lambda_of(pair)[1]
     plus = pair.components[0]
@@ -182,7 +182,7 @@ def test_c07_37a1_p17(store):
     # the minus chain carries no invariant data at n_max = 1 for a rank-one
     # curve (theta_0 = 0 exactly); a level-2 top-up supplies mu_minus = 0
     # within the stated budget
-    thetas2 = store.thetas("37a1", 17, 2, M=6)
+    thetas2 = store.thetas("37a1", 17, 2)
     pair2 = extract_plus_minus(thetas2, store.ap("37a1", 17), IwasawaContext(17, 6))
     assert mu_lambda_of(pair2)[0] == (0, 0)
     assert 1 in mu_lambda_of(pair2)[1]
@@ -198,12 +198,12 @@ def test_c07_37a1_p17(store):
 
 def test_c08_p3_sharp_flat(store):
     t0 = time.time()
-    thetas = store.thetas("53a1", 3, 2, M=4)
+    thetas = store.thetas("53a1", 3, 2)
     pair = extract_sharp_flat(thetas, store.ap("53a1", 3), IwasawaContext(3, 4))
     assert mu_lambda_of(pair) == ((0, 0), (1, 1))
     assert all(c.is_x_times_unit for c in pair.components)
 
-    thetas = store.thetas("37a1", 3, 2, M=4)
+    thetas = store.thetas("37a1", 3, 2)
     pair = extract_sharp_flat(thetas, store.ap("37a1", 3), IwasawaContext(3, 4))
     assert 1 in mu_lambda_of(pair)[1]  # label-symmetric: one of the two series
     gcd = gcd_signed_pair(pair)
@@ -256,7 +256,7 @@ def test_rank_zero_delta_zero_audit(store):
     table = store.table("11a1", 19, 2)
     assert symbol(table, 0, 0) == Fraction(-1, 5)  # +-L(E,1)/Omega, torsion 5
     assert validate_hecke(table, 19, 1, store.ap("11a1", 19)).passed
-    thetas = store.thetas("11a1", 19, 1, M=6)
+    thetas = store.thetas("11a1", 19, 1)
     pair = extract_plus_minus(thetas, 0, IwasawaContext(19, 6))
     assert mu_lambda_of(pair) == ((0, 0), (0, 0))  # both series are units
     gcd = gcd_signed_pair(pair)
@@ -274,7 +274,7 @@ def test_rank_zero_delta_zero_audit(store):
 def test_c10_extended_primes(store, label, p):
     # same assertion shape as criterion 7, at the remaining listed primes
     t0 = time.time()
-    thetas = store.thetas(label, p, 1, M=6)
+    thetas = store.thetas(label, p, 1)
     ctx = IwasawaContext(p, 6)
     pair = extract_plus_minus(thetas, store.ap(label, p), ctx)
     assert 1 in mu_lambda_of(pair)[1]
@@ -283,7 +283,7 @@ def test_c10_extended_primes(store, label, p):
     gcd = gcd_signed_pair(pair)
     assert gcd.as_string() == "X" and gcd.certified
 
-    thetas2 = store.thetas(label, p, 2, M=6)
+    thetas2 = store.thetas(label, p, 2)
     assert check_compat(thetas2, 2, store.ap(label, p), ctx).passed
     pair2 = extract_plus_minus(thetas2, store.ap(label, p), ctx)
     assert mu_lambda_of(pair2)[0] == (0, 0)

@@ -418,28 +418,48 @@ def test_ordinary_prime_fails_at_extract_stage(capsys):
     assert "stage: extract" in err
 
 
-def test_broken_congruence_stops_report_at_compat(capsys, monkeypatch):
+def _shift_theta_2(monkeypatch, c):
+    """Make the pipeline's theta_2 theta_2 + c (Y - 1): the remainder of the
+    three-term congruence mod omega_1 is c (Y - 1) over Z."""
     from signedlp import pipeline
 
     build = pipeline.build_theta
 
-    def shifted(table, n, M):
-        # theta_2 + (Y - 1) = theta_2 + X: the remainder mod omega_1 is X,
-        # so coefficient 1 of the X remainder breaks
-        theta = build(table, n, M)
+    def shifted(table, n):
+        theta = build(table, n)
         if n == 2:
-            theta = [(theta[0] - 1) % 3**M, (theta[1] + 1) % 3**M, *theta[2:]]
+            theta = [theta[0] - c, theta[1] + c, *theta[2:]]
         return theta
 
     monkeypatch.setattr(pipeline, "build_theta", shifted)
+
+
+def test_broken_congruence_stops_report_at_compat(capsys, monkeypatch):
+    # the remainder X = Y - 1 is named by its first nonzero Y-coefficient
+    _shift_theta_2(monkeypatch, 1)
     argv = ["report", "--curve", curve_path("53a1"), "--p", "3", "--level", "2"]
     code, out, err = run_cli(argv, capsys)
     assert code == 1 and out == ""
-    assert "CompatFailed: level 2: coefficient 1 " in err
+    assert ("CompatFailed: level 2: Y-coefficient 0 of the remainder has 3-adic "
+            "valuation 0 ") in err
     assert err.rstrip().endswith("[stage: compat]")
     with pytest.raises(CompatFailed) as exc:
         run_pipeline(RunConfig(curve_path("53a1"), 3, n_max=2))
-    assert exc.value.index == 1
+    assert exc.value.index == 0
+
+
+@pytest.mark.parametrize("M", [2, 8])
+def test_congruence_broken_only_beyond_the_precision_stops_at_compat(capsys, monkeypatch, M):
+    # a remainder p^M (Y - 1) vanishes mod p^M in every coefficient, but not
+    # over Z: the check reads it exactly and fails, naming valuation M
+    _shift_theta_2(monkeypatch, 3**M)
+    argv = ["report", "--curve", curve_path("53a1"), "--p", "3", "--level", "2",
+            "--prec", str(M)]
+    code, out, err = run_cli(argv, capsys)
+    assert code == 1 and out == ""
+    assert ("CompatFailed: level 2: Y-coefficient 0 of the remainder has 3-adic "
+            f"valuation {M} ") in err
+    assert err.rstrip().endswith("[stage: compat]")
 
 
 def test_bad_prime_fails_at_classify_stage(capsys):
@@ -849,6 +869,22 @@ def test_bad_metadata_fails_at_ingest_stage(field, tmp_path, capsys, monkeypatch
     assert code == 1
     assert "MetadataMismatch" in err and field in err
     assert "stage: ingest" in err
+
+
+def test_rank_that_contradicts_theta_0_fails_at_theta_stage(tmp_path, capsys):
+    # 11a1 re-recorded with rank 2 keeps the parity of its root number +1, so
+    # ingest passes; but theta_0 = (a_p - 2)[0]^+ != 0 exactly, so L(E,1) != 0
+    # and the rank is 0 (Kolyvagin)
+    with open(curve_path("11a1")) as fh:
+        raw = json.load(fh)
+    raw.update(rank=2, e_sequence=[2])
+    path = tmp_path / "11a1_rank2.json"
+    path.write_text(json.dumps(raw))
+    code, out, err = run_cli(["report", "--curve", str(path), "--p", "19", "--level", "1"],
+                             capsys)
+    assert (code, out) == (1, "")
+    assert err == ("signedlp: MetadataMismatch: 11a1: rank 2 contradicts theta_0 != 0, "
+                   "that is L(E,1) != 0, which forces rank 0 [stage: theta]\n")
 
 
 @pytest.mark.parametrize("command", ["symbols", "theta"])

@@ -3,12 +3,7 @@ import re
 
 import pytest
 
-from signedlp.errors import (
-    NotStabilized,
-    PrecisionExhausted,
-    SingularSystem,
-    WrongReductionType,
-)
+from signedlp.errors import InconsistentTable, NotStabilized, WrongReductionType
 from signedlp.extract import (
     _component,
     _solve,
@@ -17,9 +12,9 @@ from signedlp.extract import (
     fit_matches_pair,
     invariant_fit,
 )
-from signedlp.lambda_ring import IwasawaContext, divrem, weierstrass
+from signedlp.lambda_ring import IwasawaContext, fold, weierstrass
 
-from conftest import combination, mu_lambda_of, omega, stripped, x_element, y_element
+from conftest import combination, mu_lambda_of, stripped, x_element, y_element, y_times_phi
 
 
 def _parity_product(ctx, n):
@@ -30,17 +25,16 @@ def _parity_product(ctx, n):
     return out
 
 
-def _synthetic_thetas(p, M, F_coeffs, n_max=3, alternate=True, scale_mu=None):
-    """theta_n := (+-) W(n) * F mod omega_n for a fixed F given in X, as the
-    Y-vector of its representative of degree below p^n."""
-    ctx = IwasawaContext(p, M)
+def _synthetic_thetas(p, F_coeffs, n_max=3, alternate=True, scale_mu=None):
+    """theta_n := (+-) W(n) * F mod omega_n for a fixed F given in X, exactly,
+    as the Y-vector of its representative of degree below p^n."""
     thetas = {}
     for n in range(n_max + 1):
         scale = p ** (scale_mu or {}).get(n, 0)
         if alternate and (n // 2) % 2 == 1:
             scale = -scale
-        body = _parity_product(ctx, n) * ctx.element([scale * c for c in F_coeffs])
-        thetas[n] = y_element(divrem(body, omega(ctx, n))[1])
+        body = y_times_phi(y_element([scale * c for c in F_coeffs]), range(n - 1, 0, -2), p)
+        thetas[n] = fold(body, p**n)
     return thetas
 
 
@@ -49,7 +43,7 @@ def test_synthetic_recovery_exact():
     # F must fit inside the smallest class modulus (omega_1 here), or the
     # low-level representatives legitimately scramble the reading.
     F = [0, 1, 3]  # X + 3X^2: mu = 0, lambda = 1 over Z_3
-    thetas = _synthetic_thetas(3, 8, F, n_max=3)
+    thetas = _synthetic_thetas(3, F, n_max=3)
     ctx = IwasawaContext(3, 8)
     pair = extract_plus_minus(thetas, 0, ctx)
     for comp in pair.components:
@@ -64,7 +58,7 @@ def test_synthetic_recovery_exact():
 
 def test_synthetic_remultiplication():
     F = [0, 3, 1]
-    thetas = _synthetic_thetas(3, 8, F, n_max=3)
+    thetas = _synthetic_thetas(3, F, n_max=3)
     ctx = IwasawaContext(3, 8)
     pair = extract_plus_minus(thetas, 0, ctx)
     for comp, parity in zip(pair.components, (1, 0)):
@@ -77,7 +71,7 @@ def test_synthetic_remultiplication():
 
 def test_drifting_chain_raises():
     # level-0 and level-2 quotients disagree at the constant term
-    thetas = _synthetic_thetas(3, 8, [1, 1], n_max=3)
+    thetas = _synthetic_thetas(3, [1, 1], n_max=3)
     bad = dict(thetas)
     bad[0] = [2]
     with pytest.raises(NotStabilized):
@@ -85,13 +79,13 @@ def test_drifting_chain_raises():
 
 
 def test_invariant_fit_flags_mu_drift():
-    thetas = _synthetic_thetas(3, 8, [1, 1], n_max=2, scale_mu={2: 1})
+    thetas = _synthetic_thetas(3, [1, 1], n_max=2, scale_mu={2: 1})
     with pytest.raises(NotStabilized):
         invariant_fit(thetas, IwasawaContext(3, 8))
 
 
 def test_all_zero_thetas_inconclusive():
-    thetas = _synthetic_thetas(3, 6, [0], n_max=2)
+    thetas = _synthetic_thetas(3, [0], n_max=2)
     pair = extract_plus_minus(thetas, 0, IwasawaContext(3, 6))
     assert not pair.stabilized
     for comp in pair.components:
@@ -100,7 +94,7 @@ def test_all_zero_thetas_inconclusive():
 
 
 def test_wrong_reduction_type():
-    thetas = _synthetic_thetas(3, 6, [1], n_max=2)
+    thetas = _synthetic_thetas(3, [1], n_max=2)
     ctx = IwasawaContext(3, 6)
     with pytest.raises(WrongReductionType):
         extract_plus_minus(thetas, -3, ctx)
@@ -121,8 +115,8 @@ def test_sharp_flat_without_consecutive_levels_is_not_stabilized(levels):
 def test_sharp_flat_solve_that_does_not_divide_is_singular():
     # level 2: a_p theta_1 - theta_2 = -4 is no multiple of Phi_1
     thetas = {n: [1] for n in range(3)}
-    message = "level 2: X^2 + 3*X + 3 does not divide the operand at precision"
-    with pytest.raises(SingularSystem, match=f"^{re.escape(message)}$"):
+    message = "X^2 + 3*X + 3 does not divide the operand exactly"
+    with pytest.raises(InconsistentTable, match=f"^{re.escape(message)}$"):
         extract_sharp_flat(thetas, -3, IwasawaContext(3, 6))
 
 
@@ -137,8 +131,8 @@ def test_sharp_flat_solve_that_does_not_divide_is_singular():
 def test_parity_quotient_that_does_not_divide_names_the_divisor(levels, divisor):
     # the constant 1 has the same coefficients in every basis
     thetas = {n: [1] for n in levels}
-    message = f"{divisor} does not divide the operand at precision"
-    with pytest.raises(PrecisionExhausted, match=f"^{re.escape(message)}$"):
+    message = f"{divisor} does not divide the operand exactly"
+    with pytest.raises(InconsistentTable, match=f"^{re.escape(message)}$"):
         extract_plus_minus(thetas, 0, IwasawaContext(3, 6))
 
 

@@ -1,13 +1,13 @@
 """Differential tests of the scans in the group-ring variable Y = 1 + X.
 
 Theta elements, their parity quotients and the sharp/flat solves are held as
-Y-vectors (plain lists of Y-coefficients mod p^M), and every division by
-omega_n = Y^(p^n) - 1 or Phi_n is a linear scan.  Each scan is checked here
-against monic division in X (divrem) of the Taylor-shifted operand by
-omega_n or Phi_n written in X, on operands that divide and on corrupted
-ones that must not, and each reading (the first X-coefficients, mu and
-lambda) against the full Taylor shift; and every reading against the same
-Y-vector with trailing zeros.
+Y-vectors (plain lists of exact integer Y-coefficients), and every division
+by omega_n = Y^(p^n) - 1 or Phi_n is an exact linear scan over Z.  Each scan
+is checked here against monic division in X (divrem, mod p^M) of the
+Taylor-shifted operand by omega_n or Phi_n written in X, on operands built
+exactly in Y that divide and on corrupted ones that must not, and each
+reading (the first X-coefficients, mu and lambda) against the full Taylor
+shift; and every reading against the same Y-vector with trailing zeros.
 """
 
 import random
@@ -15,7 +15,7 @@ import re
 
 import pytest
 
-from signedlp.errors import NotStabilized, PrecisionExhausted
+from signedlp.errors import InconsistentTable, NotStabilized
 from signedlp.extract import extract_plus_minus
 from signedlp.lambda_ring import (
     IwasawaContext,
@@ -27,9 +27,18 @@ from signedlp.lambda_ring import (
     phi_quotient,
     x_coefficients,
 )
+from signedlp.padic import padic_valuation
 from signedlp.theta import check_compat
 
-from conftest import combination, omega, stripped, x_element, y_element
+from conftest import (
+    combination,
+    omega,
+    stripped,
+    x_element,
+    y_element,
+    y_sum,
+    y_times_phi,
+)
 
 PRIMES = (3, 5, 17, 31)
 PRECISIONS = (1, 8, 30)
@@ -42,7 +51,8 @@ def top_level(p):
 
 
 def random_vector(rng, ctx, n):
-    return [rng.randrange(ctx.modulus) for _ in range(n)]
+    """n integers of either sign, below p^M in size."""
+    return [rng.randrange(1 - ctx.modulus, ctx.modulus) for _ in range(n)]
 
 
 def random_element(rng, ctx, n):
@@ -54,7 +64,7 @@ def corrupted(rng, y, length, ctx):
     below `length`."""
     bad = y + [0] * (length - len(y))
     i = rng.randrange(length)
-    bad[i] = (bad[i] + rng.randrange(1, ctx.prime)) % ctx.modulus
+    bad[i] += rng.randrange(1, ctx.prime)
     return bad
 
 
@@ -83,12 +93,12 @@ def test_quotient_by_y_power_is_the_quotient_by_omega(p):
         ctx = IwasawaContext(p, M)
         for k in range(top_level(p) + 1):
             m = p**k
-            Q = random_element(rng, ctx, rng.randint(0, 2 * m))
-            y = y_element(Q * omega(ctx, k))
-            got = _quotient_by_y_power(y, m, ctx.modulus)
-            assert x_element(got, ctx) == Q, (p, M, k)
+            q = random_vector(rng, ctx, rng.randint(0, 2 * m))
+            y = y_times_phi(q, range(k + 1), p)
+            assert not any(fold(y, m)) and _quotient_by_y_power(y, m) == q, (p, M, k)
+            assert divrem(x_element(y, ctx), omega(ctx, k)) == (x_element(q, ctx), ctx.element([]))
             bad = corrupted(rng, y, m + len(y), ctx)
-            assert _quotient_by_y_power(bad, m, ctx.modulus) is None
+            assert any(fold(bad, m))
             assert not divrem(x_element(bad, ctx), omega(ctx, k))[1].is_zero_at_precision
 
 
@@ -105,38 +115,42 @@ def test_phi_quotient_is_the_quotient_by_the_phi_product(p):
         cases += [[0, *range(low, 0, -2)] for low in range(1, top + 1)]
         for levels in cases:
             W = phi_product(ctx, levels)
-            Q = random_element(rng, ctx, rng.randint(0, 2 * W.degree() + 2))
-            y = y_element(Q * W)
-            assert x_element(phi_quotient(y, levels, ctx), ctx) == Q, (p, M, levels)
+            q = random_vector(rng, ctx, rng.randint(0, 2 * W.degree() + 2))
+            y = y_times_phi(q, levels, p)
+            assert phi_quotient(y, levels, ctx) == q, (p, M, levels)
+            assert divrem(x_element(y, ctx), W) == (x_element(q, ctx), ctx.element([]))
             bad = corrupted(rng, y, W.degree() + 1, ctx)
             assert not divrem(x_element(bad, ctx), W)[1].is_zero_at_precision
-            message = f"{W} does not divide the operand at precision"
-            with pytest.raises(PrecisionExhausted, match=f"^{re.escape(message)}$"):
+            message = f"{W} does not divide the operand exactly"
+            with pytest.raises(InconsistentTable, match=f"^{re.escape(message)}$"):
                 phi_quotient(bad, levels, ctx)
 
 
 def _compat_in_x(thetas, n, a_p, ctx):
-    """(passed, index, detail) of the three-term congruence checked in X."""
+    """(passed, index, detail) of the three-term congruence checked in X mod
+    p^M, its remainder named by its first Y-coefficient nonzero mod p^M."""
     X = {k: x_element(th, ctx) for k, th in thetas.items()}
     lhs = combination((1, X[n]), (-a_p, X[n - 1]), (1, ctx.phi(n - 1) * X[n - 2]))
     _, R = divrem(lhs, omega(ctx, n - 1))
     if R.is_zero_at_precision:
         return True, None, ""
-    idx = next(i for i, c in enumerate(R.coeffs) if c)
-    detail = f"coefficient {idx} of the remainder is {R.coeffs[idx]} mod {ctx.prime}^{ctx.precision}"
+    y = [c % ctx.modulus for c in y_element(R)]
+    idx = next(i for i, c in enumerate(y) if c)
+    valuation = padic_valuation(y[idx], ctx.prime)
+    detail = f"Y-coefficient {idx} of the remainder has {ctx.prime}-adic valuation {valuation}"
     return False, idx, detail
 
 
 def compatible_thetas(rng, ctx, n, a_p):
     """Random theta_(n-2) and theta_(n-1), and a theta_n that satisfies the
-    three-term congruence with them, as Y-vectors."""
+    three-term congruence with them exactly, as Y-vectors."""
     p = ctx.prime
     th = {k: random_vector(rng, ctx, p**k) for k in (n - 2, n - 1)}
-    X = {k: x_element(t, ctx) for k, t in th.items()}
-    h = random_element(rng, ctx, p**n - p ** (n - 1))
-    body = combination((a_p, X[n - 1]), (-1, ctx.phi(n - 1) * X[n - 2]),
-                       (1, h * omega(ctx, n - 1)))
-    th[n] = y_element(divrem(body, omega(ctx, n))[1])
+    h = random_vector(rng, ctx, p**n - p ** (n - 1))
+    body = y_sum([a_p * c for c in th[n - 1]],
+                 [-c for c in y_times_phi(th[n - 2], [n - 1], p)],
+                 y_times_phi(h, range(n), p))
+    th[n] = fold(body, p**n)
     return th
 
 
@@ -162,16 +176,14 @@ def test_class_modulus_scan_matches_division_in_x():
     # vanish modulo omega_1 = X * Phi_1, the class modulus at level 1
     rng = random.Random(2205)
     ctx = IwasawaContext(3, 8)
-    modulus = omega(ctx, 1)
-    F = ctx.element([0, 1, 3])
+    F = y_element([0, 1, 3])
     for trial in range(40):
-        D = random_element(rng, ctx, 4)
+        D = random_vector(rng, ctx, 4)
         if trial % 2:
-            D = D * modulus
-        thetas = {0: [0], 2: [0] * 9, 1: y_element(F)}
-        body = combination((-1, ctx.phi(2) * F), (-1, ctx.phi(2) * D))
-        thetas[3] = y_element(divrem(body, omega(ctx, 3))[1])
-        disagree = not divrem(D, modulus)[1].is_zero_at_precision
+            D = y_times_phi(D, [0, 1], 3)
+        thetas = {0: [0], 2: [0] * 9, 1: F}
+        thetas[3] = fold([-c for c in y_times_phi(y_sum(F, D), [2], 3)], 27)
+        disagree = not divrem(x_element(D, ctx), omega(ctx, 1))[1].is_zero_at_precision
         try:
             extract_plus_minus(thetas, 0, ctx)
             raised = False
@@ -203,7 +215,7 @@ def test_readings_in_y_match_the_full_shift(p):
             assert mu_lambda_y(y, p) == mu_lambda(F), (p, M)
             for N in (0, 1, 5, 60):  # up to and beyond the length of some operands
                 assert x_coefficients(y, N, ctx) == ctx.element(F.coeffs[:N]), (p, M, N)
-            assert sum(y) % ctx.modulus == (F.coeffs[0] if F.coeffs else 0)
+            assert sum(y) == (F.coeffs[0] if F.coeffs else 0)
 
 
 @pytest.mark.parametrize("p", (3, 5, 17))
@@ -218,15 +230,13 @@ def test_readings_ignore_trailing_zeros(p):
         for t in (1, p, p * p + 1):
             for levels in ([top], list(range(top, 0, -2)), [0, *range(top, 0, -2)]):
                 W = phi_product(ctx, levels)
-                y = y_element(random_element(rng, ctx, rng.randint(0, 2 * W.degree())) * W)
+                y = y_times_phi(random_vector(rng, ctx, rng.randint(0, 2 * W.degree())), levels, p)
                 for operand in (y, corrupted(rng, y, W.degree() + 1, ctx)):
                     outcomes = []
                     for z in (operand, operand + [0] * t):
                         try:
-                            q = phi_quotient(z, levels, ctx)
-                            assert all(0 <= c < ctx.modulus for c in q)
-                            outcomes.append(stripped(q))
-                        except PrecisionExhausted as exc:
+                            outcomes.append(stripped(phi_quotient(z, levels, ctx)))
+                        except InconsistentTable as exc:
                             outcomes.append(str(exc))
                     assert outcomes[0] == outcomes[1], (p, M, levels, t)
             operands = [random_vector(rng, ctx, rng.randint(0, 3 * p)),

@@ -25,6 +25,7 @@ from signedlp.modsym import (
     import_table,
     validate_hecke,
 )
+from signedlp.padic import padic_valuation
 from signedlp.theta import build_theta
 
 from conftest import (
@@ -178,15 +179,18 @@ def test_hecke_matches_fraction_loop_on_random_tables():
 
 def test_numerators_beyond_int64_stay_exact(store):
     # a fixture table scaled by 2^70 is held in Python ints; every Hecke
-    # relation still holds and theta scales by 2^70 mod p^M
+    # relation still holds and theta scales by 2^70 exactly, once each is
+    # taken times the unit part of the other's plus denominator
     table = store.table("53a1", 5, 3)
     scaled = synthetic_table(5, {
         key: symbol(table, *key) * 2**70 for key in table_keys(5, 3)})
     assert max(abs(x) for x in scaled.levels[3][0]) > 2**63
     assert validate_hecke(scaled, 5, 2, store.ap("53a1", 5)).passed
+    u, v = (t.denominators[0] // 5 ** padic_valuation(t.denominators[0], 5)
+            for t in (table, scaled))
     for n in range(3):
-        want = [c * 2**70 % 5**8 for c in build_theta(table, n, 8)]
-        assert build_theta(scaled, n, 8) == want
+        assert [c * v * 2**70 for c in build_theta(table, n)] == [
+            c * u for c in build_theta(scaled, n)]
 
 
 def test_export_import_round_trip(store, tmp_path):

@@ -3,32 +3,27 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from signedlp.errors import NotIntegral
-from signedlp.padic import padic_valuation, residues
-
-
-def test_from_rational_half_mod_81():
-    (x,) = residues([1], 2, 3, 4)
-    assert x == 41
-    assert (2 * x) % 81 == 1
+from signedlp.padic import p_integral, padic_valuation
 
 
 def test_from_rational_integral_and_valuation():
-    (x,) = residues([3], 1, 3, 4)
+    (x,) = p_integral([3], 1, 3)
     assert x == 3
     assert padic_valuation(x, 3) == 1
 
 
 def test_from_rational_not_integral():
     with pytest.raises(NotIntegral, match="1/3 has negative 3-adic valuation"):
-        residues([1], 3, 3, 4)
+        p_integral([1], 3, 3)
     # the first offending numerator is named in lowest terms
     with pytest.raises(NotIntegral, match="-1/3 has negative 3-adic valuation"):
-        residues([18, -3, 1], 9, 3, 4)
+        p_integral([18, -3, 1], 9, 3)
 
 
 def test_from_rational_reduces_common_p_content():
-    # 3/6 = 1/2 and 9/6 = 3/2 in Z_3
-    assert residues([3, 9], 6, 3, 4) == [41, 42]
+    # 3/6 = 1/2 and 9/6 = 3/2 in Z_3, each times the unit part 2 of 6
+    assert p_integral([3, 9], 6, 3) == [1, 3]
+    assert p_integral([-45, 0], 18, 3) == [-5, 0]
 
 
 def test_valuation_examples():
@@ -56,18 +51,9 @@ def test_ultrametric_properties(m, n):
     assert val(m + n) >= min(val(m), val(n))
 
 
-@given(st.integers(min_value=1, max_value=400), st.integers(min_value=1, max_value=400))
-@settings(max_examples=100, deadline=None)
-def test_rational_inverse_pair(a, b):
-    p, M = 5, 6
-    if a % p == 0 or b % p == 0:
-        return
-    (x,), (y,) = residues([a], b, p, M), residues([b], a, p, M)
-    assert x * y % p**M == 1
-
-
 @given(st.integers(min_value=-10**6, max_value=10**6))
 @settings(max_examples=100, deadline=None)
 def test_integer_round_trip(n):
-    p, M = 7, 5
-    assert residues([n], 1, p, M) == [n % p**M]
+    # an integer over a unit denominator comes back exactly, whatever its size
+    assert p_integral([n], 1, 7) == [n]
+    assert p_integral([n * 7**3], 7**3 * 2, 7) == [n]

@@ -196,6 +196,17 @@ def test_only_lambda_ring_makes_lambda_elements():
     assert not imports, f"LambdaElement imported on the Y side: {imports}"
 
 
+def test_y_side_modules_never_read_the_modulus():
+    # theta elements and every quotient of them are exact over Z: p^M enters
+    # where lambda_ring.x_coefficients reduces a Y-vector into X, so the
+    # modules that hold Y-vectors never read IwasawaContext.modulus
+    trees = _package_trees()
+    found = [f"{name}:{node.lineno}" for name in ("theta.py", "extract.py", "pipeline.py")
+             for node in ast.walk(trees[name])
+             if isinstance(node, ast.Attribute) and node.attr == "modulus"]
+    assert not found, f"modulus read on the Y side: {found}"
+
+
 def _referenced_names(trees, attributes_only=False):
     referenced = set()
     for tree in trees.values():

@@ -1,13 +1,11 @@
 import random
-import re
 from fractions import Fraction
 
 import pytest
 
-from signedlp import lambda_ring, subcommands, theta
 from signedlp.errors import IncompleteTable, NotAUnit, NotIntegral
 from signedlp.lambda_ring import IwasawaContext, weierstrass
-from signedlp.padic import residues
+from signedlp.padic import padic_valuation
 from signedlp.theta import (
     build_theta,
     check_compat,
@@ -15,7 +13,7 @@ from signedlp.theta import (
     teichmueller_values,
 )
 
-from conftest import stripped, symbol, synthetic_table, table_keys, x_element, y_element
+from conftest import stripped, symbol, synthetic_table, table_keys, x_element
 
 
 def test_decompose_examples():
@@ -56,14 +54,14 @@ def _table_from_plus(p, K, plus_fn):
 
 def test_zero_table_gives_zero_theta():
     table = _table_from_plus(3, 3, lambda k, a: 0)
-    th = build_theta(table, 2, 6)
+    th = build_theta(table, 2)
     assert th == [0] * 9
 
 
 def test_single_symbol_gives_one():
     # only [1/p^(n+1)]^+ = 1: a = 1 sits at (i, j) = (0, 0), so theta = 1
     table = _table_from_plus(3, 2, lambda k, a: 1 if (k, a) == (2, 1) else 0)
-    th = build_theta(table, 1, 6)
+    th = build_theta(table, 1)
     assert th == [1, 0, 0]
 
 
@@ -71,15 +69,23 @@ def test_build_theta_linearity():
     t1 = _table_from_plus(3, 2, lambda k, a: a % 5)
     t2 = _table_from_plus(3, 2, lambda k, a: (a * a + 1) % 7)
     tsum = _table_from_plus(3, 2, lambda k, a: a % 5 + (a * a + 1) % 7)
-    th = build_theta(tsum, 1, 6)
-    th12 = [(a + b) % 3**6 for a, b in zip(build_theta(t1, 1, 6), build_theta(t2, 1, 6))]
+    th = build_theta(tsum, 1)
+    th12 = [a + b for a, b in zip(build_theta(t1, 1), build_theta(t2, 1))]
     assert th == th12
 
 
+def _residue(q, p, M):
+    """The rational q mod p^M, or NotIntegral when q is not in Z_p."""
+    if q.denominator % p == 0:
+        raise NotIntegral(f"{q} has negative {p}-adic valuation")
+    return q.numerator * pow(q.denominator, -1, p**M) % p**M
+
+
 def _reference_theta(table, n, M):
-    """(Y-coefficients, X-coefficients) of sum_j c_j (1+X)^j: the residues
-    of the c_j, j < p^n, and of its expansion in X exactly over Q up to the
-    degree, each reduced last."""
+    """(Y-coefficients, X-coefficients) of sum_j c_j (1+X)^j: the c_j,
+    j < p^n, exactly over Q times the unit part of the plus denominator,
+    and the residues of its expansion in X mod p^M, computed exactly over Q
+    up to the degree and reduced last."""
     p = table.p
     modulus = p ** (n + 1)
     d = p**n
@@ -98,16 +104,18 @@ def _reference_theta(table, n, M):
         for k in range(len(row), 0, -1):
             nxt[k] = row[k - 1] + (row[k] if k < len(row) else 0)
         row = nxt
-    def reduced(values):
-        return [residues([q.numerator], q.denominator, p, M)[0] for q in values]
-
-    return reduced(sums), tuple(stripped(reduced(monomial)))
+    den = table.denominators[0]
+    unit = den // p ** padic_valuation(den, p)
+    return ([c * unit for c in sums],
+            tuple(stripped([_residue(q, p, M) for q in monomial])))
 
 
 def _theta_in_both_bases(table, n, M):
-    """build_theta's Y-coefficients and their Taylor shift to X."""
-    th = build_theta(table, n, M)
-    return th, x_element(th, IwasawaContext(table.p, M)).coeffs
+    """build_theta's Y-coefficients and their Taylor shift to X mod p^M,
+    divided there by the unit part u of the plus denominator."""
+    th, den = build_theta(table, n), table.denominators[0]
+    inverse = pow(den // table.p ** padic_valuation(den, table.p), -1, table.p**M)
+    return th, x_element([c * inverse for c in th], IwasawaContext(table.p, M)).coeffs
 
 
 def _random_table(rng, p, K):
@@ -167,30 +175,30 @@ def test_non_integral_theta_coefficient_raises():
     )
     with pytest.raises(NotIntegral):
         _reference_theta(table, 1, 6)
-    with pytest.raises(NotIntegral):
-        build_theta(table, 1, 6)
+    with pytest.raises(NotIntegral, match="^1/3 has negative 3-adic valuation$"):
+        build_theta(table, 1)
 
 
 def test_incomplete_table_rejected():
     table = _table_from_plus(3, 1, lambda k, a: 0)
     with pytest.raises(IncompleteTable):
-        build_theta(table, 1, 6)
+        build_theta(table, 1)
 
 
 def test_theta_vanishes_at_zero_for_rank_one(store):
     for label, p in (("53a1", 3), ("53a1", 5), ("37a1", 3)):
         thetas = store.thetas(label, p, 2)
         for n, th in thetas.items():
-            assert sum(th) % p**8 == 0, (label, p, n)
+            assert sum(th) == 0, (label, p, n)
     thetas = store.thetas("37a1", 17, 1)
     for th in thetas.values():
-        assert sum(th) % 17**8 == 0
+        assert sum(th) == 0
 
 
 def test_x_divides_theta_for_rank_one(store):
     thetas = store.thetas("53a1", 5, 2)
     for n in (1, 2):
-        assert sum(thetas[n]) % 5**8 == 0
+        assert sum(thetas[n]) == 0
         w = weierstrass(x_element(thetas[n], IwasawaContext(5, 8)))
         assert w.conclusive and w.lam >= 1
 
@@ -205,48 +213,41 @@ def test_compat_on_fixtures(store):
 def test_compat_on_hecke_exact_synthetic_table():
     # level-constant table satisfying the a_p = 0 relations exactly
     table = _table_from_plus(3, 3, lambda k, a: {0: 9, 1: 3, 2: -3, 3: -1}[k])
-    thetas = {n: build_theta(table, n, 6) for n in range(3)}
+    thetas = {n: build_theta(table, n) for n in range(3)}
     rep = check_compat(thetas, 2, 0, IwasawaContext(3, 6))
     assert rep.passed
 
 
 def test_compat_detects_corruption():
     table = _table_from_plus(3, 3, lambda k, a: {0: 9, 1: 3, 2: -3, 3: -1}[k])
-    thetas = {n: build_theta(table, n, 6) for n in range(3)}
-    thetas[2] = [(thetas[2][0] + 1) % 3**6, *thetas[2][1:]]
+    thetas = {n: build_theta(table, n) for n in range(3)}
+    thetas[2] = [thetas[2][0] + 1, *thetas[2][1:]]
     rep = check_compat(thetas, 2, 0, IwasawaContext(3, 6))
-    assert not rep.passed
-    assert re.fullmatch(r"coefficient \d+ of the remainder is \d+ mod 3\^6", rep.detail)
-
-
-def test_failing_compat_at_level_10_reads_x_coefficients_without_a_shift(monkeypatch):
-    # theta_10 = 5 (Y - 1)^2 over zero thetas below it: the remainder's
-    # first nonzero X-coefficient is coefficient 2, found by dividing by
-    # Y - 1 twice, not by shifting all 3^9 coefficients to X
-    def no_shift(values, mod):
-        raise AssertionError("check_compat shifted the whole remainder")
-
-    for module in (lambda_ring, theta, subcommands):  # wherever it is held
-        monkeypatch.setattr(module, "taylor_shift", no_shift, raising=False)
-    ctx = IwasawaContext(3, 8)
-    thetas = {n: [0] * 3**n for n in (8, 9)}
-    thetas[10] = [5, -10 % 3**8, 5] + [0] * (3**10 - 3)
-    rep = check_compat(thetas, 10, 0, ctx)
-    assert (rep.passed, rep.index) == (False, 2)
-    assert rep.detail == "coefficient 2 of the remainder is 5 mod 3^8"
+    assert (rep.passed, rep.index) == (False, 0)
+    assert rep.detail == "Y-coefficient 0 of the remainder has 3-adic valuation 0"
 
 
 @pytest.mark.parametrize("k", [0, 1, 14, 15, 16, 1000])
 def test_failing_compat_reads_a_deep_index(k):
-    # theta_10 = 5 (Y - 1)^k over zero thetas below it, so the remainder mod
-    # omega_9 is 5 X^k: index and detail name coefficient k, as the X-side
-    # reference reads it
+    # theta_10 = 5 Y^k over zero thetas below it, so the remainder mod
+    # omega_9 is 5 Y^k: index and detail name Y-coefficient k, the first
+    # nonzero one
     ctx = IwasawaContext(3, 8)
     thetas = {n: [0] * 3**n for n in (8, 9)}
-    y = y_element(ctx.element([0] * k + [5]))
-    thetas[10] = y + [0] * (3**10 - len(y))
+    thetas[10] = [0] * k + [5] + [0] * (3**10 - k - 1)
     rep = check_compat(thetas, 10, 0, ctx)
-    X = x_element(thetas[10], ctx).coeffs
-    idx = next(i for i, c in enumerate(X) if c)
-    assert (rep.passed, rep.index, idx) == (False, idx, k)
-    assert rep.detail == f"coefficient {idx} of the remainder is {X[idx]} mod 3^8"
+    assert (rep.passed, rep.index) == (False, k)
+    assert rep.detail == f"Y-coefficient {k} of the remainder has 3-adic valuation 0"
+
+
+@pytest.mark.parametrize("M", [1, 8])
+def test_failing_compat_names_a_remainder_that_vanishes_mod_p_to_the_M(M):
+    # theta_2 = p^M (Y - 1) over zero thetas below it: the remainder mod
+    # omega_1 is 0 mod p^M and in every X-coefficient, but not over Z, so
+    # the check fails at Y-coefficient 0 with valuation M
+    ctx = IwasawaContext(3, M)
+    thetas = {0: [0], 1: [0] * 3, 2: [-(3**M), 3**M] + [0] * 7}
+    assert x_element(thetas[2], ctx).is_zero_at_precision
+    rep = check_compat(thetas, 2, 0, ctx)
+    assert (rep.passed, rep.index) == (False, 0)
+    assert rep.detail == f"Y-coefficient 0 of the remainder has 3-adic valuation {M}"
