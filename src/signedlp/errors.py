@@ -11,11 +11,6 @@ class NotIntegral(SignedLPError):
     """A rational number lies outside Z_p (denominator divisible by p)."""
 
 
-class MixedContext(SignedLPError):
-    """Operands belong to different (p, precision) contexts, or a precision
-    would be extended."""
-
-
 # -- Lambda ring ---------------------------------------------------------------
 
 class NotDistinguished(SignedLPError):

@@ -17,8 +17,8 @@ IwasawaContext, where each division is a pair of linear scans
 (phi_quotient), and a division that does not go through is an
 InconsistentTable: the table breaks a relation its Hecke relations imply.
 The precision M enters only where the first X-coefficients of a top
-representative are reduced mod p^M into a LambdaElement (x_coefficients),
-for Weierstrass preparation.
+representative are reduced mod p^M into a residue list in X
+(x_coefficients), for Weierstrass preparation.
 
 Sprung's pair specializes to Pollack's: with a_p = 0 the solve at level n
 returns exactly the sign-corrected parity quotients at n and n - 1, odd
@@ -94,7 +94,7 @@ def _component(label, rep, modulus, grade, ctx, reading=None) -> SignedSeries:
     """
     mu, lam = mu_lambda_y(rep, ctx.prime) if reading is None else reading
     n = 0 if mu is INCONCLUSIVE or mu >= ctx.precision else lam * (ctx.precision - mu) + 1
-    inv = weierstrass(x_coefficients(rep, n, ctx))
+    inv = weierstrass(x_coefficients(rep, n, ctx), ctx)
     grade = grade if any(rep) else "zero-chain"
     return SignedSeries(label, rep, f"(p^{ctx.precision}, {modulus})", inv, grade,
                         0 if sum(rep) else 1, inv.conclusive and inv.mu == 0)

@@ -1,11 +1,12 @@
 """Arithmetic in Lambda = Z_p[[X]] at finite precision.
 
-A LambdaElement is a polynomial in X over Z/p^M: each coefficient is stored
-as a plain integer residue in [0, p^M) up to the degree, with no trailing
-zeros, so a coefficient that reads 0 only vanishes at the working
-precision.  No degree bound is imposed: products, Phi_n and X^k are exact at
-any degree.  The topological generator convention is fixed once and for
-all: gamma = 1 + p, sent to 1 + X.
+An element in X is a residue list: the residues in [0, p^M) of a
+polynomial's coefficients up to its degree, with no trailing zeros (zero is
+[]), read beside the IwasawaContext that fixes p^M, as Y-vectors are.  A
+coefficient that reads 0 only vanishes at the working precision.  No degree
+bound is imposed: products, Phi_n and X^k are exact at any degree.  The
+topological generator convention is fixed once and for all: gamma = 1 + p,
+sent to 1 + X.
 
 Theta elements, and every series divided out of them, are Y-vectors: plain
 lists of the exact integer coefficients c_j of sum c_j Y^j in the
@@ -14,8 +15,8 @@ an IwasawaContext passed beside them.  In Y, omega_n = Y^(p^n) - 1 and
 Phi_n = sum_{i<p} Y^(i p^(n-1)) are monic with integer coefficients and
 sparse, so dividing by them is an exact linear scan over Z, and reading mu
 and lambda needs only the integers mod p; the precision M enters at
-x_coefficients alone, the one place where a Y-vector is reduced mod p^M and
-becomes a LambdaElement.  Weierstrass preparation
+x_coefficients alone, the one place where a Y-vector is reduced mod p^M
+into a residue list in X.  Weierstrass preparation
 and the gcd work in X, on short polynomials (Phi_n, with Phi_0 = X, and
 distinguished parts), through one multiply and monic long division (von zur
 Gathen-Gerhard, Modern Computer Algebra, ch. 8-9).  The multiply is
@@ -24,7 +25,7 @@ Kronecker substitution: both lists are packed into one integer each
 back as array.array words.  Every division re-multiplies its quotient and
 checks the identity, and loses no p-adic digits; the only precision loss in
 this module comes from stripping p-power content, and Weierstrass
-preparation records it in the precision of its parts.
+preparation records it in the context of its report.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ from array import array
 from collections import namedtuple
 from itertools import accumulate, count, islice, repeat, zip_longest
 
-from .errors import InconsistentTable, MixedContext, NotDistinguished, PrecisionExhausted
+from .errors import InconsistentTable, NotDistinguished, PrecisionExhausted
 from .padic import padic_valuation
 
 #: invariant value when a series cannot be read at the working precision
@@ -56,126 +57,52 @@ class IwasawaContext(namedtuple("IwasawaContext", "prime precision")):
     def modulus(self) -> int:
         return self.prime**self.precision
 
-    def with_precision(self, M: int) -> "IwasawaContext":
-        if M > self.precision:
-            raise MixedContext("cannot extend precision")
-        return IwasawaContext(self.prime, M)
+    def residues(self, coeffs) -> list:
+        """sum c_i X^i for exact integers c_i, as a residue list mod p^M."""
+        mod = self.modulus
+        work = [c % mod for c in coeffs]
+        while work and not work[-1]:
+            work.pop()
+        return work
 
-    # -- canonical elements ------------------------------------------------------
-
-    def element(self, int_coeffs) -> "LambdaElement":
-        """The class of sum c_i X^i for exact integers c_i."""
-        return LambdaElement(self, int_coeffs)
-
-    def x_power(self, k: int) -> "LambdaElement":
-        return self.element([0] * k + [1])
-
-    def phi(self, n: int) -> "LambdaElement":
+    def phi(self, n: int) -> list:
         """p^n-th cyclotomic polynomial in 1+X; Phi_0 = X by convention."""
         if n < 0:
             raise ValueError("level must be nonnegative")
         if n == 0:
-            return self.x_power(1)
+            return [0, 1]
         p = self.prime
         # Phi_n = sum_{k<p} (1+X)^{k p^(n-1)}, assembled with exact integers
         coeffs = [0] * (p ** (n - 1) * (p - 1) + 1)
         for k in range(p):
             for j in range(k * p ** (n - 1) + 1):
                 coeffs[j] += math.comb(k * p ** (n - 1), j)
-        return self.element(coeffs)
+        return self.residues(coeffs)
 
 
-class LambdaElement:
-    """Element of Lambda at precision M; immutable, value semantics.
-
-    coeffs holds the integer residues in [0, p^M) of a polynomial up to its
-    degree, so the zero element has coeffs == ().  The constructor accepts
-    any integers and reduces them into the context modulus.  Unlike the
-    record types, which are namedtuples, an element is no tuple: a ring
-    element must not pick up tuple length, indexing or ordering.
-    """
-
-    __slots__ = ("context", "coeffs")
-
-    def __init__(self, context, coeffs):
-        mod = context.modulus
-        work = [c % mod for c in coeffs]
-        while work and not work[-1]:
-            work.pop()
-        object.__setattr__(self, "context", context)
-        object.__setattr__(self, "coeffs", tuple(work))
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to {type(self).__name__}.{name}")
-
-    def __eq__(self, other):
-        return (type(other) is LambdaElement and self.context == other.context
-                and self.coeffs == other.coeffs)
-
-    def __hash__(self):
-        return hash((self.context, self.coeffs))
-
-    # -- inspection -------------------------------------------------------------
-
-    def degree(self) -> int:
-        """Index of the last coefficient nonzero at precision; -1 for zero."""
-        return len(self.coeffs) - 1
-
-    @property
-    def is_zero_at_precision(self) -> bool:
-        return not self.coeffs
-
-    def is_distinguished(self) -> bool:
-        """Monic polynomial whose lower coefficients are divisible by p."""
-        if not self.coeffs or self.coeffs[-1] != 1:
-            return False
-        p = self.context.prime
-        return all(c % p == 0 for c in self.coeffs[:-1])
-
-    # -- ring structure ------------------------------------------------------------
-
-    def _check(self, other: "LambdaElement"):
-        if self.context != other.context:
-            raise MixedContext(f"{self.context} vs {other.context}")
-
-    def __mul__(self, other):
-        self._check(other)
-        return LambdaElement(
-            self.context, _mul(self.coeffs, other.coeffs, self.context.modulus)
-        )
-
-    def reduce_precision(self, M: int) -> "LambdaElement":
-        return LambdaElement(self.context.with_precision(M), self.coeffs)
-
-    # -- presentation -----------------------------------------------------------
-
-    def __str__(self):
-        d = self.degree()
-        if d < 0:
-            return "0"
-        mod = self.context.modulus
-        terms = []
-        for i in range(d, -1, -1):
-            r = self.coeffs[i]
-            if r == 0:
-                continue
-            if 2 * r > mod:  # smallest-magnitude representative
-                r -= mod
-            if i == 0:
-                terms.append(f"{r}")
+def render(F, ctx: IwasawaContext) -> str:
+    """The residue list F as a polynomial in X, highest degree first, each
+    coefficient by its smallest-magnitude representative mod p^M; "0" for
+    zero."""
+    mod = ctx.modulus
+    terms = []
+    for i in range(len(F) - 1, -1, -1):
+        r = F[i]
+        if r == 0:
+            continue
+        if 2 * r > mod:  # smallest-magnitude representative
+            r -= mod
+        if i == 0:
+            terms.append(f"{r}")
+        else:
+            mono = "X" if i == 1 else f"X^{i}"
+            if r == 1:
+                terms.append(mono)
+            elif r == -1:
+                terms.append(f"-{mono}")
             else:
-                mono = "X" if i == 1 else f"X^{i}"
-                if r == 1:
-                    terms.append(mono)
-                elif r == -1:
-                    terms.append(f"-{mono}")
-                else:
-                    terms.append(f"{r}*{mono}")
-        return " + ".join(terms).replace("+ -", "- ")
-
-    def __repr__(self):
-        ctx = self.context
-        return f"<{self} mod p^{ctx.precision}, p={ctx.prime}>"
+                terms.append(f"{r}*{mono}")
+    return " + ".join(terms).replace("+ -", "- ") or "0"
 
 
 # -- the kernel: one multiply, one division ---------------------------------------
@@ -270,19 +197,17 @@ def _divmod_monic(f, g, mod: int):
 # -- division, in X by a distinguished polynomial and in Y by omega_n and Phi_n ------
 
 
-def divrem(F: LambdaElement, P: LambdaElement):
-    """Division with remainder by a distinguished polynomial.
+def divrem(F, P, ctx: IwasawaContext):
+    """(Q, R) with F = Q*P + R for residue lists in ctx, P distinguished.
 
     Monic division of the representatives (_divmod_monic): exact modulo
     p^M, no p-adic digits are lost, and the identity F = Q*P + R is
     re-verified on every call.
     """
-    F._check(P)
-    if not P.is_distinguished():
-        raise NotDistinguished(f"{P!s} is not distinguished")
-    ctx = F.context
-    q, r = _divmod_monic(F.coeffs, P.coeffs, ctx.modulus)
-    return LambdaElement(ctx, q), LambdaElement(ctx, r)
+    if not P or P[-1] != 1 or any(c % ctx.prime for c in P[:-1]):
+        raise NotDistinguished(f"{render(P, ctx)} is not distinguished")
+    q, r = _divmod_monic(F, P, ctx.modulus)
+    return q, ctx.residues(r)
 
 
 def fold(y, m: int) -> list:
@@ -310,8 +235,10 @@ def phi_quotient(y, levels, ctx: IwasawaContext) -> list:
             s = ctx.prime ** (k - 1)
             y = [a - b for a, b in zip_longest([0] * s + y, y, fillvalue=0)]
         if any(fold(y, ctx.prime**k)):
-            divisor = math.prod((ctx.phi(i) for i in levels), start=ctx.element([1]))
-            raise InconsistentTable(f"{divisor} does not divide the operand exactly")
+            divisor = [1]
+            for i in levels:
+                divisor = _mul(divisor, ctx.phi(i), ctx.modulus)
+            raise InconsistentTable(f"{render(divisor, ctx)} does not divide the operand exactly")
         y = _quotient_by_y_power(y, ctx.prime**k)
     return y
 
@@ -325,18 +252,21 @@ def x_scan(y, mod: int):
         y = [c % mod for c in accumulate(y[:0:-1])][::-1]
 
 
-def x_coefficients(y, n: int, ctx: IwasawaContext) -> LambdaElement:
-    """The first n X-coefficients of the Y-vector y, as an element in X."""
-    return ctx.element(islice(x_scan(y, ctx.modulus), n))
+def x_coefficients(y, n: int, ctx: IwasawaContext) -> list:
+    """The first n X-coefficients of the Y-vector y, as a residue list in X."""
+    return ctx.residues(islice(x_scan(y, ctx.modulus), n))
 
 
 # -- Weierstrass preparation and invariants ------------------------------------------
 
 
-class InvariantReport(namedtuple("InvariantReport", "mu lam distinguished_part unit_part",
-                                 defaults=(None, None))):
-    """mu/lambda reading of a series, with the part that certifies it; mu and
-    lam are INCONCLUSIVE (None) when the series vanishes at precision."""
+class InvariantReport(namedtuple("InvariantReport",
+                                 "mu lam distinguished_part unit_part context",
+                                 defaults=(None, None, None))):
+    """mu/lambda reading of a series, with the parts that certify it, residue
+    lists in context, the IwasawaContext at the precision M - mu they are
+    known to; mu and lam are INCONCLUSIVE (None) when the series vanishes at
+    precision."""
 
     __slots__ = ()
 
@@ -345,16 +275,17 @@ class InvariantReport(namedtuple("InvariantReport", "mu lam distinguished_part u
         return self.mu is not None and self.lam is not None
 
 
-def mu_lambda(F: LambdaElement) -> tuple:
-    """(mu, lambda) read off the coefficients: mu the least p-adic valuation,
-    lambda the first index attaining it; (INCONCLUSIVE, INCONCLUSIVE) when
-    every coefficient vanishes at precision.  weierstrass certifies them."""
-    content = math.gcd(*F.coeffs)
+def mu_lambda(F, ctx: IwasawaContext) -> tuple:
+    """(mu, lambda) read off the residue list F: mu the least p-adic
+    valuation, lambda the first index attaining it; (INCONCLUSIVE,
+    INCONCLUSIVE) when every coefficient vanishes at precision.  weierstrass
+    certifies them."""
+    content = math.gcd(*F)
     if not content:
         return INCONCLUSIVE, INCONCLUSIVE
-    mu = padic_valuation(content, F.context.prime)
-    q = F.context.prime ** (mu + 1)
-    return mu, next(i for i, c in enumerate(F.coeffs) if c % q)
+    mu = padic_valuation(content, ctx.prime)
+    q = ctx.prime ** (mu + 1)
+    return mu, next(i for i, c in enumerate(F) if c % q)
 
 
 def mu_lambda_y(y, p: int) -> tuple:
@@ -380,7 +311,7 @@ def mu_lambda_y(y, p: int) -> tuple:
     return mu, lam
 
 
-def weierstrass(F: LambdaElement) -> InvariantReport:
+def weierstrass(F, ctx: IwasawaContext) -> InvariantReport:
     """Invariants mu = min coefficient valuation, lambda = first index attaining it.
 
     The factorization F = p^mu * P * U comes from repeated monic division of
@@ -388,26 +319,27 @@ def weierstrass(F: LambdaElement) -> InvariantReport:
     fold the remainder into P's lower coefficients as R * Q^-1 mod X^lambda.
     Each pass gains at least one p-adic digit, and divrem re-multiplies
     G = Q*P + R on every call, so a zero remainder certifies P and U = Q.
-    Returns an inconclusive report when every coefficient vanishes at
-    precision.
+    F is a residue list in ctx, and the parts are residue lists in the
+    report's context, at precision M - mu.  Returns an inconclusive report
+    when every coefficient vanishes at precision.
     """
-    mu, lam = mu_lambda(F)
+    mu, lam = mu_lambda(F, ctx)
     if mu is INCONCLUSIVE:
         return InvariantReport(mu, lam)
     # strip content: coefficients are now known modulo p^(M - mu)
-    content = F.context.prime**mu
-    ctx = F.context.with_precision(F.context.precision - mu)
+    content = ctx.prime**mu
+    ctx = IwasawaContext(ctx.prime, ctx.precision - mu)
     mod = ctx.modulus
-    G = ctx.element([c // content for c in F.coeffs])
+    G = [c // content for c in F]
     lower = [0] * lam
     for _ in range(ctx.precision + 1):
-        P = ctx.element(lower + [1])
-        Q, R = divrem(G, P)
-        if R.is_zero_at_precision:
-            return InvariantReport(mu, lam, distinguished_part=P, unit_part=Q)
+        P = lower + [1]
+        Q, R = divrem(G, P, ctx)
+        if not R:
+            return InvariantReport(mu, lam, P, Q, ctx)
         # delta = R / Q mod X^lam, term by term; Q(0) is a unit since P =
         # X^lam mod p makes Q(0) = G's lambda-th coefficient mod p
-        q, r = Q.coeffs, R.coeffs + (0,) * lam
+        q, r = Q, R + [0] * lam
         inv0 = pow(q[0], -1, mod)
         delta = []
         for k in range(lam):
@@ -482,55 +414,54 @@ def gcd_lambda(wf: InvariantReport, wg: InvariantReport) -> GcdReport:
     """
     if not (wf.conclusive and wg.conclusive):
         raise PrecisionExhausted("gcd needs both operands conclusive")
-    A, B = wf.distinguished_part, wg.distinguished_part
-    if A.context != B.context:
-        # align the two reduced precisions at the weaker one
-        M = min(A.context.precision, B.context.precision)
-        A, B = A.reduce_precision(M), B.reduce_precision(M)
-        A._check(B)
-    ctx = A.context
+    # align the two reduced precisions at the weaker one (one prime, so the
+    # lesser context)
+    ctx = min(wf.context, wg.context)
+    A, B = ctx.residues(wf.distinguished_part), ctx.residues(wg.distinguished_part)
     x_exp = 0
     phi_exps: dict = {}
-    X = ctx.x_power(1)
-    while A.degree() > 0 and B.degree() > 0:
-        quotients = _common_quotients(A, B, X)
+    while len(A) > 1 and len(B) > 1:
+        quotients = _common_quotients(A, B, [0, 1], ctx)
         if quotients is None:
             break
         A, B = quotients
         x_exp += 1
     p = ctx.prime
     for n in count(1):
-        if p ** (n - 1) * (p - 1) > min(A.degree(), B.degree()):
+        if p ** (n - 1) * (p - 1) >= min(len(A), len(B)):
             break  # deg Phi_n grows with n: no later Phi_n divides both
         phin = ctx.phi(n)
-        while A.degree() >= phin.degree() and B.degree() >= phin.degree():
-            quotients = _common_quotients(A, B, phin)
+        while len(A) >= len(phin) and len(B) >= len(phin):
+            quotients = _common_quotients(A, B, phin, ctx)
             if quotients is None:
                 break
             A, B = quotients
             phi_exps[n] = phi_exps.get(n, 0) + 1
-    residual, certified, detail = _euclid_residual(A, B)
+    residual, certified, detail = _euclid_residual(A, B, ctx)
     return GcdReport(gcd_mu(wf, wg), x_exp, phi_exps, residual, certified, detail)
 
 
-def _common_quotients(A: LambdaElement, B: LambdaElement, P: LambdaElement):
+def _common_quotients(A, B, P, ctx: IwasawaContext):
     """(A/P, B/P) when P divides both at precision, else None; one divrem each."""
-    QA, RA = divrem(A, P)
-    if not RA.is_zero_at_precision:
+    QA, RA = divrem(A, P, ctx)
+    if RA:
         return None
-    QB, RB = divrem(B, P)
-    if not RB.is_zero_at_precision:
+    QB, RB = divrem(B, P, ctx)
+    if RB:
         return None
     return QA, QB
 
 
-def _euclid_residual(A: LambdaElement, B: LambdaElement):
-    """Common factor of two distinguished polynomials beyond the named ones:
-    (its rendering, or "1", whether it was decided, detail).
+def _euclid_residual(A, B, ctx: IwasawaContext):
+    """Common factor of two distinguished polynomials, residue lists in ctx,
+    beyond the named ones: (its rendering, or "1", whether it was decided,
+    detail).
 
     A distinguished operand is its own distinguished part (mu = 0, lambda =
-    degree); only the remainders of later passes are factored."""
-    wa, wb = (InvariantReport(0, P.degree(), P) for P in (A, B))
+    degree); only the remainders of later passes are factored.  A and B
+    stay in the working context ctx, which drops to the context of each
+    divisor's distinguished part."""
+    wa, wb = (InvariantReport(0, len(P) - 1, P, context=ctx) for P in (A, B))
     while True:
         if not (wa.conclusive and wb.conclusive):
             return "1", False, "operand vanished during reduction"
@@ -541,21 +472,16 @@ def _euclid_residual(A: LambdaElement, B: LambdaElement):
             A, B = B, A
             wa, wb = wb, wa
         # the divisor's distinguished part is known to wb.mu fewer digits
-        Bd = wb.distinguished_part
-        ctxA = A.context
-        if Bd.context.precision < ctxA.precision:
-            A = A.reduce_precision(Bd.context.precision)
-            ctxA = A.context
-        elif Bd.context.precision > ctxA.precision:
-            Bd = Bd.reduce_precision(ctxA.precision)
-        if ctxA.precision <= 1:
+        ctx = min(ctx, wb.context)
+        if ctx.precision <= 1:
             raise PrecisionExhausted(
                 "Euclid ran out of certified digits before deciding the residual"
             )
-        _, R = divrem(A, Bd)
-        if R.is_zero_at_precision:
+        Bd = ctx.residues(wb.distinguished_part)
+        _, R = divrem(ctx.residues(A), Bd, ctx)
+        if not R:
             # divisor's distinguished part (degree wb.lam >= 1) is the
             # residual common factor
-            return str(Bd), True, ""
+            return render(Bd, ctx), True, ""
         A, B = Bd, R
-        wa, wb = InvariantReport(0, Bd.degree(), Bd), weierstrass(R)
+        wa, wb = InvariantReport(0, len(Bd) - 1, Bd, context=ctx), weierstrass(R, ctx)

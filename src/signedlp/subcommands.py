@@ -11,7 +11,7 @@ from __future__ import annotations
 from .analyzer import emit
 from .cli import _INFO, _PIPELINE, FLAGS, REQUIRED, _settings
 from .curves import classify_reduction, ingest_curve, is_odd_prime, periods
-from .lambda_ring import IwasawaContext, _mul
+from .lambda_ring import IwasawaContext, _mul, render
 from .modsym import _units
 from .padic import padic_valuation
 
@@ -84,8 +84,7 @@ def _theta_payload(result, cfg):
         "curve": result.curve.label,
         "p": cfg.p,
         "thetas": {
-            str(n): {"body": str(ctx.element(taylor_shift([c * inverse for c in theta],
-                                                          ctx.modulus))),
+            str(n): {"body": render(taylor_shift([c * inverse for c in theta], ctx.modulus), ctx),
                      "value_at_zero_vanishes": not sum(theta)}
             for n, theta in result.thetas.items()
         },

@@ -11,6 +11,7 @@ import pytest
 
 from signedlp.curves import Periods, a_ell, an_expansion, ingest_curve
 from signedlp.errors import NonConvergence
+from signedlp.lambda_ring import _mul
 from signedlp.modsym import SymbolTableBuilder, export_table, import_table
 from signedlp.subcommands import taylor_shift
 from signedlp.theta import build_theta
@@ -98,20 +99,33 @@ def smoothed_l_sum(curve, t):
     return float(np.sum(an_expansion(curve, T)[1:] / n * np.exp(-2 * np.pi * n * t / root)))
 
 
+def x_power(k):
+    """X^k as a residue list, in any context."""
+    return [0] * k + [1]
+
+
+def x_product(ctx, *factors):
+    """The product of residue lists in ctx, as a residue list; [1] for none."""
+    out = [1]
+    for F in factors:
+        out = ctx.residues(_mul(out, F, ctx.modulus))
+    return out
+
+
 def omega(ctx, n):
     """omega_n = (1+X)^(p^n) - 1 = X * prod_{1<=i<=n} Phi_i, in X."""
     coeffs = [math.comb(ctx.prime**n, k) for k in range(ctx.prime**n + 1)]
     coeffs[0] -= 1
-    return ctx.element(coeffs)
+    return ctx.residues(coeffs)
 
 
 def y_element(F):
-    """F in X, an element or a list of integers a_k, as a Y-vector: the exact
-    Y-coefficients of sum a_k (Y - 1)^k, Y = 1 + X, one per X-coefficient
-    of F, by Horner's rule in Y.  An element's residues are read as the
+    """F in X, a residue list or a list of integers a_k, as a Y-vector: the
+    exact Y-coefficients of sum a_k (Y - 1)^k, Y = 1 + X, one per
+    X-coefficient of F, by Horner's rule in Y.  Residues are read as the
     integers they are."""
     y = []
-    for a in reversed(getattr(F, "coeffs", F)):
+    for a in reversed(F):
         y = [u - v for u, v in zip([0, *y], [*y, 0])]
         y[0] += a
     return y
@@ -145,28 +159,24 @@ def stripped(y):
 
 
 def x_element(y, ctx):
-    """The Y-vector y in X, an element of ctx: its full Taylor shift."""
-    return ctx.element(taylor_shift(y, ctx.modulus))
+    """The Y-vector y in X, a residue list in ctx: its full Taylor shift."""
+    return ctx.residues(taylor_shift(y, ctx.modulus))
 
 
-def combination(*terms):
-    """sum of c * F over the pairs (c, F) in terms, F elements of one context,
+def combination(ctx, *terms):
+    """sum of c * F over the pairs (c, F) in terms, F residue lists in ctx,
     added as coefficient lists."""
-    ctx = terms[0][1].context
-    coeffs = [0] * max(len(F.coeffs) for _, F in terms)
+    coeffs = [0] * max(len(F) for _, F in terms)
     for c, F in terms:
-        assert F.context == ctx, (F.context, ctx)
-        for i, a in enumerate(F.coeffs):
+        for i, a in enumerate(F):
             coeffs[i] += c * a
-    return ctx.element(coeffs)
+    return ctx.residues(coeffs)
 
 
 def omega_signed(ctx, n, parity):
     """X times the product of the Phi_i, 1 <= i <= n, with i of the given parity."""
-    out = ctx.x_power(1)
-    for i in range(2 if parity == "even" else 1, n + 1, 2):
-        out = out * ctx.phi(i)
-    return out
+    start = 2 if parity == "even" else 1
+    return x_product(ctx, x_power(1), *(ctx.phi(i) for i in range(start, n + 1, 2)))
 
 
 def mu_lambda_of(pair):
@@ -176,14 +186,10 @@ def mu_lambda_of(pair):
 
 
 def ideal_to_lambda(ideal, ctx):
-    """The generator p^a X^b prod Phi_n^(e_n) of a FactoredIdeal in ctx."""
-    out = ctx.element([ctx.prime**ideal.p_exp])
-    if ideal.x_exp:
-        out = out * ctx.x_power(ideal.x_exp)
-    for n, b in ideal.phi_exps:
-        for _ in range(b):
-            out = out * ctx.phi(n)
-    return out
+    """The generator p^a X^b prod Phi_n^(e_n) of a FactoredIdeal, a residue
+    list in ctx."""
+    return x_product(ctx, ctx.residues([ctx.prime**ideal.p_exp]), x_power(ideal.x_exp),
+                     *(ctx.phi(n) for n, b in ideal.phi_exps for _ in range(b)))
 
 
 def reference_periods(curve, digits: int = 30) -> Periods:

@@ -107,7 +107,7 @@ def reference_component(rep, grade, ctx):
     as residues mod p^M."""
     mu, lam = mu_lambda_y(rep, ctx.prime)
     n = 0 if mu is None else max(lam + 1, lam * (ctx.precision - mu) + 1)
-    return (rep, weierstrass(x_coefficients(rep, n, ctx)),
+    return (rep, weierstrass(x_coefficients(rep, n, ctx), ctx),
             grade if any(rep) else "zero-chain", 0 if sum(rep) % ctx.modulus else 1)
 
 
@@ -179,7 +179,7 @@ def divided(inv, inverse):
     only the unit part changes."""
     if not inv.conclusive:
         return inv
-    return inv._replace(unit_part=inv.unit_part * inv.unit_part.context.element([inverse]))
+    return inv._replace(unit_part=inv.context.residues([c * inverse for c in inv.unit_part]))
 
 
 @functools.lru_cache(maxsize=None)

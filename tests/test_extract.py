@@ -14,15 +14,20 @@ from signedlp.extract import (
 )
 from signedlp.lambda_ring import IwasawaContext, fold, weierstrass
 
-from conftest import combination, mu_lambda_of, stripped, x_element, y_element, y_times_phi
+from conftest import (
+    combination,
+    mu_lambda_of,
+    stripped,
+    x_element,
+    x_product,
+    y_element,
+    y_times_phi,
+)
 
 
 def _parity_product(ctx, n):
     """W(n), the product of Phi_i for 1 <= i < n with i of the parity of n - 1, in X."""
-    out = ctx.element([1])
-    for i in range(n - 1, 0, -2):
-        out = out * ctx.phi(i)
-    return out
+    return x_product(ctx, *(ctx.phi(i) for i in range(n - 1, 0, -2)))
 
 
 def _synthetic_thetas(p, F_coeffs, n_max=3, alternate=True, scale_mu=None):
@@ -63,10 +68,10 @@ def test_synthetic_remultiplication():
     pair = extract_plus_minus(thetas, 0, ctx)
     for comp, parity in zip(pair.components, (1, 0)):
         top = max(n for n in thetas if n % 2 == parity)
-        recon = _parity_product(ctx, top) * x_element(comp.series, ctx)
+        recon = x_product(ctx, _parity_product(ctx, top), x_element(comp.series, ctx))
         sign = -1 if (top // 2) % 2 == 1 else 1
-        diff = combination((sign, recon), (-1, x_element(thetas[top], ctx)))
-        assert diff.is_zero_at_precision
+        diff = combination(ctx, (sign, recon), (-1, x_element(thetas[top], ctx)))
+        assert diff == []
 
 
 def test_drifting_chain_raises():
@@ -250,14 +255,14 @@ def test_level_three_plus_minus_fully_stabilized(store):
 # -- Weierstrass preparation on a truncation ----------------------------------------
 
 
-def _prepared_in_full_and_truncated(F):
-    """(full, truncated) readings (mu, lambda, distinguished part) of F, given
-    in X, and whether the truncated preparation ran on fewer coefficients
-    than F has."""
-    full = weierstrass(F)
-    short = _component("test", y_element(F), "test", "two-level", F.context).invariants
-    readings = [(w.mu, w.lam, w.distinguished_part) for w in (full, short)]
-    shortened = full.conclusive and short.unit_part.degree() < full.unit_part.degree()
+def _prepared_in_full_and_truncated(F, ctx):
+    """(full, truncated) readings (mu, lambda, distinguished part and its
+    context) of F, a residue list in ctx, and whether the truncated
+    preparation ran on fewer coefficients than F has."""
+    full = weierstrass(F, ctx)
+    short = _component("test", y_element(F), "test", "two-level", ctx).invariants
+    readings = [(w.mu, w.lam, w.distinguished_part, w.context) for w in (full, short)]
+    shortened = full.conclusive and len(short.unit_part) < len(full.unit_part)
     return readings, shortened
 
 
@@ -275,9 +280,10 @@ def test_truncated_preparation_matches_full_on_planted_series():
         P = [p * rng.randrange(mod) for _ in range(lam)] + [1]
         U = [rng.randrange(1, p) + p * rng.randrange(mod)]
         U += [rng.randrange(mod) for _ in range(rng.randint(0, 150))]
-        F = ctx.element(P) * ctx.element([c * p**mu for c in U])
-        (full, short), cut = _prepared_in_full_and_truncated(F)
-        assert full == short == (mu, lam, ctx.with_precision(M - mu).element(P)), (p, M, mu, lam)
+        F = x_product(ctx, ctx.residues(P), ctx.residues([c * p**mu for c in U]))
+        (full, short), cut = _prepared_in_full_and_truncated(F, ctx)
+        red = IwasawaContext(p, M - mu)
+        assert full == short == (mu, lam, red.residues(P), red), (p, M, mu, lam)
         shortened += cut
     assert shortened >= 15
 
@@ -290,7 +296,7 @@ def test_truncated_preparation_matches_full_on_fixtures(store):
         extract = extract_plus_minus if ap == 0 else extract_sharp_flat
         pair = extract(thetas, ap, ctx)
         for y in [*thetas.values(), *(c.series for c in pair.components)]:
-            (full, short), cut = _prepared_in_full_and_truncated(x_element(y, ctx))
+            (full, short), cut = _prepared_in_full_and_truncated(x_element(y, ctx), ctx)
             assert full == short, (label, p, n_max)
             shortened += cut
     assert shortened >= 4

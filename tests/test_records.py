@@ -12,24 +12,24 @@ from signedlp.pipeline import PipelineResult, RunConfig
 from signedlp.theta import CompatReport
 
 
-def _element():
-    return IwasawaContext(3, 4).element([6, 3, 1])
+def _residues():
+    # X^2 + 3X + 6 mod 3^4, as a tuple: a record that holds residue lists
+    # compares by value but, like any tuple of lists, does not hash
+    return (6, 3, 1)
 
 
 def _report():
-    F = _element()
-    return InvariantReport(0, 2, F, F.context.element([1]))
+    return InvariantReport(0, 2, _residues(), (1,), IwasawaContext(3, 4))
 
 
 def _series():
-    return SignedSeries("plus", _element(), "(test)", _report(), "two-level", 1, True)
+    return SignedSeries("plus", _residues(), "(test)", _report(), "two-level", 1, True)
 
 
 # each factory builds a fresh instance from the same field values; the name
 # is a field that assignment must refuse
 RECORDS = {
     "IwasawaContext": (lambda: IwasawaContext(5, 8), "precision"),
-    "LambdaElement": (_element, "coeffs"),
     "InvariantReport": (_report, "lam"),
     "CurveData": (lambda: CurveData("37a1", (0, 0, 1, -1, 0), 37, 1, (1,), -1),
                   "conductor"),
@@ -59,7 +59,8 @@ def test_record_is_immutable_and_compares_by_value(name):
 
 def test_records_of_different_values_differ():
     assert IwasawaContext(5, 8) != IwasawaContext(5, 7)
-    assert _element() != IwasawaContext(3, 4).element([6, 3, 2])
+    assert _report() != _report()._replace(distinguished_part=(6, 3, 2))
+    assert _report() != _report()._replace(context=IwasawaContext(3, 3))
     assert FactoredIdeal(0, 1, {1: 1}) != FactoredIdeal(0, 1)
     assert Verdict((Check("KP", "PASS"),)) != Verdict((Check("KP", "PASS"),), 1)
 

@@ -71,12 +71,10 @@ def test_no_module_imports_typing():
     assert not found, f"typing imported in package source: {found}"
 
 
-def test_only_lambda_element_defines_value_semantics():
-    # every record is a namedtuple, whose tuple equality, hash and read-only
-    # fields it keeps; only the ring element, which must not be a tuple,
-    # defines its own
-    dunders = {"__setattr__", "__eq__", "__hash__"}
-    found = [
+def _class_methods_named(names):
+    """Where a package class defines a method or assigns a class attribute
+    named in names."""
+    return [
         f"{name}:{cls.name}.{target}"
         for name, tree in _package_trees().items()
         for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef)
@@ -85,15 +83,29 @@ def test_only_lambda_element_defines_value_semantics():
             [node.name] if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
             else [t.id for t in getattr(node, "targets", []) if isinstance(t, ast.Name)]
         )
-        if target in dunders
+        if target in names
     ]
-    assert sorted(found) == [f"lambda_ring.py:LambdaElement.{d}" for d in sorted(dunders)], found
+
+
+def test_no_class_defines_value_semantics():
+    # every record is a namedtuple, whose tuple equality, hash and read-only
+    # fields it keeps, and a polynomial is a plain residue list: no class
+    # defines its own
+    found = _class_methods_named({"__setattr__", "__eq__", "__hash__"})
+    assert not found, f"classes with their own value semantics: {found}"
+
+
+def test_no_class_defines_arithmetic():
+    # the method guard below exempts dunders, which the language calls: an
+    # operator only tests reach would pass it, so no class defines one, and
+    # arithmetic is module functions on residue lists
+    found = _class_methods_named({"__add__", "__sub__", "__mul__", "__neg__", "__truediv__",
+                                  "__floordiv__", "__mod__", "__pow__"})
+    assert not found, f"classes with arithmetic operators: {found}"
 
 
 # the classes that hold more than an immutable record, and why
 STATEFUL_CLASSES = {
-    "LambdaElement": "a ring element, which must not pick up tuple length, "
-                     "indexing or ordering",
     "ManinSymbols": "the points of P^1(Z/NZ) with the index and relation maps "
                     "that one table build reads",
     "SymbolTableBuilder": "a table build, whose __init__ and build perfbench "
@@ -178,22 +190,18 @@ def test_one_builder_makes_every_signed_component():
     assert _callers(trees["extract.py"], "weierstrass") == ["_component"]
 
 
-def test_only_lambda_ring_makes_lambda_elements():
-    # theta elements and every series divided out of them are plain residue
-    # lists (Y-vectors); an element in X is made through lambda_ring alone
-    # (IwasawaContext.element, x_coefficients), so no other module or test
-    # calls the class, and the Y-side modules do not import it
-    trees = {**_package_trees(), **{
-        f"tests/{path.name}": ast.parse(path.read_text(), filename=str(path))
-        for path in sorted(pathlib.Path(__file__).parent.glob("*.py"))}}
-    builders = [f"{name}:{fn}" for name, tree in trees.items() if name != "lambda_ring.py"
-                for fn in _callers(tree, "LambdaElement")]
-    assert not builders, f"LambdaElement built outside lambda_ring.py: {builders}"
-    imports = [f"{name}:{node.lineno}" for name in ("theta.py", "extract.py", "pipeline.py")
-               for node in ast.walk(trees[name])
-               if isinstance(node, ast.ImportFrom)
-               and any(alias.name == "LambdaElement" for alias in node.names)]
-    assert not imports, f"LambdaElement imported on the Y side: {imports}"
+def test_retired_ring_element_class_is_named_nowhere():
+    # a polynomial in X is a residue list read beside its IwasawaContext, as
+    # a Y-vector is: the class that once wrapped one is named in no file
+    # under src/ or tests/ (the name is assembled so this file does not
+    # hold it either)
+    name = ("Lambda" + "Element").encode()
+    root = PACKAGE.parents[1]
+    found = [str(path.relative_to(root))
+             for top in ("src", "tests") for path in sorted((root / top).rglob("*"))
+             if path.is_file() and "__pycache__" not in path.parts
+             and name in path.read_bytes()]
+    assert not found, f"files naming the retired class: {found}"
 
 
 def test_y_side_modules_never_read_the_modulus():
