@@ -37,7 +37,7 @@ import operator
 from .curves import CurveData, Periods, _primes_in, _smallest_prime_factors, a_ell, an_expansion
 from .errors import NonConvergence
 from .lambda_ring import _pack, _unpack
-from .modsym import SymbolTable, _level, _units
+from .modsym import SymbolTable
 
 
 # -- Manin symbols ------------------------------------------------------------------
@@ -89,10 +89,10 @@ class ManinSymbols:
             i = self._index[key] = self._index[self._normalize(*key)]
         return i
 
-    def to_infinity(self, functionals, residues, m: int) -> list:
-        """{a/m, oo} for every a in residues under each functional, given as
-        (its values on the points, the sign of its quotient): one list of
-        values per functional.
+    def to_infinity(self, values, residues, m: int) -> list:
+        """{a/m, oo} for every a in residues, 0 <= a < m, under each
+        functional, given by its values on the points: one list of walks per
+        functional.
 
         With q_j the denominators of the continued-fraction convergents of
         a/m, {a/m, oo} = -sum_(j >= 0) ((-1)^(j-1) q_j : q_(j-1)).  While
@@ -101,27 +101,18 @@ class ManinSymbols:
         lookup of the term and one of 1/u; past a q_j that is no unit, the
         pair (q_j, q_(j-1)) mod N is carried up to a unit multiple until one
         is again.  The functionals' values are packed into one int per
-        point, in slots wide enough for any walk's sum.  {-a/m, oo} =
-        star {a/m, oo}, so a and m - a share one walk: [-a/m] = sign [a/m]
-        on a sign-quotient.
+        point, in slots wide enough for any walk's sum.
         """
         N, index, inverse = self.N, self.index, self._inverse
-        signs = [sign for _, sign in functionals]
         # a walk has at most log_phi(m) + 2 <= 2 bits(m) + 2 terms
-        bound = (2 * m.bit_length() + 2) * max(abs(v) for vs, _ in functionals for v in vs)
+        bound = (2 * m.bit_length() + 2) * max(abs(v) for vs in values for v in vs)
         width = bound.bit_length() + 1
-        packed = [sum(v << width * k for k, v in enumerate(vs))
-                  for vs in zip(*(values for values, _ in functionals))]
+        packed = [sum(v << width * k for k, v in enumerate(vs)) for vs in zip(*values)]
         plus = [packed[i] for i in self._over_one]  # (c : 1) for c mod N
         minus = plus[:1] + plus[:0:-1]  # (-c : 1)
         first = packed[index(-1, 0)]  # the j = 0 term, after t_0 = 0
-        walks, walked, source = [], {}, []  # source: the walk of each a, ~ for -a
+        walks = []
         for a in residues:
-            a %= m
-            j = walked.get(-a % m)
-            if j is not None:
-                source.append(~j)
-                continue
             total = -first
             # s = q_(j-1)/q_j while q_j is a unit, else -1 and (c, d) = (q_j, q_(j-1));
             # the term is (e q_j : q_(j-1)) with e = +1 at odd j, -1 at even j
@@ -140,18 +131,15 @@ class ManinSymbols:
                     s = d * inverse[c] % N if inverse[c] >= 0 else -1
                 num, den = den, num - t * den
                 terms, other, e = other, terms, -e
-            walked[a] = len(walks)
-            source.append(len(walks))
             walks.append(total)
         half, mask = 1 << (width - 1), (1 << width) - 1
         columns = []
-        for _ in signs[1:]:
+        for _ in values[1:]:
             low = [((x + half) & mask) - half for x in walks]
             walks = [(x - v) >> width for x, v in zip(walks, low)]
             columns.append(low)
         columns.append(walks)
-        return [[column[j] if j >= 0 else sign * column[~j] for j in source]
-                for column, sign in zip(columns, signs)]
+        return columns
 
 
 def _quotient(symbols: ManinSymbols, sign: int, P: int):
@@ -379,18 +367,17 @@ def _eigen_functional(curve: CurveData, symbols: ManinSymbols, sign: int):
 # -- the scale of each sign -----------------------------------------------------------
 
 
-def _cycles(symbols: ManinSymbols, functional):
+def _cycles(symbols: ManinSymbols, values):
     """(gamma, exact value of {0, gamma 0} = {0, b/d}) for gamma = (a b; c d)
-    in Gamma_0(N) where the functional (values, sign) is nonzero, by
-    increasing c = N, 2N, ... and d."""
-    values, _ = functional
+    in Gamma_0(N) where the functional, given by its values on the points,
+    is nonzero, by increasing c = N, 2N, ... and d."""
     c = symbols.N
     while True:
         for d in range(1, c):
             if math.gcd(d, c) == 1:
                 a = pow(d, -1, c)
                 b = (a * d - 1) // c
-                [[walk]] = symbols.to_infinity([functional], [b], d)
+                [[walk]] = symbols.to_infinity([values], [b], d)
                 exact = values[symbols.index(0, 1)] - walk
                 if exact:
                     yield (a, b, c, d), exact
@@ -451,7 +438,7 @@ def _ratio_str(n: int, d: int) -> str:
     return str(n) if d == 1 else f"{n}/{d}"
 
 
-def _fix_scale(curve: CurveData, symbols: ManinSymbols, functional, part, omega: float):
+def _fix_scale(curve: CurveData, symbols: ManinSymbols, values, part, omega: float):
     """The rational s with [r]^+- = s * values on paths, as a reduced
     (num, den), and its certificate.
 
@@ -459,7 +446,7 @@ def _fix_scale(curve: CurveData, symbols: ManinSymbols, functional, part, omega:
     rational of small denominator: it fixes s on the first cycle where the
     exact functional is nonzero, and the second such cycle confirms it.
     """
-    cycles = _cycles(symbols, functional)
+    cycles = _cycles(symbols, values)
     ((a, b, c, d), exact), ((a2, b2, c2, d2), exact2) = next(cycles), next(cycles)
     x = part(_cycle_period(curve, a, c, d)) / omega
     n, den = _recognize(x)
@@ -494,16 +481,23 @@ def build_table(curve: CurveData, p: int, K: int) -> SymbolTable:
     meta, functionals, scales = {}, [], []
     for name, part, omega, sign in parts:
         phi, primes = _eigen_functional(curve, symbols, sign)
-        scale, cert = _fix_scale(curve, symbols, (phi, sign), part, omega)
+        scale, cert = _fix_scale(curve, symbols, phi, part, omega)
         meta[name] = {"hecke_primes": primes, **cert}
-        functionals.append((phi, sign))
+        functionals.append(phi)
         scales.append(scale)
     (n1, d1), (n2, d2) = scales
     levels = []
     for k in range(K + 1):
-        plus, minus = symbols.to_infinity(functionals, _units(p, k), p**k)
-        levels.append((_level(p, k, [n1 * v for v in plus]),
-                       _level(p, k, [n2 * v for v in minus])))
+        m = p**k
+        half = [a for a in range(1, m // 2 + 1) if a % p] if k else [0]
+        level = ([0] * m, [0] * m)
+        walks = symbols.to_infinity(functionals, half, m)
+        for numerators, column, n, sign in zip(level, walks, (n1, n2), (1, -1)):
+            for a, v in zip(half, column):
+                # {-a/m, oo} = star {a/m, oo}; for the minus sign [0] = -[0] = 0
+                numerators[a] = x = n * v
+                numerators[-a] = sign * x
+        levels.append(level)
     return SymbolTable(curve.label, p, (d1, d2), levels, meta=meta)
 
 

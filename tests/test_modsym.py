@@ -3,6 +3,7 @@ import itertools
 import math
 import os
 import random
+import tracemalloc
 from fractions import Fraction
 
 import mpmath
@@ -365,12 +366,15 @@ def test_hecke_sum_identity_37a1_p17(store):
 
 
 def test_parity_symmetry_entire_table(store):
-    table = store.table("53a1", 5, 3)
-    for k in range(1, 4):
-        plus, minus = table.levels[k]
-        mirror = [-a % 5**k for a in range(5**k)]
-        assert plus == [plus[b] for b in mirror]
-        assert minus == [-minus[b] for b in mirror]
+    # the build writes [p^k - a] from [a]: each level must read the same
+    # after a -> -a, up to the sign
+    for label, p, K in (("53a1", 5, 3), ("37a1", 17, 2)):
+        table = store.table(label, p, K)
+        for k in range(1, K + 1):
+            plus, minus = table.levels[k]
+            mirror = [-a % p**k for a in range(p**k)]
+            assert plus == [plus[b] for b in mirror]
+            assert minus == [-minus[b] for b in mirror]
 
 
 def test_boundary_period_integral(store):
@@ -531,11 +535,11 @@ def _reference_walk(symbols, values, a, m):
 @pytest.mark.parametrize("sign", [1, -1])
 def test_symbol_walk_matches_reference_walk(N, sign):
     # a random functional on the sign-quotient, walked at every residue
-    # (units or not, a and m - a) for prime and composite m, where q_j mod N
-    # leaves and re-enters the units; a second functional rides in the
-    # packed slots.  The functional is built on the quotient mod P and its
-    # values centred; S and star symmetry stay exact, as coef is +-1 on each
-    # orbit
+    # (units or not, a and m - a each on its own walk) for prime and
+    # composite m, where q_j mod N leaves and re-enters the units; a second
+    # functional rides in the packed slots.  The functional is built on the
+    # quotient mod P and its values centred; S and star symmetry stay exact,
+    # as coef is +-1 on each orbit
     rng = random.Random(N * sign)
     symbols = manin.ManinSymbols(N)
     P = manin._MODULI[0]
@@ -546,10 +550,25 @@ def test_symbol_walk_matches_reference_walk(N, sign):
     values = [v - P if 2 * v > P else v for v in values]
     for m in (1, 9, 49, 97, 1000, 3**7):
         want = [_reference_walk(symbols, values, a, m) for a in range(m)]
-        assert symbols.to_infinity([(values, sign)], range(m), m) == [want]
+        assert symbols.to_infinity([values], range(m), m) == [want]
         negated = [-v for v in values]
-        assert symbols.to_infinity([(values, sign), (negated, sign)], range(m), m) == [
-            want, [-w for w in want]]
+        assert symbols.to_infinity([values, negated], range(m), m) == [want, [-w for w in want]]
+
+
+def test_build_peaks_within_five_tables(store):
+    # a build walks each symbol pair once and writes its numerators straight
+    # into the table: its traced peak stays within 5x the memory the finished
+    # table holds.  The first build fills the q-expansion and the other
+    # per-curve caches, so the traced one allocates only its own work
+    curve = store.curve("37a1")
+    manin.build_table(curve, 17, 3)
+    tracemalloc.start()
+    try:
+        table = manin.build_table(curve, 17, 3)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(table.levels) == 4 and peak <= 5 * held, (held, peak)
 
 
 def test_manin_symbol_count():
