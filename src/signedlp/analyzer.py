@@ -57,13 +57,8 @@ def _gcd_two_conclusive(a: SignedSeries, b: SignedSeries) -> GcdReport:
     else:
         x_ok = False
     pure = not fact.phi_exps and fact.residual == "1" and x_ok
-    certified = fact.certified and fact.mu == 0 and pure
-    detail = fact.detail
-    if fact.certified and not pure:
-        detail = (detail + "; " if detail else "") + (
-            "shared factors read off representatives only"
-        )
-    return fact._replace(certified=certified, detail=detail)
+    detail = "" if pure else "shared factors read off representatives only"
+    return fact._replace(certified=fact.mu == 0 and pure, detail=detail)
 
 
 def _gcd_one_degenerate(good: SignedSeries, degenerate: SignedSeries) -> GcdReport:
@@ -115,16 +110,16 @@ def compare_predictions(gcd: GcdReport, e: tuple, fine_char: FactoredIdeal) -> V
     """
     kp = kp_ideal(e)
     gr = gr_ideal(e)
-    certified = gcd.mu is not INCONCLUSIVE and gcd.certified
-    got = gcd_ideal(gcd) if certified else None
-    if not certified or gcd.has_unknown_part:
+    # a certified gcd has mu = 0 and no unfactored part (gcd_signed_pair)
+    got = gcd_ideal(gcd) if gcd.certified else None
+    if not gcd.certified:
         checks = [Check("KP", "INCONCLUSIVE", f"gcd not certified: {gcd.as_string()}")]
     else:
         checks = [Check("KP", "PASS" if got == kp else "FAIL", f"gcd = {got}, predicted {kp}")]
     checks.append(Check("Gr", "PASS" if fine_char == gr else "FAIL",
                         f"hypothesis {fine_char}, predicted {gr}"))
     delta = None
-    if not certified:
+    if not gcd.certified:
         checks.append(Check("X-shift", "INCONCLUSIVE", "gcd not certified"))
     else:
         delta = next((d for d in (0, 1) if got == fine_char.times_x(d)), None)

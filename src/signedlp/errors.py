@@ -69,10 +69,6 @@ class InconsistentTable(SignedLPError):
 
 # -- theta / extraction ------------------------------------------------------------
 
-class NotAUnit(SignedLPError):
-    """Unit decomposition requested for a residue divisible by p."""
-
-
 class CompatFailed(SignedLPError):
     """Three-term theta congruence failed; carries the coefficient index."""
 

@@ -247,8 +247,9 @@ def _accumulated_degree(p: int, n: int) -> int:
     return sum(p ** (i - 1) * (p - 1) for i in range(n - 1, 0, -2))
 
 
-def fit_matches_pair(fits: dict, pair: SignedPair) -> bool:
-    """Cross-check: fitted class invariants agree with the extracted pair.
+def fit_matches_pair(fits: dict, pair: SignedPair) -> None:
+    """Cross-check: fitted class invariants agree with the extracted pair,
+    or NotStabilized is raised here.
 
     Both solve orders anchor the first component at level-1 data and the
     second at level-0 data, so the parity correspondence is constant:
@@ -260,5 +261,4 @@ def fit_matches_pair(fits: dict, pair: SignedPair) -> bool:
         inv = comp.invariants
         if inv.conclusive and fit.mu_star is not None:
             if (inv.mu, inv.lam) != (fit.mu_star, fit.lambda_star):
-                return False
-    return True
+                raise NotStabilized("extracted invariants disagree with the invariant fit")

@@ -358,7 +358,7 @@ def factored_string(mu, x_exp: int, phi_pairs, residual: str = "1") -> str:
     """Render p^mu * X^x_exp * prod Phi_n^b * (residual); "1" when empty.
 
     phi_pairs are (n, b) pairs in rendering order; a falsy mu (0 or
-    INCONCLUSIVE) and a residual of "1" or "" are left out.
+    INCONCLUSIVE) and a residual of "1" are left out.
     """
     parts = []
     if mu:
@@ -367,20 +367,20 @@ def factored_string(mu, x_exp: int, phi_pairs, residual: str = "1") -> str:
         parts.append("X" if x_exp == 1 else f"X^{x_exp}")
     for n, b in phi_pairs:
         parts.append(f"Phi{n}" if b == 1 else f"Phi{n}^{b}")
-    if residual not in ("1", ""):
+    if residual != "1":
         parts.append(f"({residual})")
     return "*".join(parts) if parts else "1"
 
 
 class GcdReport(namedtuple("GcdReport", "mu x_exp phi_exps residual certified detail",
-                           defaults=("",))):
+                           defaults=(False, ""))):
     """gcd presented as p^mu * X^x_exp * prod Phi_n^b_n * (residual).
 
     mu follows gcd_mu; phi_exps maps n to b_n; residual is "1" or the
-    rendering of a common factor that no named factor accounts for.  From
-    gcd_lambda, certified says whether the residual was decided;
-    analyzer.gcd_signed_pair narrows it to whether the gcd holds for the
-    limit objects, and detail says why not.
+    rendering of a common factor that no named factor accounts for.  Only
+    analyzer.gcd_signed_pair sets certified, whether the gcd holds for the
+    limit objects (so mu = 0 and residual "1"), and detail, why not;
+    gcd_lambda leaves them at False and "".
     """
 
     __slots__ = ()
@@ -392,7 +392,7 @@ class GcdReport(namedtuple("GcdReport", "mu x_exp phi_exps residual certified de
 
     @property
     def has_unknown_part(self) -> bool:
-        return self.residual not in ("1", "")
+        return self.residual != "1"
 
 
 def gcd_mu(*reports: InvariantReport):
@@ -409,8 +409,8 @@ def gcd_lambda(wf: InvariantReport, wg: InvariantReport) -> GcdReport:
     The named factors X and Phi_n (every n with deg Phi_n at most the
     smaller degree of the two) are detected on the distinguished parts by
     exact divrem remainder tests; whatever common factor remains is hunted
-    by Euclidean reduction, and certified says whether that hunt reached a
-    decision.
+    by Euclidean reduction, which raises PrecisionExhausted when it runs out
+    of digits before a decision.
     """
     if not (wf.conclusive and wg.conclusive):
         raise PrecisionExhausted("gcd needs both operands conclusive")
@@ -437,8 +437,7 @@ def gcd_lambda(wf: InvariantReport, wg: InvariantReport) -> GcdReport:
                 break
             A, B = quotients
             phi_exps[n] = phi_exps.get(n, 0) + 1
-    residual, certified, detail = _euclid_residual(A, B, ctx)
-    return GcdReport(gcd_mu(wf, wg), x_exp, phi_exps, residual, certified, detail)
+    return GcdReport(gcd_mu(wf, wg), x_exp, phi_exps, _euclid_residual(A, B, ctx))
 
 
 def _common_quotients(A, B, P, ctx: IwasawaContext):
@@ -452,10 +451,10 @@ def _common_quotients(A, B, P, ctx: IwasawaContext):
     return QA, QB
 
 
-def _euclid_residual(A, B, ctx: IwasawaContext):
+def _euclid_residual(A, B, ctx: IwasawaContext) -> str:
     """Common factor of two distinguished polynomials, residue lists in ctx,
-    beyond the named ones: (its rendering, or "1", whether it was decided,
-    detail).
+    beyond the named ones: its rendering, or "1"; PrecisionExhausted when
+    the digits run out before it is decided.
 
     A distinguished operand is its own distinguished part (mu = 0, lambda =
     degree); only the remainders of later passes are factored.  A and B
@@ -464,8 +463,8 @@ def _euclid_residual(A, B, ctx: IwasawaContext):
     wa, wb = (InvariantReport(0, len(P) - 1, P, context=ctx) for P in (A, B))
     while True:
         if wa.lam == 0 or wb.lam == 0:
-            # a unit appeared: the remaining parts are coprime, certified
-            return "1", True, ""
+            # a unit appeared: the remaining parts are coprime
+            return "1"
         if wa.lam < wb.lam:
             A, B = B, A
             wa, wb = wb, wa
@@ -480,6 +479,6 @@ def _euclid_residual(A, B, ctx: IwasawaContext):
         if not R:
             # divisor's distinguished part (degree wb.lam >= 1) is the
             # residual common factor
-            return render(Bd, ctx), True, ""
+            return render(Bd, ctx)
         A, B = Bd, R
         wa, wb = InvariantReport(0, len(Bd) - 1, Bd, context=ctx), weierstrass(R, ctx)

@@ -22,48 +22,27 @@ it divides by u there.
 
 The three-term relation linking consecutive levels is a consequence of the
 Hecke relations; check_compat re-proves it exactly on each run rather than
-assuming it (the sign below is the empirically pinned one).
+assuming it (the sign below is the empirically pinned one), and raises
+CompatFailed itself at the first level where it fails.
 """
 
 from __future__ import annotations
 
-from collections import namedtuple
-
 from .curves import prime_divisors
-from .errors import IncompleteTable, NotAUnit
+from .errors import CompatFailed, IncompleteTable
 from .lambda_ring import fold
 from .modsym import SymbolTable
 from .padic import p_integral, padic_valuation
 
 
-def primitive_root_mod_p2(p: int) -> int:
-    """Smallest primitive root mod p that stays primitive mod p^2."""
-    factors = prime_divisors(p - 1)
-    for g in range(2, p):
-        if all(pow(g, (p - 1) // q, p) != 1 for q in factors):
-            if pow(g, p - 1, p * p) != 1:
-                return g
-            return g + p
-    raise ValueError(f"no primitive root found mod {p}")
-
-
-def teichmueller(a: int, p: int, modulus: int) -> int:
-    """The (p-1)-th root of unity congruent to a mod p, taken mod `modulus`."""
-    if a % p == 0:
-        raise NotAUnit(f"{a} is divisible by {p}")
-    x = a % modulus
-    while True:
-        y = pow(x, p, modulus)
-        if y == x:
-            return x
-        x = y
-
-
 def teichmueller_values(p: int, modulus: int) -> list:
-    """The Teichmueller values omega(g)^i mod `modulus` for i < p - 1, with
-    g = primitive_root_mod_p2(p).  For modulus p^(n+1), every unit is one of
-    them times a power of gamma = 1 + p."""
-    w = teichmueller(primitive_root_mod_p2(p), p, modulus)
+    """The Teichmueller values omega(g)^i mod `modulus` = p^(n+1) for
+    i < p - 1, with g the least primitive root mod p and omega(g) =
+    g^(p^n) mod p^(n+1), which depends on g mod p only.  Every unit mod
+    p^(n+1) is one of them times a power of gamma = 1 + p."""
+    factors = prime_divisors(p - 1)
+    g = next(g for g in range(2, p) if all(pow(g, (p - 1) // q, p) != 1 for q in factors))
+    w = pow(g, modulus // p, modulus)
     return [pow(w, i, modulus) for i in range(p - 1)]
 
 
@@ -88,23 +67,17 @@ def build_theta(table: SymbolTable, n: int) -> list:
     return p_integral(sums, table.denominators[0], p)
 
 
-class CompatReport(namedtuple("CompatReport", "level passed detail index",
-                              defaults=("", None))):
-    """index is the first offending Y-coefficient when the check failed."""
-
-    __slots__ = ()
-
-
-def check_compat(thetas, n: int, a_p: int, ctx) -> CompatReport:
+def check_compat(thetas, n: int, a_p: int, ctx) -> None:
     """Verify theta_n = a_p theta_(n-1) - Phi_(n-1) theta_(n-2) mod omega_(n-1)
     exactly, on thetas held as Y-vectors: with m = p^(n-1), omega_(n-1) =
     Y^m - 1 and Phi_(n-1) = sum_{i<p} Y^(i m/p), so the remainder, which
     must vanish, is fold(theta_n, m) - a_p fold(theta_(n-1), m) plus
-    fold(theta_(n-2), m/p) tiled p times.  A failing remainder is named by
-    its first nonzero Y-coefficient, with that coefficient's p-adic
-    valuation (the scale of the thetas leaves it unchanged).  ctx is the
-    run's IwasawaContext.  Levels 0 and 1 are covered by the Hecke
-    validation of the underlying table instead.
+    fold(theta_(n-2), m/p) tiled p times.  A remainder that does not vanish
+    raises CompatFailed here, naming its first nonzero Y-coefficient (the
+    exception's index) and that coefficient's p-adic valuation (the scale
+    of the thetas leaves it unchanged).  ctx is the run's IwasawaContext.
+    Levels 0 and 1 are covered by the Hecke validation of the underlying
+    table instead.
     """
     if n < 2:
         raise ValueError("the three-term congruence starts at level 2")
@@ -112,12 +85,7 @@ def check_compat(thetas, n: int, a_p: int, ctx) -> CompatReport:
     tiled = fold(thetas[n - 2], m // p) * p
     rem = [a - a_p * b + c for a, b, c in
            zip(fold(thetas[n], m), fold(thetas[n - 1], m), tiled)]
-    if not any(rem):
-        return CompatReport(n, True)
-    idx = next(idx for idx, c in enumerate(rem) if c)
-    return CompatReport(
-        n, False,
-        detail=f"Y-coefficient {idx} of the remainder has {p}-adic valuation "
-               f"{padic_valuation(rem[idx], p)}",
-        index=idx,
-    )
+    for idx, c in enumerate(rem):
+        if c:
+            raise CompatFailed(f"level {n}: Y-coefficient {idx} of the remainder has "
+                               f"{p}-adic valuation {padic_valuation(c, p)}", index=idx)

@@ -5,7 +5,9 @@ import pytest
 
 from signedlp import extract, lambda_ring
 from signedlp.analyzer import (
+    Check,
     GcdReport,
+    Verdict,
     compare_predictions,
     emit,
     gcd_ideal,
@@ -84,6 +86,25 @@ def test_gcd_divides_both_inputs(store, ctx):
     gen = ideal_to_lambda(gcd_ideal(rep), ctx5)
     for comp in pair.components:
         assert divrem(x_element(comp.series, ctx5), gen, ctx5)[1] == []
+
+
+def test_gcd_with_an_x_exponent_above_one_is_read_off_representatives(ctx):
+    # X^2 survives a change of representative only up to the ideal, so a
+    # gcd X^2 holds for the representatives and is not certified
+    a = x_product(ctx, [0, 0, 1], ctx.residues([1, 1]))
+    rep = gcd_signed_pair(_pair(a, [0, 0, 0, 1], ctx))
+    assert rep == GcdReport(0, 2, {}, "1", False, "shared factors read off representatives only")
+
+
+def test_gcd_with_a_vanishing_partner_reads_only_x_divisibility(ctx):
+    # the partner is zero at precision and the good series is X^2, not X
+    # times a unit: the gcd is the X-divisibility both show, uncertified
+    rep = gcd_signed_pair(_pair([0, 0, 1], ctx.residues([]), ctx))
+    assert rep == GcdReport(
+        0, 1, {}, "1", False,
+        "partner series vanishes at precision; only X-divisibility is visible",
+    )
+    assert rep.as_string() == "X"
 
 
 def test_gcd_requires_some_conclusive_series(ctx):
@@ -171,6 +192,34 @@ def test_theorem_consistency_both_directions():
     gcd_match = GcdReport(0, 1, {2: 1}, "1", True)
     v = theorem_consistency(gcd_match, parse_factored_ideal("Phi2"))
     assert v.all_pass
+
+
+def test_theorem_consistency_with_mu_undetermined():
+    v = theorem_consistency(GcdReport(None, 1, {}, "1", False), parse_factored_ideal("1"))
+    assert v.checks == (Check("mu(gcd)", "INCONCLUSIVE", "p-part of the gcd undetermined"),)
+
+
+def test_theorem_consistency_with_p_only_on_the_fine_side():
+    v = theorem_consistency(GcdReport(0, 1, {}, "1", True), parse_factored_ideal("p*X"))
+    assert v.checks == (Check("p | both", "FAIL", "p divides the fine side but mu(gcd) = 0"),)
+
+
+def test_audits_of_a_gcd_with_an_unfactored_residual():
+    gcd = GcdReport(0, 1, {1: 1}, "X^2 + 3*X + 6", False)
+    assert gcd.as_string() == "X*Phi1*(X^2 + 3*X + 6)" and gcd.has_unknown_part
+    v = theorem_consistency(gcd, parse_factored_ideal("Phi1"))
+    assert v.checks == (
+        Check("p | both", "PASS", "mu = 0 on both sides"),
+        Check("Phi1 | fine", "PASS", "Phi1^1 divides the gcd"),
+        Check("Phi1 | gcd", "PASS", "Phi1^1 divides the fine side"),
+        Check("residual", "INCONCLUSIVE", "unfactored common part (X^2 + 3*X + 6)"),
+    )
+    v = compare_predictions(gcd, (1, 2), parse_factored_ideal("Phi1"))
+    assert v == Verdict((
+        Check("KP", "INCONCLUSIVE", "gcd not certified: X*Phi1*(X^2 + 3*X + 6)"),
+        Check("Gr", "PASS", "hypothesis Phi1, predicted Phi1"),
+        Check("X-shift", "INCONCLUSIVE", "gcd not certified"),
+    ))
 
 
 # -- emission ---------------------------------------------------------------------

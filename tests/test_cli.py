@@ -462,6 +462,24 @@ def test_congruence_broken_only_beyond_the_precision_stops_at_compat(capsys, mon
     assert err.rstrip().endswith("[stage: compat]")
 
 
+def test_fit_disagreeing_with_the_pair_stops_report_at_extract(capsys, monkeypatch):
+    # a fit whose lambda* is one above the extracted lambda of each class
+    from signedlp import pipeline
+
+    fit = pipeline.invariant_fit
+
+    def shifted(thetas, ctx):
+        return {name: f._replace(lambda_star=f.lambda_star + 1)
+                for name, f in fit(thetas, ctx).items()}
+
+    monkeypatch.setattr(pipeline, "invariant_fit", shifted)
+    argv = ["report", "--curve", curve_path("53a1"), "--p", "3", "--level", "2"]
+    code, out, err = run_cli(argv, capsys)
+    assert code == 1 and out == ""
+    assert "NotStabilized: extracted invariants disagree with the invariant fit " in err
+    assert err.rstrip().endswith("[stage: extract]")
+
+
 def test_bad_prime_fails_at_classify_stage(capsys):
     code, _, err = run_cli(
         ["signed", "--curve", curve_path("37a1"), "--p", "37",

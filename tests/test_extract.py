@@ -58,7 +58,12 @@ def test_synthetic_recovery_exact():
     assert fits["odd"].mu_star == 0 and fits["odd"].lambda_star == 1
     assert fits["even"].mu_star == 0 and fits["even"].lambda_star == 1
     assert fits["odd"].stabilized
-    assert fit_matches_pair(fits, pair)
+    fit_matches_pair(fits, pair)
+    for name in ("odd", "even"):
+        shifted = {**fits, name: fits[name]._replace(lambda_star=2)}
+        with pytest.raises(NotStabilized,
+                           match="^extracted invariants disagree with the invariant fit$"):
+            fit_matches_pair(shifted, pair)
 
 
 def test_synthetic_remultiplication():
@@ -157,7 +162,7 @@ def test_53a1_p5_plus_minus(store):
     assert (fits["odd"].mu_star, fits["odd"].lambda_star) == (0, 1)
     assert (fits["even"].mu_star, fits["even"].lambda_star) == (0, 1)
     assert fits["odd"].levels == (1,) and fits["even"].levels == (2,)
-    assert fit_matches_pair(fits, pair)
+    fit_matches_pair(fits, pair)
 
 
 def test_53a1_p3_sharp_flat(store):
@@ -175,7 +180,7 @@ def test_37a1_p3_sharp_flat(store):
     pair = extract_sharp_flat(thetas, store.ap("37a1", 3), ctx)
     assert 1 in mu_lambda_of(pair)[1]
     assert mu_lambda_of(pair)[0] == (0, 0)
-    assert fit_matches_pair(invariant_fit(thetas, ctx), pair)
+    fit_matches_pair(invariant_fit(thetas, ctx), pair)
 
 
 def test_37a1_p17_plus_minus_level_one(store):
@@ -194,7 +199,7 @@ def test_sharp_flat_agrees_with_fit_when_conclusive(store):
         ctx = IwasawaContext(3, 8)
         pair = extract_sharp_flat(thetas, store.ap(label, 3), ctx)
         fits = invariant_fit(thetas, ctx)
-        assert fit_matches_pair(fits, pair)
+        fit_matches_pair(fits, pair)
 
 
 def test_level_three_solve_regression(store):
@@ -204,12 +209,12 @@ def test_level_three_solve_regression(store):
         thetas = store.thetas(label, 3, 3)
         ap, ctx = store.ap(label, 3), IwasawaContext(3, 8)
         from signedlp.theta import check_compat
-        assert check_compat(thetas, 3, ap, ctx).passed
+        check_compat(thetas, 3, ap, ctx)
         pair = extract_sharp_flat(thetas, ap, ctx)
         sharp, flat = pair.components
         assert (sharp.invariants.mu, sharp.invariants.lam) == (0, 1)
         assert flat.invariants.lam == lam_flat
-        assert fit_matches_pair(invariant_fit(thetas, ctx), pair)
+        fit_matches_pair(invariant_fit(thetas, ctx), pair)
 
 
 def test_sharp_flat_solves_only_the_graded_levels(store, monkeypatch):

@@ -15,7 +15,7 @@ import re
 
 import pytest
 
-from signedlp.errors import InconsistentTable, NotStabilized
+from signedlp.errors import CompatFailed, InconsistentTable, NotStabilized
 from signedlp.extract import extract_plus_minus
 from signedlp.lambda_ring import (
     IwasawaContext,
@@ -125,9 +125,19 @@ def test_phi_quotient_is_the_quotient_by_the_phi_product(p):
                 phi_quotient(bad, levels, ctx)
 
 
+def _compat_outcome(thetas, n, a_p, ctx):
+    """(passed, index, message) of check_compat: the CompatFailed it raises,
+    or a pass."""
+    try:
+        check_compat(thetas, n, a_p, ctx)
+    except CompatFailed as exc:
+        return False, exc.index, str(exc)
+    return True, None, ""
+
+
 def _compat_in_x(thetas, n, a_p, ctx):
-    """(passed, index, detail) of the three-term congruence checked in X mod
-    p^M, its remainder named by its first Y-coefficient nonzero mod p^M."""
+    """(passed, index, message) of the three-term congruence checked in X
+    mod p^M, its remainder named by its first Y-coefficient nonzero mod p^M."""
     X = {k: x_element(th, ctx) for k, th in thetas.items()}
     lhs = combination(ctx, (1, X[n]), (-a_p, X[n - 1]),
                       (1, x_product(ctx, ctx.phi(n - 1), X[n - 2])))
@@ -137,8 +147,9 @@ def _compat_in_x(thetas, n, a_p, ctx):
     y = [c % ctx.modulus for c in y_element(R)]
     idx = next(i for i, c in enumerate(y) if c)
     valuation = padic_valuation(y[idx], ctx.prime)
-    detail = f"Y-coefficient {idx} of the remainder has {ctx.prime}-adic valuation {valuation}"
-    return False, idx, detail
+    message = (f"level {n}: Y-coefficient {idx} of the remainder has {ctx.prime}-adic "
+               f"valuation {valuation}")
+    return False, idx, message
 
 
 def compatible_thetas(rng, ctx, n, a_p):
@@ -165,9 +176,8 @@ def test_compat_scan_matches_division_by_omega(p):
             a_p = rng.choice([0, p, -p, 2 * p])
             th = compatible_thetas(rng, ctx, n, a_p)
             for thetas in (th, {**th, n: corrupted(rng, th[n], p**n, ctx)}):
-                rep = check_compat(thetas, n, a_p, ctx)
-                assert (rep.passed, rep.index, rep.detail) == _compat_in_x(thetas, n, a_p, ctx)
-            assert check_compat(th, n, a_p, ctx).passed
+                assert _compat_outcome(thetas, n, a_p, ctx) == _compat_in_x(thetas, n, a_p, ctx)
+            check_compat(th, n, a_p, ctx)
 
 
 def test_class_modulus_scan_matches_division_in_x():
@@ -253,4 +263,5 @@ def test_readings_ignore_trailing_zeros(p):
                 th = compatible_thetas(rng, ctx, n, a_p)
                 for thetas in (th, {**th, n: corrupted(rng, th[n], p**n, ctx)}):
                     padded = {k: v + [0] * t for k, v in thetas.items()}
-                    assert check_compat(padded, n, a_p, ctx) == check_compat(thetas, n, a_p, ctx)
+                    assert (_compat_outcome(padded, n, a_p, ctx)
+                            == _compat_outcome(thetas, n, a_p, ctx))

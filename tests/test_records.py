@@ -9,7 +9,6 @@ from signedlp.lambda_ring import GcdReport, InvariantReport, IwasawaContext
 from signedlp.modsym import HeckeReport, SymbolTable
 from signedlp.modules import FactoredIdeal
 from signedlp.pipeline import PipelineResult, RunConfig
-from signedlp.theta import CompatReport
 
 
 def _residues():
@@ -68,7 +67,7 @@ def test_records_of_different_values_differ():
 @pytest.mark.parametrize("record", [
     IwasawaContext, InvariantReport, GcdReport, CurveData, ReductionType, Periods,
     SignedSeries, SignedPair, FitResult, FactoredIdeal, SymbolTable,
-    HeckeReport, CompatReport, Check, Verdict, RunConfig, PipelineResult,
+    HeckeReport, Check, Verdict, RunConfig, PipelineResult,
 ], ids=lambda record: record.__name__)
 def test_record_types_are_namedtuples_without_instance_dicts(record):
     # one declaration for every record: a namedtuple subclass whose empty

@@ -135,6 +135,28 @@ def test_every_class_is_an_exception_a_record_or_named_stateful():
     assert stateful == sorted(STATEFUL_CLASSES), stateful
 
 
+def test_every_exception_type_is_raised_in_package():
+    # a check raises where it fails, so a retired raise site must not leave
+    # its exception type behind: each class in errors.py is constructed in
+    # package code outside its own definition
+    trees = _package_trees()
+    defined = [node.name for node in trees["errors.py"].body if isinstance(node, ast.ClassDef)]
+    constructed = set()
+    for tree in trees.values():
+        stack = [(tree, None)]
+        while stack:
+            node, inside = stack.pop()
+            if isinstance(node, ast.ClassDef):
+                inside = node.name
+            if isinstance(node, ast.Call):
+                name = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+                if name != inside:
+                    constructed.add(name)
+            stack.extend((child, inside) for child in ast.iter_child_nodes(node))
+    unraised = [name for name in defined if name not in constructed]
+    assert defined and not unraised, f"exception types no package code constructs: {unraised}"
+
+
 @pytest.mark.parametrize("module", ["fractions", "decimal", "csv", "argparse"])
 def test_no_module_imports_on_import(module):
     # a report builds and prints on ints and JSON: fractions (which loads

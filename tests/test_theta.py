@@ -3,13 +3,12 @@ from fractions import Fraction
 
 import pytest
 
-from signedlp.errors import IncompleteTable, NotAUnit, NotIntegral
+from signedlp.errors import CompatFailed, IncompleteTable, NotIntegral
 from signedlp.lambda_ring import IwasawaContext, weierstrass
 from signedlp.padic import padic_valuation
 from signedlp.theta import (
     build_theta,
     check_compat,
-    teichmueller,
     teichmueller_values,
 )
 
@@ -19,7 +18,6 @@ from conftest import stripped, symbol, synthetic_table, table_keys, x_element
 def test_decompose_examples():
     # g = 2 generates (Z/p)^*, omega(2) = -1 mod 27 and 7 mod 25
     assert teichmueller_values(3, 27) == [1, 26]
-    assert teichmueller(26, 3, 27) == 26
     assert teichmueller_values(5, 25) == [1, 7, 24, 18]
 
 
@@ -36,16 +34,34 @@ def test_decompose_against_exhaustive_oracle():
 
 
 def test_teichmueller_is_torsion():
-    for p, n in ((3, 2), (5, 1)):
-        modulus = p ** (n + 1)
-        for a in (1, 2, p + 1, modulus - 1):
-            if a % p == 0:
-                continue
-            w = teichmueller(a, p, modulus)
-            assert pow(w, p - 1, modulus) == 1
-            assert (w - a) % p == 0
-    with pytest.raises(NotAUnit):
-        teichmueller(6, 3, 27)
+    # the p - 1 values are distinct (p-1)-th roots of unity mod p^(n+1),
+    # one over each unit residue mod p
+    for p in (q for q in range(3, 100, 2) if all(q % d for d in range(3, q, 2))):
+        for n in range(4):
+            modulus = p ** (n + 1)
+            values = teichmueller_values(p, modulus)
+            assert all(pow(w, p - 1, modulus) == 1 for w in values), (p, n)
+            assert sorted(w % p for w in values) == list(range(1, p)), (p, n)
+
+
+def _fixed_point_lift(a, p, modulus):
+    """The root of unity over a mod p, as the fixed point of x -> x^p."""
+    x = a % modulus
+    while pow(x, p, modulus) != x:
+        x = pow(x, p, modulus)
+    return x
+
+
+def test_teichmueller_values_where_the_primitive_root_is_not_primitive_mod_p2():
+    # 5 is the least primitive root mod 40487 and 5^40486 = 1 mod 40487^2,
+    # so 5 is no primitive root mod 40487^2; the values are those of 5 all
+    # the same, since omega depends only on the residue mod p
+    p = 40487
+    modulus = p * p
+    assert all(pow(g, (p - 1) // 2, p) == 1 for g in range(2, 5))
+    assert pow(5, p - 1, modulus) == 1
+    w = _fixed_point_lift(5, p, modulus)
+    assert teichmueller_values(p, modulus) == [pow(w, i, modulus) for i in range(p - 1)]
 
 
 def _table_from_plus(p, K, plus_fn):
@@ -207,25 +223,24 @@ def test_x_divides_theta_for_rank_one(store):
 def test_compat_on_fixtures(store):
     for label, p in (("53a1", 3), ("53a1", 5), ("37a1", 3)):
         thetas = store.thetas(label, p, 2)
-        rep = check_compat(thetas, 2, store.ap(label, p), IwasawaContext(p, 8))
-        assert rep.passed, (label, p, rep.detail)
+        check_compat(thetas, 2, store.ap(label, p), IwasawaContext(p, 8))
 
 
 def test_compat_on_hecke_exact_synthetic_table():
     # level-constant table satisfying the a_p = 0 relations exactly
     table = _table_from_plus(3, 3, lambda k, a: {0: 9, 1: 3, 2: -3, 3: -1}[k])
     thetas = {n: build_theta(table, n) for n in range(3)}
-    rep = check_compat(thetas, 2, 0, IwasawaContext(3, 6))
-    assert rep.passed
+    check_compat(thetas, 2, 0, IwasawaContext(3, 6))
 
 
 def test_compat_detects_corruption():
     table = _table_from_plus(3, 3, lambda k, a: {0: 9, 1: 3, 2: -3, 3: -1}[k])
     thetas = {n: build_theta(table, n) for n in range(3)}
     thetas[2] = [thetas[2][0] + 1, *thetas[2][1:]]
-    rep = check_compat(thetas, 2, 0, IwasawaContext(3, 6))
-    assert (rep.passed, rep.index) == (False, 0)
-    assert rep.detail == "Y-coefficient 0 of the remainder has 3-adic valuation 0"
+    with pytest.raises(CompatFailed) as exc:
+        check_compat(thetas, 2, 0, IwasawaContext(3, 6))
+    assert exc.value.index == 0
+    assert str(exc.value) == "level 2: Y-coefficient 0 of the remainder has 3-adic valuation 0"
 
 
 @pytest.mark.parametrize("k", [0, 1, 14, 15, 16, 1000])
@@ -236,9 +251,10 @@ def test_failing_compat_reads_a_deep_index(k):
     ctx = IwasawaContext(3, 8)
     thetas = {n: [0] * 3**n for n in (8, 9)}
     thetas[10] = [0] * k + [5] + [0] * (3**10 - k - 1)
-    rep = check_compat(thetas, 10, 0, ctx)
-    assert (rep.passed, rep.index) == (False, k)
-    assert rep.detail == f"Y-coefficient {k} of the remainder has 3-adic valuation 0"
+    with pytest.raises(CompatFailed) as exc:
+        check_compat(thetas, 10, 0, ctx)
+    assert exc.value.index == k
+    assert str(exc.value) == f"level 10: Y-coefficient {k} of the remainder has 3-adic valuation 0"
 
 
 @pytest.mark.parametrize("M", [1, 8])
@@ -249,6 +265,7 @@ def test_failing_compat_names_a_remainder_that_vanishes_mod_p_to_the_M(M):
     ctx = IwasawaContext(3, M)
     thetas = {0: [0], 1: [0] * 3, 2: [-(3**M), 3**M] + [0] * 7}
     assert x_element(thetas[2], ctx) == []
-    rep = check_compat(thetas, 2, 0, ctx)
-    assert (rep.passed, rep.index) == (False, 0)
-    assert rep.detail == f"Y-coefficient 0 of the remainder has 3-adic valuation {M}"
+    with pytest.raises(CompatFailed) as exc:
+        check_compat(thetas, 2, 0, ctx)
+    assert exc.value.index == 0
+    assert str(exc.value) == f"level 2: Y-coefficient 0 of the remainder has 3-adic valuation {M}"
