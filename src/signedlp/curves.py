@@ -66,14 +66,17 @@ class CurveData(namedtuple("CurveData",
 
 
 def ingest_curve(path) -> CurveData:
-    """Load and validate a curve record from its JSON file."""
+    """Load and validate a curve record from its JSON file: a JSON object,
+    read from its bytes (UTF-8, as JSON text is)."""
     try:
-        with open(path) as fh:
+        with open(path, "rb") as fh:
             raw = json.load(fh)
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError or UnicodeDecodeError
         raise ParseError(f"invalid JSON in {path}: {exc}") from exc
+    if type(raw) is not dict:
+        raise ParseError(f"{path} does not hold a JSON object")
     curve = curve_from_dict(raw)
     if verify_conductor(curve) is False:
         raise MetadataMismatch(
@@ -332,9 +335,8 @@ def classify_reduction(curve: CurveData, p: int) -> ReductionType:
         return ReductionType(kind)
     ap = a_ell(curve, p)
     if ap % p == 0:
-        # Hasse forces a_p = 0 for supersingular p >= 5, and |a_p| <= 3 at p = 3
-        if not (ap == 0 or (p == 3 and ap in (3, -3))):
-            raise BadReduction(f"supersingular a_p = {ap} at p = {p} violates Hasse")
+        # Hasse forces a_p = 0 for supersingular p >= 5, and |a_p| <= 3 at p = 3:
+        # a_ell has already refused a_p^2 > 4p
         return ReductionType("good-supersingular", ap)
     return ReductionType("good-ordinary", ap)
 

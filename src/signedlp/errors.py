@@ -63,19 +63,18 @@ class ContextMismatch(SignedLPError):
 
 
 class InconsistentTable(SignedLPError):
-    """The symbols break a relation their Hecke relations imply: a theta
-    element, or a quotient of one, is not exactly divisible where it must be."""
+    """The symbols break their Hecke relations, or a relation those imply:
+    the three-term relation between theta elements, or exact divisibility
+    of a theta element, or a quotient of one, where it must hold.  violations
+    lists the broken Hecke relations (modsym.validate_hecke), when those are
+    what failed."""
+
+    def __init__(self, message, violations=()):
+        self.violations = violations
+        super().__init__(message)
 
 
 # -- theta / extraction ------------------------------------------------------------
-
-class CompatFailed(SignedLPError):
-    """Three-term theta congruence failed; carries the coefficient index."""
-
-    def __init__(self, message, index=None):
-        self.index = index
-        super().__init__(message)
-
 
 class NotStabilized(SignedLPError):
     """Invariants did not stabilize across the available levels."""
@@ -88,4 +87,5 @@ class WrongReductionType(SignedLPError):
 # -- reporting ------------------------------------------------------------------
 
 class IoError(SignedLPError):
-    """Wraps OS-level failures writing a report or a cache entry, or making the cache."""
+    """Wraps OS-level failures writing a report, an exported table or a cache
+    entry, or making the cache."""

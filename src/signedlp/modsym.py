@@ -26,7 +26,7 @@ from __future__ import annotations
 from collections import namedtuple
 
 from .curves import CurveData
-from .errors import ContextMismatch, IncompleteTable
+from .errors import ContextMismatch, IncompleteTable, InconsistentTable
 
 
 class SymbolTable(namedtuple("SymbolTable",
@@ -90,26 +90,15 @@ class SymbolTableBuilder:
 # -- Hecke validation --------------------------------------------------------------
 
 
-class HeckeReport(namedtuple("HeckeReport", "passed levels_checked violations")):
-    """violations lists (level, residue, side, lhs, rhs); str() renders a
-    failing report, the first ten of them."""
-
-    __slots__ = ()
-
-    def __str__(self):
-        lines = [f"{len(self.violations)} Hecke violations:"]
-        for lvl, a, side, lhs, rhs in self.violations[:10]:
-            lines.append(f"  level {lvl}, residue {a}, {side}: {lhs} != {rhs}")
-        return "\n".join(lines)
-
-
-def validate_hecke(table: SymbolTable, p: int, max_level: int, a_p: int) -> HeckeReport:
+def validate_hecke(table: SymbolTable, p: int, max_level: int, a_p: int) -> None:
     """Re-prove a_p [a/p^n] = [a/p^(n-1)] + sum_k [(a + k p^n)/p^(n+1)] exactly.
 
     Runs over every unit residue at levels 1..max_level; needs the table
     complete through max_level + 1.  Each sign is checked on its numerators,
-    one list identity per level; violations are reported as fractions, by
-    level, residue and sign.
+    one list identity per level.  A broken relation raises InconsistentTable
+    carrying every violation as (level, residue, side, lhs, rhs), the sides
+    as fractions, sorted by level, residue and sign; its message is their
+    count and the first ten of them.
     """
     if table.p != p:
         raise ContextMismatch(f"table is for p = {table.p}, not {p}")
@@ -132,7 +121,11 @@ def validate_hecke(table: SymbolTable, p: int, max_level: int, a_p: int) -> Heck
 
             den = table.denominators[s]
             violations.append((n, a, ("plus", "minus")[s], Fraction(lhs, den), Fraction(rhs, den)))
-    return HeckeReport(not violations, tuple(range(1, max_level + 1)), violations)
+    if violations:
+        shown = [f"  level {n}, residue {a}, {side}: {lhs} != {rhs}"
+                 for n, a, side, lhs, rhs in violations[:10]]
+        raise InconsistentTable("\n".join([f"{len(violations)} Hecke violations:", *shown]),
+                                violations)
 
 
 # -- persistence -------------------------------------------------------------------

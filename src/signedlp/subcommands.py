@@ -49,7 +49,6 @@ def _symbols_payload(result, cfg):
         "entries": sum(len(_units(table.p, k))
                        for k in range(len(table.levels)) if table.has_level(k)),
         "provenance": table.provenance,
-        "hecke": "PASS",  # a table that fails validation stops the run
     }
 
 
@@ -88,7 +87,6 @@ def _theta_payload(result, cfg):
                      "value_at_zero_vanishes": not sum(theta)}
             for n, theta in result.thetas.items()
         },
-        "compat": {str(n): True for n in range(2, cfg.n_max + 1)},
     }
 
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 
 from .curves import is_odd_prime
-from .errors import ContextMismatch, ParseError
+from .errors import ContextMismatch, IoError, ParseError
 from .modsym import SymbolTable, _level, _units
 
 
@@ -22,16 +22,19 @@ def export_table(table: SymbolTable, path) -> None:
 
     gcd = math.gcd
     dp, dm = table.denominators
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow([table.curve_label, table.p])
-        for k, level in enumerate(table.levels):
-            if level is None:
-                continue
-            plus, minus = level
-            for a in _units(table.p, k):
-                g, h = gcd(plus[a], dp), gcd(minus[a], dm)
-                writer.writerow((k, a, plus[a] // g, dp // g, minus[a] // h, dm // h))
+    try:
+        with open(path, "w", newline="", encoding="utf-8") as fh:
+            writer = csv.writer(fh)
+            writer.writerow([table.curve_label, table.p])
+            for k, level in enumerate(table.levels):
+                if level is None:
+                    continue
+                plus, minus = level
+                for a in _units(table.p, k):
+                    g, h = gcd(plus[a], dp), gcd(minus[a], dm)
+                    writer.writerow((k, a, plus[a] // g, dp // g, minus[a] // h, dm // h))
+    except OSError as exc:
+        raise IoError(f"cannot write {path}: {exc}") from exc
 
 
 def import_table(path, expect_curve=None, expect_p=None) -> SymbolTable:
@@ -41,11 +44,12 @@ def import_table(path, expect_curve=None, expect_p=None) -> SymbolTable:
     import csv  # only CSV I/O needs it
 
     try:
-        fh = open(path, newline="")
+        with open(path, newline="", encoding="utf-8") as fh:
+            rows = list(csv.reader(fh))
     except OSError as exc:
         raise ParseError(f"cannot open {path}: {exc}") from exc
-    with fh:
-        rows = list(csv.reader(fh))
+    except (UnicodeDecodeError, csv.Error) as exc:
+        raise ParseError(f"cannot read {path} as UTF-8 CSV: {exc}") from exc
     if not rows or len(rows[0]) != 2:
         raise ParseError("expected header 'curve,p'", line=1)
     label = rows[0][0]

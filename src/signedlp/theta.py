@@ -23,13 +23,14 @@ it divides by u there.
 The three-term relation linking consecutive levels is a consequence of the
 Hecke relations; check_compat re-proves it exactly on each run rather than
 assuming it (the sign below is the empirically pinned one), and raises
-CompatFailed itself at the first level where it fails.
+InconsistentTable itself at the first level where it fails, as the Hecke
+validation does for the relations it implies.
 """
 
 from __future__ import annotations
 
 from .curves import prime_divisors
-from .errors import CompatFailed, IncompleteTable
+from .errors import IncompleteTable, InconsistentTable
 from .lambda_ring import fold
 from .modsym import SymbolTable
 from .padic import p_integral, padic_valuation
@@ -73,9 +74,9 @@ def check_compat(thetas, n: int, a_p: int, ctx) -> None:
     Y^m - 1 and Phi_(n-1) = sum_{i<p} Y^(i m/p), so the remainder, which
     must vanish, is fold(theta_n, m) - a_p fold(theta_(n-1), m) plus
     fold(theta_(n-2), m/p) tiled p times.  A remainder that does not vanish
-    raises CompatFailed here, naming its first nonzero Y-coefficient (the
-    exception's index) and that coefficient's p-adic valuation (the scale
-    of the thetas leaves it unchanged).  ctx is the run's IwasawaContext.
+    raises InconsistentTable here, naming its first nonzero Y-coefficient
+    and that coefficient's p-adic valuation (the scale of the thetas leaves
+    it unchanged).  ctx is the run's IwasawaContext.
     Levels 0 and 1 are covered by the Hecke validation of the underlying
     table instead.
     """
@@ -87,5 +88,5 @@ def check_compat(thetas, n: int, a_p: int, ctx) -> None:
            zip(fold(thetas[n], m), fold(thetas[n - 1], m), tiled)]
     for idx, c in enumerate(rem):
         if c:
-            raise CompatFailed(f"level {n}: Y-coefficient {idx} of the remainder has "
-                               f"{p}-adic valuation {padic_valuation(c, p)}", index=idx)
+            raise InconsistentTable(f"level {n}: Y-coefficient {idx} of the remainder has "
+                                    f"{p}-adic valuation {padic_valuation(c, p)}")

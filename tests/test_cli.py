@@ -9,7 +9,7 @@ import pytest
 from signedlp import cli
 from signedlp.cli import main
 from signedlp.curves import ingest_curve
-from signedlp.errors import CompatFailed
+from signedlp.errors import InconsistentTable
 from signedlp.modsym import SymbolTableBuilder, export_table
 from signedlp.pipeline import RunConfig, run_pipeline
 
@@ -440,12 +440,11 @@ def test_broken_congruence_stops_report_at_compat(capsys, monkeypatch):
     argv = ["report", "--curve", curve_path("53a1"), "--p", "3", "--level", "2"]
     code, out, err = run_cli(argv, capsys)
     assert code == 1 and out == ""
-    assert ("CompatFailed: level 2: Y-coefficient 0 of the remainder has 3-adic "
-            "valuation 0 ") in err
-    assert err.rstrip().endswith("[stage: compat]")
-    with pytest.raises(CompatFailed) as exc:
+    assert err == ("signedlp: InconsistentTable: level 2: Y-coefficient 0 of the remainder "
+                   "has 3-adic valuation 0 [stage: compat]\n")
+    with pytest.raises(InconsistentTable) as exc:
         run_pipeline(RunConfig(curve_path("53a1"), 3, n_max=2))
-    assert exc.value.index == 0
+    assert exc.value.stage == "compat"
 
 
 @pytest.mark.parametrize("M", [2, 8])
@@ -457,7 +456,7 @@ def test_congruence_broken_only_beyond_the_precision_stops_at_compat(capsys, mon
             "--prec", str(M)]
     code, out, err = run_cli(argv, capsys)
     assert code == 1 and out == ""
-    assert ("CompatFailed: level 2: Y-coefficient 0 of the remainder has 3-adic "
+    assert ("InconsistentTable: level 2: Y-coefficient 0 of the remainder has 3-adic "
             f"valuation {M} ") in err
     assert err.rstrip().endswith("[stage: compat]")
 
@@ -602,6 +601,57 @@ def test_unwritable_out_is_an_io_error(tmp_path, capsys):
     assert err.startswith("signedlp: IoError: cannot write") and "Traceback" not in err
 
 
+def test_unwritable_export_is_an_io_error_at_symbols(tmp_path, capsys):
+    path = tmp_path / "missing" / "t.csv"
+    code, out, err = run_cli(
+        ["symbols", "--curve", curve_path("53a1"), "--p", "5", "--level", "1",
+         "--table", str(path), "--export"],
+        capsys,
+    )
+    assert (code, out) == (1, "")
+    assert err.startswith(f"signedlp: IoError: cannot write {path}: ")
+    assert err.endswith(" [stage: symbols]\n")
+
+
+@pytest.mark.parametrize("content", [b"5", b"null", b'"abc"', b"{", b'{"label": "\xff"}'],
+                         ids=["number", "null", "string", "invalid-json", "not-utf-8"])
+def test_malformed_curve_file_is_a_parse_error_at_ingest(content, tmp_path, capsys):
+    # a top level other than an object, JSON that does not parse and bytes
+    # that are not UTF-8 are each refused naming the file
+    path = tmp_path / "curve.json"
+    path.write_bytes(content)
+    code, out, err = run_cli(["report", "--curve", str(path), "--p", "3"], capsys)
+    assert (code, out) == (1, "")
+    assert err.startswith("signedlp: ParseError: ") and str(path) in err
+    assert err.endswith(" [stage: ingest]\n")
+
+
+@pytest.mark.parametrize("row", [b"1,1,\xff,1,0,1", b"1,1," + b"7" * 200000 + b",1,0,1"],
+                         ids=["not-utf-8", "field-over-the-csv-limit"])
+def test_unreadable_import_is_a_parse_error_at_symbols(row, tmp_path, capsys):
+    path = tmp_path / "t.csv"
+    path.write_bytes(b"53a1,3\n0,0,0,1,0,1\n" + row + b"\n")
+    code, out, err = run_cli(
+        ["symbols", "--curve", curve_path("53a1"), "--p", "3", "--table", str(path),
+         "--import"],
+        capsys,
+    )
+    assert (code, out) == (1, "")
+    assert err.startswith(f"signedlp: ParseError: cannot read {path} as UTF-8 CSV: ")
+    assert err.endswith(" [stage: symbols]\n")
+
+
+@pytest.mark.parametrize("label, p, message", [
+    ("53a1", 5, "no theta levels of parity 1"),
+    ("37a1", 3, "need at least theta_0 and theta_1"),
+], ids=["plus-minus", "sharp-flat"])
+def test_level_zero_report_stops_at_extract(label, p, message, capsys):
+    code, out, err = run_cli(
+        ["report", "--curve", curve_path(label), "--p", str(p), "--level", "0"], capsys)
+    assert (code, out) == (1, "")
+    assert err == f"signedlp: NotStabilized: {message} [stage: extract]\n"
+
+
 @pytest.fixture(scope="module")
 def corrupted_table(tmp_path_factory):
     """53a1 at p = 3 through level 3 with one plus symbol changed: the file
@@ -624,7 +674,7 @@ def test_invalid_imported_table_fails_at_validate_hecke(command, corrupted_table
         capsys,
     )
     assert (code, out) == (1, "")
-    assert "Hecke violations" in err
+    assert err.startswith("signedlp: InconsistentTable: 4 Hecke violations:\n  level 1, ")
     assert err.rstrip().endswith("[stage: validate_hecke]")
 
 
@@ -637,7 +687,9 @@ def test_symbols_subcommand(tmp_path, capsys):
     )
     assert code == 0
     payload = json.loads(out)
-    assert payload["hecke"] == "PASS" and table_file.exists()
+    # a table that fails validation stops the run, so no field restates a pass
+    assert set(payload) == {"curve", "p", "levels", "entries", "provenance"}
+    assert table_file.exists()
 
 
 def test_theta_subcommand(capsys):
@@ -648,7 +700,7 @@ def test_theta_subcommand(capsys):
     )
     assert code == 0
     payload = json.loads(out)
-    assert payload["compat"] == {"2": True}
+    assert set(payload) == {"curve", "p", "thetas"}
     assert all(v["value_at_zero_vanishes"] for v in payload["thetas"].values())
 
 
@@ -844,6 +896,19 @@ def test_unusable_cache_is_an_io_error(make_cache, tmp_path):
     assert proc.stderr.startswith("signedlp: IoError: cannot ")
     assert proc.stderr.rstrip().endswith("[stage: symbols]")
     assert "Traceback" not in proc.stderr
+
+
+def test_import_missing_a_unit_residue_fails_at_validate_hecke(tmp_path, capsys):
+    # a level whose rows miss a unit residue is not held
+    table = tmp_path / "table.csv"
+    flags = ["--curve", curve_path("53a1"), "--p", "3", "--level", "1", "--table", str(table)]
+    assert run_cli(["symbols", "--export"] + flags, capsys)[0] == 0
+    rows = table.read_text().splitlines()
+    assert rows[-1].startswith("2,")
+    table.write_text("\n".join(rows[:-1]) + "\n")
+    code, out, err = run_cli(["symbols", "--import"] + flags, capsys)
+    assert (code, out) == (1, "")
+    assert err == "signedlp: IncompleteTable: table missing level 2 [stage: validate_hecke]\n"
 
 
 def test_too_shallow_import_fails_at_validate_hecke(tmp_path, capsys):

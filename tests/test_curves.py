@@ -86,14 +86,43 @@ def test_e_sequence_is_a_tuple_without_trailing_zeros(given, kept):
     ("e_sequence", [1, "a"]),
     ("e_sequence", [1, -1]),
     ("a_invariants", [0, 0, True, -1, 0]),
+    ("fricke_sign", 0),
+    ("fricke_sign", 2),
 ], ids=["e_sequence-head-not-rank", "rank-string", "rank-float", "conductor-null",
         "fricke_sign-string", "e_sequence-not-list", "e_sequence-string-entry",
-        "e_sequence-negative-entry", "a_invariants-bool-entry"])
+        "e_sequence-negative-entry", "a_invariants-bool-entry", "fricke_sign-zero",
+        "fricke_sign-two"])
 def test_malformed_field_is_parse_error(field, value):
     # each field must be a JSON integer (e_sequence a list of nonnegative
     # ones), refused at ingest under its own name
     with pytest.raises(ParseError, match=field):
         curve_from_dict({**_RECORD_37A1, field: value})
+
+
+@pytest.mark.parametrize("text, message", [
+    (None, "cannot read {path}: "),
+    ("{", "invalid JSON in {path}: "),
+    ('{"label": "37a1", "colour": "red"}', "unknown fields ['colour']"),
+    ('{"label": "37a1", "a_invariants": [0, 0, 1, -1, 0], "conductor": 37}',
+     "missing field 'rank'"),
+], ids=["unreadable", "invalid-json", "unknown-field", "missing-field"])
+def test_ingest_rejects_a_malformed_file(tmp_path, text, message):
+    path = tmp_path / "curve.json"
+    if text is not None:
+        path.write_text(text)
+    with pytest.raises(ParseError) as err:
+        ingest_curve(path)
+    assert str(err.value).startswith(message.format(path=path))
+
+
+def test_conductor_with_additive_reduction_at_five():
+    # Delta = -1250 = -2 * 5^4 and c4 = 25: multiplicative at 2, additive at
+    # 5, so the conductor is 2 * 5^2 = 50
+    raw = {"label": "50x", "a_invariants": [1, 0, 1, -1, -2], "conductor": 50, "rank": 0}
+    curve = curve_from_dict(raw)
+    assert (curve.discriminant, curve.c_invariants[0]) == (-1250, 25)
+    assert verify_conductor(curve) is True
+    assert verify_conductor(curve_from_dict({**raw, "conductor": 10})) is False
 
 
 def test_a_ell_values(store):

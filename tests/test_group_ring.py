@@ -15,7 +15,7 @@ import re
 
 import pytest
 
-from signedlp.errors import CompatFailed, InconsistentTable, NotStabilized
+from signedlp.errors import InconsistentTable, NotStabilized
 from signedlp.extract import extract_plus_minus
 from signedlp.lambda_ring import (
     IwasawaContext,
@@ -126,30 +126,30 @@ def test_phi_quotient_is_the_quotient_by_the_phi_product(p):
 
 
 def _compat_outcome(thetas, n, a_p, ctx):
-    """(passed, index, message) of check_compat: the CompatFailed it raises,
+    """(passed, message) of check_compat: the InconsistentTable it raises,
     or a pass."""
     try:
         check_compat(thetas, n, a_p, ctx)
-    except CompatFailed as exc:
-        return False, exc.index, str(exc)
-    return True, None, ""
+    except InconsistentTable as exc:
+        return False, str(exc)
+    return True, ""
 
 
 def _compat_in_x(thetas, n, a_p, ctx):
-    """(passed, index, message) of the three-term congruence checked in X
-    mod p^M, its remainder named by its first Y-coefficient nonzero mod p^M."""
+    """(passed, message) of the three-term congruence checked in X mod p^M,
+    its remainder named by its first Y-coefficient nonzero mod p^M."""
     X = {k: x_element(th, ctx) for k, th in thetas.items()}
     lhs = combination(ctx, (1, X[n]), (-a_p, X[n - 1]),
                       (1, x_product(ctx, ctx.phi(n - 1), X[n - 2])))
     _, R = divrem(lhs, omega(ctx, n - 1), ctx)
     if not R:
-        return True, None, ""
+        return True, ""
     y = [c % ctx.modulus for c in y_element(R)]
     idx = next(i for i, c in enumerate(y) if c)
     valuation = padic_valuation(y[idx], ctx.prime)
     message = (f"level {n}: Y-coefficient {idx} of the remainder has {ctx.prime}-adic "
                f"valuation {valuation}")
-    return False, idx, message
+    return False, message
 
 
 def compatible_thetas(rng, ctx, n, a_p):

@@ -19,7 +19,7 @@ from signedlp.curves import (
     periods,
     prime_divisors,
 )
-from signedlp.errors import ContextMismatch, NonConvergence, ParseError
+from signedlp.errors import ContextMismatch, InconsistentTable, NonConvergence, ParseError
 from signedlp.modsym import (
     SymbolTableBuilder,
     export_table,
@@ -112,10 +112,9 @@ def test_stability_under_higher_precision(store):
 
 
 def test_hecke_validation_fixtures(store):
-    rep = validate_hecke(store.table("37a1", 17, 2), 17, 1, store.ap("37a1", 17))
-    assert rep.passed
-    rep = validate_hecke(store.table("53a1", 5, 3), 5, 2, store.ap("53a1", 5))
-    assert rep.passed
+    # a table that breaks a relation raises; these return
+    validate_hecke(store.table("37a1", 17, 2), 17, 1, store.ap("37a1", 17))
+    validate_hecke(store.table("53a1", 5, 3), 5, 2, store.ap("53a1", 5))
 
 
 def _level_constants(p, K, values_by_level):
@@ -125,33 +124,34 @@ def _level_constants(p, K, values_by_level):
 
 def test_all_zero_synthetic_table_passes():
     table = synthetic_table(3, _level_constants(3, 3, {0: 0, 1: 0, 2: 0, 3: 0}))
-    assert validate_hecke(table, 3, 2, a_p=0).passed
+    validate_hecke(table, 3, 2, a_p=0)
 
 
 def test_level_constant_synthetic_table():
     # with a_p = 0 the relation forces f(n+1) = -f(n-1)/p for level constants
     table = synthetic_table(3, _level_constants(3, 3, {0: 9, 1: 3, 2: -3, 3: -1}))
-    assert validate_hecke(table, 3, 2, a_p=0).passed
+    validate_hecke(table, 3, 2, a_p=0)
 
 
 def test_perturbed_entry_fails_naming_residue():
     plus = _level_constants(3, 3, {0: 9, 1: 3, 2: -3, 3: -1})
     plus[(2, 4)] = 5
-    rep = validate_hecke(synthetic_table(3, plus), 3, 2, a_p=0)
-    assert not rep.passed
+    with pytest.raises(InconsistentTable) as exc:
+        validate_hecke(synthetic_table(3, plus), 3, 2, a_p=0)
     # [4/9] enters exactly one relation: level 1, residue 1 (sum over 1, 4, 7)
-    assert {(lvl, a) for lvl, a, *_ in rep.violations} == {(1, 1)}
+    assert {(lvl, a) for lvl, a, *_ in exc.value.violations} == {(1, 1)}
 
 
 def test_violations_print_as_reduced_fractions():
     plus = _level_constants(3, 3, {0: 9, 1: 3, 2: -3, 3: -1})
     plus[(1, 2)] = Fraction(7, 2)
-    rep = validate_hecke(synthetic_table(3, plus), 3, 1, a_p=1)
-    assert rep.violations == [
+    with pytest.raises(InconsistentTable) as exc:
+        validate_hecke(synthetic_table(3, plus), 3, 1, a_p=1)
+    assert exc.value.violations == [
         (1, 1, "plus", Fraction(3), Fraction(0)),
         (1, 2, "plus", Fraction(7, 2), Fraction(0)),
     ]
-    assert str(rep).splitlines() == [
+    assert str(exc.value).splitlines() == [
         "2 Hecke violations:",
         "  level 1, residue 1, plus: 3 != 0",
         "  level 1, residue 2, plus: 7/2 != 0",
@@ -175,7 +175,13 @@ def test_hecke_matches_fraction_loop_on_random_tables():
                     rhs = low + sum(plus[(n + 1, a + k * p**n)] for k in range(p))
                     if lhs != rhs:
                         want.append((n, a, "plus", lhs, rhs))
-        assert want and validate_hecke(table, p, 2, a_p).violations == want
+        with pytest.raises(InconsistentTable) as exc:
+            validate_hecke(table, p, 2, a_p)
+        assert want and exc.value.violations == want
+        # the message: the count, then the first ten
+        lines = str(exc.value).splitlines()
+        assert lines[0] == f"{len(want)} Hecke violations:"
+        assert len(lines) == 1 + min(len(want), 10)
 
 
 def test_numerators_beyond_int64_stay_exact(store):
@@ -186,7 +192,7 @@ def test_numerators_beyond_int64_stay_exact(store):
     scaled = synthetic_table(5, {
         key: symbol(table, *key) * 2**70 for key in table_keys(5, 3)})
     assert max(abs(x) for x in scaled.levels[3][0]) > 2**63
-    assert validate_hecke(scaled, 5, 2, store.ap("53a1", 5)).passed
+    validate_hecke(scaled, 5, 2, store.ap("53a1", 5))
     u, v = (t.denominators[0] // 5 ** padic_valuation(t.denominators[0], 5)
             for t in (table, scaled))
     for n in range(3):
@@ -230,7 +236,9 @@ _LAST_ROW = "1,3,0,1,0,1\n"
     ("-1,2,1,1,1,1", "negative level -1"),
     ("1,5,3,1,0,1", "residue 5 is not a unit mod 5"),
     ("1,6,7,2,0,1", "second row for [6/5^1]"),
-], ids=["negative-level", "non-unit", "duplicate"])
+    ("1,2,1/2,1,0,1", "non-integer field in ['1', '2', '1/2', '1', '0', '1']"),
+    ("1,2,1,1,0,0", "zero denominator"),
+], ids=["negative-level", "non-unit", "duplicate", "non-integer", "zero-denominator"])
 def test_import_rejects_malformed_rows(tmp_path, row, message):
     path = tmp_path / "bad.csv"
     path.write_text(_MALFORMED + row + "\n" + _LAST_ROW)
@@ -246,6 +254,30 @@ def test_import_rejects_header_that_is_not_an_odd_prime(tmp_path, header):
     with pytest.raises(ParseError) as err:
         import_table(path)
     assert "is not an odd prime" in str(err.value) and "line 1" in str(err.value)
+
+
+@pytest.mark.parametrize("header, message", [
+    ("53a1", "expected header 'curve,p'"),
+    ("53a1,5,x", "expected header 'curve,p'"),
+    ("53a1,five", "bad prime 'five'"),
+], ids=["one-field", "three-fields", "non-integer-prime"])
+def test_import_rejects_a_malformed_header(tmp_path, header, message):
+    path = tmp_path / "bad.csv"
+    path.write_text(header + "\n0,0,0,1,0,1\n")
+    with pytest.raises(ParseError) as err:
+        import_table(path)
+    assert str(err.value) == f"line 1: {message}"
+
+
+def test_import_skips_blank_rows_and_drops_a_level_missing_a_residue(tmp_path):
+    full, sparse = tmp_path / "full.csv", tmp_path / "sparse.csv"
+    full.write_text("t,3\n0,0,-1,2,0,1\n1,1,1,3,2,1\n1,2,0,1,-3,4\n")
+    sparse.write_text("t,3\n\n0,0,-1,2,0,1\n\n1,1,1,3,2,1\n1,2,0,1,-3,4\n\n")
+    assert exported(import_table(sparse)) == exported(import_table(full))
+    # level 1 without [2/3]: level 0 is held, level 1 is not
+    full.write_text("t,3\n0,0,-1,2,0,1\n1,1,1,3,2,1\n")
+    table = import_table(full)
+    assert table.has_level(0) and not table.has_level(1)
 
 
 def test_import_accepts_a_huge_header_prime(tmp_path):
@@ -423,7 +455,7 @@ def test_exact_tables_match_frozen_analytic_tables(label, p):
     table = SymbolTableBuilder(curve, p).build(K)
     assert exported(table) == exported(frozen)
     ap = int(an_expansion(curve, p)[p])
-    assert validate_hecke(table, p, K - 1, ap).passed
+    validate_hecke(table, p, K - 1, ap)
 
 
 @pytest.mark.extended

@@ -6,7 +6,7 @@ from signedlp.analyzer import Check, Verdict
 from signedlp.curves import CurveData, Periods, ReductionType
 from signedlp.extract import FitResult, SignedPair, SignedSeries
 from signedlp.lambda_ring import GcdReport, InvariantReport, IwasawaContext
-from signedlp.modsym import HeckeReport, SymbolTable
+from signedlp.modsym import SymbolTable
 from signedlp.modules import FactoredIdeal
 from signedlp.pipeline import PipelineResult, RunConfig
 
@@ -67,7 +67,7 @@ def test_records_of_different_values_differ():
 @pytest.mark.parametrize("record", [
     IwasawaContext, InvariantReport, GcdReport, CurveData, ReductionType, Periods,
     SignedSeries, SignedPair, FitResult, FactoredIdeal, SymbolTable,
-    HeckeReport, Check, Verdict, RunConfig, PipelineResult,
+    Check, Verdict, RunConfig, PipelineResult,
 ], ids=lambda record: record.__name__)
 def test_record_types_are_namedtuples_without_instance_dicts(record):
     # one declaration for every record: a namedtuple subclass whose empty

@@ -135,14 +135,11 @@ def test_every_class_is_an_exception_a_record_or_named_stateful():
     assert stateful == sorted(STATEFUL_CLASSES), stateful
 
 
-def test_every_exception_type_is_raised_in_package():
-    # a check raises where it fails, so a retired raise site must not leave
-    # its exception type behind: each class in errors.py is constructed in
-    # package code outside its own definition
-    trees = _package_trees()
-    defined = [node.name for node in trees["errors.py"].body if isinstance(node, ast.ClassDef)]
-    constructed = set()
-    for tree in trees.values():
+def _constructed():
+    """{name: [module:line, ...]} of every call in package code to a name
+    (a function, or an attribute), outside the class of that name."""
+    found = {}
+    for module, tree in _package_trees().items():
         stack = [(tree, None)]
         while stack:
             node, inside = stack.pop()
@@ -151,10 +148,27 @@ def test_every_exception_type_is_raised_in_package():
             if isinstance(node, ast.Call):
                 name = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
                 if name != inside:
-                    constructed.add(name)
+                    found.setdefault(name, []).append(f"{module}:{node.lineno}")
             stack.extend((child, inside) for child in ast.iter_child_nodes(node))
-    unraised = [name for name in defined if name not in constructed]
-    assert defined and not unraised, f"exception types no package code constructs: {unraised}"
+    return found
+
+
+def test_every_exception_type_is_raised_in_package():
+    # a check raises where it fails, so a retired raise site must not leave
+    # its exception type behind: each class in errors.py but the base that
+    # callers catch is constructed in package code outside its own definition
+    errors = _package_trees()["errors.py"]
+    defined = [node.name for node in errors.body if isinstance(node, ast.ClassDef)]
+    constructed = _constructed()
+    unraised = [name for name in defined[1:] if name not in constructed]
+    assert defined[0] == "SignedLPError" and len(defined) > 1
+    assert not unraised, f"exception types no package code constructs: {unraised}"
+
+
+def test_no_package_code_raises_the_base_exception():
+    # every stderr line names the specific class of its failure
+    found = _constructed().get("SignedLPError", [])
+    assert not found, f"the base SignedLPError constructed at {found}"
 
 
 @pytest.mark.parametrize("module", ["fractions", "decimal", "csv", "argparse"])

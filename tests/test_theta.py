@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from signedlp.errors import CompatFailed, IncompleteTable, NotIntegral
+from signedlp.errors import IncompleteTable, InconsistentTable, NotIntegral
 from signedlp.lambda_ring import IwasawaContext, weierstrass
 from signedlp.padic import padic_valuation
 from signedlp.theta import (
@@ -237,23 +237,21 @@ def test_compat_detects_corruption():
     table = _table_from_plus(3, 3, lambda k, a: {0: 9, 1: 3, 2: -3, 3: -1}[k])
     thetas = {n: build_theta(table, n) for n in range(3)}
     thetas[2] = [thetas[2][0] + 1, *thetas[2][1:]]
-    with pytest.raises(CompatFailed) as exc:
+    with pytest.raises(InconsistentTable) as exc:
         check_compat(thetas, 2, 0, IwasawaContext(3, 6))
-    assert exc.value.index == 0
     assert str(exc.value) == "level 2: Y-coefficient 0 of the remainder has 3-adic valuation 0"
 
 
 @pytest.mark.parametrize("k", [0, 1, 14, 15, 16, 1000])
 def test_failing_compat_reads_a_deep_index(k):
     # theta_10 = 5 Y^k over zero thetas below it, so the remainder mod
-    # omega_9 is 5 Y^k: index and detail name Y-coefficient k, the first
+    # omega_9 is 5 Y^k: the message names Y-coefficient k, the first
     # nonzero one
     ctx = IwasawaContext(3, 8)
     thetas = {n: [0] * 3**n for n in (8, 9)}
     thetas[10] = [0] * k + [5] + [0] * (3**10 - k - 1)
-    with pytest.raises(CompatFailed) as exc:
+    with pytest.raises(InconsistentTable) as exc:
         check_compat(thetas, 10, 0, ctx)
-    assert exc.value.index == k
     assert str(exc.value) == f"level 10: Y-coefficient {k} of the remainder has 3-adic valuation 0"
 
 
@@ -265,7 +263,6 @@ def test_failing_compat_names_a_remainder_that_vanishes_mod_p_to_the_M(M):
     ctx = IwasawaContext(3, M)
     thetas = {0: [0], 1: [0] * 3, 2: [-(3**M), 3**M] + [0] * 7}
     assert x_element(thetas[2], ctx) == []
-    with pytest.raises(CompatFailed) as exc:
+    with pytest.raises(InconsistentTable) as exc:
         check_compat(thetas, 2, 0, ctx)
-    assert exc.value.index == 0
     assert str(exc.value) == f"level 2: Y-coefficient 0 of the remainder has 3-adic valuation {M}"
