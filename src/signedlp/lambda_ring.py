@@ -16,13 +16,16 @@ Phi_n = sum_{i<p} Y^(i p^(n-1)) are monic with integer coefficients and
 sparse, so dividing by them is an exact linear scan over Z, and reading mu
 and lambda needs only the integers mod p; the precision M enters at
 x_coefficients alone, the one place where a Y-vector is reduced mod p^M
-into a residue list in X.  Weierstrass preparation
-and the gcd work in X, on short polynomials (Phi_n, with Phi_0 = X, and
-distinguished parts), through one multiply and monic long division (von zur
-Gathen-Gerhard, Modern Computer Algebra, ch. 8-9).  The multiply is
-Kronecker substitution: both lists are packed into one integer each
-(through array.array for slots of up to 8 bytes), multiplied once, and read
-back as array.array words.  Every division re-multiplies its quotient and
+into a residue list in X.  It is the one change of basis: extraction reads
+the first N X-coefficients of a series through it, the theta payload all
+of a theta element's, and phi all of Phi_n's, by a blocked Taylor shift
+(leaves read against packed binomial rows, then pairing rounds of one
+product each).  Weierstrass preparation and the gcd work in X, on short
+polynomials (Phi_n, with Phi_0 = X, and distinguished parts), through one
+multiply and monic long division (von zur Gathen-Gerhard, Modern Computer
+Algebra, ch. 8-9).  The multiply is Kronecker substitution: both lists are
+packed into one integer each (through array.array for slots of up to 8
+bytes), multiplied once, and read back as array.array words.  Every division re-multiplies its quotient and
 checks the identity, and loses no p-adic digits; the only precision loss in
 this module comes from stripping p-power content, and Weierstrass
 preparation records it in the context of its report.
@@ -34,7 +37,8 @@ import math
 import sys
 from array import array
 from collections import namedtuple
-from itertools import accumulate, count, islice, repeat, zip_longest
+from itertools import accumulate, count, repeat, zip_longest
+from operator import mul
 
 from .errors import InconsistentTable, NotDistinguished, PrecisionExhausted
 from .padic import padic_valuation
@@ -66,18 +70,16 @@ class IwasawaContext(namedtuple("IwasawaContext", "prime precision")):
         return work
 
     def phi(self, n: int) -> list:
-        """p^n-th cyclotomic polynomial in 1+X; Phi_0 = X by convention."""
+        """p^n-th cyclotomic polynomial in 1+X; Phi_0 = X by convention.
+
+        For n >= 1, Phi_n is the Y-vector sum_{k<p} Y^(k p^(n-1)) read in X
+        at full length by x_coefficients."""
         if n < 0:
             raise ValueError("level must be nonnegative")
         if n == 0:
             return [0, 1]
-        p = self.prime
-        # Phi_n = sum_{k<p} (1+X)^{k p^(n-1)}, assembled with exact integers
-        coeffs = [0] * (p ** (n - 1) * (p - 1) + 1)
-        for k in range(p):
-            for j in range(k * p ** (n - 1) + 1):
-                coeffs[j] += math.comb(k * p ** (n - 1), j)
-        return self.residues(coeffs)
+        y = ([1] + [0] * (self.prime ** (n - 1) - 1)) * (self.prime - 1) + [1]
+        return x_coefficients(y, len(y), self)
 
 
 def render(F, ctx: IwasawaContext) -> str:
@@ -113,8 +115,9 @@ _TYPECODES = {array(t).itemsize: t for t in "BHILQ"}
 _BIG_ENDIAN = sys.byteorder == "big"
 
 
-def _pack(values, width: int) -> int:
-    """The integer whose little-endian slots of `width` bytes hold `values`."""
+def pack(values, width: int) -> int:
+    """The integer whose little-endian slots of `width` bytes hold `values`;
+    _mul, x_coefficients and manin's row reduction pack through it."""
     if width in _TYPECODES:
         slots = array(_TYPECODES[width], values)
         if _BIG_ENDIAN:
@@ -125,7 +128,7 @@ def _pack(values, width: int) -> int:
     return int.from_bytes(raw, "little")
 
 
-def _unpack(raw: bytes, width: int, mod: int) -> list:
+def unpack(raw: bytes, width: int, mod: int) -> list:
     """The little-endian slots of `width` bytes in `raw`, each reduced mod `mod`.
 
     Slots of 1, 2, 4 or 8 bytes are one array.array read.  Other widths are
@@ -159,7 +162,7 @@ def _mul(a, b, mod: int) -> list:
     slots of 2*bits(mod) + bits(min(len)) bits never overflow: one integer
     product carries the whole convolution.  Slots of 1, 2, 4 or 8 bytes are
     packed and read through array.array; other widths are packed through
-    bytes and read as 8-byte words (_unpack).  The
+    bytes and read as 8-byte words (unpack).  The
     result has len(a) + len(b) - 1 entries, none when an operand is empty.
     """
     if not a or not b:
@@ -167,9 +170,9 @@ def _mul(a, b, mod: int) -> list:
     n = len(a) + len(b) - 1
     bits = 2 * (mod - 1).bit_length() + min(len(a), len(b)).bit_length()
     width = next((w for w in (1, 2, 4, 8) if 8 * w >= bits), (bits + 7) // 8)
-    A = _pack(a, width)
-    return _unpack((A * (A if b is a else _pack(b, width))).to_bytes(n * width, "little"),
-                   width, mod)
+    A = pack(a, width)
+    return unpack((A * (A if b is a else pack(b, width))).to_bytes(n * width, "little"),
+                  width, mod)
 
 
 def _divmod_monic(f, g, mod: int):
@@ -243,18 +246,48 @@ def phi_quotient(y, levels, ctx: IwasawaContext) -> list:
     return y
 
 
-def x_scan(y, mod: int):
-    """The X-coefficients of sum_j y[j] * Y^j modulo `mod`, in order: the
-    remainders (sums) of successive divisions by Y - 1, whose quotients are
-    suffix sums.  Each costs one pass over y, so a caller stops early."""
-    while y:
-        yield sum(y) % mod
-        y = [c % mod for c in accumulate(y[:0:-1])][::-1]
+#: Y-coefficients per leaf of x_coefficients
+_LEAF = 64
 
 
 def x_coefficients(y, n: int, ctx: IwasawaContext) -> list:
-    """The first n X-coefficients of the Y-vector y, as a residue list in X."""
-    return ctx.residues(islice(x_scan(y, ctx.modulus), n))
+    """The first n X-coefficients of the Y-vector y, as a residue list in X:
+    the one change of basis from Y to X (extraction, the theta payload and
+    Phi_n read through it).
+
+    The blocked Taylor shift of von zur Gathen-Gerhard (ISSAC 1997).  y,
+    reduced mod p^M, is cut into leaves of _LEAF coefficients, and each leaf
+    is read as its first t = min(_LEAF, n) X-coefficients sum_i y_i C(i, j)
+    by one sum of products with packed rows of C(i, j) mod p^M: a slot of
+    2 bits(p^M) + bits(_LEAF) bits holds _LEAF terms below p^(2M) without
+    carrying.  Then the blocks pair up at spacing b = _LEAF, 2 _LEAF, ...:
+    each pair (lo, hi) becomes lo + (1+X)^b hi, all the hi blocks of a round
+    are multiplied by (1+X)^b mod X^n in one product, and each block is cut
+    to its first min(2b, n) coefficients, the only ones read.
+    """
+    if n <= 0 or not y:
+        return []
+    mod, t = ctx.modulus, min(_LEAF, n)
+    bits = 2 * (mod - 1).bit_length() + _LEAF.bit_length()
+    width = next((w for w in (1, 2, 4, 8) if 8 * w >= bits), (bits + 7) // 8)
+    rows = [pack([math.comb(i, j) % mod for j in range(min(i + 1, t))], width)
+            for i in range(min(_LEAF, len(y)))]
+    y = [c % mod for c in y]
+    blocks = [unpack(sum(map(mul, y[s : s + _LEAF], rows)).to_bytes(t * width, "little"),
+                     width, mod) for s in range(0, len(y), _LEAF)]
+    b, power = _LEAF, [math.comb(_LEAF, j) % mod for j in range(min(_LEAF + 1, n))]
+    while len(blocks) > 1:
+        # the hi blocks, each padded to one stride (no block is longer than
+        # the first), are multiplied by (1+X)^b in one product
+        stride, m = len(blocks[0]) + len(power) - 1, min(2 * b, n)
+        hi = [c for block in blocks[1::2] for c in block + [0] * (stride - len(block))]
+        shifted = _mul(hi, power, mod)
+        blocks = [[(u + w) % mod for u, w in zip_longest(lo, shifted[s : s + m], fillvalue=0)]
+                  for lo, s in zip(blocks[::2], count(0, stride))]
+        b *= 2
+        if len(blocks) > 1:
+            power = _mul(power, power, mod)[:n]
+    return ctx.residues(blocks[0])
 
 
 # -- Weierstrass preparation and invariants ------------------------------------------

@@ -36,7 +36,7 @@ import operator
 
 from .curves import CurveData, Periods, _primes_in, _smallest_prime_factors, a_ell, an_expansion
 from .errors import NonConvergence
-from .lambda_ring import _pack, _unpack
+from .lambda_ring import pack, unpack
 from .modsym import SymbolTable
 
 
@@ -241,15 +241,15 @@ def _nullspace_mod(rows, P: int) -> list:
     n = len(rows[0]) if rows else 0
     size = ((n + 1) * P * P).bit_length() // 8 + 1  # bytes per slot
     width, low = 8 * size, (1 << 8 * size) - 1
-    live = [_pack([v % P for v in row], size) for row in rows]
+    live = [pack([v % P for v in row], size) for row in rows]
     pivots = {}  # column -> its pivot row from that column on, reduced
     for col in range(n):
         i = next((i for i, row in enumerate(live) if (row & low) % P), None)
         if i is not None:
-            entries = _unpack(live.pop(i).to_bytes((n - col) * size, "little"), size, P)
+            entries = unpack(live.pop(i).to_bytes((n - col) * size, "little"), size, P)
             inverse = pow(entries[0], -1, P)
             entries = pivots[col] = [v * inverse % P for v in entries]
-            pivot = _pack(entries, size)
+            pivot = pack(entries, size)
             live = [row + (P - c) * pivot if (c := (row & low) % P) else row for row in live]
         live = [row >> width for row in live]
     out = []

@@ -11,7 +11,7 @@ from __future__ import annotations
 from .analyzer import emit
 from .cli import _INFO, _PIPELINE, FLAGS, REQUIRED, _settings
 from .curves import classify_reduction, ingest_curve, is_odd_prime, periods
-from .lambda_ring import IwasawaContext, _mul, render
+from .lambda_ring import IwasawaContext, render, x_coefficients
 from .modsym import _units
 from .padic import padic_valuation
 
@@ -52,28 +52,6 @@ def _symbols_payload(result, cfg):
     }
 
 
-def taylor_shift(values, mod: int) -> list:
-    """X-coefficients of sum_j values[j] * Y^j, Y = 1 + X, modulo `mod`.
-
-    Divide and conquer over blocks of b = 1, 2, 4, ... coefficients: each
-    pair of blocks (lo, hi) becomes lo + (1+X)^b * hi, and all the hi blocks
-    of one round, spaced 2b apart, are multiplied by (1+X)^b in one product.
-    """
-    size = 1 << max(len(values) - 1, 0).bit_length()
-    v = [c % mod for c in values] + [0] * (size - len(values))
-    power, b = [1, 1], 1  # (1+X)^b
-    while b < size:
-        hi = []
-        for s in range(0, size, 2 * b):
-            hi += v[s + b : s + 2 * b] + [0] * b
-            v[s + b : s + 2 * b] = [0] * b
-        v = [(x + y) % mod for x, y in zip(v, _mul(hi, power, mod))]
-        b *= 2
-        if b < size:
-            power = _mul(power, power, mod)
-    return v[: len(values)]
-
-
 def _theta_payload(result, cfg):
     """Each theta, a Y-vector, is printed in X mod p^M, divided by the unit
     part of the plus denominator that build_theta leaves in it."""
@@ -83,9 +61,9 @@ def _theta_payload(result, cfg):
         "curve": result.curve.label,
         "p": cfg.p,
         "thetas": {
-            str(n): {"body": render(taylor_shift([c * inverse for c in theta], ctx.modulus), ctx),
-                     "value_at_zero_vanishes": not sum(theta)}
-            for n, theta in result.thetas.items()
+            str(n): {"body": render(x_coefficients([c * inverse for c in th], len(th), ctx), ctx),
+                     "value_at_zero_vanishes": not sum(th)}
+            for n, th in result.thetas.items()
         },
     }
 

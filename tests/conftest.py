@@ -3,7 +3,7 @@ import os
 import tempfile
 import time
 from fractions import Fraction
-from itertools import zip_longest
+from itertools import accumulate, zip_longest
 
 import mpmath
 import numpy as np
@@ -13,7 +13,6 @@ from signedlp.curves import Periods, a_ell, an_expansion, ingest_curve
 from signedlp.errors import NonConvergence
 from signedlp.lambda_ring import _mul
 from signedlp.modsym import SymbolTableBuilder, export_table, import_table
-from signedlp.subcommands import taylor_shift
 from signedlp.theta import build_theta
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -158,9 +157,22 @@ def stripped(y):
     return y
 
 
+def x_by_division(y, n, ctx):
+    """The first n X-coefficients of the Y-vector y, a residue list in ctx,
+    by n successive divisions by Y - 1: each remainder is the sum of the
+    coefficients and each quotient holds their suffix sums, so every
+    X-coefficient costs one pass over y."""
+    mod, out = ctx.modulus, []
+    while y and len(out) < n:
+        out.append(sum(y) % mod)
+        y = [c % mod for c in accumulate(y[:0:-1])][::-1]
+    return ctx.residues(out)
+
+
 def x_element(y, ctx):
-    """The Y-vector y in X, a residue list in ctx: its full Taylor shift."""
-    return ctx.residues(taylor_shift(y, ctx.modulus))
+    """The Y-vector y in X, a residue list in ctx: every X-coefficient, by
+    the division reference."""
+    return x_by_division(y, len(y), ctx)
 
 
 def combination(ctx, *terms):

@@ -1,12 +1,15 @@
 """Differential tests of the Lambda kernel against schoolbook references.
 
 The package multiplies by Kronecker substitution, divides by monic long
-division whose quotient a product re-verifies, and folds Weierstrass
-remainders term by term.  The references below are the quadratic
-algorithms: the schoolbook product, monic long division written one
-leading coefficient at a time, and the Weierstrass loop.
+division whose quotient a product re-verifies, changes basis from Y to X
+by a blocked Taylor shift, and folds Weierstrass remainders term by term.
+The references below are the quadratic algorithms: the schoolbook
+product, monic long division written one leading coefficient at a time,
+one division by Y - 1 per X-coefficient, Phi_n by exact binomials, and
+the Weierstrass loop.
 """
 
+import math
 import random
 
 import pytest
@@ -16,14 +19,15 @@ from signedlp.errors import PrecisionExhausted
 from signedlp.lambda_ring import (
     IwasawaContext,
     _mul,
-    _pack,
-    _unpack,
     divrem,
+    pack,
+    unpack,
     weierstrass,
+    x_coefficients,
 )
 from signedlp.padic import padic_valuation
 
-from conftest import x_product
+from conftest import x_by_division, x_product
 
 PRIMES = (3, 5, 19)
 PRECISIONS = (1, 8, 30)
@@ -134,11 +138,11 @@ def test_wide_slots_read_as_words_match_per_slot_bytes(width):
     for n in (1, 2, 7, 300):
         values = [rng.randrange(256 ** width) for _ in range(n)]
         values[0] = 256**width - 1
-        raw = _pack(values, width).to_bytes(n * width, "little")
+        raw = pack(values, width).to_bytes(n * width, "little")
         reference = [int.from_bytes(raw[i : i + width], "little") % mod
                      for i in range(0, len(raw), width)]
         assert reference == [v % mod for v in values]
-        assert _unpack(raw, width, mod) == reference, (width, n)
+        assert unpack(raw, width, mod) == reference, (width, n)
 
 
 def test_element_product_matches_reference_in_both_contexts():
@@ -214,6 +218,45 @@ def test_wrong_product_is_caught_by_the_certificate(monkeypatch):
     monkeypatch.setattr(lambda_ring, "_mul", wrong_mul)
     with pytest.raises(PrecisionExhausted):
         divrem(F, P, ctx)
+
+
+# -- change of basis -------------------------------------------------------------
+
+
+def phi_by_binomials(p, n):
+    """The exact X-coefficients of Phi_n = sum_{k<p} (1+X)^(k p^(n-1)),
+    n >= 1, expanded with binomials."""
+    coeffs = [0] * (p ** (n - 1) * (p - 1) + 1)
+    for k in range(p):
+        for j in range(k * p ** (n - 1) + 1):
+            coeffs[j] += math.comb(k * p ** (n - 1), j)
+    return coeffs
+
+
+def test_x_coefficients_matches_division_reference():
+    # lengths around the leaf size of 64 (one leaf, a short last leaf, a
+    # lone last block in a pairing round) and random ones up to 3000; n
+    # from 0 past the length; signed entries; at p = 43 the slots of the
+    # leaves and rounds are wider than 8 bytes from M = 8 on
+    rng = random.Random(87)
+    for p in (3, 5, 17, 43):
+        for M in (1, 2, 8, 30):
+            ctx = IwasawaContext(p, M)
+            for length in (0, 1, 63, 64, 65, 127, 128, 129, rng.randint(130, 3000)):
+                y = [rng.randint(-10**9, 10**9) for _ in range(length)]
+                full = x_by_division(y, length, ctx)
+                for n in (0, 1, length, length + 5, rng.randint(0, length)):
+                    expected = reference_residues(ctx, full[:n])
+                    assert x_coefficients(y, n, ctx) == expected, (p, M, length, n)
+
+
+def test_phi_matches_exact_binomial_expansion():
+    for p, levels in ((3, 3), (5, 3), (7, 3), (43, 2)):
+        for n in range(1, levels + 1):
+            coeffs = phi_by_binomials(p, n)
+            for M in (1, 8, 30):
+                ctx = IwasawaContext(p, M)
+                assert ctx.phi(n) == ctx.residues(coeffs), (p, M, n)
 
 
 # -- Weierstrass -----------------------------------------------------------------

@@ -240,6 +240,37 @@ def test_retired_ring_element_class_is_named_nowhere():
     assert not found, f"files naming the retired class: {found}"
 
 
+def test_private_kernel_names_stay_in_lambda_ring():
+    # the multiply, the division and the change of basis are lambda_ring's
+    # own: no other module names a private module-level name defined there
+    # (_mul, _divmod_monic, ...); pack and unpack are public, shared with
+    # manin's row reduction
+    trees = _package_trees()
+    defined = set()
+    for node in trees["lambda_ring.py"].body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            defined.add(node.name)
+        elif isinstance(node, ast.Assign):
+            defined.update(target.id for target in node.targets if isinstance(target, ast.Name))
+    private = {name for name in defined if name.startswith("_")}
+    assert {"_mul", "_divmod_monic"} <= private, private
+    found = []
+    for name, tree in trees.items():
+        if name == "lambda_ring.py":
+            continue
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom):
+                used = [alias.name for alias in node.names]
+            elif isinstance(node, ast.Name):
+                used = [node.id]
+            elif isinstance(node, ast.Attribute):
+                used = [node.attr]
+            else:
+                continue
+            found += [f"{name}:{node.lineno}:{u}" for u in used if u in private]
+    assert not found, f"lambda_ring's private names used elsewhere: {found}"
+
+
 def test_y_side_modules_never_read_the_modulus():
     # theta elements and every quotient of them are exact over Z: p^M enters
     # where lambda_ring.x_coefficients reduces a Y-vector into X, so the

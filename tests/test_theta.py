@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from signedlp.errors import IncompleteTable, InconsistentTable, NotIntegral
-from signedlp.lambda_ring import IwasawaContext, weierstrass
+from signedlp.lambda_ring import IwasawaContext, weierstrass, x_coefficients
 from signedlp.padic import padic_valuation
 from signedlp.theta import (
     build_theta,
@@ -127,11 +127,13 @@ def _reference_theta(table, n, M):
 
 
 def _theta_in_both_bases(table, n, M):
-    """build_theta's Y-coefficients and their Taylor shift to X mod p^M,
+    """build_theta's Y-coefficients and all their X-coefficients mod p^M
+    read by the package's x_coefficients, as the theta payload reads them,
     divided there by the unit part u of the plus denominator."""
     th, den = build_theta(table, n), table.denominators[0]
     inverse = pow(den // table.p ** padic_valuation(den, table.p), -1, table.p**M)
-    return th, tuple(x_element([c * inverse for c in th], IwasawaContext(table.p, M)))
+    x = x_coefficients([c * inverse for c in th], len(th), IwasawaContext(table.p, M))
+    return th, tuple(x)
 
 
 def _random_table(rng, p, K):
@@ -166,10 +168,10 @@ def test_build_theta_matches_rational_reference_on_random_tables():
                 assert got == _reference_theta(table, n, M), (p, K, n)
 
 
-def test_taylor_shift_matches_rational_reference_at_levels_4_and_5():
-    # d = 81 and 243: several rounds of the divide-and-conquer shift, and a
-    # top block that is partly padding.  One table and three (n, M) pairs,
-    # since the Fraction reference is quadratic in p^n
+def test_x_coefficients_matches_rational_reference_at_levels_4_and_5():
+    # d = 81 and 243: two and four leaves of x_coefficients, the last one
+    # short, and one and two pairing rounds.  One table and three (n, M)
+    # pairs, since the Fraction reference is quadratic in p^n
     table = _random_table(random.Random(2104), 3, 6)
     for n, M in ((4, 1), (4, 30), (5, 8)):
         got = _theta_in_both_bases(table, n, M)
