@@ -93,12 +93,6 @@ class Verdict(namedtuple("Verdict", "checks delta_e", defaults=((), None))):
     def all_pass(self) -> bool:
         return all(c.status == "PASS" for c in self.checks)
 
-    def status_of(self, name: str) -> str:
-        for c in self.checks:
-            if c.name == name:
-                return c.status
-        raise KeyError(name)
-
 
 def compare_predictions(gcd: GcdReport, e: tuple, fine_char: FactoredIdeal) -> Verdict:
     """Audit the gcd against the predictions of the rank sequence e.

@@ -451,17 +451,10 @@ def gcd_lambda(wf: InvariantReport, wg: InvariantReport) -> GcdReport:
     # lesser context)
     ctx = min(wf.context, wg.context)
     A, B = ctx.residues(wf.distinguished_part), ctx.residues(wg.distinguished_part)
-    x_exp = 0
-    phi_exps: dict = {}
-    while len(A) > 1 and len(B) > 1:
-        quotients = _common_quotients(A, B, [0, 1], ctx)
-        if quotients is None:
-            break
-        A, B = quotients
-        x_exp += 1
+    exps: dict = {}
     p = ctx.prime
-    for n in count(1):
-        if p ** (n - 1) * (p - 1) >= min(len(A), len(B)):
+    for n in count(0):  # Phi_0 = X first
+        if (p ** (n - 1) * (p - 1) if n else 1) >= min(len(A), len(B)):
             break  # deg Phi_n grows with n: no later Phi_n divides both
         phin = ctx.phi(n)
         while len(A) >= len(phin) and len(B) >= len(phin):
@@ -469,8 +462,9 @@ def gcd_lambda(wf: InvariantReport, wg: InvariantReport) -> GcdReport:
             if quotients is None:
                 break
             A, B = quotients
-            phi_exps[n] = phi_exps.get(n, 0) + 1
-    return GcdReport(gcd_mu(wf, wg), x_exp, phi_exps, _euclid_residual(A, B, ctx))
+            exps[n] = exps.get(n, 0) + 1
+    x_exp = exps.pop(0, 0)
+    return GcdReport(gcd_mu(wf, wg), x_exp, exps, _euclid_residual(A, B, ctx))
 
 
 def _common_quotients(A, B, P, ctx: IwasawaContext):

@@ -398,39 +398,21 @@ def _cycle_period(curve: CurveData, a: int, c: int, d: int) -> complex:
     return complex(math.fsum(z.real for z in terms), math.fsum(z.imag for z in terms))
 
 
-def _limit_denominator(n: int, d: int, bound: int) -> tuple:
-    """The closest rational to n/d (d > 0, in lowest terms) with denominator
-    at most bound, as a reduced (num, den): the rule of the standard
-    library's limit_denominator.  The answer is the closer of the best lower
-    and upper approximations, the last convergent p1/q1 of n/d within the
-    bound and the semiconvergent (p0 + k p1)/(q0 + k q1) with the largest k
-    that keeps the bound; a tie goes to the convergent."""
-    if d <= bound:
-        return n, d
-    p0, q0, p1, q1 = 0, 1, 1, 0
-    num, den = n, d
-    while True:
-        a = num // den
-        q2 = q0 + a * q1
-        if q2 > bound:
-            break
-        p0, q0, p1, q1 = p1, q1, p0 + a * p1, q2
-        num, den = den, num - a * den
-    k = (bound - q0) // q1
-    p2, q2 = p0 + k * p1, q0 + k * q1
-    # |p1/q1 - n/d| <= |p2/q2 - n/d|, over the common denominator d q1 q2
-    if abs(p1 * d - n * q1) * q2 <= abs(p2 * d - n * q2) * q1:
-        return p1, q1
-    return p2, q2
-
-
 def _recognize(x: float) -> tuple:
-    """The rational of denominator at most 10^4 closest to x, as a reduced
-    (num, den); NonConvergence unless it lies within 1e-9 of x."""
-    n, d = _limit_denominator(*x.as_integer_ratio(), 10**4)
-    if abs(x - n / d) > 1e-9:
+    """The last convergent of x with denominator at most 10^4, as a reduced
+    (num, den); NonConvergence unless it lies within 1e-9 of x.  It is the
+    closest such rational whenever one lies that close: by Legendre's
+    theorem a rational n/d with d <= 10^4 and |x - n/d| < 1/(2 d^2) is a
+    convergent, later convergents lie closer to x, and two rationals of
+    denominator at most 10^4 lie at least 1e-8 apart."""
+    num, den = x.as_integer_ratio()
+    p0, q0, p1, q1 = 0, 1, 1, 0
+    while den and q0 + (a := num // den) * q1 <= 10**4:
+        p0, q0, p1, q1 = p1, q1, p0 + a * p1, q0 + a * q1
+        num, den = den, num - a * den
+    if abs(x - p1 / q1) > 1e-9:
         raise NonConvergence(f"cycle period {x!r} is no rational of denominator <= 10^4")
-    return n, d
+    return p1, q1
 
 
 def _ratio_str(n: int, d: int) -> str:

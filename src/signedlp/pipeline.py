@@ -4,11 +4,14 @@ Stage order: ingest -> classify -> symbols (compute or import) -> Hecke
 validation -> theta elements -> compatibility -> signed extraction (method
 chosen by the reduction type) -> invariant-fit cross-check -> gcd ->
 prediction comparison; a run may stop after Hecke validation or after
-compatibility.  Every stage deposits its certification data into the run
-record, which is embedded in the report so identical configs reproduce
-byte-identical output.  A check raises where it fails (validate_hecke,
-check_compat, fit_matches_pair), so the record holds no pass flags, and
-run_pipeline tags the exception with the stage it stopped at.
+compatibility.  The run record, embedded in the report so identical
+configs reproduce byte-identical output, holds the config and, per stage,
+only the data that can vary between printed runs: the reduction type, the
+table's provenance and certification, theta's vanishing at zero, the
+signed components and the gcd's detail.  A check raises where it fails
+(validate_hecke, check_compat, fit_matches_pair), so the record holds no
+pass flags, and run_pipeline tags the exception with the stage it stopped
+at.
 """
 
 from __future__ import annotations
@@ -197,16 +200,12 @@ def run_pipeline(cfg: RunConfig, last_stage: str | None = None) -> PipelineResul
 
         stage = "symbols"
         table = load_or_build_table(cfg, curve)
-        record["stages"]["symbols"] = {
-            "provenance": table.provenance,
-            "levels": cfg.n_max + 1,
-        }
+        record["stages"]["symbols"] = {"provenance": table.provenance}
         if table.meta:
             record["stages"]["symbols"]["certification"] = table.meta
 
         stage = "validate_hecke"
         validate_hecke(table, cfg.p, cfg.n_max, red.a_p)
-        record["stages"]["validate_hecke"] = {"levels": list(range(1, cfg.n_max + 1))}
         if last_stage == "validate_hecke":
             return PipelineResult(record, curve, table)
 
@@ -221,14 +220,12 @@ def run_pipeline(cfg: RunConfig, last_stage: str | None = None) -> PipelineResul
                 "that is L(E,1) != 0, which forces rank 0"
             )
         record["stages"]["theta"] = {
-            "levels": sorted(thetas),
-            "value_at_zero_vanishes": [not sum(thetas[n]) for n in sorted(thetas)],
+            "value_at_zero_vanishes": [not sum(theta) for theta in thetas.values()],
         }
 
         stage = "compat"
         for n in range(2, cfg.n_max + 1):
             check_compat(thetas, n, red.a_p, ctx)
-        record["stages"]["compat"] = {"levels": list(range(2, cfg.n_max + 1))}
         if last_stage == "compat":
             return PipelineResult(record, curve, table, thetas)
 
@@ -244,9 +241,6 @@ def run_pipeline(cfg: RunConfig, last_stage: str | None = None) -> PipelineResul
             pair = extract_sharp_flat(thetas, red.a_p, ctx)
         fit_matches_pair(invariant_fit(thetas, ctx), pair)
         record["stages"]["extract"] = {
-            "method": pair.method,
-            "labels": list(pair.labels),
-            "stabilized": pair.stabilized,
             "components": [
                 {
                     "label": c.label,
@@ -262,25 +256,15 @@ def run_pipeline(cfg: RunConfig, last_stage: str | None = None) -> PipelineResul
 
         stage = "gcd"
         gcd = gcd_signed_pair(pair)
-        record["stages"]["gcd"] = {
-            "gcd": gcd.as_string(),
-            "certified": gcd.certified,
-            "detail": gcd.detail,
-        }
+        record["stages"]["gcd"] = {"detail": gcd.detail}
 
         verdict = Verdict()
         if cfg.fine_ideal is not None:
             stage = "compare"
             verdict = compare_predictions(gcd, curve.e_sequence, cfg.fine_ideal)
-            theorem = theorem_consistency(gcd, cfg.fine_ideal)
-            record["stages"]["compare"] = {
-                "delta_E": verdict.delta_e,
-                "KP": verdict.status_of("KP"),
-                "Gr": verdict.status_of("Gr"),
-                "theorem": "PASS" if theorem.all_pass else "FAIL",
-            }
             verdict = verdict._replace(checks=verdict.checks + tuple(
-                c._replace(name=f"thm:{c.name}") for c in theorem.checks))
+                c._replace(name=f"thm:{c.name}")
+                for c in theorem_consistency(gcd, cfg.fine_ideal).checks))
         return PipelineResult(record, curve, table, thetas, pair, gcd, verdict)
     except SignedLPError as exc:
         exc.stage = stage

@@ -17,7 +17,8 @@ from .modsym import SymbolTable, _level, _units
 
 def export_table(table: SymbolTable, path) -> None:
     """One row k, a, plus numerator, denominator, minus numerator, denominator
-    per symbol, by level and residue, each fraction in lowest terms."""
+    per symbol, by level and residue, each fraction in lowest terms.  The
+    table holds every level (a built or cached one does)."""
     import csv  # only CSV I/O needs it
 
     gcd = math.gcd
@@ -26,10 +27,7 @@ def export_table(table: SymbolTable, path) -> None:
         with open(path, "w", newline="", encoding="utf-8") as fh:
             writer = csv.writer(fh)
             writer.writerow([table.curve_label, table.p])
-            for k, level in enumerate(table.levels):
-                if level is None:
-                    continue
-                plus, minus = level
+            for k, (plus, minus) in enumerate(table.levels):
                 for a in _units(table.p, k):
                     g, h = gcd(plus[a], dp), gcd(minus[a], dm)
                     writer.writerow((k, a, plus[a] // g, dp // g, minus[a] // h, dm // h))

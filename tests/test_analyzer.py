@@ -139,21 +139,20 @@ def test_report_factors_each_component_once(monkeypatch):
 def test_compare_predictions_rank_one_configuration():
     gcd = GcdReport(0, 1, {}, "1", True)
     v = compare_predictions(gcd, (1,), parse_factored_ideal("1"))
-    assert v.status_of("KP") == "PASS"
-    assert v.status_of("Gr") == "PASS"
-    assert v.status_of("X-shift") == "PASS" and v.delta_e == 1
+    status = {c.name: c.status for c in v.checks}
+    assert status["KP"] == status["Gr"] == status["X-shift"] == "PASS" and v.delta_e == 1
 
 
 def test_compare_predictions_failure_modes():
     too_big = GcdReport(0, 2, {}, "1", True)
     v = compare_predictions(too_big, (1,), parse_factored_ideal("1"))
-    assert v.status_of("KP") == "FAIL"
+    assert {c.name: c.status for c in v.checks}["KP"] == "FAIL"
     gcd = GcdReport(0, 1, {}, "1", True)
     v = compare_predictions(gcd, (1,), parse_factored_ideal("X"))
-    assert v.status_of("X-shift") == "PASS" and v.delta_e == 0
+    assert {c.name: c.status for c in v.checks}["X-shift"] == "PASS" and v.delta_e == 0
     uncertified = GcdReport(None, 1, {}, "1", False)
     v = compare_predictions(uncertified, (1,), parse_factored_ideal("1"))
-    assert v.status_of("KP") == "INCONCLUSIVE"
+    assert {c.name: c.status for c in v.checks}["KP"] == "INCONCLUSIVE"
 
 
 def test_delta_recording_on_generated_rank_sequences():
@@ -166,8 +165,8 @@ def test_delta_recording_on_generated_rank_sequences():
         kp = kp_ideal(e)
         gcd = GcdReport(0, kp.x_exp, kp.phi_dict, "1", True)
         v = compare_predictions(gcd, e, gr_ideal(e))
-        assert v.status_of("KP") == "PASS"
-        assert v.status_of("Gr") == "PASS"
+        status = {c.name: c.status for c in v.checks}
+        assert status["KP"] == status["Gr"] == "PASS"
         expected_delta = 1 if e[0] >= 1 else 0
         assert v.delta_e == expected_delta
 

@@ -198,7 +198,7 @@ def test_gcd_detects_phi_factors_and_divides_both():
 
 def test_gcd_builds_no_phi_above_the_smaller_degree(monkeypatch):
     # once X and Phi_1 are divided out the smaller operand has degree 0, and
-    # no Phi_n (degree >= 2) can divide it: only Phi_1 is built
+    # no Phi_n (degree >= 2) can divide it: only Phi_0 = X and Phi_1 are built
     c = ctx3()
     F = x_product(c, c.phi(1), x_power(1), [3, 0, 1])
     G = x_product(c, c.phi(1), x_power(1))
@@ -207,7 +207,7 @@ def test_gcd_builds_no_phi_above_the_smaller_degree(monkeypatch):
     monkeypatch.setattr(IwasawaContext, "phi", lambda self, n: built.append(n) or phi(self, n))
     g = gcd_of(F, G, c)
     assert (g.x_exp, g.phi_exps, g.residual) == (1, {1: 1}, "1")
-    assert built == [1]
+    assert built == [0, 1]
 
 
 def _reference_euclid_residual(A, B, ctx, passes):
