@@ -159,8 +159,9 @@ def theorem_consistency(gcd: GcdReport, fine_char: FactoredIdeal) -> Verdict:
 # -- emission ----------------------------------------------------------------------
 
 
-def report_payload(curve_label, p, gcd: GcdReport, verdicts: Verdict, header=None):
-    payload = {
+def report_payload(curve_label, p, gcd: GcdReport, verdicts: Verdict, record: dict):
+    """The report: the gcd, the checks and the run record (pipeline.run_pipeline)."""
+    return {
         "curve": curve_label,
         "p": p,
         "gcd": {
@@ -176,10 +177,8 @@ def report_payload(curve_label, p, gcd: GcdReport, verdicts: Verdict, header=Non
             {"name": c.name, "status": c.status, "detail": c.detail}
             for c in verdicts.checks
         ],
+        "run": record,
     }
-    if header:
-        payload["run"] = header
-    return payload
 
 
 def emit(payload, fmt: str, path=None) -> None:

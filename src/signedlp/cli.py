@@ -4,18 +4,17 @@ Subcommands mirror the pipeline stages: curve-info, symbols, theta, signed,
 gcd, verify, report.  Each of the last six is one run_pipeline call, stopped
 after the stage it shows, and one payload written by analyzer.emit.  Exit
 codes: 0 success, 1 computational failure (precision, stabilization,
-validation, an unwritable --out), 2 usage errors.
+validation, an unwritable --out or --export file), 2 usage errors.
 
 FLAGS declares every flag once; both readers of a command line are built
 from it.  main() reads a command line directly when it is a subcommand
-followed only by that subcommand's own flags, each spelled `--flag value`
-(a switch alone), every value valid as given and every required flag
-present.  Every other command line (--help, an abbreviated flag,
---flag=value, a value starting with '-', a usage error) goes to the
-argparse parser, and so does a usage error found later (--import without
---table, a value RunConfig refuses).  Only the parser imports argparse,
-and with it gettext and locale; help, usage lines, error messages and exit
-codes are argparse's.
+followed only by that subcommand's own flags, each spelled `--flag value`,
+every value valid as given and every required flag present.  Every other
+command line (--help, an abbreviated flag, --flag=value, a value starting
+with '-', a usage error) goes to the argparse parser, and so does a usage
+error found later (a value RunConfig refuses, --import with --export).
+Only the parser imports argparse, and with it gettext and locale; help,
+usage lines, error messages and exit codes are argparse's.
 
 A process compiles every module it imports when no bytecode is cached, so
 this module holds only what a report or verify run executes.  curve-info,
@@ -37,19 +36,14 @@ from .pipeline import RunConfig, run_pipeline
 
 def _config(args) -> RunConfig:
     """The run's RunConfig; a flag value it refuses is a usage error."""
-    mode = "import" if args.table_import else ("export" if args.table_export else "")
-    if mode and not args.table:
-        args.usage_error("--import/--export need --table FILE")
-    if args.table and not mode:
-        args.usage_error("--table FILE needs --import or --export")
     try:
         return RunConfig(
             curve_file=args.curve,
             p=args.p,
             n_max=args.level,
             precision=args.prec,
-            table_path=args.table,
-            table_mode=mode,
+            import_path=args.import_path,
+            export_path=args.export_path,
             fine_char=getattr(args, "fine_char", None),
         )
     except ValueError as exc:
@@ -64,8 +58,7 @@ def cmd_curve_info(args) -> int:
 
 
 def _report_payload(result, cfg):
-    return report_payload(result.curve.label, cfg.p, result.gcd, result.verdict,
-                          header=result.record)
+    return report_payload(result.curve.label, cfg.p, result.gcd, result.verdict, result.record)
 
 
 # subcommand -> the stage its run stops after, None for all
@@ -93,8 +86,7 @@ _PIPELINE = tuple(PIPELINE_COMMANDS)
 _CHECKED = ("verify", "report")  # the report payload: checks, and a CSV form
 
 # (flag, dest, type, default, help, subcommands), in the order --help lists
-# them.  type is int, str, a tuple of the choices, or bool for a switch; the
-# two switches, --import and --export, exclude each other.
+# them.  type is int, str or a tuple of the choices; every flag takes a value.
 FLAGS = (
     ("--curve", "curve", str, REQUIRED, None, _INFO),
     ("--curve", "curve", str, REQUIRED, "curve JSON file", _PIPELINE),
@@ -106,11 +98,10 @@ FLAGS = (
     ("--digits", "digits", int, 30, "accepted and ignored: periods are float64", _INFO),
     ("--digits", "digits", int, 30, "accepted and ignored: symbol tables are exact",
      _PIPELINE),
-    ("--table", "table", str, None, "symbol table CSV path", _PIPELINE),
-    ("--import", "table_import", bool, False,
-     "read the symbol table from --table instead of computing", _PIPELINE),
-    ("--export", "table_export", bool, False,
-     "write the computed symbol table to --table", _PIPELINE),
+    ("--import", "import_path", str, None,
+     "read the symbol table from this CSV file instead of computing it", _PIPELINE),
+    ("--export", "export_path", str, None, "write the symbol table to this CSV file",
+     _PIPELINE),
     ("--out", "out", str, None, None, _INFO),
     ("--out", "out", str, None, "output file (default: stdout)", _PIPELINE),
     ("--format", "format", ("json", "csv"), "json", None, _CHECKED),
@@ -143,10 +134,10 @@ def build_parser():
 def _read_directly(argv):
     """The namespace argparse's parser returns for argv, read from FLAGS;
     None unless argv is a subcommand followed only by its own flags, each
-    spelled `--flag value` (a switch alone) with a value that does not start
-    with '-' and that the flag's type takes, every required flag given and
-    not both switches.  Its usage_error hands argv to argparse, to print the
-    subcommand's usage line."""
+    spelled `--flag value` with a value that does not start with '-' and
+    that the flag's type takes, and every required flag given.  Its
+    usage_error hands argv to argparse, to print the subcommand's usage
+    line."""
     if not argv or argv[0] not in _INFO + _PIPELINE:
         return None
     command, tokens = argv[0], iter(argv[1:])
@@ -156,9 +147,6 @@ def _read_directly(argv):
         if token not in flags:
             return None
         _, dest, kind, _, _, _ = flags[token]
-        if kind is bool:
-            values[dest] = True
-            continue
         value = next(tokens, None)
         if value is None or value.startswith("-"):
             return None
@@ -170,8 +158,7 @@ def _read_directly(argv):
         elif kind is not str and value not in kind:
             return None
         values[dest] = value
-    if REQUIRED in values.values() or (values.get("table_import")
-                                        and values.get("table_export")):
+    if REQUIRED in values.values():
         return None
     # a flag's value overrides its subcommand's setting, as in argparse
     return types.SimpleNamespace(

@@ -197,10 +197,9 @@ def extract_sharp_flat(thetas, a_p: int, ctx) -> SignedPair:
 # -- invariant fit -----------------------------------------------------------------
 
 
-class FitResult(namedtuple("FitResult", "mu_star lambda_star levels stabilized detail",
-                           defaults=("",))):
+class FitResult(namedtuple("FitResult", "mu_star lambda_star")):
     """mu_star and lambda_star are INCONCLUSIVE (None) without a conclusive
-    level; stabilized means at least two consistent levels."""
+    level."""
 
     __slots__ = ()
 
@@ -216,29 +215,19 @@ def invariant_fit(thetas, ctx) -> dict:
     """
     out, p = {}, ctx.prime
     for parity, name in ((1, "odd"), (0, "even")):
-        levels = sorted(n for n in thetas if n % 2 == parity)
-        points = []
-        for n in levels:
+        mus, lams = set(), set()
+        for n in sorted(n for n in thetas if n % 2 == parity):
             mu, lam = mu_lambda_y(thetas[n], p)
-            if mu is INCONCLUSIVE:
-                continue
-            points.append((n, mu, lam - _accumulated_degree(p, n)))
-        if not points:
-            out[name] = FitResult(INCONCLUSIVE, INCONCLUSIVE, tuple(levels), False,
-                                  "no conclusive levels")
-            continue
-        mus = {m for _, m, _ in points}
-        lams = {l for _, _, l in points}
+            if mu is not INCONCLUSIVE:
+                mus.add(mu)
+                lams.add(lam - _accumulated_degree(p, n))
         if len(mus) > 1 or len(lams) > 1:
             raise NotStabilized(
                 f"{name} class drifts: mu* candidates {sorted(mus)}, "
                 f"lambda* candidates {sorted(lams)}"
             )
-        out[name] = FitResult(
-            mus.pop(), lams.pop(),
-            tuple(n for n, _, _ in points),
-            stabilized=len(points) >= 2,
-        )
+        # each set now holds one value, or none without a conclusive level
+        out[name] = FitResult(min(mus, default=INCONCLUSIVE), min(lams, default=INCONCLUSIVE))
     return out
 
 

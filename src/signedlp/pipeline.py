@@ -50,19 +50,21 @@ from .theta import build_theta, check_compat
 CACHE_ENV = "SIGNEDLP_CACHE_DIR"
 
 
-class RunConfig(namedtuple("RunConfig", "curve_file p n_max precision table_path "
-                           "table_mode fine_char fine_ideal")):
+class RunConfig(namedtuple("RunConfig", "curve_file p n_max precision import_path "
+                           "export_path fine_char fine_ideal")):
     """One run's inputs, checked on construction: p an odd prime, p-adic
     precision M >= 2, the top level n_max (default 2 for p <= 5, else 1)
-    nonnegative, and the fine characteristic spec, if given, a factored
-    ideal; table_mode is "import", "export" or "", and fine_ideal holds
+    nonnegative, at most one of the CSV paths import_path and export_path
+    (export_table needs every level, and an imported table has not yet
+    passed validate_hecke when the export would run), and the fine
+    characteristic spec, if given, a factored ideal; fine_ideal holds
     fine_char parsed."""
 
     __slots__ = ()
 
     def __new__(cls, curve_file: str, p: int, n_max: int | None = None,
-                precision: int = 8, table_path: str | None = None,
-                table_mode: str = "", fine_char: str | None = None):
+                precision: int = 8, import_path: str | None = None,
+                export_path: str | None = None, fine_char: str | None = None):
         if not is_odd_prime(p):
             raise ValueError("p must be an odd prime")
         if precision < 2:
@@ -71,8 +73,10 @@ class RunConfig(namedtuple("RunConfig", "curve_file p n_max precision table_path
             n_max = 2 if p <= 5 else 1
         if n_max < 0:
             raise ValueError("level must be nonnegative")
+        if import_path is not None and export_path is not None:
+            raise ValueError("--import and --export exclude each other")
         fine_ideal = None if fine_char is None else parse_factored_ideal(fine_char)
-        return super().__new__(cls, curve_file, p, n_max, precision, table_path, table_mode,
+        return super().__new__(cls, curve_file, p, n_max, precision, import_path, export_path,
                                fine_char, fine_ideal)
 
 
@@ -147,9 +151,9 @@ def _read_cached(path: str, curve: CurveData, p: int, K: int) -> SymbolTable | N
 
 def load_or_build_table(cfg: RunConfig, curve: CurveData) -> SymbolTable:
     K = cfg.n_max + 1
-    if cfg.table_path and cfg.table_mode == "import":
+    if cfg.import_path is not None:
         # validate_hecke refuses a table without every level 0..K
-        return import_table(cfg.table_path, expect_curve=curve.label, expect_p=cfg.p)
+        return import_table(cfg.import_path, expect_curve=curve.label, expect_p=cfg.p)
     cached = cache_path(cfg, curve)
     table = _read_cached(cached, curve, cfg.p, K) if cached else None
     if table is None:
@@ -160,8 +164,8 @@ def load_or_build_table(cfg: RunConfig, curve: CurveData) -> SymbolTable:
             body = json.dumps(entry, sort_keys=True).encode()
             _write_atomically(cached, b"%08x\n" % binascii.crc32(body) + body)
     # a cached table is exported too
-    if cfg.table_path and cfg.table_mode == "export":
-        export_table(table, cfg.table_path)
+    if cfg.export_path is not None:
+        export_table(table, cfg.export_path)
     return table
 
 

@@ -119,13 +119,8 @@ def build_parser():
             sub = subs.add_parser(command, help="curve invariants and periods")
         else:
             sub = subs.add_parser(command)
-        switches = None  # an empty group breaks the usage line
         for flag, dest, kind, default, text, commands in FLAGS:
             if command not in commands:
-                continue
-            if kind is bool:
-                switches = switches or sub.add_mutually_exclusive_group()
-                switches.add_argument(flag, dest=dest, action="store_true", help=text)
                 continue
             required = default is REQUIRED
             sub.add_argument(flag, dest=dest, type=int if kind is int else None,

@@ -11,12 +11,13 @@ an element of Z_p[Gamma_n] = Lambda/omega_n (Mazur-Tate, Duke Math. J. 54,
 that is a plain list of integers (lambda_ring), and a theta sequence is a
 dict from level to that list; every level shares the run's IwasawaContext,
 which the functions that read thetas take beside them.  Only the trivial
-tame character enters, so only plus symbols are used; minus symbols stay in
-the table for symmetry checks.  The c_j are gathered from the plus
-numerator list of level n+1, one row omega^i gamma^j of the grid at a time,
-and divided by the p-part of the plus denominator only: each is the
-rational c_j times the unit part u of that denominator.  Every reading of a
-theta sequence (mu, lambda, distinguished parts, gcd, zero tests) is
+tame character enters, so only plus symbols are used; the minus symbols
+are read by validate_hecke, the CSV table format and the certification of
+a build, and by nothing after validate_hecke.  The c_j are gathered from
+the plus numerator list of level n+1, one row omega^i gamma^j of the grid
+at a time, and divided by the p-part of the plus denominator only: each is
+the rational c_j times the unit part u of that denominator.  Every reading
+of a theta sequence (mu, lambda, distinguished parts, gcd, zero tests) is
 unchanged by the p-adic unit u; only the theta payload prints values, and
 it divides by u there.
 

@@ -227,7 +227,8 @@ def test_audits_of_a_gcd_with_an_unfactored_residual():
 def _rank_one_payload():
     gcd = GcdReport(0, 1, {}, "1", True)
     v = compare_predictions(gcd, (1,), parse_factored_ideal("1"))
-    return report_payload("37a1", 17, gcd, v)
+    record = {"tool": "signedlp", "config": {"p": 17}, "stages": {}}
+    return report_payload("37a1", 17, gcd, v, record)
 
 
 def test_emit_json_to_stdout(capsys):

@@ -1,6 +1,7 @@
 import binascii
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -59,8 +60,9 @@ def _command_lines(command):
     """(argv, well_formed) pairs built from cli.FLAGS for one subcommand, or
     for the top level when command is None.  A well-formed command line is
     the subcommand followed only by its own flags, each spelled `--flag
-    value` (a switch alone) with a value that does not start with '-' and
-    that the flag takes, every required flag given and not both switches."""
+    value` with a value that does not start with '-' and that the flag
+    takes, and every required flag given.  --import with --export is read,
+    and refused later by RunConfig."""
     if command is None:
         return [([], False), (["bogus"], False), (["--help"], False),
                 (["-h", "report"], False), (["--curve", "f.json", "report"], False)]
@@ -69,8 +71,6 @@ def _command_lines(command):
 
     def spell(row, value=None):
         flag, _, kind, _, _, _ = row
-        if kind is bool:
-            return [flag]
         if value is None:
             value = kind[-1] if isinstance(kind, tuple) else "7" if kind is int else "f.json"
         return [flag, value]
@@ -85,11 +85,10 @@ def _command_lines(command):
     lines = [(base, True), (base + ["stray"], False), (base + ["--bogus", "x"], False),
              (base + ["--help"], False), (base + ["-h"], False), (base + ["--"], False)]
     lines += [(base + spell(row), False) for row in cli.FLAGS if row[0] not in own]
-    switches = [row for row in rows if row[2] is bool]
-    singles = [row for row in rows if row[2] is not bool] + switches[:1]
-    lines.append(([command, *(t for row in reversed(singles) for t in spell(row))], True))
-    if switches:
-        lines.append((base + [token for row in switches for token in spell(row)], False))
+    lines.append(([command, *(t for row in reversed(rows) for t in spell(row))], True))
+    if "--import" in own:  # each alone is spelled below, with every flag
+        lines += [(base + ["--import", "a.csv", "--export", "b.csv"], True),
+                  (base + ["--table", "a.csv", "--import"], False)]
     for row in rows:
         flag, _, kind, _, _, _ = row
         lines.append((base + spell(row), True))
@@ -98,8 +97,6 @@ def _command_lines(command):
         if row in required:
             rest = [token for other in required if other is not row for token in spell(other)]
             lines.append(([command, *rest], False))
-        if kind is bool:
-            continue
         lines.append((base + [f"{flag}={spell(row)[1]}"], False))
         lines.append((base + [flag], False))
         if isinstance(kind, tuple):
@@ -150,6 +147,23 @@ def test_direct_read_agrees_with_argparse(command, capsys, monkeypatch):
     assert not handed
 
 
+def test_readme_spells_only_declared_flags():
+    # every example command line in README is read directly, so it uses only
+    # its subcommand's flags from FLAGS, and README names every flag of
+    # FLAGS and no other flag of signedlp
+    with open(os.path.join(ROOT, "README.md")) as fh:
+        readme = fh.read()
+    examples = [line.split() for line in readme.splitlines() if line.startswith("signedlp ")]
+    assert {argv[1] for argv in examples} == {"curve-info", *cli.PIPELINE_COMMANDS}
+    for _, command, *flags in examples:
+        own = {row[0] for row in cli.FLAGS if command in row[5]}
+        assert {t for t in flags if t.startswith("--")} <= own, command
+        assert cli._read_directly([command, *flags]) is not None, command
+    # --flag stands for any flag; the other two are argparse's and pip's
+    others = {"--flag", "--help", "--no-build-isolation"}
+    assert set(re.findall(r"--[a-z][a-z-]*", readme)) == {row[0] for row in cli.FLAGS} | others
+
+
 def test_entry_freezes_gc_before_main(monkeypatch):
     # as the process's main program, entry() leaves through os._exit
     calls = []
@@ -191,7 +205,7 @@ _GCD_53A1_P5 = ["gcd", *_REPORT_53A1_P5[1:]]  # a payload that fits the stdout b
 @pytest.mark.parametrize("argv, stdout, code, err", [
     (_REPORT_53A1_P5, "pipe", 0, b""),
     (_REPORT_53A1_P5 + ["--out", "r.json"], "pipe", 0, b""),
-    (_REPORT_53A1_P5 + ["--format", "csv", "--table", "t.csv", "--export"], "pipe", 0, b""),
+    (_REPORT_53A1_P5 + ["--format", "csv", "--export", "t.csv"], "pipe", 0, b""),
     (_REPORT_53A1 + ["--p", "4"], "pipe", 2, b"usage: signedlp"),
     (["report", "--curve", curve_path("37a1"), "--p", "5", "--level", "1"], "pipe", 1,
      b"signedlp: WrongReductionType: "),
@@ -308,10 +322,10 @@ def test_report_loads_only_the_modules_it_needs(case, expected, tmp_path, monkey
             assert main(argv) == 0 and list((tmp_path / "cache").glob("*.json"))
         table = str(tmp_path / "table.csv")
         if case == "import":
-            assert main(argv + ["--table", table, "--export"]) == 0
-            argv += ["--table", table, "--import"]
+            assert main(argv + ["--export", table]) == 0
+            argv += ["--import", table]
         if case == "export":
-            argv += ["--table", table, "--export"]
+            argv += ["--export", table]
         if case == "csv":
             argv += ["--format", "csv"]
         run = f"sys.exit(1) if signedlp.cli.main({argv!r}) else None\n"
@@ -516,13 +530,13 @@ def test_imported_table_matches_computed(tmp_path, capsys):
     table_file = tmp_path / "53a1_p3.csv"
     code, out1, _ = run_cli(
         ["signed", "--curve", curve_path("53a1"), "--p", "3", "--level", "2",
-         "--prec", "8", "--digits", "14", "--table", str(table_file), "--export"],
+         "--prec", "8", "--digits", "14", "--export", str(table_file)],
         capsys,
     )
     assert code == 0 and table_file.exists()
     code, out2, _ = run_cli(
         ["signed", "--curve", curve_path("53a1"), "--p", "3", "--level", "2",
-         "--prec", "8", "--digits", "14", "--table", str(table_file), "--import"],
+         "--prec", "8", "--digits", "14", "--import", str(table_file)],
         capsys,
     )
     assert code == 0
@@ -536,9 +550,31 @@ def test_run_config_validates_inputs():
         RunConfig(curve_file=curve_path("53a1"), p=2)
     with pytest.raises(ValueError):
         RunConfig(curve_file=curve_path("53a1"), p=5, precision=1)
+    with pytest.raises(ValueError, match="^--import and --export exclude each other$"):
+        RunConfig(curve_file=curve_path("53a1"), p=5, import_path="a.csv", export_path="b.csv")
     cfg = RunConfig(curve_file=curve_path("53a1"), p=5)
     assert cfg.n_max == 2
     assert RunConfig(curve_file=curve_path("53a1"), p=11).n_max == 1
+
+
+def test_import_with_export_is_a_usage_error_that_writes_nothing(tmp_path, capsys,
+                                                                  monkeypatch):
+    # export_table needs every level, and an imported table has not passed
+    # validate_hecke when the export would run
+    monkeypatch.chdir(tmp_path)
+    flags = ["--curve", curve_path("53a1"), "--p", "5", "--level", "1"]
+    assert run_cli(["symbols", *flags, "--export", "a.csv"], capsys)[0] == 0
+    monkeypatch.setenv("SIGNEDLP_CACHE_DIR", str(tmp_path / "cache"))
+    for command in ("symbols", "report"):
+        for both in (["--import", "a.csv", "--export", "b.csv"],
+                     ["--export=b.csv", "--import", "a.csv"]):
+            with pytest.raises(SystemExit) as exc:
+                main([command, *flags, *both])
+            out, err = capsys.readouterr()
+            assert (exc.value.code, out) == (2, "")
+            assert err.startswith(f"usage: signedlp {command} ")
+            assert err.endswith(": error: --import and --export exclude each other\n")
+    assert sorted(os.listdir(tmp_path)) == ["a.csv"]
 
 
 def test_gcd_stable_under_p_precision():
@@ -605,7 +641,7 @@ def test_unwritable_export_is_an_io_error_at_symbols(tmp_path, capsys):
     path = tmp_path / "missing" / "t.csv"
     code, out, err = run_cli(
         ["symbols", "--curve", curve_path("53a1"), "--p", "5", "--level", "1",
-         "--table", str(path), "--export"],
+         "--export", str(path)],
         capsys,
     )
     assert (code, out) == (1, "")
@@ -632,8 +668,7 @@ def test_unreadable_import_is_a_parse_error_at_symbols(row, tmp_path, capsys):
     path = tmp_path / "t.csv"
     path.write_bytes(b"53a1,3\n0,0,0,1,0,1\n" + row + b"\n")
     code, out, err = run_cli(
-        ["symbols", "--curve", curve_path("53a1"), "--p", "3", "--table", str(path),
-         "--import"],
+        ["symbols", "--curve", curve_path("53a1"), "--p", "3", "--import", str(path)],
         capsys,
     )
     assert (code, out) == (1, "")
@@ -670,7 +705,7 @@ def corrupted_table(tmp_path_factory):
 def test_invalid_imported_table_fails_at_validate_hecke(command, corrupted_table, capsys):
     code, out, err = run_cli(
         [command, "--curve", curve_path("53a1"), "--p", "3",
-         "--table", corrupted_table, "--import"],
+         "--import", corrupted_table],
         capsys,
     )
     assert (code, out) == (1, "")
@@ -682,7 +717,7 @@ def test_symbols_subcommand(tmp_path, capsys):
     table_file = tmp_path / "t.csv"
     code, out, _ = run_cli(
         ["symbols", "--curve", curve_path("53a1"), "--p", "3", "--level", "2",
-         "--digits", "14", "--table", str(table_file), "--export"],
+         "--digits", "14", "--export", str(table_file)],
         capsys,
     )
     assert code == 0
@@ -760,13 +795,13 @@ def test_cache_round_trip(tmp_path, capsys, monkeypatch):
 def test_export_writes_from_a_filled_cache(tmp_path, capsys, monkeypatch):
     # --export writes whenever it is given: a table read from the cache is
     # exported byte for byte as the one built without a cache
-    argv = ["symbols", "--curve", curve_path("53a1"), "--p", "5", "--level", "2", "--export"]
+    argv = ["symbols", "--curve", curve_path("53a1"), "--p", "5", "--level", "2"]
     exports = {}
     for run in ("cold", "miss", "hit"):
         if run == "miss":
             monkeypatch.setenv("SIGNEDLP_CACHE_DIR", str(tmp_path / "cache"))
         path = tmp_path / f"{run}.csv"
-        assert run_cli(argv + ["--table", str(path)], capsys)[0] == 0
+        assert run_cli(argv + ["--export", str(path)], capsys)[0] == 0
         exports[run] = path.read_bytes()
     assert len(list((tmp_path / "cache").glob("*.json"))) == 1
     assert exports["hit"] == exports["miss"] == exports["cold"]
@@ -901,21 +936,21 @@ def test_unusable_cache_is_an_io_error(make_cache, tmp_path):
 def test_import_missing_a_unit_residue_fails_at_validate_hecke(tmp_path, capsys):
     # a level whose rows miss a unit residue is not held
     table = tmp_path / "table.csv"
-    flags = ["--curve", curve_path("53a1"), "--p", "3", "--level", "1", "--table", str(table)]
-    assert run_cli(["symbols", "--export"] + flags, capsys)[0] == 0
+    flags = ["--curve", curve_path("53a1"), "--p", "3", "--level", "1"]
+    assert run_cli(["symbols", "--export", str(table)] + flags, capsys)[0] == 0
     rows = table.read_text().splitlines()
     assert rows[-1].startswith("2,")
     table.write_text("\n".join(rows[:-1]) + "\n")
-    code, out, err = run_cli(["symbols", "--import"] + flags, capsys)
+    code, out, err = run_cli(["symbols", "--import", str(table)] + flags, capsys)
     assert (code, out) == (1, "")
     assert err == "signedlp: IncompleteTable: table missing level 2 [stage: validate_hecke]\n"
 
 
 def test_too_shallow_import_fails_at_validate_hecke(tmp_path, capsys):
     table = str(tmp_path / "table.csv")
-    flags = ["--curve", curve_path("53a1"), "--p", "3", "--table", table]
-    assert run_cli(["symbols", "--level", "1", "--export"] + flags, capsys)[0] == 0
-    code, out, err = run_cli(["report", "--level", "2", "--import"] + flags, capsys)
+    flags = ["--curve", curve_path("53a1"), "--p", "3"]
+    assert run_cli(["symbols", "--level", "1", "--export", table] + flags, capsys)[0] == 0
+    code, out, err = run_cli(["report", "--level", "2", "--import", table] + flags, capsys)
     assert (code, out) == (1, "")
     assert err.startswith("signedlp: IncompleteTable: table missing level 3")
     assert err.rstrip().endswith("[stage: validate_hecke]")
@@ -974,7 +1009,7 @@ def test_rank_that_contradicts_theta_0_fails_at_theta_stage(tmp_path, capsys):
 def test_missing_import_table_names_symbols_stage(command, tmp_path, capsys):
     code, _, err = run_cli(
         [command, "--curve", curve_path("53a1"), "--p", "3", "--digits", "14",
-         "--table", str(tmp_path / "missing.csv"), "--import"],
+         "--import", str(tmp_path / "missing.csv")],
         capsys,
     )
     assert code == 1

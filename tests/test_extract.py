@@ -57,7 +57,6 @@ def test_synthetic_recovery_exact():
     fits = invariant_fit(thetas, ctx)
     assert fits["odd"].mu_star == 0 and fits["odd"].lambda_star == 1
     assert fits["even"].mu_star == 0 and fits["even"].lambda_star == 1
-    assert fits["odd"].stabilized
     fit_matches_pair(fits, pair)
     for name in ("odd", "even"):
         shifted = {**fits, name: fits[name]._replace(lambda_star=2)}
@@ -161,7 +160,6 @@ def test_53a1_p5_plus_minus(store):
     # levels 1-2 pin the fitted invariants of both parity classes at (0, 1)
     assert (fits["odd"].mu_star, fits["odd"].lambda_star) == (0, 1)
     assert (fits["even"].mu_star, fits["even"].lambda_star) == (0, 1)
-    assert fits["odd"].levels == (1,) and fits["even"].levels == (2,)
     fit_matches_pair(fits, pair)
 
 

@@ -37,7 +37,7 @@ RECORDS = {
     "SignedSeries": (_series, "x_lower_bound"),
     "SignedPair": (lambda: SignedPair(("plus", "minus"), (_series(), _series()),
                                       "parity-factor", True), "stabilized"),
-    "FitResult": (lambda: FitResult(0, 1, (1, 3), True), "lambda_star"),
+    "FitResult": (lambda: FitResult(0, 1), "lambda_star"),
     "FactoredIdeal": (lambda: FactoredIdeal(0, 1, {1: 2, 2: 0}), "x_exp"),
     "Verdict": (lambda: Verdict((Check("KP", "PASS"), Check("Gr", "FAIL", "hypothesis X")), 1),
                 "checks"),
