@@ -20,7 +20,7 @@ import sys
 from collections import namedtuple
 
 from .errors import IoError, PrecisionExhausted
-from .extract import SignedPair, SignedSeries
+from .extract import SignedSeries
 from .lambda_ring import INCONCLUSIVE, GcdReport, gcd_lambda, gcd_mu
 from .modules import FactoredIdeal, gr_ideal, kp_ideal
 
@@ -30,15 +30,14 @@ def gcd_ideal(gcd: GcdReport) -> FactoredIdeal:
     return FactoredIdeal(gcd.mu or 0, gcd.x_exp, gcd.phi_exps)
 
 
-def gcd_signed_pair(pair: SignedPair) -> GcdReport:
-    """gcd of the two series in the form p^mu * h, h factored."""
-    first, second = pair.components
-    conclusive = [c for c in pair.components if c.invariants.conclusive]
+def gcd_signed_pair(pair: tuple) -> GcdReport:
+    """gcd of the two SignedSeries of pair in the form p^mu * h, h factored."""
+    conclusive = [c for c in pair if c.invariants.conclusive]
     if len(conclusive) == 2:
-        return _gcd_two_conclusive(first, second)
+        return _gcd_two_conclusive(*pair)
     if len(conclusive) == 1:
         return _gcd_one_degenerate(conclusive[0],
-                                   next(c for c in pair.components if not c.invariants.conclusive))
+                                   next(c for c in pair if not c.invariants.conclusive))
     raise PrecisionExhausted("gcd needs at least one conclusive series")
 
 
@@ -130,28 +129,29 @@ def theorem_consistency(gcd: GcdReport, fine_char: FactoredIdeal) -> Verdict:
 
     Every irreducible factor of the gcd coprime to X (p itself when mu > 0,
     and each Phi_n) must divide the fine characteristic hypothesis, and
-    conversely.  X is exempt on both sides.
+    conversely.  X is exempt on both sides.  Each check is named "thm:...".
     """
     if gcd.mu is INCONCLUSIVE:
-        checks = [Check("mu(gcd)", "INCONCLUSIVE", "p-part of the gcd undetermined")]
+        checks = [Check("thm:mu(gcd)", "INCONCLUSIVE", "p-part of the gcd undetermined")]
     elif gcd.mu > 0:
         status = "PASS" if fine_char.p_exp > 0 else "FAIL"
-        checks = [Check("p | both", status, f"mu(gcd) = {gcd.mu}, fine side p^{fine_char.p_exp}")]
+        checks = [Check("thm:p | both", status,
+                        f"mu(gcd) = {gcd.mu}, fine side p^{fine_char.p_exp}")]
     elif fine_char.p_exp > 0:
-        checks = [Check("p | both", "FAIL", "p divides the fine side but mu(gcd) = 0")]
+        checks = [Check("thm:p | both", "FAIL", "p divides the fine side but mu(gcd) = 0")]
     else:
-        checks = [Check("p | both", "PASS", "mu = 0 on both sides")]
+        checks = [Check("thm:p | both", "PASS", "mu = 0 on both sides")]
     fine_phis = fine_char.phi_dict
     for n in sorted(gcd.phi_exps):
         status = "PASS" if fine_phis.get(n, 0) >= 1 else "FAIL"
-        checks.append(Check(f"Phi{n} | fine", status,
+        checks.append(Check(f"thm:Phi{n} | fine", status,
                             f"Phi{n}^{gcd.phi_exps[n]} divides the gcd"))
     for n in sorted(fine_phis):
         status = "PASS" if gcd.phi_exps.get(n, 0) >= 1 else "FAIL"
-        checks.append(Check(f"Phi{n} | gcd", status,
+        checks.append(Check(f"thm:Phi{n} | gcd", status,
                             f"Phi{n}^{fine_phis[n]} divides the fine side"))
     if gcd.has_unknown_part:
-        checks.append(Check("residual", "INCONCLUSIVE",
+        checks.append(Check("thm:residual", "INCONCLUSIVE",
                             f"unfactored common part ({gcd.residual})"))
     return Verdict(tuple(checks))
 

@@ -5,13 +5,17 @@ theta chains: theta_n is exactly divisible by the product of the Phi_i of
 parity opposite to n, and the (sign-corrected) quotients of one parity
 cohere modulo growing distinguished ideals.  The top quotient of the odd
 chain approximates the plus series, the even chain the minus series (an
-internal labelling; every consumer is label-symmetric).
+internal labelling: the gcd is symmetric in the pair, and the invariant
+fit reads it by position).
 
 With 0 < v_p(a_p), the pair is solved from the two top theta lifts through
 the inverse of the fundamental-solution matrix of s_(k+1) = a_p s_k -
 Phi_k s_(k-1); every division is by a monic polynomial and is verified to
-be exact over Z.  Labels sharp/flat follow the solve order and may be
-swapped relative to other tables.  Thetas, quotients and solves are
+be exact over Z.  Both extractions return the pair as the tuple
+(odd-class component, even-class component): (plus, minus) or (sharp,
+flat).  The first component is anchored at level-1 data and the second at
+level-0 data, as the odd and even classes of invariant_fit are, which
+returns its fit in the same order.  Thetas, quotients and solves are
 Y-vectors, plain lists of exact integers in Y = 1 + X read beside the run's
 IwasawaContext, where each division is a pair of linear scans
 (phi_quotient), and a division that does not go through is an
@@ -65,13 +69,6 @@ class SignedSeries(namedtuple("SignedSeries", "label series modulus_desc invaria
         return r.conclusive and r.mu == 0 and r.lam == 1 and self.x_lower_bound >= 1
 
 
-class SignedPair(namedtuple("SignedPair", "labels components method stabilized")):
-    """Two SignedSeries in components; method is "parity-factor" or
-    "linear-system"."""
-
-    __slots__ = ()
-
-
 def _component(label, rep, modulus, grade, ctx, reading=None) -> SignedSeries:
     """The component named label: its top representative rep, a Y-vector
     in ctx, its class modulus (p^M, modulus) and its grade across levels;
@@ -100,15 +97,12 @@ def _component(label, rep, modulus, grade, ctx, reading=None) -> SignedSeries:
                         0 if sum(rep) else 1, inv.conclusive and inv.mu == 0)
 
 
-def _pair(method, *components) -> SignedPair:
-    """The pair of two components, stabilized when both are graded two-level."""
-    stabilized = all(c.stabilization == "two-level" for c in components)
-    return SignedPair(tuple(c.label for c in components), components, method, stabilized)
-
-
-def extract_plus_minus(thetas, a_p: int, ctx) -> SignedPair:
-    """Plus/minus pair from the parity-decoupled theta chains (a_p = 0);
-    thetas and the components' series are Y-vectors in ctx."""
+def extract_plus_minus(thetas, a_p: int, ctx) -> tuple:
+    """(plus, minus) from the parity-decoupled theta chains (a_p = 0);
+    thetas and the components' series are Y-vectors in ctx.  A component is
+    graded two-level when its parity has two levels, whose quotients must
+    agree modulo the lower class modulus and read the same invariants
+    (NotStabilized otherwise), and single-level when it has one."""
     if a_p != 0:
         raise WrongReductionType("plus/minus extraction requires a_p = 0")
     components = []
@@ -145,7 +139,7 @@ def extract_plus_minus(thetas, a_p: int, ctx) -> SignedPair:
         components.append(
             _component(label, quotients[top], f"omega_{top}/{div}", grade, ctx, reading)
         )
-    return _pair("parity-factor", *components)
+    return tuple(components)
 
 
 def _solve(thetas, n: int, a_p: int, ctx) -> tuple:
@@ -158,10 +152,13 @@ def _solve(thetas, n: int, a_p: int, ctx) -> tuple:
     return u, v
 
 
-def extract_sharp_flat(thetas, a_p: int, ctx) -> SignedPair:
-    """Sharp/flat pair by inverting the fundamental-solution system
+def extract_sharp_flat(thetas, a_p: int, ctx) -> tuple:
+    """(sharp, flat) by inverting the fundamental-solution system
     (0 < v_p(a_p)): the solve at the top level, graded against the solve one
-    level below; thetas and the components' series are Y-vectors in ctx."""
+    level below; thetas and the components' series are Y-vectors in ctx.  A
+    component is graded two-level when its two solves read the same
+    conclusive invariants (NotStabilized when they differ), or when the
+    lower solve is 0 and the top one vanishes at X = 0; else single-level."""
     if a_p == 0 or a_p % ctx.prime != 0:
         raise WrongReductionType(
             f"sharp/flat extraction requires 0 < v_p(a_p); a_p = {a_p}"
@@ -187,33 +184,24 @@ def extract_sharp_flat(thetas, a_p: int, ctx) -> SignedPair:
                 if not sum(hi):
                     grades[idx] = "two-level"
     A, B = solves[top]
-    return _pair(
-        "linear-system",
-        _component("sharp", A, f"omega_{top - 1}", grades[0], ctx, readings[0]),
-        _component("flat", B, f"X*Phi_{top}", grades[1], ctx, readings[1]),
-    )
+    return (_component("sharp", A, f"omega_{top - 1}", grades[0], ctx, readings[0]),
+            _component("flat", B, f"X*Phi_{top}", grades[1], ctx, readings[1]))
 
 
 # -- invariant fit -----------------------------------------------------------------
 
 
-class FitResult(namedtuple("FitResult", "mu_star lambda_star")):
-    """mu_star and lambda_star are INCONCLUSIVE (None) without a conclusive
-    level."""
-
-    __slots__ = ()
-
-
-def invariant_fit(thetas, ctx) -> dict:
-    """Fitted (mu*, lambda*) per parity class from raw theta invariants,
-    read off thetas held as Y-vectors in ctx.
+def invariant_fit(thetas, ctx) -> tuple:
+    """((mu*, lambda*) of the odd class, (mu*, lambda*) of the even class)
+    fitted from raw theta invariants, read off thetas held as Y-vectors in
+    ctx; mu* and lambda* are INCONCLUSIVE (None) without a conclusive level.
 
     Model: lambda(theta_n) = lambda* + q_n with q_n the degree of the
     accumulated opposite-parity Phi-product, and mu(theta_n) = mu*
     constant.  Drifting values raise NotStabilized rather than being
     averaged away; levels whose theta is 0 are skipped.
     """
-    out, p = {}, ctx.prime
+    out, p = [], ctx.prime
     for parity, name in ((1, "odd"), (0, "even")):
         mus, lams = set(), set()
         for n in sorted(n for n in thetas if n % 2 == parity):
@@ -227,8 +215,8 @@ def invariant_fit(thetas, ctx) -> dict:
                 f"lambda* candidates {sorted(lams)}"
             )
         # each set now holds one value, or none without a conclusive level
-        out[name] = FitResult(min(mus, default=INCONCLUSIVE), min(lams, default=INCONCLUSIVE))
-    return out
+        out.append((min(mus, default=INCONCLUSIVE), min(lams, default=INCONCLUSIVE)))
+    return tuple(out)
 
 
 def _accumulated_degree(p: int, n: int) -> int:
@@ -236,18 +224,16 @@ def _accumulated_degree(p: int, n: int) -> int:
     return sum(p ** (i - 1) * (p - 1) for i in range(n - 1, 0, -2))
 
 
-def fit_matches_pair(fits: dict, pair: SignedPair) -> None:
-    """Cross-check: fitted class invariants agree with the extracted pair,
-    or NotStabilized is raised here.
+def fit_matches_pair(fits: tuple, pair: tuple) -> None:
+    """Cross-check: the fitted class invariants of invariant_fit agree with
+    the extracted pair, or NotStabilized is raised here.
 
-    Both solve orders anchor the first component at level-1 data and the
-    second at level-0 data, so the parity correspondence is constant:
-    plus/sharp against the odd class, minus/flat against the even class.
+    Both are in (odd, even) order: the first component, plus or sharp, is
+    anchored at level-1 data and read against the odd class; the second,
+    minus or flat, at level-0 data against the even class.
     """
-    mapping = {"plus": "odd", "minus": "even", "sharp": "odd", "flat": "even"}
-    for comp in pair.components:
-        fit = fits[mapping[comp.label]]
+    for (mu_star, lambda_star), comp in zip(fits, pair):
         inv = comp.invariants
-        if inv.conclusive and fit.mu_star is not None:
-            if (inv.mu, inv.lam) != (fit.mu_star, fit.lambda_star):
+        if inv.conclusive and mu_star is not None:
+            if (inv.mu, inv.lam) != (mu_star, lambda_star):
                 raise NotStabilized("extracted invariants disagree with the invariant fit")

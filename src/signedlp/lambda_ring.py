@@ -25,10 +25,11 @@ polynomials (Phi_n, with Phi_0 = X, and distinguished parts), through one
 multiply and monic long division (von zur Gathen-Gerhard, Modern Computer
 Algebra, ch. 8-9).  The multiply is Kronecker substitution: both lists are
 packed into one integer each (through array.array for slots of up to 8
-bytes), multiplied once, and read back as array.array words.  Every division re-multiplies its quotient and
-checks the identity, and loses no p-adic digits; the only precision loss in
-this module comes from stripping p-power content, and Weierstrass
-preparation records it in the context of its report.
+bytes), multiplied once, and read back as array.array words.  Every
+division re-multiplies its quotient and checks the identity, and loses no
+p-adic digits; the only precision loss in this module comes from stripping
+p-power content, and Weierstrass preparation records it in the context of
+its report.
 """
 
 from __future__ import annotations

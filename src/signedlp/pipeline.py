@@ -87,7 +87,8 @@ class PipelineResult(namedtuple("PipelineResult", "record curve table thetas pai
     checks, then the theorem checks named "thm:..."; it is empty when no
     fine characteristic was given.  thetas map each level to its theta
     element, a Y-vector: the list of its exact Y-coefficients, each times
-    the unit part of the plus denominator (theta.build_theta)."""
+    the unit part of the plus denominator (theta.build_theta).  pair is
+    extraction's (odd-class, even-class) tuple of SignedSeries."""
 
     __slots__ = ()
 
@@ -254,7 +255,7 @@ def run_pipeline(cfg: RunConfig, last_stage: str | None = None) -> PipelineResul
                     "modulus": c.modulus_desc,
                     "limit_certified": c.limit_certified,
                 }
-                for c in pair.components
+                for c in pair
             ],
         }
 
@@ -266,9 +267,8 @@ def run_pipeline(cfg: RunConfig, last_stage: str | None = None) -> PipelineResul
         if cfg.fine_ideal is not None:
             stage = "compare"
             verdict = compare_predictions(gcd, curve.e_sequence, cfg.fine_ideal)
-            verdict = verdict._replace(checks=verdict.checks + tuple(
-                c._replace(name=f"thm:{c.name}")
-                for c in theorem_consistency(gcd, cfg.fine_ideal).checks))
+            verdict = verdict._replace(
+                checks=verdict.checks + theorem_consistency(gcd, cfg.fine_ideal).checks)
         return PipelineResult(record, curve, table, thetas, pair, gcd, verdict)
     except SignedLPError as exc:
         exc.stage = stage

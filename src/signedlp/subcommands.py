@@ -69,13 +69,17 @@ def _theta_payload(result, cfg):
 
 
 def _signed_payload(result, cfg):
+    """The pair's method, labels and stabilization are read off its
+    components: plus/minus by parity-factor, sharp/flat by linear-system;
+    stabilized when every component is graded two-level."""
+    labels = [c.label for c in result.pair]
     return {
         "curve": result.curve.label,
         "p": cfg.p,
-        "method": result.pair.method,
-        "labels": list(result.pair.labels),
+        "method": "parity-factor" if labels[0] == "plus" else "linear-system",
+        "labels": labels,
         "components": result.record["stages"]["extract"]["components"],
-        "stabilized": result.pair.stabilized,
+        "stabilized": all(c.stabilization == "two-level" for c in result.pair),
         "gcd": result.gcd.as_string(),
         "gcd_certified": result.gcd.certified,
     }

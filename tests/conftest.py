@@ -193,8 +193,8 @@ def omega_signed(ctx, n, parity):
 
 def mu_lambda_of(pair):
     """(mu of each component, lambda of each component) of a signed pair."""
-    return (tuple(c.invariants.mu for c in pair.components),
-            tuple(c.invariants.lam for c in pair.components))
+    return (tuple(c.invariants.mu for c in pair),
+            tuple(c.invariants.lam for c in pair))
 
 
 def ideal_to_lambda(ideal, ctx):

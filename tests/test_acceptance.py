@@ -156,7 +156,7 @@ def test_c06_53a1_p5(store):
     thetas = store.thetas("53a1", 5, 2)
     pair = extract_plus_minus(thetas, store.ap("53a1", 5), IwasawaContext(5, 4))
     assert mu_lambda_of(pair) == ((0, 0), (1, 1))
-    for comp in pair.components:
+    for comp in pair:
         assert comp.is_x_times_unit, comp
     gcd = gcd_signed_pair(pair)
     assert gcd.as_string() == "X" and gcd.certified
@@ -173,7 +173,7 @@ def test_c07_37a1_p17(store):
     thetas = store.thetas("37a1", 17, 1)
     pair = extract_plus_minus(thetas, store.ap("37a1", 17), IwasawaContext(17, 6))
     assert 1 in mu_lambda_of(pair)[1]
-    plus = pair.components[0]
+    plus = pair[0]
     assert (plus.invariants.mu, plus.invariants.lam) == (0, 1)
     gcd = gcd_signed_pair(pair)
     assert gcd.as_string() == "X" and gcd.certified and gcd.mu == 0
@@ -200,7 +200,7 @@ def test_c08_p3_sharp_flat(store):
     thetas = store.thetas("53a1", 3, 2)
     pair = extract_sharp_flat(thetas, store.ap("53a1", 3), IwasawaContext(3, 4))
     assert mu_lambda_of(pair) == ((0, 0), (1, 1))
-    assert all(c.is_x_times_unit for c in pair.components)
+    assert all(c.is_x_times_unit for c in pair)
 
     thetas = store.thetas("37a1", 3, 2)
     pair = extract_sharp_flat(thetas, store.ap("37a1", 3), IwasawaContext(3, 4))
@@ -277,7 +277,7 @@ def test_c10_extended_primes(store, label, p):
     ctx = IwasawaContext(p, 6)
     pair = extract_plus_minus(thetas, store.ap(label, p), ctx)
     assert 1 in mu_lambda_of(pair)[1]
-    plus = pair.components[0]
+    plus = pair[0]
     assert (plus.invariants.mu, plus.invariants.lam) == (0, 1)
     gcd = gcd_signed_pair(pair)
     assert gcd.as_string() == "X" and gcd.certified

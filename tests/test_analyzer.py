@@ -17,7 +17,6 @@ from signedlp.analyzer import (
 )
 from signedlp.errors import PrecisionExhausted
 from signedlp.extract import (
-    SignedPair,
     _component,
     extract_plus_minus,
     extract_sharp_flat,
@@ -35,8 +34,7 @@ def _series(label, elt, ctx):
 
 
 def _pair(a, b, ctx):
-    return SignedPair(("plus", "minus"), (_series("plus", a, ctx), _series("minus", b, ctx)),
-                      "parity-factor", True)
+    return _series("plus", a, ctx), _series("minus", b, ctx)
 
 
 @pytest.fixture(scope="module")
@@ -70,11 +68,7 @@ def test_gcd_synthetic_common_phi(ctx):
 def test_gcd_is_label_symmetric(store):
     thetas = store.thetas("53a1", 5, 2)
     pair = extract_plus_minus(thetas, store.ap("53a1", 5), IwasawaContext(5, 8))
-    swapped = SignedPair(
-        tuple(reversed(pair.labels)), tuple(reversed(pair.components)),
-        pair.method, pair.stabilized,
-    )
-    a, b = gcd_signed_pair(pair), gcd_signed_pair(swapped)
+    a, b = gcd_signed_pair(pair), gcd_signed_pair(pair[::-1])
     assert (a.as_string(), a.certified) == (b.as_string(), b.certified)
 
 
@@ -84,7 +78,7 @@ def test_gcd_divides_both_inputs(store, ctx):
     pair = extract_plus_minus(thetas, store.ap("53a1", 5), ctx5)
     rep = gcd_signed_pair(pair)
     gen = ideal_to_lambda(gcd_ideal(rep), ctx5)
-    for comp in pair.components:
+    for comp in pair:
         assert divrem(x_element(comp.series, ctx5), gen, ctx5)[1] == []
 
 
@@ -181,7 +175,7 @@ def test_theorem_consistency_cases():
     assert any("Phi1" in c.name and c.status == "FAIL" for c in v.checks)
     gcd_px = GcdReport(1, 1, {}, "1", True)
     v = theorem_consistency(gcd_px, parse_factored_ideal("1"))
-    assert any(c.name == "p | both" and c.status == "FAIL" for c in v.checks)
+    assert any(c.name == "thm:p | both" and c.status == "FAIL" for c in v.checks)
 
 
 def test_theorem_consistency_both_directions():
@@ -195,12 +189,12 @@ def test_theorem_consistency_both_directions():
 
 def test_theorem_consistency_with_mu_undetermined():
     v = theorem_consistency(GcdReport(None, 1, {}, "1", False), parse_factored_ideal("1"))
-    assert v.checks == (Check("mu(gcd)", "INCONCLUSIVE", "p-part of the gcd undetermined"),)
+    assert v.checks == (Check("thm:mu(gcd)", "INCONCLUSIVE", "p-part of the gcd undetermined"),)
 
 
 def test_theorem_consistency_with_p_only_on_the_fine_side():
     v = theorem_consistency(GcdReport(0, 1, {}, "1", True), parse_factored_ideal("p*X"))
-    assert v.checks == (Check("p | both", "FAIL", "p divides the fine side but mu(gcd) = 0"),)
+    assert v.checks == (Check("thm:p | both", "FAIL", "p divides the fine side but mu(gcd) = 0"),)
 
 
 def test_audits_of_a_gcd_with_an_unfactored_residual():
@@ -208,10 +202,10 @@ def test_audits_of_a_gcd_with_an_unfactored_residual():
     assert gcd.as_string() == "X*Phi1*(X^2 + 3*X + 6)" and gcd.has_unknown_part
     v = theorem_consistency(gcd, parse_factored_ideal("Phi1"))
     assert v.checks == (
-        Check("p | both", "PASS", "mu = 0 on both sides"),
-        Check("Phi1 | fine", "PASS", "Phi1^1 divides the gcd"),
-        Check("Phi1 | gcd", "PASS", "Phi1^1 divides the fine side"),
-        Check("residual", "INCONCLUSIVE", "unfactored common part (X^2 + 3*X + 6)"),
+        Check("thm:p | both", "PASS", "mu = 0 on both sides"),
+        Check("thm:Phi1 | fine", "PASS", "Phi1^1 divides the gcd"),
+        Check("thm:Phi1 | gcd", "PASS", "Phi1^1 divides the fine side"),
+        Check("thm:residual", "INCONCLUSIVE", "unfactored common part (X^2 + 3*X + 6)"),
     )
     v = compare_predictions(gcd, (1, 2), parse_factored_ideal("Phi1"))
     assert v == Verdict((

@@ -407,6 +407,16 @@ def test_signed_reports_gcd_x(capsys):
     assert payload["method"] == "linear-system"
 
 
+def test_signed_payload_reads_method_labels_and_stabilized_off_the_components(capsys):
+    # at level 1 the plus component has one level and the minus chain is 0
+    code, out, _ = run_cli(["signed", "--curve", curve_path("37a1"), "--p", "17"], capsys)
+    assert code == 0
+    payload = json.loads(out)
+    assert [c["grade"] for c in payload["components"]] == ["single-level", "zero-chain"]
+    assert payload["method"] == "parity-factor" and payload["labels"] == ["plus", "minus"]
+    assert payload["stabilized"] is False
+
+
 def test_verify_passes(capsys):
     code, out, _ = run_cli(
         ["verify", "--curve", curve_path("53a1"), "--p", "5",
@@ -482,8 +492,7 @@ def test_fit_disagreeing_with_the_pair_stops_report_at_extract(capsys, monkeypat
     fit = pipeline.invariant_fit
 
     def shifted(thetas, ctx):
-        return {name: f._replace(lambda_star=f.lambda_star + 1)
-                for name, f in fit(thetas, ctx).items()}
+        return tuple((mu, lam + 1) for mu, lam in fit(thetas, ctx))
 
     monkeypatch.setattr(pipeline, "invariant_fit", shifted)
     argv = ["report", "--curve", curve_path("53a1"), "--p", "3", "--level", "2"]

@@ -30,15 +30,17 @@ def _parity_product(ctx, n):
     return x_product(ctx, *(ctx.phi(i) for i in range(n - 1, 0, -2)))
 
 
-def _synthetic_thetas(p, F_coeffs, n_max=3, alternate=True, scale_mu=None):
+def _synthetic_thetas(p, F_coeffs, n_max=3, alternate=True, scale_mu=None, even_coeffs=None):
     """theta_n := (+-) W(n) * F mod omega_n for a fixed F given in X, exactly,
-    as the Y-vector of its representative of degree below p^n."""
+    as the Y-vector of its representative of degree below p^n; even_coeffs,
+    when given, replaces F at the even levels."""
     thetas = {}
     for n in range(n_max + 1):
         scale = p ** (scale_mu or {}).get(n, 0)
         if alternate and (n // 2) % 2 == 1:
             scale = -scale
-        body = y_times_phi(y_element([scale * c for c in F_coeffs]), range(n - 1, 0, -2), p)
+        F = F_coeffs if n % 2 or even_coeffs is None else even_coeffs
+        body = y_times_phi(y_element([scale * c for c in F]), range(n - 1, 0, -2), p)
         thetas[n] = fold(body, p**n)
     return thetas
 
@@ -51,18 +53,48 @@ def test_synthetic_recovery_exact():
     thetas = _synthetic_thetas(3, F, n_max=3)
     ctx = IwasawaContext(3, 8)
     pair = extract_plus_minus(thetas, 0, ctx)
-    for comp in pair.components:
+    for comp in pair:
         assert (comp.invariants.mu, comp.invariants.lam) == (0, 1)
-    assert pair.stabilized  # two levels per parity: {1,3} and {0,2}
+    # two levels per parity: {1,3} and {0,2}
+    assert all(c.stabilization == "two-level" for c in pair)
     fits = invariant_fit(thetas, ctx)
-    assert fits["odd"].mu_star == 0 and fits["odd"].lambda_star == 1
-    assert fits["even"].mu_star == 0 and fits["even"].lambda_star == 1
+    assert fits == ((0, 1), (0, 1))
     fit_matches_pair(fits, pair)
-    for name in ("odd", "even"):
-        shifted = {**fits, name: fits[name]._replace(lambda_star=2)}
+    for shifted in (((0, 2), (0, 1)), ((0, 1), (0, 2))):
         with pytest.raises(NotStabilized,
                            match="^extracted invariants disagree with the invariant fit$"):
             fit_matches_pair(shifted, pair)
+
+
+def _assert_fit_matches_in_order_only(thetas, pair, ctx):
+    # invariant_fit and both extractions give the odd class first: the pair
+    # matches the fit as it comes, and neither tuple may be read reversed
+    fits = invariant_fit(thetas, ctx)
+    fit_matches_pair(fits, pair)
+    for reversed_fits, reversed_pair in ((fits, pair[::-1]), (fits[::-1], pair)):
+        with pytest.raises(NotStabilized):
+            fit_matches_pair(reversed_fits, reversed_pair)
+
+
+def test_plus_minus_of_two_series_matches_the_fit_in_order():
+    # the odd levels carry X + 3X^2 (lambda 1), the even levels 3X + X^2
+    # (lambda 2), so the two classes differ
+    thetas = _synthetic_thetas(3, [0, 1, 3], n_max=3, even_coeffs=[0, 3, 1])
+    ctx = IwasawaContext(3, 8)
+    pair = extract_plus_minus(thetas, 0, ctx)
+    assert [c.label for c in pair] == ["plus", "minus"]
+    assert mu_lambda_of(pair) == ((0, 0), (1, 2))
+    assert invariant_fit(thetas, ctx) == ((0, 1), (0, 2))
+    _assert_fit_matches_in_order_only(thetas, pair, ctx)
+
+
+def test_37a1_p3_sharp_flat_matches_the_fit_in_order(store):
+    thetas, ctx = store.thetas("37a1", 3, 3), IwasawaContext(3, 8)
+    pair = extract_sharp_flat(thetas, store.ap("37a1", 3), ctx)
+    assert [c.label for c in pair] == ["sharp", "flat"]
+    assert mu_lambda_of(pair) == ((0, 0), (1, 5))
+    assert invariant_fit(thetas, ctx) == ((0, 1), (0, 5))
+    _assert_fit_matches_in_order_only(thetas, pair, ctx)
 
 
 def test_synthetic_remultiplication():
@@ -70,7 +102,7 @@ def test_synthetic_remultiplication():
     thetas = _synthetic_thetas(3, F, n_max=3)
     ctx = IwasawaContext(3, 8)
     pair = extract_plus_minus(thetas, 0, ctx)
-    for comp, parity in zip(pair.components, (1, 0)):
+    for comp, parity in zip(pair, (1, 0)):
         top = max(n for n in thetas if n % 2 == parity)
         recon = x_product(ctx, _parity_product(ctx, top), x_element(comp.series, ctx))
         sign = -1 if (top // 2) % 2 == 1 else 1
@@ -96,8 +128,7 @@ def test_invariant_fit_flags_mu_drift():
 def test_all_zero_thetas_inconclusive():
     thetas = _synthetic_thetas(3, [0], n_max=2)
     pair = extract_plus_minus(thetas, 0, IwasawaContext(3, 6))
-    assert not pair.stabilized
-    for comp in pair.components:
+    for comp in pair:
         assert comp.stabilization == "zero-chain"
         assert not comp.invariants.conclusive
 
@@ -152,24 +183,23 @@ def test_53a1_p5_plus_minus(store):
     thetas = store.thetas("53a1", 5, 2)
     ctx = IwasawaContext(5, 8)
     pair = extract_plus_minus(thetas, store.ap("53a1", 5), ctx)
-    assert pair.labels == ("plus", "minus")
+    assert [c.label for c in pair] == ["plus", "minus"]
     assert mu_lambda_of(pair) == ((0, 0), (1, 1))
-    for comp in pair.components:
+    for comp in pair:
         assert comp.is_x_times_unit and comp.limit_certified
     fits = invariant_fit(thetas, ctx)
     # levels 1-2 pin the fitted invariants of both parity classes at (0, 1)
-    assert (fits["odd"].mu_star, fits["odd"].lambda_star) == (0, 1)
-    assert (fits["even"].mu_star, fits["even"].lambda_star) == (0, 1)
+    assert fits == ((0, 1), (0, 1))
     fit_matches_pair(fits, pair)
 
 
 def test_53a1_p3_sharp_flat(store):
     thetas = store.thetas("53a1", 3, 2)
     pair = extract_sharp_flat(thetas, store.ap("53a1", 3), IwasawaContext(3, 8))
-    assert pair.labels == ("sharp", "flat")
+    assert [c.label for c in pair] == ["sharp", "flat"]
     assert mu_lambda_of(pair) == ((0, 0), (1, 1))
-    assert all(c.is_x_times_unit for c in pair.components)
-    assert pair.stabilized
+    assert all(c.is_x_times_unit for c in pair)
+    assert all(c.stabilization == "two-level" for c in pair)
 
 
 def test_37a1_p3_sharp_flat(store):
@@ -184,7 +214,7 @@ def test_37a1_p3_sharp_flat(store):
 def test_37a1_p17_plus_minus_level_one(store):
     thetas = store.thetas("37a1", 17, 1)
     pair = extract_plus_minus(thetas, store.ap("37a1", 17), IwasawaContext(17, 8))
-    plus, minus = pair.components
+    plus, minus = pair
     assert (plus.invariants.mu, plus.invariants.lam) == (0, 1)
     assert plus.is_x_times_unit
     assert minus.stabilization == "zero-chain"
@@ -209,7 +239,7 @@ def test_level_three_solve_regression(store):
         from signedlp.theta import check_compat
         check_compat(thetas, 3, ap, ctx)
         pair = extract_sharp_flat(thetas, ap, ctx)
-        sharp, flat = pair.components
+        sharp, flat = pair
         assert (sharp.invariants.mu, sharp.invariants.lam) == (0, 1)
         assert flat.invariants.lam == lam_flat
         fit_matches_pair(invariant_fit(thetas, ctx), pair)
@@ -229,7 +259,8 @@ def test_sharp_flat_solves_only_the_graded_levels(store, monkeypatch):
     monkeypatch.setattr(extract, "_solve", counted)
     thetas, ctx = store.thetas("37a1", 3, 4), IwasawaContext(3, 8)
     pair = extract_sharp_flat(thetas, store.ap("37a1", 3), ctx)
-    assert levels == [3, 4] and pair.stabilized
+    assert levels == [3, 4]
+    assert all(c.stabilization == "two-level" for c in pair)
 
 
 @pytest.mark.parametrize("label, p, n_max", [("37a1", 17, 3), ("53a1", 5, 4), ("11a1", 19, 2)])
@@ -243,7 +274,7 @@ def test_solve_at_a_p_zero_is_the_parity_quotients(store, label, p, n_max):
     ctx = IwasawaContext(p, 8)
     for n in range(1, n_max + 1):
         below = {k: thetas[k] for k in range(n + 1)}
-        quotients = [c.series for c in extract_plus_minus(below, 0, ctx).components]
+        quotients = [c.series for c in extract_plus_minus(below, 0, ctx)]
         solve = _solve(thetas, n, 0, ctx)
         assert list(map(stripped, solve)) == list(map(stripped, quotients)), (label, p, n)
 
@@ -251,7 +282,8 @@ def test_solve_at_a_p_zero_is_the_parity_quotients(store, label, p, n_max):
 def test_level_three_plus_minus_fully_stabilized(store):
     thetas = store.thetas("53a1", 5, 3)
     pair = extract_plus_minus(thetas, store.ap("53a1", 5), IwasawaContext(5, 8))
-    assert pair.stabilized  # both parities now have two conclusive levels
+    # both parities now have two conclusive levels
+    assert all(c.stabilization == "two-level" for c in pair)
     assert mu_lambda_of(pair) == ((0, 0), (1, 1))
 
 
@@ -298,7 +330,7 @@ def test_truncated_preparation_matches_full_on_fixtures(store):
         ap, ctx = store.ap(label, p), IwasawaContext(p, 8)
         extract = extract_plus_minus if ap == 0 else extract_sharp_flat
         pair = extract(thetas, ap, ctx)
-        for y in [*thetas.values(), *(c.series for c in pair.components)]:
+        for y in [*thetas.values(), *(c.series for c in pair)]:
             (full, short), cut = _prepared_in_full_and_truncated(x_element(y, ctx), ctx)
             assert full == short, (label, p, n_max)
             shortened += cut

@@ -4,7 +4,7 @@ import pytest
 
 from signedlp.analyzer import Check, Verdict
 from signedlp.curves import CurveData, Periods, ReductionType
-from signedlp.extract import FitResult, SignedPair, SignedSeries
+from signedlp.extract import SignedSeries
 from signedlp.lambda_ring import GcdReport, InvariantReport, IwasawaContext
 from signedlp.modsym import SymbolTable
 from signedlp.modules import FactoredIdeal
@@ -35,9 +35,6 @@ RECORDS = {
     "ReductionType": (lambda: ReductionType("good-supersingular", 0), "a_p"),
     "Periods": (lambda: Periods(5.98, 2.45j, 2), "omega_plus"),
     "SignedSeries": (_series, "x_lower_bound"),
-    "SignedPair": (lambda: SignedPair(("plus", "minus"), (_series(), _series()),
-                                      "parity-factor", True), "stabilized"),
-    "FitResult": (lambda: FitResult(0, 1), "lambda_star"),
     "FactoredIdeal": (lambda: FactoredIdeal(0, 1, {1: 2, 2: 0}), "x_exp"),
     "Verdict": (lambda: Verdict((Check("KP", "PASS"), Check("Gr", "FAIL", "hypothesis X")), 1),
                 "checks"),
@@ -66,7 +63,7 @@ def test_records_of_different_values_differ():
 
 @pytest.mark.parametrize("record", [
     IwasawaContext, InvariantReport, GcdReport, CurveData, ReductionType, Periods,
-    SignedSeries, SignedPair, FitResult, FactoredIdeal, SymbolTable,
+    SignedSeries, FactoredIdeal, SymbolTable,
     Check, Verdict, RunConfig, PipelineResult,
 ], ids=lambda record: record.__name__)
 def test_record_types_are_namedtuples_without_instance_dicts(record):

@@ -51,6 +51,19 @@ def _imports_of(package, nodes=ast.walk):
     ]
 
 
+MAX_LINE = 99
+
+
+def test_no_package_line_is_longer_than_the_limit():
+    found = [
+        f"{path.name}:{number}: {len(line)}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        for number, line in enumerate(path.read_text().splitlines(), 1)
+        if len(line) > MAX_LINE
+    ]
+    assert not found, f"package lines longer than {MAX_LINE} characters: {found}"
+
+
 def test_no_module_imports_mpmath():
     # periods are float64; the multiprecision reference lives in the tests
     found = _imports_of("mpmath")
