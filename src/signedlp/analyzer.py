@@ -159,11 +159,13 @@ def theorem_consistency(gcd: GcdReport, fine_char: FactoredIdeal) -> Verdict:
 # -- emission ----------------------------------------------------------------------
 
 
-def report_payload(curve_label, p, gcd: GcdReport, verdicts: Verdict, record: dict):
-    """The report: the gcd, the checks and the run record (pipeline.run_pipeline)."""
+def report_payload(result, cfg) -> dict:
+    """The report of a finished run_pipeline result for its RunConfig: the
+    gcd, the checks and the run record."""
+    gcd, verdict = result.gcd, result.verdict
     return {
-        "curve": curve_label,
-        "p": p,
+        "curve": result.curve.label,
+        "p": cfg.p,
         "gcd": {
             "mu": gcd.mu,
             "x": gcd.x_exp,
@@ -172,22 +174,21 @@ def report_payload(curve_label, p, gcd: GcdReport, verdicts: Verdict, record: di
         },
         "gcd_string": gcd.as_string(),
         "certified": gcd.certified,
-        "delta_E": verdicts.delta_e,
+        "delta_E": verdict.delta_e,
         "checks": [
             {"name": c.name, "status": c.status, "detail": c.detail}
-            for c in verdicts.checks
+            for c in verdict.checks
         ],
-        "run": record,
+        "run": result.record,
     }
 
 
 def emit(payload, fmt: str, path=None) -> None:
     """Write one payload to path, or to stdout when path is None: JSON with
     a stable key order, or, for a report, one CSV row per check.  A file
-    holds exactly the bytes stdout would; a failed write raises IoError."""
-    if fmt == "json":
-        text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
-    elif fmt == "csv":
+    holds exactly the bytes stdout would; a failed write raises IoError.
+    fmt is "json" or "csv", the choices of --format."""
+    if fmt == "csv":
         import csv  # only the CSV form needs it
 
         buf = io.StringIO()
@@ -200,7 +201,7 @@ def emit(payload, fmt: str, path=None) -> None:
             ])
         text = buf.getvalue()
     else:
-        raise ValueError(f"unknown format {fmt!r}")
+        text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
     try:
         if path is None:
             sys.stdout.write(text)

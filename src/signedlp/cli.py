@@ -57,10 +57,6 @@ def cmd_curve_info(args) -> int:
     return subcommands.cmd_curve_info(args)
 
 
-def _report_payload(result, cfg):
-    return report_payload(result.curve.label, cfg.p, result.gcd, result.verdict, result.record)
-
-
 # subcommand -> the stage its run stops after, None for all
 PIPELINE_COMMANDS = {
     "symbols": "validate_hecke",
@@ -115,7 +111,7 @@ def _settings(command) -> dict:
     if command == "curve-info":
         return {"func": cmd_curve_info}
     if command in _CHECKED:
-        payload = _report_payload
+        payload = report_payload
     else:
         from .subcommands import PAYLOADS
 

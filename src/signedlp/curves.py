@@ -1,9 +1,11 @@
 """Elliptic curve data: ingestion, local coefficients, reduction types.
 
 Standard library only.  One point counter serves every good prime and
-chooses its algorithm by ell: below _BSGS_MIN_ELL, and at bad primes, points
-are counted exhaustively against a bytearray of the squares mod ell; from
-there on Shanks-Mestre decides, with the exhaustive count as its fallback.
+chooses its algorithm by ell: at ell = 2 and 3, good or bad, every pair
+(x, y) is tried on the long Weierstrass equation; from 5 to _BSGS_MIN_ELL,
+and at bad primes from 5 on, points are counted exhaustively against a
+bytearray of the squares mod ell; from there on Shanks-Mestre decides, with
+the exhaustive count as its fallback.
 The q-expansion is a list computed once per curve and grown in place.
 Periods holds the generators of the period lattice.  They are computed
 in manin.periods, next to the table build that needs them (curve-info is
@@ -148,14 +150,14 @@ def curve_from_dict(raw: dict) -> CurveData:
 
 
 def a_ell(curve: CurveData, ell: int) -> int:
-    """ell + 1 - #E(F_ell) for good primes.  From _BSGS_MIN_ELL on, the one
-    candidate that hasse_candidates leaves; below that, or when several
-    remain, the exhaustive count.  Either answer is proved: the true a_ell
-    is in every candidate set."""
+    """ell + 1 - #E(F_ell) for good primes.  At 2 and 3, _a_small; from
+    _BSGS_MIN_ELL on, the one candidate that hasse_candidates leaves; in
+    between, or when several remain, the exhaustive count.  Every answer is
+    proved: the true a_ell is in every candidate set."""
     if curve.conductor % ell == 0:
         raise BadReduction(f"{ell} divides the conductor {curve.conductor}")
-    if ell == 2:
-        a = _a2_direct(curve)
+    if ell < 5:
+        a = _a_small(curve, ell)
     else:
         candidates = hasse_candidates(curve, ell) if ell >= _BSGS_MIN_ELL else ()
         a = candidates.pop() if len(candidates) == 1 else _a_ell_naive(curve, ell)
@@ -164,13 +166,19 @@ def a_ell(curve: CurveData, ell: int) -> int:
     return a
 
 
+def _a_small(curve: CurveData, ell: int) -> int:
+    """ell - #{(x, y) in F_ell^2 on the long Weierstrass equation}, the
+    singular point included, for ell = 2 and 3: a_ell at a good prime and
+    a_p at a bad one."""
+    a1, a2, a3, a4, a6 = curve.a_invariants
+    return ell - sum((y * y + a1 * x * y + a3 * y - x**3 - a2 * x * x - a4 * x - a6) % ell == 0
+                     for x in range(ell) for y in range(ell))
+
+
 def _a_ell_naive(curve: CurveData, ell: int) -> int:
     """-sum over x of the Legendre symbol of the completed-square cubic
-    f(x) = 4x^3 + b2 x^2 + 2 b4 x + b6, for odd ell."""
+    f(x) = 4x^3 + b2 x^2 + 2 b4 x + b6, for ell >= 5."""
     b2, b4, b6, _ = curve.b_invariants
-    if ell == 3:  # 12 is no unit mod 3: the three x one by one
-        rhs = [(((4 * x + b2) * x + 2 * b4) * x + b6) % 3 for x in range(3)]
-        return rhs.count(2) - rhs.count(1)
     # centred at t = -b2/12, f(t + u) = 4u^3 + A u + B has no u^2 term, so
     # u and -u give B + w and B - w with w = 4u^3 + A u
     t = -b2 * pow(12, -1, ell) % ell
@@ -187,18 +195,6 @@ def _a_ell_naive(curve: CurveData, ell: int) -> int:
     zeros = (B == 0) + w.count(-B % ell) + w.count(B)
     # each x adds 1 + chi(f(x)) points: a = (#non-squares) - (#nonzero squares)
     return ell - zeros - 2 * squares
-
-
-def _a2_direct(curve: CurveData) -> int:
-    a1, a2, a3, a4, a6 = curve.a_invariants
-    count = 1  # point at infinity
-    for x in range(2):
-        for y in range(2):
-            lhs = y * y + a1 * x * y + a3 * y
-            rhs = x**3 + a2 * x * x + a4 * x + a6
-            if (lhs - rhs) % 2 == 0:
-                count += 1
-    return 2 + 1 - count
 
 
 # From this prime on, a_ell counts points by baby-step giant-step (about
@@ -314,7 +310,7 @@ def a_bad_prime(curve: CurveData, p: int) -> int:
     """a_p = p + 1 - #E~(F_p) at a bad prime, singular point included: 1 for
     split and -1 for nonsplit multiplicative reduction, 0 for additive.
     Needs a model minimal at p."""
-    return _a2_direct(curve) if p == 2 else _a_ell_naive(curve, p)
+    return _a_small(curve, p) if p < 5 else _a_ell_naive(curve, p)
 
 
 class ReductionType(namedtuple("ReductionType", "kind a_p", defaults=(None,))):
@@ -436,15 +432,14 @@ _EXPANSIONS: dict = {}
 
 
 def an_expansion(curve: CurveData, n_max: int) -> list:
-    """Coefficients a_1..a_n_max via multiplicativity and Hecke recursion.
+    """Coefficients a_1..a_n_max, n_max >= 1, via multiplicativity and Hecke
+    recursion.
 
     Index 0 of the returned list is unused (kept 0) so that out[n] = a_n.
     The list is a copy of a per-curve expansion that is computed once and
     extended past its end when a larger n_max is asked for.  The good
     primes it adds take a_q from a_ell, the bad ones from a_bad_prime.
     """
-    if n_max < 1:
-        raise ValueError("n_max must be at least 1")
     key = (curve.a_invariants, curve.conductor)
     an = _EXPANSIONS.get(key)
     if an is None or len(an) <= n_max:

@@ -74,9 +74,7 @@ class IwasawaContext(namedtuple("IwasawaContext", "prime precision")):
         """p^n-th cyclotomic polynomial in 1+X; Phi_0 = X by convention.
 
         For n >= 1, Phi_n is the Y-vector sum_{k<p} Y^(k p^(n-1)) read in X
-        at full length by x_coefficients."""
-        if n < 0:
-            raise ValueError("level must be nonnegative")
+        at full length by x_coefficients.  Every caller passes n >= 0."""
         if n == 0:
             return [0, 1]
         y = ([1] + [0] * (self.prime ** (n - 1) - 1)) * (self.prime - 1) + [1]
@@ -438,7 +436,8 @@ def gcd_mu(*reports: InvariantReport):
 
 def gcd_lambda(wf: InvariantReport, wg: InvariantReport) -> GcdReport:
     """gcd in the form p^mu * h of two conclusive series, given by their
-    Weierstrass reports.
+    Weierstrass reports (analyzer._gcd_two_conclusive, the one caller,
+    passes no other).
 
     The named factors X and Phi_n (every n with deg Phi_n at most the
     smaller degree of the two) are detected on the distinguished parts by
@@ -446,8 +445,6 @@ def gcd_lambda(wf: InvariantReport, wg: InvariantReport) -> GcdReport:
     by Euclidean reduction, which raises PrecisionExhausted when it runs out
     of digits before a decision.
     """
-    if not (wf.conclusive and wg.conclusive):
-        raise PrecisionExhausted("gcd needs both operands conclusive")
     # align the two reduced precisions at the weaker one (one prime, so the
     # lesser context)
     ctx = min(wf.context, wg.context)
@@ -459,24 +456,17 @@ def gcd_lambda(wf: InvariantReport, wg: InvariantReport) -> GcdReport:
             break  # deg Phi_n grows with n: no later Phi_n divides both
         phin = ctx.phi(n)
         while len(A) >= len(phin) and len(B) >= len(phin):
-            quotients = _common_quotients(A, B, phin, ctx)
-            if quotients is None:
+            # B is divided only when Phi_n divides A
+            QA, RA = divrem(A, phin, ctx)
+            if RA:
                 break
-            A, B = quotients
+            QB, RB = divrem(B, phin, ctx)
+            if RB:
+                break
+            A, B = QA, QB
             exps[n] = exps.get(n, 0) + 1
     x_exp = exps.pop(0, 0)
     return GcdReport(gcd_mu(wf, wg), x_exp, exps, _euclid_residual(A, B, ctx))
-
-
-def _common_quotients(A, B, P, ctx: IwasawaContext):
-    """(A/P, B/P) when P divides both at precision, else None; one divrem each."""
-    QA, RA = divrem(A, P, ctx)
-    if RA:
-        return None
-    QB, RB = divrem(B, P, ctx)
-    if RB:
-        return None
-    return QA, QB
 
 
 def _euclid_residual(A, B, ctx: IwasawaContext) -> str:

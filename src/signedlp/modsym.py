@@ -26,7 +26,7 @@ from __future__ import annotations
 from collections import namedtuple
 
 from .curves import CurveData
-from .errors import ContextMismatch, IncompleteTable, InconsistentTable
+from .errors import IncompleteTable, InconsistentTable
 
 
 class SymbolTable(namedtuple("SymbolTable",
@@ -57,18 +57,6 @@ def _units(p: int, k: int) -> list:
     return [a for a in range(p**k) if a % p] if k else [0]
 
 
-def _level(p: int, k: int, values: list) -> list:
-    """The p^k numerators of one sign at level k from their values at the
-    residues of _units, 0 elsewhere.  _units lists a = q p + r by q, then r,
-    so the residues a = r mod p take every (p-1)-th value from r - 1."""
-    if not k:
-        return list(values)
-    level = [0] * p**k
-    for r in range(1, p):
-        level[r::p] = values[r - 1 :: p - 1]
-    return level
-
-
 # -- table construction ----------------------------------------------------------
 
 
@@ -93,15 +81,14 @@ class SymbolTableBuilder:
 def validate_hecke(table: SymbolTable, p: int, max_level: int, a_p: int) -> None:
     """Re-prove a_p [a/p^n] = [a/p^(n-1)] + sum_k [(a + k p^n)/p^(n+1)] exactly.
 
-    Runs over every unit residue at levels 1..max_level; needs the table
-    complete through max_level + 1.  Each sign is checked on its numerators,
+    Runs over every unit residue at levels 1..max_level; needs a table for
+    p (an import checks its prime, a build and the cache use p) complete
+    through max_level + 1.  Each sign is checked on its numerators,
     one list identity per level.  A broken relation raises InconsistentTable
     carrying every violation as (level, residue, side, lhs, rhs), the sides
     as fractions, sorted by level, residue and sign; its message is their
     count and the first ten of them.
     """
-    if table.p != p:
-        raise ContextMismatch(f"table is for p = {table.p}, not {p}")
     for k in range(0, max_level + 2):
         if not table.has_level(k):
             raise IncompleteTable(f"table missing level {k}")

@@ -173,8 +173,6 @@ def load_or_build_table(cfg: RunConfig, curve: CurveData) -> SymbolTable:
 def run_pipeline(cfg: RunConfig, last_stage: str | None = None) -> PipelineResult:
     """Run the stages in order, through last_stage ("validate_hecke" or
     "compat"; None runs them all)."""
-    if last_stage not in (None, "validate_hecke", "compat"):
-        raise ValueError(f"cannot stop after stage {last_stage!r}")
     record = {
         "tool": f"signedlp {__version__}",
         "config": {

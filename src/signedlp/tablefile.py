@@ -12,7 +12,7 @@ import math
 
 from .curves import is_odd_prime
 from .errors import ContextMismatch, IoError, ParseError
-from .modsym import SymbolTable, _level, _units
+from .modsym import SymbolTable, _units
 
 
 def export_table(table: SymbolTable, path) -> None:
@@ -38,7 +38,10 @@ def export_table(table: SymbolTable, path) -> None:
 def import_table(path, expect_curve=None, expect_p=None) -> SymbolTable:
     """A table from the CSV format of export_table.  The fractions may come in
     any form; each sign is brought to the lcm of its reduced denominators.
-    A level is kept when its rows cover every unit residue."""
+    A level that needs more rows than the file has (p^(k-1)(p-1) at level
+    k >= 1) is a ParseError; a level whose rows miss a unit residue is not
+    held (None), and validate_hecke refuses the table if it needs that
+    level."""
     import csv  # only CSV I/O needs it
 
     try:
@@ -102,7 +105,8 @@ def import_table(path, expect_curve=None, expect_p=None) -> SymbolTable:
     for k, (m, held) in found.items():
         if len(held) != m - m // p:
             continue  # a unit residue has no row
-        units = [held[r] for r in _units(p, k)]
-        levels[k] = (_level(p, k, [n * (dens[0] // d) for n, d, _, _ in units]),
-                     _level(p, k, [n * (dens[1] // d) for _, _, n, d in units]))
+        # each row goes to its residue; the non-units keep 0
+        plus, minus = levels[k] = ([0] * m, [0] * m)
+        for r, (pn, pd, mn_, md) in held.items():
+            plus[r], minus[r] = pn * (dens[0] // pd), mn_ * (dens[1] // md)
     return SymbolTable(label, p, dens, levels, provenance="imported")

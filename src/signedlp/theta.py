@@ -78,11 +78,9 @@ def check_compat(thetas, n: int, a_p: int, ctx) -> None:
     raises InconsistentTable here, naming its first nonzero Y-coefficient
     and that coefficient's p-adic valuation (the scale of the thetas leaves
     it unchanged).  ctx is the run's IwasawaContext.
-    Levels 0 and 1 are covered by the Hecke validation of the underlying
-    table instead.
+    The congruence starts at n = 2: levels 0 and 1 are covered by the Hecke
+    validation of the underlying table instead.
     """
-    if n < 2:
-        raise ValueError("the three-term congruence starts at level 2")
     p, m = ctx.prime, ctx.prime ** (n - 1)
     tiled = fold(thetas[n - 2], m // p) * p
     rem = [a - a_p * b + c for a, b, c in

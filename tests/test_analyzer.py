@@ -15,6 +15,7 @@ from signedlp.analyzer import (
     report_payload,
     theorem_consistency,
 )
+from signedlp.curves import ingest_curve
 from signedlp.errors import PrecisionExhausted
 from signedlp.extract import (
     _component,
@@ -23,7 +24,7 @@ from signedlp.extract import (
 )
 from signedlp.lambda_ring import IwasawaContext, divrem
 from signedlp.modules import parse_factored_ideal
-from signedlp.pipeline import RunConfig, run_pipeline
+from signedlp.pipeline import PipelineResult, RunConfig, run_pipeline
 
 from conftest import curve_path, ideal_to_lambda, x_element, x_product, y_element
 
@@ -222,7 +223,8 @@ def _rank_one_payload():
     gcd = GcdReport(0, 1, {}, "1", True)
     v = compare_predictions(gcd, (1,), parse_factored_ideal("1"))
     record = {"tool": "signedlp", "config": {"p": 17}, "stages": {}}
-    return report_payload("37a1", 17, gcd, v, record)
+    result = PipelineResult(record, ingest_curve(curve_path("37a1")), None, gcd=gcd, verdict=v)
+    return report_payload(result, RunConfig(curve_path("37a1"), 17))
 
 
 def test_emit_json_to_stdout(capsys):

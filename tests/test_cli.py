@@ -566,6 +566,22 @@ def test_run_config_validates_inputs():
     assert RunConfig(curve_file=curve_path("53a1"), p=11).n_max == 1
 
 
+@pytest.mark.parametrize("argv, reason", [
+    (_REPORT_53A1 + ["--p", "5", "--level", "-1"], "level must be nonnegative"),
+    *((["curve-info", "--curve", curve_path("53a1"), "--p", p], "p must be an odd prime")
+      for p in ("4", "9")),
+], ids=["report-level-negative", "curve-info-p-4", "curve-info-p-9"])
+def test_refused_value_is_a_usage_error_with_its_reason(argv, reason, capsys):
+    # test_unknown_flag_exits_2 runs these in a child process and reads the
+    # exit code; here the reason the check gives is read too
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    out, err = capsys.readouterr()
+    assert (exc.value.code, out) == (2, "")
+    assert err.startswith(f"usage: signedlp {argv[0]} ")
+    assert err.endswith(f": error: {reason}\n")
+
+
 def test_import_with_export_is_a_usage_error_that_writes_nothing(tmp_path, capsys,
                                                                   monkeypatch):
     # export_table needs every level, and an imported table has not passed

@@ -1,5 +1,6 @@
 import math
 import os
+import random
 
 import mpmath
 import numpy as np
@@ -215,6 +216,44 @@ def test_a_ell_at_hasse_edges_and_large_primes(store, label):
         assert a == _short_model_count(c, ell)
         if ell in HASSE_EDGE[label]:
             assert abs(a) >= math.isqrt(4 * ell) - 1
+
+
+def _reference_a2(curve):
+    """The F_2 enumeration that a_ell and a_bad_prime once used at 2, verbatim."""
+    a1, a2, a3, a4, a6 = curve.a_invariants
+    count = 1  # point at infinity
+    for x in range(2):
+        for y in range(2):
+            lhs = y * y + a1 * x * y + a3 * y
+            rhs = x**3 + a2 * x * x + a4 * x + a6
+            if (lhs - rhs) % 2 == 0:
+                count += 1
+    return 2 + 1 - count
+
+
+def _reference_a3(curve):
+    """The completed-square count that a_ell and a_bad_prime once used at 3,
+    verbatim: 12 is no unit mod 3, so the three x one by one."""
+    b2, b4, b6, _ = curve.b_invariants
+    rhs = [(((4 * x + b2) * x + 2 * b4) * x + b6) % 3 for x in range(3)]
+    return rhs.count(2) - rhs.count(1)
+
+
+def test_small_prime_count_matches_the_former_counters():
+    # curves._a_small counts ell = 2 and 3 on the long Weierstrass equation,
+    # at good and bad primes alike: both former counters agree with it on
+    # random nonsingular models, each reduction kind met at each ell
+    rng = random.Random(40)
+    met = set()
+    for _ in range(3000):
+        ainvs = tuple(rng.randrange(-40, 41) for _ in range(5))
+        curve = curves.CurveData("random", ainvs, 1, 0, (0,), 1)
+        if curve.discriminant == 0:
+            continue
+        for ell, reference in ((2, _reference_a2), (3, _reference_a3)):
+            met.add((ell, curve.discriminant % ell == 0))
+            assert curves._a_small(curve, ell) == reference(curve), (ainvs, ell)
+    assert met == {(2, False), (2, True), (3, False), (3, True)}
 
 
 def _reference_smallest_prime_factors(n):

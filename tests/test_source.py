@@ -166,6 +166,43 @@ def _constructed():
     return found
 
 
+# where package code may raise ValueError, and why; anywhere else it would
+# re-check a value that every caller already guarantees
+VALUE_ERROR_SITES = {
+    "__new__": "a record refuses a field value that breaks its invariant: "
+               "RunConfig's come from the command line",
+    "parse_factored_ideal": "it reads the --fine-char spec, outside input",
+    "padic_valuation": "the valuation of 0 is infinite, and its loop would never end",
+}
+
+
+def _raise_sites(exception):
+    """module:qualified name of the definition around each raise of the
+    exception named exception in package code ("Class.method" in a class)."""
+    found = []
+    for module, tree in _package_trees().items():
+        stack = [(tree, None)]
+        while stack:
+            node, where = stack.pop()
+            if isinstance(node, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+                where = node.name if where is None else f"{where}.{node.name}"
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                raised = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                if getattr(raised, "id", None) == exception:
+                    found.append(f"{module}:{where}")
+            stack.extend((child, where) for child in ast.iter_child_nodes(node))
+    return found
+
+
+def test_value_error_is_raised_only_on_values_a_caller_can_pass():
+    # every class's __new__ is a record's (the class test below), all one kind
+    kinds = {site: "__new__" if site.endswith(".__new__") else site.partition(":")[2]
+             for site in _raise_sites("ValueError")}
+    found = sorted(site for site, kind in kinds.items() if kind not in VALUE_ERROR_SITES)
+    assert not found, f"ValueError raised outside VALUE_ERROR_SITES: {found}"
+    assert set(kinds.values()) == set(VALUE_ERROR_SITES), kinds
+
+
 def test_every_exception_type_is_raised_in_package():
     # a check raises where it fails, so a retired raise site must not leave
     # its exception type behind: each class in errors.py but the base that
@@ -204,7 +241,7 @@ def test_only_modsym_imports_fractions():
 def test_only_curves_reaches_the_point_counting_algorithms():
     # one point counter: curves.a_ell chooses its algorithm by ell, so no
     # other module defines, imports or calls a counting algorithm of its own
-    algorithms = {"_a_ell_naive", "hasse_candidates", "_traces_killing"}
+    algorithms = {"_a_small", "_a_ell_naive", "hasse_candidates", "_traces_killing"}
     found = [
         f"{name}:{node.lineno}"
         for name, tree in _package_trees().items() if name != "curves.py"
